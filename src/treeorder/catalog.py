@@ -15,18 +15,21 @@ from typing import Callable, Optional
 
 from .groups import FreeGroup, InfiniteDihedral, Z, Zk
 from .grouporder import (
+    PLAIN,
     ConeStructure,
     SubgroupSpec,
-    blow_up_gplus,
     check_augmented_between,
+    check_completely_convex,
     check_no_singleton_classes,
-    induced_ball_poset,
+    plain_of,
     quotient_order,
     r_equivalent,
+    tag_of,
     verify_cone_axioms,
 )
 from .orbitorder import (
     DIHEDRAL_BASE_POINT,
+    ConePipeline,
     check_action,
     dihedral_example,
     orbit_poset,
@@ -35,7 +38,7 @@ from .orbitorder import (
 )
 from .ordertree import check_blowup
 from .poset import GT, LT, SIML, SIMU
-from .treebuild import build_from_cones, orient_segments, verify_stage_properties
+from .treebuild import verify_stage_properties
 
 
 class CatalogError(KeyError):
@@ -239,8 +242,8 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
     """Doubled-order checks over a ball: the three between-set shapes per
     pair, the touching relation is an equivalence, and no similarity class
     between plain elements is a singleton."""
-    p = induced_ball_poset(cone, radius)
-    aug = blow_up_gplus(p)
+    pipe = ConePipeline.of(cone, radius)
+    p, aug = pipe.ball_poset, pipe.doubled
     pair_failures = []
     pairs = 0
     for a, b in p.iter_pairs():
@@ -285,12 +288,11 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
 def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] = 6) -> dict:
     """Stagewise construction checks: the four structural laws, direction
     independence on every unit, and injectivity of the labeling."""
-    state = build_from_cones(cone, radius=radius, stages=stages)
+    pipe = ConePipeline.of(cone, radius)
+    state = pipe.build(stages)
     props = verify_stage_properties(state)
-    layout = orient_segments(state)
+    layout = pipe.layout(stages)
     by_point: dict = {}
-    from .grouporder import PLAIN, plain_of, tag_of
-
     for lab in state.nu:
         if tag_of(lab) != PLAIN:
             continue
@@ -322,14 +324,15 @@ def run_roundtrip_suite(cone: ConeStructure, radius: int = 6) -> dict:
     """Build, blow up, act, and compare the orbit order with the ball order;
     undetermined pairs are the ones touching an escaped element."""
     rep = roundtrip_orbit(cone, radius=radius)
-    orbit = rep["orbit"]
     n_ball = rep["ball"]
     n_real = rep["realized"]
     total_pairs = n_ball * (n_ball - 1) // 2
     determined_pairs = n_real * (n_real - 1) // 2
-    rep["pair_coverage"] = Fraction(determined_pairs, total_pairs) if total_pairs else Fraction(1)
-    rep["undetermined_elements"] = list(orbit.escaped)
-    return rep
+    return {
+        **rep,
+        "pair_coverage": Fraction(determined_pairs, total_pairs) if total_pairs else Fraction(1),
+        "undetermined_elements": list(rep["orbit"].escaped),
+    }
 
 
 def run_blowup_suite(radius: int = 6) -> dict:
@@ -348,8 +351,6 @@ def run_blowup_suite(radius: int = 6) -> dict:
 def run_quotient_suite(name: str, radius: int = 6) -> dict:
     """Quotient scenario by name; negative scenarios report the witness."""
     cone, sub = get_quotient_scenario(name)
-    from .grouporder import ConeError, check_completely_convex
-
     convexity = check_completely_convex(cone, sub, radius)
     out: dict = {
         "ok": convexity.ok,
@@ -364,7 +365,7 @@ def run_quotient_suite(name: str, radius: int = 6) -> dict:
     }
     if not convexity.ok:
         return out
-    result = quotient_order(cone, sub, radius)
+    result = quotient_order(cone, sub, radius, convexity=convexity)
     out["ok"] = result.ok
     out["representatives"] = len(result.representatives)
     out["property_counts"] = result.property_counts
@@ -461,7 +462,7 @@ def _cone_example(name: str, radius: int = 8) -> Callable:
 def _composite(cone_factory: Callable) -> Callable:
     def run(r: int = 6) -> dict:
         cone = cone_factory()
-        axioms = verify_cone_axioms(cone, max(r, 8))
+        axioms = ConePipeline.of(cone, max(r, 8)).cone_report
         trip = run_roundtrip_suite(cone, r)
         build = run_build_suite(cone, radius=r, stages=6)
         return {

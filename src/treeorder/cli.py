@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .catalog import (
     BUILTIN_CONES,
@@ -29,8 +29,8 @@ from .catalog import (
 )
 from .corpus import run_relation_suite
 from .groups import GroupError
-from .grouporder import ConeError, verify_cone_axioms
-from .orbitorder import OrbitError, orbit_poset
+from .grouporder import ConeError, check_completely_convex, quotient_order, verify_cone_axioms
+from .orbitorder import ConePipeline, OrbitError, orbit_poset
 from .ordertree import TreeError, check_blowup, denjoy_blowup
 from .poset import REL_NAMES, PosetError
 from .specio import (
@@ -38,14 +38,13 @@ from .specio import (
     canonical_json,
     cone_from_document,
     load_document,
-    parse_document,
     poset_from_document,
     poset_to_document,
     tree_from_document,
     tree_to_document,
     tree_to_dot,
 )
-from .treebuild import BuildError, build_from_cones, orient_segments
+from .treebuild import BuildError
 
 CHECK_ERRORS = (PosetError, ConeError, BuildError, OrbitError, TreeError)
 SPEC_ERRORS = (SpecError, CatalogError, GroupError)
@@ -58,20 +57,18 @@ def _parse_args(argv):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, radius=True, stages=False, emit=False, threads=False):
+    def common(p, radius=True, stages=False, emit=False):
         if radius:
             p.add_argument("--radius", type=int, default=6, help="ball radius (default 6)")
         if stages:
             p.add_argument("--stages", type=int, default=6, help="construction stages (default 6)")
         if emit:
             p.add_argument("--emit", choices=["dot", "json"], help="print the artifact instead of the report")
-        if threads:
-            p.add_argument("--threads", type=int, default=1, help="parallel sweep width")
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("check-cones", help="verify the cone axioms of a group order")
     p.add_argument("spec", help="spec file or builtin cone name")
-    common(p, threads=True)
+    common(p)
 
     p = sub.add_parser("check-poset", help="validate a poset document and its relation laws")
     p.add_argument("spec", help="poset spec file")
@@ -147,7 +144,7 @@ def _jsonable(obj):
 
 def _cmd_check_cones(args) -> int:
     cone = _load_cone(args.spec)
-    report = verify_cone_axioms(cone, args.radius, threads=args.threads)
+    report = verify_cone_axioms(cone, args.radius)
     fmt = cone.group.format
     lines = [f"cone {cone.name}: ball {report.ball_size} at radius {args.radius}"]
     for idx, cond in sorted(report.conditions.items()):
@@ -196,10 +193,10 @@ def _layout_annotations(state, layout) -> tuple:
 def _cmd_build_tree(args) -> int:
     cone = _load_cone(args.spec)
     suite = run_build_suite(cone, radius=args.radius, stages=args.stages)
-    state = build_from_cones(cone, radius=args.radius, stages=args.stages)
-    layout = orient_segments(state)
     if args.emit:
-        node_labels, arc_labels = _layout_annotations(state, layout)
+        pipe = ConePipeline.of(cone, args.radius)
+        layout = pipe.layout(args.stages)
+        node_labels, arc_labels = _layout_annotations(pipe.build(args.stages), layout)
         if args.emit == "dot":
             sys.stdout.write(tree_to_dot(layout.tree, node_labels, arc_labels))
         else:
@@ -299,8 +296,6 @@ def _cmd_orbit_order(args) -> int:
 def _cmd_quotient(args) -> int:
     cone = _load_cone(args.spec)
     sub = get_subgroup(args.subgroup)
-    from .grouporder import check_completely_convex, quotient_order
-
     fmt = cone.group.format
     convexity = check_completely_convex(cone, sub, args.radius)
     lines = [f"quotient {cone.name} by {sub.name}: radius {args.radius}"]
@@ -321,7 +316,7 @@ def _cmd_quotient(args) -> int:
             ],
         }))
         return 1
-    result = quotient_order(cone, sub, args.radius)
+    result = quotient_order(cone, sub, args.radius, convexity=convexity)
     lines.append(f"  complete convexity: pass ({convexity.pairs_checked} pairs)")
     lines.append(f"  representatives: {len(result.representatives)}")
     for clause in sorted(result.property_counts):

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from .ordertree import OrderTree
 from .orbitorder import manifold_graph, manifold_order
-from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError
+from .poset import GT, LT, SIML, SIMU, ExtendedPoset, PosetError
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
 BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
@@ -150,11 +150,12 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
             tree.add_arc(("e", v), parent, v)
         else:
             tree.add_arc(("e", v), v, parent)
-    k = rng.randint(2, max_points)
+    arcs = tree.sorted_arc_ids()
+    # each arc has 15 free positions t/16, so more points cannot be placed
+    k = min(rng.randint(2, max_points), 15 * len(arcs))
     seen = set()
     points = []
-    arcs = tree.sorted_arc_ids()
-    while len(points) < k and len(seen) < 64 * len(arcs):
+    while len(points) < k:
         aid = arcs[rng.randrange(len(arcs))]
         t = Fraction(rng.randint(1, 15), 16)
         if (aid, t) in seen:

@@ -18,11 +18,10 @@ normal, completely convex subgroup.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
-from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, PosetError, between_by_codes
+from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_codes
 
 _VIOLATION_CAP = 25
 
@@ -41,6 +40,8 @@ class ConeStructure:
         self.in_upper = in_upper
         self.in_lower = in_lower
         self._side_cache: dict = {}
+        # radius -> orbitorder.ConePipeline, so one command builds each artifact once
+        self.pipelines: dict = {}
 
     def side(self, w) -> str:
         """Which piece w falls in; raises if the pieces fail to partition at w."""
@@ -79,11 +80,6 @@ class ConeStructure:
         if s == "l":
             return SIML
         raise ConeError(f"distinct elements with identity quotient: {self.group.format(g)}, {self.group.format(h)}")
-
-
-def classify_group(cone: ConeStructure, g, h) -> int:
-    """Relation code between group elements g and h under the cone order."""
-    return cone.classify(g, h)
 
 
 @dataclass
@@ -141,7 +137,7 @@ def _ball_products(group, xs: list, ys: list, radius: int, bset: set):
                 yield g, h, z
 
 
-def verify_cone_axioms(cone: ConeStructure, radius: int, threads: int = 1) -> ConeReport:
+def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
     """Sweep all six cone axioms over ball(radius).
 
     Product axioms only see pairs whose factors and product all lie in the
@@ -184,48 +180,29 @@ def verify_cone_axioms(cone: ConeStructure, radius: int, threads: int = 1) -> Co
 
     sweeps = [(2, pos, pos, cone.in_positive), (3, low, pos, cone.in_lower), (4, pos, upp, cone.in_upper), (5, upp, low, cone.in_positive)]
 
-    def run_sweep(cond: ConditionResult, xs: list, ys: list, member: Callable) -> None:
-        total = len(xs) * len(ys)
-        seen = 0
-        if threads > 1 and len(xs) >= threads * 4:
-            chunks = [xs[i::threads] for i in range(threads)]
-
-            def work(chunk):
-                hits = 0
-                bad = []
-                for g, h, z in _ball_products(group, chunk, ys, radius, bset):
-                    hits += 1
-                    if not member(z):
-                        bad.append((g, h, z))
-                return hits, bad
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for hits, bad in pool.map(work, chunks):
-                    seen += hits
-                    for w in bad:
-                        cond.note(w)
-        else:
-            for g, h, z in _ball_products(group, xs, ys, radius, bset):
-                seen += 1
-                if not member(z):
-                    cond.note((g, h, z))
-        cond.checked = seen
-        cond.skipped = total - seen
-
     for idx, xs, ys, member in sweeps:
-        run_sweep(conditions[idx], xs, ys, member)
+        cond = conditions[idx]
+        seen = 0
+        for g, h, z in _ball_products(group, xs, ys, radius, bset):
+            seen += 1
+            if not member(z):
+                cond.note((g, h, z))
+        cond.checked = seen
+        cond.skipped = len(xs) * len(ys) - seen
 
     return ConeReport(cone=cone.name, radius=radius, ball_size=len(ball), conditions=conditions)
 
 
-def induced_ball_poset(cone: ConeStructure, radius: int) -> ExtendedPoset:
+def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeReport] = None) -> ExtendedPoset:
     """The tagged poset the cone induces on ball(radius).
 
-    The axiom sweep must pass first; every quotient the relation table needs
-    gets classified on demand, and classification itself raises if the cones
-    fail to partition somewhere in ball(2 * radius).
+    The axiom sweep must pass first (``report``, when the caller already ran
+    it at this radius); every quotient the relation table needs gets
+    classified on demand, and classification itself raises if the cones fail
+    to partition somewhere in ball(2 * radius).
     """
-    report = verify_cone_axioms(cone, radius)
+    if report is None:
+        report = verify_cone_axioms(cone, radius)
     if not report.ok:
         bad = next(idx for idx, c in sorted(report.conditions.items()) if not c.ok)
         raise ConeError(f"cone {cone.name} fails condition ({bad}) at radius {radius}")
@@ -435,14 +412,16 @@ class QuotientResult:
         return not self.uniqueness and not self.property_violations and self.convexity.ok
 
 
-def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_samples: int = 12) -> QuotientResult:
+def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_samples: int = 12,
+                   convexity: Optional[ConvexityReport] = None) -> QuotientResult:
     """Order the cosets of a normal, completely convex subgroup.
 
     A coset relation is witnessed existentially: g1 H < g2 H when some h in H
     puts g1 below g2 h, and likewise for the similarity tags.  h ranges over
     H inside ball(2 * radius); the identity always witnesses something, so
     every pair gets a relation, and finding two distinct relations for one
-    pair is reported as a uniqueness violation.
+    pair is reported as a uniqueness violation.  ``convexity`` is the
+    complete-convexity report at this radius, when the caller already has it.
     """
     group = cone.group
     ball = group.ball(radius)
@@ -450,7 +429,8 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_sa
         for h in ball:
             if sub(h) and not sub(group.mult(group.mult(g, h), group.inv(g))):
                 raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
-    convexity = check_completely_convex(cone, sub, radius)
+    if convexity is None:
+        convexity = check_completely_convex(cone, sub, radius)
     if not convexity.ok:
         w = convexity.violations[0]
         raise ConeError(

@@ -19,14 +19,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .groups import InfiniteDihedral
-from .grouporder import ConeStructure, PLAIN, induced_ball_poset, plain_of, tag_of
+from .grouporder import (
+    PLAIN,
+    ConeReport,
+    ConeStructure,
+    blow_up_gplus,
+    induced_ball_poset,
+    plain_of,
+    tag_of,
+    verify_cone_axioms,
+)
 from .ordertree import OrderTree, TreeError, denjoy_blowup, alternating_line_tree
 from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset
-from .treebuild import BuildError, build_from_cones, orient_segments
+from .treebuild import (
+    BetweenDecomposition,
+    BuildError,
+    BuildLayout,
+    LabeledTree,
+    auto_pairs,
+    build_tree,
+    normalize_decomposition,
+    orient_segments,
+)
 
 
 class OrbitError(ValueError):
@@ -222,12 +241,12 @@ def orbit_poset(m: OrderTree, action: TreeAction, x0: tuple, radius: int) -> Orb
     stabilizer_extension_order for that situation.
     """
     group = action.group
-    points, escaped = orbit_points(action, x0, radius)
+    points, escaped = orbit_points(action, x0, radius)  # in ball order
     ident = group.identity
-    for g, img in sorted(points.items(), key=lambda kv: group.ball(radius).index(kv[0])):
+    for g, img in points.items():
         if g != ident and img == x0:
             raise OrbitError(f"nontrivial stabilizer: {group.format(g)} fixes the base point")
-    realized = tuple(g for g in group.ball(radius) if g in points)
+    realized = tuple(points)
     graph = manifold_graph(m)
 
     def rel_of(g, h):
@@ -370,42 +389,107 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
     return TreeAction(group=group, act=act, name="label-translation"), points[ident], points
 
 
+class ConePipeline:
+    """The chain from a cone order to its tree and back, at one radius.
+
+    Cone-axiom report, ball poset (gated on the report), doubled poset and
+    between-set decomposition are computed on first use and kept; so are
+    the build, its layout and the round trip for each stage count.  Use
+    ``ConePipeline.of`` so that every step of a command shares one pipeline
+    per (cone, radius).
+    """
+
+    def __init__(self, cone: ConeStructure, radius: int):
+        self.cone = cone
+        self.radius = radius
+        self._per_stages: dict = {}
+
+    @classmethod
+    def of(cls, cone: ConeStructure, radius: int) -> "ConePipeline":
+        if radius not in cone.pipelines:
+            cone.pipelines[radius] = cls(cone, radius)
+        return cone.pipelines[radius]
+
+    @cached_property
+    def ball(self) -> list:
+        return self.cone.group.ball(self.radius)
+
+    @cached_property
+    def cone_report(self) -> ConeReport:
+        return verify_cone_axioms(self.cone, self.radius)
+
+    @cached_property
+    def ball_poset(self) -> ExtendedPoset:
+        return induced_ball_poset(self.cone, self.radius, self.cone_report)
+
+    @cached_property
+    def doubled(self) -> ExtendedPoset:
+        return blow_up_gplus(self.ball_poset)
+
+    @cached_property
+    def decomposition(self) -> BetweenDecomposition:
+        return normalize_decomposition(self.ball_poset, auto_pairs(self.ball_poset))
+
+    def _memo(self, step: str, stages: Optional[int], make: Callable):
+        # key on the stages actually laid, so 6 and None share a short build
+        todo = self.decomposition.stages
+        n = len(todo if stages is None else todo[:stages])
+        if (step, n) not in self._per_stages:
+            self._per_stages[step, n] = make(n)
+        return self._per_stages[step, n]
+
+    def build(self, stages: Optional[int] = None) -> LabeledTree:
+        return self._memo("build", stages, lambda n: build_tree(
+            self.ball_poset, augmented=self.doubled, decomposition=self.decomposition,
+            stages=n, group=self.cone.group))
+
+    def layout(self, stages: Optional[int] = None) -> BuildLayout:
+        return self._memo("layout", stages, lambda n: orient_segments(self.build(n)))
+
+    def roundtrip(self, stages: Optional[int] = None) -> dict:
+        """See roundtrip_orbit."""
+        return self._memo("roundtrip", stages, self._roundtrip)
+
+    def _roundtrip(self, stages: int) -> dict:
+        state, layout = self.build(stages), self.layout(stages)
+        manifold = denjoy_blowup(layout.tree)
+        if not manifold.is_branchless():
+            raise BuildError("blow-up left a branching point")
+        action, x0, _ = label_action(state, layout, manifold)
+        orbit = orbit_poset(manifold, action, x0, self.radius)
+        induced = self.ball_poset
+        mismatches = []
+        for g in orbit.realized:
+            for h in orbit.realized:
+                got = orbit.poset.rel(g, h)
+                want = induced.rel(g, h)
+                if got != want:
+                    mismatches.append((g, h, got, want))
+        ball_size = len(self.ball)
+        return {
+            "ok": not mismatches,
+            "cone": self.cone.name,
+            "radius": self.radius,
+            "realized": len(orbit.realized),
+            "escaped": len(orbit.escaped),
+            "ball": ball_size,
+            "coverage": Fraction(len(orbit.realized), ball_size),
+            "mismatches": mismatches,
+            "orbit": orbit,
+            "induced": induced,
+        }
+
+
 def roundtrip_orbit(cone: ConeStructure, radius: int = 6, stages: Optional[int] = None) -> dict:
     """Build the tree of a cone order, blow it up, act by translation on the
     labels, and pull the manifold order back along the identity orbit.
 
     The pulled-back order must agree with the ball order induced by the cone
     on every realized pair; elements outside the built part are excluded and
-    counted, never guessed.
+    counted, never guessed.  The report is shared with the cone's pipeline;
+    copy it before changing it.
     """
-    state = build_from_cones(cone, radius=radius, stages=stages)
-    layout = orient_segments(state)
-    manifold = denjoy_blowup(layout.tree)
-    if not manifold.is_branchless():
-        raise BuildError("blow-up left a branching point")
-    action, x0, _ = label_action(state, layout, manifold)
-    orbit = orbit_poset(manifold, action, x0, radius)
-    induced = induced_ball_poset(cone, radius)
-    mismatches = []
-    for g in orbit.realized:
-        for h in orbit.realized:
-            got = orbit.poset.rel(g, h)
-            want = induced.rel(g, h)
-            if got != want:
-                mismatches.append((g, h, got, want))
-    ball_size = len(cone.group.ball(radius))
-    return {
-        "ok": not mismatches,
-        "cone": cone.name,
-        "radius": radius,
-        "realized": len(orbit.realized),
-        "escaped": len(orbit.escaped),
-        "ball": ball_size,
-        "coverage": Fraction(len(orbit.realized), ball_size),
-        "mismatches": mismatches,
-        "orbit": orbit,
-        "induced": induced,
-    }
+    return ConePipeline.of(cone, radius).roundtrip(stages)
 
 
 DIHEDRAL_BASE_POINT = ("arc", ("s", 0), Fraction(1, 4))

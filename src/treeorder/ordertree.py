@@ -10,8 +10,8 @@ answer point queries.
 
 Doubled endpoints ("caps") are point nodes listed in the adjacency table:
 ``(cap, arc, side)`` says every neighbourhood of the cap meets the named open
-arc end, so connectivity, geodesics and bound searches flow through the pair
-even though the cap touches its own arc only.
+arc end, so connectivity and order queries flow through the pair even though
+the cap touches its own arc only.
 
 The blow-up takes any finite tree to a branchless one in three moves: branch
 points with traffic on both sides stretch into an interval, sinks and sources
@@ -26,7 +26,6 @@ object; the blow-up leaves them alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 
@@ -47,10 +46,6 @@ class ArcRec:
     head: object
     kind: str = "arc"  # arc | blowup | stub
     core: bool = True
-
-
-def _key(x) -> str:
-    return repr(x)
 
 
 class OrderTree:
@@ -165,10 +160,10 @@ class OrderTree:
         return True
 
     def sorted_node_ids(self) -> list:
-        return sorted(self.nodes, key=_key)
+        return sorted(self.nodes, key=repr)
 
     def sorted_arc_ids(self) -> list:
-        return sorted(self.arcs, key=_key)
+        return sorted(self.arcs, key=repr)
 
     # -- identified graph ----------------------------------------------
 
@@ -193,7 +188,7 @@ class OrderTree:
         for cap, aid, side in self.adjacencies:
             rx, ry = find(("n", cap)), find(("end", aid, side))
             if rx != ry:
-                parent[max(rx, ry, key=_key)] = min(rx, ry, key=_key)
+                parent[max(rx, ry, key=repr)] = min(rx, ry, key=repr)
         return {t: find(t) for t in list(parent)}
 
     def identified_graph(self) -> tuple:
@@ -202,7 +197,7 @@ class OrderTree:
         edges = []
         for aid in self.sorted_arc_ids():
             edges.append((roots[self._end_token(aid, "tail")], roots[self._end_token(aid, "head")], aid))
-        return sorted(set(roots.values()), key=_key), edges, roots
+        return sorted(set(roots.values()), key=repr), edges, roots
 
     def check_axioms(self) -> dict:
         """Structural axioms: nondegenerate directed arcs, open ends used
@@ -258,455 +253,6 @@ class OrderTree:
             if merges != len(tokens) - 1:
                 problems.append("identified arc graph is not connected")
         return {"ok": not problems, "problems": problems, "nodes": len(self.nodes), "arcs": len(self.arcs)}
-
-
-def check_order_tree_axioms(tree: OrderTree) -> dict:
-    """Structural axiom report for a tree; see OrderTree.check_axioms."""
-    return tree.check_axioms()
-
-
-# -- point sets -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Finitely many node points plus spans inside arcs, canonical form.
-
-    Spans are (arc, lo, hi, lo_closed, hi_closed) with lo <= hi in arc
-    coordinates; spans reaching 0 or 1 are open there, the node at that end,
-    when real, travels in the node part instead.
-    """
-
-    nodes: frozenset
-    spans: tuple
-
-    @staticmethod
-    def _merge(intervals: list) -> list:
-        intervals.sort(key=lambda s: (s[0], not s[2]))
-        out: list = []
-        for lo, hi, lcl, hcl in intervals:
-            if lo > hi or (lo == hi and not (lcl and hcl)):
-                continue
-            if out:
-                plo, phi, plcl, phcl = out[-1]
-                if lo < phi or (lo == phi and (phcl or lcl)):
-                    nhi, nhcl = max((phi, phcl), (hi, hcl))
-                    out[-1] = (plo, nhi, plcl, nhcl)
-                    continue
-            out.append((lo, hi, lcl, hcl))
-        return out
-
-    @classmethod
-    def make(cls, nodes: Iterable = (), spans: Iterable = ()) -> "PointSet":
-        per_arc: dict = {}
-        for aid, lo, hi, lcl, hcl in spans:
-            if lo > hi:
-                lo, hi, lcl, hcl = hi, lo, hcl, lcl
-            per_arc.setdefault(aid, []).append((lo, hi, lcl, hcl))
-        flat = []
-        for aid in sorted(per_arc, key=_key):
-            for lo, hi, lcl, hcl in cls._merge(per_arc[aid]):
-                flat.append((aid, lo, hi, lcl, hcl))
-        return cls(nodes=frozenset(nodes), spans=tuple(flat))
-
-    def is_empty(self) -> bool:
-        return not self.nodes and not self.spans
-
-    def union(self, other: "PointSet") -> "PointSet":
-        return PointSet.make(self.nodes | other.nodes, list(self.spans) + list(other.spans))
-
-    def intersection(self, other: "PointSet") -> "PointSet":
-        mine: dict = {}
-        for aid, lo, hi, lcl, hcl in self.spans:
-            mine.setdefault(aid, []).append((lo, hi, lcl, hcl))
-        spans = []
-        for aid, lo, hi, lcl, hcl in other.spans:
-            for plo, phi, plcl, phcl in mine.get(aid, ()):
-                if lo > plo:
-                    nlo, nlcl = lo, lcl
-                elif plo > lo:
-                    nlo, nlcl = plo, plcl
-                else:
-                    nlo, nlcl = lo, lcl and plcl
-                if hi < phi:
-                    nhi, nhcl = hi, hcl
-                elif phi < hi:
-                    nhi, nhcl = phi, phcl
-                else:
-                    nhi, nhcl = hi, hcl and phcl
-                if nlo < nhi or (nlo == nhi and nlcl and nhcl):
-                    spans.append((aid, nlo, nhi, nlcl, nhcl))
-        return PointSet.make(self.nodes & other.nodes, spans)
-
-    def contains_point(self, p) -> bool:
-        if p[0] == "node":
-            return p[1] in self.nodes
-        _, aid, t = p
-        for said, lo, hi, lcl, hcl in self.spans:
-            if said == aid and (lo < t or (lo == t and lcl)) and (t < hi or (t == hi and hcl)):
-                return True
-        return False
-
-    def minus_point(self, p) -> "PointSet":
-        if p[0] == "node":
-            return PointSet.make(self.nodes - {p[1]}, self.spans)
-        _, aid, t = p
-        spans = []
-        for said, lo, hi, lcl, hcl in self.spans:
-            if said == aid and lo <= t <= hi:
-                spans.append((said, lo, t, lcl, False))
-                spans.append((said, t, hi, False, hcl))
-            else:
-                spans.append((said, lo, hi, lcl, hcl))
-        return PointSet.make(self.nodes, spans)
-
-    def difference(self, other: "PointSet") -> "PointSet":
-        spans = []
-        for aid, lo, hi, lcl, hcl in self.spans:
-            pieces = [(lo, hi, lcl, hcl)]
-            for oaid, olo, ohi, olcl, ohcl in other.spans:
-                if oaid != aid:
-                    continue
-                nxt = []
-                for plo, phi, plcl, phcl in pieces:
-                    if ohi < plo or (ohi == plo and not (ohcl and plcl)):
-                        nxt.append((plo, phi, plcl, phcl))
-                        continue
-                    if olo > phi or (olo == phi and not (olcl and phcl)):
-                        nxt.append((plo, phi, plcl, phcl))
-                        continue
-                    if plo < olo or (plo == olo and plcl and not olcl):
-                        nxt.append((plo, olo, plcl, not olcl))
-                    if phi > ohi or (phi == ohi and phcl and not ohcl):
-                        nxt.append((ohi, phi, not ohcl, phcl))
-                pieces = nxt
-            spans.extend((aid, plo, phi, plcl, phcl) for plo, phi, plcl, phcl in pieces)
-        return PointSet.make(self.nodes - other.nodes, spans)
-
-    def is_subset(self, other: "PointSet") -> bool:
-        return self.intersection(other) == self
-
-    def touches_end(self, tree: OrderTree, kinds: tuple = ("openray",)) -> bool:
-        for aid, lo, hi, _lcl, _hcl in self.spans:
-            arc = tree.arcs[aid]
-            if lo == 0 and tree.nodes[arc.tail].kind in kinds:
-                return True
-            if hi == 1 and tree.nodes[arc.head].kind in kinds:
-                return True
-        return False
-
-
-# -- segments and geodesics -------------------------------------------
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A travel-ordered piece of the tree: node atoms and directed spans.
-
-    Span atoms run ("span", arc, t_from, t_to, include_from, include_to) in
-    travel order; t_from > t_to means travel against the arc direction.  Ends
-    of the whole segment are always real points.
-    """
-
-    atoms: tuple
-
-    def first_point(self):
-        a = self.atoms[0]
-        return ("node", a[1]) if a[0] == "node" else ("arc", a[1], a[2])
-
-    def last_point(self):
-        a = self.atoms[-1]
-        return ("node", a[1]) if a[0] == "node" else ("arc", a[1], a[3])
-
-    def point_set(self) -> PointSet:
-        nodes = []
-        spans = []
-        for a in self.atoms:
-            if a[0] == "node":
-                nodes.append(a[1])
-            else:
-                _, aid, t0, t1, i0, i1 = a
-                spans.append((aid, t0, t1, i0, i1))
-        return PointSet.make(nodes, spans)
-
-
-def _point_as_set(p) -> PointSet:
-    if p[0] == "node":
-        return PointSet.make(nodes=[p[1]])
-    return PointSet.make(spans=[(p[1], p[2], p[2], True, True)])
-
-
-@dataclass(frozen=True)
-class CuspRecord:
-    segments: tuple  # indices of the overlapping pair
-    points: tuple    # the two doubled endpoints determining the cusp
-    stub: object     # arc the pair dips into
-
-
-@dataclass
-class StandardGeodesic:
-    tree: OrderTree
-    segments: list
-    cusps: list
-
-    def point_set(self) -> PointSet:
-        ps = PointSet.make()
-        for s in self.segments:
-            ps = ps.union(s.point_set())
-        return ps
-
-    def spine_point_set(self) -> PointSet:
-        dips = {i for c in self.cusps for i in c.segments}
-        ps = PointSet.make()
-        for i, s in enumerate(self.segments):
-            if i not in dips:
-                ps = ps.union(s.point_set())
-        for c in self.cusps:
-            ps = ps.union(PointSet.make(nodes=[p[1] for p in c.points]))
-        return ps
-
-    def verify(self) -> list:
-        """Standard shape: far segments disjoint, neighbours meet in a single
-        point or overlap in the cusp shape."""
-        problems = []
-        sets = [s.point_set() for s in self.segments]
-        cusp_at = {c.segments[0]: c for c in self.cusps}
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                inter = sets[i].intersection(sets[j])
-                if j - i > 1:
-                    if not inter.is_empty():
-                        problems.append(f"segments {i} and {j} meet")
-                    continue
-                if i in cusp_at:
-                    sigma = sets[i].minus_point(self.segments[i].first_point())
-                    tau = sets[j].minus_point(self.segments[j].last_point())
-                    if sigma != tau:
-                        problems.append(f"cusp pair {i},{j} does not overlap correctly")
-                    continue
-                f = self.segments[i].last_point()
-                if f != self.segments[j].first_point():
-                    problems.append(f"segments {i},{j} do not chain")
-                elif inter != _point_as_set(f):
-                    problems.append(f"segments {i},{j} overlap beyond their joint")
-        return problems
-
-
-def standard_geodesic(tree: OrderTree, x, y, dip: Fraction = Fraction(1, 2)) -> StandardGeodesic:
-    """The standard route from x to y: one segment per arc stretch, dipping
-    into the shared open end wherever the route crosses a doubled endpoint
-    pair, which contributes a cusp."""
-    tree.require_point(x)
-    tree.require_point(y)
-    if x == y:
-        raise TreeError("geodesic needs two distinct points")
-    if not (0 < dip < 1):
-        raise TreeError("dip depth must be strictly inside the arc")
-    if x[0] == "arc" and y[0] == "arc" and x[1] == y[1]:
-        seg = Segment((("span", x[1], x[2], y[2], True, True),))
-        return StandardGeodesic(tree, [seg], [])
-
-    _tokens, edges, roots = tree.identified_graph()
-    nbr: dict = {}
-    for u, v, aid in edges:
-        nbr.setdefault(u, []).append((v, aid, "tail"))
-        nbr.setdefault(v, []).append((u, aid, "head"))
-
-    def point_tokens(p) -> set:
-        if p[0] == "node":
-            return {roots[("n", p[1])]}
-        return {roots[tree._end_token(p[1], "tail")], roots[tree._end_token(p[1], "head")]}
-
-    src, dst = point_tokens(x), point_tokens(y)
-    parent: dict = {t: None for t in src}
-    queue = sorted(src, key=_key)
-    hit = None
-    while queue:
-        u = queue.pop(0)
-        if u in dst:
-            hit = u
-            break
-        for v, aid, enter in sorted(nbr.get(u, ()), key=_key):
-            if v not in parent:
-                parent[v] = (u, aid, enter)
-                queue.append(v)
-    if hit is None:
-        raise TreeError("points are not connected")
-
-    steps = []
-    u = hit
-    while parent[u] is not None:
-        u, aid, enter = parent[u]
-        steps.append((aid, enter))
-    steps.reverse()
-
-    def opposite(side: str) -> str:
-        return "head" if side == "tail" else "tail"
-
-    def side_with_root(aid, tok) -> str:
-        for s in ("tail", "head"):
-            if roots[tree._end_token(aid, s)] == tok:
-                return s
-        raise TreeError("route reconstruction failed")
-
-    # route entries: (arc, enter_side or None, exit_side or None); None marks
-    # an endpoint sitting inside that arc
-    route = [(aid, enter, opposite(enter)) for aid, enter in steps]
-    if x[0] == "arc":
-        tok = roots[tree._end_token(steps[0][0], steps[0][1])] if steps else hit
-        route.insert(0, (x[1], None, side_with_root(x[1], tok)))
-    if y[0] == "arc":
-        route.append((y[1], side_with_root(y[1], hit), None))
-
-    segments: list = []
-    cusps: list = []
-    pending: list = []
-
-    def flush():
-        nonlocal pending
-        if pending:
-            segments.append(Segment(tuple(pending)))
-            pending = []
-
-    def end_t(side: str) -> Fraction:
-        return Fraction(0) if side == "tail" else Fraction(1)
-
-    def real_node(aid, side):
-        nid = tree.arc_end_node(aid, side)
-        return nid if tree.nodes[nid].kind == "point" else None
-
-    def emit_dip(a_node, b_node, tok):
-        """Cross a doubled endpoint pair by dipping into their open end."""
-        stub = None
-        for said in tree.sorted_arc_ids():
-            for sside in ("tail", "head"):
-                if roots.get(("end", said, sside)) == tok:
-                    stub = (said, sside)
-                    break
-            if stub:
-                break
-        if stub is None:
-            raise TreeError(f"no open end between {a_node!r} and {b_node!r}")
-        said, sside = stub
-        open_t = end_t(sside)
-        dip_t = dip if open_t == 0 else 1 - dip
-        segments.append(Segment((("node", a_node), ("span", said, open_t, dip_t, False, True))))
-        segments.append(Segment((("span", said, dip_t, open_t, True, False), ("node", b_node))))
-        cusps.append(CuspRecord(
-            segments=(len(segments) - 2, len(segments) - 1),
-            points=(("node", a_node), ("node", b_node)),
-            stub=said,
-        ))
-
-    if not route:
-        # both endpoints are nodes on one identified junction: a pure dip
-        emit_dip(x[1], y[1], hit)
-        return StandardGeodesic(tree, segments, cusps)
-
-    # leading adjustment when x is a node not carried by the first arc end
-    if x[0] == "node":
-        aid0, enter0, _ = route[0]
-        en = real_node(aid0, enter0)
-        if en is None:
-            pending.append(("node", x[1]))
-        elif en != x[1]:
-            emit_dip(x[1], en, roots[tree._end_token(aid0, enter0)])
-
-    for k, (aid, enter, exit_) in enumerate(route):
-        if enter is None:
-            t0, c0 = x[2], True
-        else:
-            t0, c0 = end_t(enter), False
-            en = real_node(aid, enter)
-            if en is not None:
-                pending.append(("node", en))
-        if exit_ is None:
-            pending.append(("span", aid, t0, y[2], c0, True))
-            flush()
-            break
-        pending.append(("span", aid, t0, end_t(exit_), c0, False))
-        xn = real_node(aid, exit_)
-        if xn is not None:
-            pending.append(("node", xn))
-        if k + 1 < len(route):
-            nxt_aid, nxt_enter, _ = route[k + 1]
-            en2 = real_node(nxt_aid, nxt_enter)
-            if xn is not None and en2 is not None:
-                flush()
-                if xn != en2:
-                    emit_dip(xn, en2, roots[tree._end_token(nxt_aid, nxt_enter)])
-            elif xn is None and en2 is None:
-                raise TreeError("two open ends meet on the route")
-            # otherwise a doubled endpoint meets its own open end and the
-            # segment continues through the pair
-        else:
-            # terminal arc with y a node
-            if xn == y[1]:
-                flush()
-            elif xn is None:
-                pending.append(("node", y[1]))
-                flush()
-            else:
-                flush()
-                emit_dip(xn, y[1], roots[tree._end_token(aid, exit_)])
-    return StandardGeodesic(tree, segments, cusps)
-
-
-def geodesic_spine(tree: OrderTree, x, y, dip: Fraction = Fraction(1, 2)) -> PointSet:
-    """Non-dip segments plus the doubled endpoints at each dip: the part of
-    the route every path from x to y must cover."""
-    return standard_geodesic(tree, x, y, dip).spine_point_set()
-
-
-def finite_ray_endpoint(tree: OrderTree, x, targets: list, candidates: list) -> dict:
-    """Decide where an increasing chain of spines from x converges.
-
-    ``targets`` gives the nested spine chain with union rho.  Candidate a is
-    an endpoint when rho sits inside spine(x, a) minus a and the leftover gap
-    holds no real node point, so the chain is only missing invisible arc
-    continuum; the defining equation rho = spine(x, a) - {a} then holds up to
-    that gap, and ``exact`` records where it holds literally.  Several
-    endpoints at once are a mutually non-separable family.  A chain whose tip
-    marches into a truncated ray end instead escapes the window.
-    """
-    if not targets:
-        raise TreeError("need at least one spine target")
-    spines = [geodesic_spine(tree, x, t) for t in targets]
-    for a, b in zip(spines, spines[1:]):
-        if not a.is_subset(b):
-            raise TreeError("spine chain is not nested")
-    union = spines[0]
-    for s in spines[1:]:
-        union = union.union(s)
-    hits = []
-    exact = []
-    bodies = []
-    for a in candidates:
-        tree.require_point(a)
-        if union.contains_point(a):
-            continue
-        body = geodesic_spine(tree, x, a).minus_point(a)
-        if not union.is_subset(body):
-            continue
-        gap = body.difference(union)
-        if gap.nodes:
-            continue
-        hits.append(a)
-        exact.append(gap.is_empty())
-        bodies.append(body)
-    if hits:
-        non_sep = len(hits) > 1 and all(b == bodies[0] for b in bodies[1:])
-        return {"outcome": "endpoint", "points": hits, "exact": exact, "non_separable": non_sep}
-    tip = targets[-1]
-    if tip[0] == "arc" and tip != x:
-        geo = standard_geodesic(tree, x, tip)
-        last = geo.segments[-1].atoms[-1]
-        if last[0] == "span":
-            _, aid, t0, t1, _i0, _i1 = last
-            side = "head" if t1 > t0 else "tail"
-            if tree.nodes[tree.arc_end_node(aid, side)].kind == "openray":
-                return {"outcome": "escapes", "points": [], "exact": [], "non_separable": False}
-    return {"outcome": "none", "points": [], "exact": [], "non_separable": False}
 
 
 # -- blow-up ------------------------------------------------------------

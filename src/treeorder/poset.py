@@ -255,7 +255,7 @@ class ExtendedPoset:
         members = list(_bits(mask))
         rank = {}
         for k in members:
-            rank[k] = 1 if k == i else (1 << self.n) + self._popcount(self._between_mask(i, k) & mask)
+            rank[k] = 1 if k == i else (1 << self.n) + (self._between_mask(i, k) & mask).bit_count()
         members.sort(key=rank.__getitem__)
 
         def precedes(u: int, v: int) -> bool:
@@ -303,10 +303,6 @@ class ExtendedPoset:
             classes=tuple(tuple(self.elements[k] for k in cls) for cls in classes),
         )
 
-    @staticmethod
-    def _popcount(mask: int) -> int:
-        return mask.bit_count()
-
     # -- checks ------------------------------------------------------
 
     def check_strongly_connected(self) -> list:
@@ -324,25 +320,6 @@ class ExtendedPoset:
             for j in _bits(self._siml[i]):
                 if j > i and not (self._down[i] & self._down[j]):
                     out.append({"pair": (self.elements[i], self.elements[j]), "tag": "siml", "missing": "common lower bound"})
-        return out
-
-    def check_acyclic(self) -> list:
-        """The tagging must compose acyclically through shared elements.
-
-        Whenever x is upward-similar to y and downward-similar to z, y must
-        sit strictly below z.  Construction already rejects tables that
-        break this, so a live poset reports an empty list; the checker
-        exists so the law can be audited apart from construction.
-        """
-        out = []
-        for i in range(self.n):
-            for j in _bits(self._simu[i]):
-                for k in _bits(self._siml[i]):
-                    if not (self._up[j] >> k) & 1:
-                        out.append({
-                            "x": self.elements[i], "y": self.elements[j], "z": self.elements[k],
-                            "got": REL_NAMES[self._m[j][k]],
-                        })
         return out
 
     def check_lemma_propagation(self) -> list:

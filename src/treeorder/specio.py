@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .groups import GroupError, TableGroup, make_group
 from .grouporder import ConeStructure
-from .ordertree import OrderTree
+from .ordertree import OrderTree, TreeError
 from .poset import REL_CODES, REL_NAMES, ExtendedPoset, from_pairs
 
 SPEC_VERSION = "1"
@@ -69,9 +69,11 @@ def _require_fields(obj: dict, where: str, required: set, optional: set = frozen
 
 
 def _freeze(x):
-    """JSON arrays become tuples so ids stay hashable."""
+    """JSON arrays become tuples so ids stay hashable; objects are no ids."""
     if isinstance(x, list):
         return tuple(_freeze(v) for v in x)
+    if isinstance(x, dict):
+        raise SpecError(f"an object cannot name an element or a tree id: {json.dumps(x)}")
     return x
 
 
@@ -134,10 +136,15 @@ def _validate_expr(expr, where: str) -> None:
             raise SpecError(f"{where}: component and value must be integers")
     elif op == "parity":
         _require_fields(expr, where, {"op", "component", "value"})
+        if not isinstance(expr["component"], int):
+            raise SpecError(f"{where}: component must be an integer")
         if expr["value"] not in (0, 1):
             raise SpecError(f"{where}: parity value must be 0 or 1")
     elif op == "lex-positive":
         _require_fields(expr, where, {"op"}, {"components"})
+        wanted = expr.get("components", [])
+        if not (isinstance(wanted, list) and all(isinstance(i, int) for i in wanted)):
+            raise SpecError(f"{where}: components must be an array of integers")
     elif op in ("all", "any"):
         _require_fields(expr, where, {"op", "args"})
         if not isinstance(expr["args"], list):
@@ -167,7 +174,12 @@ def _validate_group_order_body(body) -> None:
     group = body["group"]
     if isinstance(group, dict) and "table" in group:
         _require_fields(group, "group", {"table"})
-        _require_fields(group["table"], "group.table", {"elements", "products", "identity"})
+        table = group["table"]
+        _require_fields(table, "group.table", {"elements", "products", "identity"})
+        rows = table["products"]
+        if not (isinstance(table["elements"], list) and isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise SpecError("group.table needs an element array and an array of product rows")
     else:
         _require_fields(group, "group", {"family"}, {"k"})
     _require_fields(body["cones"], "cones", {"positive"}, {"upper", "lower"})
@@ -190,30 +202,30 @@ def build_group(spec: dict):
         raise SpecError(str(err)) from None
 
 
+def _component(group, w, i: int):
+    comps = group.components(w)
+    if i >= len(comps):
+        raise SpecError(f"component {i} out of range for {group.format(w)}")
+    return comps[i]
+
+
 def build_predicate(expr: dict, group) -> Callable:
     op = expr["op"]
     if op == "cmp":
         i, rel, value = expr["component"], _CMP[expr["rel"]], expr["value"]
-
-        def run(w):
-            comps = group.components(w)
-            if i >= len(comps):
-                raise SpecError(f"component {i} out of range for {group.format(w)}")
-            return rel(comps[i], value)
-
-        return run
+        return lambda w: rel(_component(group, w, i), value)
     if op == "parity":
         i, value = expr["component"], expr["value"]
-        return lambda w: group.components(w)[i] % 2 == value
+        return lambda w: _component(group, w, i) % 2 == value
     if op == "lex-positive":
         wanted = expr.get("components")
 
         def run(w):
-            comps = group.components(w)
-            order = wanted if wanted is not None else range(len(comps))
+            order = wanted if wanted is not None else range(len(group.components(w)))
             for i in order:
-                if comps[i]:
-                    return comps[i] > 0
+                c = _component(group, w, i)
+                if c:
+                    return c > 0
             return False
 
         return run
@@ -277,6 +289,11 @@ def poset_from_document(doc: SpecDocument) -> ExtendedPoset:
         raise SpecError(f"expected a poset document, got {doc.kind!r}")
     elements = [_freeze(e) for e in doc.body["elements"]]
     pairs = [(_freeze(a), rel, _freeze(b)) for a, rel, b in doc.body["relations"]]
+    known = set(elements)
+    for i, (a, _rel, b) in enumerate(pairs):
+        for x in (a, b):
+            if x not in known:
+                raise SpecError(f"relations[{i}] names {x!r}, which is not among the elements")
     return from_pairs(elements, pairs)
 
 
@@ -297,6 +314,8 @@ def poset_to_document(p: ExtendedPoset, fmt: Optional[Callable] = None) -> dict:
 def _validate_tree_body(body) -> None:
     """Both the terse hand-written form and the richer emitted form load."""
     _require_fields(body, "tree body", {"nodes", "arcs"}, {"boundary"})
+    if not all(isinstance(body.get(key, []), list) for key in ("nodes", "arcs", "boundary")):
+        raise SpecError("tree body needs node, arc, and boundary arrays")
     for i, entry in enumerate(body["nodes"]):
         if isinstance(entry, dict):
             _require_fields(entry, f"nodes[{i}]", {"id"}, {"kind", "labels"})
@@ -311,32 +330,31 @@ def tree_from_document(doc: SpecDocument) -> OrderTree:
     if doc.kind != "tree":
         raise SpecError(f"expected a tree document, got {doc.kind!r}")
     t = OrderTree()
-    for entry in doc.body["nodes"]:
-        if isinstance(entry, dict):
-            t.add_node(_freeze(entry["id"]), kind=entry.get("kind", "point"))
-        else:
-            t.add_node(_freeze(entry))
-    for entry in doc.body["arcs"]:
-        if isinstance(entry, dict):
-            t.add_arc(
-                _freeze(entry["id"]), _freeze(entry["tail"]), _freeze(entry["head"]),
-                kind=entry.get("kind", "arc"), core=entry.get("core", True),
-            )
-        else:
-            aid, tail, head = entry
-            t.add_arc(_freeze(aid), _freeze(tail), _freeze(head))
+    try:
+        for entry in doc.body["nodes"]:
+            if isinstance(entry, dict):
+                t.add_node(_freeze(entry["id"]), kind=entry.get("kind", "point"))
+            else:
+                t.add_node(_freeze(entry))
+        for entry in doc.body["arcs"]:
+            if isinstance(entry, dict):
+                t.add_arc(
+                    _freeze(entry["id"]), _freeze(entry["tail"]), _freeze(entry["head"]),
+                    kind=entry.get("kind", "arc"), core=entry.get("core", True),
+                )
+            else:
+                aid, tail, head = entry
+                t.add_arc(_freeze(aid), _freeze(tail), _freeze(head))
+    except TreeError as err:
+        raise SpecError(f"tree body: {err}") from None
     t.boundary = {_freeze(n) for n in doc.body.get("boundary", [])}
     return t
-
-
-def _sort_key(x) -> str:
-    return repr(x)
 
 
 def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
                      arc_labels: Optional[dict] = None) -> dict:
     nodes = []
-    for nid in sorted(tree.nodes, key=_sort_key):
+    for nid in sorted(tree.nodes, key=repr):
         rec = {"id": _thaw(nid), "kind": tree.nodes[nid].kind}
         if node_labels and nid in node_labels:
             rec["labels"] = sorted(node_labels[nid])
@@ -360,7 +378,7 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
         "body": {
             "nodes": nodes,
             "arcs": arcs,
-            "boundary": [_thaw(n) for n in sorted(tree.boundary, key=_sort_key)],
+            "boundary": [_thaw(n) for n in sorted(tree.boundary, key=repr)],
         },
     }
 
@@ -375,7 +393,7 @@ def tree_to_dot(tree: OrderTree, node_labels: Optional[dict] = None,
     """Render: arcs as directed edges, ray pieces dashed, labels attached."""
     shapes = {"point": "ellipse", "open": "circle", "openray": "diamond"}
     lines = ["digraph ordertree {", "  rankdir=LR;"]
-    for nid in sorted(tree.nodes, key=_sort_key):
+    for nid in sorted(tree.nodes, key=repr):
         rec = tree.nodes[nid]
         name = _dot_quote(str(nid))
         text = str(nid)

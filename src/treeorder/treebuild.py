@@ -22,7 +22,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -33,7 +33,6 @@ from .grouporder import (
     aug,
     blow_up_gplus,
     format_aug,
-    induced_ball_poset,
     plain_of,
     r_equivalent,
     side_toward,
@@ -460,20 +459,12 @@ def build_tree(
     return state
 
 
-def build_from_cones(cone, radius: int = 6, stages: Optional[int] = None,
-                     pairs: Optional[Sequence[tuple]] = None) -> LabeledTree:
-    """Ball order from cone subsets, then the stagewise construction."""
-    poset = induced_ball_poset(cone, radius)
-    augmented = blow_up_gplus(poset)
-    if pairs is None:
-        pairs = auto_pairs(poset)
-    decomposition = normalize_decomposition(poset, pairs)
-    state = LabeledTree(poset, augmented, group=cone.group, decomposition=decomposition)
-    _lay_base(state, decomposition.base)
-    todo = decomposition.stages if stages is None else decomposition.stages[:stages]
-    for st in todo:
-        build_stage(state, st)
-    return state
+def build_from_cones(cone, radius: int = 6, stages: Optional[int] = None) -> LabeledTree:
+    """Ball order from cone subsets, then the stagewise construction, through
+    the cone's pipeline at this radius (orbitorder.ConePipeline)."""
+    from .orbitorder import ConePipeline
+
+    return ConePipeline.of(cone, radius).build(stages)
 
 
 # -- oriented tree ---------------------------------------------------------

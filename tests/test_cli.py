@@ -176,3 +176,49 @@ def test_examples_list_and_run(capsys):
     assert "result: PASS" in out
     assert main(["examples", "run"]) == 2
     assert main(["examples", "run", "zeppelin"]) == 2
+
+
+def _doc(kind, body):
+    return {"version": "1", "kind": kind, "body": body}
+
+
+MALFORMED = {
+    "table-products-not-rows": ("check-cones", _doc("group-order", {
+        "group": {"table": {"elements": [0, 1], "products": 5, "identity": 0}},
+        "cones": {"positive": {"op": "const", "value": False}},
+    })),
+    "parity-component-out-of-range": ("check-cones", _doc("group-order", {
+        "group": {"family": "z"},
+        "cones": {"positive": {"op": "parity", "component": 3, "value": 0}},
+    })),
+    "lex-components-out-of-range": ("check-cones", _doc("group-order", {
+        "group": {"family": "z"},
+        "cones": {"positive": {"op": "lex-positive", "components": [4]}},
+    })),
+    "tree-duplicate-node": ("blowup", _doc("tree", {
+        "nodes": ["a", "a", "b"], "arcs": [["e", "a", "b"]],
+    })),
+    "tree-arc-to-missing-node": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [["e", "a", "c"]],
+    })),
+    "poset-relation-names-unlisted-element": ("check-poset", _doc("poset", {
+        "elements": [1, 2], "relations": [[1, "lt", 3]],
+    })),
+    "poset-object-as-element": ("check-poset", _doc("poset", {
+        "elements": [{"a": 1}, 2], "relations": [],
+    })),
+    # every listed pair is present, so only the stray relation is wrong
+    "poset-extra-relation-names-unlisted-element": ("check-poset", _doc("poset", {
+        "elements": [1, 2], "relations": [[1, "lt", 2], [1, "lt", 3]],
+    })),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_two_with_one_line(name, tmp_path, capsys):
+    command, payload = MALFORMED[name]
+    spec = write(tmp_path, f"{name}.json", payload)
+    assert main([command, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -80,6 +80,13 @@ def test_random_tree_posets_keep_their_points():
         assert len(p.points) == p.n
 
 
+def test_random_tree_poset_caps_points_at_the_free_positions():
+    # one arc holds 15 positions; asking for up to 24 points once looped forever
+    p = random_tree_poset(random.Random(113), max_points=24)
+    assert len({pt[1] for pt in p.points}) == 1
+    assert p.n == len(set(p.points)) == 15
+
+
 def test_corpus_suite_summary():
     report = run_corpus_suite(max_n=4, tree_count=10, seed=3)
     assert report["ok"], report["failures"]

@@ -61,12 +61,6 @@ def test_cone_report_serializes():
     assert set(data["conditions"]) == {"1", "2", "3", "4", "5", "6"}
 
 
-def test_threads_do_not_change_the_report():
-    one = verify_cone_axioms(zk_lex(2), 4, threads=1)
-    two = verify_cone_axioms(zk_lex(2), 4, threads=2)
-    assert one.to_jsonable(str) == two.to_jsonable(str)
-
-
 def test_induced_ball_poset_of_integers_is_a_chain():
     p = induced_ball_poset(z_standard(), 4)
     assert sorted(p.elements) == list(range(-4, 5))
