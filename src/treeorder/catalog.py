@@ -32,21 +32,32 @@ from .orbitorder import (
     ConePipeline,
     check_action,
     dihedral_example,
+    integer_line,
     orbit_poset,
     realized_bound,
     roundtrip_orbit,
+    shift_action,
 )
-from .ordertree import check_blowup
+from .ordertree import alternating_line_tree, check_blowup
 from .poset import GT, LT, SIML, SIMU
 from .treebuild import verify_stage_properties
 
 
 class CatalogError(KeyError):
-    """Raised when a name is not in the catalog."""
+    """Raised when a name is not in the catalog, or when a catalog subgroup
+    meets an element of a group it does not apply to."""
 
     def __str__(self) -> str:
         # KeyError would repr the message and add quotes.
         return self.args[0] if self.args else ""
+
+
+def _lookup(registry: dict, kind: str, name: str):
+    try:
+        return registry[name]
+    except KeyError:
+        known = ", ".join(sorted(registry))
+        raise CatalogError(f"unknown {kind} {name!r}; known: {known}") from None
 
 
 # -- cones -------------------------------------------------------------------
@@ -127,11 +138,7 @@ BUILTIN_CONES: dict = {
 
 
 def get_cone(name: str) -> ConeStructure:
-    try:
-        return BUILTIN_CONES[name]()
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_CONES))
-        raise CatalogError(f"unknown cone {name!r}; known: {known}") from None
+    return _lookup(BUILTIN_CONES, "cone", name)()
 
 
 def derive_cone_pieces(radius: int = 6) -> dict:
@@ -153,12 +160,24 @@ def derive_cone_pieces(radius: int = 6) -> dict:
 # -- subgroups and quotient scenarios -----------------------------------------
 
 
+def _subgroup(name: str, shape: str, fits: Callable, member: Callable) -> SubgroupSpec:
+    """A subgroup of one group model; elements of another shape are refused."""
+
+    def test(w) -> bool:
+        if not fits(w):
+            raise CatalogError(f"subgroup {name} applies to {shape}, not to {w!r}")
+        return member(w)
+
+    return SubgroupSpec(name, test)
+
+
 def second_factor_subgroup() -> SubgroupSpec:
-    return SubgroupSpec("second-factor", lambda v: v[0] == 0)
+    return _subgroup("second-factor", "integer vectors of length 2 or more",
+                     lambda v: isinstance(v, tuple) and len(v) >= 2, lambda v: v[0] == 0)
 
 
 def even_subgroup() -> SubgroupSpec:
-    return SubgroupSpec("even", lambda n: n % 2 == 0)
+    return _subgroup("even", "integers", lambda n: isinstance(n, int), lambda n: n % 2 == 0)
 
 
 SUBGROUPS: dict = {
@@ -168,11 +187,7 @@ SUBGROUPS: dict = {
 
 
 def get_subgroup(name: str) -> SubgroupSpec:
-    try:
-        return SUBGROUPS[name]()
-    except KeyError:
-        known = ", ".join(sorted(SUBGROUPS))
-        raise CatalogError(f"unknown subgroup {name!r}; known: {known}") from None
+    return _lookup(SUBGROUPS, "subgroup", name)()
 
 
 QUOTIENT_SCENARIOS: dict = {
@@ -182,30 +197,16 @@ QUOTIENT_SCENARIOS: dict = {
 
 
 def get_quotient_scenario(name: str) -> tuple:
-    try:
-        return QUOTIENT_SCENARIOS[name]()
-    except KeyError:
-        known = ", ".join(sorted(QUOTIENT_SCENARIOS))
-        raise CatalogError(f"unknown quotient scenario {name!r}; known: {known}") from None
-
-
-def _alternating_tree(radius: int):
-    from .ordertree import alternating_line_tree
-
-    return alternating_line_tree(2 * radius + 2)
+    return _lookup(QUOTIENT_SCENARIOS, "quotient scenario", name)()
 
 
 TREES: dict = {
-    "alternating-line": _alternating_tree,
+    "alternating-line": lambda radius: alternating_line_tree(2 * radius + 2),
 }
 
 
 def get_tree(name: str, radius: int = 6):
-    try:
-        return TREES[name](radius)
-    except KeyError:
-        known = ", ".join(sorted(TREES))
-        raise CatalogError(f"unknown tree {name!r}; known: {known}") from None
+    return _lookup(TREES, "tree", name)(radius)
 
 
 def _dihedral_scenario(radius: int) -> tuple:
@@ -214,8 +215,6 @@ def _dihedral_scenario(radius: int) -> tuple:
 
 
 def _line_scenario(radius: int) -> tuple:
-    from .orbitorder import integer_line, shift_action
-
     line = integer_line(radius + 1)
     action = shift_action(line, Z(), lambda n: n, name="z-line")
     return line, action, ("arc", ("s", 0), Fraction(1, 4))
@@ -228,11 +227,7 @@ ACTION_SCENARIOS: dict = {
 
 
 def get_action_scenario(name: str, radius: int = 6) -> tuple:
-    try:
-        return ACTION_SCENARIOS[name](radius)
-    except KeyError:
-        known = ", ".join(sorted(ACTION_SCENARIOS))
-        raise CatalogError(f"unknown scenario {name!r}; known: {known}") from None
+    return _lookup(ACTION_SCENARIOS, "scenario", name)(radius)
 
 
 # -- composite suites ----------------------------------------------------------
@@ -316,7 +311,6 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
         },
         "oriented_labels": layout.checked_labels,
         "label_collisions": collisions[:3],
-        "report": props,
     }
 
 
@@ -569,8 +563,4 @@ EXAMPLE_INDEX = {e.name: e for e in EXAMPLES}
 
 
 def get_example(name: str) -> ExampleEntry:
-    try:
-        return EXAMPLE_INDEX[name]
-    except KeyError:
-        known = ", ".join(e.name for e in EXAMPLES)
-        raise CatalogError(f"unknown example {name!r}; known: {known}") from None
+    return _lookup(EXAMPLE_INDEX, "example", name)

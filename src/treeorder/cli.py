@@ -37,6 +37,7 @@ from .specio import (
     SpecError,
     canonical_json,
     cone_from_document,
+    jsonable,
     load_document,
     poset_from_document,
     poset_to_document,
@@ -101,7 +102,11 @@ def _parse_args(argv):
     p.add_argument("--radius", type=int, default=None, help="override the example radius")
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for name in ("radius", "stages"):
+        if (getattr(args, name, None) or 0) < 0:
+            parser.error(f"--{name} must not be negative")
+    return args
 
 
 def _load_cone(spec: str):
@@ -114,32 +119,23 @@ def _load_cone(spec: str):
     raise SpecError(f"{spec!r} is neither a spec file nor a builtin cone name")
 
 
-def _emit(payload_lines, args, payload) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(canonical_json(payload))
+def _finish(args, ok: bool, lines: list, payload) -> int:
+    """Print the report with its verdict line, or the JSON payload under
+    ``--json``; the exit status is 0 when ``ok``, else 1."""
+    if args.json:
+        sys.stdout.write(canonical_json(jsonable(payload)))
     else:
-        for line in payload_lines:
-            print(line)
+        print("\n".join(lines + [f"result: {'PASS' if ok else 'FAIL'}"]))
+    return 0 if ok else 1
 
 
-def _fraction(x) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return _fraction(obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
+def _emit_tree(args, ok: bool, tree, node_labels=None, arc_labels=None) -> int:
+    """Print the ``--emit`` artifact in place of the report."""
+    if args.emit == "dot":
+        sys.stdout.write(tree_to_dot(tree, node_labels, arc_labels))
+    else:
+        sys.stdout.write(canonical_json(tree_to_document(tree, node_labels, arc_labels)))
+    return 0 if ok else 1
 
 
 def _cmd_check_cones(args) -> int:
@@ -152,9 +148,7 @@ def _cmd_check_cones(args) -> int:
         lines.append(f"  condition {idx} {cond.description}: {state} (checked {cond.checked})")
         for w in cond.violations[:5]:
             lines.append("    witness: " + ", ".join(fmt(x) for x in w))
-    lines.append(f"result: {'PASS' if report.ok else 'FAIL'}")
-    _emit(lines, args, report.to_jsonable(fmt))
-    return 0 if report.ok else 1
+    return _finish(args, report.ok, lines, report.to_jsonable(fmt))
 
 
 def _cmd_check_poset(args) -> int:
@@ -162,9 +156,7 @@ def _cmd_check_poset(args) -> int:
     try:
         poset = poset_from_document(doc)
     except PosetError as err:
-        _emit([f"poset: INVALID", f"  witness: {err}", "result: FAIL"], args,
-              {"ok": False, "error": str(err)})
-        return 1
+        return _finish(args, False, ["poset: INVALID", f"  witness: {err}"], {"ok": False, "error": str(err)})
     suite = run_relation_suite(poset)
     lines = [f"poset: {poset.n} elements, valid"]
     for law in ("theorem", "travel", "propagation", "o_equivalence"):
@@ -172,9 +164,7 @@ def _cmd_check_poset(args) -> int:
         lines.append(f"  {law}: {'pass' if not probs else 'FAIL'}")
         for prob in probs[:3]:
             lines.append(f"    witness: {prob}")
-    lines.append(f"result: {'PASS' if suite['ok'] else 'FAIL'}")
-    _emit(lines, args, _jsonable({"ok": suite["ok"], "elements": poset.n, "laws": suite}))
-    return 0 if suite["ok"] else 1
+    return _finish(args, suite["ok"], lines, {"ok": suite["ok"], "elements": poset.n, "laws": suite})
 
 
 def _layout_annotations(state, layout) -> tuple:
@@ -196,12 +186,7 @@ def _cmd_build_tree(args) -> int:
     if args.emit:
         pipe = ConePipeline.of(cone, args.radius)
         layout = pipe.layout(args.stages)
-        node_labels, arc_labels = _layout_annotations(pipe.build(args.stages), layout)
-        if args.emit == "dot":
-            sys.stdout.write(tree_to_dot(layout.tree, node_labels, arc_labels))
-        else:
-            sys.stdout.write(canonical_json(tree_to_document(layout.tree, node_labels, arc_labels)))
-        return 0 if suite["ok"] else 1
+        return _emit_tree(args, suite["ok"], layout.tree, *_layout_annotations(pipe.build(args.stages), layout))
     lines = [
         f"build {cone.name}: radius {args.radius}, {suite['stages']} stages, {suite['built']} elements placed",
     ]
@@ -214,10 +199,7 @@ def _cmd_build_tree(args) -> int:
     lines.append(f"  oriented labels checked: {suite['oriented_labels']}")
     if suite["label_collisions"]:
         lines.append(f"  label collisions: {suite['label_collisions']}")
-    lines.append(f"result: {'PASS' if suite['ok'] else 'FAIL'}")
-    payload = {k: v for k, v in suite.items() if k != "report"}
-    _emit(lines, args, _jsonable(payload))
-    return 0 if suite["ok"] else 1
+    return _finish(args, suite["ok"], lines, suite)
 
 
 def _load_tree(spec: str, radius: int):
@@ -236,11 +218,7 @@ def _cmd_blowup(args) -> int:
     manifold = denjoy_blowup(tree)
     report = check_blowup(manifold)
     if args.emit:
-        if args.emit == "dot":
-            sys.stdout.write(tree_to_dot(manifold))
-        else:
-            sys.stdout.write(canonical_json(tree_to_document(manifold)))
-        return 0 if report["ok"] else 1
+        return _emit_tree(args, report["ok"], manifold)
     kinds: dict = {}
     for nid in manifold.sorted_node_ids():
         kind = manifold.nodes[nid].kind
@@ -252,9 +230,7 @@ def _cmd_blowup(args) -> int:
         lines.append(f"    witness: {prob}")
     for kind in sorted(kinds):
         lines.append(f"  point kind {kind}: {kinds[kind]}")
-    lines.append(f"result: {'PASS' if report['ok'] else 'FAIL'}")
-    _emit(lines, args, _jsonable({"ok": report["ok"], "problems": report["problems"], "kinds": kinds}))
-    return 0 if report["ok"] else 1
+    return _finish(args, report["ok"], lines, {"ok": report["ok"], "problems": report["problems"], "kinds": kinds})
 
 
 def _cmd_orbit_order(args) -> int:
@@ -279,8 +255,7 @@ def _cmd_orbit_order(args) -> int:
         lines.append("  undetermined elements: " + ", ".join(fmt(g) for g in orbit.escaped))
     for rel in sorted(tag_counts):
         lines.append(f"  pairs {rel}: {tag_counts[rel]}")
-    lines.append("result: PASS")
-    payload = {
+    return _finish(args, True, lines, {
         "ok": True,
         "scenario": name,
         "radius": radius,
@@ -288,9 +263,7 @@ def _cmd_orbit_order(args) -> int:
         "undetermined": [fmt(g) for g in orbit.escaped],
         "pair_counts": tag_counts,
         "poset": poset_to_document(orbit.poset, fmt=fmt),
-    }
-    _emit(lines, args, _jsonable(payload))
-    return 0
+    })
 
 
 def _cmd_quotient(args) -> int:
@@ -306,16 +279,14 @@ def _cmd_quotient(args) -> int:
                 f"    witness: {fmt(w['witness'])} lies between "
                 f"{fmt(w['pair'][0])} and {fmt(w['pair'][1])}"
             )
-        lines.append("result: FAIL")
-        _emit(lines, args, _jsonable({
+        return _finish(args, False, lines, {
             "ok": False,
             "convex": False,
             "violations": [
                 {"witness": fmt(w["witness"]), "pair": [fmt(w["pair"][0]), fmt(w["pair"][1])]}
                 for w in convexity.violations[:5]
             ],
-        }))
-        return 1
+        })
     result = quotient_order(cone, sub, args.radius, convexity=convexity)
     lines.append(f"  complete convexity: pass ({convexity.pairs_checked} pairs)")
     lines.append(f"  representatives: {len(result.representatives)}")
@@ -325,17 +296,14 @@ def _cmd_quotient(args) -> int:
         lines.append(f"  property {clause}: {state} (checked {result.property_counts[clause]})")
     if result.uniqueness:
         lines.append(f"  relation uniqueness: FAIL ({len(result.uniqueness)})")
-    lines.append(f"result: {'PASS' if result.ok else 'FAIL'}")
-    payload = {
+    return _finish(args, result.ok, lines, {
         "ok": result.ok,
         "convex": True,
         "representatives": [fmt(r) for r in result.representatives],
         "property_counts": result.property_counts,
         "property_violations": result.property_violations[:5],
         "poset": poset_to_document(result.poset, fmt=fmt),
-    }
-    _emit(lines, args, _jsonable(payload))
-    return 0 if result.ok else 1
+    })
 
 
 def _cmd_roundtrip(args) -> int:
@@ -345,7 +313,7 @@ def _cmd_roundtrip(args) -> int:
     ok = rep["ok"] and rep["pair_coverage"] >= Fraction(9, 10)
     lines = [f"roundtrip {cone.name}: radius {args.radius}"]
     lines.append(f"  realized {rep['realized']} of {rep['ball']} ball elements")
-    lines.append(f"  determined pair coverage: {_fraction(rep['pair_coverage'])}")
+    lines.append(f"  determined pair coverage: {rep['pair_coverage']}")
     if rep["undetermined_elements"]:
         lines.append("  undetermined elements: " + ", ".join(fmt(g) for g in rep["undetermined_elements"]))
     else:
@@ -355,8 +323,7 @@ def _cmd_roundtrip(args) -> int:
         lines.append(
             f"    witness: ({fmt(g)}, {fmt(h)}) rebuilt {REL_NAMES[got]}, ball {REL_NAMES[want]}"
         )
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    payload = {
+    return _finish(args, ok, lines, {
         "ok": ok,
         "cone": cone.name,
         "radius": args.radius,
@@ -367,19 +334,16 @@ def _cmd_roundtrip(args) -> int:
         "mismatches": [
             [fmt(g), fmt(h), REL_NAMES[got], REL_NAMES[want]] for g, h, got, want in rep["mismatches"][:5]
         ],
-    }
-    _emit(lines, args, _jsonable(payload))
-    return 0 if ok else 1
+    })
 
 
 def _cmd_examples(args) -> int:
     if args.action == "list":
-        lines = []
-        payload = []
-        for entry in EXAMPLES:
-            lines.append(f"{entry.name:26s} {entry.summary}")
-            payload.append({"name": entry.name, "summary": entry.summary, "notes": entry.notes})
-        _emit(lines, args, payload)
+        if args.json:
+            listing = [{"name": e.name, "summary": e.summary, "notes": e.notes} for e in EXAMPLES]
+            sys.stdout.write(canonical_json(listing))
+        else:
+            print("\n".join(f"{e.name:26s} {e.summary}" for e in EXAMPLES))
         return 0
     if not args.name:
         raise SpecError("examples run needs a name; try 'examples list'")
@@ -388,14 +352,11 @@ def _cmd_examples(args) -> int:
     lines = [f"example {entry.name}: {entry.summary}"]
     if entry.notes:
         lines.append(f"  note: {entry.notes}")
-    for key in sorted(rep):
-        if key in ("ok", "report", "result", "orbit", "induced"):
-            continue
-        lines.append(f"  {key}: {_jsonable(rep[key])}")
-    lines.append(f"result: {'PASS' if rep['ok'] else 'FAIL'}")
-    payload = {k: v for k, v in rep.items() if k not in ("report", "result", "orbit", "induced")}
-    _emit(lines, args, _jsonable(payload))
-    return 0 if rep["ok"] else 1
+    payload = {k: v for k, v in rep.items() if k not in ("result", "orbit")}
+    for key in sorted(payload):
+        if key != "ok":
+            lines.append(f"  {key}: {jsonable(payload[key])}")
+    return _finish(args, rep["ok"], lines, payload)
 
 
 _COMMANDS: dict = {

@@ -349,9 +349,6 @@ class SubgroupSpec:
 
 @dataclass
 class ConvexityReport:
-    subgroup: str
-    radius: int
-    scan_radius: int
     pairs_checked: int
     violations: list
 
@@ -390,21 +387,16 @@ def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int)
                 if between_by_codes(rac, cone.classify(h1, c), cone.classify(c, h2)):
                     violations.append({"pair": (h1, h2), "witness": c})
                     break
-    return ConvexityReport(subgroup=sub.name, radius=radius, scan_radius=2 * radius, pairs_checked=pairs, violations=violations)
+    return ConvexityReport(pairs_checked=pairs, violations=violations)
 
 
 @dataclass
 class QuotientResult:
-    cone: str
-    subgroup: str
-    radius: int
     representatives: list
     poset: ExtendedPoset
-    relation_witnesses: dict
     uniqueness: list
     property_counts: dict
     property_violations: list
-    between_lemma: list
     convexity: ConvexityReport
 
     @property
@@ -412,7 +404,7 @@ class QuotientResult:
         return not self.uniqueness and not self.property_violations and self.convexity.ok
 
 
-def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_samples: int = 12,
+def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
                    convexity: Optional[ConvexityReport] = None) -> QuotientResult:
     """Order the cosets of a normal, completely convex subgroup.
 
@@ -451,7 +443,6 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_sa
 
     H_search = [h for h in group.ball(2 * radius) if sub(h)]
     rel: dict = {}
-    witnesses: dict = {}
     uniqueness: list = []
     for g1 in reps:
         for g2 in reps:
@@ -464,9 +455,7 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_sa
                     found[code] = h
             if len(found) > 1:
                 uniqueness.append({"pair": (g1, g2), "relations": {REL_NAMES[c]: h for c, h in found.items()}})
-            code = next(iter(found))
-            rel[(g1, g2)] = code
-            witnesses[(g1, g2)] = found[code]
+            rel[(g1, g2)] = next(iter(found))
     # representative independence: any in-ball member of the coset sees the same relations
     for g in ball:
         rep = coset_of[g]
@@ -487,7 +476,6 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_sa
 
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     violations: list = []
-    n = len(reps)
     for a in reps:
         for b in reps:
             if b == a:
@@ -515,43 +503,11 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int, lemma_sa
                     if rac != SIML:
                         violations.append({"clause": 4, "triple": (a, b, c)})
 
-    lemma: list = []
-    for f in reps:
-        for k in reps:
-            if f == k or len(lemma) >= lemma_samples:
-                continue
-            for g in poset.between_members(f, k):
-                if g == f or g == k:
-                    continue
-                hit = None
-                for h in H_search:
-                    kh = group.mult(k, h)
-                    if kh == f:
-                        continue
-                    rac = cone.classify(f, kh)
-                    for hp in H_search:
-                        ghp = group.mult(g, hp)
-                        if ghp == f or ghp == kh:
-                            continue
-                        if between_by_codes(rac, cone.classify(f, ghp), cone.classify(ghp, kh)):
-                            hit = (h, hp)
-                            break
-                    if hit:
-                        break
-                lemma.append({"triple": (f, g, k), "resolved": bool(hit), "witness": hit})
-                if len(lemma) >= lemma_samples:
-                    break
-
     return QuotientResult(
-        cone=cone.name,
-        subgroup=sub.name,
-        radius=radius,
         representatives=reps,
         poset=poset,
-        relation_witnesses=witnesses,
         uniqueness=uniqueness,
         property_counts=counts,
         property_violations=violations,
-        between_lemma=lemma,
         convexity=convexity,
     )

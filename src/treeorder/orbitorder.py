@@ -74,14 +74,14 @@ def _arc_position(m: OrderTree, p: tuple) -> tuple:
 def manifold_graph(m: OrderTree) -> dict:
     """The identified token graph with per-token arc adjacency, computed
     once so pairwise order queries stay cheap."""
-    tokens, edges, roots = m.identified_graph()
+    tokens, edges, _ = m.identified_graph()
     adjacency: dict = {tok: [] for tok in tokens}
     ends: dict = {}
     for t1, t2, aid in edges:
         adjacency[t1].append((t2, aid))
         adjacency[t2].append((t1, aid))
         ends[aid] = (t1, t2)
-    return {"adjacency": adjacency, "ends": ends, "roots": roots}
+    return {"adjacency": adjacency, "ends": ends}
 
 
 def _forward_reaches(graph: dict, start_aid, target_aid) -> bool:
@@ -453,8 +453,6 @@ class ConePipeline:
     def _roundtrip(self, stages: int) -> dict:
         state, layout = self.build(stages), self.layout(stages)
         manifold = denjoy_blowup(layout.tree)
-        if not manifold.is_branchless():
-            raise BuildError("blow-up left a branching point")
         action, x0, _ = label_action(state, layout, manifold)
         orbit = orbit_poset(manifold, action, x0, self.radius)
         induced = self.ball_poset
@@ -476,7 +474,6 @@ class ConePipeline:
             "coverage": Fraction(len(orbit.realized), ball_size),
             "mismatches": mismatches,
             "orbit": orbit,
-            "induced": induced,
         }
 
 

@@ -33,6 +33,14 @@ class TreeError(ValueError):
     """Raised for malformed trees or points that do not exist."""
 
 
+def _find(parent: dict, x):
+    """Union-find root of x with path halving; unseen x becomes a root."""
+    while parent.setdefault(x, x) != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass
 class NodeRec:
     id: object
@@ -175,21 +183,14 @@ class OrderTree:
 
     def _token_merge(self) -> dict:
         parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for aid in self.arcs:
-            find(self._end_token(aid, "tail"))
-            find(self._end_token(aid, "head"))
+            _find(parent, self._end_token(aid, "tail"))
+            _find(parent, self._end_token(aid, "head"))
         for cap, aid, side in self.adjacencies:
-            rx, ry = find(("n", cap)), find(("end", aid, side))
+            rx, ry = _find(parent, ("n", cap)), _find(parent, ("end", aid, side))
             if rx != ry:
                 parent[max(rx, ry, key=repr)] = min(rx, ry, key=repr)
-        return {t: find(t) for t in list(parent)}
+        return {t: _find(parent, t) for t in list(parent)}
 
     def identified_graph(self) -> tuple:
         """Token graph with doubled endpoints merged onto their open ends."""
@@ -231,18 +232,11 @@ class OrderTree:
                 problems.append(f"adjacency target {(aid, side)!r} is not an open end")
         tokens, edges, _ = self.identified_graph()
         if self.arcs:
-            comp = {t: t for t in tokens}
-
-            def find(x):
-                while comp[x] != x:
-                    comp[x] = comp[comp[x]]
-                    x = comp[x]
-                return x
-
+            comp: dict = {}
             merges = 0
             cyclic = False
             for u, v, _aid in edges:
-                ru, rv = find(u), find(v)
+                ru, rv = _find(comp, u), _find(comp, v)
                 if ru == rv:
                     cyclic = True
                 else:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .groups import GroupError, TableGroup, make_group
@@ -65,7 +64,11 @@ def _require_fields(obj: dict, where: str, required: set, optional: set = frozen
         raise SpecError(f"{where} misses fields: {', '.join(sorted(missing))}")
     unknown = obj.keys() - required - optional
     if unknown:
-        raise SpecError(f"{where} has unknown fields: {', '.join(sorted(unknown))}")
+        raise SpecError(f"{where} has unknown fields: {', '.join(map(repr, sorted(unknown)))}")
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _freeze(x):
@@ -77,12 +80,16 @@ def _freeze(x):
     return x
 
 
-def _thaw(x):
-    if isinstance(x, tuple):
-        return [_thaw(v) for v in x]
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
+def jsonable(x):
+    """Plain JSON data: tuples become arrays, keys become strings, and exact
+    fractions (or any other non-JSON value) their ``str``."""
+    if isinstance(x, dict):
+        return {str(jsonable(k)): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (str, int, float, bool)) or x is None:
+        return x
+    return str(x)
 
 
 def parse_document(obj) -> SpecDocument:
@@ -130,7 +137,7 @@ def _validate_expr(expr, where: str) -> None:
     op = expr["op"]
     if op == "cmp":
         _require_fields(expr, where, {"op", "component", "rel", "value"})
-        if expr["rel"] not in _CMP:
+        if not isinstance(expr["rel"], str) or expr["rel"] not in _CMP:
             raise SpecError(f"{where}: unknown comparison {expr['rel']!r}")
         if not isinstance(expr["component"], int) or not isinstance(expr["value"], int):
             raise SpecError(f"{where}: component and value must be integers")
@@ -169,6 +176,8 @@ def _validate_expr(expr, where: str) -> None:
 def _validate_group_order_body(body) -> None:
     if isinstance(body, dict) and "builtin" in body:
         _require_fields(body, "group-order body", {"builtin"})
+        if not isinstance(body["builtin"], str):
+            raise SpecError("group-order builtin must be a cone name")
         return
     _require_fields(body, "group-order body", {"group", "cones"}, {"name"})
     group = body["group"]
@@ -182,6 +191,8 @@ def _validate_group_order_body(body) -> None:
             raise SpecError("group.table needs an element array and an array of product rows")
     else:
         _require_fields(group, "group", {"family"}, {"k"})
+        if not _is_integer(group.get("k", 0)):
+            raise SpecError("group.k must be an integer")
     _require_fields(body["cones"], "cones", {"positive"}, {"upper", "lower"})
     for key in ("positive", "upper", "lower"):
         if key in body["cones"]:
@@ -280,7 +291,7 @@ def _validate_poset_body(body) -> None:
     for i, entry in enumerate(body["relations"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SpecError(f"relations[{i}] must be [a, relation, b]")
-        if entry[1] not in REL_CODES or entry[1] == "eq":
+        if not isinstance(entry[1], str) or entry[1] not in REL_CODES or entry[1] == "eq":
             raise SpecError(f"relations[{i}]: unknown relation {entry[1]!r}")
 
 
@@ -298,7 +309,7 @@ def poset_from_document(doc: SpecDocument) -> ExtendedPoset:
 
 
 def poset_to_document(p: ExtendedPoset, fmt: Optional[Callable] = None) -> dict:
-    label = fmt if fmt is not None else lambda e: _thaw(e)
+    label = fmt if fmt is not None else jsonable
     elements = [label(e) for e in p.elements]
     relations = [[label(a), REL_NAMES[p.rel(a, b)], label(b)] for a, b in p.iter_pairs()]
     return {
@@ -355,7 +366,7 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
                      arc_labels: Optional[dict] = None) -> dict:
     nodes = []
     for nid in sorted(tree.nodes, key=repr):
-        rec = {"id": _thaw(nid), "kind": tree.nodes[nid].kind}
+        rec = {"id": jsonable(nid), "kind": tree.nodes[nid].kind}
         if node_labels and nid in node_labels:
             rec["labels"] = sorted(node_labels[nid])
         nodes.append(rec)
@@ -363,9 +374,9 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
     for aid in tree.sorted_arc_ids():
         arc = tree.arcs[aid]
         rec = {
-            "id": _thaw(aid),
-            "tail": _thaw(arc.tail),
-            "head": _thaw(arc.head),
+            "id": jsonable(aid),
+            "tail": jsonable(arc.tail),
+            "head": jsonable(arc.head),
             "kind": arc.kind,
             "core": arc.core,
         }
@@ -378,7 +389,7 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
         "body": {
             "nodes": nodes,
             "arcs": arcs,
-            "boundary": [_thaw(n) for n in sorted(tree.boundary, key=repr)],
+            "boundary": [jsonable(n) for n in sorted(tree.boundary, key=repr)],
         },
     }
 
@@ -421,6 +432,11 @@ def tree_to_dot(tree: OrderTree, node_labels: Optional[dict] = None,
 
 def _validate_scenario_body(body) -> None:
     _require_fields(body, "scenario body", {"name"}, {"radius"})
+    if not isinstance(body["name"], str):
+        raise SpecError("scenario name must be a string")
+    radius = body.get("radius", 0)
+    if not _is_integer(radius) or radius < 0:
+        raise SpecError(f"scenario radius must be a non-negative integer, got {json.dumps(radius)}")
 
 
 _BODY_VALIDATORS = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .grouporder import (
     MINUS,
@@ -57,14 +57,11 @@ class Stage:
     ``pair`` is the between-set pair actually laid, with the first entry
     already built.  ``case`` is 1 when the built part of the pair is exactly
     that first entry, and 2 when the stage was forced to attach as a
-    truncated limit.  ``original`` keeps the pair as given before any
-    replacement shortened it.
+    truncated limit.
     """
 
     pair: tuple
     case: int
-    original: tuple
-    replaced: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class BetweenDecomposition:
 
     base: object
     stages: tuple
-    dropped: tuple
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,9 @@ class GlueRecord:
     truncated_limit: bool
 
 
-def auto_pairs(poset: ExtendedPoset, root=None) -> list:
-    """Star cover: pair the root with every other element, in poset order."""
-    if root is None:
-        root = poset.elements[0]
+def auto_pairs(poset: ExtendedPoset) -> list:
+    """Star cover: pair the first element with every other, in poset order."""
+    root = poset.elements[0]
     return [(root, e) for e in poset.elements if e != root]
 
 
@@ -136,13 +131,10 @@ def normalize_decomposition(
 
     built = {base}
     stages = []
-    dropped = []
-    for pair, force2 in worklist:
-        x, y = pair
+    for (x, y), force2 in worklist:
         members = poset.between_set(x, y).members
         mset = set(members)
         if mset <= built:
-            dropped.append(pair)
             continue
         if x not in built:
             if y not in built:
@@ -155,15 +147,11 @@ def normalize_decomposition(
                 f"built part of B({x!r}, {y!r}) is not an initial segment"
             )
         if force2:
-            stages.append(Stage(pair=(x, y), case=2, original=pair))
+            stages.append(Stage(pair=(x, y), case=2))
         else:
-            z = inter[-1]
-            if z == x:
-                stages.append(Stage(pair=(x, y), case=1, original=pair))
-            else:
-                stages.append(Stage(pair=(z, y), case=1, original=pair, replaced=True))
+            stages.append(Stage(pair=(inter[-1], y), case=1))
         built |= mset
-    return BetweenDecomposition(base=base, stages=tuple(stages), dropped=tuple(dropped))
+    return BetweenDecomposition(base=base, stages=tuple(stages))
 
 
 class LabeledTree:
@@ -181,14 +169,11 @@ class LabeledTree:
         poset: ExtendedPoset,
         augmented: ExtendedPoset,
         group=None,
-        decomposition: Optional[BetweenDecomposition] = None,
-        fmt: Optional[Callable] = None,
     ):
         self.poset = poset
         self.aug = augmented
         self.group = group
-        self.decomposition = decomposition
-        self.fmt = fmt or (group.format if group is not None else str)
+        self.fmt = group.format if group is not None else str
         self.intervals: list = []
         self.directions: list = []
         self.glues: list = []
@@ -451,7 +436,7 @@ def build_tree(
         if pairs is None:
             pairs = auto_pairs(poset)
         decomposition = normalize_decomposition(poset, pairs, case2=case2)
-    state = LabeledTree(poset, augmented, group=group, decomposition=decomposition)
+    state = LabeledTree(poset, augmented, group=group)
     _lay_base(state, decomposition.base)
     todo = decomposition.stages if stages is None else decomposition.stages[:stages]
     for st in todo:
@@ -477,7 +462,6 @@ class BuildLayout:
     tree: OrderTree
     node_labels: dict
     label_point: dict
-    unit_of_arc: dict
     checked_labels: int
 
 
@@ -522,7 +506,6 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
 
     nodes = set()
     arcs = []
-    unit_of_arc = {}
     span_index: dict = {}
     for i, bs in sorted(breaks.items()):
         cs = sorted(bs)
@@ -536,7 +519,6 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
             aid = (i, b1)
             tail, head = (r1, r2) if direction == 1 else (r2, r1)
             arcs.append((aid, tail, head))
-            unit_of_arc[aid] = (i, unit)
             span_index[(i, b1, b2)] = (aid, direction)
 
     degree: dict = {}
@@ -566,7 +548,6 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
         tree=tree,
         node_labels={n: tuple(labs) for n, labs in node_labels.items()},
         label_point=label_point,
-        unit_of_arc=unit_of_arc,
         checked_labels=checked,
     )
 
@@ -728,7 +709,6 @@ def verify_stage_properties(state: LabeledTree) -> dict:
 
     id_violations = []
     id_undetermined = []
-    plain_collisions = []
     for pt, labs in sorted(by_point.items()):
         for j in range(len(labs)):
             for k in range(j + 1, len(labs)):
@@ -743,8 +723,6 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                     id_undetermined.append(entry)
                 else:
                     id_violations.append(entry)
-                if tag_of(u) == PLAIN and tag_of(v) == PLAIN:
-                    plain_collisions.append(entry)
     labels = sorted(state.nu, key=state.label_key)
     for j in range(len(labels)):
         for k in range(j + 1, len(labels)):
@@ -760,7 +738,6 @@ def verify_stage_properties(state: LabeledTree) -> dict:
         "ok": not id_violations,
         "violations": id_violations,
         "undetermined": id_undetermined,
-        "plain_collisions": plain_collisions,
     }
 
     ok = all((tree_report["ok"], gap_report["ok"], path_report["ok"],

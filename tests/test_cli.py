@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,10 @@ MALFORMED = {
     "poset-extra-relation-names-unlisted-element": ("check-poset", _doc("poset", {
         "elements": [1, 2], "relations": [[1, "lt", 2], [1, "lt", 3]],
     })),
+    "scenario-radius-string": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": "x"})),
+    "scenario-radius-fraction": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": 1.5})),
+    "scenario-radius-boolean": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": True})),
+    "scenario-radius-negative": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": -1})),
 }
 
 
@@ -222,3 +230,57 @@ def test_malformed_documents_exit_two_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "quotient dihedral-standard --subgroup even",
+    "quotient z-standard --subgroup second-factor",
+    "quotient free2-standard --subgroup even",
+    "quotient free2-standard --subgroup second-factor",
+])
+def test_subgroup_of_another_group_is_a_spec_error(argv, capsys):
+    assert main(argv.split() + ["--radius", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: subgroup ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "roundtrip z-standard --radius -2",
+    "check-cones z-standard --radius -1",
+    "blowup alternating-line --radius -1",
+    "orbit-order z-line --radius -1",
+    "quotient z2-lex --subgroup second-factor --radius -1",
+    "build-tree z-standard --stages -1",
+    "examples run z --radius -1",
+])
+def test_negative_radius_or_stage_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+SEEDED = [
+    "roundtrip dihedral-standard --radius 4",
+    "build-tree z2-lex --radius 2 --emit json",
+    "orbit-order dihedral-line --radius 3 --json",
+    "blowup alternating-line --emit dot",
+    "examples run dihedral --radius 4",
+]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs[seed] = [
+            subprocess.run([sys.executable, "-m", "treeorder.cli", *argv.split()],
+                           env=env, capture_output=True, timeout=120)
+            for argv in SEEDED
+        ]
+    for argv, first, second in zip(SEEDED, runs["0"], runs["1"]):
+        assert first.returncode == second.returncode == 0, argv
+        assert first.stdout == second.stdout and first.stdout, argv

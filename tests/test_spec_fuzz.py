@@ -1,0 +1,106 @@
+"""Spec-document fuzzing: mutated documents never escape the exit-code contract.
+
+Each example takes one of the golden fixture documents, applies a few
+random edits (replace a value, drop a key or an entry, add a key), writes
+it to a file and runs one CLI command on it in-process.  Whatever the
+document says, ``main`` must return 0, 1 or 2 without raising, and exit 2
+must come with exactly one ``error:`` line on stderr.
+
+Radii stay small: the command radius is 0 or 1 and integers inside the
+documents (scenario radii, group ranks) lie in -3..3, because tree
+verification grows fast: ``build-tree z3-lex --radius 3`` takes over a
+minute.
+"""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from test_golden_cli import FIXTURES
+from treeorder.cli import main
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# words the documents use, so that edits often land on meaningful values
+VOCAB = ["version", "kind", "body", "1", "group-order", "poset", "tree", "scenario", "builtin",
+         "name", "group", "cones", "family", "k", "table", "elements", "products", "identity",
+         "z", "zk", "free", "dihedral", "positive", "upper", "lower", "op", "cmp", "parity",
+         "lex-positive", "components", "component", "all", "any", "not", "arg", "args", "const",
+         "series-positive", "rel", "value", ">", "<=", "==", "relations", "lt", "gt", "simu",
+         "siml", "eq", "nodes", "arcs", "boundary", "id", "tail", "head", "core", "labels",
+         "point", "open", "openray", "radius", "dihedral-line", "z-line", "z-standard", "a", "b"]
+
+COMMANDS = [
+    ["check-cones"], ["check-poset"], ["build-tree"], ["blowup"], ["orbit-order"], ["roundtrip"],
+    ["quotient", "--subgroup", "even"], ["quotient", "--subgroup", "second-factor"],
+]
+
+leaves = (st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(VOCAB)
+          | st.text(max_size=3) | st.floats(-3, 3, allow_nan=False))
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(VOCAB) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node, path=()):
+    """Every (container path, key or index) in a JSON tree, root first."""
+    out = [path]
+    if isinstance(node, dict):
+        for key, value in node.items():
+            out.extend(_slots(value, path + (key,)))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            out.extend(_slots(value, path + (i,)))
+    return out
+
+
+def _mutate(doc, data):
+    path = data.draw(st.sampled_from(_slots(doc)))
+    if not path:
+        return data.draw(json_values)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[key] = data.draw(json_values)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.sampled_from(VOCAB) | st.text(max_size=3))] = data.draw(json_values)
+    else:
+        parent.insert(key, data.draw(json_values))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@hypothesis.given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(data, spec_path):
+    doc = copy.deepcopy(FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    spec_path.write_text(json.dumps(doc))
+    argv = data.draw(st.sampled_from(COMMANDS)) + [str(spec_path)]
+    if argv[0] != "check-poset":
+        argv += ["--radius", str(data.draw(st.integers(0, 1)))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

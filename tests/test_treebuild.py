@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 from treeorder.catalog import dihedral_standard, z_standard
-from treeorder.grouporder import PLAIN, plain_of, tag_of
+from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
 from treeorder.treebuild import (
     act_on_labels,
     build_from_cones,
+    build_tree,
     orient_segments,
     verify_stage_properties,
 )
@@ -68,3 +69,16 @@ def test_acting_by_a_generator_permutes_labels():
         shifted = plain_of(lab) + 1
         if shifted in placed:
             assert target == placed[shifted]
+
+
+def test_truncated_limit_gluing_leaves_gaps_undetermined():
+    # forcing (0, 3) to attach as a truncated limit: the only path on which
+    # verification reports undetermined items instead of checking them
+    p = induced_ball_poset(z_standard(), 3)
+    state = build_tree(p, pairs=[(0, 1), (0, 3), (0, -3)], case2=[(0, 3)])
+    assert [stage.case for stage in state.stages_done] == [1, 2, 1]
+    props = verify_stage_properties(state)
+    assert props["ok"], props
+    assert len(props["gaps"]["undetermined"]) == 2
+    assert len(props["identity"]["undetermined"]) == 0
+    assert orient_segments(state).checked_labels == 7
