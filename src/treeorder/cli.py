@@ -186,7 +186,8 @@ def _cmd_build_tree(args) -> int:
     if args.emit:
         pipe = ConePipeline.of(cone, args.radius)
         layout = pipe.layout(args.stages)
-        return _emit_tree(args, suite["ok"], layout.tree, *_layout_annotations(pipe.build(args.stages), layout))
+        labels = _layout_annotations(pipe.build(args.stages), layout)
+        return _emit_tree(args, suite["ok"], layout.tree, *labels)
     lines = [
         f"build {cone.name}: radius {args.radius}, {suite['stages']} stages, {suite['built']} elements placed",
     ]
