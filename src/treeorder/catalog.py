@@ -33,6 +33,7 @@ from .orbitorder import (
     check_action,
     dihedral_example,
     integer_line,
+    manifold_graph,
     orbit_poset,
     realized_bound,
     roundtrip_orbit,
@@ -374,15 +375,16 @@ def run_orbit_suite(radius: int = 6) -> dict:
     both tag kinds present and no realized bounds behind any tag."""
     _, manifold, action = dihedral_example(radius)
     orb = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
+    graph = manifold_graph(manifold)
     p = orb.poset
     unbacked = p.check_strongly_connected()
     tags = {p.rel(a, b) for a, b in p.iter_pairs()}
     realized_pairs = []
     for a, b in p.iter_pairs():
         r = p.rel(a, b)
-        if r == SIMU and realized_bound(manifold, orb.points, a, b, upper=True) is not None:
+        if r == SIMU and realized_bound(manifold, orb.points, a, b, upper=True, graph=graph) is not None:
             realized_pairs.append((a, b, "upper"))
-        if r == SIML and realized_bound(manifold, orb.points, a, b, upper=False) is not None:
+        if r == SIML and realized_bound(manifold, orb.points, a, b, upper=False, graph=graph) is not None:
             realized_pairs.append((a, b, "lower"))
     tagged = sum(1 for a, b in p.iter_pairs() if p.rel(a, b) in (SIMU, SIML))
     return {

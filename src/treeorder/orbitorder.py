@@ -34,7 +34,7 @@ from .grouporder import (
     tag_of,
     verify_cone_axioms,
 )
-from .ordertree import OrderTree, TreeError, denjoy_blowup, alternating_line_tree
+from .ordertree import OrderTree, TreeError, TreeIndex, denjoy_blowup, alternating_line_tree
 from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset
 from .treebuild import (
     BetweenDecomposition,
@@ -71,41 +71,30 @@ def _arc_position(m: OrderTree, p: tuple) -> tuple:
     raise TreeError(f"order undefined at a branching point: {p!r}")
 
 
-def manifold_graph(m: OrderTree) -> dict:
-    """The identified token graph with per-token arc adjacency, computed
-    once so pairwise order queries stay cheap."""
+def manifold_graph(m: OrderTree) -> tuple:
+    """The identified token graph, indexed once so pairwise order queries
+    stay cheap: (TreeIndex, {arc: (tail token, head token)})."""
     tokens, edges, _ = m.identified_graph()
-    adjacency: dict = {tok: [] for tok in tokens}
-    ends: dict = {}
-    for t1, t2, aid in edges:
-        adjacency[t1].append((t2, aid))
-        adjacency[t2].append((t1, aid))
-        ends[aid] = (t1, t2)
-    return {"adjacency": adjacency, "ends": ends}
+    index = TreeIndex(tokens, [(t1, t2) for t1, t2, _aid in edges])
+    if index.cyclic or index.components != 1:
+        raise TreeError("order undefined: identified arc graph is not a tree")
+    return index, {aid: (t1, t2) for t1, t2, aid in edges}
 
 
-def _forward_reaches(graph: dict, start_aid, target_aid) -> bool:
+def _forward_reaches(graph: tuple, start_aid, target_aid) -> bool:
     """Whether the component on the head side of ``start_aid`` (with the arc
-    itself cut) contains the target arc."""
-    head = graph["ends"][start_aid][1]
-    targets = set(graph["ends"][target_aid])
-    if head in targets:
-        return True
-    seen = {head}
-    queue = [head]
-    while queue:
-        tok = queue.pop()
-        for nxt, via in graph["adjacency"][tok]:
-            if via == start_aid or nxt in seen:
-                continue
-            if nxt in targets:
-                return True
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
+    itself cut) contains the target arc.  Cutting an arc of the rooted tree
+    leaves the subtree below it and the rest, so one interval test on the
+    target arc's lower end decides."""
+    index, ends = graph
+    tail, head = ends[start_aid]
+    lower = max(ends[target_aid], key=index.depth.get)
+    if index.depth[head] > index.depth[tail]:
+        return index.below(lower, head)
+    return not index.below(lower, tail)
 
 
-def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[dict] = None) -> int:
+def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = None) -> int:
     """Relation of two points of a branchless oriented manifold.
 
     x < y when y sits in the forward component of x but not conversely;
@@ -135,12 +124,10 @@ def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[dict] = Non
     return SIML
 
 
-def realized_bound(m: OrderTree, points: dict, g, h, upper: bool,
-                   graph: Optional[dict] = None) -> Optional[object]:
+def realized_bound(m: OrderTree, points: dict, g, h, upper: bool, graph: tuple) -> Optional[object]:
     """A realized common bound of two orbit points among the other realized
-    points, or None.  ``points`` maps group elements to manifold points."""
-    if graph is None:
-        graph = manifold_graph(m)
+    points, or None.  ``points`` maps group elements to manifold points and
+    ``graph`` is manifold_graph(m)."""
     want = LT if upper else GT
     for k, pk in points.items():
         if k == g or k == h:

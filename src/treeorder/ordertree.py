@@ -41,6 +41,45 @@ def _find(parent: dict, x):
     return x
 
 
+class TreeIndex:
+    """One iterative depth-first walk over an undirected graph.
+
+    ``edges`` are vertex pairs.  Each component is rooted at its first vertex
+    in ``vertices`` order; ``parent`` (None at a root) and ``depth`` describe
+    the spanning forest, and entry/exit times label subtrees, so w lies
+    below v exactly when ``tin[v] <= tin[w] < tout[v]`` (pre/post-order
+    labelling, Bender and Farach-Colton, LATIN 2000).  The graph is a tree
+    exactly when it has one component and is not ``cyclic``.
+    """
+
+    def __init__(self, vertices: Iterable, edges: Iterable):
+        adjacency: dict = {v: [] for v in vertices}
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self.parent: dict = {}
+        self.depth: dict = {}
+        self.tin: dict = {}
+        self.tout: dict = {}
+        # every vertex is also queued as a root, behind the walks of earlier ones
+        stack = [(root, None, True) for root in reversed(adjacency)]
+        while stack:
+            v, up, entering = stack.pop()
+            if not entering:
+                self.tout[v] = len(self.tin)
+            elif v not in self.tin:
+                self.parent[v], self.tin[v] = up, len(self.tin)
+                self.depth[v] = 0 if up is None else self.depth[up] + 1
+                stack.append((v, up, False))
+                stack.extend((w, v, True) for w in adjacency[v] if w not in self.tin)
+        self.components = sum(up is None for up in self.parent.values())
+        self.cyclic = sum(map(len, adjacency.values())) // 2 > len(adjacency) - self.components
+
+    def below(self, w, v) -> bool:
+        """Whether w lies in the subtree rooted at v."""
+        return self.tin[v] <= self.tin[w] < self.tout[v]
+
+
 @dataclass
 class NodeRec:
     id: object
@@ -230,21 +269,12 @@ class OrderTree:
                 problems.append(f"adjacency source {cap!r} is not a point")
             elif aid not in self.arcs or self.nodes[self.arc_end_node(aid, side)].kind == "point":
                 problems.append(f"adjacency target {(aid, side)!r} is not an open end")
-        tokens, edges, _ = self.identified_graph()
         if self.arcs:
-            comp: dict = {}
-            merges = 0
-            cyclic = False
-            for u, v, _aid in edges:
-                ru, rv = _find(comp, u), _find(comp, v)
-                if ru == rv:
-                    cyclic = True
-                else:
-                    comp[ru] = rv
-                    merges += 1
-            if cyclic:
+            tokens, edges, _ = self.identified_graph()
+            index = TreeIndex(tokens, [(u, v) for u, v, _aid in edges])
+            if index.cyclic:
                 problems.append("identified arc graph has a cycle")
-            if merges != len(tokens) - 1:
+            if index.components != 1:
                 problems.append("identified arc graph is not connected")
         return {"ok": not problems, "problems": problems, "nodes": len(self.nodes), "arcs": len(self.arcs)}
 

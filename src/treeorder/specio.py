@@ -71,6 +71,10 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_index(x) -> bool:
+    return _is_integer(x) and x >= 0
+
+
 def _freeze(x):
     """JSON arrays become tuples so ids stay hashable; objects are no ids."""
     if isinstance(x, list):
@@ -139,19 +143,19 @@ def _validate_expr(expr, where: str) -> None:
         _require_fields(expr, where, {"op", "component", "rel", "value"})
         if not isinstance(expr["rel"], str) or expr["rel"] not in _CMP:
             raise SpecError(f"{where}: unknown comparison {expr['rel']!r}")
-        if not isinstance(expr["component"], int) or not isinstance(expr["value"], int):
-            raise SpecError(f"{where}: component and value must be integers")
+        if not _is_index(expr["component"]) or not _is_integer(expr["value"]):
+            raise SpecError(f"{where}: component must be a non-negative integer, value an integer")
     elif op == "parity":
         _require_fields(expr, where, {"op", "component", "value"})
-        if not isinstance(expr["component"], int):
-            raise SpecError(f"{where}: component must be an integer")
+        if not _is_index(expr["component"]):
+            raise SpecError(f"{where}: component must be a non-negative integer")
         if expr["value"] not in (0, 1):
             raise SpecError(f"{where}: parity value must be 0 or 1")
     elif op == "lex-positive":
         _require_fields(expr, where, {"op"}, {"components"})
         wanted = expr.get("components", [])
-        if not (isinstance(wanted, list) and all(isinstance(i, int) for i in wanted)):
-            raise SpecError(f"{where}: components must be an array of integers")
+        if not (isinstance(wanted, list) and all(_is_index(i) for i in wanted)):
+            raise SpecError(f"{where}: components must be an array of non-negative integers")
     elif op in ("all", "any"):
         _require_fields(expr, where, {"op", "args"})
         if not isinstance(expr["args"], list):
@@ -435,7 +439,7 @@ def _validate_scenario_body(body) -> None:
     if not isinstance(body["name"], str):
         raise SpecError("scenario name must be a string")
     radius = body.get("radius", 0)
-    if not _is_integer(radius) or radius < 0:
+    if not _is_index(radius):
         raise SpecError(f"scenario radius must be a non-negative integer, got {json.dumps(radius)}")
 
 

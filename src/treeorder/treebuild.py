@@ -38,7 +38,7 @@ from .grouporder import (
     side_toward,
     tag_of,
 )
-from .ordertree import OrderTree
+from .ordertree import OrderTree, TreeIndex, _find
 from .poset import BetweenChain, ExtendedPoset, PosetError
 
 ZERO = Fraction(0)
@@ -185,18 +185,10 @@ class LabeledTree:
     # -- point identity ------------------------------------------------
 
     def find(self, pt: tuple) -> tuple:
-        seen = []
-        while pt in self._parent:
-            seen.append(pt)
-            pt = self._parent[pt]
-        for s in seen:
-            self._parent[s] = pt
-        return pt
+        return _find(self._parent, pt)
 
     def _union(self, pt: tuple, target: tuple) -> None:
-        r1, r2 = self.find(pt), self.find(target)
-        if r1 != r2:
-            self._parent[r1] = r2
+        self._parent[self.find(pt)] = self.find(target)
 
     def point_of(self, label: tuple) -> tuple:
         if label not in self.nu:
@@ -556,40 +548,27 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
 
 
 def _micro_graph(state: LabeledTree) -> tuple:
-    """Vertices (canonical points) and consecutive-label edges per interval."""
-    coords = state.interval_coords()
+    """Vertices (canonical points) and the edge between consecutive label
+    coordinates, keyed by its span (interval, c1, c2)."""
     vertices = set()
-    edges = []
-    adjacency: dict = {}
-    for i in sorted(coords):
-        roots = [state.find((i, c)) for c in coords[i]]
+    edges: dict = {}
+    for i, cs in state.interval_coords().items():
+        roots = [state.find((i, c)) for c in cs]
         vertices.update(roots)
-        for r1, r2 in zip(roots, roots[1:]):
-            edges.append((r1, r2))
-            adjacency.setdefault(r1, []).append(r2)
-            adjacency.setdefault(r2, []).append(r1)
-    return vertices, edges, adjacency
+        for c1, c2, r1, r2 in zip(cs, cs[1:], roots, roots[1:]):
+            edges[i, c1, c2] = (r1, r2)
+    return vertices, edges
 
 
-def _path_points(adjacency: dict, start: tuple, end: tuple) -> list:
-    if start == end:
-        return [start]
-    seen = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in adjacency.get(v, ()):
-                if w not in seen:
-                    seen[w] = v
-                    if w == end:
-                        path = [w]
-                        while path[-1] != start:
-                            path.append(seen[path[-1]])
-                        return path[::-1]
-                    nxt.append(w)
-        queue = nxt
-    raise BuildError("points are not connected")
+def _path_points(index: TreeIndex, start: tuple, end: tuple) -> list:
+    """The points from start to end, climbing the deeper side's parents."""
+    ups, downs = [start], [end]
+    while ups[-1] != downs[-1]:
+        side = ups if index.depth[ups[-1]] >= index.depth[downs[-1]] else downs
+        if index.parent[side[-1]] is None:
+            raise BuildError("points are not connected")
+        side.append(index.parent[side[-1]])
+    return ups + downs[-2::-1]
 
 
 def verify_stage_properties(state: LabeledTree) -> dict:
@@ -605,49 +584,34 @@ def verify_stage_properties(state: LabeledTree) -> dict:
       forced by a truncated-limit gluing are undetermined.
     """
     p, A = state.poset, state.aug
-    vertices, edges, adjacency = _micro_graph(state)
+    vertices, edges = _micro_graph(state)
+    index = TreeIndex(vertices, edges.values())
     problems = []
     if len(edges) != len(vertices) - 1:
         problems.append(f"{len(vertices)} points but {len(edges)} spans")
-    if vertices:
-        reached = {next(iter(sorted(vertices)))}
-        queue = list(reached)
-        while queue:
-            v = queue.pop()
-            for w in adjacency.get(v, ()):
-                if w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        if reached != vertices:
-            problems.append("glued intervals are not connected")
+    if index.components > 1:
+        problems.append("glued intervals are not connected")
     tree_report = {"ok": not problems, "points": len(vertices), "problems": problems}
 
     by_point = state.labels_by_point()
     truncated = state.truncated_points()
-    coords = state.interval_coords()
     gap_violations = []
     gap_undetermined = []
-    gaps = 0
-    for i in sorted(coords):
-        cs = coords[i]
-        for c1, c2 in zip(cs, cs[1:]):
-            gaps += 1
-            left = by_point.get(state.find((i, c1)), ())
-            right = by_point.get(state.find((i, c2)), ())
-            entry = {
-                "interval": i,
-                "gap": (c1, c2),
-                "left": [state.format_label(l) for l in left],
-                "right": [state.format_label(l) for l in right],
-            }
-            if state.find((i, c1)) in truncated or state.find((i, c2)) in truncated:
-                gap_undetermined.append(entry)
-                continue
-            if not _gap_is_tag_pair(left, right):
-                gap_violations.append(entry)
+    for (i, c1, c2), (r1, r2) in edges.items():
+        left, right = by_point.get(r1, ()), by_point.get(r2, ())
+        entry = {
+            "interval": i,
+            "gap": (c1, c2),
+            "left": [state.format_label(l) for l in left],
+            "right": [state.format_label(l) for l in right],
+        }
+        if r1 in truncated or r2 in truncated:
+            gap_undetermined.append(entry)
+        elif not _gap_is_tag_pair(left, right):
+            gap_violations.append(entry)
     gap_report = {
         "ok": not gap_violations,
-        "gaps": gaps,
+        "gaps": len(edges),
         "violations": gap_violations,
         "undetermined": gap_undetermined,
     }
@@ -669,7 +633,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                 )
                 continue
             order = {m: j for j, m in enumerate(expected)}
-            route = _path_points(adjacency, state.point_of(aug(a, PLAIN)),
+            route = _path_points(index, state.point_of(aug(a, PLAIN)),
                                  state.point_of(aug(b, PLAIN)))
             flat = []
             extras = []

@@ -101,3 +101,40 @@ def coordinate_between(c1, c2, c3) -> bool:
     """Interval membership on the line: is c3 within the travel of c1, c2."""
     lo, hi = min(c1, c2), max(c1, c2)
     return lo <= c3 <= hi
+
+
+def naive_forward_sets(tree) -> dict:
+    """For every arc of an order tree, the nodes on its head side once the
+    arc is cut: a breadth-first search over ``tree.arcs`` in which each
+    ``(cap, arc, side)`` adjacency joins the cap to that arc end."""
+    links: dict = {}
+    joins = [(arc.tail, arc.head, aid) for aid, arc in tree.arcs.items()]
+    for cap, aid, side in tree.adjacencies:
+        arc = tree.arcs[aid]
+        joins.append((cap, arc.tail if side == "tail" else arc.head, None))
+    for u, v, via in joins:
+        links.setdefault(u, []).append((v, via))
+        links.setdefault(v, []).append((u, via))
+    out = {}
+    for cut, arc in tree.arcs.items():
+        seen = {arc.head}
+        queue = [arc.head]
+        while queue:
+            v = queue.pop(0)
+            for w, via in links[v]:
+                if via != cut and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        out[cut] = seen
+    return out
+
+
+def naive_arc_rel(tree, forward: dict, x, y) -> str:
+    """Relation name of two arc points ("arc", arc, t): y is ahead of x when
+    y's arc lies in the forward set of x's arc, and x behind y conversely."""
+    (_, xa, xt), (_, ya, yt) = x, y
+    if xa == ya:
+        return coordinate_rel(xt, yt)
+    ahead = bool({tree.arcs[ya].tail, tree.arcs[ya].head} & forward[xa])
+    behind = bool({tree.arcs[xa].tail, tree.arcs[xa].head} & forward[ya])
+    return {(True, False): "lt", (False, True): "gt", (True, True): "simu", (False, False): "siml"}[ahead, behind]

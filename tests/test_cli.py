@@ -186,6 +186,10 @@ def _doc(kind, body):
     return {"version": "1", "kind": kind, "body": body}
 
 
+def _z2(positive):
+    return _doc("group-order", {"group": {"family": "zk", "k": 2}, "cones": {"positive": positive}})
+
+
 MALFORMED = {
     "table-products-not-rows": ("check-cones", _doc("group-order", {
         "group": {"table": {"elements": [0, 1], "products": 5, "identity": 0}},
@@ -199,6 +203,12 @@ MALFORMED = {
         "group": {"family": "z"},
         "cones": {"positive": {"op": "lex-positive", "components": [4]}},
     })),
+    "cmp-component-negative": ("check-cones", _z2({"op": "cmp", "component": -1, "rel": ">", "value": 0})),
+    "cmp-component-boolean": ("check-cones", _z2({"op": "cmp", "component": True, "rel": ">", "value": 0})),
+    "cmp-value-boolean": ("check-cones", _z2({"op": "cmp", "component": 0, "rel": ">", "value": True})),
+    "parity-component-negative": ("check-cones", _z2({"op": "parity", "component": -1, "value": 0})),
+    "lex-components-negative": ("check-cones", _z2({"op": "lex-positive", "components": [-1]})),
+    "lex-components-boolean": ("check-cones", _z2({"op": "lex-positive", "components": [True, 0]})),
     "tree-duplicate-node": ("blowup", _doc("tree", {
         "nodes": ["a", "a", "b"], "arcs": [["e", "a", "b"]],
     })),
@@ -230,6 +240,18 @@ def test_malformed_documents_exit_two_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arcs, problem", [
+    ([["e1", "a", "b"], ["e2", "b", "c"], ["e3", "c", "a"]], "has a cycle"),
+    ([["e1", "a", "b"], ["e2", "c", "d"]], "is not connected"),
+], ids=["cycle", "two-components"])
+def test_blowup_of_a_graph_that_is_not_a_tree_fails_the_check(arcs, problem, tmp_path, capsys):
+    nodes = sorted({node for _arc, *ends in arcs for node in ends})
+    spec = write(tmp_path, "tree.json", _doc("tree", {"nodes": nodes, "arcs": arcs}))
+    assert main(["blowup", spec]) == 1
+    assert capsys.readouterr().err == (
+        f"check failed: blow-up needs a well-formed tree: identified arc graph {problem}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,18 +11,21 @@ from treeorder.groups import Z, Zk
 from treeorder.grouporder import induced_ball_poset
 from treeorder.orbitorder import (
     DIHEDRAL_BASE_POINT,
+    ConePipeline,
     OrbitError,
     check_action,
     dihedral_example,
     integer_line,
     line_coordinate,
     line_point,
+    manifold_graph,
     manifold_order,
     orbit_poset,
     roundtrip_orbit,
     shift_action,
     stabilizer_extension_order,
 )
+from treeorder.ordertree import OrderTree, TreeError, denjoy_blowup
 from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset
 
 
@@ -185,3 +189,48 @@ def test_roundtrip_is_exact_for_both_walks():
         assert rep["mismatches"] == []
         assert rep["realized"] == rep["ball"]
         assert rep["coverage"] == Fraction(1)
+
+
+def random_tree(rng):
+    tree = OrderTree()
+    tree.add_node(0)
+    for v in range(1, rng.randint(2, 12)):
+        tree.add_node(v)
+        parent = rng.randrange(v)
+        tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
+    return tree
+
+
+def oracle_mismatches(m):
+    forward = oracles.naive_forward_sets(m)
+    graph = manifold_graph(m)
+    points = [("arc", aid, Fraction(k, 3)) for aid in m.sorted_arc_ids() for k in (1, 2)]
+    return [
+        (x, y) for x in points for y in points
+        if REL_NAMES[manifold_order(m, x, y, graph)] != oracles.naive_arc_rel(m, forward, x, y)
+    ]
+
+
+def test_manifold_order_matches_the_naive_search_on_random_trees():
+    rng = random.Random(4)
+    for _ in range(100):
+        tree = random_tree(rng)
+        assert oracle_mismatches(tree) == []
+        assert oracle_mismatches(denjoy_blowup(tree)) == []
+
+
+@pytest.mark.parametrize("radius, caps", [(3, 20), (5, 36)])
+def test_manifold_order_matches_the_naive_search_on_built_layouts(radius, caps):
+    m = denjoy_blowup(ConePipeline.of(dihedral_standard(), radius).layout().tree)
+    assert len({cap for cap, _arc, _side in m.adjacencies}) == caps
+    assert oracle_mismatches(m) == []
+
+
+def test_manifold_order_matches_the_naive_search_on_the_dihedral_line():
+    assert oracle_mismatches(dihedral_example(4)[1]) == []
+
+
+def test_manifold_graph_needs_a_tree():
+    tree = OrderTree.build("abc", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
+    with pytest.raises(TreeError, match="not a tree"):
+        manifold_graph(tree)

@@ -7,6 +7,7 @@ import pytest
 from treeorder.ordertree import (
     OrderTree,
     TreeError,
+    TreeIndex,
     check_blowup,
     denjoy_blowup,
     alternating_line_tree,
@@ -54,6 +55,15 @@ def test_identified_graph_of_a_path():
     assert len(edges) == 2
     assert tree.is_branchless()
     assert tree.degrees(("node", "b"))["kind"] == "regular"
+
+
+def test_tree_index_labels_subtrees_and_flags_cycles():
+    index = TreeIndex("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
+    assert (index.components, index.cyclic) == (1, False)
+    assert index.parent == {"a": None, "b": "a", "c": "b", "d": "a"}
+    assert [index.below(v, "b") for v in "abcd"] == [False, True, True, False]
+    assert TreeIndex("ab", [("a", "b"), ("b", "a")]).cyclic
+    assert TreeIndex("abc", [("a", "b")]).components == 2
 
 
 def test_blowup_is_branchless_and_collapses_back():

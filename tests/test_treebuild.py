@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import pytest
+
 from treeorder.catalog import dihedral_standard, z_standard
 from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
+from treeorder.ordertree import TreeIndex
 from treeorder.treebuild import (
+    BuildError,
+    _path_points,
     act_on_labels,
     build_from_cones,
     build_tree,
@@ -82,3 +87,11 @@ def test_truncated_limit_gluing_leaves_gaps_undetermined():
     assert len(props["gaps"]["undetermined"]) == 2
     assert len(props["identity"]["undetermined"]) == 0
     assert orient_segments(state).checked_labels == 7
+
+
+def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
+    index = TreeIndex("abcde", [("a", "b"), ("b", "c"), ("a", "d")])
+    assert _path_points(index, "c", "d") == ["c", "b", "a", "d"]
+    assert _path_points(index, "a", "a") == ["a"]
+    with pytest.raises(BuildError, match="points are not connected"):
+        _path_points(index, "c", "e")
