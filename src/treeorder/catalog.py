@@ -40,7 +40,7 @@ from .orbitorder import (
     shift_action,
 )
 from .ordertree import alternating_line_tree, check_blowup
-from .poset import GT, LT, SIML, SIMU
+from .poset import GT, LT, SIML, SIMU, _bits
 from .treebuild import verify_stage_properties
 
 
@@ -259,11 +259,7 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
     for i, x in enumerate(elems):
         if not (masks[i] >> i) & 1:
             r_failures.append({"law": "reflexive", "at": x})
-        rest = masks[i]
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
+        for j in _bits(masks[i]):
             if not (masks[j] >> i) & 1:
                 r_failures.append({"law": "symmetric", "at": (x, elems[j])})
             if masks[j] & ~masks[i]:

@@ -129,6 +129,9 @@ class ExtendedPoset:
         self._comp = [self._up[i] | self._down[i] for i in range(n)]
         self._bet: dict = {}
         self._validate()
+        # chain-relatedness rows, filled on demand: partners tested, partners related
+        self._tested = [1 << i for i in range(n)]
+        self._orel = list(self._tested)
 
     # -- validation -------------------------------------------------
 
@@ -233,12 +236,17 @@ class ExtendedPoset:
                 return False
         return True
 
+    def _related(self, i: int, within: int) -> int:
+        """Mask of the j in ``within`` with B(i, j) a chain; i is related to itself."""
+        for j in _bits(within & ~self._tested[i]):
+            if self._is_chain(self._between_mask(i, j)):
+                self._orel[i] |= 1 << j
+        self._tested[i] |= within
+        return self._orel[i] & within
+
     def o_related(self, a: Element, b: Element) -> bool:
         """Whether B(a, b) is a chain in the underlying order."""
-        i, j = self.index(a), self.index(b)
-        if i == j:
-            return True
-        return self._is_chain(self._between_mask(i, j))
+        return bool(self._related(self.index(a), 1 << self.index(b)))
 
     def between_members(self, a: Element, b: Element) -> tuple:
         """Members of B(a, b) in element order, without the travel sort."""
@@ -252,50 +260,39 @@ class ExtendedPoset:
         if i == j:
             raise PosetError("between set requires two distinct endpoints")
         mask = self._between_mask(i, j)
-        members = list(_bits(mask))
-        rank = {}
-        for k in members:
-            rank[k] = 1 if k == i else (1 << self.n) + (self._between_mask(i, k) & mask).bit_count()
-        members.sort(key=rank.__getitem__)
-
-        def precedes(u: int, v: int) -> bool:
-            # u comes no later than v in travel order: u lies in B(a, v)
-            if v == i:
-                return False
-            return bool(self._between_mask(i, v) & (1 << u))
-
-        for p in range(len(members)):
-            for q in range(p + 1, len(members)):
-                x, y = members[p], members[q]
-                if not precedes(x, y) or precedes(y, x):
-                    raise PosetError(
-                        f"travel order on B({a!r}, {b!r}) is not total at ({self.elements[x]!r}, {self.elements[y]!r})"
-                    )
-        if members[0] != i or members[-1] != j:
-            raise PosetError(f"travel order on B({a!r}, {b!r}) does not run endpoint to endpoint")
+        # travel order is total exactly when each member x sees, as B(a, x)
+        # within B(a, b), the prefix of the rank order that ends at x; that
+        # also puts a first and b last
+        seen = {k: 1 << i if k == i else self._between_mask(i, k) & mask for k in _bits(mask)}
+        members = sorted(seen, key=lambda k: seen[k].bit_count())
+        prefix = 0
+        for x in members:
+            prefix |= 1 << x
+            if seen[x] != prefix:
+                y = next(_bits(seen[x] ^ prefix))
+                u, v = (y, x) if prefix >> y & 1 else (x, y)
+                raise PosetError(
+                    f"travel order on B({a!r}, {b!r}) is not total at ({self.elements[u]!r}, {self.elements[v]!r})"
+                )
         classes: list = []
         current = [members[0]]
         for k in members[1:]:
-            if self._is_chain(self._between_mask(current[-1], k)):
+            if self._related(current[-1], mask) >> k & 1:
                 current.append(k)
             else:
                 classes.append(current)
                 current = [k]
         classes.append(current)
-        for p, cp in enumerate(classes):
-            for q, cq in enumerate(classes):
-                if q < p:
-                    continue
-                for x in cp:
-                    for y in cq:
-                        if x == y:
-                            continue
-                        related = self._is_chain(self._between_mask(x, y))
-                        if related != (p == q):
-                            raise PosetError(
-                                f"similarity classes of B({a!r}, {b!r}) are not travel intervals at "
-                                f"({self.elements[x]!r}, {self.elements[y]!r})"
-                            )
+        for cls in classes:
+            same = sum(1 << k for k in cls)
+            for x in cls:
+                stray = self._related(x, mask) ^ same
+                if stray:
+                    y = next(_bits(stray))
+                    raise PosetError(
+                        f"similarity classes of B({a!r}, {b!r}) are not travel intervals at "
+                        f"({self.elements[x]!r}, {self.elements[y]!r})"
+                    )
         return BetweenChain(
             a=a,
             b=b,
@@ -359,11 +356,7 @@ class ExtendedPoset:
         """
         out = []
         n = self.n
-        orel = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._is_chain(self._between_mask(i, j)):
-                    orel[i] |= 1 << j
+        orel = [self._related(i, (1 << n) - 1) for i in range(n)]
         for i in range(n):
             for j in _bits(orel[i]):
                 if not (orel[j] >> i) & 1:

@@ -149,7 +149,7 @@ def _validate_expr(expr, where: str) -> None:
         _require_fields(expr, where, {"op", "component", "value"})
         if not _is_index(expr["component"]):
             raise SpecError(f"{where}: component must be a non-negative integer")
-        if expr["value"] not in (0, 1):
+        if not _is_integer(expr["value"]) or expr["value"] not in (0, 1):
             raise SpecError(f"{where}: parity value must be 0 or 1")
     elif op == "lex-positive":
         _require_fields(expr, where, {"op"}, {"components"})

@@ -118,7 +118,7 @@ def normalize_decomposition(
 
     covered = {base}
     for x, y in pairs:
-        covered.update(poset.between_set(x, y).members)
+        covered.update(poset.between_members(x, y))
     uncovered = [e for e in poset.elements if e not in covered]
     if uncovered:
         raise BuildError(f"pairs do not cover the poset; missing {uncovered!r}")

@@ -138,3 +138,42 @@ def naive_arc_rel(tree, forward: dict, x, y) -> str:
     ahead = bool({tree.arcs[ya].tail, tree.arcs[ya].head} & forward[xa])
     behind = bool({tree.arcs[xa].tail, tree.arcs[xa].head} & forward[ya])
     return {(True, False): "lt", (False, True): "gt", (True, True): "simu", (False, False): "siml"}[ahead, behind]
+
+
+def naive_between_sets(p) -> dict:
+    """B(a, b) for every ordered pair of distinct elements, by the pairwise
+    definitions: {(a, b): (members, classes)}, or None where travel order
+    is not total or the classes are not travel intervals.
+
+    Members come from ``p.is_between``; x travels before y when x lies in
+    B(a, y); x and y share a class when B(x, y) is a chain, which is checked
+    on every pair of members.  Only the public relation queries are used.
+    """
+    elems = p.elements
+    between = {(x, y): [z for z in elems if p.is_between(x, z, y)] for x in elems for y in elems if x != y}
+    inside = {pair: set(members) for pair, members in between.items()}
+    comparable = {(u, v) for u in elems for v in elems if u == v or p.classify(u, v) in ("lt", "gt")}
+    related = {(x, x) for x in elems} | {
+        pair for pair, members in between.items() if all((u, v) in comparable for u in members for v in members)
+    }
+    out = {}
+    for (a, b), members in between.items():
+
+        def precedes(x, y):
+            return y != a and x in inside[a, y]
+
+        order = sorted(members, key=lambda y: sum(precedes(x, y) for x in members))
+        if any(not precedes(x, y) or precedes(y, x) for i, x in enumerate(order) for y in order[i + 1:]):
+            out[a, b] = None
+            continue
+        classes = [[order[0]]]
+        for y in order[1:]:
+            if (classes[-1][-1], y) in related:
+                classes[-1].append(y)
+            else:
+                classes.append([y])
+        intervals = all(
+            ((x, y) in related) == (cx is cy) for cx in classes for cy in classes for x in cx for y in cy
+        )
+        out[a, b] = (tuple(order), tuple(map(tuple, classes))) if intervals else None
+    return out

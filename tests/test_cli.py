@@ -207,6 +207,7 @@ MALFORMED = {
     "cmp-component-boolean": ("check-cones", _z2({"op": "cmp", "component": True, "rel": ">", "value": 0})),
     "cmp-value-boolean": ("check-cones", _z2({"op": "cmp", "component": 0, "rel": ">", "value": True})),
     "parity-component-negative": ("check-cones", _z2({"op": "parity", "component": -1, "value": 0})),
+    "parity-value-boolean": ("check-cones", _z2({"op": "parity", "component": 0, "value": True})),
     "lex-components-negative": ("check-cones", _z2({"op": "lex-positive", "components": [-1]})),
     "lex-components-boolean": ("check-cones", _z2({"op": "lex-positive", "components": [True, 0]})),
     "tree-duplicate-node": ("blowup", _doc("tree", {

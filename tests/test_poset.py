@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
+import oracles
+from treeorder.catalog import get_cone
+from treeorder.corpus import all_extended_posets, tree_corpus
+from treeorder.orbitorder import ConePipeline
 from treeorder.poset import (
     EQ,
     GT,
@@ -205,3 +211,59 @@ def test_between_set_needs_distinct_endpoints():
     p = chain("ab")
     with pytest.raises(PosetError, match="distinct"):
         p.between_set("a", "a")
+
+
+def _posets(case):
+    if case == "extended-4":
+        return all_extended_posets(4)
+    if case == "trees-100":
+        return tree_corpus(100)
+    name, _, radius = case.rpartition("-r")
+    pipeline = ConePipeline(get_cone(name), int(radius))
+    return [pipeline.ball_poset, pipeline.doubled]
+
+
+@pytest.mark.parametrize("case", ["extended-4", "trees-100", "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2"])
+def test_between_set_agrees_with_the_pairwise_oracle(case):
+    pairs = 0
+    for p in _posets(case):
+        for (a, b), want in oracles.naive_between_sets(p).items():
+            pairs += 1
+            if want is None:
+                with pytest.raises(PosetError):
+                    p.between_set(a, b)
+                continue
+            got = p.between_set(a, b)
+            assert (got.members, got.classes) == want, (a, b)
+    assert pairs > 0
+
+
+@pytest.mark.parametrize("pair, mask, at", [
+    ((0, 2), 0b0101, "('b', 'c')"),  # B(a, c) loses b
+    ((0, 1), 0b1011, "('b', 'd')"),  # B(a, b) gains d
+], ids=["earlier-member-missing", "later-member-present"])
+def test_travel_order_that_is_not_total_raises(pair, mask, at):
+    p = chain("abcd")
+    p._bet[pair] = mask
+    with pytest.raises(PosetError, match=re.escape(f"travel order on B('a', 'd') is not total at {at}")):
+        p.between_set("a", "d")
+
+
+def _unrelated_within_a_class(p):
+    p._comp[0] &= ~0b0100  # a no longer compares with c
+    return ("a", "d"), "('a', 'c')"
+
+
+def _related_across_classes(p):
+    p._comp[1] &= ~0b0100  # b no longer compares with c, which cuts B(d, a) in two
+    p._bet[(0, 2)] = 0b0101  # B(a, c) loses b and becomes a chain
+    return ("d", "a"), "('c', 'a')"
+
+
+@pytest.mark.parametrize("corrupt", [_unrelated_within_a_class, _related_across_classes])
+def test_classes_that_are_not_travel_intervals_raise(corrupt):
+    p = chain("abcd")
+    (a, b), at = corrupt(p)
+    message = f"similarity classes of B({a!r}, {b!r}) are not travel intervals at {at}"
+    with pytest.raises(PosetError, match=re.escape(message)):
+        p.between_set(a, b)

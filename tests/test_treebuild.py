@@ -5,6 +5,7 @@ import pytest
 from treeorder.catalog import dihedral_standard, z_standard
 from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
 from treeorder.ordertree import TreeIndex
+from treeorder.poset import ExtendedPoset
 from treeorder.treebuild import (
     BuildError,
     _path_points,
@@ -95,3 +96,14 @@ def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
     assert _path_points(index, "a", "a") == ["a"]
     with pytest.raises(BuildError, match="points are not connected"):
         _path_points(index, "c", "e")
+
+
+@pytest.mark.parametrize("cone, radius", [(z_standard, 6), (dihedral_standard, 4)], ids=["z-r6", "dihedral-r4"])
+def test_verification_tests_each_pair_for_a_chain_at_most_once_per_row(cone, radius, monkeypatch):
+    state = build_from_cones(cone(), radius=radius)
+    calls = []
+    is_chain = ExtendedPoset._is_chain
+    monkeypatch.setattr(ExtendedPoset, "_is_chain", lambda self, mask: calls.append(mask) or is_chain(self, mask))
+    assert verify_stage_properties(state)["ok"]
+    n = state.aug.n
+    assert 0 < len(calls) <= n * (n - 1)
