@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterator, List
 
 from .ordertree import OrderTree
-from .orbitorder import manifold_graph, manifold_order
-from .poset import GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
+from .orbitorder import manifold_poset
+from .poset import ExtendedPoset, PosetError, _bits
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
 BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
@@ -40,10 +40,12 @@ def base_orders(n: int) -> Iterator[tuple]:
         closed_down = [d for d in range(1 << m) if _is_closed(d, down)]
         closed_up = [u for u in range(1 << m) if _is_closed(u, up)]
         for d in closed_down:
+            # the upper sets above all of d; none meets d, as up sets are strict
+            common = (1 << m) - 1
+            for i in _bits(d):
+                common &= up[i]
             for u in closed_up:
-                if d & u:
-                    continue
-                if not _all_below(d, u, up):
+                if u & ~common:
                     continue
                 nup = [up[i] | (((d >> i) & 1) << m) for i in range(m)]
                 ndown = [down[i] | (((u >> i) & 1) << m) for i in range(m)]
@@ -55,10 +57,6 @@ def base_orders(n: int) -> Iterator[tuple]:
 def _is_closed(subset: int, spread: list) -> bool:
     # every element of the subset drags its spread along
     return not any(spread[i] & ~subset for i in _bits(subset))
-
-
-def _all_below(d: int, u: int, up: list) -> bool:
-    return not any(u & ~up[i] for i in _bits(d))
 
 
 def count_base_orders(n: int) -> int:
@@ -77,7 +75,8 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
     elements = tuple(range(n))
     for up, down in base_orders(n):
         pairs = []
-        forced = {}
+        forced_u = [0] * n
+        forced_l = [0] * n
         possible = True
         for i in range(n):
             for j in range(i + 1, n):
@@ -89,9 +88,11 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
                     possible = False
                     break
                 if has_upper:
-                    forced[(i, j)] = SIMU
+                    forced_u[i] |= 1 << j
+                    forced_u[j] |= 1 << i
                 elif has_lower:
-                    forced[(i, j)] = SIML
+                    forced_l[i] |= 1 << j
+                    forced_l[j] |= 1 << i
                 else:
                     pairs.append((i, j))
             if not possible:
@@ -99,19 +100,13 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
         if not possible:
             continue
         for choice in range(1 << len(pairs)):
-            table = dict(forced)
+            simu, siml = list(forced_u), list(forced_l)
             for b, (i, j) in enumerate(pairs):
-                table[(i, j)] = SIMU if (choice >> b) & 1 else SIML
-
-            def rel_of(a, b, _up=up, _table=table):
-                if (_up[a] >> b) & 1:
-                    return LT
-                if (_up[b] >> a) & 1:
-                    return GT
-                return _table[(a, b) if a < b else (b, a)]
-
+                rows = simu if (choice >> b) & 1 else siml
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
             try:
-                out.append(ExtendedPoset(elements, rel_of))
+                out.append(ExtendedPoset(elements, up, down, simu, siml))
             except PosetError:
                 continue
     return out
@@ -148,12 +143,7 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
             continue
         seen.add((aid, t))
         points.append(("arc", aid, t))
-    graph = manifold_graph(tree)
-
-    def rel_of(i, j):
-        return manifold_order(tree, points[i], points[j], graph)
-
-    poset = ExtendedPoset(tuple(range(len(points))), rel_of)
+    poset = manifold_poset(tree, dict(enumerate(points)))
     poset.points = points
     return poset
 

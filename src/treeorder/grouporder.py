@@ -208,7 +208,7 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
         raise ConeError(f"cone {cone.name} fails condition ({bad}) at radius {radius}")
     group = cone.group
     ball = group.ball(radius)
-    p = ExtendedPoset(ball, cone.classify)
+    p = ExtendedPoset.from_relation(ball, cone.classify)
     # left translation cannot change g^-1 h, but a broken group model could;
     # spot-check a deterministic sample
     n = len(ball)
@@ -245,6 +245,14 @@ def format_aug(x: tuple, fmt: Callable = str) -> str:
     return fmt(x[0]) + _TAG_TEXT[x[1]]
 
 
+_TRIPLE = str.maketrans({"0": "000", "1": "111"})
+
+
+def _spread3(mask: int) -> int:
+    """Each bit j of the mask becomes bits 3j, 3j + 1 and 3j + 2."""
+    return int(bin(mask)[2:].translate(_TRIPLE), 2)
+
+
 def blow_up_gplus(p: ExtendedPoset) -> ExtendedPoset:
     """Replace every element g by the ordered triple g- < g < g+.
 
@@ -254,17 +262,17 @@ def blow_up_gplus(p: ExtendedPoset) -> ExtendedPoset:
     doubling never creates a common bound that the base pair lacked.
     """
     elements = []
-    for g in p.elements:
+    up, down, simu, siml = [], [], [], []
+    for i, g in enumerate(p.elements):
         elements.extend(((g, MINUS), (g, PLAIN), (g, PLUS)))
-
-    def rel(x, y):
-        g, s = x
-        h, t = y
-        if g == h:
-            return LT if s < t else GT
-        return p.rel(g, h)
-
-    return ExtendedPoset(elements, rel)
+        spread = [_spread3(row[i]) for row in p.rows]
+        # the triple's own bits above and below each of g-, g, g+
+        for above, below in ((0b110, 0b000), (0b100, 0b001), (0b000, 0b011)):
+            up.append(spread[0] | above << 3 * i)
+            down.append(spread[1] | below << 3 * i)
+            simu.append(spread[2])
+            siml.append(spread[3])
+    return ExtendedPoset(elements, up, down, simu, siml)
 
 
 def r_equivalent(augmented: ExtendedPoset, x: tuple, y: tuple) -> bool:
@@ -472,7 +480,7 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
             if rel[(rep, other)] not in found or len(found) > 1:
                 uniqueness.append({"pair": (g, other), "note": "representative dependence"})
 
-    poset = ExtendedPoset(reps, lambda a, b: rel[(a, b)])
+    poset = ExtendedPoset.from_relation(reps, lambda a, b: rel[(a, b)])
 
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     violations: list = []

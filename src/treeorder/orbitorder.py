@@ -35,7 +35,7 @@ from .grouporder import (
     verify_cone_axioms,
 )
 from .ordertree import OrderTree, TreeError, TreeIndex, denjoy_blowup, alternating_line_tree
-from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset
+from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
 from .treebuild import (
     BetweenDecomposition,
     BuildError,
@@ -81,17 +81,28 @@ def manifold_graph(m: OrderTree) -> tuple:
     return index, {aid: (t1, t2) for t1, t2, aid in edges}
 
 
-def _forward_reaches(graph: tuple, start_aid, target_aid) -> bool:
-    """Whether the component on the head side of ``start_aid`` (with the arc
-    itself cut) contains the target arc.  Cutting an arc of the rooted tree
-    leaves the subtree below it and the rest, so one interval test on the
-    target arc's lower end decides."""
+def _arc_span(graph: tuple, aid) -> tuple:
+    """Entry and exit time of the arc's lower end in the rooted token tree,
+    and whether that end is the head."""
     index, ends = graph
-    tail, head = ends[start_aid]
-    lower = max(ends[target_aid], key=index.depth.get)
-    if index.depth[head] > index.depth[tail]:
-        return index.below(lower, head)
-    return not index.below(lower, tail)
+    tail, head = ends[aid]
+    lower = max((tail, head), key=index.depth.get)
+    return index.tin[lower], index.tout[lower], lower == head
+
+
+def _arc_order(a: tuple, b: tuple) -> int:
+    """Relation of points on two distinct arcs, from the arcs' spans.
+
+    Cutting an arc of the rooted tree leaves the subtree below it and the
+    rest, and its forward component is the part on its head side.  So one
+    interval test on the other arc's lower end says whether that arc lies
+    forward.
+    """
+    forward = (a[0] <= b[0] < a[1]) == a[2]
+    backward = (b[0] <= a[0] < b[1]) == b[2]
+    if forward != backward:
+        return LT if forward else GT
+    return SIMU if forward else SIML
 
 
 def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = None) -> int:
@@ -113,15 +124,64 @@ def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = No
         return LT if xt < yt else GT
     if graph is None:
         graph = manifold_graph(m)
-    forward = _forward_reaches(graph, xa, ya)
-    backward = _forward_reaches(graph, ya, xa)
-    if forward and not backward:
-        return LT
-    if backward and not forward:
-        return GT
-    if forward and backward:
-        return SIMU
-    return SIML
+    return _arc_order(_arc_span(graph, xa), _arc_span(graph, ya))
+
+
+def manifold_poset(m: OrderTree, points: dict) -> ExtendedPoset:
+    """The tagged poset of distinct points of a branchless manifold, keyed
+    by element (``points`` maps elements to points), with manifold_order's
+    relation on every pair.
+
+    Each point is checked and placed on its arc once.  Points on one arc
+    compare by parameter, and points on two arcs as their arcs do, so each
+    pair of arcs is related once.  Coincident points raise PosetError, as
+    a pair with no relation.
+    """
+    graph = manifold_graph(m)
+    elements = tuple(points)
+    arc_of: dict = {}  # arc -> small int
+    spans: list = []   # small int -> _arc_span
+    on_arc: list = []  # small int -> mask of the points on the arc
+    placed: list = []  # point -> (small int, parameter)
+    first: dict = {}
+    clashes = []
+    for k, p in enumerate(points.values()):
+        m.require_point(p)
+        aid, t = _arc_position(m, p)
+        a = arc_of.get(aid)
+        if a is None:
+            a = arc_of[aid] = len(spans)
+            spans.append(_arc_span(graph, aid))
+            on_arc.append(0)
+        on_arc[a] |= 1 << k
+        placed.append((a, t))
+        i = first.setdefault((a, t), k)
+        if i != k:
+            clashes.append((i, k))
+    if clashes:
+        i, j = min(clashes)  # the first pair in row-major order
+        raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
+    across = []  # small int -> the points on other arcs, by relation
+    for a, span in enumerate(spans):
+        rows = {LT: 0, GT: 0, SIMU: 0, SIML: 0}
+        for b, other in enumerate(spans):
+            if b != a:
+                rows[_arc_order(span, other)] |= on_arc[b]
+        across.append(rows)
+    ahead = [0] * len(placed)  # later points on the same arc
+    for mask in on_arc:
+        later = 0
+        for k in sorted(_bits(mask), key=lambda k: placed[k][1], reverse=True):
+            ahead[k] = later
+            later |= 1 << k
+    up, down, simu, siml = [], [], [], []
+    for k, (a, _t) in enumerate(placed):
+        rows = across[a]
+        up.append(rows[LT] | ahead[k])
+        down.append(rows[GT] | on_arc[a] & ~ahead[k] & ~(1 << k))
+        simu.append(rows[SIMU])
+        siml.append(rows[SIML])
+    return ExtendedPoset(elements, up, down, simu, siml)
 
 
 def realized_bound(m: OrderTree, points: dict, g, h, upper: bool, graph: tuple) -> Optional[object]:
@@ -233,14 +293,8 @@ def orbit_poset(m: OrderTree, action: TreeAction, x0: tuple, radius: int) -> Orb
     for g, img in points.items():
         if g != ident and img == x0:
             raise OrbitError(f"nontrivial stabilizer: {group.format(g)} fixes the base point")
-    realized = tuple(points)
-    graph = manifold_graph(m)
-
-    def rel_of(g, h):
-        return manifold_order(m, points[g], points[h], graph)
-
-    poset = ExtendedPoset(realized, rel_of)
-    return OrbitPoset(poset=poset, realized=realized, escaped=escaped, points=points)
+    poset = manifold_poset(m, points)
+    return OrbitPoset(poset=poset, realized=poset.elements, escaped=escaped, points=points)
 
 
 def stabilizer_extension_order(
@@ -293,7 +347,7 @@ def stabilizer_extension_order(
             return LT if stab_order(ident, q) else GT
         return manifold_order(m, points[g], points[h], graph)
 
-    poset = ExtendedPoset(realized, rel_of)
+    poset = ExtendedPoset.from_relation(realized, rel_of)
     return OrbitPoset(poset=poset, realized=realized, escaped=escaped, points=points)
 
 

@@ -75,9 +75,26 @@ class TreeIndex:
         self.components = sum(up is None for up in self.parent.values())
         self.cyclic = sum(map(len, adjacency.values())) // 2 > len(adjacency) - self.components
 
-    def below(self, w, v) -> bool:
-        """Whether w lies in the subtree rooted at v."""
-        return self.tin[v] <= self.tin[w] < self.tout[v]
+
+def _degrees(inc: list) -> dict:
+    """In and out degree of a node from its rays, and the kind they make."""
+    n_f = sum(1 for d, _ in inc if d == "in")
+    n_o = len(inc) - n_f
+    if n_f == 1 and n_o == 1:
+        kind = "regular"
+    elif n_f == 0 and n_o == 0:
+        kind = "isolated"
+    elif n_o == 0:
+        kind = "sink"
+    elif n_f == 0:
+        kind = "source"
+    elif n_f > 1 and n_o > 1:
+        kind = "general-branch"
+    elif n_f == 1:
+        kind = "distinguished-ray-in"
+    else:
+        kind = "distinguished-ray-out"
+    return {"n_f": n_f, "n_o": n_o, "kind": kind}
 
 
 @dataclass
@@ -159,49 +176,34 @@ class OrderTree:
 
     # -- degrees ------------------------------------------------------
 
+    def node_incidences(self) -> dict:
+        """Rays at every node, listed as incidences() lists them, from one
+        pass over the arcs and adjacencies."""
+        out: dict = {nid: [] for nid in self.nodes}
+        for aid in self.sorted_arc_ids():
+            arc = self.arcs[aid]
+            out[arc.head].append(("in", aid))
+            out[arc.tail].append(("out", aid))
+        for cap, aid, side in self.adjacencies:
+            out.setdefault(cap, []).append(("out", aid) if side == "tail" else ("in", aid))
+        return out
+
     def incidences(self, p) -> list:
         """Rays at p as (direction, arc) pairs; "in" rays arrive, "out" leave."""
         self.require_point(p)
         if p[0] == "arc":
             return [("in", p[1]), ("out", p[1])]
-        nid = p[1]
-        out = []
-        for aid in self.sorted_arc_ids():
-            arc = self.arcs[aid]
-            if arc.head == nid:
-                out.append(("in", aid))
-            if arc.tail == nid:
-                out.append(("out", aid))
-        for cap, aid, side in self.adjacencies:
-            if cap == nid:
-                out.append(("out", aid) if side == "tail" else ("in", aid))
-        return out
+        return self.node_incidences()[p[1]]
 
     def degrees(self, p) -> dict:
-        inc = self.incidences(p)
-        n_f = sum(1 for d, _ in inc if d == "in")
-        n_o = len(inc) - n_f
-        if n_f == 1 and n_o == 1:
-            kind = "regular"
-        elif n_f == 0 and n_o == 0:
-            kind = "isolated"
-        elif n_o == 0:
-            kind = "sink"
-        elif n_f == 0:
-            kind = "source"
-        elif n_f > 1 and n_o > 1:
-            kind = "general-branch"
-        elif n_f == 1:
-            kind = "distinguished-ray-in"
-        else:
-            kind = "distinguished-ray-out"
-        return {"n_f": n_f, "n_o": n_o, "kind": kind}
+        return _degrees(self.incidences(p))
 
     def is_branchless(self) -> bool:
+        rays = self.node_incidences()
         for nid, rec in self.nodes.items():
             if rec.kind != "point":
                 continue
-            d = self.degrees(("node", nid))
+            d = _degrees(rays[nid])
             if d["n_f"] > 1 or d["n_o"] > 1:
                 return False
         return True
@@ -309,17 +311,20 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
         m.add_adjacency(cap, aid, side)
 
     def branchy_interior():
+        # one incidence map per pass; a pass rewires only the arc ends and
+        # adjacencies of the node it is at, so later nodes keep their rays
+        rays = m.node_incidences()
         out = []
         for nid in m.sorted_node_ids():
             if nid in m.boundary or m.nodes[nid].kind != "point":
                 continue
-            d = m.degrees(("node", nid))
+            d = _degrees(rays[nid])
             if d["kind"] not in ("regular", "isolated"):
-                out.append((nid, d))
+                out.append((nid, d, rays[nid]))
         return out
 
     # stretch two-sided branch points into an interval
-    for nid, d in branchy_interior():
+    for nid, d, _inc in branchy_interior():
         if d["n_f"] > 1 and d["n_o"] > 1:
             n_in, n_out = ("blowin", nid), ("blowout", nid)
             m.add_node(n_in)
@@ -339,7 +344,7 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
 
     # grow a ray in the missing direction at sinks and sources; interior
     # leaves become regular here and need no split
-    for nid, d in branchy_interior():
+    for nid, d, _inc in branchy_interior():
         if d["kind"] == "sink":
             far = ("raytop", nid)
             m.add_node(far, "openray")
@@ -357,8 +362,7 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
 
     # split the remaining branch points into doubled endpoints, one per
     # non-distinguished ray, leaving the distinguished ray end open
-    for nid, d in branchy_interior():
-        inc = m.incidences(("node", nid))
+    for nid, _d, inc in branchy_interior():
         ins = [aid for dirn, aid in inc if dirn == "in"]
         outs = [aid for dirn, aid in inc if dirn == "out"]
         if len(ins) == 1:

@@ -82,58 +82,75 @@ class BetweenChain:
 class ExtendedPoset:
     """A finite tagged poset, validated eagerly on construction.
 
-    ``rel_of`` is called once per ordered pair of distinct elements and must
-    return a relation code (or name).  Construction fails with PosetError if
-    the table is not total, not swap-consistent, not transitive, inconsistent
-    with realized bounds, or not acyclic.
+    The relation arrives as four bit rows per element: ``up[i]`` holds the j
+    with i < j, ``down[i]`` the j with i > j, ``simu[i]`` and ``siml[i]`` the
+    upward- and downward-similar partners.  Construction fails with
+    PosetError if the rows are not total, not swap-consistent, not
+    transitive, inconsistent with realized bounds, or not acyclic.  Use
+    ``from_relation`` to build from a per-pair callback instead.
     """
 
-    def __init__(self, elements: Sequence[Element], rel_of: Callable[[Element, Element], int]):
+    def __init__(self, elements: Sequence[Element], up: Sequence[int], down: Sequence[int],
+                 simu: Sequence[int], siml: Sequence[int]):
         self.elements: tuple = tuple(elements)
         self._idx = {e: i for i, e in enumerate(self.elements)}
         if len(self._idx) != len(self.elements):
             raise PosetError("duplicate elements")
-        n = len(self.elements)
-        m = [[EQ] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if i == j:
-                    continue
-                r = rel_of(a, b)
-                if isinstance(r, str):
-                    r = REL_CODES[r]
-                if r not in (LT, GT, SIMU, SIML):
-                    raise PosetError(f"pair ({a!r}, {b!r}) has no admissible relation")
-                m[i][j] = r
-        self._m = m
-        self._up = [0] * n    # j bits with i < j
-        self._down = [0] * n
-        self._simu = [0] * n
-        self._siml = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                r = m[i][j]
-                if m[j][i] != SWAP[r]:
-                    a, b = self.elements[i], self.elements[j]
-                    raise PosetError(f"pair ({a!r}, {b!r}) disagrees with its swap")
-                if r == LT:
-                    self._up[i] |= 1 << j
-                elif r == GT:
-                    self._down[i] |= 1 << j
-                elif r == SIMU:
-                    self._simu[i] |= 1 << j
-                else:
-                    self._siml[i] |= 1 << j
+        self.n = n = len(self.elements)
+        self._up, self._down, self._simu, self._siml = tuple(up), tuple(down), tuple(simu), tuple(siml)
         self._comp = [self._up[i] | self._down[i] for i in range(n)]
-        self._bet: dict = {}
+        self._check_rows()
+        self._bet: dict = {}  # B(i, j) masks keyed by i * n + j with i < j
         self._validate()
         # chain-relatedness rows, filled on demand: partners tested, partners related
         self._tested = [1 << i for i in range(n)]
         self._orel = list(self._tested)
 
+    @classmethod
+    def from_relation(cls, elements: Sequence[Element], rel_of: Callable[[Element, Element], int]) -> "ExtendedPoset":
+        """Build from ``rel_of``, called once per ordered pair of distinct
+        elements in row-major order; it returns a relation code or name."""
+        elements = tuple(elements)
+        n = len(elements)
+        rows = [[0] * n for _ in range(4)]  # up, down, simu, siml: codes LT..SIML
+        if len(set(elements)) == n:  # else the constructor names the repeat
+            for i, a in enumerate(elements):
+                for j, b in enumerate(elements):
+                    if i == j:
+                        continue
+                    r = rel_of(a, b)
+                    if isinstance(r, str):
+                        r = REL_CODES[r]
+                    if r not in (LT, GT, SIMU, SIML):
+                        raise PosetError(f"pair ({a!r}, {b!r}) has no admissible relation")
+                    rows[r - LT][i] |= 1 << j
+        return cls(elements, *rows)
+
     # -- validation -------------------------------------------------
+
+    def _check_rows(self) -> None:
+        # each row names every partner exactly once; then down being the
+        # transpose of up and simu being symmetric is the whole swap
+        # condition, and siml follows
+        n = self.n
+        up, down, simu, siml = self._up, self._down, self._simu, self._siml
+        everyone = (1 << n) - 1
+        for i in range(n):
+            tagged = simu[i] | siml[i]
+            once = self._comp[i] & tagged | up[i] & down[i] | simu[i] & siml[i]
+            stray = once | (self._comp[i] | tagged) ^ (everyone & ~(1 << i))
+            if stray:
+                j = next(_bits(stray))
+                a, b = self.elements[i], self.elements[j]
+                raise PosetError(f"pair ({a!r}, {b!r}) has no admissible relation")
+        swapped = (sum(map(int.bit_count, up)) == sum(map(int.bit_count, down))
+                   and all(down[j] >> i & 1 for i in range(n) for j in _bits(up[i]))
+                   and all(simu[j] >> i & 1 for i in range(n) for j in _bits(simu[i])))
+        if not swapped:
+            i, j = next((i, j) for i in range(n) for j in range(n)
+                        if i != j and self._code(j, i) != SWAP[self._code(i, j)])
+            a, b = self.elements[i], self.elements[j]
+            raise PosetError(f"pair ({a!r}, {b!r}) disagrees with its swap")
 
     def _validate(self) -> None:
         n = len(self.elements)
@@ -153,10 +170,10 @@ class ExtendedPoset:
                 a, b = self.elements[i], self.elements[j]
                 if has_upper and has_lower:
                     raise PosetError(f"pair ({a!r}, {b!r}) has both kinds of common bound; the base order is not acyclic")
-                tag = self._m[i][j]
-                if has_upper and tag == SIML:
+                upward = self._simu[i] >> j & 1
+                if has_upper and not upward:
                     raise PosetError(f"pair ({a!r}, {b!r}) tagged downward-similar but shares an upper bound")
-                if has_lower and tag == SIMU:
+                if has_lower and upward:
                     raise PosetError(f"pair ({a!r}, {b!r}) tagged upward-similar but shares a lower bound")
         for i in range(n):
             u, low = self._simu[i], self._siml[i]
@@ -169,14 +186,15 @@ class ExtendedPoset:
                     a, b, c = self.elements[i], self.elements[j], self.elements[k]
                     raise PosetError(
                         f"tagging not acyclic: {a!r} ~u {b!r} and {a!r} ~l {c!r} require {c!r} > {b!r}, got "
-                        f"{REL_NAMES[self._m[k][j]]}"
+                        f"{REL_NAMES[self._code(k, j)]}"
                     )
 
     # -- basic queries ----------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.elements)
+    def rows(self) -> tuple:
+        """The relation rows (up, down, simu, siml), as the constructor takes them."""
+        return self._up, self._down, self._simu, self._siml
 
     def index(self, a: Element) -> int:
         try:
@@ -184,8 +202,18 @@ class ExtendedPoset:
         except KeyError:
             raise PosetError(f"{a!r} is not an element") from None
 
+    def _code(self, i: int, j: int) -> int:
+        bit = 1 << j
+        if self._up[i] & bit:
+            return LT
+        if self._down[i] & bit:
+            return GT
+        if self._simu[i] & bit:
+            return SIMU
+        return SIML if self._siml[i] & bit else EQ
+
     def rel(self, a: Element, b: Element) -> int:
-        return self._m[self.index(a)][self.index(b)]
+        return self._code(self.index(a), self.index(b))
 
     def classify(self, a: Element, b: Element) -> str:
         return REL_NAMES[self.rel(a, b)]
@@ -216,18 +244,26 @@ class ExtendedPoset:
             raise PosetError("between set requires two distinct endpoints")
         if j == i or j == k:
             return True
-        return between_by_codes(self._m[i][k], self._m[i][j], self._m[j][k])
+        return between_by_codes(self._code(i, k), self._code(i, j), self._code(j, k))
 
     def _between_mask(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
+        """B(i, j) as a mask: each case of between_by_codes is two row ANDs."""
+        if j < i:
+            i, j = j, i
+        key = i * self.n + j
         mask = self._bet.get(key)
         if mask is None:
-            mask = (1 << i) | (1 << j)
-            rij = self._m[i][j]
-            for k in range(self.n):
-                if k != i and k != j and between_by_codes(rij, self._m[i][k], self._m[k][j]):
-                    mask |= 1 << k
-            self._bet[key] = mask
+            up, down, simu, siml = self._up, self._down, self._simu, self._siml
+            bit = 1 << j
+            if up[i] & bit:
+                inner = up[i] & down[j] | simu[i] & siml[j]
+            elif down[i] & bit:
+                inner = down[i] & up[j] | siml[i] & simu[j]
+            elif siml[i] & bit:
+                inner = siml[i] & down[j] | siml[j] & down[i]
+            else:
+                inner = simu[i] & up[j] | simu[j] & up[i]
+            mask = self._bet[key] = inner | 1 << i | bit
         return mask
 
     def _is_chain(self, mask: int) -> bool:
@@ -335,7 +371,7 @@ class ExtendedPoset:
                     out.append({
                         "rule": "siml-up",
                         "x": self.elements[i], "y": self.elements[j], "z": self.elements[k],
-                        "got": REL_NAMES[self._m[i][k]],
+                        "got": REL_NAMES[self._code(i, k)],
                     })
             for j in _bits(self._simu[i]):
                 bad = self._down[j] & ~self._simu[i] & ~(1 << i)
@@ -343,7 +379,7 @@ class ExtendedPoset:
                     out.append({
                         "rule": "simu-down",
                         "x": self.elements[i], "y": self.elements[j], "z": self.elements[k],
-                        "got": REL_NAMES[self._m[i][k]],
+                        "got": REL_NAMES[self._code(i, k)],
                     })
         return out
 
@@ -446,8 +482,7 @@ class ExtendedPoset:
     # -- derived posets ----------------------------------------------
 
     def restrict(self, subset: Iterable[Element]) -> "ExtendedPoset":
-        keep = tuple(subset)
-        return ExtendedPoset(keep, self.rel)
+        return ExtendedPoset.from_relation(tuple(subset), self.rel)
 
     def relations_table(self) -> dict:
         """Relation names per unordered pair, for serialization."""
@@ -470,4 +505,4 @@ def from_pairs(elements: Sequence[Element], pairs: Iterable[tuple]) -> ExtendedP
         except KeyError:
             raise PosetError(f"pair ({x!r}, {y!r}) missing from the table") from None
 
-    return ExtendedPoset(elements, rel_of)
+    return ExtendedPoset.from_relation(elements, rel_of)

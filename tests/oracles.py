@@ -177,3 +177,37 @@ def naive_between_sets(p) -> dict:
         )
         out[a, b] = (tuple(order), tuple(map(tuple, classes))) if intervals else None
     return out
+
+
+def naive_between_mask(p, a, b) -> int:
+    """B(a, b) as a mask over ``p.elements``, one ``is_between`` call per
+    element; ``is_between`` reads the three pair codes through
+    ``between_by_codes``."""
+    return sum(1 << k for k, c in enumerate(p.elements) if p.is_between(a, c, b))
+
+
+def naive_doubled_relations(p) -> dict:
+    """Relation names of the doubled poset, pair by pair: (g, s) and (h, t)
+    compare by tag when g == h and as g and h do otherwise."""
+    elems = [(g, s) for g in p.elements for s in (-1, 0, 1)]
+    return {
+        (x, y): ("lt" if x[1] < y[1] else "gt") if x[0] == y[0] else p.classify(x[0], y[0])
+        for x in elems for y in elems if x != y
+    }
+
+
+def naive_incidences(tree, nid) -> list:
+    """Rays at a node, one scan of every arc in repr order and then of every
+    adjacency: ("in", arc) where an arc arrives, ("out", arc) where it
+    leaves, and a cap's adjacency as the ray on the named side."""
+    out = []
+    for aid in sorted(tree.arcs, key=repr):
+        arc = tree.arcs[aid]
+        if arc.head == nid:
+            out.append(("in", aid))
+        if arc.tail == nid:
+            out.append(("out", aid))
+    for cap, aid, side in tree.adjacencies:
+        if cap == nid:
+            out.append(("out", aid) if side == "tail" else ("in", aid))
+    return out

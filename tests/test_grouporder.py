@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from treeorder.catalog import even_subgroup, second_factor_subgroup, z_broken, z_standard, zk_lex
+import oracles
+from treeorder.catalog import even_subgroup, get_cone, second_factor_subgroup, z_broken, z_standard, zk_lex
+from treeorder.corpus import all_extended_posets
 from treeorder.groups import TableGroup
 from treeorder.grouporder import (
     MINUS,
@@ -24,6 +26,7 @@ from treeorder.grouporder import (
     tag_of,
     verify_cone_axioms,
 )
+from treeorder.orbitorder import ConePipeline
 from treeorder.poset import GT, LT
 
 Z5_TABLE = [[(i + j) % 5 for j in range(5)] for i in range(5)]
@@ -153,3 +156,17 @@ def test_quotient_of_plane_by_second_factor_is_integer_chain():
 def test_quotient_requires_convexity():
     with pytest.raises(ConeError, match="convex"):
         quotient_order(z_standard(), even_subgroup(), 4)
+
+
+@pytest.mark.parametrize("case", ["extended-4", "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2", "free2-standard-r2"])
+def test_doubled_rows_agree_with_the_pairwise_definition(case):
+    if case == "extended-4":
+        bases = all_extended_posets(4)
+    else:
+        name, _, radius = case.rpartition("-r")
+        bases = [ConePipeline(get_cone(name), int(radius)).ball_poset]
+    for p in bases:
+        big = blow_up_gplus(p)
+        want = oracles.naive_doubled_relations(p)
+        assert big.elements == tuple(dict.fromkeys(x for pair in want for x in pair))
+        assert {(x, y): big.classify(x, y) for x, y in want} == want

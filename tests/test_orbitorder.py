@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from treeorder.catalog import derive_cone_pieces, dihedral_standard, zk_lex
+from treeorder import corpus, orbitorder
+from treeorder.catalog import derive_cone_pieces, dihedral_standard, get_cone, zk_lex
 from treeorder.groups import Z, Zk
 from treeorder.grouporder import induced_ball_poset
 from treeorder.orbitorder import (
@@ -16,17 +18,19 @@ from treeorder.orbitorder import (
     check_action,
     dihedral_example,
     integer_line,
+    label_action,
     line_coordinate,
     line_point,
     manifold_graph,
     manifold_order,
+    manifold_poset,
     orbit_poset,
     roundtrip_orbit,
     shift_action,
     stabilizer_extension_order,
 )
 from treeorder.ordertree import OrderTree, TreeError, denjoy_blowup
-from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset
+from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, PosetError
 
 
 def uniform_line_points(width):
@@ -53,7 +57,7 @@ def test_uniform_line_order_matches_coordinates():
 def test_uniform_line_between_is_the_interval():
     m = integer_line(2)
     pts = uniform_line_points(2)
-    p = ExtendedPoset(tuple(pts), lambda x, y: manifold_order(m, x, y))
+    p = ExtendedPoset.from_relation(tuple(pts), lambda x, y: manifold_order(m, x, y))
 
     def coord(pt):
         return pt[1][1] + pt[2]
@@ -234,3 +238,79 @@ def test_manifold_graph_needs_a_tree():
     tree = OrderTree.build("abc", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
     with pytest.raises(TreeError, match="not a tree"):
         manifold_graph(tree)
+
+
+def test_coincident_orbit_points_have_no_relation():
+    m = integer_line(6)
+    action = shift_action(m, Z(), abs, name="absolute")
+    with pytest.raises(PosetError, match=re.escape("pair (-1, 1) has no admissible relation")):
+        orbit_poset(m, action, ("arc", ("s", 0), Fraction(1, 4)), 2)
+
+
+def manifold_order_mismatches(m, points, poset):
+    """Pairs the poset relates otherwise than manifold_order does, or, for
+    two arc points, otherwise than the naive forward-set search does."""
+    graph, forward = manifold_graph(m), oracles.naive_forward_sets(m)
+    out = []
+    for g in poset.elements:
+        for h in poset.elements:
+            x, y = points[g], points[h]
+            if g == h:
+                continue
+            want = {REL_NAMES[manifold_order(m, x, y, graph)]}
+            if x[0] == y[0] == "arc":
+                want.add(oracles.naive_arc_rel(m, forward, x, y))
+            if want != {poset.classify(g, h)}:
+                out.append((g, h))
+    return out
+
+
+@pytest.mark.parametrize("name, radius", [("dihedral-standard", 6), ("z2-lex", 3), ("free2-standard", 3)])
+def test_orbit_rows_agree_with_manifold_order_on_roundtrip_manifolds(name, radius):
+    pipeline = ConePipeline(get_cone(name), radius)
+    manifold = denjoy_blowup(pipeline.layout().tree)
+    action, x0, _ = label_action(pipeline.build(), pipeline.layout(), manifold)
+    orbit = orbit_poset(manifold, action, x0, radius)
+    assert orbit.realized == tuple(orbit.points) and len(orbit.realized) > 20
+    assert manifold_order_mismatches(manifold, orbit.points, orbit.poset) == []
+
+
+def test_orbit_rows_agree_with_manifold_order_on_tree_corpus_points(monkeypatch):
+    seen = []
+
+    def recording(m, points):
+        seen.append((m, points))
+        return manifold_poset(m, points)
+
+    monkeypatch.setattr(corpus, "manifold_poset", recording)
+    posets = corpus.tree_corpus(100)
+    assert len(seen) == 100
+    for p, (m, points) in zip(posets, seen):
+        assert manifold_order_mismatches(m, points, p) == []
+
+
+def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points():
+    rng = random.Random(5)
+    for _ in range(40):
+        tree = random_tree(rng)
+        by_element = dict(enumerate(("arc", aid, Fraction(k, 3)) for aid in tree.sorted_arc_ids() for k in (1, 2)))
+        assert manifold_order_mismatches(tree, by_element, manifold_poset(tree, by_element)) == []
+        m = denjoy_blowup(tree)
+        points = [("arc", aid, Fraction(k, 3)) for aid in m.sorted_arc_ids() for k in (1, 2)]
+        graph = manifold_graph(m)
+        for nid in m.sorted_node_ids():
+            node = ("node", nid)
+            if m.nodes[nid].kind == "point" and all(manifold_order(m, node, q, graph) != EQ for q in points):
+                points.append(node)
+        by_element = dict(enumerate(reversed(points)))
+        assert manifold_order_mismatches(m, by_element, manifold_poset(m, by_element)) == []
+
+
+def test_orbit_poset_places_each_realized_point_once(monkeypatch):
+    calls = []
+    place = orbitorder._arc_position
+    monkeypatch.setattr(orbitorder, "_arc_position", lambda m, p: calls.append(p) or place(m, p))
+    _, m, action = dihedral_example(4)
+    orb = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 4)
+    assert len(orb.realized) == 16
+    assert len(calls) <= len(orb.realized)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from treeorder.catalog import dihedral_standard
+from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import (
     OrderTree,
     TreeError,
@@ -61,7 +65,7 @@ def test_tree_index_labels_subtrees_and_flags_cycles():
     index = TreeIndex("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
     assert (index.components, index.cyclic) == (1, False)
     assert index.parent == {"a": None, "b": "a", "c": "b", "d": "a"}
-    assert [index.below(v, "b") for v in "abcd"] == [False, True, True, False]
+    assert [index.tin["b"] <= index.tin[v] < index.tout["b"] for v in "abcd"] == [False, True, True, False]
     assert TreeIndex("ab", [("a", "b"), ("b", "a")]).cyclic
     assert TreeIndex("abc", [("a", "b")]).components == 2
 
@@ -99,3 +103,43 @@ def test_blowup_node_census():
     for nid in m.sorted_node_ids():
         kinds[m.nodes[nid].kind] = kinds.get(m.nodes[nid].kind, 0) + 1
     assert kinds == {"open": 3, "openray": 3, "point": 8}
+
+
+def _trees_and_blowups():
+    rng = random.Random(9)
+    for _ in range(40):
+        tree = OrderTree()
+        tree.add_node(0)
+        for v in range(1, rng.randint(2, 12)):
+            tree.add_node(v)
+            parent = rng.randrange(v)
+            tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
+        yield tree
+        yield denjoy_blowup(tree)
+    for radius in (3, 5):
+        yield denjoy_blowup(ConePipeline.of(dihedral_standard(), radius).layout().tree)
+
+
+def test_node_incidences_agree_with_a_scan_per_node():
+    nodes = 0
+    for tree in _trees_and_blowups():
+        rays = tree.node_incidences()
+        for nid, rec in tree.nodes.items():
+            if rec.kind == "point":
+                nodes += 1
+                assert rays[nid] == oracles.naive_incidences(tree, nid), nid
+    assert nodes > 500
+
+
+def test_blowup_sorts_the_arcs_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    sort_arcs = OrderTree.sorted_arc_ids
+    monkeypatch.setattr(OrderTree, "sorted_arc_ids", lambda self: calls.append(1) or sort_arcs(self))
+    counts = []
+    for radius in (3, 5):
+        tree = ConePipeline.of(dihedral_standard(), radius).layout().tree
+        calls.clear()
+        denjoy_blowup(tree)
+        counts.append(len(calls))
+    # check, copy, three blow-up passes and the final branch check
+    assert counts == [6, 6]

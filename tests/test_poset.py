@@ -244,7 +244,7 @@ def test_between_set_agrees_with_the_pairwise_oracle(case):
 ], ids=["earlier-member-missing", "later-member-present"])
 def test_travel_order_that_is_not_total_raises(pair, mask, at):
     p = chain("abcd")
-    p._bet[pair] = mask
+    p._bet[pair[0] * p.n + pair[1]] = mask
     with pytest.raises(PosetError, match=re.escape(f"travel order on B('a', 'd') is not total at {at}")):
         p.between_set("a", "d")
 
@@ -256,7 +256,7 @@ def _unrelated_within_a_class(p):
 
 def _related_across_classes(p):
     p._comp[1] &= ~0b0100  # b no longer compares with c, which cuts B(d, a) in two
-    p._bet[(0, 2)] = 0b0101  # B(a, c) loses b and becomes a chain
+    p._bet[0 * p.n + 2] = 0b0101  # B(a, c) loses b and becomes a chain
     return ("d", "a"), "('c', 'a')"
 
 
@@ -267,3 +267,42 @@ def test_classes_that_are_not_travel_intervals_raise(corrupt):
     message = f"similarity classes of B({a!r}, {b!r}) are not travel intervals at {at}"
     with pytest.raises(PosetError, match=re.escape(message)):
         p.between_set(a, b)
+
+
+def test_a_pair_that_disagrees_with_its_swap_raises():
+    with pytest.raises(PosetError, match=re.escape("pair ('a', 'b') disagrees with its swap")):
+        ExtendedPoset.from_relation(("a", "b"), lambda x, y: "lt")
+
+
+def test_a_pair_without_a_relation_raises():
+    with pytest.raises(PosetError, match=re.escape("pair ('a', 'b') has no admissible relation")):
+        ExtendedPoset.from_relation(("a", "b"), lambda x, y: "eq")
+
+
+def test_repeated_elements_raise():
+    with pytest.raises(PosetError, match="duplicate elements"):
+        ExtendedPoset.from_relation(("a", "b", "a"), lambda x, y: "siml")
+
+
+@pytest.mark.parametrize("case", ["extended-4", "trees-100", "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2"])
+def test_between_masks_from_row_ands_agree_with_the_pair_codes(case):
+    triples = 0
+    for p in _posets(case):
+        for i, a in enumerate(p.elements):
+            for j, b in enumerate(p.elements):
+                if i != j:
+                    triples += p.n
+                    assert p._between_mask(i, j) == oracles.naive_between_mask(p, a, b), (a, b)
+    assert triples > 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    (([0, 0], [0, 0], [0, 0], [0, 0]), "pair ('a', 'b') has no admissible relation"),
+    (([0b10, 0], [0, 0b01], [0b10, 0], [0, 0]), "pair ('a', 'b') has no admissible relation"),
+    (([0b10, 0], [0, 0], [0, 0b01], [0, 0]), "pair ('a', 'b') disagrees with its swap"),
+    (([0, 0], [0, 0], [0b10, 0], [0, 0b01]), "pair ('a', 'b') disagrees with its swap"),
+], ids=["missing", "twice", "lt-one-way", "simu-one-way"])
+def test_rows_that_do_not_name_each_partner_once_each_way_raise(rows, message):
+    with pytest.raises(PosetError, match=re.escape(message)):
+        ExtendedPoset(("a", "b"), *rows)
+    assert ExtendedPoset(("a", "b"), [0b10, 0], [0, 0b01], [0, 0], [0, 0]).rel("b", "a") == GT
