@@ -126,17 +126,6 @@ class ConeReport:
         return {"cone": self.cone, "radius": self.radius, "ball": self.ball_size, "ok": self.ok, "conditions": conds}
 
 
-def _ball_products(group, xs: list, ys: list, radius: int, bset: set):
-    if hasattr(group, "bounded_products"):
-        yield from group.bounded_products(xs, ys, radius)
-        return
-    for g in xs:
-        for h in ys:
-            z = group.mult(g, h)
-            if z in bset:
-                yield g, h, z
-
-
 def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
     """Sweep all six cone axioms over ball(radius).
 
@@ -145,7 +134,6 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
     """
     group = cone.group
     ball = group.ball(radius)
-    bset = set(ball)
     pos, upp, low = [], [], []
     for w in ball:
         if cone.in_positive(w):
@@ -178,17 +166,24 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
         if hits != 1:
             c6.note((w,))
 
-    sweeps = [(2, pos, pos, cone.in_positive), (3, low, pos, cone.in_lower), (4, pos, upp, cone.in_upper), (5, upp, low, cone.in_positive)]
+    # products are read against the pieces found above, one set test per
+    # batch; only a failing batch is rescanned, in order, for its witnesses
+    P, U, L = [(members, group.sweep_keys(members, radius)) for members in (set(pos), set(upp), set(low))]
+    sweeps = [(2, pos, pos, P), (3, low, pos, L), (4, pos, upp, U), (5, upp, low, P)]
+    bset = None  # built by the first rescan; a passing sweep never needs it
 
-    for idx, xs, ys, member in sweeps:
+    for idx, xs, ys, (members, keys) in sweeps:
         cond = conditions[idx]
-        seen = 0
-        for g, h, z in _ball_products(group, xs, ys, radius, bset):
-            seen += 1
-            if not member(z):
-                cond.note((g, h, z))
-        cond.checked = seen
-        cond.skipped = len(xs) * len(ys) - seen
+        for g, hs, products in group.bounded_products(xs, ys, radius):
+            cond.checked += len(products)
+            if not keys.issuperset(products):
+                if bset is None:
+                    bset = set(ball)
+                for h in hs:
+                    z = group.mult(g, h)
+                    if z in bset and z not in members:
+                        cond.note((g, h, z))
+        cond.skipped = len(xs) * len(ys) - cond.checked
 
     return ConeReport(cone=cone.name, radius=radius, ball_size=len(ball), conditions=conditions)
 

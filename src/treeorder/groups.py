@@ -4,6 +4,9 @@ Each model exposes the same small surface: ``identity``, ``mult``, ``inv``,
 ``ball(r)`` (a deterministic enumeration of the word-metric ball, sorted by
 length and then by a fixed tie-break), ``format`` for reports, and
 ``components`` for the little predicate language used by cone documents.
+For cone-axiom sweeps every model also has ``bounded_products``, which
+batches the products of two ball subsets that stay inside the ball, and
+``sweep_keys``, which maps elements to the keys those batches are written in.
 
 The free group additionally knows how to sign a word through its lower
 central series: embed each generator g_i as 1 + X_i in the ring of formal
@@ -26,7 +29,31 @@ class GroupError(ValueError):
 _LETTERS = "abcdghijkmnpqruvwxyz"
 
 
-class Z:
+class GroupModel:
+    """Sweep defaults: a plain double loop, keyed by the elements themselves."""
+
+    def sweep_keys(self, ws: set, r: int) -> set:
+        """The set ws of elements as the keys that ``bounded_products(..., r)``
+        writes its products in."""
+        return ws
+
+    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
+        """Batches (g, hs, products): hs are the h in ys, in order, whose
+        product g*h may lie in ball(r), and products holds the sweep keys of
+        exactly those g*h that do."""
+        ball = set(self.ball(r))
+        for g in xs:
+            yield g, ys, [z for z in (self.mult(g, h) for h in ys) if z in ball]
+
+
+def _additive_batches(xs: list, ys: list, ball: set, xcodes: list, ycodes: list) -> Iterator[tuple]:
+    # codes add as the elements do, so the in-ball products of g are one
+    # set intersection; distinct h give distinct products
+    for g, c in zip(xs, xcodes):
+        yield g, ys, ball.intersection([c + y for y in ycodes])
+
+
+class Z(GroupModel):
     """The integers with generator 1."""
 
     name = "z"
@@ -48,9 +75,17 @@ class Z:
     def components(self, a: int) -> tuple:
         return (a,)
 
+    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
+        return _additive_batches(xs, ys, set(range(-r, r + 1)), xs, ys)
 
-class Zk:
-    """Free abelian group of rank k, word metric from the standard basis."""
+
+class Zk(GroupModel):
+    """Free abelian group of rank k, word metric from the standard basis.
+
+    Sweeps key a vector v by the int code sum(v[i] * B**i) with B = 4r + 1:
+    a product of two ball(r) elements has coordinates in [-2r, 2r], where
+    the code is injective and adds as the vectors do.
+    """
 
     def __init__(self, k: int):
         if k < 1:
@@ -85,8 +120,31 @@ class Zk:
     def components(self, a: tuple) -> tuple:
         return a
 
+    def _codes(self, ws: list, r: int) -> list:
+        base = 4 * r + 1
+        out = []
+        for v in ws:
+            code = 0
+            for x in reversed(v):
+                code = code * base + x
+            out.append(code)
+        return out
 
-class FreeGroup:
+    def sweep_keys(self, ws: set, r: int) -> set:
+        return set(self._codes(ws, r))
+
+    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
+        # the ball's codes, coordinate by coordinate in _codes' order, each
+        # with the budget its coordinates so far leave
+        base = 4 * r + 1
+        partial = [(0, r)]
+        for _ in range(self.k):
+            partial = [(code * base + x, left - abs(x)) for code, left in partial for x in range(-left, left + 1)]
+        ball = {code for code, _ in partial}
+        return _additive_batches(xs, ys, ball, self._codes(xs, r), self._codes(ys, r))
+
+
+class FreeGroup(GroupModel):
     """Free group of rank k; elements are reduced words of nonzero letters.
 
     Letter i in 1..k is the i-th generator, -i its inverse.
@@ -199,10 +257,13 @@ class FreeGroup:
     # -- ball-restricted product sweep ---------------------------------
 
     def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
-        """All (g, h, g*h) with g in xs, h in ys and the product in ball(r).
+        """Batches (g, hs, products), one per left factor g and right factor
+        length, holding every h in ys whose product with g lies in ball(r).
 
         Factors longer than the budget allows must cancel at the junction, so
-        right factors are bucketed by the prefix the cancellation forces.
+        right factors are bucketed by the prefix the cancellation forces; a
+        bucket's products all lie in the ball, and each is built from g's
+        head past the forced cancellation.
         """
         buckets: dict = {}
         for h in ys:
@@ -210,6 +271,7 @@ class FreeGroup:
             for c in range(min(b, r) + 1):
                 buckets.setdefault((b, h[:c]), []).append(h)
         lengths = sorted({len(h) for h in ys})
+        mult = self.mult
         for g in xs:
             a = len(g)
             for b in lengths:
@@ -218,13 +280,16 @@ class FreeGroup:
                 if cmin > min(a, b):
                     continue
                 need = tuple(-g[a - 1 - t] for t in range(cmin))
-                for h in buckets.get((b, need), ()):
-                    z = self.mult(g, h)
-                    if len(z) <= r:
-                        yield g, h, z
+                hs = buckets.get((b, need))
+                if hs:
+                    # only a tail that starts with `back` cancels further
+                    head = g[:a - cmin]
+                    back = -head[-1] if head else 0
+                    yield g, hs, [head + h[cmin:] if len(h) == cmin or h[cmin] != back else mult(head, h[cmin:])
+                                  for h in hs]
 
 
-class InfiniteDihedral:
+class InfiniteDihedral(GroupModel):
     """The infinite dihedral group: pairs (n, eps) standing for t^n s^eps.
 
     t is the translation, s the involution with s t s = t^-1; the word
@@ -262,7 +327,7 @@ class InfiniteDihedral:
         return a
 
 
-class TableGroup:
+class TableGroup(GroupModel):
     """A finite group given by an explicit multiplication table.
 
     Every ball is the whole group, so radius arguments are ignored; the

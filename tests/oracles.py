@@ -211,3 +211,64 @@ def naive_incidences(tree, nid) -> list:
         if cap == nid:
             out.append(("out", aid) if side == "tail" else ("in", aid))
     return out
+
+
+_CONE_CONDITIONS = {
+    1: "P misses its inverse set; U and L are inverse-closed",
+    2: "P*P lands in P",
+    3: "L*P lands in L",
+    4: "P*U lands in U",
+    5: "U*L lands in P",
+    6: "pieces partition the ball",
+}
+
+
+def naive_cone_report(cone, radius: int) -> dict:
+    """The cone-axiom sweep laid out as ``ConeReport.to_jsonable(group.format)``,
+    pair by pair: every (g, h) in xs x ys is multiplied, kept when the
+    product lies in the ball, and the piece predicate is called on the
+    product.  Witness lists keep the first 25 violations."""
+    group = cone.group
+    ball = group.ball(radius)
+    bset = set(ball)
+    pos = [w for w in ball if cone.in_positive(w)]
+    upp = [w for w in ball if cone.in_upper(w)]
+    low = [w for w in ball if cone.in_lower(w)]
+    found = {1: [], 6: []}
+    checked = {1: len(ball), 6: len(ball)}
+    skipped = {1: 0, 6: 0}
+    for w in ball:
+        wi = group.inv(w)
+        if cone.in_positive(w) and cone.in_positive(wi):
+            found[1].append((w, wi))
+        if cone.in_upper(w) != cone.in_upper(wi) or cone.in_lower(w) != cone.in_lower(wi):
+            found[1].append((w, wi))
+        pieces = [w == group.identity, cone.in_positive(w), cone.in_positive(wi), cone.in_upper(w), cone.in_lower(w)]
+        if sum(pieces) != 1:
+            found[6].append((w,))
+    sweeps = {2: (pos, pos, cone.in_positive), 3: (low, pos, cone.in_lower),
+              4: (pos, upp, cone.in_upper), 5: (upp, low, cone.in_positive)}
+    for idx, (xs, ys, member) in sweeps.items():
+        found[idx] = []
+        checked[idx] = 0
+        for g in xs:
+            for h in ys:
+                z = group.mult(g, h)
+                if z in bset:
+                    checked[idx] += 1
+                    if not member(z):
+                        found[idx].append((g, h, z))
+        skipped[idx] = len(xs) * len(ys) - checked[idx]
+    conditions = {
+        str(idx): {
+            "description": text,
+            "checked": checked[idx],
+            "skipped": skipped[idx],
+            "ok": not found[idx],
+            "violation_count": len(found[idx]),
+            "violations": [[group.format(x) for x in w] for w in found[idx][:25]],
+        }
+        for idx, text in _CONE_CONDITIONS.items()
+    }
+    return {"cone": cone.name, "radius": radius, "ball": len(ball),
+            "ok": all(c["ok"] for c in conditions.values()), "conditions": conditions}

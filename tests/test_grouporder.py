@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import oracles
-from treeorder.catalog import even_subgroup, get_cone, second_factor_subgroup, z_broken, z_standard, zk_lex
+from treeorder.catalog import (
+    BUILTIN_CONES,
+    dihedral_standard,
+    even_subgroup,
+    get_cone,
+    second_factor_subgroup,
+    z_broken,
+    z_standard,
+    zk_lex,
+)
 from treeorder.corpus import all_extended_posets
-from treeorder.groups import TableGroup
+from treeorder.groups import FreeGroup, TableGroup, Z, Zk
 from treeorder.grouporder import (
     MINUS,
     PLAIN,
@@ -54,6 +65,77 @@ def test_torsion_group_admits_no_cone():
     report = verify_cone_axioms(cone, 3)
     assert not report.ok
     assert (3, 3, 1) in report.conditions[2].violations
+
+
+def _mod3_cone(name, group, residue) -> ConeStructure:
+    """Pieces read off a homomorphism onto Z/3: P at 1, U at 2, L at 0 off
+    the identity.  Every in-ball product of conditions 2-5 lands in the
+    wrong piece."""
+    return ConeStructure(name, group, lambda w: residue(w) == 1, lambda w: residue(w) == 2,
+                         lambda w: w != group.identity and residue(w) == 0)
+
+
+def _swapped_dihedral() -> ConeStructure:
+    good = dihedral_standard()
+    return ConeStructure("dihedral-swapped", good.group, good.in_positive, good.in_lower, good.in_upper)
+
+
+# one broken cone on each sweep path: int codes (Z, Z^2, Z^3), prefix
+# buckets (free2) and the plain double loop (dihedral, the Z5 table)
+BROKEN_CONES = {
+    "z-mod3": (lambda: _mod3_cone("z-mod3", Z(), lambda n: n % 3), 8),
+    "z2-mod3": (lambda: _mod3_cone("z2-mod3", Zk(2), lambda v: (v[0] + 2 * v[1]) % 3), 5),
+    "z3-mod3": (lambda: _mod3_cone("z3-mod3", Zk(3), lambda v: (v[0] + 2 * v[1] + v[2]) % 3), 4),
+    "free2-mod3": (lambda: _mod3_cone("free2-mod3", FreeGroup(2), lambda w: sum(w) % 3), 4),
+    "dihedral-swapped": (_swapped_dihedral, 8),
+    "z5-table": (lambda: ConeStructure("z5", TableGroup(list(range(5)), Z5_TABLE, 0),
+                                       lambda a: a in (3, 4), lambda a: a == 1, lambda a: a == 2), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONES))
+def test_sweep_matches_the_pairwise_oracle_on_builtin_cones(name):
+    for radius in range(6 if name.startswith("free") else 7):
+        cone = get_cone(name)
+        want = oracles.naive_cone_report(get_cone(name), radius)
+        assert verify_cone_axioms(cone, radius).to_jsonable(cone.group.format) == want
+
+
+def test_sweep_matches_the_pairwise_oracle_on_broken_cones():
+    most: Counter = Counter()
+    for name, (make, radius) in BROKEN_CONES.items():
+        cone = make()
+        got = verify_cone_axioms(cone, radius).to_jsonable(cone.group.format)
+        assert got == oracles.naive_cone_report(make(), radius), name
+        for idx in "2345":
+            most[idx] = max(most[idx], got["conditions"][idx]["violation_count"])
+    # past the witness cap on every product condition, so the cap, the
+    # witness order and the full count are all compared
+    assert all(most[idx] > 25 for idx in "2345"), most
+
+
+def _counting(cone: ConeStructure) -> tuple:
+    calls: Counter = Counter()
+
+    def counted(piece, member):
+        def test(w):
+            calls[piece] += 1
+            return member(w)
+        return test
+
+    wrapped = ConeStructure(cone.name, cone.group, counted("p", cone.in_positive),
+                            counted("u", cone.in_upper), counted("l", cone.in_lower))
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("name, radius", [("z2-lex", 12), ("free2-standard", 5)])
+def test_sweep_calls_each_predicate_a_bounded_number_of_times_per_ball_element(name, radius):
+    cone, calls = _counting(get_cone(name))
+    report = verify_cone_axioms(cone, radius)
+    assert report.ok
+    bound = 6 * report.ball_size
+    assert sum(report.conditions[i].checked for i in (2, 3, 4, 5)) > bound
+    assert max(calls[piece] for piece in "pul") <= bound, calls
 
 
 def test_cone_report_serializes():

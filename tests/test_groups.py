@@ -106,3 +106,20 @@ def test_make_group_families():
     assert make_group("dihedral", None).mult((0, 1), (0, 1)) == (0, 0)
     with pytest.raises(GroupError):
         make_group("icosahedral", None)
+
+
+@pytest.mark.parametrize("model", [Z(), Zk(2), Zk(3), FreeGroup(2), InfiniteDihedral(), TableGroup(list(range(5)), Z5_TABLE, 0)],
+                         ids=lambda g: getattr(g, "name", "z5"))
+def test_bounded_products_batch_exactly_the_in_ball_products(model):
+    for r in range(5):
+        ball = model.ball(r)
+        bset = set(ball)
+        for xs, ys in ((ball, ball), (ball[::2], ball[1::3])):
+            want = [(g, h) for g in xs for h in ys if model.mult(g, h) in bset]
+            got = []
+            for g, hs, products in model.bounded_products(xs, ys, r):
+                inside = [h for h in hs if model.mult(g, h) in bset]
+                zs = [model.mult(g, h) for h in inside]
+                assert len(products) == len(zs) and set(products) == model.sweep_keys(set(zs), r)
+                got += [(g, h) for h in inside]
+            assert got == want
