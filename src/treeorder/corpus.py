@@ -1,9 +1,11 @@
 """Exhaustive and randomized poset corpora for the relation laws.
 
 Two sources.  Small scale: every valid tagged poset on up to five labeled
-elements, enumerated as base strict orders (grown one element at a time by
-choosing a down-closed lower set and an up-closed upper set) crossed with all
-admissible tag assignments on incomparable pairs.  Desk scale: pseudo-random
+elements (six within seconds).  Base strict orders are grown one element at
+a time by choosing a down-closed lower set and an up-closed upper set; each
+is then tagged depth first, with forced tags set once and every free pair
+tried both ways, cutting a branch as soon as it breaks acyclicity, so only
+admissible posets are ever constructed.  Desk scale: pseudo-random
 oriented trees with points sprinkled on their arcs, ordered by the forward
 component rule; the theory says these are always admissible, which makes
 them good stress instances for the between-set laws.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, List
 
 from .ordertree import OrderTree
@@ -20,7 +23,7 @@ from .orbitorder import manifold_poset
 from .poset import ExtendedPoset, PosetError, _bits
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
-BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
 
 
 def base_orders(n: int) -> Iterator[tuple]:
@@ -34,12 +37,9 @@ def base_orders(n: int) -> Iterator[tuple]:
         yield ((), ())
         return
     for up, down in base_orders(n - 1):
-        up = list(up)
-        down = list(down)
         m = n - 1
-        closed_down = [d for d in range(1 << m) if _is_closed(d, down)]
-        closed_up = [u for u in range(1 << m) if _is_closed(u, up)]
-        for d in closed_down:
+        closed_up = _closed_sets(up)
+        for d in _closed_sets(down):
             # the upper sets above all of d; none meets d, as up sets are strict
             common = (1 << m) - 1
             for i in _bits(d):
@@ -54,9 +54,14 @@ def base_orders(n: int) -> Iterator[tuple]:
                 yield (tuple(nup), tuple(ndown))
 
 
-def _is_closed(subset: int, spread: list) -> bool:
-    # every element of the subset drags its spread along
-    return not any(spread[i] & ~subset for i in _bits(subset))
+def _closed_sets(spread: tuple) -> list:
+    """Every subset that holds spread[x] whenever it holds x, in increasing
+    order: grown along a linear extension, where x may join a set only once
+    all of spread[x] is in it."""
+    sets = [0]
+    for x in sorted(range(len(spread)), key=lambda x: spread[x].bit_count()):
+        sets += [s | 1 << x for s in sets if not spread[x] & ~s]
+    return sorted(sets)
 
 
 def count_base_orders(n: int) -> int:
@@ -67,48 +72,51 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
     """Every admissible tagged poset on range(n).
 
     For each base order, incomparable pairs with a realized bound have their
-    tag forced; the rest are enumerated both ways.  Candidates are handed to
-    the ExtendedPoset constructor, whose validation is the single source of
-    truth for admissibility.
+    tag forced.  The free pairs are tagged depth first, last pair first and
+    downward before upward, which lists the posets in the order of counting
+    through the tag choices as a binary number.  A branch is cut as soon as
+    an endpoint's rows break acyclicity, the one axiom a tag choice can
+    break.  Each leaf still goes through the ExtendedPoset constructor,
+    whose validation is the single source of truth for admissibility.
     """
     out: List[ExtendedPoset] = []
     elements = tuple(range(n))
+
+    def acyclic(x: int) -> bool:
+        # x ~u y and x ~l z need z > y
+        return not any(siml[x] & ~up[y] for y in _bits(simu[x]))
+
+    def tag(k: int) -> None:
+        # tag pairs[:k] every acyclic way, one poset per leaf
+        if k == 0:
+            out.append(ExtendedPoset(elements, up, down, simu, siml))
+            return
+        i, j = pairs[k - 1]
+        for rows in (siml, simu):
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            if acyclic(i) and acyclic(j):
+                tag(k - 1)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+
     for up, down in base_orders(n):
-        pairs = []
-        forced_u = [0] * n
-        forced_l = [0] * n
-        possible = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (up[i] >> j) & 1 or (down[i] >> j) & 1:
-                    continue
-                has_upper = up[i] & up[j]
-                has_lower = down[i] & down[j]
-                if has_upper and has_lower:
-                    possible = False
-                    break
-                if has_upper:
-                    forced_u[i] |= 1 << j
-                    forced_u[j] |= 1 << i
-                elif has_lower:
-                    forced_l[i] |= 1 << j
-                    forced_l[j] |= 1 << i
-                else:
-                    pairs.append((i, j))
-            if not possible:
-                break
-        if not possible:
-            continue
-        for choice in range(1 << len(pairs)):
-            simu, siml = list(forced_u), list(forced_l)
-            for b, (i, j) in enumerate(pairs):
-                rows = simu if (choice >> b) & 1 else siml
+        simu, siml, pairs = [0] * n, [0] * n, []
+        for i, j in combinations(range(n), 2):
+            if (up[i] | down[i]) >> j & 1:
+                continue
+            has_upper, has_lower = up[i] & up[j], down[i] & down[j]
+            if has_upper and has_lower:
+                break  # no tag fits: the base order admits no tagging
+            if has_upper or has_lower:
+                rows = simu if has_upper else siml
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            try:
-                out.append(ExtendedPoset(elements, up, down, simu, siml))
-            except PosetError:
-                continue
+            else:
+                pairs.append((i, j))
+        else:
+            if all(acyclic(x) for x in range(n)):
+                tag(len(pairs))
     return out
 
 

@@ -74,20 +74,95 @@ def naive_admissible(n, less, tags) -> bool:
     return True
 
 
-def count_naive_extended(n: int) -> int:
-    total = 0
+def naive_extended_tables(n: int) -> list:
+    """Every admissible tagged order on range(n), as a relation name per
+    pair (i, j) with i < j: each strict order crossed with every tagging of
+    its incomparable pairs, kept when ``naive_admissible`` holds."""
+    tables = []
     for less in naive_strict_orders(n):
-        free = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not less.get((i, j)) and not less.get((j, i))
-        ]
+        base = {}
+        free = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if less.get((i, j)):
+                    base[(i, j)] = "lt"
+                elif less.get((j, i)):
+                    base[(i, j)] = "gt"
+                else:
+                    free.append((i, j))
         for combo in itertools.product(("simu", "siml"), repeat=len(free)):
             tags = dict(zip(free, combo))
             if naive_admissible(n, less, tags):
-                total += 1
-    return total
+                tables.append({**base, **tags})
+    return tables
+
+
+def generate_and_reject_posets(n: int) -> list:
+    """The tagged posets on range(n) in the order of the first enumerator.
+
+    That enumerator crossed each base order with all 2^m tag choices on its
+    m free pairs, counting through the choices as a binary number, and kept
+    what the ExtendedPoset constructor accepted; its base orders tested
+    every subset for closure.  Unlike the rest of this module it builds
+    package posets: it is the reference for the listing order, and the
+    naive tables above are the reference for the contents.
+    """
+    from treeorder.poset import ExtendedPoset, PosetError
+
+    def closed(subset, spread):
+        return not any(subset >> i & 1 and spread[i] & ~subset for i in range(len(spread)))
+
+    def base_orders(k):
+        if k == 0:
+            yield (), ()
+            return
+        for up, down in base_orders(k - 1):
+            m = k - 1
+            for d in (d for d in range(1 << m) if closed(d, down)):
+                common = (1 << m) - 1
+                for i in range(m):
+                    if d >> i & 1:
+                        common &= up[i]
+                for u in (u for u in range(1 << m) if closed(u, up)):
+                    if u & ~common:
+                        continue
+                    nup = [up[i] | (d >> i & 1) << m for i in range(m)] + [u]
+                    ndown = [down[i] | (u >> i & 1) << m for i in range(m)] + [d]
+                    yield tuple(nup), tuple(ndown)
+
+    out = []
+    for up, down in base_orders(n):
+        pairs = []
+        forced_u, forced_l = [0] * n, [0] * n
+        possible = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (up[i] >> j) & 1 or (down[i] >> j) & 1:
+                    continue
+                has_upper, has_lower = up[i] & up[j], down[i] & down[j]
+                if has_upper and has_lower:
+                    possible = False
+                elif has_upper:
+                    forced_u[i] |= 1 << j
+                    forced_u[j] |= 1 << i
+                elif has_lower:
+                    forced_l[i] |= 1 << j
+                    forced_l[j] |= 1 << i
+                else:
+                    pairs.append((i, j))
+        if not possible:
+            continue
+        for choice in range(1 << len(pairs)):
+            simu, siml = list(forced_u), list(forced_l)
+            for b, (i, j) in enumerate(pairs):
+                rows = simu if (choice >> b) & 1 else siml
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            try:
+                out.append(ExtendedPoset(tuple(range(n)), up, down, simu, siml))
+            except PosetError:
+                continue
+    return out
 
 
 def coordinate_rel(c1, c2) -> str:

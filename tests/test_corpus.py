@@ -12,7 +12,7 @@ from treeorder.corpus import (
     run_relation_suite,
     tree_corpus,
 )
-from treeorder.poset import SIML, SIMU
+from treeorder.poset import SIML, SIMU, ExtendedPoset
 
 
 def test_base_counts_match_the_reference_sequence():
@@ -26,17 +26,46 @@ def test_base_counts_match_the_naive_enumeration():
         assert count_base_orders(n) == oracles.count_naive_base_orders(n)
 
 
+def _assert_matches_naive_tables(n: int, expected: int) -> None:
+    def table_set(tables) -> set:
+        return {tuple(sorted(table.items())) for table in tables}
+
+    posets = all_extended_posets(n)
+    tables = oracles.naive_extended_tables(n)
+    assert len(posets) == len(tables) == expected
+    assert table_set(p.relations_table() for p in posets) == table_set(tables)
+
+
 def test_extended_counts_match_the_naive_enumeration():
-    expected = {0: 1, 1: 1, 2: 4, 3: 32, 4: 400, 5: 6912}
-    for n in range(5):
-        posets = all_extended_posets(n)
-        assert len(posets) == expected[n]
-        assert len(posets) == oracles.count_naive_extended(n)
+    for n, expected in enumerate((1, 1, 4, 32, 400)):
+        _assert_matches_naive_tables(n, expected)
 
 
 def test_extended_count_at_five_is_frozen():
-    assert len(all_extended_posets(5)) == 6912
-    assert oracles.count_naive_extended(5) == 6912
+    # one naive pass at n = 5 serves both the frozen count and the contents
+    _assert_matches_naive_tables(5, 6912)
+
+
+def test_extended_posets_keep_the_generate_and_reject_order():
+    for n in range(5):
+        assert [p.rows for p in all_extended_posets(n)] == [
+            p.rows for p in oracles.generate_and_reject_posets(n)
+        ]
+
+
+def test_enumeration_constructs_only_the_posets_it_returns(monkeypatch):
+    calls = []
+    construct = ExtendedPoset.__init__
+
+    def counting(self, *args):
+        calls.append(1)
+        construct(self, *args)
+
+    monkeypatch.setattr(ExtendedPoset, "__init__", counting)
+    for n in range(6):
+        calls.clear()
+        posets = all_extended_posets(n)
+        assert len(calls) == len(posets)
 
 
 def test_three_element_census():
