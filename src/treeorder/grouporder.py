@@ -280,7 +280,7 @@ def r_equivalent(augmented: ExtendedPoset, x: tuple, y: tuple) -> bool:
         return True
     if tag_of(x) == PLAIN or tag_of(y) == PLAIN:
         return False
-    return len(augmented.between_members(x, y)) == 2
+    return augmented._between_mask(augmented.index(x), augmented.index(y)).bit_count() == 2
 
 
 def side_toward(p: ExtendedPoset, x, y) -> int:

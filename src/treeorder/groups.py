@@ -27,6 +27,8 @@ class GroupError(ValueError):
 
 
 _LETTERS = "abcdghijkmnpqruvwxyz"
+# the free group's series order gives up on a word whose sign this degree leaves open
+SERIES_MAX_DEGREE = 8
 
 
 class GroupModel:
@@ -227,7 +229,7 @@ class FreeGroup(GroupModel):
             poly = out
         return poly
 
-    def order_sign(self, w: tuple, max_degree: int = 8) -> int:
+    def order_sign(self, w: tuple) -> int:
         """Sign of w in the series order: +1, -1, or 0 for the identity."""
         if not w:
             return 0
@@ -244,8 +246,8 @@ class FreeGroup(GroupModel):
                 break
         deg = 2
         while not sign:
-            if deg > max_degree:
-                raise GroupError(f"series sign undecided to degree {max_degree} for {self.format(w)}")
+            if deg > SERIES_MAX_DEGREE:
+                raise GroupError(f"series sign undecided to degree {SERIES_MAX_DEGREE} for {self.format(w)}")
             poly = self._series(w, deg)
             for m in sorted((m for m in poly if m), key=lambda m: (len(m), m)):
                 sign = 1 if poly[m] > 0 else -1

@@ -109,7 +109,7 @@ class ExtendedPoset:
     @classmethod
     def from_relation(cls, elements: Sequence[Element], rel_of: Callable[[Element, Element], int]) -> "ExtendedPoset":
         """Build from ``rel_of``, called once per ordered pair of distinct
-        elements in row-major order; it returns a relation code or name."""
+        elements in row-major order; it returns a relation code."""
         elements = tuple(elements)
         n = len(elements)
         rows = [[0] * n for _ in range(4)]  # up, down, simu, siml: codes LT..SIML
@@ -119,8 +119,6 @@ class ExtendedPoset:
                     if i == j:
                         continue
                     r = rel_of(a, b)
-                    if isinstance(r, str):
-                        r = REL_CODES[r]
                     if r not in (LT, GT, SIMU, SIML):
                         raise PosetError(f"pair ({a!r}, {b!r}) has no admissible relation")
                     rows[r - LT][i] |= 1 << j

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -38,7 +39,7 @@ from .grouporder import (
     side_toward,
     tag_of,
 )
-from .ordertree import OrderTree, TreeIndex, _find
+from .ordertree import OrderTree, TreeIndex
 from .poset import BetweenChain, ExtendedPoset, PosetError
 
 ZERO = Fraction(0)
@@ -157,11 +158,10 @@ def normalize_decomposition(
 class LabeledTree:
     """A growing union of glued intervals with exact label positions.
 
-    Points are pairs (interval, coordinate); identifications from gluing are
-    kept in a union-find whose canonical representative is the oldest glued
-    point.  ``nu`` maps each doubled label to the raw point where its own
-    stage laid it; resolving through the union-find gives the geometric
-    point.
+    Points are pairs (interval, coordinate).  Every stage glues the low end
+    of its new interval onto one older point, and ``_glued`` maps that end
+    straight to where the older point resolves, so ``find`` is one lookup.
+    ``nu`` maps each doubled label to the raw point where its stage laid it.
     """
 
     def __init__(
@@ -180,15 +180,12 @@ class LabeledTree:
         self.nu: dict = {}
         self.built: set = set()
         self.stages_done: list = []
-        self._parent: dict = {}
+        self._glued: dict = {}
 
     # -- point identity ------------------------------------------------
 
     def find(self, pt: tuple) -> tuple:
-        return _find(self._parent, pt)
-
-    def _union(self, pt: tuple, target: tuple) -> None:
-        self._parent[self.find(pt)] = self.find(target)
+        return self._glued.get(pt, pt)
 
     def point_of(self, label: tuple) -> tuple:
         if label not in self.nu:
@@ -259,12 +256,7 @@ def _merge_slots(augmented: ExtendedPoset, seq: list) -> list:
     """Group consecutive labels that touch (nothing between them)."""
     slots: list = []
     for lab in seq:
-        if (
-            slots
-            and tag_of(lab) != PLAIN
-            and tag_of(slots[-1][-1]) != PLAIN
-            and r_equivalent(augmented, slots[-1][-1], lab)
-        ):
+        if slots and r_equivalent(augmented, slots[-1][-1], lab):
             slots[-1].append(lab)
         else:
             slots.append([lab])
@@ -318,16 +310,6 @@ def _lay_classes(
     return out, dirs
 
 
-def _register(state: LabeledTree, idx: int, slot_list: list, allow_existing: set) -> None:
-    for c, labs in slot_list:
-        for lab in labs:
-            if lab in state.nu:
-                if lab not in allow_existing:
-                    raise BuildError(f"label laid twice: {state.format_label(lab)}")
-            else:
-                state.nu[lab] = (idx, c)
-
-
 def _lay_base(state: LabeledTree, x1) -> None:
     if state.intervals:
         raise BuildError("base interval already laid")
@@ -357,7 +339,6 @@ def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
             f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
             f"built part {[state.fmt(m) for m in inter]}"
         )
-    idx = len(state.intervals)
     out, dirs = _lay_classes(state, chain.classes, x, y)
     inner = aug(x, side_toward(p, x, y))
     cut_i = next(j for j, (_c, labs) in enumerate(out) if inner in labs)
@@ -368,19 +349,10 @@ def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
             f"{[state.format_label(l) for l in prefix]}"
         )
     lo = out[cut_i][0]
-    if inner not in state.nu:
-        raise BuildError(f"gluing tag {state.format_label(inner)} is not built")
-    target = state.nu[inner]
-    _register(state, idx, out[cut_i:], allow_existing={inner})
-    state.intervals.append((lo, Fraction(len(chain.classes))))
     if lo >= 1:
         dirs.pop(0, None)
-    state.directions.append(dirs)
-    state._union((idx, lo), target)
-    state.glues.append(GlueRecord(idx, lo, target, False))
-    state.built.update(chain.members)
-    state.stages_done.append(stage)
-    return state
+    return _glue(state, stage, chain, "gluing", inner, out[cut_i:],
+                 (lo, Fraction(len(chain.classes))), dirs, allow_existing={inner})
 
 
 def _lay_case2(state: LabeledTree, stage: Stage, chain: BetweenChain) -> LabeledTree:
@@ -394,19 +366,32 @@ def _lay_case2(state: LabeledTree, stage: Stage, chain: BetweenChain) -> Labeled
         raise BuildError("built part is not an initial segment")
     a_m = inter[-1]
     attach = aug(a_m, side_toward(p, a_m, y))
-    if attach not in state.nu:
-        raise BuildError(f"attachment tag {state.format_label(attach)} is not built")
-    target = state.nu[attach]
-    idx = len(state.intervals)
     out, dirs = _lay_classes(state, chain.classes, x, y, only_new=True)
     k = out[-1][0]
     if out[0][0] != ZERO or k != int(k):
         raise BuildError("truncated-limit layout must span whole units")
-    _register(state, idx, out, allow_existing=set())
-    state.intervals.append((ZERO, Fraction(k)))
+    return _glue(state, stage, chain, "attachment", attach, out,
+                 (ZERO, Fraction(k)), dirs, allow_existing=set())
+
+
+def _glue(state: LabeledTree, stage: Stage, chain: BetweenChain, role: str, tag: tuple,
+          slot_list: list, span: tuple, dirs: dict, allow_existing: set) -> LabeledTree:
+    """Lay ``slot_list`` on a new interval ``span`` whose low end glues onto
+    the point of the built ``tag``; a case-2 stage is a truncated limit."""
+    if tag not in state.nu:
+        raise BuildError(f"{role} tag {state.format_label(tag)} is not built")
+    idx, target = len(state.intervals), state.nu[tag]
+    for c, labs in slot_list:
+        for lab in labs:
+            if lab in state.nu:
+                if lab not in allow_existing:
+                    raise BuildError(f"label laid twice: {state.format_label(lab)}")
+            else:
+                state.nu[lab] = (idx, c)
+    state.intervals.append(span)
     state.directions.append(dirs)
-    state._union((idx, ZERO), target)
-    state.glues.append(GlueRecord(idx, ZERO, target, True))
+    state._glued[idx, span[0]] = state.find(target)
+    state.glues.append(GlueRecord(idx, span[0], target, stage.case == 2))
     state.built.update(chain.members)
     state.stages_done.append(stage)
     return state
@@ -617,87 +602,65 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     }
 
     path_violations = []
-    pairs_checked = 0
-    built = sorted(state.built, key=p.index)
-    for ai in range(len(built)):
-        for bi in range(ai + 1, len(built)):
-            a, b = built[ai], built[bi]
-            pairs_checked += 1
-            expected = A.between_set(aug(a, PLAIN), aug(b, PLAIN)).members
-            missing = [m for m in expected if m not in state.nu]
-            if missing:
-                path_violations.append(
-                    {"pair": (state.fmt(a), state.fmt(b)),
-                     "problem": "between set not fully built",
-                     "labels": [state.format_label(m) for m in missing]}
-                )
-                continue
-            order = {m: j for j, m in enumerate(expected)}
-            route = _path_points(index, state.point_of(aug(a, PLAIN)),
-                                 state.point_of(aug(b, PLAIN)))
-            flat = []
-            extras = []
-            for pt in route:
-                here = [lab for lab in by_point.get(pt, ()) if lab in order]
-                flat.extend(sorted(here, key=lambda m: order[m]))
-                extras.extend(lab for lab in by_point.get(pt, ()) if lab not in order)
-            if [order[m] for m in flat] != list(range(len(expected))):
-                path_violations.append(
-                    {"pair": (state.fmt(a), state.fmt(b)),
-                     "problem": "path labels out of order",
-                     "labels": [state.format_label(m) for m in flat]}
-                )
-            eset = set(expected)
-            for c in extras:
-                if tag_of(c) == PLAIN:
-                    path_violations.append(
-                        {"pair": (state.fmt(a), state.fmt(b)),
-                         "problem": "stray plain label on path",
-                         "labels": [state.format_label(c)]}
-                    )
-                    continue
-                for end in (aug(a, PLAIN), aug(b, PLAIN)):
-                    touching = any(
-                        d in eset and r_equivalent(A, c, d)
-                        for d in A.between_members(end, c)
-                    )
-                    if not touching:
-                        path_violations.append(
-                            {"pair": (state.fmt(a), state.fmt(b)),
-                             "problem": "extra label without touching partner",
-                             "labels": [state.format_label(c)]}
-                        )
-                        break
-    path_report = {"ok": not path_violations, "pairs": pairs_checked,
+
+    def flag(problem: str, labs: Iterable) -> None:  # against the pair (a, b) in hand
+        path_violations.append({"pair": (state.fmt(a), state.fmt(b)), "problem": problem,
+                                "labels": [state.format_label(m) for m in labs]})
+
+    for a, b in combinations(sorted(state.built, key=p.index), 2):
+        ends = (aug(a, PLAIN), aug(b, PLAIN))
+        expected = A.between_set(*ends).members
+        missing = [m for m in expected if m not in state.nu]
+        if missing:
+            flag("between set not fully built", missing)
+            continue
+        order = {m: j for j, m in enumerate(expected)}
+        try:
+            route = _path_points(index, *map(state.point_of, ends))
+        except BuildError as exc:
+            flag(str(exc), ends)
+            continue
+        flat = []
+        extras = []
+        for pt in route:
+            here = [lab for lab in by_point.get(pt, ()) if lab in order]
+            flat.extend(sorted(here, key=lambda m: order[m]))
+            extras.extend(lab for lab in by_point.get(pt, ()) if lab not in order)
+        if [order[m] for m in flat] != list(range(len(expected))):
+            flag("path labels out of order", flat)
+        for c in extras:
+            if tag_of(c) == PLAIN:
+                flag("stray plain label on path", [c])
+            elif not all(
+                any(d in order and r_equivalent(A, c, d) for d in A.between_members(end, c))
+                for end in ends
+            ):
+                flag("extra label without touching partner", [c])
+    n = len(state.built)
+    path_report = {"ok": not path_violations, "pairs": n * (n - 1) // 2,
                    "violations": path_violations}
 
     id_violations = []
     id_undetermined = []
     for pt, labs in sorted(by_point.items()):
-        for j in range(len(labs)):
-            for k in range(j + 1, len(labs)):
-                u, v = labs[j], labs[k]
-                if r_equivalent(A, u, v):
-                    continue
-                entry = {
-                    "labels": (state.format_label(u), state.format_label(v)),
-                    "point": pt,
-                }
-                if pt in truncated:
-                    id_undetermined.append(entry)
-                else:
-                    id_violations.append(entry)
-    labels = sorted(state.nu, key=state.label_key)
-    for j in range(len(labels)):
-        for k in range(j + 1, len(labels)):
-            u, v = labels[j], labels[k]
-            if tag_of(u) == PLAIN or tag_of(v) == PLAIN:
+        for u, v in combinations(labs, 2):
+            if r_equivalent(A, u, v):
                 continue
-            if r_equivalent(A, u, v) and state.point_of(u) != state.point_of(v):
-                id_violations.append(
-                    {"labels": (state.format_label(u), state.format_label(v)),
-                     "problem": "touching labels laid apart"}
-                )
+            entry = {
+                "labels": (state.format_label(u), state.format_label(v)),
+                "point": pt,
+            }
+            if pt in truncated:
+                id_undetermined.append(entry)
+            else:
+                id_violations.append(entry)
+    tags = [lab for lab in sorted(state.nu, key=state.label_key) if tag_of(lab) != PLAIN]
+    for u, v in combinations(tags, 2):
+        if r_equivalent(A, u, v) and state.point_of(u) != state.point_of(v):
+            id_violations.append(
+                {"labels": (state.format_label(u), state.format_label(v)),
+                 "problem": "touching labels laid apart"}
+            )
     identity_report = {
         "ok": not id_violations,
         "violations": id_violations,

@@ -271,17 +271,17 @@ def test_classes_that_are_not_travel_intervals_raise(corrupt):
 
 def test_a_pair_that_disagrees_with_its_swap_raises():
     with pytest.raises(PosetError, match=re.escape("pair ('a', 'b') disagrees with its swap")):
-        ExtendedPoset.from_relation(("a", "b"), lambda x, y: "lt")
+        ExtendedPoset.from_relation(("a", "b"), lambda x, y: LT)
 
 
 def test_a_pair_without_a_relation_raises():
     with pytest.raises(PosetError, match=re.escape("pair ('a', 'b') has no admissible relation")):
-        ExtendedPoset.from_relation(("a", "b"), lambda x, y: "eq")
+        ExtendedPoset.from_relation(("a", "b"), lambda x, y: EQ)
 
 
 def test_repeated_elements_raise():
     with pytest.raises(PosetError, match="duplicate elements"):
-        ExtendedPoset.from_relation(("a", "b", "a"), lambda x, y: "siml")
+        ExtendedPoset.from_relation(("a", "b", "a"), lambda x, y: SIML)
 
 
 @pytest.mark.parametrize("case", ["extended-4", "trees-100", "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2"])

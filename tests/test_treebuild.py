@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+from fractions import Fraction
+
 import pytest
 
-from treeorder.catalog import dihedral_standard, z_standard
+from treeorder.catalog import dihedral_standard, get_cone, z_standard
 from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
+from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset
 from treeorder.treebuild import (
@@ -107,3 +111,101 @@ def test_verification_tests_each_pair_for_a_chain_at_most_once_per_row(cone, rad
     assert verify_stage_properties(state)["ok"]
     n = state.aug.n
     assert 0 < len(calls) <= n * (n - 1)
+
+
+# -- verification against corrupted builds ------------------------------------
+# Each case edits a copy of the finished z-standard r = 2 build's label map and
+# names the report entry that the corruption must raise.  Labels are (g, tag).
+
+
+def corrupted(edit):
+    state = ConePipeline.of(get_cone("z-standard"), 2).build(None)
+    assert verify_stage_properties(state)["ok"]
+    state = copy.copy(state)
+    state.nu = dict(state.nu)
+    edit(state.nu)
+    report = verify_stage_properties(state)
+    assert not report["ok"]
+    return report
+
+
+def swap(a, b):
+    def edit(nu):
+        nu[a], nu[b] = nu[b], nu[a]
+    return edit
+
+
+def move(lab, onto):
+    def edit(nu):
+        nu[lab] = nu[onto]
+    return edit
+
+
+def path_problems(report, problem):
+    return [(v["pair"], v["labels"]) for v in report["paths"]["violations"] if v["problem"] == problem]
+
+
+def test_a_deleted_tag_leaves_its_between_sets_unbuilt():
+    report = corrupted(lambda nu: nu.pop((0, -1)))
+    assert path_problems(report, "between set not fully built") == [
+        (pair, ["0-"]) for pair in [("0", "-1"), ("0", "-2"), ("-1", "1"), ("-1", "2"), ("1", "-2"), ("-2", "2")]
+    ]
+
+
+def test_swapped_tags_put_path_labels_out_of_order():
+    report = corrupted(swap((0, -1), (0, 1)))
+    assert (("0", "-1"), ["0", "-1+", "-1"]) in path_problems(report, "path labels out of order")
+    assert (("0", "-1"), ["0+"]) in path_problems(report, "extra label without touching partner")
+
+
+def test_swapped_plain_labels_leave_a_stray_plain_label_on_a_path():
+    report = corrupted(swap((0, 0), (-1, 0)))
+    assert path_problems(report, "stray plain label on path") == [
+        (("0", "1"), ["-1"]), (("0", "2"), ["-1"]), (("-1", "-2"), ["0"])
+    ]
+
+
+def test_a_plain_label_on_a_tag_point_strands_the_tags_it_passes():
+    report = corrupted(move((0, 0), (0, 1)))
+    assert path_problems(report, "extra label without touching partner") == [
+        (("0", "-1"), ["0+"]), (("0", "-1"), ["1-"]), (("0", "-2"), ["0+"]), (("0", "-2"), ["1-"])
+    ]
+
+
+def test_a_split_touching_pair_is_laid_apart():
+    report = corrupted(move((2, -1), (2, 0)))
+    assert report["identity"]["violations"] == [
+        {"labels": ("2-", "2"), "point": (4, Fraction(7, 8))},
+        {"labels": ("1+", "2-"), "problem": "touching labels laid apart"},
+    ]
+    assert report["paths"]["ok"]
+
+
+def test_labels_that_do_not_touch_may_not_share_a_point():
+    report = corrupted(move((-2, -1), (2, 1)))
+    assert report["identity"]["violations"] == [{"labels": ("-2-", "2+"), "point": (4, Fraction(1))}]
+    assert report["gaps"]["ok"] and report["paths"]["ok"]
+
+
+def test_a_gap_between_foreign_labels_is_a_violation():
+    report = corrupted(swap((-2, -1), (2, 1)))
+    assert report["gaps"]["violations"] == [
+        {"interval": 3, "gap": (Fraction(7, 8), Fraction(1)), "left": ["-2"], "right": ["2+"]},
+        {"interval": 4, "gap": (Fraction(7, 8), Fraction(1)), "left": ["2"], "right": ["-2-"]},
+    ]
+    assert report["identity"]["ok"] and report["paths"]["ok"]
+
+
+def test_a_deleted_glue_target_disconnects_the_tree():
+    report = corrupted(lambda nu: nu.pop((0, 1)))
+    assert report["tree"]["problems"] == ["11 points but 9 spans", "glued intervals are not connected"]
+
+
+def test_a_pair_across_components_is_reported_not_raised():
+    # (0, 1) is the glue target of interval 2; moving it inward cuts that
+    # interval off, so the paths from 0 and -1 to 1 and 2 do not exist
+    report = corrupted(lambda nu: nu.__setitem__((0, 1), (0, Fraction(1, 2))))
+    assert report["tree"]["problems"] == ["11 points but 9 spans", "glued intervals are not connected"]
+    assert path_problems(report, "points are not connected") == [
+        (pair, list(pair)) for pair in [("0", "1"), ("0", "2"), ("-1", "1"), ("-1", "2"), ("1", "-2"), ("-2", "2")]
+    ]
