@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Optional
 from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_codes
 
 _VIOLATION_CAP = 25
+_PIECE_NAMES = {EQ: "e", LT: "p", GT: "pinv", SIMU: "u", SIML: "l"}  # for partition errors
 
 
 class ConeError(ValueError):
@@ -43,43 +44,30 @@ class ConeStructure:
         # radius -> orbitorder.ConePipeline, so one command builds each artifact once
         self.pipelines: dict = {}
 
-    def side(self, w) -> str:
-        """Which piece w falls in; raises if the pieces fail to partition at w."""
+    def side(self, w) -> int:
+        """The relation code of w's piece: EQ at the identity, LT in P, GT in
+        P^-1, SIMU in U and SIML in L; raises if the pieces fail to partition
+        at w."""
         got = self._side_cache.get(w)
-        if got is None:
-            hits = []
-            if w == self.group.identity:
-                hits.append("e")
-            if self.in_positive(w):
-                hits.append("p")
-            if self.in_positive(self.group.inv(w)):
-                hits.append("pinv")
-            if self.in_upper(w):
-                hits.append("u")
-            if self.in_lower(w):
-                hits.append("l")
+        if got is None:  # EQ is 0
+            group = self.group
+            found = (w == group.identity, self.in_positive(w), self.in_positive(group.inv(w)),
+                     self.in_upper(w), self.in_lower(w))
+            hits = [code for code, hit in zip((EQ, LT, GT, SIMU, SIML), found) if hit]
             if len(hits) != 1:
-                kind = "no piece" if not hits else "pieces " + ",".join(hits)
-                raise ConeError(f"cones do not partition at {self.group.format(w)}: {kind}")
-            got = hits[0]
-            self._side_cache[w] = got
+                kind = "no piece" if not hits else "pieces " + ",".join(_PIECE_NAMES[c] for c in hits)
+                raise ConeError(f"cones do not partition at {group.format(w)}: {kind}")
+            got = self._side_cache[w] = hits[0]
         return got
 
     def classify(self, g, h) -> int:
-        """Relation code between g and h under the induced order."""
+        """Relation code between g and h under the induced order: the side of g^-1 h."""
         if g == h:
             return EQ
-        q = self.group.mult(self.group.inv(g), h)
-        s = self.side(q)
-        if s == "p":
-            return LT
-        if s == "pinv":
-            return GT
-        if s == "u":
-            return SIMU
-        if s == "l":
-            return SIML
-        raise ConeError(f"distinct elements with identity quotient: {self.group.format(g)}, {self.group.format(h)}")
+        code = self.side(self.group.mult(self.group.inv(g), h))
+        if code == EQ:
+            raise ConeError(f"distinct elements with identity quotient: {self.group.format(g)}, {self.group.format(h)}")
+        return code
 
 
 @dataclass
@@ -377,16 +365,14 @@ def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int)
         for k in H:
             if not sub(group.mult(h, k)):
                 raise ConeError(f"subgroup {sub.name} not product-closed at {group.format(h)}, {group.format(k)}")
-    big = group.ball(2 * radius)
+    outside = [c for c in group.ball(2 * radius) if not sub(c)]
     violations = []
     pairs = 0
     for i, h1 in enumerate(H):
         for h2 in H[i + 1:]:
             pairs += 1
             rac = cone.classify(h1, h2)
-            for c in big:
-                if c == h1 or c == h2 or sub(c):
-                    continue
+            for c in outside:
                 if between_by_codes(rac, cone.classify(h1, c), cone.classify(c, h2)):
                     violations.append({"pair": (h1, h2), "witness": c})
                     break
@@ -399,12 +385,20 @@ class QuotientResult:
     poset: ExtendedPoset
     uniqueness: list
     property_counts: dict
-    property_violations: list
     convexity: ConvexityReport
 
     @property
     def ok(self) -> bool:
-        return not self.uniqueness and not self.property_violations and self.convexity.ok
+        return not self.uniqueness and self.convexity.ok
+
+
+def _law_counts(poset: ExtendedPoset) -> dict:
+    """How many ordered triples (a, b, c) meet the hypothesis of each law the
+    poset's construction enforces, counted per middle element b:
+    a < b < c (1), a ~u b ~l c (2), a ~u b > c (3) and a ~l b < c (4)."""
+    up, down, simu, siml = poset.rows
+    sides = {1: (down, up), 2: (simu, siml), 3: (simu, down), 4: (siml, up)}
+    return {law: sum(x.bit_count() * y.bit_count() for x, y in zip(xs, ys)) for law, (xs, ys) in sides.items()}
 
 
 def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
@@ -415,14 +409,18 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     puts g1 below g2 h, and likewise for the similarity tags.  h ranges over
     H inside ball(2 * radius); the identity always witnesses something, so
     every pair gets a relation, and finding two distinct relations for one
-    pair is reported as a uniqueness violation.  ``convexity`` is the
-    complete-convexity report at this radius, when the caller already has it.
+    pair is reported as a uniqueness violation.  The poset built from these
+    relations enforces transitivity, a ~u b ~l c => a < c, a ~u b > c =>
+    a ~u c and a ~l b < c => a ~l c; ``property_counts`` says how many
+    triples each law covered.  ``convexity`` is the complete-convexity
+    report at this radius, when the caller already has it.
     """
     group = cone.group
     ball = group.ball(radius)
+    H = [h for h in ball if sub(h)]
     for g in ball:
-        for h in ball:
-            if sub(h) and not sub(group.mult(group.mult(g, h), group.inv(g))):
+        for h in H:
+            if not sub(group.mult(group.mult(g, h), group.inv(g))):
                 raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
     if convexity is None:
         convexity = check_completely_convex(cone, sub, radius)
@@ -445,17 +443,23 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
             coset_of[g] = g
 
     H_search = [h for h in group.ball(2 * radius) if sub(h)]
+
+    def witnessed(g1, g2) -> dict:
+        """Each relation some h in H_search puts between g1 and g2 h, with its first such h."""
+        found: dict = {}
+        for h in H_search:
+            code = cone.classify(g1, group.mult(g2, h))
+            if code != EQ and code not in found:
+                found[code] = h
+        return found
+
     rel: dict = {}
     uniqueness: list = []
     for g1 in reps:
         for g2 in reps:
             if g1 == g2:
                 continue
-            found: dict = {}
-            for h in H_search:
-                code = cone.classify(g1, group.mult(g2, h))
-                if code != EQ and code not in found:
-                    found[code] = h
+            found = witnessed(g1, g2)
             if len(found) > 1:
                 uniqueness.append({"pair": (g1, g2), "relations": {REL_NAMES[c]: h for c, h in found.items()}})
             rel[(g1, g2)] = next(iter(found))
@@ -467,50 +471,15 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
         for other in reps:
             if other == rep:
                 continue
-            found = set()
-            for h in H_search:
-                code = cone.classify(g, group.mult(other, h))
-                if code != EQ:
-                    found.add(code)
+            found = witnessed(g, other)
             if rel[(rep, other)] not in found or len(found) > 1:
                 uniqueness.append({"pair": (g, other), "note": "representative dependence"})
 
     poset = ExtendedPoset.from_relation(reps, lambda a, b: rel[(a, b)])
-
-    counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    violations: list = []
-    for a in reps:
-        for b in reps:
-            if b == a:
-                continue
-            rab = rel[(a, b)]
-            for c in reps:
-                if c == a or c == b:
-                    continue
-                rbc = rel[(b, c)]
-                rac = rel[(a, c)]
-                if rab == LT and rbc == LT:
-                    counts[1] += 1
-                    if rac != LT:
-                        violations.append({"clause": 1, "triple": (a, b, c)})
-                if rab == SIMU and rbc == SIML:
-                    counts[2] += 1
-                    if rac != LT:
-                        violations.append({"clause": 2, "triple": (a, b, c)})
-                if rab == SIMU and rel[(c, b)] == LT:
-                    counts[3] += 1
-                    if rac != SIMU:
-                        violations.append({"clause": 3, "triple": (a, b, c)})
-                if rab == SIML and rbc == LT:
-                    counts[4] += 1
-                    if rac != SIML:
-                        violations.append({"clause": 4, "triple": (a, b, c)})
-
     return QuotientResult(
         representatives=reps,
         poset=poset,
         uniqueness=uniqueness,
-        property_counts=counts,
-        property_violations=violations,
+        property_counts=_law_counts(poset),
         convexity=convexity,
     )

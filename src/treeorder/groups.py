@@ -388,12 +388,14 @@ class TableGroup(GroupModel):
 
 
 def make_group(family: str, k: int | None = None):
-    if family == "z":
-        return Z()
+    """A group model by family name; a rank k is read only by "zk" and "free",
+    which take 2 when it is missing."""
     if family == "zk":
-        return Zk(k or 2)
+        return Zk(2 if k is None else k)
     if family == "free":
-        return FreeGroup(k or 2)
-    if family == "dihedral":
-        return InfiniteDihedral()
-    raise GroupError(f"unknown group family {family!r}")
+        return FreeGroup(2 if k is None else k)
+    if family not in ("z", "dihedral"):
+        raise GroupError(f"unknown group family {family!r}")
+    if k is not None:
+        raise GroupError(f"group family {family!r} takes no rank k")
+    return Z() if family == "z" else InfiniteDihedral()

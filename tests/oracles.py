@@ -347,3 +347,32 @@ def naive_cone_report(cone, radius: int) -> dict:
     }
     return {"cone": cone.name, "radius": radius, "ball": len(ball),
             "ok": all(c["ok"] for c in conditions.values()), "conditions": conditions}
+
+
+QUOTIENT_LAWS = {
+    # law: (relation of (a, b), relation of (b, c), required relation of (a, c))
+    1: ("lt", "lt", "lt"),
+    2: ("simu", "siml", "lt"),
+    3: ("simu", "gt", "simu"),
+    4: ("siml", "lt", "siml"),
+}
+
+
+def naive_quotient_law_counts(p) -> tuple:
+    """The quotient order's four laws, one loop over ordered triples of
+    distinct elements: ({law: triples meeting its hypothesis}, [violations]).
+
+    The laws: a < b < c gives a < c (1); a ~u b ~l c gives a < c (2);
+    a ~u b and c < b give a ~u c (3); a ~l b < c gives a ~l c (4).  A
+    violation is {"clause": law, "triple": (a, b, c)}.
+    """
+    counts = dict.fromkeys(QUOTIENT_LAWS, 0)
+    violations = []
+    for a, b, c in itertools.permutations(p.elements, 3):
+        rab, rbc, rac = p.classify(a, b), p.classify(b, c), p.classify(a, c)
+        for law, (want_ab, want_bc, want_ac) in QUOTIENT_LAWS.items():
+            if rab == want_ab and rbc == want_bc:
+                counts[law] += 1
+                if rac != want_ac:
+                    violations.append({"clause": law, "triple": (a, b, c)})
+    return counts, violations

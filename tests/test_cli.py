@@ -190,6 +190,10 @@ def _z2(positive):
     return _doc("group-order", {"group": {"family": "zk", "k": 2}, "cones": {"positive": positive}})
 
 
+def _group(group):
+    return _doc("group-order", {"group": group, "cones": {"positive": {"op": "const", "value": False}}})
+
+
 MALFORMED = {
     "table-products-not-rows": ("check-cones", _doc("group-order", {
         "group": {"table": {"elements": [0, 1], "products": 5, "identity": 0}},
@@ -210,6 +214,10 @@ MALFORMED = {
     "parity-value-boolean": ("check-cones", _z2({"op": "parity", "component": 0, "value": True})),
     "lex-components-negative": ("check-cones", _z2({"op": "lex-positive", "components": [-1]})),
     "lex-components-boolean": ("check-cones", _z2({"op": "lex-positive", "components": [True, 0]})),
+    "group-zk-rank-zero": ("check-cones", _group({"family": "zk", "k": 0})),
+    "group-free-rank-zero": ("check-cones", _group({"family": "free", "k": 0})),
+    "group-z-with-rank": ("check-cones", _group({"family": "z", "k": 2})),
+    "group-dihedral-with-rank": ("check-cones", _group({"family": "dihedral", "k": 1})),
     "tree-duplicate-node": ("blowup", _doc("tree", {
         "nodes": ["a", "a", "b"], "arcs": [["e", "a", "b"]],
     })),

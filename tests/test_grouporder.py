@@ -15,7 +15,7 @@ from treeorder.catalog import (
     z_standard,
     zk_lex,
 )
-from treeorder.corpus import all_extended_posets
+from treeorder.corpus import all_extended_posets, tree_corpus
 from treeorder.groups import FreeGroup, TableGroup, Z, Zk
 from treeorder.grouporder import (
     MINUS,
@@ -23,6 +23,7 @@ from treeorder.grouporder import (
     PLUS,
     ConeError,
     ConeStructure,
+    _law_counts,
     aug,
     blow_up_gplus,
     check_augmented_between,
@@ -38,7 +39,7 @@ from treeorder.grouporder import (
     verify_cone_axioms,
 )
 from treeorder.orbitorder import ConePipeline
-from treeorder.poset import GT, LT
+from treeorder.poset import EQ, GT, LT, SIML, SIMU, PosetError, from_pairs
 
 Z5_TABLE = [[(i + j) % 5 for j in range(5)] for i in range(5)]
 
@@ -157,8 +158,29 @@ def test_invalid_cone_cannot_induce_a_ball_order():
     cone = ConeStructure("overlap", z_standard().group, lambda a: a > 0, lambda a: a > 2, lambda a: False)
     with pytest.raises(ConeError, match="fails condition"):
         induced_ball_poset(cone, 4)
-    with pytest.raises(ConeError, match="partition"):
+    with pytest.raises(ConeError) as err:
         cone.side(3)
+    assert str(err.value) == "cones do not partition at 3: pieces p,u"
+
+
+def test_classify_reads_the_side_of_the_left_quotient():
+    checked = []
+    for name in sorted(BUILTIN_CONES):
+        cone = get_cone(name)
+        if not verify_cone_axioms(cone, 3).ok:
+            continue
+        checked.append(name)
+        group = cone.group
+        ball = group.ball(3)
+        for g in ball:
+            for h in ball:
+                assert cone.classify(g, h) == cone.classify(group.identity, group.mult(group.inv(g), h))
+    assert checked == ["dihedral-standard", "free2-standard", "z-standard", "z2-lex", "z3-lex"]
+
+
+def test_side_names_each_piece_by_its_relation_code():
+    assert [z_standard().side(n) for n in (0, 2, -2)] == [EQ, LT, GT]
+    assert [dihedral_standard().side(w) for w in ((0, 0), (2, 0), (-2, 0), (1, 1), (0, 1))] == [EQ, LT, GT, SIMU, SIML]
 
 
 def test_aug_labels():
@@ -225,8 +247,8 @@ def test_quotient_of_plane_by_second_factor_is_integer_chain():
     result = quotient_order(zk_lex(2), second_factor_subgroup(), 4)
     assert result.ok
     assert not result.uniqueness
-    assert not result.property_violations
     q = result.poset
+    assert oracles.naive_quotient_law_counts(q) == (result.property_counts, [])
     assert q.n == 9
     firsts = sorted(r[0] for r in result.representatives)
     assert firsts == list(range(-4, 5))
@@ -238,6 +260,26 @@ def test_quotient_of_plane_by_second_factor_is_integer_chain():
 def test_quotient_requires_convexity():
     with pytest.raises(ConeError, match="convex"):
         quotient_order(z_standard(), even_subgroup(), 4)
+
+
+def test_law_counts_match_the_triple_loop_and_it_finds_nothing():
+    posets = [p for n in range(1, 5) for p in all_extended_posets(n)] + tree_corpus(50)
+    for p in posets:
+        assert oracles.naive_quotient_law_counts(p) == (_law_counts(p), [])
+
+
+# each law's hypothesis on (a, b) and (b, c), completed by every wrong relation of (a, c)
+_LAW_BREAKS = [
+    (rab, rbc, wrong)
+    for rab, rbc, want in oracles.QUOTIENT_LAWS.values()
+    for wrong in ("lt", "gt", "simu", "siml") if wrong != want
+]
+
+
+@pytest.mark.parametrize("rab, rbc, wrong", _LAW_BREAKS, ids=["-".join(case) for case in _LAW_BREAKS])
+def test_construction_rejects_every_three_element_law_break(rab, rbc, wrong):
+    with pytest.raises(PosetError):
+        from_pairs("abc", [("a", rab, "b"), ("b", rbc, "c"), ("a", wrong, "c")])
 
 
 @pytest.mark.parametrize("case", ["extended-4", "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2", "free2-standard-r2"])

@@ -108,6 +108,13 @@ def test_make_group_families():
         make_group("icosahedral", None)
 
 
+def test_make_group_defaults_only_a_missing_rank():
+    assert make_group("zk").k == make_group("free").k == 2
+    for family, k in [("zk", 0), ("free", 0), ("z", 2), ("dihedral", 1), ("z", 0)]:
+        with pytest.raises(GroupError):
+            make_group(family, k)
+
+
 @pytest.mark.parametrize("model", [Z(), Zk(2), Zk(3), FreeGroup(2), InfiniteDihedral(), TableGroup(list(range(5)), Z5_TABLE, 0)],
                          ids=lambda g: getattr(g, "name", "z5"))
 def test_bounded_products_batch_exactly_the_in_ball_products(model):
