@@ -109,13 +109,16 @@ def _parse_args(argv):
     return args
 
 
+def _names_file(spec: str) -> bool:
+    """Whether a spec argument is read as a file rather than a builtin name."""
+    return os.path.exists(spec) or spec.endswith(".json")
+
+
 def _load_cone(spec: str):
-    if os.path.exists(spec):
+    if _names_file(spec):
         return cone_from_document(load_document(spec))
     if spec in BUILTIN_CONES:
         return get_cone(spec)
-    if spec.endswith(".json"):
-        raise SpecError(f"cannot read {spec}: no such file")
     raise SpecError(f"{spec!r} is neither a spec file nor a builtin cone name")
 
 
@@ -204,14 +207,9 @@ def _cmd_build_tree(args) -> int:
 
 
 def _load_tree(spec: str, radius: int):
-    if os.path.exists(spec):
+    if _names_file(spec):
         return tree_from_document(load_document(spec))
-    try:
-        return get_tree(spec, radius)
-    except CatalogError:
-        if spec.endswith(".json"):
-            raise SpecError(f"cannot read {spec}: no such file") from None
-        raise
+    return get_tree(spec, radius)
 
 
 def _cmd_blowup(args) -> int:
@@ -235,15 +233,12 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_orbit_order(args) -> int:
-    name = args.scenario
-    if os.path.exists(name):
+    name, radius = args.scenario, args.radius
+    if _names_file(name):
         doc = load_document(name)
         if doc.kind != "scenario":
             raise SpecError(f"expected a scenario document, got {doc.kind!r}")
-        name = doc.body["name"]
-        radius = doc.body.get("radius", args.radius)
-    else:
-        radius = args.radius
+        name, radius = doc.body["name"], doc.body.get("radius", radius)
     manifold, action, base = get_action_scenario(name, radius)
     orbit = orbit_poset(manifold, action, base, radius)
     fmt = action.group.format

@@ -133,6 +133,10 @@ class OrderTree:
             raise TreeError(f"duplicate arc {aid!r}")
         if tail == head:
             raise TreeError(f"arc {aid!r} is degenerate")
+        if kind not in ("arc", "blowup", "stub"):
+            raise TreeError(f"bad arc kind {kind!r}")
+        if not isinstance(core, bool):
+            raise TreeError(f"arc {aid!r} has a non-boolean core {core!r}")
         for end in (tail, head):
             if end not in self.nodes:
                 raise TreeError(f"arc {aid!r} references missing node {end!r}")

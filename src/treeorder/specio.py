@@ -1,10 +1,12 @@
 """Versioned JSON documents for orders, posets, trees, and scenarios.
 
 One document format drives every checker command: a JSON object with
-``version``, ``kind``, and ``body``.  Parsing is strict: unknown kinds,
-unknown fields, and malformed bodies are rejected up front so a typo in a
-spec never silently changes what gets checked.  The same schemas are used
-for emission, so an emitted poset or tree feeds back into the checkers.
+``version``, ``kind``, and ``body``.  Parsing reads a body by building it
+(a group-order body into its cone, a tree body into its tree, both kept on
+the document), so unknown kinds, unknown fields, and malformed bodies are
+rejected up front and a typo never silently changes what gets checked.  A
+poset body is read for shape only: breaking the relation laws fails a check.
+Emission uses the same schemas, so an emitted poset or tree reads back in.
 
 Document kinds and bodies:
 
@@ -13,10 +15,11 @@ Document kinds and bodies:
   ``{"table": {"elements", "products", "identity"}}``.  ``cones`` holds
   ``positive`` and optional ``upper``/``lower`` predicate expressions.
 * ``poset``: ``{"elements": [...], "relations": [[a, rel, b], ...]}`` with
-  one relation per unordered pair.
+  one relation per unordered pair of distinct listed elements.
 * ``tree``: ``{"nodes": [...], "arcs": [[id, tail, head], ...],
   "boundary": [...]}``; ids may be strings, integers, or nested lists
-  (loaded as tuples).
+  (loaded as tuples).  An arc object's ``kind`` is arc, blowup or stub and
+  its ``core`` a boolean; every boundary entry is a node.
 * ``scenario``: ``{"name": ...}`` naming a catalog entry.
 
 Predicate expressions are small trees over normal-form components:
@@ -32,7 +35,8 @@ form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .groups import GroupError, TableGroup, make_group
@@ -54,6 +58,8 @@ class SpecDocument:
     kind: str
     version: str
     body: dict
+    # what parsing read the body into: a cone, a tree, or poset (elements, triples)
+    built: object = field(default=None, compare=False, repr=False)
 
 
 def _require_fields(obj: dict, where: str, required: set, optional: set = frozenset()) -> None:
@@ -103,16 +109,21 @@ def parse_document(obj) -> SpecDocument:
     kind = obj["kind"]
     if kind not in KINDS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    body = obj["body"]
-    validator = _BODY_VALIDATORS[kind]
-    validator(body)
-    return SpecDocument(kind=kind, version=obj["version"], body=body)
+    return SpecDocument(kind, obj["version"], obj["body"], built=_BODY_READERS[kind](obj["body"]))
+
+
+def _built(doc: SpecDocument, kind: str):
+    if doc.kind != kind:
+        raise SpecError(f"expected a {kind} document, got {doc.kind!r}")
+    return doc.built
 
 
 def load_document(path: str) -> SpecDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except FileNotFoundError:
+        raise SpecError(f"cannot read {path}: no such file") from None
     except OSError as err:
         raise SpecError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
@@ -123,98 +134,10 @@ def load_document(path: str) -> SpecDocument:
 # -- group-order documents ---------------------------------------------------
 
 
-_CMP = {
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+_CMP = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le,
+        "==": operator.eq, "!=": operator.ne}
 
 _BUILTIN_PREDICATES = ("series-positive",)
-
-
-def _validate_expr(expr, where: str) -> None:
-    if not isinstance(expr, dict) or "op" not in expr:
-        raise SpecError(f"{where} must be an object with an 'op' field")
-    op = expr["op"]
-    if op == "cmp":
-        _require_fields(expr, where, {"op", "component", "rel", "value"})
-        if not isinstance(expr["rel"], str) or expr["rel"] not in _CMP:
-            raise SpecError(f"{where}: unknown comparison {expr['rel']!r}")
-        if not _is_index(expr["component"]) or not _is_integer(expr["value"]):
-            raise SpecError(f"{where}: component must be a non-negative integer, value an integer")
-    elif op == "parity":
-        _require_fields(expr, where, {"op", "component", "value"})
-        if not _is_index(expr["component"]):
-            raise SpecError(f"{where}: component must be a non-negative integer")
-        if not _is_integer(expr["value"]) or expr["value"] not in (0, 1):
-            raise SpecError(f"{where}: parity value must be 0 or 1")
-    elif op == "lex-positive":
-        _require_fields(expr, where, {"op"}, {"components"})
-        wanted = expr.get("components", [])
-        if not (isinstance(wanted, list) and all(_is_index(i) for i in wanted)):
-            raise SpecError(f"{where}: components must be an array of non-negative integers")
-    elif op in ("all", "any"):
-        _require_fields(expr, where, {"op", "args"})
-        if not isinstance(expr["args"], list):
-            raise SpecError(f"{where}: args must be an array")
-        for i, sub in enumerate(expr["args"]):
-            _validate_expr(sub, f"{where}.args[{i}]")
-    elif op == "not":
-        _require_fields(expr, where, {"op", "arg"})
-        _validate_expr(expr["arg"], f"{where}.arg")
-    elif op == "const":
-        _require_fields(expr, where, {"op", "value"})
-        if not isinstance(expr["value"], bool):
-            raise SpecError(f"{where}: const value must be a boolean")
-    elif op == "builtin":
-        _require_fields(expr, where, {"op", "name"})
-        if expr["name"] not in _BUILTIN_PREDICATES:
-            raise SpecError(f"{where}: unknown builtin {expr['name']!r}")
-    else:
-        raise SpecError(f"{where}: unknown op {op!r}")
-
-
-def _validate_group_order_body(body) -> None:
-    if isinstance(body, dict) and "builtin" in body:
-        _require_fields(body, "group-order body", {"builtin"})
-        if not isinstance(body["builtin"], str):
-            raise SpecError("group-order builtin must be a cone name")
-        return
-    _require_fields(body, "group-order body", {"group", "cones"}, {"name"})
-    group = body["group"]
-    if isinstance(group, dict) and "table" in group:
-        _require_fields(group, "group", {"table"})
-        table = group["table"]
-        _require_fields(table, "group.table", {"elements", "products", "identity"})
-        rows = table["products"]
-        if not (isinstance(table["elements"], list) and isinstance(rows, list)
-                and all(isinstance(row, list) for row in rows)):
-            raise SpecError("group.table needs an element array and an array of product rows")
-    else:
-        _require_fields(group, "group", {"family"}, {"k"})
-        if not _is_integer(group.get("k", 0)):
-            raise SpecError("group.k must be an integer")
-    _require_fields(body["cones"], "cones", {"positive"}, {"upper", "lower"})
-    for key in ("positive", "upper", "lower"):
-        if key in body["cones"]:
-            _validate_expr(body["cones"][key], f"cones.{key}")
-
-
-def build_group(spec: dict):
-    if "table" in spec:
-        t = spec["table"]
-        return TableGroup(
-            [_freeze(e) for e in t["elements"]],
-            [[_freeze(c) for c in row] for row in t["products"]],
-            _freeze(t["identity"]),
-        )
-    try:
-        return make_group(spec["family"], spec.get("k"))
-    except GroupError as err:
-        raise SpecError(str(err)) from None
 
 
 def _component(group, w, i: int):
@@ -225,91 +148,148 @@ def _component(group, w, i: int):
 
 
 def build_predicate(expr: dict, group) -> Callable:
+    return _read_expr(expr, group, "predicate")
+
+
+def _read_expr(expr, group, where: str) -> Callable:
+    """The predicate an expression names over ``group``, checked as it is built."""
+    if not isinstance(expr, dict) or "op" not in expr:
+        raise SpecError(f"{where} must be an object with an 'op' field")
     op = expr["op"]
     if op == "cmp":
-        i, rel, value = expr["component"], _CMP[expr["rel"]], expr["value"]
-        return lambda w: rel(_component(group, w, i), value)
+        _require_fields(expr, where, {"op", "component", "rel", "value"})
+        i, rel, value = expr["component"], expr["rel"], expr["value"]
+        if not isinstance(rel, str) or rel not in _CMP:
+            raise SpecError(f"{where}: unknown comparison {rel!r}")
+        if not _is_index(i) or not _is_integer(value):
+            raise SpecError(f"{where}: component must be a non-negative integer, value an integer")
+        compare = _CMP[rel]
+        return lambda w: compare(_component(group, w, i), value)
     if op == "parity":
+        _require_fields(expr, where, {"op", "component", "value"})
         i, value = expr["component"], expr["value"]
+        if not _is_index(i):
+            raise SpecError(f"{where}: component must be a non-negative integer")
+        if not _is_integer(value) or value not in (0, 1):
+            raise SpecError(f"{where}: parity value must be 0 or 1")
         return lambda w: _component(group, w, i) % 2 == value
     if op == "lex-positive":
-        wanted = expr.get("components")
+        _require_fields(expr, where, {"op"}, {"components"})
+        wanted = expr.get("components", [])
+        if not (isinstance(wanted, list) and all(_is_index(i) for i in wanted)):
+            raise SpecError(f"{where}: components must be an array of non-negative integers")
+        every = "components" not in expr
 
         def run(w):
-            order = wanted if wanted is not None else range(len(group.components(w)))
-            for i in order:
+            for i in range(len(group.components(w))) if every else wanted:
                 c = _component(group, w, i)
                 if c:
                     return c > 0
             return False
 
         return run
-    if op == "all":
-        subs = [build_predicate(a, group) for a in expr["args"]]
-        return lambda w: all(s(w) for s in subs)
-    if op == "any":
-        subs = [build_predicate(a, group) for a in expr["args"]]
-        return lambda w: any(s(w) for s in subs)
+    if op in ("all", "any"):
+        _require_fields(expr, where, {"op", "args"})
+        if not isinstance(expr["args"], list):
+            raise SpecError(f"{where}: args must be an array")
+        subs = [_read_expr(sub, group, f"{where}.args[{i}]") for i, sub in enumerate(expr["args"])]
+        join = all if op == "all" else any
+        return lambda w: join(s(w) for s in subs)
     if op == "not":
-        sub = build_predicate(expr["arg"], group)
+        _require_fields(expr, where, {"op", "arg"})
+        sub = _read_expr(expr["arg"], group, f"{where}.arg")
         return lambda w: not sub(w)
     if op == "const":
+        _require_fields(expr, where, {"op", "value"})
         value = expr["value"]
+        if not isinstance(value, bool):
+            raise SpecError(f"{where}: const value must be a boolean")
         return lambda w: value
     if op == "builtin":
-        if expr.get("name") not in _BUILTIN_PREDICATES:
-            raise SpecError(f"unknown builtin {expr.get('name')!r}")
+        _require_fields(expr, where, {"op", "name"})
+        if expr["name"] not in _BUILTIN_PREDICATES:
+            raise SpecError(f"{where}: unknown builtin {expr['name']!r}")
         if not hasattr(group, "order_sign"):
             raise SpecError("series-positive needs a group with a series sign")
         return lambda w: group.order_sign(w) > 0
-    raise SpecError(f"unknown op {op!r}")
+    raise SpecError(f"{where}: unknown op {op!r}")
 
 
-def cone_from_document(doc: SpecDocument) -> ConeStructure:
-    if doc.kind != "group-order":
-        raise SpecError(f"expected a group-order document, got {doc.kind!r}")
-    body = doc.body
-    if "builtin" in body:
+def build_group(spec: dict):
+    if isinstance(spec, dict) and "table" in spec:
+        _require_fields(spec, "group", {"table"})
+        t = spec["table"]
+        _require_fields(t, "group.table", {"elements", "products", "identity"})
+        rows = t["products"]
+        if not (isinstance(t["elements"], list) and isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise SpecError("group.table needs an element array and an array of product rows")
+        return TableGroup(
+            [_freeze(e) for e in t["elements"]],
+            [[_freeze(c) for c in row] for row in rows],
+            _freeze(t["identity"]),
+        )
+    _require_fields(spec, "group", {"family"}, {"k"})
+    if not _is_integer(spec.get("k", 0)):
+        raise SpecError("group.k must be an integer")
+    try:
+        return make_group(spec["family"], spec.get("k"))
+    except GroupError as err:
+        raise SpecError(str(err)) from None
+
+
+def _read_group_order(body) -> ConeStructure:
+    if isinstance(body, dict) and "builtin" in body:
+        _require_fields(body, "group-order body", {"builtin"})
+        if not isinstance(body["builtin"], str):
+            raise SpecError("group-order builtin must be a cone name")
         from .catalog import get_cone
 
         return get_cone(body["builtin"])
+    _require_fields(body, "group-order body", {"group", "cones"}, {"name"})
+    if not isinstance(body.get("name", ""), str):
+        raise SpecError("group-order name must be a string")
     group = build_group(body["group"])
     cones = body["cones"]
-    never = lambda w: False
-    return ConeStructure(
-        body.get("name", "spec-cone"),
-        group,
-        build_predicate(cones["positive"], group),
-        build_predicate(cones["upper"], group) if "upper" in cones else never,
-        build_predicate(cones["lower"], group) if "lower" in cones else never,
-    )
+    _require_fields(cones, "cones", {"positive"}, {"upper", "lower"})
+    pieces = [_read_expr(cones[key], group, f"cones.{key}") if key in cones else (lambda w: False)
+              for key in ("positive", "upper", "lower")]
+    return ConeStructure(body.get("name", "spec-cone"), group, *pieces)
+
+
+def cone_from_document(doc: SpecDocument) -> ConeStructure:
+    return _built(doc, "group-order")
 
 
 # -- poset documents ----------------------------------------------------------
 
 
-def _validate_poset_body(body) -> None:
+def _read_poset(body) -> tuple:
+    """The frozen elements and relation triples; the relation laws are left
+    to ``from_pairs``, since a poset that breaks them fails a check."""
     _require_fields(body, "poset body", {"elements", "relations"})
     if not isinstance(body["elements"], list) or not isinstance(body["relations"], list):
         raise SpecError("poset body needs element and relation arrays")
+    elements = [_freeze(e) for e in body["elements"]]
+    known = set(elements)
+    pairs = []
     for i, entry in enumerate(body["relations"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SpecError(f"relations[{i}] must be [a, relation, b]")
-        if not isinstance(entry[1], str) or entry[1] not in REL_CODES or entry[1] == "eq":
-            raise SpecError(f"relations[{i}]: unknown relation {entry[1]!r}")
-
-
-def poset_from_document(doc: SpecDocument) -> ExtendedPoset:
-    if doc.kind != "poset":
-        raise SpecError(f"expected a poset document, got {doc.kind!r}")
-    elements = [_freeze(e) for e in doc.body["elements"]]
-    pairs = [(_freeze(a), rel, _freeze(b)) for a, rel, b in doc.body["relations"]]
-    known = set(elements)
-    for i, (a, _rel, b) in enumerate(pairs):
+        a, rel, b = _freeze(entry[0]), entry[1], _freeze(entry[2])
+        if not isinstance(rel, str) or rel not in REL_CODES or rel == "eq":
+            raise SpecError(f"relations[{i}]: unknown relation {rel!r}")
         for x in (a, b):
             if x not in known:
                 raise SpecError(f"relations[{i}] names {x!r}, which is not among the elements")
-    return from_pairs(elements, pairs)
+        if a == b:
+            raise SpecError(f"relations[{i}] relates {a!r} to itself")
+        pairs.append((a, rel, b))
+    return elements, pairs
+
+
+def poset_from_document(doc: SpecDocument) -> ExtendedPoset:
+    return from_pairs(*_built(doc, "poset"))
 
 
 def poset_to_document(p: ExtendedPoset, fmt: Optional[Callable] = None) -> dict:
@@ -326,44 +306,39 @@ def poset_to_document(p: ExtendedPoset, fmt: Optional[Callable] = None) -> dict:
 # -- tree documents -----------------------------------------------------------
 
 
-def _validate_tree_body(body) -> None:
+def _read_tree(body) -> OrderTree:
     """Both the terse hand-written form and the richer emitted form load."""
     _require_fields(body, "tree body", {"nodes", "arcs"}, {"boundary"})
     if not all(isinstance(body.get(key, []), list) for key in ("nodes", "arcs", "boundary")):
         raise SpecError("tree body needs node, arc, and boundary arrays")
-    for i, entry in enumerate(body["nodes"]):
-        if isinstance(entry, dict):
-            _require_fields(entry, f"nodes[{i}]", {"id"}, {"kind", "labels"})
-    for i, entry in enumerate(body["arcs"]):
-        if isinstance(entry, dict):
-            _require_fields(entry, f"arcs[{i}]", {"id", "tail", "head"}, {"kind", "core", "labels"})
-        elif not (isinstance(entry, list) and len(entry) == 3):
-            raise SpecError(f"arcs[{i}] must be [id, tail, head] or an object")
-
-
-def tree_from_document(doc: SpecDocument) -> OrderTree:
-    if doc.kind != "tree":
-        raise SpecError(f"expected a tree document, got {doc.kind!r}")
     t = OrderTree()
     try:
-        for entry in doc.body["nodes"]:
+        for i, entry in enumerate(body["nodes"]):
             if isinstance(entry, dict):
+                _require_fields(entry, f"nodes[{i}]", {"id"}, {"kind", "labels"})
                 t.add_node(_freeze(entry["id"]), kind=entry.get("kind", "point"))
             else:
                 t.add_node(_freeze(entry))
-        for entry in doc.body["arcs"]:
+        for i, entry in enumerate(body["arcs"]):
             if isinstance(entry, dict):
-                t.add_arc(
-                    _freeze(entry["id"]), _freeze(entry["tail"]), _freeze(entry["head"]),
-                    kind=entry.get("kind", "arc"), core=entry.get("core", True),
-                )
+                _require_fields(entry, f"arcs[{i}]", {"id", "tail", "head"}, {"kind", "core", "labels"})
+                ids = (_freeze(entry[key]) for key in ("id", "tail", "head"))
+                t.add_arc(*ids, kind=entry.get("kind", "arc"), core=entry.get("core", True))
+            elif isinstance(entry, list) and len(entry) == 3:
+                t.add_arc(*map(_freeze, entry))
             else:
-                aid, tail, head = entry
-                t.add_arc(_freeze(aid), _freeze(tail), _freeze(head))
+                raise SpecError(f"arcs[{i}] must be [id, tail, head] or an object")
     except TreeError as err:
         raise SpecError(f"tree body: {err}") from None
-    t.boundary = {_freeze(n) for n in doc.body.get("boundary", [])}
+    t.boundary = {_freeze(n) for n in body.get("boundary", [])}
+    stray = sorted(t.boundary - t.nodes.keys(), key=repr)
+    if stray:
+        raise SpecError(f"boundary names {stray[0]!r}, which is not a node")
     return t
+
+
+def tree_from_document(doc: SpecDocument) -> OrderTree:
+    return _built(doc, "tree")
 
 
 def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
@@ -434,7 +409,7 @@ def tree_to_dot(tree: OrderTree, node_labels: Optional[dict] = None,
 # -- scenario documents ---------------------------------------------------------
 
 
-def _validate_scenario_body(body) -> None:
+def _read_scenario(body) -> None:
     _require_fields(body, "scenario body", {"name"}, {"radius"})
     if not isinstance(body["name"], str):
         raise SpecError("scenario name must be a string")
@@ -443,11 +418,11 @@ def _validate_scenario_body(body) -> None:
         raise SpecError(f"scenario radius must be a non-negative integer, got {json.dumps(radius)}")
 
 
-_BODY_VALIDATORS = {
-    "group-order": _validate_group_order_body,
-    "poset": _validate_poset_body,
-    "tree": _validate_tree_body,
-    "scenario": _validate_scenario_body,
+_BODY_READERS = {
+    "group-order": _read_group_order,
+    "poset": _read_poset,
+    "tree": _read_tree,
+    "scenario": _read_scenario,
 }
 
 

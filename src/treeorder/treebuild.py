@@ -96,7 +96,8 @@ def normalize_decomposition(
 ) -> BetweenDecomposition:
     """Reduce a covering list of between-set pairs to gluable stages.
 
-    Ahead of every pair (x, y) the pair (base, x) is inserted, which keeps
+    The base is the first pair's low end, or with no pairs the poset's first
+    element, which then covers only a one-element poset.  Ahead of every pair (x, y) the pair (base, x) is inserted, which keeps
     the running union closed under between sets and guarantees each stage
     meets the built part in an initial segment.  Stages whose between set is
     already covered are dropped.  When the built part of a stage reaches past
@@ -106,8 +107,6 @@ def normalize_decomposition(
     attach as a truncated limit.
     """
     pairs = [tuple(p) for p in pairs]
-    if not pairs:
-        raise BuildError("a decomposition needs at least one pair")
     known = set(poset.elements)
     for x, y in pairs:
         if x not in known or y not in known:
@@ -115,7 +114,7 @@ def normalize_decomposition(
         if x == y:
             raise BuildError(f"degenerate pair at {x!r}")
     forced = {tuple(p) for p in case2}
-    base = pairs[0][0]
+    base = pairs[0][0] if pairs else poset.elements[0]
 
     covered = {base}
     for x, y in pairs:

@@ -218,6 +218,9 @@ MALFORMED = {
     "group-free-rank-zero": ("check-cones", _group({"family": "free", "k": 0})),
     "group-z-with-rank": ("check-cones", _group({"family": "z", "k": 2})),
     "group-dihedral-with-rank": ("check-cones", _group({"family": "dihedral", "k": 1})),
+    "group-order-name-not-a-string": ("check-cones", _doc("group-order", {
+        "name": ["x", 5], "group": {"family": "z"}, "cones": {"positive": {"op": "const", "value": False}},
+    })),
     "tree-duplicate-node": ("blowup", _doc("tree", {
         "nodes": ["a", "a", "b"], "arcs": [["e", "a", "b"]],
     })),
@@ -234,6 +237,18 @@ MALFORMED = {
     "poset-extra-relation-names-unlisted-element": ("check-poset", _doc("poset", {
         "elements": [1, 2], "relations": [[1, "lt", 2], [1, "lt", 3]],
     })),
+    "tree-boundary-not-a-node": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [["e", "a", "b"]], "boundary": ["a", "z"],
+    })),
+    "tree-arc-kind-unknown": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [{"id": "e", "tail": "a", "head": "b", "kind": "banana"}],
+    })),
+    "tree-arc-core-not-boolean": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [{"id": "e", "tail": "a", "head": "b", "core": "yes"}],
+    })),
+    "poset-relation-to-itself": ("check-poset", _doc("poset", {
+        "elements": [1, 2], "relations": [[1, "lt", 1]],
+    })),
     "scenario-radius-string": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": "x"})),
     "scenario-radius-fraction": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": 1.5})),
     "scenario-radius-boolean": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": True})),
@@ -249,6 +264,34 @@ def test_malformed_documents_exit_two_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    "check-cones", "check-poset", "build-tree", "blowup", "orbit-order", "roundtrip",
+    "quotient --subgroup even",
+])
+def test_a_missing_spec_file_has_one_message(command, tmp_path, capsys):
+    spec = str(tmp_path / "missing.json")
+    assert main(command.split() + [spec]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {spec}: no such file\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "roundtrip z-standard --radius 0",
+    "build-tree z-standard --radius 0",
+    "examples run z --radius 0",
+    "examples run dihedral --radius 0",
+])
+def test_a_one_element_ball_passes(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("command", ["build-tree", "roundtrip"])
+def test_a_one_element_table_group_passes(command, tmp_path, capsys):
+    spec = write(tmp_path, "trivial.json", _group({"table": {"elements": [0], "products": [[0]], "identity": 0}}))
+    assert main([command, spec]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
 @pytest.mark.parametrize("arcs, problem", [

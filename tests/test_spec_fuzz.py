@@ -6,6 +6,10 @@ it to a file and runs one CLI command on it in-process.  Whatever the
 document says, ``main`` must return 0, 1 or 2 without raising, and exit 2
 must come with exactly one ``error:`` line on stderr.
 
+A second property parses the mutated documents directly: parsing either
+raises a spec error or yields a document whose cone or tree is already
+built, and whose poset can fail only the relation laws.
+
 Radii stay small: the command radius is 0 or 1 and integers inside the
 documents (scenario radii, group ranks) lie in -3..3, because tree
 verification grows fast: ``build-tree z3-lex --radius 3`` takes over a
@@ -22,7 +26,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from test_golden_cli import FIXTURES
-from treeorder.cli import main
+from treeorder.cli import SPEC_ERRORS, main
+from treeorder.poset import PosetError
+from treeorder.specio import cone_from_document, parse_document, poset_from_document, tree_from_document
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -88,13 +94,17 @@ def spec_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "spec.json"
 
 
-@hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@hypothesis.given(data=st.data())
-def test_mutated_documents_keep_the_exit_code_contract(data, spec_path):
+def _mutated_fixture(data):
     doc = copy.deepcopy(FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)))])
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(doc, data)
-    spec_path.write_text(json.dumps(doc))
+    return doc
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@hypothesis.given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(data, spec_path):
+    spec_path.write_text(json.dumps(_mutated_fixture(data)))
     argv = data.draw(st.sampled_from(COMMANDS)) + [str(spec_path)]
     if argv[0] != "check-poset":
         argv += ["--radius", str(data.draw(st.integers(0, 1)))]
@@ -104,3 +114,23 @@ def test_mutated_documents_keep_the_exit_code_contract(data, spec_path):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@hypothesis.given(data=st.data())
+def test_a_document_that_parses_builds(data):
+    """Parsing raises every spec error a document can cause; building after
+    it fails only the poset relation laws, which are a check."""
+    try:
+        doc = parse_document(_mutated_fixture(data))
+    except SPEC_ERRORS:
+        return
+    if doc.kind == "group-order":
+        cone_from_document(doc)
+    elif doc.kind == "tree":
+        tree_from_document(doc)
+    elif doc.kind == "poset":
+        try:
+            poset_from_document(doc)
+        except PosetError:
+            pass

@@ -9,13 +9,14 @@ from treeorder.catalog import dihedral_standard, get_cone, z_standard
 from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
-from treeorder.poset import ExtendedPoset
+from treeorder.poset import ExtendedPoset, from_pairs
 from treeorder.treebuild import (
     BuildError,
     _path_points,
     act_on_labels,
     build_from_cones,
     build_tree,
+    normalize_decomposition,
     orient_segments,
     verify_stage_properties,
 )
@@ -209,3 +210,10 @@ def test_a_pair_across_components_is_reported_not_raised():
     assert path_problems(report, "points are not connected") == [
         (pair, list(pair)) for pair in [("0", "1"), ("0", "2"), ("-1", "1"), ("-1", "2"), ("1", "-2"), ("-2", "2")]
     ]
+
+
+def test_no_pairs_cover_a_one_element_poset_and_nothing_larger():
+    single = normalize_decomposition(from_pairs(["e"], []), [])
+    assert single.base == "e" and single.stages == ()
+    with pytest.raises(BuildError, match="do not cover the poset; missing \\['b'\\]"):
+        normalize_decomposition(from_pairs("ab", [("a", "lt", "b")]), [])
