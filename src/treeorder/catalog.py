@@ -33,7 +33,6 @@ from .orbitorder import (
     check_action,
     dihedral_example,
     integer_line,
-    manifold_graph,
     orbit_poset,
     realized_bound,
     roundtrip_orbit,
@@ -367,23 +366,17 @@ def run_orbit_suite(radius: int = 6) -> dict:
     both tag kinds present and no realized bounds behind any tag."""
     _, manifold, action = dihedral_example(radius)
     orb = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
-    graph = manifold_graph(manifold)
     p = orb.poset
     unbacked = p.check_strongly_connected()
     tags = {p.rel(a, b) for a, b in p.iter_pairs()}
-    realized_pairs = []
-    for a, b in p.iter_pairs():
-        r = p.rel(a, b)
-        if r == SIMU and realized_bound(manifold, orb.points, a, b, upper=True, graph=graph) is not None:
-            realized_pairs.append((a, b, "upper"))
-        if r == SIML and realized_bound(manifold, orb.points, a, b, upper=False, graph=graph) is not None:
-            realized_pairs.append((a, b, "lower"))
-    tagged = sum(1 for a, b in p.iter_pairs() if p.rel(a, b) in (SIMU, SIML))
+    tagged = [(a, b, p.rel(a, b) == SIMU) for a, b in p.iter_pairs() if p.rel(a, b) in (SIMU, SIML)]
+    realized_pairs = [(a, b, "upper" if upper else "lower") for a, b, upper in tagged
+                      if realized_bound(p, a, b, upper) is not None]
     return {
         "ok": (
             bool(unbacked)
             and not realized_pairs
-            and len(unbacked) == tagged
+            and len(unbacked) == len(tagged)
             and SIMU in tags
             and SIML in tags
             and not p.is_trivial_extension()
@@ -391,7 +384,7 @@ def run_orbit_suite(radius: int = 6) -> dict:
         "radius": radius,
         "realized": len(orb.realized),
         "escaped": len(orb.escaped),
-        "tagged_pairs": tagged,
+        "tagged_pairs": len(tagged),
         "unbacked_pairs": len(unbacked),
         "realized_bound_pairs": realized_pairs[:3],
         "has_simu": SIMU in tags,

@@ -13,6 +13,11 @@ Given a group acting on the manifold, pulling this order back along an orbit
 with trivial stabilizer yields a left-invariant tagged order on the group.
 When the stabilizer is a totally ordered subgroup instead, the coset order
 refines by the stabilizer order on same-coset pairs.
+
+One row construction, ``manifold_poset``, builds both orders: it places each
+point on its arc once, relates whole arcs, and orders elements that share a
+point (one stabilizer coset) by a caller-given order on g^-1 h.
+``manifold_order`` is the pairwise definition the tests check it against.
 """
 
 from __future__ import annotations
@@ -127,24 +132,25 @@ def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = No
     return _arc_order(_arc_span(graph, xa), _arc_span(graph, ya))
 
 
-def manifold_poset(m: OrderTree, points: dict) -> ExtendedPoset:
-    """The tagged poset of distinct points of a branchless manifold, keyed
-    by element (``points`` maps elements to points), with manifold_order's
-    relation on every pair.
+def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = None) -> ExtendedPoset:
+    """The tagged poset of points of a branchless manifold, keyed by element
+    (``points`` maps elements to points), with manifold_order's relation on
+    every pair of distinct points.
 
     Each point is checked and placed on its arc once.  Points on one arc
     compare by parameter, and points on two arcs as their arcs do, so each
-    pair of arcs is related once.  Coincident points raise PosetError, as
-    a pair with no relation.
+    pair of arcs is related once.  Elements that share a point are ordered
+    by ``same_point(g, h)``, true when g < h, called once per ordered pair
+    of them; without it such a pair has no relation and raises PosetError.
     """
     graph = manifold_graph(m)
     elements = tuple(points)
-    arc_of: dict = {}  # arc -> small int
-    spans: list = []   # small int -> _arc_span
-    on_arc: list = []  # small int -> mask of the points on the arc
-    placed: list = []  # point -> (small int, parameter)
-    first: dict = {}
-    clashes = []
+    arc_of: dict = {}    # arc -> small int
+    spans: list = []     # small int -> _arc_span
+    on_arc: list = []    # small int -> mask of the elements on the arc
+    placed: list = []    # element -> (small int, parameter)
+    first: dict = {}     # (small int, parameter) -> the first element there
+    shared: dict = {}    # first element -> mask of the elements at its point
     for k, p in enumerate(points.values()):
         m.require_point(p)
         aid, t = _arc_position(m, p)
@@ -157,45 +163,45 @@ def manifold_poset(m: OrderTree, points: dict) -> ExtendedPoset:
         placed.append((a, t))
         i = first.setdefault((a, t), k)
         if i != k:
-            clashes.append((i, k))
-    if clashes:
-        i, j = min(clashes)  # the first pair in row-major order
+            shared[i] = shared.get(i, 1 << i) | 1 << k
+    if shared and same_point is None:
+        i = min(shared)  # the first pair in row-major order
+        j = next(_bits(shared[i] & ~(1 << i)))
         raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
-    across = []  # small int -> the points on other arcs, by relation
+    across = []  # small int -> the elements on other arcs, by relation
     for a, span in enumerate(spans):
         rows = {LT: 0, GT: 0, SIMU: 0, SIML: 0}
         for b, other in enumerate(spans):
             if b != a:
                 rows[_arc_order(span, other)] |= on_arc[b]
         across.append(rows)
-    ahead = [0] * len(placed)  # later points on the same arc
+    ahead = [0] * len(placed)  # the elements further along the same arc
     for mask in on_arc:
         later = 0
         for k in sorted(_bits(mask), key=lambda k: placed[k][1], reverse=True):
             ahead[k] = later
             later |= 1 << k
+    above = [0] * len(placed)  # the elements at the same point that lie above
+    for mask in shared.values():
+        for k in _bits(mask):
+            ahead[k] &= ~mask
+            above[k] = sum(1 << j for j in _bits(mask) if j != k and same_point(elements[k], elements[j]))
     up, down, simu, siml = [], [], [], []
     for k, (a, _t) in enumerate(placed):
         rows = across[a]
-        up.append(rows[LT] | ahead[k])
-        down.append(rows[GT] | on_arc[a] & ~ahead[k] & ~(1 << k))
+        up.append(rows[LT] | ahead[k] | above[k])
+        down.append(rows[GT] | on_arc[a] & ~ahead[k] & ~above[k] & ~(1 << k))
         simu.append(rows[SIMU])
         siml.append(rows[SIML])
     return ExtendedPoset(elements, up, down, simu, siml)
 
 
-def realized_bound(m: OrderTree, points: dict, g, h, upper: bool, graph: tuple) -> Optional[object]:
-    """A realized common bound of two orbit points among the other realized
-    points, or None.  ``points`` maps group elements to manifold points and
-    ``graph`` is manifold_graph(m)."""
-    want = LT if upper else GT
-    for k, pk in points.items():
-        if k == g or k == h:
-            continue
-        if (manifold_order(m, points[g], pk, graph) == want
-                and manifold_order(m, points[h], pk, graph) == want):
-            return k
-    return None
+def realized_bound(poset: ExtendedPoset, g, h, upper: bool) -> Optional[object]:
+    """The first common upper (or lower) bound of g and h among the other
+    elements of an orbit poset, read off its rows, or None."""
+    rows = poset.rows[0 if upper else 1]
+    common = rows[poset.index(g)] & rows[poset.index(h)]
+    return poset.elements[(common & -common).bit_length() - 1] if common else None
 
 
 # -- group actions ------------------------------------------------------------
@@ -307,48 +313,28 @@ def stabilizer_extension_order(
     """Coset order refined by a total order on the base-point stabilizer.
 
     ``stab_order(g, h)`` must totally order the stabilizer ball and be
-    invariant under left translation inside it.  Pairs in one coset compare
-    by the stabilizer order of their quotient; pairs in distinct cosets
-    compare through their orbit points.
+    invariant under left translation: it must equal ``stab_order(e,
+    g^-1 h)``, the value that orders g and h.  Pairs in one coset share an
+    orbit point and compare by the stabilizer order of their quotient;
+    pairs in distinct cosets compare through their orbit points.
     """
     group = action.group
     points, escaped = orbit_points(action, x0, radius)
     ident = group.identity
-    stab = [g for g in group.ball(radius) if g in points and points[g] == x0]
+    stab = [g for g, img in points.items() if img == x0]
     for g in stab:
         for h in stab:
-            if g == h:
-                continue
-            if stab_order(g, h) == stab_order(h, g):
-                raise OrbitError(
-                    f"stabilizer order is not total at "
-                    f"{group.format(g)}, {group.format(h)}"
-                )
-    stab_set = set(stab)
-    for f in stab:
-        for g in stab:
-            for h in stab:
-                if g == h:
-                    continue
-                fg, fh = group.mult(f, g), group.mult(f, h)
-                if fg in stab_set and fh in stab_set:
-                    if stab_order(g, h) != stab_order(fg, fh):
-                        raise OrbitError(
-                            f"stabilizer order is not left-invariant at "
-                            f"{group.format(f)} * ({group.format(g)}, {group.format(h)})"
-                        )
-    realized = tuple(g for g in group.ball(radius) if g in points)
-    graph = manifold_graph(m)
-
-    def rel_of(g, h):
-        q = group.mult(group.inv(g), h)
-        img = action.act(q, x0)
-        if img == x0:
-            return LT if stab_order(ident, q) else GT
-        return manifold_order(m, points[g], points[h], graph)
-
-    poset = ExtendedPoset.from_relation(realized, rel_of)
-    return OrbitPoset(poset=poset, realized=realized, escaped=escaped, points=points)
+            if g != h and stab_order(g, h) == stab_order(h, g):
+                raise OrbitError(f"stabilizer order is not total at {group.format(g)}, {group.format(h)}")
+    for g in stab:
+        g_inv = group.inv(g)
+        for h in stab:
+            q = group.mult(g_inv, h)
+            if q != ident and stab_order(g, h) != stab_order(ident, q):
+                raise OrbitError(f"stabilizer order is not left-invariant at "
+                                 f"{group.format(g)} * ({group.format(ident)}, {group.format(q)})")
+    poset = manifold_poset(m, points, lambda g, h: stab_order(ident, group.mult(group.inv(g), h)))
+    return OrbitPoset(poset=poset, realized=poset.elements, escaped=escaped, points=points)
 
 
 # -- concrete manifolds and actions -------------------------------------------

@@ -20,7 +20,7 @@ Document kinds and bodies:
   "boundary": [...]}``; ids may be strings, integers, or nested lists
   (loaded as tuples).  An arc object's ``kind`` is arc, blowup or stub and
   its ``core`` a boolean; every boundary entry is a node.
-* ``scenario``: ``{"name": ...}`` naming a catalog entry.
+* ``scenario``: ``{"name": ...}`` naming a catalog action scenario.
 
 Predicate expressions are small trees over normal-form components:
 ``{"op": "cmp", "component": i, "rel": ">", "value": 0}``,
@@ -29,7 +29,8 @@ Predicate expressions are small trees over normal-form components:
 ``{"op": "all"|"any", "args": [...]}``, ``{"op": "not", "arg": ...}``,
 ``{"op": "const", "value": bool}``, and ``{"op": "builtin", "name":
 "series-positive"}`` for the reduced-word sign, which has no coordinate
-form.
+form.  A component index must name a component of the group's elements,
+so none fits the free group.
 """
 
 from __future__ import annotations
@@ -140,11 +141,16 @@ _CMP = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le
 _BUILTIN_PREDICATES = ("series-positive",)
 
 
-def _component(group, w, i: int):
-    comps = group.components(w)
-    if i >= len(comps):
-        raise SpecError(f"component {i} out of range for {group.format(w)}")
-    return comps[i]
+def _require_components(group, indices, where: str) -> None:
+    """Each index names a component of the group's elements; the free
+    group's elements have none."""
+    try:
+        count = len(group.components(group.identity))
+    except GroupError:
+        count = 0
+    stray = [i for i in indices if i >= count]
+    if stray:
+        raise SpecError(f"{where}: component {stray[0]} out of range; the group's elements have {count}")
 
 
 def build_predicate(expr: dict, group) -> Callable:
@@ -163,8 +169,9 @@ def _read_expr(expr, group, where: str) -> Callable:
             raise SpecError(f"{where}: unknown comparison {rel!r}")
         if not _is_index(i) or not _is_integer(value):
             raise SpecError(f"{where}: component must be a non-negative integer, value an integer")
+        _require_components(group, [i], where)
         compare = _CMP[rel]
-        return lambda w: compare(_component(group, w, i), value)
+        return lambda w: compare(group.components(w)[i], value)
     if op == "parity":
         _require_fields(expr, where, {"op", "component", "value"})
         i, value = expr["component"], expr["value"]
@@ -172,19 +179,22 @@ def _read_expr(expr, group, where: str) -> Callable:
             raise SpecError(f"{where}: component must be a non-negative integer")
         if not _is_integer(value) or value not in (0, 1):
             raise SpecError(f"{where}: parity value must be 0 or 1")
-        return lambda w: _component(group, w, i) % 2 == value
+        _require_components(group, [i], where)
+        return lambda w: group.components(w)[i] % 2 == value
     if op == "lex-positive":
         _require_fields(expr, where, {"op"}, {"components"})
-        wanted = expr.get("components", [])
+        wanted = expr.get("components", [0])
         if not (isinstance(wanted, list) and all(_is_index(i) for i in wanted)):
             raise SpecError(f"{where}: components must be an array of non-negative integers")
-        every = "components" not in expr
+        _require_components(group, wanted, where)
+        if "components" not in expr:  # every component, once the first exists
+            wanted = range(len(group.components(group.identity)))
 
         def run(w):
-            for i in range(len(group.components(w))) if every else wanted:
-                c = _component(group, w, i)
-                if c:
-                    return c > 0
+            comps = group.components(w)
+            for i in wanted:
+                if comps[i]:
+                    return comps[i] > 0
             return False
 
         return run
@@ -413,6 +423,10 @@ def _read_scenario(body) -> None:
     _require_fields(body, "scenario body", {"name"}, {"radius"})
     if not isinstance(body["name"], str):
         raise SpecError("scenario name must be a string")
+    from .catalog import ACTION_SCENARIOS
+
+    if body["name"] not in ACTION_SCENARIOS:
+        raise SpecError(f"unknown scenario {body['name']!r}; known: {', '.join(sorted(ACTION_SCENARIOS))}")
     radius = body.get("radius", 0)
     if not _is_index(radius):
         raise SpecError(f"scenario radius must be a non-negative integer, got {json.dumps(radius)}")

@@ -215,6 +215,19 @@ def naive_arc_rel(tree, forward: dict, x, y) -> str:
     return {(True, False): "lt", (False, True): "gt", (True, True): "simu", (False, False): "siml"}[ahead, behind]
 
 
+def naive_realized_bound(tree, forward: dict, points: dict, g, h, upper: bool):
+    """The first element k other than g and h whose arc point lies above
+    (or below) both of theirs by ``naive_arc_rel``, or None: a common bound
+    realized among the points."""
+    want = "lt" if upper else "gt"
+    for k, pk in points.items():
+        if k in (g, h):
+            continue
+        if naive_arc_rel(tree, forward, points[g], pk) == want and naive_arc_rel(tree, forward, points[h], pk) == want:
+            return k
+    return None
+
+
 def naive_between_sets(p) -> dict:
     """B(a, b) for every ordered pair of distinct elements, by the pairwise
     definitions: {(a, b): (members, classes)}, or None where travel order

@@ -207,6 +207,15 @@ MALFORMED = {
         "group": {"family": "z"},
         "cones": {"positive": {"op": "lex-positive", "components": [4]}},
     })),
+    "cmp-component-past-the-rank": ("check-cones", _z2({"op": "cmp", "component": 2, "rel": ">", "value": 0})),
+    "cmp-component-behind-a-short-circuit": ("check-cones", _z2({"op": "any", "args": [
+        {"op": "const", "value": True}, {"op": "cmp", "component": 5, "rel": ">", "value": 0}]})),
+    "free-group-parity-component": ("check-cones", _doc("group-order", {
+        "group": {"family": "free"}, "cones": {"positive": {"op": "parity", "component": 0, "value": 1}},
+    })),
+    "free-group-lex-positive": ("check-cones", _doc("group-order", {
+        "group": {"family": "free"}, "cones": {"positive": {"op": "lex-positive"}},
+    })),
     "cmp-component-negative": ("check-cones", _z2({"op": "cmp", "component": -1, "rel": ">", "value": 0})),
     "cmp-component-boolean": ("check-cones", _z2({"op": "cmp", "component": True, "rel": ">", "value": 0})),
     "cmp-value-boolean": ("check-cones", _z2({"op": "cmp", "component": 0, "rel": ">", "value": True})),
@@ -249,6 +258,7 @@ MALFORMED = {
     "poset-relation-to-itself": ("check-poset", _doc("poset", {
         "elements": [1, 2], "relations": [[1, "lt", 1]],
     })),
+    "scenario-name-unknown": ("orbit-order", _doc("scenario", {"name": "banana"})),
     "scenario-radius-string": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": "x"})),
     "scenario-radius-fraction": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": 1.5})),
     "scenario-radius-boolean": ("orbit-order", _doc("scenario", {"name": "z-line", "radius": True})),
@@ -358,3 +368,23 @@ def test_output_does_not_depend_on_the_hash_seed():
     for argv, first, second in zip(SEEDED, runs["0"], runs["1"]):
         assert first.returncode == second.returncode == 0, argv
         assert first.stdout == second.stdout and first.stdout, argv
+
+
+# site may load third-party modules at start-up, so only what importing the
+# package adds to sys.modules counts
+IMPORT_EVERYTHING = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import treeorder
+for info in pkgutil.iter_modules(treeorder.__path__):
+    importlib.import_module("treeorder." + info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(name for name in loaded if name != "treeorder" and name not in sys.stdlib_module_names))
+"""
+
+
+def test_the_library_imports_only_the_standard_library():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_EVERYTHING], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

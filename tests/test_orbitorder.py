@@ -8,9 +8,16 @@ import pytest
 
 import oracles
 from treeorder import corpus, orbitorder
-from treeorder.catalog import derive_cone_pieces, dihedral_standard, get_cone, zk_lex
+from treeorder.catalog import (
+    ACTION_SCENARIOS,
+    derive_cone_pieces,
+    dihedral_standard,
+    get_action_scenario,
+    get_cone,
+    run_orbit_suite,
+)
 from treeorder.groups import Z, Zk
-from treeorder.grouporder import induced_ball_poset
+from treeorder.grouporder import ConeStructure, induced_ball_poset
 from treeorder.orbitorder import (
     DIHEDRAL_BASE_POINT,
     ConePipeline,
@@ -25,6 +32,7 @@ from treeorder.orbitorder import (
     manifold_order,
     manifold_poset,
     orbit_poset,
+    realized_bound,
     roundtrip_orbit,
     shift_action,
     stabilizer_extension_order,
@@ -161,25 +169,110 @@ def test_derived_cone_pieces_match_the_frozen_predicates():
         assert side == cone.side(g)
 
 
-def test_stabilizer_extension_reproduces_lex_order():
-    _, m, action = dihedral_example(4)
+def lex_reading_first(k, j):
+    """The lexicographic cone on Z^k that reads coordinate j first, then the
+    others in index order."""
+    order = [j] + [i for i in range(k) if i != j]
 
-    def project(v):
-        return v[0]
+    def positive(v):
+        for i in order:
+            if v[i]:
+                return v[i] > 0
+        return False
 
-    def stab_order(a, b):
-        return a[1] < b[1]
+    return ConeStructure(f"z{k}-lex-from-{j}", Zk(k), positive, lambda v: False, lambda v: False)
 
-    lex = zk_lex(2)
-    plane = Zk(2)
-    line_m = integer_line(6)
-    line_act = shift_action(line_m, plane, project, name="first-coordinate")
-    x0 = ("arc", ("s", 0), Fraction(1, 4))
-    ext = stabilizer_extension_order(line_m, line_act, x0, 2, stab_order)
-    ball = induced_ball_poset(lex, 2)
-    for g, h in ball.iter_pairs():
-        if g in ext.realized and h in ext.realized:
-            assert ext.poset.rel(g, h) == ball.rel(g, h)
+
+def coordinate_extension(k, j, radius, stab_order=None):
+    """Z^k acting on a line through coordinate j, its stabilizer ordered
+    lexicographically on the other coordinates."""
+    m = integer_line(radius + 1)
+    action = shift_action(m, Zk(k), lambda v: v[j], name=f"coordinate-{j}")
+    rest = [i for i in range(k) if i != j]
+    if stab_order is None:
+        def stab_order(a, b):
+            return [a[i] for i in rest] < [b[i] for i in rest]
+    return stabilizer_extension_order(m, action, ("arc", ("s", 0), Fraction(1, 4)), radius, stab_order)
+
+
+def rel_mismatches(got, want):
+    assert got.elements == want.elements
+    return [(g, h) for g in want.elements for h in want.elements if got.rel(g, h) != want.rel(g, h)]
+
+
+@pytest.mark.parametrize("k, j, radius", [(k, j, r) for k in (2, 3) for j in range(k) for r in range(1, 5)],
+                         ids=str)
+def test_stabilizer_extension_reproduces_lex_order(k, j, radius):
+    ext = coordinate_extension(k, j, radius)
+    assert ext.escaped == ()
+    assert rel_mismatches(ext.poset, induced_ball_poset(lex_reading_first(k, j), radius)) == []
+
+
+@pytest.mark.parametrize("scenario", sorted(ACTION_SCENARIOS))
+@pytest.mark.parametrize("radius", range(5))
+def test_a_trivial_stabilizer_extends_to_the_orbit_order(scenario, radius):
+    m, action, x0 = get_action_scenario(scenario, radius)
+
+    def never(g, h):
+        pytest.fail(f"a trivial stabilizer has no pair to order, got {g!r}, {h!r}")
+
+    ext = stabilizer_extension_order(m, action, x0, radius, never)
+    orbit = orbit_poset(m, action, x0, radius)
+    assert (ext.realized, ext.escaped) == (orbit.realized, orbit.escaped)
+    assert ext.poset.rows == orbit.poset.rows
+
+
+def test_a_stabilizer_order_that_is_not_total_is_refused():
+    with pytest.raises(OrbitError, match=re.escape("stabilizer order is not total at (0,0), (0,-1)")):
+        coordinate_extension(2, 0, 2, stab_order=lambda a, b: False)
+
+
+def test_a_stabilizer_order_that_is_not_left_invariant_is_refused():
+    # total on the stabilizer line, but by distance from the origin first
+    def nearer(a, b):
+        return (abs(a[1]), a[1]) < (abs(b[1]), b[1])
+
+    with pytest.raises(OrbitError, match=re.escape(
+            "stabilizer order is not left-invariant at (0,-1) * ((0,0), (0,1))")):
+        coordinate_extension(2, 0, 2, stab_order=nearer)
+
+
+@pytest.mark.parametrize("k, j, wrong", [(k, j, i) for k in (2, 3) for j in range(k) for i in range(k) if i != j],
+                         ids=str)
+def test_a_wrong_projection_shows_against_the_lex_oracle(k, j, wrong):
+    assert rel_mismatches(coordinate_extension(k, wrong, 2).poset, induced_ball_poset(lex_reading_first(k, j), 2))
+
+
+def test_a_wrong_projection_names_its_first_mismatch():
+    ext = coordinate_extension(2, 1, 2)
+    oracle = induced_ball_poset(lex_reading_first(2, 0), 2)
+    g, h = rel_mismatches(ext.poset, oracle)[0]
+    assert (g, h, ext.poset.classify(g, h), oracle.classify(g, h)) == ((0, 0), (-1, 1), "lt", "gt")
+
+
+def test_elements_at_one_point_are_ordered_once_per_ordered_pair():
+    m = integer_line(3)
+    points = {g: ("arc", ("s", 0), Fraction(1, 2)) for g in "cab"} | {"d": ("arc", ("s", 1), Fraction(1, 2)),
+                                                                     "e": ("arc", ("s", 0), Fraction(1, 4))}
+    calls = []
+
+    def alphabetical(g, h):
+        calls.append((g, h))
+        return g < h
+
+    p = manifold_poset(m, points, alphabetical)
+    assert sorted(calls) == [(g, h) for g in "abc" for h in "abc" if g != h]
+    assert [p.classify("a", x) for x in "bcde"] == ["lt", "lt", "lt", "gt"]
+    assert (p.classify("c", "b"), p.classify("e", "c")) == ("gt", "lt")
+    with pytest.raises(PosetError, match=re.escape("pair ('c', 'a') disagrees with its swap")):
+        manifold_poset(m, points, lambda g, h: True)
+
+
+def test_the_converse_makes_no_pairwise_search(monkeypatch):
+    monkeypatch.setattr(orbitorder, "manifold_order", lambda *args: pytest.fail("a pairwise manifold search"))
+    monkeypatch.setattr(ExtendedPoset, "from_relation", lambda *args: pytest.fail("a per-pair callback"))
+    assert len(coordinate_extension(3, 1, 3).realized) == 63
+    assert run_orbit_suite(6)["ok"]
 
 
 def test_roundtrip_is_exact_for_both_walks():
@@ -275,7 +368,8 @@ def test_orbit_rows_agree_with_manifold_order_on_roundtrip_manifolds(name, radiu
     assert manifold_order_mismatches(manifold, orbit.points, orbit.poset) == []
 
 
-def test_orbit_rows_agree_with_manifold_order_on_tree_corpus_points(monkeypatch):
+def recorded_tree_corpus(monkeypatch):
+    """tree_corpus(100), each poset with the manifold and points it came from."""
     seen = []
 
     def recording(m, points):
@@ -285,8 +379,59 @@ def test_orbit_rows_agree_with_manifold_order_on_tree_corpus_points(monkeypatch)
     monkeypatch.setattr(corpus, "manifold_poset", recording)
     posets = corpus.tree_corpus(100)
     assert len(seen) == 100
-    for p, (m, points) in zip(posets, seen):
+    return [(p, m, points) for p, (m, points) in zip(posets, seen)]
+
+
+def test_orbit_rows_agree_with_manifold_order_on_tree_corpus_points(monkeypatch):
+    for p, m, points in recorded_tree_corpus(monkeypatch):
         assert manifold_order_mismatches(m, points, p) == []
+
+
+def tagged_pairs(p):
+    return {(g, h) for g, h in p.iter_pairs() if p.rel(g, h) in (SIMU, SIML)}
+
+
+def unbacked_pairs(p):
+    return {tuple(item["pair"]) for item in p.check_strongly_connected()}
+
+
+def realized_bounds(m, points, poset):
+    """The tagged pairs that have a realized bound, after checking each
+    bound against the naive search."""
+    forward = oracles.naive_forward_sets(m)
+    bounded = set()
+    for g, h in tagged_pairs(poset):
+        upper = poset.rel(g, h) == SIMU
+        got = realized_bound(poset, g, h, upper)
+        assert got == oracles.naive_realized_bound(m, forward, points, g, h, upper), (g, h)
+        if got is not None:
+            bounded.add((g, h))
+    return bounded
+
+
+def test_realized_bounds_agree_with_the_naive_search_on_tree_corpus_points(monkeypatch):
+    with_bound = without = 0
+    for p, m, points in recorded_tree_corpus(monkeypatch):
+        bounded = realized_bounds(m, points, p)
+        assert bounded == tagged_pairs(p) - unbacked_pairs(p)
+        with_bound += len(bounded)
+        without += len(tagged_pairs(p)) - len(bounded)
+    assert (with_bound, without) == (348, 651)
+
+
+def test_the_dihedral_orbit_has_no_realized_bound():
+    _, m, action = dihedral_example(6)
+    orbit = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 6)
+    assert realized_bounds(m, orbit.points, orbit.poset) == set()
+    assert len(tagged_pairs(orbit.poset)) == 143
+
+
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_the_orbit_suite_reports_the_backed_tagged_pairs(radius):
+    rep = run_orbit_suite(radius)
+    p = orbit_poset(*get_action_scenario("dihedral-line", radius), radius).poset
+    assert {(g, h) for g, h, _kind in rep["realized_bound_pairs"]} == tagged_pairs(p) - unbacked_pairs(p)
+    assert rep["tagged_pairs"] == len(tagged_pairs(p)) > 0
 
 
 def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points():

@@ -8,7 +8,8 @@ must come with exactly one ``error:`` line on stderr.
 
 A second property parses the mutated documents directly: parsing either
 raises a spec error or yields a document whose cone or tree is already
-built, and whose poset can fail only the relation laws.
+built, whose cone predicates evaluate, whose scenario exists, and whose
+poset can fail only the relation laws.
 
 Radii stay small: the command radius is 0 or 1 and integers inside the
 documents (scenario radii, group ranks) lie in -3..3, because tree
@@ -26,6 +27,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from test_golden_cli import FIXTURES
+from treeorder.catalog import get_action_scenario
 from treeorder.cli import SPEC_ERRORS, main
 from treeorder.poset import PosetError
 from treeorder.specio import cone_from_document, parse_document, poset_from_document, tree_from_document
@@ -126,7 +128,11 @@ def test_a_document_that_parses_builds(data):
     except SPEC_ERRORS:
         return
     if doc.kind == "group-order":
-        cone_from_document(doc)
+        cone = cone_from_document(doc)
+        for w in cone.group.ball(1):  # component indices were checked against the group
+            cone.in_positive(w), cone.in_upper(w), cone.in_lower(w)
+    elif doc.kind == "scenario":
+        get_action_scenario(doc.body["name"], 0)
     elif doc.kind == "tree":
         tree_from_document(doc)
     elif doc.kind == "poset":

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -112,9 +113,41 @@ def test_lex_positive_and_builtin_predicates():
 def test_component_out_of_range_is_reported():
     from treeorder.groups import Zk
 
-    pred = build_predicate({"op": "cmp", "component": 5, "rel": ">", "value": 0}, Zk(2))
     with pytest.raises(SpecError, match="component"):
-        pred((1, 2))
+        build_predicate({"op": "cmp", "component": 5, "rel": ">", "value": 0}, Zk(2))
+
+
+TRIANGLE = {"table": {"elements": [0, 1, 2], "identity": 0, "products": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}}
+
+
+@pytest.mark.parametrize("group, expr", [
+    ({"family": "z"}, {"op": "cmp", "component": 1, "rel": ">", "value": 0}),
+    ({"family": "zk", "k": 3}, {"op": "parity", "component": 3, "value": 0}),
+    ({"family": "dihedral"}, {"op": "lex-positive", "components": [0, 2]}),
+    (TRIANGLE, {"op": "cmp", "component": 1, "rel": "==", "value": 1}),
+    ({"family": "free"}, {"op": "parity", "component": 0, "value": 1}),
+    ({"family": "free"}, {"op": "lex-positive"}),
+    # a short-circuit that would never read the component still fails
+    ({"family": "zk", "k": 2}, {"op": "any", "args": [{"op": "const", "value": True},
+                                                      {"op": "cmp", "component": 2, "rel": ">", "value": 0}]}),
+], ids=["z-cmp", "z3-parity", "dihedral-lex", "table-cmp", "free-parity", "free-lex", "behind-any"])
+def test_a_component_past_the_group_fails_at_parse_time(group, expr):
+    with pytest.raises(SpecError, match="component"):
+        parse_document(doc("group-order", {"group": group, "cones": {"positive": expr}}))
+
+
+def test_the_last_component_parses():
+    last = {"op": "all", "args": [{"op": "parity", "component": 2, "value": 0},
+                                  {"op": "lex-positive", "components": [2, 0]}]}
+    cone = cone_from_document(parse_document(doc("group-order", {
+        "group": {"family": "zk", "k": 3}, "cones": {"positive": last}})))
+    assert cone.in_positive((1, 0, 2)) and not cone.in_positive((1, 0, 1)) and not cone.in_positive((1, 0, -2))
+
+
+def test_an_unknown_scenario_fails_at_parse_time():
+    with pytest.raises(SpecError, match=re.escape("unknown scenario 'banana'; known: dihedral-line, z-line")):
+        parse_document(doc("scenario", {"name": "banana"}))
+    assert parse_document(doc("scenario", {"name": "z-line"})).body == {"name": "z-line"}
 
 
 def test_table_group_document():
