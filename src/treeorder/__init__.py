@@ -7,79 +7,77 @@ order cones to a stagewise tree construction; ``ordertree``/``orbitorder``
 go back from an oriented tree with a group action to an order on the group.
 ``corpus``, ``catalog``, ``specio``, and ``cli`` form the desk-scale shell:
 exhaustive small instances, named scenarios, a JSON spec format, and a
-command line driver.
+command line driver.  ``errors`` holds the error classes of the CLI's exit
+statuses and depends on nothing.
 """
 
 from __future__ import annotations
 
-from .catalog import EXAMPLES, get_cone, get_example
-from .corpus import all_extended_posets, run_corpus_suite
-from .grouporder import (
-    ConeError,
-    ConeStructure,
-    check_completely_convex,
-    induced_ball_poset,
-    quotient_order,
-    verify_cone_axioms,
-)
-from .groups import FreeGroup, GroupError, InfiniteDihedral, TableGroup, Z, Zk, make_group
-from .orbitorder import (
-    OrbitError,
-    TreeAction,
-    check_action,
-    manifold_order,
-    orbit_poset,
-    roundtrip_orbit,
-    stabilizer_extension_order,
-)
-from .ordertree import OneManifold, OrderTree, TreeError, check_blowup, denjoy_blowup, alternating_line_tree
-from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, between_by_codes
-from .treebuild import BuildError, build_from_cones, orient_segments, verify_stage_properties
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuildError",
-    "ConeError",
-    "ConeStructure",
-    "EQ",
-    "EXAMPLES",
-    "ExtendedPoset",
-    "FreeGroup",
-    "GT",
-    "GroupError",
-    "InfiniteDihedral",
-    "LT",
-    "OneManifold",
-    "OrbitError",
-    "OrderTree",
-    "PosetError",
-    "SIML",
-    "SIMU",
-    "TableGroup",
-    "TreeAction",
-    "TreeError",
-    "Z",
-    "Zk",
-    "all_extended_posets",
-    "between_by_codes",
-    "build_from_cones",
-    "check_action",
-    "check_blowup",
-    "check_completely_convex",
-    "denjoy_blowup",
-    "alternating_line_tree",
-    "get_cone",
-    "get_example",
-    "induced_ball_poset",
-    "make_group",
-    "manifold_order",
-    "orbit_poset",
-    "orient_segments",
-    "quotient_order",
-    "roundtrip_orbit",
-    "run_corpus_suite",
-    "stabilizer_extension_order",
-    "verify_cone_axioms",
-    "verify_stage_properties",
-]
+# Public name -> the submodule that defines it.  A name is imported on first
+# use (PEP 562), so ``import treeorder`` loads no submodule and a caller pays
+# only for the layers it touches.  The error classes live in the
+# dependency-free ``errors`` module and are re-exported by the modules that
+# raise them.
+_HOME = {
+    "BuildError": "errors",
+    "ConeError": "errors",
+    "ConeStructure": "grouporder",
+    "EQ": "poset",
+    "EXAMPLES": "catalog",
+    "ExtendedPoset": "poset",
+    "FreeGroup": "groups",
+    "GT": "poset",
+    "GroupError": "errors",
+    "InfiniteDihedral": "groups",
+    "LT": "poset",
+    "OneManifold": "ordertree",
+    "OrbitError": "errors",
+    "OrderTree": "ordertree",
+    "PosetError": "errors",
+    "SIML": "poset",
+    "SIMU": "poset",
+    "TableGroup": "groups",
+    "TreeAction": "orbitorder",
+    "TreeError": "errors",
+    "Z": "groups",
+    "Zk": "groups",
+    "all_extended_posets": "corpus",
+    "between_by_codes": "poset",
+    "build_from_cones": "treebuild",
+    "check_action": "orbitorder",
+    "check_blowup": "ordertree",
+    "check_completely_convex": "grouporder",
+    "denjoy_blowup": "ordertree",
+    "alternating_line_tree": "ordertree",
+    "get_cone": "catalog",
+    "get_example": "catalog",
+    "induced_ball_poset": "grouporder",
+    "make_group": "groups",
+    "manifold_order": "orbitorder",
+    "orbit_poset": "orbitorder",
+    "orient_segments": "treebuild",
+    "quotient_order": "grouporder",
+    "roundtrip_orbit": "orbitorder",
+    "run_corpus_suite": "corpus",
+    "stabilizer_extension_order": "orbitorder",
+    "verify_cone_axioms": "grouporder",
+    "verify_stage_properties": "treebuild",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

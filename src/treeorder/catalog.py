@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .errors import CatalogError
 from .groups import FreeGroup, InfiniteDihedral, Z, Zk
 from .grouporder import (
     PLAIN,
@@ -27,29 +28,11 @@ from .grouporder import (
     tag_of,
     verify_cone_axioms,
 )
-from .orbitorder import (
-    DIHEDRAL_BASE_POINT,
-    ConePipeline,
-    check_action,
-    dihedral_example,
-    integer_line,
-    orbit_poset,
-    realized_bound,
-    roundtrip_orbit,
-    shift_action,
-)
-from .ordertree import alternating_line_tree, check_blowup
 from .poset import EQ, SIML, SIMU, _bits
-from .treebuild import verify_stage_properties
 
-
-class CatalogError(KeyError):
-    """Raised when a name is not in the catalog, or when a catalog subgroup
-    meets an element of a group it does not apply to."""
-
-    def __str__(self) -> str:
-        # KeyError would repr the message and add quotes.
-        return self.args[0] if self.args else ""
+# The tree layers (treebuild, ordertree, orbitorder) are imported inside the
+# suites and scenarios that use them, so looking up a cone or running a cone
+# check loads none of them.
 
 
 def _lookup(registry: dict, kind: str, name: str):
@@ -147,6 +130,8 @@ def derive_cone_pieces(radius: int = 6) -> dict:
     Classifies every ball element by its orbit relation to the identity;
     this is the provenance oracle for dihedral_standard.
     """
+    from .orbitorder import DIHEDRAL_BASE_POINT, dihedral_example, orbit_poset
+
     _, manifold, action = dihedral_example(radius)
     orb = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
     ident = action.group.identity
@@ -196,8 +181,14 @@ def get_quotient_scenario(name: str) -> tuple:
     return _lookup(QUOTIENT_SCENARIOS, "quotient scenario", name)()
 
 
+def _alternating_line(radius: int):
+    from .ordertree import alternating_line_tree
+
+    return alternating_line_tree(2 * radius + 2)
+
+
 TREES: dict = {
-    "alternating-line": lambda radius: alternating_line_tree(2 * radius + 2),
+    "alternating-line": _alternating_line,
 }
 
 
@@ -206,11 +197,15 @@ def get_tree(name: str, radius: int = 6):
 
 
 def _dihedral_scenario(radius: int) -> tuple:
+    from .orbitorder import DIHEDRAL_BASE_POINT, dihedral_example
+
     _, manifold, action = dihedral_example(radius)
     return manifold, action, DIHEDRAL_BASE_POINT
 
 
 def _line_scenario(radius: int) -> tuple:
+    from .orbitorder import integer_line, shift_action
+
     line = integer_line(radius + 1)
     action = shift_action(line, Z(), lambda n: n, name="z-line")
     return line, action, ("arc", ("s", 0), Fraction(1, 4))
@@ -233,6 +228,8 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
     """Doubled-order checks over a ball: the three between-set shapes per
     pair, the touching relation is an equivalence, and no similarity class
     between plain elements is a singleton."""
+    from .orbitorder import ConePipeline
+
     pipe = ConePipeline.of(cone, radius)
     p, aug = pipe.ball_poset, pipe.doubled
     pair_failures = []
@@ -275,6 +272,9 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
 def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] = 6) -> dict:
     """Stagewise construction checks: the four structural laws, direction
     independence on every unit, and injectivity of the labeling."""
+    from .orbitorder import ConePipeline
+    from .treebuild import verify_stage_properties
+
     pipe = ConePipeline.of(cone, radius)
     state = pipe.build(stages)
     props = verify_stage_properties(state)
@@ -309,6 +309,8 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
 def run_roundtrip_suite(cone: ConeStructure, radius: int = 6) -> dict:
     """Build, blow up, act, and compare the orbit order with the ball order;
     undetermined pairs are the ones touching an escaped element."""
+    from .orbitorder import roundtrip_orbit
+
     rep = roundtrip_orbit(cone, radius=radius)
     n_ball = rep["ball"]
     n_real = rep["realized"]
@@ -323,6 +325,9 @@ def run_roundtrip_suite(cone: ConeStructure, radius: int = 6) -> dict:
 
 def run_blowup_suite(radius: int = 6) -> dict:
     """Blow-up shape checks plus orientation preservation of the action."""
+    from .orbitorder import check_action, dihedral_example
+    from .ordertree import check_blowup
+
     tree, manifold, action = dihedral_example(radius)
     shape = check_blowup(manifold)
     act_rep = check_action(manifold, action, radius=2)
@@ -364,6 +369,8 @@ def run_quotient_suite(name: str, radius: int = 6) -> dict:
 def run_orbit_suite(radius: int = 6) -> dict:
     """Dihedral orbit order shape: valid but not strongly connected, with
     both tag kinds present and no realized bounds behind any tag."""
+    from .orbitorder import DIHEDRAL_BASE_POINT, dihedral_example, orbit_poset, realized_bound
+
     _, manifold, action = dihedral_example(radius)
     orb = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
     p = orb.poset
@@ -442,6 +449,8 @@ def _cone_example(name: str, radius: int = 8) -> Callable:
 
 def _composite(cone_factory: Callable) -> Callable:
     def run(r: int = 6) -> dict:
+        from .orbitorder import ConePipeline
+
         cone = cone_factory()
         axioms = ConePipeline.of(cone, max(r, 8)).cone_report
         trip = run_roundtrip_suite(cone, r)

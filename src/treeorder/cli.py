@@ -5,6 +5,10 @@ Exit status contract: 0 when every check passed, 1 when a check failed
 undetermined items are always printed and never affect the exit status.
 Reports are deterministic: fixed iteration orders, no timestamps, so the
 same spec and flags give byte-identical output.
+
+Each command imports the layers it runs when it runs, so a cone check or a
+quotient loads no tree code; the error classes of the exit-status contract
+come from the dependency-free ``errors`` module.
 """
 
 from __future__ import annotations
@@ -15,40 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .catalog import (
-    BUILTIN_CONES,
-    CatalogError,
-    EXAMPLES,
-    get_action_scenario,
-    get_cone,
-    get_example,
-    get_subgroup,
-    get_tree,
-    run_build_suite,
-    run_roundtrip_suite,
-)
-from .corpus import run_relation_suite
-from .groups import GroupError
-from .grouporder import ConeError, check_completely_convex, quotient_order, verify_cone_axioms
-from .orbitorder import ConePipeline, OrbitError, orbit_poset
-from .ordertree import TreeError, check_blowup, denjoy_blowup
-from .poset import REL_NAMES, PosetError
-from .specio import (
-    SpecError,
-    canonical_json,
-    cone_from_document,
-    jsonable,
-    load_document,
-    poset_from_document,
-    poset_to_document,
-    tree_from_document,
-    tree_to_document,
-    tree_to_dot,
-)
-from .treebuild import BuildError
-
-CHECK_ERRORS = (PosetError, ConeError, BuildError, OrbitError, TreeError)
-SPEC_ERRORS = (SpecError, CatalogError, GroupError)
+from .errors import CHECK_ERRORS, SPEC_ERRORS, PosetError, SpecError
 
 
 def _parse_args(argv):
@@ -115,7 +86,11 @@ def _names_file(spec: str) -> bool:
 
 
 def _load_cone(spec: str):
+    from .catalog import BUILTIN_CONES, get_cone
+
     if _names_file(spec):
+        from .specio import cone_from_document, load_document
+
         return cone_from_document(load_document(spec))
     if spec in BUILTIN_CONES:
         return get_cone(spec)
@@ -126,6 +101,8 @@ def _finish(args, ok: bool, lines: list, payload) -> int:
     """Print the report with its verdict line, or the JSON payload under
     ``--json``; the exit status is 0 when ``ok``, else 1."""
     if args.json:
+        from .specio import canonical_json, jsonable
+
         sys.stdout.write(canonical_json(jsonable(payload)))
     else:
         print("\n".join(lines + [f"result: {'PASS' if ok else 'FAIL'}"]))
@@ -134,6 +111,8 @@ def _finish(args, ok: bool, lines: list, payload) -> int:
 
 def _emit_tree(args, ok: bool, tree, node_labels=None, arc_labels=None) -> int:
     """Print the ``--emit`` artifact in place of the report."""
+    from .specio import canonical_json, tree_to_document, tree_to_dot
+
     if args.emit == "dot":
         sys.stdout.write(tree_to_dot(tree, node_labels, arc_labels))
     else:
@@ -142,6 +121,8 @@ def _emit_tree(args, ok: bool, tree, node_labels=None, arc_labels=None) -> int:
 
 
 def _cmd_check_cones(args) -> int:
+    from .grouporder import verify_cone_axioms
+
     cone = _load_cone(args.spec)
     report = verify_cone_axioms(cone, args.radius)
     fmt = cone.group.format
@@ -155,6 +136,9 @@ def _cmd_check_cones(args) -> int:
 
 
 def _cmd_check_poset(args) -> int:
+    from .corpus import run_relation_suite
+    from .specio import load_document, poset_from_document
+
     doc = load_document(args.spec)
     try:
         poset = poset_from_document(doc)
@@ -184,6 +168,9 @@ def _layout_annotations(state, layout) -> tuple:
 
 
 def _cmd_build_tree(args) -> int:
+    from .catalog import run_build_suite
+    from .orbitorder import ConePipeline
+
     cone = _load_cone(args.spec)
     suite = run_build_suite(cone, radius=args.radius, stages=args.stages)
     if args.emit:
@@ -208,11 +195,17 @@ def _cmd_build_tree(args) -> int:
 
 def _load_tree(spec: str, radius: int):
     if _names_file(spec):
+        from .specio import load_document, tree_from_document
+
         return tree_from_document(load_document(spec))
+    from .catalog import get_tree
+
     return get_tree(spec, radius)
 
 
 def _cmd_blowup(args) -> int:
+    from .ordertree import check_blowup, denjoy_blowup
+
     tree = _load_tree(args.spec, args.radius)
     manifold = denjoy_blowup(tree)
     report = check_blowup(manifold)
@@ -233,6 +226,11 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_orbit_order(args) -> int:
+    from .catalog import get_action_scenario
+    from .orbitorder import orbit_poset
+    from .poset import REL_NAMES
+    from .specio import load_document, poset_to_document
+
     name, radius = args.scenario, args.radius
     if _names_file(name):
         doc = load_document(name)
@@ -263,6 +261,9 @@ def _cmd_orbit_order(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from .catalog import get_subgroup
+    from .grouporder import check_completely_convex, quotient_order
+
     cone = _load_cone(args.spec)
     sub = get_subgroup(args.subgroup)
     fmt = cone.group.format
@@ -290,17 +291,24 @@ def _cmd_quotient(args) -> int:
         lines.append(f"  property {clause}: pass (checked {count})")
     if result.uniqueness:
         lines.append(f"  relation uniqueness: FAIL ({len(result.uniqueness)})")
-    return _finish(args, result.ok, lines, {
+    payload = {
         "ok": result.ok,
         "convex": True,
         "representatives": [fmt(r) for r in result.representatives],
         "property_counts": result.property_counts,
         "property_violations": [],  # the quotient poset's construction rejects any violation
-        "poset": poset_to_document(result.poset, fmt=fmt),
-    })
+    }
+    if args.json:  # only the JSON report carries the poset document
+        from .specio import poset_to_document
+
+        payload["poset"] = poset_to_document(result.poset, fmt=fmt)
+    return _finish(args, result.ok, lines, payload)
 
 
 def _cmd_roundtrip(args) -> int:
+    from .catalog import run_roundtrip_suite
+    from .poset import REL_NAMES
+
     cone = _load_cone(args.spec)
     rep = run_roundtrip_suite(cone, args.radius)
     fmt = cone.group.format
@@ -332,8 +340,12 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .catalog import EXAMPLES, get_example
+
     if args.action == "list":
         if args.json:
+            from .specio import canonical_json
+
             listing = [{"name": e.name, "summary": e.summary, "notes": e.notes} for e in EXAMPLES]
             sys.stdout.write(canonical_json(listing))
         else:
@@ -346,6 +358,8 @@ def _cmd_examples(args) -> int:
     lines = [f"example {entry.name}: {entry.summary}"]
     if entry.notes:
         lines.append(f"  note: {entry.notes}")
+    from .specio import jsonable
+
     payload = {k: v for k, v in rep.items() if k not in ("result", "orbit")}
     for key in sorted(payload):
         if key != "ok":

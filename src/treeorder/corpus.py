@@ -18,8 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, List
 
-from .ordertree import OrderTree
-from .orbitorder import manifold_poset
 from .poset import ExtendedPoset, PosetError, _bits
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
@@ -129,6 +127,10 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
     Elements are small integers; the manifold point of element i travels in
     the poset via the ``points`` attribute set on the result.
     """
+    # the tree layers load here, so enumerating small posets loads only poset
+    from .orbitorder import manifold_poset
+    from .ordertree import OrderTree
+
     n_nodes = rng.randint(2, 9)
     tree = OrderTree()
     tree.add_node(0)

@@ -21,14 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from .errors import ConeError
 from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_codes
 
 _VIOLATION_CAP = 25
 _PIECE_NAMES = {EQ: "e", LT: "p", GT: "pinv", SIMU: "u", SIML: "l"}  # for partition errors
-
-
-class ConeError(ValueError):
-    """Raised when a cone structure cannot support the requested operation."""
 
 
 class ConeStructure:

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-
-class GroupError(ValueError):
-    """Raised for malformed elements or unsupported model operations."""
+from .errors import GroupError
 
 
 _LETTERS = "abcdghijkmnpqruvwxyz"

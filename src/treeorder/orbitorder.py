@@ -28,6 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .errors import OrbitError
 from .groups import InfiniteDihedral
 from .grouporder import (
     PLAIN,
@@ -51,10 +52,6 @@ from .treebuild import (
     normalize_decomposition,
     orient_segments,
 )
-
-
-class OrbitError(ValueError):
-    """Raised when an action violates an orbit-order precondition."""
 
 
 # -- the order on a branchless manifold --------------------------------------

@@ -28,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-
-class TreeError(ValueError):
-    """Raised for malformed trees or points that do not exist."""
+from .errors import TreeError
 
 
 def _find(parent: dict, x):

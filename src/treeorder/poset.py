@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from .errors import PosetError
+
 EQ = 0
 LT = 1
 GT = 2
@@ -34,10 +36,6 @@ REL_CODES = {name: code for code, name in REL_NAMES.items()}
 SWAP = {EQ: EQ, LT: GT, GT: LT, SIMU: SIMU, SIML: SIML}
 
 Element = Hashable
-
-
-class PosetError(ValueError):
-    """Raised when a relation table violates an admissibility constraint."""
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -38,20 +38,19 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .groups import GroupError, TableGroup, make_group
+from .errors import CatalogError, GroupError, SpecError, TreeError
+from .groups import TableGroup, make_group
 from .grouporder import ConeStructure
-from .ordertree import OrderTree, TreeError
 from .poset import REL_CODES, REL_NAMES, ExtendedPoset, from_pairs
+
+if TYPE_CHECKING:
+    from .ordertree import OrderTree
 
 SPEC_VERSION = "1"
 
 KINDS = ("group-order", "poset", "tree", "scenario")
-
-
-class SpecError(ValueError):
-    """Raised for malformed or unknown document content."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,10 @@ def _read_group_order(body) -> ConeStructure:
             raise SpecError("group-order builtin must be a cone name")
         from .catalog import get_cone
 
-        return get_cone(body["builtin"])
+        try:
+            return get_cone(body["builtin"])
+        except CatalogError as err:
+            raise SpecError(str(err)) from None
     _require_fields(body, "group-order body", {"group", "cones"}, {"name"})
     if not isinstance(body.get("name", ""), str):
         raise SpecError("group-order name must be a string")
@@ -321,6 +323,8 @@ def _read_tree(body) -> OrderTree:
     _require_fields(body, "tree body", {"nodes", "arcs"}, {"boundary"})
     if not all(isinstance(body.get(key, []), list) for key in ("nodes", "arcs", "boundary")):
         raise SpecError("tree body needs node, arc, and boundary arrays")
+    from .ordertree import OrderTree
+
     t = OrderTree()
     try:
         for i, entry in enumerate(body["nodes"]):

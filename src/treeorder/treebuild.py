@@ -27,6 +27,7 @@ from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import BuildError
 from .grouporder import (
     MINUS,
     PLAIN,
@@ -45,10 +46,6 @@ from .poset import BetweenChain, ExtendedPoset, PosetError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-
-
-class BuildError(ValueError):
-    """Raised when a decomposition or a stage violates a layout invariant."""
 
 
 @dataclass(frozen=True)

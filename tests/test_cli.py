@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from treeorder import cli, errors
 from treeorder.cli import main
 
 VALID_POSET = {
@@ -227,6 +228,7 @@ MALFORMED = {
     "group-free-rank-zero": ("check-cones", _group({"family": "free", "k": 0})),
     "group-z-with-rank": ("check-cones", _group({"family": "z", "k": 2})),
     "group-dihedral-with-rank": ("check-cones", _group({"family": "dihedral", "k": 1})),
+    "group-order-builtin-unknown": ("check-cones", _doc("group-order", {"builtin": "banana"})),
     "group-order-name-not-a-string": ("check-cones", _doc("group-order", {
         "name": ["x", 5], "group": {"family": "z"}, "cones": {"positive": {"op": "const", "value": False}},
     })),
@@ -388,3 +390,70 @@ def test_the_library_imports_only_the_standard_library():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", IMPORT_EVERYTHING], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# the exit status and stderr prefix of each error class in the contract
+CONTRACT = {
+    "PosetError": (1, "check failed: "), "ConeError": (1, "check failed: "),
+    "BuildError": (1, "check failed: "), "OrbitError": (1, "check failed: "),
+    "TreeError": (1, "check failed: "), "SpecError": (2, "error: "),
+    "CatalogError": (2, "error: "), "GroupError": (2, "error: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_each_contract_error_maps_to_its_exit_status(name, monkeypatch, capsys):
+    def failing(args):
+        raise getattr(errors, name)("the witness")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-cones", failing)
+    code, prefix = CONTRACT[name]
+    assert main(["check-cones", "z-standard"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{prefix}the witness\n")
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError, LookupError, RuntimeError], ids=lambda e: e.__name__)
+def test_an_error_outside_the_contract_propagates(exc, monkeypatch):
+    def failing(args):
+        raise exc("not a contract error")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-cones", failing)
+    with pytest.raises(exc, match="not a contract error"):
+        main(["check-cones", "z-standard"])
+
+
+NOT_A_GROUP = _group({"table": {"elements": [0, 1], "products": [[0, 1], [1, 1]], "identity": 0}})
+
+# real failures in a fresh process, where each error class comes from a module
+# the command loads only when it runs: (argv, document to pass, exit, stderr)
+FRESH_FAILURES = {
+    "poset-error": (["check-poset"], _doc("poset", {"elements": ["a", "b", "c"], "relations": [
+        ["a", "lt", "b"], ["a", "lt", "c"], ["b", "simu", "c"]]}), 1, ""),
+    "tree-error": (["blowup"], _doc("tree", {"nodes": ["a", "b"], "arcs": [["e1", "a", "b"], ["e2", "b", "a"]]}),
+                   1, "check failed: blow-up needs a well-formed tree: identified arc graph has a cycle\n"),
+    "catalog-error-example": (["examples", "run", "banana"], None, 2, "error: unknown example 'banana'"),
+    "catalog-error-subgroup": (["quotient", "z2-lex", "--subgroup", "banana"], None, 2,
+                               "error: unknown subgroup 'banana'; known: even, second-factor\n"),
+    "group-error": (["check-cones"], NOT_A_GROUP, 2, "error: 1 has no inverse\n"),
+    "spec-error": (["check-cones", "nonesuch"], None, 2,
+                   "error: 'nonesuch' is neither a spec file nor a builtin cone name\n"),
+    "spec-error-builtin": (["check-cones"], _doc("group-order", {"builtin": "banana"}), 2,
+                           "error: unknown cone 'banana'; known: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_FAILURES))
+def test_exit_statuses_hold_in_a_fresh_process(name, tmp_path):
+    argv, payload, code, err = FRESH_FAILURES[name]
+    if payload is not None:
+        argv = [*argv, write(tmp_path, "spec.json", payload)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "treeorder.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == code
+    assert done.stderr.startswith(err) and done.stderr.count("\n") == (1 if err else 0)
+    if not err:  # check-poset reports an inadmissible poset as a failed check on stdout
+        assert "poset: INVALID" in done.stdout and done.stdout.endswith("result: FAIL\n")

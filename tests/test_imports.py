@@ -1,0 +1,151 @@
+"""Which treeorder modules a process loads, and the lazily resolved namespace.
+
+Module footprints are measured in a fresh interpreter, since this test
+process has long since imported every layer.  The interpreter runs with
+PYTHONDONTWRITEBYTECODE=1, as the benchmark jobs may, so each module it
+loads is compiled from source.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import treeorder
+from treeorder import errors
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CONE_LAYERS = {"cli", "errors", "catalog", "groups", "grouporder", "poset"}
+
+# the public names of the package, in the order __all__ has always listed them
+PUBLIC = (
+    "BuildError", "ConeError", "ConeStructure", "EQ", "EXAMPLES", "ExtendedPoset", "FreeGroup", "GT",
+    "GroupError", "InfiniteDihedral", "LT", "OneManifold", "OrbitError", "OrderTree", "PosetError",
+    "SIML", "SIMU", "TableGroup", "TreeAction", "TreeError", "Z", "Zk", "all_extended_posets",
+    "between_by_codes", "build_from_cones", "check_action", "check_blowup", "check_completely_convex",
+    "denjoy_blowup", "alternating_line_tree", "get_cone", "get_example", "induced_ball_poset",
+    "make_group", "manifold_order", "orbit_poset", "orient_segments", "quotient_order",
+    "roundtrip_orbit", "run_corpus_suite", "stabilizer_extension_order", "verify_cone_axioms",
+    "verify_stage_properties",
+)
+
+# each contract error class and the module that raises it
+ERROR_HOMES = {
+    "GroupError": "groups", "PosetError": "poset", "ConeError": "grouporder", "BuildError": "treebuild",
+    "TreeError": "ordertree", "OrbitError": "orbitorder", "SpecError": "specio", "CatalogError": "catalog",
+}
+
+# run SETUP in a fresh interpreter, then print the treeorder submodules it loaded
+FOOTPRINT = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+{setup}
+print(json.dumps(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("treeorder."))))
+"""
+
+
+def fresh_env() -> dict:
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def loaded_by(*setup: str) -> set:
+    code = FOOTPRINT.format(setup="".join(f"    {line}\n" for line in setup))
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    return set(json.loads(done.stdout))
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_by("import treeorder") == set()
+
+
+def test_importing_an_error_class_loads_only_the_errors_module():
+    assert loaded_by("from treeorder import BuildError, PosetError, TreeError") == {"errors"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cones", "z3-lex", "--radius", "3"],
+    ["quotient", "z2-lex", "--subgroup", "second-factor", "--radius", "3"],
+    ["quotient", "z-standard", "--subgroup", "even", "--radius", "3"],  # fails the convexity check
+    ["examples", "list"],
+    ["examples", "run", "cones-z2-lex", "--radius", "3"],
+], ids=" ".join)
+def test_cone_commands_load_no_tree_layer(argv):
+    run = f"from treeorder.cli import main; main({argv!r})"
+    # examples run prints its report values through specio
+    expected = CONE_LAYERS | ({"specio"} if argv[1] == "run" else set())
+    assert loaded_by(run) == expected
+
+
+def test_a_cone_check_of_a_spec_file_adds_only_specio(tmp_path):
+    spec = tmp_path / "cone.json"
+    spec.write_text(json.dumps({"version": "1", "kind": "group-order", "body": {
+        "group": {"family": "zk", "k": 2},
+        "cones": {"positive": {"op": "lex-positive"}},
+    }}))
+    run = f"from treeorder.cli import main; assert main(['check-cones', {str(spec)!r}, '--radius', '3']) == 0"
+    assert loaded_by(run) == CONE_LAYERS | {"specio"}
+
+
+def test_a_json_cone_report_adds_only_specio():
+    run = "from treeorder.cli import main; main(['check-cones', 'z-standard', '--radius', '3', '--json'])"
+    assert loaded_by(run) == CONE_LAYERS | {"specio"}
+
+
+def test_blowup_loads_ordertree_without_the_construction():
+    loaded = loaded_by("from treeorder.cli import main; main(['blowup', 'alternating-line', '--radius', '2'])")
+    assert loaded == CONE_LAYERS | {"ordertree"}
+
+
+def test_enumerating_small_posets_loads_only_poset():
+    assert loaded_by("from treeorder.corpus import all_extended_posets",
+                     "assert len(all_extended_posets(3)) == 32") == {"corpus", "errors", "poset"}
+
+
+def test_public_names_are_unchanged_and_resolve_to_their_home_objects():
+    assert tuple(treeorder.__all__) == PUBLIC
+    listed = dir(treeorder)
+    for name in PUBLIC:
+        home = importlib.import_module(f"treeorder.{treeorder._HOME[name]}")
+        assert getattr(treeorder, name) is getattr(home, name), name
+        assert name in listed, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from treeorder import *", namespace)
+    for name in PUBLIC:
+        assert namespace[name] is getattr(treeorder, name), name
+
+
+def test_an_unknown_name_is_an_attribute_error_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="has no attribute 'banana'"):
+        treeorder.banana  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from treeorder import banana", {})
+    namespace: dict = {}
+    exec("from treeorder import corpus, specio", namespace)
+    assert namespace["specio"] is importlib.import_module("treeorder.specio")
+
+
+@pytest.mark.parametrize("name, home", sorted(ERROR_HOMES.items()))
+def test_each_error_class_is_defined_once_and_reexported(name, home):
+    cls = getattr(errors, name)
+    assert getattr(importlib.import_module(f"treeorder.{home}"), name) is cls
+    assert cls.__module__ == "treeorder.errors"
+
+
+def test_the_error_tuples_cover_the_contract():
+    from treeorder.cli import CHECK_ERRORS, SPEC_ERRORS
+
+    assert set(CHECK_ERRORS) | set(SPEC_ERRORS) == {getattr(errors, name) for name in ERROR_HOMES}
+    assert not set(CHECK_ERRORS) & set(SPEC_ERRORS)
+    assert {c.__name__ for c in SPEC_ERRORS} == {"SpecError", "CatalogError", "GroupError"}

@@ -376,7 +376,8 @@ def recorded_tree_corpus(monkeypatch):
         seen.append((m, points))
         return manifold_poset(m, points)
 
-    monkeypatch.setattr(corpus, "manifold_poset", recording)
+    # random_tree_poset imports manifold_poset from orbitorder when it runs
+    monkeypatch.setattr(orbitorder, "manifold_poset", recording)
     posets = corpus.tree_corpus(100)
     assert len(seen) == 100
     return [(p, m, points) for p, (m, points) in zip(posets, seen)]

@@ -92,6 +92,13 @@ def test_builtin_document_form():
     assert cone.name == "z-standard"
 
 
+def test_an_unknown_builtin_cone_is_a_spec_error():
+    with pytest.raises(SpecError) as err:
+        parse_document(doc("group-order", {"builtin": "banana"}))
+    assert str(err.value).startswith("unknown cone 'banana'; known: dihedral-standard, free2-standard, ")
+    assert not isinstance(err.value, KeyError)
+
+
 def test_lex_positive_and_builtin_predicates():
     from treeorder.groups import FreeGroup, Zk
 
