@@ -284,8 +284,7 @@ def check_augmented_between(augmented: ExtendedPoset, a, b) -> dict:
     """
 
     def contains(lo, hi, members) -> bool:
-        got = augmented.between_members(lo, hi)
-        return all(m in got for m in members)
+        return all(augmented.is_between(lo, m, hi) for m in members)
 
     def lt_form(x, y):
         return contains((x, MINUS), (y, PLUS), [(x, PLUS), (y, MINUS)])

@@ -113,23 +113,22 @@ def normalize_decomposition(
     forced = {tuple(p) for p in case2}
     base = pairs[0][0] if pairs else poset.elements[0]
 
-    covered = {base}
-    for x, y in pairs:
-        covered.update(poset.between_members(x, y))
-    uncovered = [e for e in poset.elements if e not in covered]
-    if uncovered:
-        raise BuildError(f"pairs do not cover the poset; missing {uncovered!r}")
-
     worklist = []
     for p in pairs:
         if p[0] != base:
             worklist.append(((base, p[0]), False))
         worklist.append((p, p in forced))
+    members_of = {p: poset.between_members(*p) for p, _force2 in worklist}
+
+    covered = {base}.union(*(members_of[p] for p in pairs))
+    uncovered = [e for e in poset.elements if e not in covered]
+    if uncovered:
+        raise BuildError(f"pairs do not cover the poset; missing {uncovered!r}")
 
     built = {base}
     stages = []
     for (x, y), force2 in worklist:
-        members = poset.between_set(x, y).members
+        members = members_of[x, y]
         mset = set(members)
         if mset <= built:
             continue
@@ -137,7 +136,7 @@ def normalize_decomposition(
             if y not in built:
                 raise BuildError(f"stage ({x!r}, {y!r}) does not meet the built part")
             x, y = y, x
-            members = poset.between_set(x, y).members
+            members = members[::-1]
         inter = [m for m in members if m in built]
         if tuple(inter) != members[: len(inter)]:
             raise BuildError(
@@ -605,7 +604,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
 
     for a, b in combinations(sorted(state.built, key=p.index), 2):
         ends = (aug(a, PLAIN), aug(b, PLAIN))
-        expected = A.between_set(*ends).members
+        expected = A.between_members(*ends)
         missing = [m for m in expected if m not in state.nu]
         if missing:
             flag("between set not fully built", missing)
@@ -628,7 +627,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
             if tag_of(c) == PLAIN:
                 flag("stray plain label on path", [c])
             elif not all(
-                any(d in order and r_equivalent(A, c, d) for d in A.between_members(end, c))
+                any(A.is_between(end, d, c) and r_equivalent(A, c, d) for d in expected)
                 for end in ends
             ):
                 flag("extra label without touching partner", [c])

@@ -267,6 +267,25 @@ def naive_between_sets(p) -> dict:
     return out
 
 
+def naive_o_equivalence(p) -> list:
+    """The symmetry and transitivity scan of chain-relatedness, the reference
+    for the class check that ``verify_o_equivalence`` reports from: x ~ y
+    must give y ~ x, and within every between set, x ~ y and y ~ z must give
+    x ~ z.  Reads ``o_related`` and ``is_between`` only; empty means pass."""
+    elems = p.elements
+    related = {(x, y) for x in elems for y in elems if p.o_related(x, y)}
+    out = [{"law": "symmetric", "at": (x, y)} for x in elems for y in elems
+           if (x, y) in related and (y, x) not in related]
+    for a, b in p.iter_pairs():
+        members = [z for z in elems if p.is_between(a, z, b)]
+        out.extend(
+            {"law": "transitive", "between": (a, b), "at": (x, y, z)}
+            for x, y, z in itertools.product(members, repeat=3)
+            if (x, y) in related and (y, z) in related and (x, z) not in related
+        )
+    return out
+
+
 def naive_between_mask(p, a, b) -> int:
     """B(a, b) as a mask over ``p.elements``, one ``is_between`` call per
     element; ``is_between`` reads the three pair codes through

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import oracles
 from treeorder.corpus import (
     BASE_ORDER_COUNTS,
@@ -89,6 +91,13 @@ def test_every_enumerated_poset_passes_the_relation_suite():
         for p in all_extended_posets(n):
             suite = run_relation_suite(p)
             assert suite["ok"], (n, p.relations_table(), suite)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 5, "trees-100"])
+def test_the_transitivity_scan_agrees_with_the_suite_class_check(case):
+    posets = tree_corpus(100) if case == "trees-100" else all_extended_posets(case)
+    for p in posets:
+        assert bool(oracles.naive_o_equivalence(p)) == bool(run_relation_suite(p)["o_equivalence"])
 
 
 def test_tree_corpus_is_seeded_and_admissible():

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from treeorder.catalog import get_cone
-from treeorder.corpus import all_extended_posets, tree_corpus
+from treeorder.corpus import all_extended_posets, run_relation_suite, tree_corpus
+from treeorder.grouporder import PLAIN, check_no_singleton_classes
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import (
     EQ,
@@ -15,11 +16,13 @@ from treeorder.poset import (
     SIML,
     SIMU,
     SWAP,
+    ClassLawError,
     ExtendedPoset,
     PosetError,
     between_by_codes,
     from_pairs,
 )
+from treeorder.treebuild import build_tree
 
 
 def chain(names="abc"):
@@ -236,6 +239,48 @@ def test_between_set_agrees_with_the_pairwise_oracle(case):
             got = p.between_set(a, b)
             assert (got.members, got.classes) == want, (a, b)
     assert pairs > 0
+
+
+@pytest.mark.parametrize("case", ["extended-4", "trees-100"])
+def test_between_members_lists_the_travel_order_of_between_set(case):
+    pairs = 0
+    for p in _posets(case):
+        for a in p.elements:
+            for b in p.elements:
+                if a != b:
+                    pairs += 1
+                    members = p.between_set(a, b).members
+                    assert p.between_members(a, b) == members == p.between_members(b, a)[::-1], (a, b)
+    assert pairs > 0
+
+
+def _relate_across_a_class_boundary(p, a, b):
+    """Corrupt one kept chain test: the last member of the first class of
+    B(a, b) becomes chain-related, one way only, to the next class's first."""
+    classes = p.between_set(a, b).classes
+    x, y = p.index(classes[0][-1]), p.index(classes[1][0])
+    p._tested[x] |= 1 << y
+    p._orel[x] |= 1 << y
+
+
+def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes():
+    # the decomposition and verification read members only; these are the
+    # readers that still run the class check
+    pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
+    p, doubled, decomposition = pipeline.ball_poset, pipeline.doubled, pipeline.decomposition
+    a, b = decomposition.stages[0].pair
+    ends = ((a, PLAIN), (b, PLAIN))
+    for q, pair in ((p, (a, b)), (doubled, ends)):
+        _relate_across_a_class_boundary(q, *pair)
+        with pytest.raises(ClassLawError, match="are not travel intervals"):
+            q.between_set(*pair)
+        suite = run_relation_suite(q)
+        assert not suite["ok"] and suite["o_equivalence"] and not suite["travel"]
+        assert q.verify_o_equivalence() and oracles.naive_o_equivalence(q)
+    with pytest.raises(ClassLawError):
+        build_tree(p, augmented=doubled, decomposition=decomposition)
+    with pytest.raises(ClassLawError):
+        check_no_singleton_classes(doubled, p.elements)
 
 
 @pytest.mark.parametrize("pair, mask, at", [

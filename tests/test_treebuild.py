@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from treeorder.catalog import dihedral_standard, get_cone, z_standard
+from treeorder.cli import main
 from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
@@ -105,13 +106,28 @@ def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
 
 @pytest.mark.parametrize("cone, radius", [(z_standard, 6), (dihedral_standard, 4)], ids=["z-r6", "dihedral-r4"])
 def test_verification_tests_each_pair_for_a_chain_at_most_once_per_row(cone, radius, monkeypatch):
-    state = build_from_cones(cone(), radius=radius)
     calls = []
     is_chain = ExtendedPoset._is_chain
     monkeypatch.setattr(ExtendedPoset, "_is_chain", lambda self, mask: calls.append(mask) or is_chain(self, mask))
-    assert verify_stage_properties(state)["ok"]
+    state = build_from_cones(cone(), radius=radius)
     n = state.aug.n
     assert 0 < len(calls) <= n * (n - 1)
+    built = len(calls)
+    assert verify_stage_properties(state)["ok"]
+    assert len(calls) == built  # verification reads members only
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["build-tree", "free2-standard", "--radius", "3"], 1_000),
+    (["roundtrip", "free2-standard", "--radius", "4"], 5_000),
+], ids=["build-tree-free2-r3", "roundtrip-free2-r4"])
+def test_chain_tests_through_the_command_line_stay_bounded(argv, bound, monkeypatch, capsys):
+    # only build_stage's class cuts test chains: 572 and 4,168 calls
+    calls = []
+    is_chain = ExtendedPoset._is_chain
+    monkeypatch.setattr(ExtendedPoset, "_is_chain", lambda self, mask: calls.append(mask) or is_chain(self, mask))
+    assert main(argv) == 0
+    assert 0 < len(calls) <= bound
 
 
 # -- verification against corrupted builds ------------------------------------
