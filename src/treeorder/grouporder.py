@@ -283,25 +283,12 @@ def check_augmented_between(augmented: ExtendedPoset, a, b) -> dict:
     pair puts {a-, b-} inside B(a+, b+).  The other two shapes must fail.
     """
 
-    def contains(lo, hi, members) -> bool:
-        return all(augmented.is_between(lo, m, hi) for m in members)
-
-    def lt_form(x, y):
-        return contains((x, MINUS), (y, PLUS), [(x, PLUS), (y, MINUS)])
-
-    def simu_form(x, y):
-        return contains((x, MINUS), (y, MINUS), [(x, PLUS), (y, PLUS)])
-
-    def siml_form(x, y):
-        return contains((x, PLUS), (y, PLUS), [(x, MINUS), (y, MINUS)])
+    def shape(x, y, s, t) -> bool:  # {x^-s, y^-t} inside B(x^s, y^t)
+        return all(augmented.is_between((x, s), m, (y, t)) for m in ((x, -s), (y, -t)))
 
     r = augmented.rel((a, PLAIN), (b, PLAIN))
-    shapes = {
-        "lt(a,b)": lt_form(a, b),
-        "lt(b,a)": lt_form(b, a),
-        "simu": simu_form(a, b),
-        "siml": siml_form(a, b),
-    }
+    shapes = {"lt(a,b)": shape(a, b, MINUS, PLUS), "lt(b,a)": shape(b, a, MINUS, PLUS),
+              "simu": shape(a, b, MINUS, MINUS), "siml": shape(a, b, PLUS, PLUS)}
     expected = {LT: "lt(a,b)", GT: "lt(b,a)", SIMU: "simu", SIML: "siml"}[r]
     ok = shapes[expected] and not any(v for k, v in shapes.items() if k != expected)
     return {"pair": (a, b), "rel": REL_NAMES[r], "expected": expected, "shapes": shapes, "ok": ok}
@@ -334,6 +321,25 @@ class SubgroupSpec:
         return bool(self.member(w))
 
 
+def _quotient_sides(cone: ConeStructure, ws: list, radius: int) -> tuple:
+    """(keys, get, read) for a scan over ws: the code of g against h*k is
+    ``get(q) or read(g, h, q, k)`` with q = key(h) + key(k) - key(g).  On a
+    key's first sight ``read`` classifies the real elements and stores the
+    code, so each distinct quotient meets ``side`` once, in scan order (EQ
+    is 0 and is read again).  Models without additive keys get zero keys
+    and a ``read`` that stores nothing: every pair calls ``classify``."""
+    keys = cone.group.quotient_keys(ws, radius)
+    sides: dict = {}
+
+    def read(g, h, q, k=None):
+        code = cone.classify(g, h if k is None else cone.group.mult(h, k))
+        if keys is not None:
+            sides[q] = code
+        return code
+
+    return keys or [0] * len(ws), sides.get, read
+
+
 @dataclass
 class ConvexityReport:
     pairs_checked: int
@@ -348,7 +354,9 @@ def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int)
     """Between sets of subgroup pairs must stay inside the subgroup.
 
     Between membership is a three-point test, so candidates are scanned
-    directly over ball(2 * radius) without building the big poset.
+    directly over ball(2 * radius) without building the big poset.  On Z
+    and Z^k each pair's sides are read by quotient key, so only the first
+    pair to form a quotient classifies it.
     """
     group = cone.group
     ball = group.ball(radius)
@@ -362,14 +370,18 @@ def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int)
             if not sub(group.mult(h, k)):
                 raise ConeError(f"subgroup {sub.name} not product-closed at {group.format(h)}, {group.format(k)}")
     outside = [c for c in group.ball(2 * radius) if not sub(c)]
+    keys, side, read = _quotient_sides(cone, H + outside, radius)
+    kout = keys[len(H):]
     violations = []
     pairs = 0
     for i, h1 in enumerate(H):
-        for h2 in H[i + 1:]:
+        k1 = keys[i]
+        for h2, k2 in zip(H[i + 1:], keys[i + 1:]):
             pairs += 1
-            rac = cone.classify(h1, h2)
-            for c in outside:
-                if between_by_codes(rac, cone.classify(h1, c), cone.classify(c, h2)):
+            rac = side(k2 - k1) or read(h1, h2, k2 - k1)
+            for c, kc in zip(outside, kout):
+                if between_by_codes(rac, side(kc - k1) or read(h1, c, kc - k1),
+                                    side(k2 - kc) or read(c, h2, k2 - kc)):
                     violations.append({"pair": (h1, h2), "witness": c})
                     break
     return ConvexityReport(pairs_checked=pairs, violations=violations)
@@ -409,7 +421,9 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     relations enforces transitivity, a ~u b ~l c => a < c, a ~u b > c =>
     a ~u c and a ~l b < c => a ~l c; ``property_counts`` says how many
     triples each law covered.  ``convexity`` is the complete-convexity
-    report at this radius, when the caller already has it.
+    report at this radius, when the caller already has it.  On Z and Z^k
+    the coset scans read the side of g1^-1 g2 h under key(g2) + key(h) -
+    key(g1), and form g2 h only for a quotient not seen before.
     """
     group = cone.group
     ball = group.ball(radius)
@@ -430,21 +444,21 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     reps: list = []
     coset_of: dict = {}
     for g in ball:
-        for rep in reps:
-            if sub(group.mult(group.inv(rep), g)):
-                coset_of[g] = rep
-                break
-        else:
+        coset_of[g] = next((rep for rep in reps if sub(group.mult(group.inv(rep), g))), g)
+        if coset_of[g] == g:
             reps.append(g)
-            coset_of[g] = g
 
     H_search = [h for h in group.ball(2 * radius) if sub(h)]
+    keys, side, read = _quotient_sides(cone, ball + H_search, radius)
+    key = dict(zip(ball, keys))
+    searched = list(zip(H_search, keys[len(ball):]))
 
     def witnessed(g1, g2) -> dict:
         """Each relation some h in H_search puts between g1 and g2 h, with its first such h."""
         found: dict = {}
-        for h in H_search:
-            code = cone.classify(g1, group.mult(g2, h))
+        k = key[g2] - key[g1]
+        for h, kh in searched:
+            code = side(k + kh) or read(g1, g2, k + kh, h)
             if code != EQ and code not in found:
                 found[code] = h
         return found

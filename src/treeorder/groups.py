@@ -7,6 +7,9 @@ length and then by a fixed tie-break), ``format`` for reports, and
 For cone-axiom sweeps every model also has ``bounded_products``, which
 batches the products of two ball subsets that stay inside the ball, and
 ``sweep_keys``, which maps elements to the keys those batches are written in.
+Z and Z^k also give ``quotient_keys``: int keys that add as the elements do,
+so quotient scans read the side of g^-1 h under key(h) - key(g); the other
+models have none, and their scans classify every pair.
 
 The free group additionally knows how to sign a word through its lower
 central series: embed each generator g_i as 1 + X_i in the ring of formal
@@ -45,6 +48,11 @@ class GroupModel:
         for g in xs:
             yield g, ys, [z for z in (self.mult(g, h) for h in ys) if z in ball]
 
+    def quotient_keys(self, ws: list, r: int) -> list | None:
+        """Int keys of ws that add as the elements do and tell apart every
+        g1^-1 g2 h with g1, g2 in ball(r) and h in ball(2r); None here."""
+        return None
+
 
 def _additive_batches(xs: list, ys: list, ball: set, xcodes: list, ycodes: list) -> Iterator[tuple]:
     # codes add as the elements do, so the in-ball products of g are one
@@ -75,6 +83,9 @@ class Z(GroupModel):
     def components(self, a: int) -> tuple:
         return (a,)
 
+    def quotient_keys(self, ws: list, r: int) -> list:
+        return list(ws)
+
     def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
         return _additive_batches(xs, ys, set(range(-r, r + 1)), xs, ys)
 
@@ -84,7 +95,8 @@ class Zk(GroupModel):
 
     Sweeps key a vector v by the int code sum(v[i] * B**i) with B = 4r + 1:
     a product of two ball(r) elements has coordinates in [-2r, 2r], where
-    the code is injective and adds as the vectors do.
+    the code is injective and adds as the vectors do.  Quotient scans form
+    g1^-1 g2 h with coordinates in [-4r, 4r], so their keys use B = 8r + 1.
     """
 
     def __init__(self, k: int):
@@ -101,18 +113,10 @@ class Zk(GroupModel):
         return tuple(-x for x in a)
 
     def ball(self, r: int) -> list:
-        out: list = []
-
-        def grow(prefix: tuple, budget: int) -> None:
-            if len(prefix) == self.k - 1:
-                for last in range(-budget, budget + 1):
-                    out.append(prefix + (last,))
-                return
-            for x in range(-budget, budget + 1):
-                grow(prefix + (x,), budget - abs(x))
-
-        grow((), r)
-        return sorted(out, key=lambda v: (sum(abs(x) for x in v), v))
+        out = [((), r)]  # prefixes, each with the budget its coordinates leave
+        for _ in range(self.k):
+            out = [(v + (x,), left - abs(x)) for v, left in out for x in range(-left, left + 1)]
+        return sorted((v for v, _ in out), key=lambda v: (sum(abs(x) for x in v), v))
 
     def format(self, a: tuple) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
@@ -132,6 +136,9 @@ class Zk(GroupModel):
 
     def sweep_keys(self, ws: set, r: int) -> set:
         return set(self._codes(ws, r))
+
+    def quotient_keys(self, ws: list, r: int) -> list:
+        return self._codes(ws, 2 * r)  # coordinates within 4r
 
     def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
         # the ball's codes, coordinate by coordinate in _codes' order, each
@@ -169,14 +176,8 @@ class FreeGroup(GroupModel):
     def inv(self, a: tuple) -> tuple:
         return tuple(-x for x in reversed(a))
 
-    def _letter_order(self) -> list:
-        out = []
-        for i in range(1, self.k + 1):
-            out.extend((i, -i))
-        return out
-
     def ball(self, r: int) -> list:
-        letters = self._letter_order()
+        letters = [x for i in range(1, self.k + 1) for x in (i, -i)]
         out: list = [()]
         layer: list = [()]
         for _ in range(r):
@@ -191,13 +192,7 @@ class FreeGroup(GroupModel):
         return out
 
     def format(self, a: tuple) -> str:
-        if not a:
-            return "e"
-        chars = []
-        for x in a:
-            c = _LETTERS[abs(x) - 1]
-            chars.append(c if x > 0 else c.upper())
-        return "".join(chars)
+        return "".join(_LETTERS[x - 1] if x > 0 else _LETTERS[-x - 1].upper() for x in a) or "e"
 
     def components(self, a: tuple) -> tuple:
         raise GroupError("free-group elements have no coordinate components")
@@ -218,13 +213,8 @@ class FreeGroup(GroupModel):
                 for mb, cb in factor.items():
                     if len(ma) + len(mb) > deg:
                         continue
-                    m = ma + mb
-                    c = out.get(m, 0) + ca * cb
-                    if c:
-                        out[m] = c
-                    elif m in out:
-                        del out[m]
-            poly = out
+                    out[ma + mb] = out.get(ma + mb, 0) + ca * cb
+            poly = {m: c for m, c in out.items() if c}
         return poly
 
     def order_sign(self, w: tuple) -> int:
@@ -237,19 +227,14 @@ class FreeGroup(GroupModel):
         sums = [0] * self.k
         for x in w:
             sums[abs(x) - 1] += 1 if x > 0 else -1
-        sign = 0
-        for s in sums:
-            if s:
-                sign = 1 if s > 0 else -1
-                break
+        sign = next((1 if s > 0 else -1 for s in sums if s), 0)
         deg = 2
         while not sign:
             if deg > SERIES_MAX_DEGREE:
                 raise GroupError(f"series sign undecided to degree {SERIES_MAX_DEGREE} for {self.format(w)}")
             poly = self._series(w, deg)
-            for m in sorted((m for m in poly if m), key=lambda m: (len(m), m)):
-                sign = 1 if poly[m] > 0 else -1
-                break
+            lead = min((m for m in poly if m), key=lambda m: (len(m), m), default=None)
+            sign = 0 if lead is None else 1 if poly[lead] > 0 else -1
             deg += 1
         self._sign_cache[w] = sign
         return sign

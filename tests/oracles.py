@@ -408,3 +408,105 @@ def naive_quotient_law_counts(p) -> tuple:
                 if rac != want_ac:
                     violations.append({"clause": law, "triple": (a, b, c)})
     return counts, violations
+
+
+def naive_completely_convex(cone, sub, radius: int) -> tuple:
+    """Complete convexity with one ``cone.classify`` call per pair, as
+    ``check_completely_convex`` scanned before quotient keys:
+    (pairs checked, [{"pair": (h1, h2), "witness": c}, ...])."""
+    from treeorder.grouporder import ConeError
+    from treeorder.poset import between_by_codes
+
+    group = cone.group
+    ball = group.ball(radius)
+    H = [h for h in ball if sub(h)]
+    if group.identity not in H:
+        raise ConeError(f"subgroup {sub.name} misses the identity")
+    for h in H:
+        if not sub(group.inv(h)):
+            raise ConeError(f"subgroup {sub.name} not inverse-closed at {group.format(h)}")
+        for k in H:
+            if not sub(group.mult(h, k)):
+                raise ConeError(f"subgroup {sub.name} not product-closed at {group.format(h)}, {group.format(k)}")
+    outside = [c for c in group.ball(2 * radius) if not sub(c)]
+    violations = []
+    pairs = 0
+    for i, h1 in enumerate(H):
+        for h2 in H[i + 1:]:
+            pairs += 1
+            rac = cone.classify(h1, h2)
+            for c in outside:
+                if between_by_codes(rac, cone.classify(h1, c), cone.classify(c, h2)):
+                    violations.append({"pair": (h1, h2), "witness": c})
+                    break
+    return pairs, violations
+
+
+def naive_quotient_order(cone, sub, radius: int) -> dict:
+    """The quotient order with one ``cone.classify`` call per coset scan
+    step, as ``quotient_order`` scanned before quotient keys: the
+    representatives, the relation code of every ordered pair of them, the
+    uniqueness entries and the four law counts of the triple loop."""
+    from treeorder.grouporder import ConeError
+    from treeorder.poset import EQ, REL_NAMES, ExtendedPoset
+
+    group = cone.group
+    ball = group.ball(radius)
+    H = [h for h in ball if sub(h)]
+    for g in ball:
+        for h in H:
+            if not sub(group.mult(group.mult(g, h), group.inv(g))):
+                raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
+    _, violations = naive_completely_convex(cone, sub, radius)
+    if violations:
+        w = violations[0]
+        raise ConeError(
+            f"subgroup {sub.name} is not completely convex: {group.format(w['witness'])} lies between "
+            f"{group.format(w['pair'][0])} and {group.format(w['pair'][1])}"
+        )
+
+    reps: list = []
+    coset_of: dict = {}
+    for g in ball:
+        for rep in reps:
+            if sub(group.mult(group.inv(rep), g)):
+                coset_of[g] = rep
+                break
+        else:
+            reps.append(g)
+            coset_of[g] = g
+
+    H_search = [h for h in group.ball(2 * radius) if sub(h)]
+
+    def witnessed(g1, g2) -> dict:
+        found: dict = {}
+        for h in H_search:
+            code = cone.classify(g1, group.mult(g2, h))
+            if code != EQ and code not in found:
+                found[code] = h
+        return found
+
+    rel: dict = {}
+    uniqueness: list = []
+    for g1 in reps:
+        for g2 in reps:
+            if g1 == g2:
+                continue
+            found = witnessed(g1, g2)
+            if len(found) > 1:
+                uniqueness.append({"pair": (g1, g2), "relations": {REL_NAMES[c]: h for c, h in found.items()}})
+            rel[(g1, g2)] = next(iter(found))
+    for g in ball:
+        rep = coset_of[g]
+        if g == rep:
+            continue
+        for other in reps:
+            if other == rep:
+                continue
+            found = witnessed(g, other)
+            if rel[(rep, other)] not in found or len(found) > 1:
+                uniqueness.append({"pair": (g, other), "note": "representative dependence"})
+
+    poset = ExtendedPoset.from_relation(reps, lambda a, b: rel[(a, b)])
+    return {"representatives": reps, "relations": rel, "uniqueness": uniqueness,
+            "property_counts": naive_quotient_law_counts(poset)[0]}

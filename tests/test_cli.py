@@ -457,3 +457,29 @@ def test_exit_statuses_hold_in_a_fresh_process(name, tmp_path):
     assert done.stderr.startswith(err) and done.stderr.count("\n") == (1 if err else 0)
     if not err:  # check-poset reports an inadmissible poset as a failed check on stdout
         assert "poset: INVALID" in done.stdout and done.stdout.endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("quotient z2-product --subgroup second-factor --radius 3",
+     "check failed: cones do not partition at (1,-1): no piece\n"),
+    ("quotient z-broken --subgroup even --radius 2", "check failed: cones do not partition at -2: no piece\n"),
+])
+def test_a_quotient_scan_meets_the_first_partition_failure_in_scan_order(argv, err, capsys):
+    # a scan that classified whole rows up front would meet (-1,1) first on z2-product
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_a_quotient_scan_classifies_each_distinct_quotient_about_once(monkeypatch, capsys):
+    from treeorder.grouporder import ConeStructure
+
+    calls = []
+    classify = ConeStructure.classify
+
+    def counted(self, g, h):
+        calls.append(None)
+        return classify(self, g, h)
+
+    monkeypatch.setattr(ConeStructure, "classify", counted)
+    assert main(["quotient", "z2-lex", "--subgroup", "second-factor", "--radius", "6"]) == 0
+    assert len(calls) <= 2000  # 70,506 when every pair was classified
