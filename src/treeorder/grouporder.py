@@ -120,7 +120,7 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
     group = cone.group
     ball = group.ball(radius)
     pos, upp, low = [], [], []
-    for w in ball:
+    for w in ball:  # the only predicate calls: one per piece and element
         if cone.in_positive(w):
             pos.append(w)
         if cone.in_upper(w):
@@ -137,31 +137,30 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
         6: ConditionResult(6, "pieces partition the ball"),
     }
 
-    c1 = conditions[1]
-    c6 = conditions[6]
+    # the ball is inverse-closed, so w^-1's pieces are read off the sets
+    P, U, L = set(pos), set(upp), set(low)
+    c1, c6 = conditions[1], conditions[6]
+    c1.checked = c6.checked = len(ball)
     for w in ball:
         wi = group.inv(w)
-        c1.checked += 1
-        if cone.in_positive(w) and cone.in_positive(wi):
+        p, pi, u, l = w in P, wi in P, w in U, w in L
+        if p and pi:
             c1.note((w, wi))
-        if cone.in_upper(w) != cone.in_upper(wi) or cone.in_lower(w) != cone.in_lower(wi):
+        if u != (wi in U) or l != (wi in L):
             c1.note((w, wi))
-        c6.checked += 1
-        hits = (w == group.identity) + cone.in_positive(w) + cone.in_positive(wi) + cone.in_upper(w) + cone.in_lower(w)
-        if hits != 1:
+        if (w == group.identity) + p + pi + u + l != 1:
             c6.note((w,))
 
-    # products are read against the pieces found above, one set test per
-    # batch; only a failing batch is rescanned, in order, for its witnesses
-    P, U, L = [(members, group.sweep_keys(members, radius)) for members in (set(pos), set(upp), set(low))]
+    # each batch says whether a product left its piece; only such a batch
+    # is rescanned, in order, for its witnesses
     sweeps = [(2, pos, pos, P), (3, low, pos, L), (4, pos, upp, U), (5, upp, low, P)]
     bset = None  # built by the first rescan; a passing sweep never needs it
 
-    for idx, xs, ys, (members, keys) in sweeps:
+    for idx, xs, ys, members in sweeps:
         cond = conditions[idx]
-        for g, hs, products in group.bounded_products(xs, ys, radius):
-            cond.checked += len(products)
-            if not keys.issuperset(products):
+        for g, hs, checked, escaped in group.bounded_products(xs, ys, radius, members) if xs and ys else ():
+            cond.checked += checked
+            if escaped:
                 if bset is None:
                     bset = set(ball)
                 for h in hs:
@@ -372,19 +371,19 @@ def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int)
     outside = [c for c in group.ball(2 * radius) if not sub(c)]
     keys, side, read = _quotient_sides(cone, H + outside, radius)
     kout = keys[len(H):]
+    # the (rab, rbc) code pairs that put b between a and c, by the code rac
+    between = {rac: {(x, y) for x in REL_NAMES for y in REL_NAMES if between_by_codes(rac, x, y)}
+               for rac in (LT, GT, SIMU, SIML)}
     violations = []
-    pairs = 0
     for i, h1 in enumerate(H):
         k1 = keys[i]
         for h2, k2 in zip(H[i + 1:], keys[i + 1:]):
-            pairs += 1
-            rac = side(k2 - k1) or read(h1, h2, k2 - k1)
+            inside = between[side(k2 - k1) or read(h1, h2, k2 - k1)]
             for c, kc in zip(outside, kout):
-                if between_by_codes(rac, side(kc - k1) or read(h1, c, kc - k1),
-                                    side(k2 - kc) or read(c, h2, k2 - kc)):
+                if (side(kc - k1) or read(h1, c, kc - k1), side(k2 - kc) or read(c, h2, k2 - kc)) in inside:
                     violations.append({"pair": (h1, h2), "witness": c})
                     break
-    return ConvexityReport(pairs_checked=pairs, violations=violations)
+    return ConvexityReport(pairs_checked=len(H) * (len(H) - 1) // 2, violations=violations)
 
 
 @dataclass

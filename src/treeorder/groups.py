@@ -5,8 +5,8 @@ Each model exposes the same small surface: ``identity``, ``mult``, ``inv``,
 length and then by a fixed tie-break), ``format`` for reports, and
 ``components`` for the little predicate language used by cone documents.
 For cone-axiom sweeps every model also has ``bounded_products``, which
-batches the products of two ball subsets that stay inside the ball, and
-``sweep_keys``, which maps elements to the keys those batches are written in.
+batches the products of two ball subsets that stay inside the ball and says
+whether a batch leaves a member set.
 Z and Z^k also give ``quotient_keys``: int keys that add as the elements do,
 so quotient scans read the side of g^-1 h under key(h) - key(g); the other
 models have none, and their scans classify every pair.
@@ -22,6 +22,8 @@ first surviving coefficient.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import groupby
 from typing import Iterator
 
 from .errors import GroupError
@@ -33,20 +35,17 @@ SERIES_MAX_DEGREE = 8
 
 
 class GroupModel:
-    """Sweep defaults: a plain double loop, keyed by the elements themselves."""
+    """Sweep default: a plain double loop."""
 
-    def sweep_keys(self, ws: set, r: int) -> set:
-        """The set ws of elements as the keys that ``bounded_products(..., r)``
-        writes its products in."""
-        return ws
-
-    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
-        """Batches (g, hs, products): hs are the h in ys, in order, whose
-        product g*h may lie in ball(r), and products holds the sweep keys of
-        exactly those g*h that do."""
+    def bounded_products(self, xs: list, ys: list, r: int, members: set) -> Iterator[tuple]:
+        """Batches (g, hs, checked, escaped) for sublists xs and ys of ball(r),
+        in its order: hs are the h in ys, in order, whose product g*h may lie
+        in ball(r), checked counts those g*h that do, and escaped says whether
+        one of them lies outside members."""
         ball = set(self.ball(r))
         for g in xs:
-            yield g, ys, [z for z in (self.mult(g, h) for h in ys) if z in ball]
+            zs = [z for z in (self.mult(g, h) for h in ys) if z in ball]
+            yield g, ys, len(zs), not members.issuperset(zs)
 
     def quotient_keys(self, ws: list, r: int) -> list | None:
         """Int keys of ws that add as the elements do and tell apart every
@@ -54,14 +53,35 @@ class GroupModel:
         return None
 
 
-def _additive_batches(xs: list, ys: list, ball: set, xcodes: list, ycodes: list) -> Iterator[tuple]:
-    # codes add as the elements do, so the in-ball products of g are one
-    # set intersection; distinct h give distinct products
-    for g, c in zip(xs, xcodes):
-        yield g, ys, ball.intersection([c + y for y in ycodes])
+def _mask(codes: list) -> int:
+    buf = bytearray(max(codes, default=0) // 8 + 1)
+    for c in codes:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
 
 
-class Z(GroupModel):
+class _Additive(GroupModel):
+    """Z and Z^k: ``_codes(ws, r, s)`` keys ws by ints that add as the
+    elements do, each coordinate raised by s (Z^k reads v as
+    sum((v[i] + s) * B**i), B = 4r + 1).  They tell apart coordinates of
+    [-2r, 2r], which products of two ball(r) elements have; quotient scans,
+    whose g1^-1 g2 h have coordinates of [-4r, 4r], key at 2r."""
+
+    def quotient_keys(self, ws: list, r: int) -> list:
+        return self._codes(ws, 2 * r)
+
+    def bounded_products(self, xs: list, ys: list, r: int, members: set) -> Iterator[tuple]:
+        # a product's code at shift 2r is the sum of its factors' codes at
+        # shift r, so the products of g are the mask of ys shifted by g's code
+        ymask = _mask(self._codes(ys, r, r))
+        inball = _mask(self._codes(self.ball(r), r, 2 * r))
+        outside = inball & ~_mask(self._codes(members, r, 2 * r))
+        for g, shift in zip(xs, self._codes(xs, r, r)):
+            products = ymask << shift
+            yield g, ys, (products & inball).bit_count(), bool(products & outside)
+
+
+class Z(_Additive):
     """The integers with generator 1."""
 
     name = "z"
@@ -83,21 +103,12 @@ class Z(GroupModel):
     def components(self, a: int) -> tuple:
         return (a,)
 
-    def quotient_keys(self, ws: list, r: int) -> list:
-        return list(ws)
-
-    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
-        return _additive_batches(xs, ys, set(range(-r, r + 1)), xs, ys)
+    def _codes(self, ws, r: int, shift: int = 0) -> list:
+        return [w + shift for w in ws]
 
 
-class Zk(GroupModel):
-    """Free abelian group of rank k, word metric from the standard basis.
-
-    Sweeps key a vector v by the int code sum(v[i] * B**i) with B = 4r + 1:
-    a product of two ball(r) elements has coordinates in [-2r, 2r], where
-    the code is injective and adds as the vectors do.  Quotient scans form
-    g1^-1 g2 h with coordinates in [-4r, 4r], so their keys use B = 8r + 1.
-    """
+class Zk(_Additive):
+    """Free abelian group of rank k, word metric from the standard basis."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -124,31 +135,15 @@ class Zk(GroupModel):
     def components(self, a: tuple) -> tuple:
         return a
 
-    def _codes(self, ws: list, r: int) -> list:
+    def _codes(self, ws, r: int, shift: int = 0) -> list:
         base = 4 * r + 1
         out = []
         for v in ws:
             code = 0
             for x in reversed(v):
-                code = code * base + x
+                code = code * base + x + shift
             out.append(code)
         return out
-
-    def sweep_keys(self, ws: set, r: int) -> set:
-        return set(self._codes(ws, r))
-
-    def quotient_keys(self, ws: list, r: int) -> list:
-        return self._codes(ws, 2 * r)  # coordinates within 4r
-
-    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
-        # the ball's codes, coordinate by coordinate in _codes' order, each
-        # with the budget its coordinates so far leave
-        base = 4 * r + 1
-        partial = [(0, r)]
-        for _ in range(self.k):
-            partial = [(code * base + x, left - abs(x)) for code, left in partial for x in range(-left, left + 1)]
-        ball = {code for code, _ in partial}
-        return _additive_batches(xs, ys, ball, self._codes(xs, r), self._codes(ys, r))
 
 
 class FreeGroup(GroupModel):
@@ -164,6 +159,8 @@ class FreeGroup(GroupModel):
         self.name = f"free{k}"
         self.identity: tuple = ()
         self._sign_cache: dict = {}
+        # letters in ball order, each with its digit in sweep codes
+        self._digits = {x: n for n, x in enumerate((x for i in range(1, k + 1) for x in (i, -i)), 1)}
 
     def mult(self, a: tuple, b: tuple) -> tuple:
         i = len(a)
@@ -177,18 +174,10 @@ class FreeGroup(GroupModel):
         return tuple(-x for x in reversed(a))
 
     def ball(self, r: int) -> list:
-        letters = [x for i in range(1, self.k + 1) for x in (i, -i)]
         out: list = [()]
-        layer: list = [()]
-        for _ in range(r):
-            nxt = []
-            for w in layer:
-                for x in letters:
-                    if w and w[-1] == -x:
-                        continue
-                    nxt.append(w + (x,))
-            out.extend(nxt)
-            layer = nxt
+        for w in out:  # breadth first: the loop reaches the words it appends
+            if len(w) < r:
+                out.extend([w + (x,) for x in self._digits if not w or w[-1] != -x])
         return out
 
     def format(self, a: tuple) -> str:
@@ -239,39 +228,50 @@ class FreeGroup(GroupModel):
         self._sign_cache[w] = sign
         return sign
 
-    # -- ball-restricted product sweep ---------------------------------
+    def bounded_products(self, xs: list, ys: list, r: int, members: set) -> Iterator[tuple]:
+        """Batches, one per left factor g and right factor length b, of every
+        h in ys whose product with g lies in ball(r).
 
-    def bounded_products(self, xs: list, ys: list, r: int) -> Iterator[tuple]:
-        """Batches (g, hs, products), one per left factor g and right factor
-        length, holding every h in ys whose product with g lies in ball(r).
-
-        Factors longer than the budget allows must cancel at the junction, so
-        right factors are bucketed by the prefix the cancellation forces; a
-        bucket's products all lie in the ball, and each is built from g's
-        head past the forced cancellation.
+        Words are keyed by bijective base-(2k + 1) codes whose digits follow
+        ball()'s letter order, so codes sort as ball() does and code(u t) =
+        code(u) B^|t| + code(t).  The length-b words that start with the
+        prefix p the budget forces to cancel are the interval [code(p) B^L,
+        (code(p) + 1) B^L), L = b - |p|; their products are their codes plus
+        (code(head) - code(p)) B^L, head being g without its last |p|
+        letters, except on the sub-interval that cancels one letter deeper.
         """
-        buckets: dict = {}
-        for h in ys:
-            b = len(h)
-            for c in range(min(b, r) + 1):
-                buckets.setdefault((b, h[:c]), []).append(h)
-        lengths = sorted({len(h) for h in ys})
-        mult = self.mult
+        base, digits = 2 * self.k + 1, self._digits
+        pw = [base ** n for n in range(r + 1)]
+
+        def code(w: tuple) -> int:
+            out = 0
+            for x in w:
+                out = out * base + digits[x]
+            return out
+
+        keys = set(map(code, members))
+        rows = [(b, hs, list(map(code, hs))) for b, hs in ((b, list(run)) for b, run in groupby(ys, len))]
+        # per left length a: each row b with the c letters that must cancel
+        plans = [[(b, hs, codes, max(0, (a + b - r + 1) // 2), min(a, b)) for b, hs, codes in rows
+                  if (a + b - r + 1) // 2 <= min(a, b)] for a in range(r + 1)]
         for g in xs:
-            a = len(g)
-            for b in lengths:
-                over = a + b - r
-                cmin = 0 if over <= 0 else (over + 1) // 2
-                if cmin > min(a, b):
-                    continue
-                need = tuple(-g[a - 1 - t] for t in range(cmin))
-                hs = buckets.get((b, need))
-                if hs:
-                    # only a tail that starts with `back` cancels further
-                    head = g[:a - cmin]
-                    back = -head[-1] if head else 0
-                    yield g, hs, [head + h[cmin:] if len(h) == cmin or h[cmin] != back else mult(head, h[cmin:])
-                                  for h in hs]
+            a, gc, ic = len(g), code(g), code(self.inv(g))
+            for b, hs, codes, c, most in plans[a]:
+                p = ic // pw[a - c]  # the prefix they force on h
+                lo = start = bisect_left(codes, p * pw[b - c])
+                hi = stop = bisect_left(codes, (p + 1) * pw[b - c], lo)
+                while start < stop:
+                    delta = (gc // pw[c] - p) * pw[b - c]
+                    mid = end = stop
+                    if c < most:  # the words whose next letter cancels too
+                        p = ic // pw[a - c - 1]
+                        mid = bisect_left(codes, p * pw[b - c - 1], start, stop)
+                        end = bisect_left(codes, (p + 1) * pw[b - c - 1], mid, stop)
+                    if not keys.issuperset(map(delta.__add__, codes[start:mid] + codes[end:stop])):
+                        break  # escaped: start < stop is left standing
+                    start, stop, c = mid, end, c + 1
+                if lo < hi:
+                    yield g, hs[lo:hi], hi - lo, start < stop
 
 
 class InfiniteDihedral(GroupModel):

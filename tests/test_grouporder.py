@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from treeorder import groups
 from treeorder.catalog import (
     BUILTIN_CONES,
     dihedral_standard,
@@ -16,7 +17,7 @@ from treeorder.catalog import (
     zk_lex,
 )
 from treeorder.corpus import all_extended_posets, tree_corpus
-from treeorder.groups import FreeGroup, TableGroup, Z, Zk
+from treeorder.groups import FreeGroup, GroupError, TableGroup, Z, Zk
 from treeorder.grouporder import (
     MINUS,
     PLAIN,
@@ -136,7 +137,27 @@ def test_sweep_calls_each_predicate_a_bounded_number_of_times_per_ball_element(n
     assert report.ok
     bound = 6 * report.ball_size
     assert sum(report.conditions[i].checked for i in (2, 3, 4, 5)) > bound
-    assert max(calls[piece] for piece in "pul") <= bound, calls
+    # once each: w^-1's pieces and the products' are read off the piece sets
+    assert calls == {piece: report.ball_size for piece in "pul"}, calls
+
+
+def test_a_raising_predicate_fails_the_sweep_at_its_first_call_in_ball_order(monkeypatch):
+    monkeypatch.setattr(groups, "SERIES_MAX_DEGREE", 1)
+    with pytest.raises(GroupError, match="^series sign undecided to degree 1 for abAB$"):
+        verify_cone_axioms(get_cone("free2-standard"), 4)
+    ball = Z().ball(3)  # 0, -1, 1, -2, ...
+
+    def undecided(piece, start):
+        def test(n):
+            if ball.index(n) >= start:
+                raise GroupError(f"{piece} undecided at {n}")
+            return False
+        return test
+
+    # the pieces of one element are read P, U, L before the next element's
+    cone = ConeStructure("z-undecided", Z(), undecided("p", 3), undecided("u", 2), undecided("l", 2))
+    with pytest.raises(GroupError, match="^u undecided at 1$"):
+        verify_cone_axioms(cone, 3)
 
 
 def test_cone_report_serializes():

@@ -115,18 +115,25 @@ def test_make_group_defaults_only_a_missing_rank():
             make_group(family, k)
 
 
-@pytest.mark.parametrize("model", [Z(), Zk(2), Zk(3), FreeGroup(2), InfiniteDihedral(), TableGroup(list(range(5)), Z5_TABLE, 0)],
+@pytest.mark.parametrize("model", [Z(), Zk(2), Zk(3), FreeGroup(2), FreeGroup(3), InfiniteDihedral(),
+                                   TableGroup(list(range(5)), Z5_TABLE, 0)],
                          ids=lambda g: getattr(g, "name", "z5"))
 def test_bounded_products_batch_exactly_the_in_ball_products(model):
+    escapes = set()
     for r in range(5):
         ball = model.ball(r)
+        if len(ball) > 400:  # free3 at r = 4: the pairwise loop would dominate the suite
+            break
         bset = set(ball)
         for xs, ys in ((ball, ball), (ball[::2], ball[1::3])):
             want = [(g, h) for g in xs for h in ys if model.mult(g, h) in bset]
-            got = []
-            for g, hs, products in model.bounded_products(xs, ys, r):
-                inside = [h for h in hs if model.mult(g, h) in bset]
-                zs = [model.mult(g, h) for h in inside]
-                assert len(products) == len(zs) and set(products) == model.sweep_keys(set(zs), r)
-                got += [(g, h) for h in inside]
-            assert got == want
+            for members in (bset, set(ball[::2]), set(ball[1::2])):
+                got = []
+                for g, hs, checked, escaped in model.bounded_products(xs, ys, r, members):
+                    inside = [h for h in hs if model.mult(g, h) in bset]
+                    zs = [model.mult(g, h) for h in inside]
+                    assert checked == len(zs) and escaped == (not members.issuperset(zs))
+                    escapes.add(escaped)
+                    got += [(g, h) for h in inside]
+                assert got == want
+    assert escapes == {False, True}
