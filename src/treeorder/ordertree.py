@@ -400,24 +400,6 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     return m
 
 
-def phi_point(m: OneManifold, p) -> tuple:
-    """Collapse a blown-up point back to the base tree."""
-    if p[0] == "node":
-        return ("node", m.phi_nodes[p[1]])
-    _, aid, t = p
-    kind, target = m.phi_arcs[aid]
-    if kind == "base-arc":
-        return ("arc", target, t)
-    return ("node", target)
-
-
-def is_core_point(m: OneManifold, p) -> bool:
-    """Core points: everything except ray interiors and ray far ends."""
-    if p[0] == "arc":
-        return m.arcs[p[1]].core
-    return m.nodes[p[1]].kind == "point"
-
-
 def check_blowup(m: OneManifold) -> dict:
     """Branchless, collapse-surjective from the core, and fiber collapse
     reproduces the base arc structure exactly."""

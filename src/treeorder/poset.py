@@ -21,6 +21,7 @@ to lay out on a line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import PosetError
@@ -75,10 +76,6 @@ class BetweenChain:
     b: Element
     members: tuple
     classes: tuple
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
 
 class ExtendedPoset:
@@ -217,12 +214,6 @@ class ExtendedPoset:
 
     def classify(self, a: Element, b: Element) -> str:
         return REL_NAMES[self.rel(a, b)]
-
-    def up_set(self, a: Element) -> tuple:
-        return tuple(self.elements[j] for j in _bits(self._up[self.index(a)]))
-
-    def down_set(self, a: Element) -> tuple:
-        return tuple(self.elements[j] for j in _bits(self._down[self.index(a)]))
 
     def iter_pairs(self) -> Iterator[tuple]:
         for i in range(self.n):
@@ -384,23 +375,72 @@ class ExtendedPoset:
                     })
         return out
 
-    def verify_o_equivalence(self, limit: int = 100) -> list:
-        """Chain-relatedness is an equivalence on every between set: the
-        ClassLawError of each pair that fails ``between_set``'s class check,
-        skipping pairs whose travel order is not total.  Across unrelated
-        regions transitivity genuinely fails, which is why the similarity
-        classes partition between sets and nothing larger."""
-        out = []
+    def _between_table(self) -> list:
+        """B(i, j) for every ordered pair, with {i} on the diagonal."""
+        n, mask = self.n, self._between_mask
+        bet = [[1 << i] * n for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                bet[i][j] = bet[j][i] = mask(i, j)
+        return bet
+
+    def _certified(self, bet: list) -> bool:
+        """Whether ``between_set`` passes on every pair, read off the between
+        table.  From each anchor i, j comes by increasing |B(i, j)| and is
+        accepted when B(i, j) minus j is B(i, q) for an accepted q (B(i, i) =
+        {i}); accepted sets hold accepted elements only, so j is in none and
+        ``between_members(i, j)`` is that of (i, q) plus j.  B(i, j) is a chain
+        when B(i, q) is one in comp[j], comp being symmetric.  A second walk
+        cuts classes as ``between_set`` does and checks each j's related
+        partners in B(i, j); a chain answer unlike one kept refuses too."""
+        n, comp, related, walks = self.n, self._comp, [], []
+        for i, row in enumerate(bet):
+            pred, rel, walk = {1 << i: i}, 1 << i, []
+            for j in sorted(range(n), key=list(map(int.bit_count, row)).__getitem__):
+                if j == i:
+                    continue
+                m = row[j]
+                q = pred.get(m ^ 1 << j)
+                if q is None or (comp[i] >> j ^ comp[j] >> i) & 1:
+                    return False
+                pred[m] = j
+                if rel >> q & 1 and not m & ~comp[j] & ~(1 << j):
+                    rel |= 1 << j
+                walk.append((j, q, m))
+            if (rel ^ self._orel[i]) & self._tested[i]:
+                return False
+            related.append(rel)
+            walks.append(walk)
+        for i, walk in enumerate(walks):
+            cls = {i: 1 << i}
+            for j, q, m in walk:
+                cls[j] = cls[q] | 1 << j if related[q] >> j & 1 else 1 << j
+                if related[j] & m != cls[j]:
+                    return False
+        return True
+
+    def pair_problems(self) -> dict:
+        """The ``between_set`` failures over the pairs a < b, filed under
+        ``travel`` (travel order not total) or ``o_equivalence`` (class check).
+        The certificate answers for every pair at once; only when it refuses
+        does ``between_set`` run on each pair and name the witnesses."""
+        out: dict = {"travel": [], "o_equivalence": []}
+        if self._certified(self._between_table()):
+            return out
         for a, b in self.iter_pairs():
             try:
                 self.between_set(a, b)
-            except ClassLawError as err:
-                out.append({"pair": (a, b), "error": str(err)})
-                if len(out) >= limit:
-                    break
-            except PosetError:
-                pass
+            except PosetError as err:
+                law = "o_equivalence" if isinstance(err, ClassLawError) else "travel"
+                out[law].append({"pair": (a, b), "error": str(err)})
         return out
+
+    def verify_o_equivalence(self, limit: int = 100) -> list:
+        """Chain-relatedness is an equivalence on every between set: the
+        ``o_equivalence`` list of ``pair_problems``.  Across unrelated regions
+        transitivity genuinely fails, which is why the similarity classes
+        partition between sets and nothing larger."""
+        return self.pair_problems()["o_equivalence"][:limit]
 
     def verify_between_theorem(self, limit: int = 100) -> list:
         """Check the four structural laws of between sets on every tuple.
@@ -410,61 +450,49 @@ class ExtendedPoset:
         3. When c lies in B(a, b), the two halves meet only in c.
         4. If b is between a and c, and c is between b and d, then both b and
            c are between a and d.
-        """
-        n = self.n
-        bet = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    bet[i][j] = self._between_mask(i, j)
-        out = []
 
-        def note(prop, **kw):
-            if len(out) < limit:
-                rec = {"property": prop}
-                rec.update(kw)
-                out.append(rec)
+        Laws 1-3 read B(a, b) as B(b, a): a < b is scanned, all pairs only to list failures."""
+        n, bet, elements = self.n, self._between_table(), self.elements
 
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
+        def note(prop, *at):
+            return {"property": prop, **{key: elements[x] for key, x in zip("abcd", at)}}
+
+        def triples(pairs) -> list:
+            found = []
+            for a, b in pairs:
+                row, ab = bet[a], bet[a][b]
                 for c in range(n):
                     if c == a or c == b:
                         continue
-                    union = bet[a][c] | bet[c][b]
-                    if bet[a][b] & ~union:
-                        note(1, a=self.elements[a], b=self.elements[b], c=self.elements[c])
-                    inside = bool(bet[a][b] & (1 << c))
-                    if inside != (bet[a][b] == union):
-                        note(2, a=self.elements[a], b=self.elements[b], c=self.elements[c])
-                    if inside and (bet[a][c] & bet[c][b]) != (1 << c):
-                        note(3, a=self.elements[a], b=self.elements[b], c=self.elements[c])
-        # law 4 via membership transforms: T[x][a] is the set of d with x in B(a, d)
+                    union = row[c] | bet[c][b]
+                    if ab & ~union:
+                        found.append(note(1, a, b, c))
+                    inside = bool(ab >> c & 1)
+                    if inside != (ab == union):
+                        found.append(note(2, a, b, c))
+                    if inside and row[c] & bet[c][b] != 1 << c:
+                        found.append(note(3, a, b, c))
+            return found
+
+        out = triples(combinations(range(n), 2)) and triples(permutations(range(n), 2))
+        # law 4: T[x][a] is the set of d with x in B(a, d); b in B(a, c) for a in T[b][c]
         T = [[0] * n for _ in range(n)]
         for a in range(n):
-            for d in range(n):
-                if a == d:
-                    continue
-                mask = bet[a][d]
-                for x in _bits(mask):
+            for d in range(a + 1, n):
+                for x in _bits(bet[a][d]):
                     T[x][a] |= 1 << d
+                    T[x][d] |= 1 << a
         for b in range(n):
             for c in range(n):
-                if b == c:
+                ends = 1 << b | 1 << c
+                dmask = T[c][b] & ~ends
+                if b == c or not dmask:
                     continue
-                dmask = T[c][b] & ~(1 << b) & ~(1 << c)
-                if not dmask:
-                    continue
-                for a in range(n):
-                    if a == b or a == c:
-                        continue
-                    if not (bet[a][c] & (1 << b)):
-                        continue
+                for a in _bits(T[b][c] & ~ends):
                     bad = dmask & ~(T[b][a] & T[c][a]) & ~(1 << a)
-                    for d in _bits(bad):
-                        note(4, a=self.elements[a], b=self.elements[b], c=self.elements[c], d=self.elements[d])
-        return out
+                    if bad:
+                        out.extend(note(4, a, b, c, d) for d in _bits(bad))
+        return out[:limit]
 
     # -- derived posets ----------------------------------------------
 

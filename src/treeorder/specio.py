@@ -152,10 +152,6 @@ def _require_components(group, indices, where: str) -> None:
         raise SpecError(f"{where}: component {stray[0]} out of range; the group's elements have {count}")
 
 
-def build_predicate(expr: dict, group) -> Callable:
-    return _read_expr(expr, group, "predicate")
-
-
 def _read_expr(expr, group, where: str) -> Callable:
     """The predicate an expression names over ``group``, checked as it is built."""
     if not isinstance(expr, dict) or "op" not in expr:

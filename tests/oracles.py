@@ -286,6 +286,87 @@ def naive_o_equivalence(p) -> list:
     return out
 
 
+def per_pair_suite(p) -> dict:
+    """``run_relation_suite``'s report with its pair laws read one
+    ``between_set`` call per pair a < b: a pair whose travel order is not
+    total goes under ``travel``, one that fails the class check under
+    ``o_equivalence``.  This is the pass the suite's certificate stands in
+    for; the theorem and propagation lists come from the poset's own scans."""
+    from treeorder.poset import ClassLawError, PosetError
+
+    problems = {"theorem": p.verify_between_theorem(limit=3), "travel": [],
+                "propagation": p.check_lemma_propagation(), "o_equivalence": []}
+    for a, b in p.iter_pairs():
+        try:
+            p.between_set(a, b)
+        except PosetError as err:
+            law = "o_equivalence" if isinstance(err, ClassLawError) else "travel"
+            problems[law].append({"pair": (a, b), "error": str(err)})
+    problems["ok"] = not any(problems[key] for key in ("theorem", "travel", "propagation", "o_equivalence"))
+    return problems
+
+
+def naive_between_theorem(p, limit: int = 100, inside=None) -> list:
+    """The four laws of ``verify_between_theorem`` as ordered scans: laws 1-3
+    over every triple (a, b, c) of distinct elements, then law 4 over every
+    quadruple (b, c, a, d), in element order, cut to ``limit``.  Membership
+    is ``inside(a, x, c)``, by default ``p.is_between``; a test that corrupts
+    a between mask passes the same corruption here."""
+    inside = inside or p.is_between
+    elems = p.elements
+    B = {(a, c): {x for x in elems if inside(a, x, c)} for a in elems for c in elems if a != c}
+    out = []
+    for a, b, c in itertools.permutations(elems, 3):
+        union = B[a, c] | B[c, b]
+        if not B[a, b] <= union:
+            out.append({"property": 1, "a": a, "b": b, "c": c})
+        if (c in B[a, b]) != (B[a, b] == union):
+            out.append({"property": 2, "a": a, "b": b, "c": c})
+        if c in B[a, b] and B[a, c] & B[c, b] != {c}:
+            out.append({"property": 3, "a": a, "b": b, "c": c})
+    for b, c, a, d in itertools.permutations(elems, 4):
+        if b in B[a, c] and c in B[b, d] and not {b, c} <= B[a, d]:
+            out.append({"property": 4, "a": a, "b": b, "c": c, "d": d})
+    return out[:limit]
+
+
+def up_set(p, a) -> tuple:
+    """The elements above a, in element order."""
+    return tuple(x for x in p.elements if x != a and p.classify(a, x) == "lt")
+
+
+def down_set(p, a) -> tuple:
+    """The elements below a, in element order."""
+    return tuple(x for x in p.elements if x != a and p.classify(a, x) == "gt")
+
+
+def phi_point(m, p) -> tuple:
+    """Collapse a point of a blown-up manifold back to the base tree."""
+    if p[0] == "node":
+        return ("node", m.phi_nodes[p[1]])
+    _, aid, t = p
+    kind, target = m.phi_arcs[aid]
+    if kind == "base-arc":
+        return ("arc", target, t)
+    return ("node", target)
+
+
+def is_core_point(m, p) -> bool:
+    """Core points of a blow-up: everything except ray interiors and ray far ends."""
+    if p[0] == "arc":
+        return m.arcs[p[1]].core
+    return m.nodes[p[1]].kind == "point"
+
+
+def build_predicate(expr: dict, group_spec: dict):
+    """The predicate a spec expression names, read as the positive piece of a
+    one-piece group-order document over the group ``group_spec`` names."""
+    from treeorder.specio import cone_from_document, parse_document
+
+    body = {"group": group_spec, "cones": {"positive": expr}}
+    return cone_from_document(parse_document({"version": "1", "kind": "group-order", "body": body})).in_positive
+
+
 def naive_between_mask(p, a, b) -> int:
     """B(a, b) as a mask over ``p.elements``, one ``is_between`` call per
     element; ``is_between`` reads the three pair codes through

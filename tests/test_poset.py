@@ -84,8 +84,8 @@ def test_chain_queries():
     assert p.rel("a", "c") == LT
     assert p.rel("c", "a") == GT
     assert p.classify("a", "b") == "lt"
-    assert p.up_set("b") == ("c", "d")
-    assert p.down_set("b") == ("a",)
+    assert oracles.up_set(p, "b") == ("c", "d")
+    assert oracles.down_set(p, "b") == ("a",)
     assert p.between_members("a", "d") == ("a", "b", "c", "d")
     bc = p.between_set("a", "d")
     assert bc.members == ("a", "b", "c", "d")
@@ -179,7 +179,7 @@ def test_o_related_is_chainhood():
     # only the endpoints, which an incomparable pair never makes a chain.
     assert p.between_members("b", "c") == ("b", "c")
     assert not p.o_related("b", "c")
-    assert p.between_set("b", "c").class_count == 2
+    assert len(p.between_set("b", "c").classes) == 2
 
 
 def test_strongly_connected_diagnostic():
@@ -217,8 +217,8 @@ def test_between_set_needs_distinct_endpoints():
 
 
 def _posets(case):
-    if case == "extended-4":
-        return all_extended_posets(4)
+    if case.startswith("extended-"):
+        return all_extended_posets(int(case.removeprefix("extended-")))
     if case == "trees-100":
         return tree_corpus(100)
     name, _, radius = case.rpartition("-r")
@@ -283,10 +283,13 @@ def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes(
         check_no_singleton_classes(doubled, p.elements)
 
 
-@pytest.mark.parametrize("pair, mask, at", [
+TRAVEL_CORRUPTIONS = [
     ((0, 2), 0b0101, "('b', 'c')"),  # B(a, c) loses b
     ((0, 1), 0b1011, "('b', 'd')"),  # B(a, b) gains d
-], ids=["earlier-member-missing", "later-member-present"])
+]
+
+
+@pytest.mark.parametrize("pair, mask, at", TRAVEL_CORRUPTIONS, ids=["earlier-member-missing", "later-member-present"])
 def test_travel_order_that_is_not_total_raises(pair, mask, at):
     p = chain("abcd")
     p._bet[pair[0] * p.n + pair[1]] = mask
@@ -299,13 +302,19 @@ def _unrelated_within_a_class(p):
     return ("a", "d"), "('a', 'c')"
 
 
+def _unrelated_both_ways(p):
+    p._comp[0] &= ~0b0100  # a and c no longer compare, from either side
+    p._comp[2] &= ~0b0001
+    return ("a", "d"), "('a', 'c')"
+
+
 def _related_across_classes(p):
     p._comp[1] &= ~0b0100  # b no longer compares with c, which cuts B(d, a) in two
     p._bet[0 * p.n + 2] = 0b0101  # B(a, c) loses b and becomes a chain
     return ("d", "a"), "('c', 'a')"
 
 
-@pytest.mark.parametrize("corrupt", [_unrelated_within_a_class, _related_across_classes])
+@pytest.mark.parametrize("corrupt", [_unrelated_within_a_class, _unrelated_both_ways, _related_across_classes])
 def test_classes_that_are_not_travel_intervals_raise(corrupt):
     p = chain("abcd")
     (a, b), at = corrupt(p)
@@ -351,3 +360,97 @@ def test_rows_that_do_not_name_each_partner_once_each_way_raise(rows, message):
     with pytest.raises(PosetError, match=re.escape(message)):
         ExtendedPoset(("a", "b"), *rows)
     assert ExtendedPoset(("a", "b"), [0b10, 0], [0, 0b01], [0, 0], [0, 0]).rel("b", "a") == GT
+
+
+POPULATIONS = ["extended-0", "extended-1", "extended-2", "extended-3", "extended-4", "trees-100",
+               "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2"]
+
+
+@pytest.mark.parametrize("case", POPULATIONS)
+def test_the_certificate_covers_every_poset_and_the_suite_equals_the_per_pair_pass(case):
+    posets = _posets(case)
+    for p in posets:
+        assert p._certified(p._between_table())
+        suite = run_relation_suite(p)
+        assert suite["ok"] and suite == oracles.per_pair_suite(p)
+        assert p.verify_between_theorem() == []
+        if p.n <= 5:
+            assert oracles.naive_between_theorem(p) == []
+    assert posets
+
+
+def _class_boundary():
+    pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
+    a, b = pipeline.decomposition.stages[0].pair
+    p, doubled = pipeline.ball_poset, pipeline.doubled
+    _relate_across_a_class_boundary(p, a, b)
+    _relate_across_a_class_boundary(doubled, (a, PLAIN), (b, PLAIN))
+    return [p, doubled]
+
+
+def _chain_with(corrupt):
+    p = chain("abcd")
+    corrupt(p)
+    return [p]
+
+
+def _travel_mask(pair, mask):
+    def corrupt(p):
+        p._bet[pair[0] * p.n + pair[1]] = mask
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupted", [
+    _class_boundary,
+    lambda: _chain_with(_unrelated_within_a_class),
+    lambda: _chain_with(_unrelated_both_ways),
+    lambda: _chain_with(_related_across_classes),
+    *(lambda pair=pair, mask=mask: _chain_with(_travel_mask(pair, mask)) for pair, mask, _ in TRAVEL_CORRUPTIONS),
+], ids=["class-boundary", "unrelated-within-a-class", "unrelated-both-ways", "related-across-classes",
+        "earlier-member-missing", "later-member-present"])
+def test_the_certificate_refuses_a_corrupted_memo_and_the_per_pair_pass_reports_it(corrupted):
+    for q in corrupted():
+        assert not q._certified(q._between_table())
+        suite = run_relation_suite(q)
+        assert not suite["ok"] and suite["travel"] + suite["o_equivalence"]
+        assert suite == oracles.per_pair_suite(q)
+        assert q.verify_o_equivalence() == suite["o_equivalence"]
+        assert q.verify_o_equivalence(limit=1) == suite["o_equivalence"][:1]
+
+
+def test_the_certificate_refuses_a_comparability_seen_from_one_side():
+    # x and y are incomparable, and B(x, y) = {x, z, y} is no chain however
+    # they compare, so every between_set still passes once comp[x] alone
+    # names y; the certificate reads one side of each pair and must refuse
+    p = from_pairs("xyz", [("x", "siml", "y"), ("z", "lt", "x"), ("y", "siml", "z")])
+    p._comp[0] |= 0b010
+    assert not p._certified(p._between_table())
+    suite = run_relation_suite(p)
+    assert suite["ok"] and suite == oracles.per_pair_suite(p)
+
+
+def _corrupted_member(p, a, c, x):
+    """Flip x's membership in B(a, c) in the memo, and return the same
+    corruption as a membership test for the oracle."""
+    i, k = sorted((p.index(a), p.index(c)))
+    p._bet[i * p.n + k] = p._between_mask(i, k) ^ 1 << p.index(x)
+
+    def inside(u, y, v):
+        flipped = {u, v} == {a, c} and y == x
+        return p.is_between(u, y, v) != flipped
+    return inside
+
+
+@pytest.mark.parametrize("poset, a, c, x", [
+    (lambda: chain("abcd"), "a", "c", "b"),
+    (lambda: chain("abcd"), "a", "b", "d"),
+    (lambda: crown(), "b", "c", "a"),
+    (lambda: tree_corpus(3, seed=17)[2], 1, 4, 6),
+], ids=["chain-loses-a-member", "chain-gains-a-member", "crown-gains-the-bottom", "tree"])
+def test_the_theorem_scan_names_the_ordered_witnesses_of_a_corrupted_mask(poset, a, c, x):
+    p = poset()
+    inside = _corrupted_member(p, a, c, x)
+    want = oracles.naive_between_theorem(p, limit=100, inside=inside)
+    assert want
+    assert p.verify_between_theorem(limit=3) == want[:3]
+    assert p.verify_between_theorem() == want

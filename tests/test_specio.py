@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import oracles
 from treeorder.catalog import dihedral_standard
 from treeorder.groups import GroupError, TableGroup
 from treeorder.ordertree import alternating_line_tree
@@ -12,7 +13,6 @@ from treeorder.poset import from_pairs
 from treeorder.specio import (
     SpecError,
     build_group,
-    build_predicate,
     canonical_json,
     cone_from_document,
     parse_document,
@@ -100,28 +100,26 @@ def test_an_unknown_builtin_cone_is_a_spec_error():
 
 
 def test_lex_positive_and_builtin_predicates():
-    from treeorder.groups import FreeGroup, Zk
+    from treeorder.groups import FreeGroup
 
-    plane = Zk(2)
-    lex = build_predicate({"op": "lex-positive"}, plane)
+    plane, free2 = {"family": "zk", "k": 2}, {"family": "free", "k": 2}
+    lex = oracles.build_predicate({"op": "lex-positive"}, plane)
     assert lex((0, 3)) and lex((1, -9)) and not lex((0, 0)) and not lex((-1, 5))
     free = FreeGroup(2)
-    series = build_predicate({"op": "builtin", "name": "series-positive"}, free)
+    series = oracles.build_predicate({"op": "builtin", "name": "series-positive"}, free2)
     for w in free.ball(2):
         if w != ():
             assert series(w) != series(free.inv(w))
     with pytest.raises(SpecError, match="coin-flip"):
-        build_predicate({"op": "builtin", "name": "coin-flip"}, free)
+        oracles.build_predicate({"op": "builtin", "name": "coin-flip"}, free2)
     # The series sign needs a group that carries one.
     with pytest.raises(SpecError, match="series"):
-        build_predicate({"op": "builtin", "name": "series-positive"}, plane)
+        oracles.build_predicate({"op": "builtin", "name": "series-positive"}, plane)
 
 
 def test_component_out_of_range_is_reported():
-    from treeorder.groups import Zk
-
     with pytest.raises(SpecError, match="component"):
-        build_predicate({"op": "cmp", "component": 5, "rel": ">", "value": 0}, Zk(2))
+        oracles.build_predicate({"op": "cmp", "component": 5, "rel": ">", "value": 0}, {"family": "zk", "k": 2})
 
 
 TRIANGLE = {"table": {"elements": [0, 1, 2], "identity": 0, "products": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}}
