@@ -19,6 +19,7 @@ from .grouporder import (
     PLAIN,
     ConeStructure,
     SubgroupSpec,
+    blow_up_gplus,
     check_augmented_between,
     check_completely_convex,
     check_no_singleton_classes,
@@ -225,13 +226,14 @@ def get_action_scenario(name: str, radius: int = 6) -> tuple:
 
 
 def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
-    """Doubled-order checks over a ball: the three between-set shapes per
-    pair, the touching relation is an equivalence, and no similarity class
-    between plain elements is a singleton."""
+    """Doubled-order checks over a ball: the doubled poset validates, the
+    three between-set shapes hold per pair, the touching relation is an
+    equivalence, and no similarity class between plain elements is a
+    singleton."""
     from .orbitorder import ConePipeline
 
-    pipe = ConePipeline.of(cone, radius)
-    p, aug = pipe.ball_poset, pipe.doubled
+    p = ConePipeline.of(cone, radius).ball_poset
+    aug = blow_up_gplus(p)
     pair_failures = []
     pairs = 0
     for a, b in p.iter_pairs():
@@ -240,13 +242,7 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
         if not rep["ok"]:
             pair_failures.append(rep)
     elems = aug.elements
-    masks = []
-    for x in elems:
-        m = 0
-        for j, y in enumerate(elems):
-            if r_equivalent(aug, x, y):
-                m |= 1 << j
-        masks.append(m)
+    masks = [sum(1 << j for j, y in enumerate(elems) if r_equivalent(p, x, y)) for x in elems]
     r_failures = []
     for i, x in enumerate(elems):
         if not (masks[i] >> i) & 1:

@@ -10,10 +10,9 @@ L (3), P*U in U (4), U*L in P (5); and the five pieces partition the group
 (6).  Axiom sweeps restrict to a finite ball, skipping and counting the
 products that escape it.
 
-The element doubling g -> (g-, g, g+) used by the tree construction lives
-here too, together with the touching relation R (two doubled points are
-R-related when nothing separates them) and the quotient order on cosets of a
-normal, completely convex subgroup.
+The element doubling g -> (g-, g, g+) lives here too, with the touching
+relation R (nothing separates two doubled points), read off the base order,
+and the quotient order on cosets of a normal, completely convex subgroup.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
 
     for idx, xs, ys, members in sweeps:
         cond = conditions[idx]
-        for g, hs, checked, escaped in group.bounded_products(xs, ys, radius, members) if xs and ys else ():
+        for g, hs, checked, escaped in group.bounded_products(xs, ys, radius, members, ball) if xs and ys else ():
             cond.checked += checked
             if escaped:
                 if bset is None:
@@ -254,17 +253,25 @@ def blow_up_gplus(p: ExtendedPoset) -> ExtendedPoset:
     return ExtendedPoset(elements, up, down, simu, siml)
 
 
-def r_equivalent(augmented: ExtendedPoset, x: tuple, y: tuple) -> bool:
-    """The touching relation: nothing lies between x and y.
-
-    Plain elements touch only themselves; doubled endpoints touch when their
-    between set is just the pair.
+def r_equivalent(p: ExtendedPoset, x: tuple, y: tuple) -> bool:
+    """Touching in the doubled order, read off the base order p: a label
+    touches itself, a plain label nothing else, and tags (g, s), (h, t)
+    touch when nothing lies between them in ``blow_up_gplus(p)``.  That is
+    when g != h, B(g, h) = {g, h}, s = side_toward(p, g, h) and
+    t = side_toward(p, h, g).  Why: the doubling copies each base relation
+    to all nine tag pairs, so a label of a third element lies between g^s
+    and h^t exactly when that element lies in B(g, h); and g's labels g and
+    g^-s lie between exactly when s faces away from h (g- < g < g+ < h^t
+    for g < h; g- < g+ ~u h^t for g ~u h; g+ > g- ~l h^t for g ~l h).
+    Likewise for h; and g^s, g^t never touch, g lying between them.
     """
     if x == y:
         return True
-    if tag_of(x) == PLAIN or tag_of(y) == PLAIN:
+    (g, s), (h, t) = x, y
+    if s == PLAIN or t == PLAIN or g == h:
         return False
-    return augmented._between_mask(augmented.index(x), augmented.index(y)).bit_count() == 2
+    return (s == side_toward(p, g, h) and t == side_toward(p, h, g)
+            and p._between_mask(p.index(g), p.index(h)).bit_count() == 2)
 
 
 def side_toward(p: ExtendedPoset, x, y) -> int:

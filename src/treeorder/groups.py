@@ -37,14 +37,14 @@ SERIES_MAX_DEGREE = 8
 class GroupModel:
     """Sweep default: a plain double loop."""
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set) -> Iterator[tuple]:
-        """Batches (g, hs, checked, escaped) for sublists xs and ys of ball(r),
-        in its order: hs are the h in ys, in order, whose product g*h may lie
-        in ball(r), checked counts those g*h that do, and escaped says whether
-        one of them lies outside members."""
-        ball = set(self.ball(r))
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> Iterator[tuple]:
+        """Batches (g, hs, checked, escaped) for sublists xs and ys of ball,
+        which is ball(r), in its order: hs are the h in ys, in order, whose
+        product g*h may lie in ball(r), checked counts those g*h that do, and
+        escaped says whether one of them lies outside members."""
+        inball = set(ball)
         for g in xs:
-            zs = [z for z in (self.mult(g, h) for h in ys) if z in ball]
+            zs = [z for z in (self.mult(g, h) for h in ys) if z in inball]
             yield g, ys, len(zs), not members.issuperset(zs)
 
     def quotient_keys(self, ws: list, r: int) -> list | None:
@@ -70,11 +70,11 @@ class _Additive(GroupModel):
     def quotient_keys(self, ws: list, r: int) -> list:
         return self._codes(ws, 2 * r)
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set) -> Iterator[tuple]:
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> Iterator[tuple]:
         # a product's code at shift 2r is the sum of its factors' codes at
         # shift r, so the products of g are the mask of ys shifted by g's code
         ymask = _mask(self._codes(ys, r, r))
-        inball = _mask(self._codes(self.ball(r), r, 2 * r))
+        inball = _mask(self._codes(ball, r, 2 * r))
         outside = inball & ~_mask(self._codes(members, r, 2 * r))
         for g, shift in zip(xs, self._codes(xs, r, r)):
             products = ymask << shift
@@ -228,7 +228,7 @@ class FreeGroup(GroupModel):
         self._sign_cache[w] = sign
         return sign
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set) -> Iterator[tuple]:
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> Iterator[tuple]:
         """Batches, one per left factor g and right factor length b, of every
         h in ys whose product with g lies in ball(r).
 

@@ -34,7 +34,6 @@ from .grouporder import (
     PLAIN,
     ConeReport,
     ConeStructure,
-    blow_up_gplus,
     induced_ball_poset,
     plain_of,
     tag_of,
@@ -416,11 +415,12 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
 class ConePipeline:
     """The chain from a cone order to its tree and back, at one radius.
 
-    Cone-axiom report, ball poset (gated on the report), doubled poset and
-    between-set decomposition are computed on first use and kept; so are
-    the build, its layout and the round trip for each stage count.  Use
-    ``ConePipeline.of`` so that every step of a command shares one pipeline
-    per (cone, radius).
+    Cone-axiom report, ball poset (gated on the report) and between-set
+    decomposition are computed on first use and kept; so are the build, its
+    layout and the round trip for each stage count.  The build reads
+    touching off the ball poset, so no step here builds the doubled poset.
+    Use ``ConePipeline.of`` so that every step of a command shares one
+    pipeline per (cone, radius).
     """
 
     def __init__(self, cone: ConeStructure, radius: int):
@@ -447,10 +447,6 @@ class ConePipeline:
         return induced_ball_poset(self.cone, self.radius, self.cone_report)
 
     @cached_property
-    def doubled(self) -> ExtendedPoset:
-        return blow_up_gplus(self.ball_poset)
-
-    @cached_property
     def decomposition(self) -> BetweenDecomposition:
         return normalize_decomposition(self.ball_poset, auto_pairs(self.ball_poset))
 
@@ -464,8 +460,7 @@ class ConePipeline:
 
     def build(self, stages: Optional[int] = None) -> LabeledTree:
         return self._memo("build", stages, lambda n: build_tree(
-            self.ball_poset, augmented=self.doubled, decomposition=self.decomposition,
-            stages=n, group=self.cone.group))
+            self.ball_poset, decomposition=self.decomposition, stages=n, group=self.cone.group))
 
     def layout(self, stages: Optional[int] = None) -> BuildLayout:
         return self._memo("layout", stages, lambda n: orient_segments(self.build(n)))

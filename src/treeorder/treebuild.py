@@ -4,7 +4,8 @@ The builder consumes a finite tagged poset (typically a group ball with a
 left-invariant order) and a list of between-set pairs covering it.  Each pair
 contributes one stage: the between set B(x, y) splits into similarity
 classes, every class is augmented with the doubled tags of its members, laid
-over one unit interval with touching tag pairs identified, and the already
+over one unit interval with touching tag pairs identified (touching is read
+off the base order, see grouporder.r_equivalent), and the already
 built prefix is cut away so the remainder glues onto the existing tree at the
 doubled tag of x.  Gluing a half-open remainder whose built part has no
 greatest element is supported through explicitly forced stages; the new
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -159,14 +161,8 @@ class LabeledTree:
     ``nu`` maps each doubled label to the raw point where its stage laid it.
     """
 
-    def __init__(
-        self,
-        poset: ExtendedPoset,
-        augmented: ExtendedPoset,
-        group=None,
-    ):
+    def __init__(self, poset: ExtendedPoset, group=None):
         self.poset = poset
-        self.aug = augmented
         self.group = group
         self.fmt = group.format if group is not None else str
         self.intervals: list = []
@@ -190,27 +186,11 @@ class LabeledTree:
     def label_key(self, label: tuple) -> tuple:
         return (self.poset.index(plain_of(label)), tag_of(label))
 
-    def labels_by_point(self) -> dict:
-        out: dict = {}
-        for lab in sorted(self.nu, key=self.label_key):
-            out.setdefault(self.find(self.nu[lab]), []).append(lab)
-        return {pt: tuple(labs) for pt, labs in out.items()}
-
-    def interval_coords(self) -> dict:
-        """Sorted label coordinates per interval, glue ends included."""
-        per: dict = {i: set() for i in range(len(self.intervals))}
-        for i, c in self.nu.values():
-            per[i].add(c)
-        for i, (lo, _hi) in enumerate(self.intervals):
-            per[i].add(lo)
-        return {i: sorted(cs) for i, cs in per.items()}
-
-    def truncated_points(self) -> set:
-        return {
-            self.find((rec.interval, rec.coord))
-            for rec in self.glues
-            if rec.truncated_limit
-        }
+    @cached_property
+    def aug(self) -> ExtendedPoset:
+        """The doubled order, built on first use; only the path check of
+        ``verify_stage_properties`` reads it."""
+        return blow_up_gplus(self.poset)
 
     def format_label(self, label: tuple) -> str:
         return format_aug(label, self.fmt)
@@ -247,11 +227,11 @@ def _class_sequence(poset: ExtendedPoset, members: tuple, x, y) -> list:
     return seq
 
 
-def _merge_slots(augmented: ExtendedPoset, seq: list) -> list:
+def _merge_slots(poset: ExtendedPoset, seq: list) -> list:
     """Group consecutive labels that touch (nothing between them)."""
     slots: list = []
     for lab in seq:
-        if slots and r_equivalent(augmented, slots[-1][-1], lab):
+        if slots and r_equivalent(poset, slots[-1][-1], lab):
             slots[-1].append(lab)
         else:
             slots.append([lab])
@@ -276,7 +256,7 @@ def _lay_classes(
     """Lay the (restricted) classes over [0, k]; consecutive classes share
     their boundary coordinate, which is legal only when the meeting tags
     touch.  Returns the slot list [(coord, labels)] and per-unit directions."""
-    p, A = state.poset, state.aug
+    p = state.poset
     lay = []
     for cls in classes:
         members = tuple(m for m in cls if m not in state.built) if only_new else cls
@@ -286,7 +266,7 @@ def _lay_classes(
     dirs: dict = {}
     for ci, members in enumerate(lay):
         seq = _class_sequence(p, members, x, y)
-        slots = _merge_slots(A, seq)
+        slots = _merge_slots(p, seq)
         coords = _slot_coords(ci, len(slots))
         pos = {lab: j for j, labs in enumerate(slots) for lab in labs}
         g0 = members[0]
@@ -294,7 +274,7 @@ def _lay_classes(
         for c, labs in zip(coords, slots):
             if out and out[-1][0] == c:
                 u, v = out[-1][1][-1], labs[0]
-                if not r_equivalent(A, u, v):
+                if not r_equivalent(p, u, v):
                     raise BuildError(
                         "class boundary labels do not touch: "
                         f"{state.format_label(u)} | {state.format_label(v)}"
@@ -395,20 +375,17 @@ def _glue(state: LabeledTree, stage: Stage, chain: BetweenChain, role: str, tag:
 def build_tree(
     poset: ExtendedPoset,
     pairs: Optional[Sequence[tuple]] = None,
-    augmented: Optional[ExtendedPoset] = None,
     decomposition: Optional[BetweenDecomposition] = None,
     stages: Optional[int] = None,
     case2: Iterable[tuple] = (),
     group=None,
 ) -> LabeledTree:
     """Normalize (unless given) and run the stagewise construction."""
-    if augmented is None:
-        augmented = blow_up_gplus(poset)
     if decomposition is None:
         if pairs is None:
             pairs = auto_pairs(poset)
         decomposition = normalize_decomposition(poset, pairs, case2=case2)
-    state = LabeledTree(poset, augmented, group=group)
+    state = LabeledTree(poset, group=group)
     _lay_base(state, decomposition.base)
     todo = decomposition.stages if stages is None else decomposition.stages[:stages]
     for st in todo:
@@ -527,20 +504,30 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
 # -- structural verification ------------------------------------------------
 
 
-def _micro_graph(state: LabeledTree) -> tuple:
-    """Vertices (canonical points) and the edge between consecutive label
-    coordinates, keyed by its span (interval, c1, c2)."""
-    vertices = set()
-    edges: dict = {}
-    for i, cs in state.interval_coords().items():
-        roots = [state.find((i, c)) for c in cs]
-        vertices.update(roots)
-        for c1, c2, r1, r2 in zip(cs, cs[1:], roots, roots[1:]):
-            edges[i, c1, c2] = (r1, r2)
-    return vertices, edges
+def _point_table(state: LabeledTree) -> tuple:
+    """(ids, spans, at, label_id): ``ids`` numbers the resolved points in
+    sorted order; ``spans`` maps each pair of consecutive label coordinates
+    of an interval, glue ends included, (interval, c1, c2) to its end ids;
+    ``at`` holds the labels at each id in label order, and ``label_id`` the
+    id of each label's point."""
+    per = [{lo} for lo, _hi in state.intervals]
+    for i, c in state.nu.values():
+        per[i].add(c)
+    coords = [sorted(cs) for cs in per]
+    roots = [[state.find((i, c)) for c in cs] for i, cs in enumerate(coords)]
+    ids = {pt: k for k, pt in enumerate(sorted(set().union(*roots)))}
+    spans = {}
+    for i, (cs, row) in enumerate(zip(coords, roots)):
+        for c1, c2, r1, r2 in zip(cs, cs[1:], row, row[1:]):
+            spans[i, c1, c2] = (ids[r1], ids[r2])
+    label_id = {lab: ids[state.find(raw)] for lab, raw in state.nu.items()}
+    at: list = [[] for _ in ids]
+    for lab in sorted(state.nu, key=state.label_key):
+        at[label_id[lab]].append(lab)
+    return ids, spans, at, label_id
 
 
-def _path_points(index: TreeIndex, start: tuple, end: tuple) -> list:
+def _path_points(index: TreeIndex, start, end) -> list:
     """The points from start to end, climbing the deeper side's parents."""
     ups, downs = [start], [end]
     while ups[-1] != downs[-1]:
@@ -562,36 +549,38 @@ def verify_stage_properties(state: LabeledTree) -> dict:
       travel order; extra labels must be tags touching a member on each side.
     * identity: labels share a point exactly when they touch; collisions
       forced by a truncated-limit gluing are undetermined.
+
+    All four read one table of the points interned to ints (_point_table).
     """
-    p, A = state.poset, state.aug
-    vertices, edges = _micro_graph(state)
-    index = TreeIndex(vertices, edges.values())
+    p = state.poset
+    ids, spans, at, label_id = _point_table(state)
+    points = list(ids)
+    index = TreeIndex(range(len(points)), spans.values())
     problems = []
-    if len(edges) != len(vertices) - 1:
-        problems.append(f"{len(vertices)} points but {len(edges)} spans")
+    if len(spans) != len(points) - 1:
+        problems.append(f"{len(points)} points but {len(spans)} spans")
     if index.components > 1:
         problems.append("glued intervals are not connected")
-    tree_report = {"ok": not problems, "points": len(vertices), "problems": problems}
+    tree_report = {"ok": not problems, "points": len(points), "problems": problems}
 
-    by_point = state.labels_by_point()
-    truncated = state.truncated_points()
+    truncated = {ids[state.find((rec.interval, rec.coord))] for rec in state.glues if rec.truncated_limit}
     gap_violations = []
     gap_undetermined = []
-    for (i, c1, c2), (r1, r2) in edges.items():
-        left, right = by_point.get(r1, ()), by_point.get(r2, ())
+    for (i, c1, c2), (k1, k2) in spans.items():
+        left, right = at[k1], at[k2]
         entry = {
             "interval": i,
             "gap": (c1, c2),
             "left": [state.format_label(l) for l in left],
             "right": [state.format_label(l) for l in right],
         }
-        if r1 in truncated or r2 in truncated:
+        if k1 in truncated or k2 in truncated:
             gap_undetermined.append(entry)
         elif not _gap_is_tag_pair(left, right):
             gap_violations.append(entry)
     gap_report = {
         "ok": not gap_violations,
-        "gaps": len(edges),
+        "gaps": len(spans),
         "violations": gap_violations,
         "undetermined": gap_undetermined,
     }
@@ -602,6 +591,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
         path_violations.append({"pair": (state.fmt(a), state.fmt(b)), "problem": problem,
                                 "labels": [state.format_label(m) for m in labs]})
 
+    A = state.aug
     for a, b in combinations(sorted(state.built, key=p.index), 2):
         ends = (aug(a, PLAIN), aug(b, PLAIN))
         expected = A.between_members(*ends)
@@ -611,23 +601,22 @@ def verify_stage_properties(state: LabeledTree) -> dict:
             continue
         order = {m: j for j, m in enumerate(expected)}
         try:
-            route = _path_points(index, *map(state.point_of, ends))
+            route = _path_points(index, label_id[ends[0]], label_id[ends[1]])
         except BuildError as exc:
             flag(str(exc), ends)
             continue
         flat = []
         extras = []
-        for pt in route:
-            here = [lab for lab in by_point.get(pt, ()) if lab in order]
-            flat.extend(sorted(here, key=lambda m: order[m]))
-            extras.extend(lab for lab in by_point.get(pt, ()) if lab not in order)
+        for k in route:
+            flat.extend(sorted((lab for lab in at[k] if lab in order), key=order.__getitem__))
+            extras.extend(lab for lab in at[k] if lab not in order)
         if [order[m] for m in flat] != list(range(len(expected))):
             flag("path labels out of order", flat)
         for c in extras:
             if tag_of(c) == PLAIN:
                 flag("stray plain label on path", [c])
             elif not all(
-                any(A.is_between(end, d, c) and r_equivalent(A, c, d) for d in expected)
+                any(A.is_between(end, d, c) and r_equivalent(p, c, d) for d in expected)
                 for end in ends
             ):
                 flag("extra label without touching partner", [c])
@@ -637,21 +626,21 @@ def verify_stage_properties(state: LabeledTree) -> dict:
 
     id_violations = []
     id_undetermined = []
-    for pt, labs in sorted(by_point.items()):
+    for k, labs in enumerate(at):
         for u, v in combinations(labs, 2):
-            if r_equivalent(A, u, v):
+            if r_equivalent(p, u, v):
                 continue
             entry = {
                 "labels": (state.format_label(u), state.format_label(v)),
-                "point": pt,
+                "point": points[k],
             }
-            if pt in truncated:
+            if k in truncated:
                 id_undetermined.append(entry)
             else:
                 id_violations.append(entry)
     tags = [lab for lab in sorted(state.nu, key=state.label_key) if tag_of(lab) != PLAIN]
     for u, v in combinations(tags, 2):
-        if r_equivalent(A, u, v) and state.point_of(u) != state.point_of(v):
+        if label_id[u] != label_id[v] and r_equivalent(p, u, v):
             id_violations.append(
                 {"labels": (state.format_label(u), state.format_label(v)),
                  "problem": "touching labels laid apart"}

@@ -384,6 +384,18 @@ def naive_doubled_relations(p) -> dict:
     }
 
 
+def naive_touching(doubled, x, y) -> bool:
+    """The touching relation by its definition on a doubled poset (one built
+    by ``blow_up_gplus``): a label touches itself, a plain label nothing
+    else, and two tags touch when nothing lies between them, one
+    ``is_between`` call per label."""
+    if x == y:
+        return True
+    if x[1] == 0 or y[1] == 0:
+        return False
+    return not any(doubled.is_between(x, z, y) for z in doubled.elements if z != x and z != y)
+
+
 def naive_incidences(tree, nid) -> list:
     """Rays at a node, one scan of every arc in repr order and then of every
     adjacency: ("in", arc) where an arc arrives, ("out", arc) where it

@@ -236,11 +236,11 @@ def test_touching_relation_on_a_chain():
     p = induced_ball_poset(z_standard(), 2)
     big = blow_up_gplus(p)
     # A plain element touches only itself.
-    assert r_equivalent(big, aug(0), aug(0))
-    assert not r_equivalent(big, aug(0), aug(0, PLUS))
+    assert r_equivalent(p, aug(0), aug(0))
+    assert not r_equivalent(p, aug(0), aug(0, PLUS))
     # Adjacent satellites with nothing between them touch.
-    assert r_equivalent(big, aug(0, PLUS), aug(1, MINUS))
-    assert not r_equivalent(big, aug(0, PLUS), aug(2, MINUS))
+    assert r_equivalent(p, aug(0, PLUS), aug(1, MINUS))
+    assert not r_equivalent(p, aug(0, PLUS), aug(2, MINUS))
     assert check_no_singleton_classes(big, p.elements) == []
 
 
@@ -315,3 +315,24 @@ def test_doubled_rows_agree_with_the_pairwise_definition(case):
         want = oracles.naive_doubled_relations(p)
         assert big.elements == tuple(dict.fromkeys(x for pair in want for x in pair))
         assert {(x, y): big.classify(x, y) for x, y in want} == want
+
+
+@pytest.mark.parametrize("case", ["extended-0-4", "trees-100", "z-standard-r4", "dihedral-standard-r4", "z2-lex-r2",
+                                  "free2-standard-r2"])
+def test_touching_read_off_the_base_order_agrees_with_the_doubled_definition(case):
+    if case == "extended-0-4":
+        bases = [p for n in range(5) for p in all_extended_posets(n)]
+    elif case == "trees-100":
+        bases = tree_corpus(100)
+    else:
+        name, _, radius = case.rpartition("-r")
+        bases = [ConePipeline(get_cone(name), int(radius)).ball_poset]
+    touching = 0
+    for p in bases:
+        big = blow_up_gplus(p)
+        for x in big.elements:
+            for y in big.elements:
+                want = oracles.naive_touching(big, x, y)
+                assert r_equivalent(p, x, y) == want, (x, y)
+                touching += want and x != y
+    assert touching > 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from treeorder.grouporder import ConeStructure, verify_cone_axioms
 from treeorder.groups import (
     FreeGroup,
     GroupError,
@@ -129,7 +130,7 @@ def test_bounded_products_batch_exactly_the_in_ball_products(model):
             want = [(g, h) for g in xs for h in ys if model.mult(g, h) in bset]
             for members in (bset, set(ball[::2]), set(ball[1::2])):
                 got = []
-                for g, hs, checked, escaped in model.bounded_products(xs, ys, r, members):
+                for g, hs, checked, escaped in model.bounded_products(xs, ys, r, members, ball):
                     inside = [h for h in hs if model.mult(g, h) in bset]
                     zs = [model.mult(g, h) for h in inside]
                     assert checked == len(zs) and escaped == (not members.issuperset(zs))
@@ -137,3 +138,17 @@ def test_bounded_products_batch_exactly_the_in_ball_products(model):
                     got += [(g, h) for h in inside]
                 assert got == want
     assert escapes == {False, True}
+
+
+@pytest.mark.parametrize("model", [Z(), Zk(2), FreeGroup(2), InfiniteDihedral(), TableGroup(list(range(5)), Z5_TABLE, 0)],
+                         ids=lambda g: getattr(g, "name", "z5"))
+def test_a_cone_sweep_enumerates_the_ball_once(model, monkeypatch):
+    # every piece is nonempty, so all four product sweeps run; the failing
+    # axioms make them rescan too
+    calls = []
+    ball = type(model).ball
+    monkeypatch.setattr(type(model), "ball", lambda self, r: calls.append(r) or ball(self, r))
+    cone = ConeStructure("all", model, lambda w: w != model.identity, lambda w: True, lambda w: True)
+    report = verify_cone_axioms(cone, 2)
+    assert not report.ok and all(report.conditions[i].checked for i in (2, 3, 4, 5))
+    assert calls == [2]

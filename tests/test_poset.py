@@ -7,7 +7,7 @@ import pytest
 import oracles
 from treeorder.catalog import get_cone
 from treeorder.corpus import all_extended_posets, run_relation_suite, tree_corpus
-from treeorder.grouporder import PLAIN, check_no_singleton_classes
+from treeorder.grouporder import PLAIN, blow_up_gplus, check_no_singleton_classes
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import (
     EQ,
@@ -223,7 +223,7 @@ def _posets(case):
         return tree_corpus(100)
     name, _, radius = case.rpartition("-r")
     pipeline = ConePipeline(get_cone(name), int(radius))
-    return [pipeline.ball_poset, pipeline.doubled]
+    return [pipeline.ball_poset, blow_up_gplus(pipeline.ball_poset)]
 
 
 @pytest.mark.parametrize("case", ["extended-4", "trees-100", "z-standard-r3", "dihedral-standard-r3", "z2-lex-r2"])
@@ -267,7 +267,8 @@ def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes(
     # the decomposition and verification read members only; these are the
     # readers that still run the class check
     pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
-    p, doubled, decomposition = pipeline.ball_poset, pipeline.doubled, pipeline.decomposition
+    p, decomposition = pipeline.ball_poset, pipeline.decomposition
+    doubled = blow_up_gplus(p)
     a, b = decomposition.stages[0].pair
     ends = ((a, PLAIN), (b, PLAIN))
     for q, pair in ((p, (a, b)), (doubled, ends)):
@@ -278,7 +279,7 @@ def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes(
         assert not suite["ok"] and suite["o_equivalence"] and not suite["travel"]
         assert q.verify_o_equivalence() and oracles.naive_o_equivalence(q)
     with pytest.raises(ClassLawError):
-        build_tree(p, augmented=doubled, decomposition=decomposition)
+        build_tree(p, decomposition=decomposition)
     with pytest.raises(ClassLawError):
         check_no_singleton_classes(doubled, p.elements)
 
@@ -382,7 +383,8 @@ def test_the_certificate_covers_every_poset_and_the_suite_equals_the_per_pair_pa
 def _class_boundary():
     pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
     a, b = pipeline.decomposition.stages[0].pair
-    p, doubled = pipeline.ball_poset, pipeline.doubled
+    p = pipeline.ball_poset
+    doubled = blow_up_gplus(p)
     _relate_across_a_class_boundary(p, a, b)
     _relate_across_a_class_boundary(doubled, (a, PLAIN), (b, PLAIN))
     return [p, doubled]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import sys
 from fractions import Fraction
 
 import pytest
 
+from treeorder import grouporder
 from treeorder.catalog import dihedral_standard, get_cone, z_standard
 from treeorder.cli import main
 from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
@@ -128,6 +130,23 @@ def test_chain_tests_through_the_command_line_stay_bounded(argv, bound, monkeypa
     monkeypatch.setattr(ExtendedPoset, "_is_chain", lambda self, mask: calls.append(mask) or is_chain(self, mask))
     assert main(argv) == 0
     assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["roundtrip", "dihedral-standard", "--radius", "6"], 0),
+    (["build-tree", "z-standard", "--radius", "4"], 1),
+    (["examples", "run", "gplus-z"], 1),
+], ids=["roundtrip", "build-tree", "gplus-suite"])
+def test_the_doubled_order_is_built_only_where_it_is_checked(argv, builds, monkeypatch, capsys):
+    # the build reads touching off the ball poset; the path check of
+    # verification and the doubled-order suite each build the doubled poset once
+    calls = []
+    blow_up = grouporder.blow_up_gplus
+    for name, module in list(sys.modules.items()):  # every loaded holder of the name
+        if name.startswith("treeorder.") and getattr(module, "blow_up_gplus", None) is blow_up:
+            monkeypatch.setattr(module, "blow_up_gplus", lambda p: calls.append(p.n) or blow_up(p))
+    assert main(argv) == 0
+    assert len(calls) == builds
 
 
 # -- verification against corrupted builds ------------------------------------
