@@ -150,22 +150,21 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
         if (w == group.identity) + p + pi + u + l != 1:
             c6.note((w,))
 
-    # each batch says whether a product left its piece; only such a batch
-    # is rescanned, in order, for its witnesses
+    # the model counts the in-ball products and names the batches with one
+    # outside the piece; only those are rescanned, in order, for witnesses
     sweeps = [(2, pos, pos, P), (3, low, pos, L), (4, pos, upp, U), (5, upp, low, P)]
     bset = None  # built by the first rescan; a passing sweep never needs it
 
     for idx, xs, ys, members in sweeps:
         cond = conditions[idx]
-        for g, hs, checked, escaped in group.bounded_products(xs, ys, radius, members, ball) if xs and ys else ():
-            cond.checked += checked
-            if escaped:
-                if bset is None:
-                    bset = set(ball)
-                for h in hs:
-                    z = group.mult(g, h)
-                    if z in bset and z not in members:
-                        cond.note((g, h, z))
+        cond.checked, batches = group.bounded_products(xs, ys, radius, members, ball) if xs and ys else (0, ())
+        for g, hs in batches:
+            if bset is None:
+                bset = set(ball)
+            for h in hs:
+                z = group.mult(g, h)
+                if z in bset and z not in members:
+                    cond.note((g, h, z))
         cond.skipped = len(xs) * len(ys) - cond.checked
 
     return ConeReport(cone=cone.name, radius=radius, ball_size=len(ball), conditions=conditions)
@@ -432,11 +431,22 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     key(g1), and form g2 h only for a quotient not seen before.
     """
     group = cone.group
-    ball = group.ball(radius)
+    ball, ball2 = group.ball(radius), group.ball(2 * radius)
+    codes = group.quotient_keys(ball2, radius)
+    if codes is None:
+        mult, inv = group.mult, group.inv
+    else:  # keys add as the elements do: products read off one key -> element table
+        code, elem = dict(zip(ball2, codes)), dict(zip(codes, ball2))
+
+        def mult(a, b):
+            return elem[code[a] + code[b]]
+
+        def inv(a):
+            return elem[-code[a]]
     H = [h for h in ball if sub(h)]
     for g in ball:
         for h in H:
-            if not sub(group.mult(group.mult(g, h), group.inv(g))):
+            if not sub(mult(mult(g, h), inv(g))):
                 raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
     if convexity is None:
         convexity = check_completely_convex(cone, sub, radius)
@@ -450,11 +460,11 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     reps: list = []
     coset_of: dict = {}
     for g in ball:
-        coset_of[g] = next((rep for rep in reps if sub(group.mult(group.inv(rep), g))), g)
+        coset_of[g] = next((rep for rep in reps if sub(mult(inv(rep), g))), g)
         if coset_of[g] == g:
             reps.append(g)
 
-    H_search = [h for h in group.ball(2 * radius) if sub(h)]
+    H_search = [h for h in ball2 if sub(h)]
     keys, side, read = _quotient_sides(cone, ball + H_search, radius)
     key = dict(zip(ball, keys))
     searched = list(zip(H_search, keys[len(ball):]))

@@ -5,8 +5,11 @@ Each model exposes the same small surface: ``identity``, ``mult``, ``inv``,
 length and then by a fixed tie-break), ``format`` for reports, and
 ``components`` for the little predicate language used by cone documents.
 For cone-axiom sweeps every model also has ``bounded_products``, which
-batches the products of two ball subsets that stay inside the ball and says
-whether a batch leaves a member set.
+counts the products of two ball subsets that stay inside the ball and names
+the batches holding one outside a member set: a plain double loop by
+default, shifted int masks on Z and Z^k, and on the free group rank blocks
+of the ball's breadth-first order, one bitwise pass per left length, right
+length and cancellation depth.
 Z and Z^k also give ``quotient_keys``: int keys that add as the elements do,
 so quotient scans read the side of g^-1 h under key(h) - key(g); the other
 models have none, and their scans classify every pair.
@@ -22,9 +25,7 @@ first surviving coefficient.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import groupby
-from typing import Iterator
+from operator import neg
 
 from .errors import GroupError
 
@@ -37,15 +38,20 @@ SERIES_MAX_DEGREE = 8
 class GroupModel:
     """Sweep default: a plain double loop."""
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> Iterator[tuple]:
-        """Batches (g, hs, checked, escaped) for sublists xs and ys of ball,
-        which is ball(r), in its order: hs are the h in ys, in order, whose
-        product g*h may lie in ball(r), checked counts those g*h that do, and
-        escaped says whether one of them lies outside members."""
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
+        """(checked, batches) for sublists xs and ys of ball, which is ball(r),
+        in its order: checked counts the products g*h, g in xs and h in ys,
+        that lie in ball(r), and batches lists (g, hs) in xs order for each g
+        with such a product outside members; hs are the h in ys, in order,
+        whose product with g may lie in ball(r)."""
         inball = set(ball)
+        checked, batches = 0, []
         for g in xs:
             zs = [z for z in (self.mult(g, h) for h in ys) if z in inball]
-            yield g, ys, len(zs), not members.issuperset(zs)
+            checked += len(zs)
+            if not members.issuperset(zs):
+                batches.append((g, ys))
+        return checked, batches
 
     def quotient_keys(self, ws: list, r: int) -> list | None:
         """Int keys of ws that add as the elements do and tell apart every
@@ -70,15 +76,19 @@ class _Additive(GroupModel):
     def quotient_keys(self, ws: list, r: int) -> list:
         return self._codes(ws, 2 * r)
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> Iterator[tuple]:
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
         # a product's code at shift 2r is the sum of its factors' codes at
         # shift r, so the products of g are the mask of ys shifted by g's code
         ymask = _mask(self._codes(ys, r, r))
         inball = _mask(self._codes(ball, r, 2 * r))
         outside = inball & ~_mask(self._codes(members, r, 2 * r))
+        checked, batches = 0, []
         for g, shift in zip(xs, self._codes(xs, r, r)):
             products = ymask << shift
-            yield g, ys, (products & inball).bit_count(), bool(products & outside)
+            checked += (products & inball).bit_count()
+            if products & outside:
+                batches.append((g, ys))
+        return checked, batches
 
 
 class Z(_Additive):
@@ -159,8 +169,7 @@ class FreeGroup(GroupModel):
         self.name = f"free{k}"
         self.identity: tuple = ()
         self._sign_cache: dict = {}
-        # letters in ball order, each with its digit in sweep codes
-        self._digits = {x: n for n, x in enumerate((x for i in range(1, k + 1) for x in (i, -i)), 1)}
+        self._letters = tuple(x for i in range(1, k + 1) for x in (i, -i))  # in ball order: a, A, b, B, ...
 
     def mult(self, a: tuple, b: tuple) -> tuple:
         i = len(a)
@@ -171,13 +180,13 @@ class FreeGroup(GroupModel):
         return a[:i] + b[j:]
 
     def inv(self, a: tuple) -> tuple:
-        return tuple(-x for x in reversed(a))
+        return tuple(map(neg, reversed(a)))
 
     def ball(self, r: int) -> list:
         out: list = [()]
         for w in out:  # breadth first: the loop reaches the words it appends
             if len(w) < r:
-                out.extend([w + (x,) for x in self._digits if not w or w[-1] != -x])
+                out.extend([w + (x,) for x in self._letters if not w or w[-1] != -x])
         return out
 
     def format(self, a: tuple) -> str:
@@ -213,10 +222,12 @@ class FreeGroup(GroupModel):
         cached = self._sign_cache.get(w)
         if cached is not None:
             return cached
-        sums = [0] * self.k
-        for x in w:
-            sums[abs(x) - 1] += 1 if x > 0 else -1
-        sign = next((1 if s > 0 else -1 for s in sums if s), 0)
+        sign = 0
+        for i in range(1, self.k + 1):  # exponent sums: degree 1
+            s = w.count(i) - w.count(-i)
+            if s:
+                sign = 1 if s > 0 else -1
+                break
         deg = 2
         while not sign:
             if deg > SERIES_MAX_DEGREE:
@@ -228,50 +239,16 @@ class FreeGroup(GroupModel):
         self._sign_cache[w] = sign
         return sign
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> Iterator[tuple]:
-        """Batches, one per left factor g and right factor length b, of every
-        h in ys whose product with g lies in ball(r).
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
+        """(checked, batches) as for every model, one batch per g and length b
+        of h.  ball() lists each length in lexicographic order, so the
+        extensions of a word by L letters are one block of ranks: sets become
+        bitsets over the ball, and each left length, right length and
+        cancellation depth is one bitwise pass (``freesweep``, loaded on the
+        first free sweep of a process)."""
+        from .freesweep import bounded_products
 
-        Words are keyed by bijective base-(2k + 1) codes whose digits follow
-        ball()'s letter order, so codes sort as ball() does and code(u t) =
-        code(u) B^|t| + code(t).  The length-b words that start with the
-        prefix p the budget forces to cancel are the interval [code(p) B^L,
-        (code(p) + 1) B^L), L = b - |p|; their products are their codes plus
-        (code(head) - code(p)) B^L, head being g without its last |p|
-        letters, except on the sub-interval that cancels one letter deeper.
-        """
-        base, digits = 2 * self.k + 1, self._digits
-        pw = [base ** n for n in range(r + 1)]
-
-        def code(w: tuple) -> int:
-            out = 0
-            for x in w:
-                out = out * base + digits[x]
-            return out
-
-        keys = set(map(code, members))
-        rows = [(b, hs, list(map(code, hs))) for b, hs in ((b, list(run)) for b, run in groupby(ys, len))]
-        # per left length a: each row b with the c letters that must cancel
-        plans = [[(b, hs, codes, max(0, (a + b - r + 1) // 2), min(a, b)) for b, hs, codes in rows
-                  if (a + b - r + 1) // 2 <= min(a, b)] for a in range(r + 1)]
-        for g in xs:
-            a, gc, ic = len(g), code(g), code(self.inv(g))
-            for b, hs, codes, c, most in plans[a]:
-                p = ic // pw[a - c]  # the prefix they force on h
-                lo = start = bisect_left(codes, p * pw[b - c])
-                hi = stop = bisect_left(codes, (p + 1) * pw[b - c], lo)
-                while start < stop:
-                    delta = (gc // pw[c] - p) * pw[b - c]
-                    mid = end = stop
-                    if c < most:  # the words whose next letter cancels too
-                        p = ic // pw[a - c - 1]
-                        mid = bisect_left(codes, p * pw[b - c - 1], start, stop)
-                        end = bisect_left(codes, (p + 1) * pw[b - c - 1], mid, stop)
-                    if not keys.issuperset(map(delta.__add__, codes[start:mid] + codes[end:stop])):
-                        break  # escaped: start < stop is left standing
-                    start, stop, c = mid, end, c + 1
-                if lo < hi:
-                    yield g, hs[lo:hi], hi - lo, start < stop
+        return bounded_products(self.k, xs, ys, r, members, ball)
 
 
 class InfiniteDihedral(GroupModel):

@@ -1,8 +1,8 @@
 """Cone-axiom sweeps over random piece populations.
 
 P, U and L are seeded random subsets of ball(r) on every group model with a
-sweep of its own: shifted int masks for Z and Z^k (r <= 4), sorted word
-codes for the free groups of rank 1 to 3 (r <= 5, r <= 4 at rank 3), and the
+sweep of its own: shifted int masks for Z and Z^k (r <= 4), rank blocks of
+the ball for the free groups of rank 1 to 3 (r <= 5, r <= 4 at rank 3), and the
 plain double loop for the dihedral group (r <= 4).  Whatever the pieces, the
 report must equal the pairwise oracle's, witness order and count included.
 Densities run from sparse to nearly full, so batches that pass and batches

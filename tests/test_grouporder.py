@@ -10,6 +10,7 @@ from treeorder.catalog import (
     BUILTIN_CONES,
     dihedral_standard,
     even_subgroup,
+    free_standard,
     get_cone,
     second_factor_subgroup,
     z_broken,
@@ -82,8 +83,8 @@ def _swapped_dihedral() -> ConeStructure:
     return ConeStructure("dihedral-swapped", good.group, good.in_positive, good.in_lower, good.in_upper)
 
 
-# one broken cone on each sweep path: int codes (Z, Z^2, Z^3), prefix
-# buckets (free2) and the plain double loop (dihedral, the Z5 table)
+# one broken cone on each sweep path: int codes (Z, Z^2, Z^3), rank
+# blocks (free2) and the plain double loop (dihedral, the Z5 table)
 BROKEN_CONES = {
     "z-mod3": (lambda: _mod3_cone("z-mod3", Z(), lambda n: n % 3), 8),
     "z2-mod3": (lambda: _mod3_cone("z2-mod3", Zk(2), lambda v: (v[0] + 2 * v[1]) % 3), 5),
@@ -114,6 +115,37 @@ def test_sweep_matches_the_pairwise_oracle_on_broken_cones():
     # past the witness cap on every product condition, so the cap, the
     # witness order and the full count are all compared
     assert all(most[idx] > 25 for idx in "2345"), most
+
+
+@pytest.mark.parametrize("radius, checked", [(7, 94_042), (8, 518_320)])
+def test_free_standard_product_counts_stay_frozen(radius, checked):
+    report = verify_cone_axioms(get_cone("free2-standard"), radius)
+    assert report.ok and report.conditions[2].checked == checked
+
+
+def _standard_minus(k: int, w0: tuple) -> ConeStructure:
+    """The standard free cone with one positive word, w0 or its inverse, taken out of P."""
+    good = free_standard(k)
+    group = good.group
+    if group.order_sign(w0) < 0:
+        w0 = group.inv(w0)
+    return ConeStructure(f"free{k}-minus-{group.format(w0)}", group,
+                         lambda w: w != w0 and good.in_positive(w), good.in_upper, good.in_lower)
+
+
+# rank 2 at r = 5 with w0 of length 1 to 4 and a commutator; rank 3 at r = 4.
+# A commutator is no product of two positive words in these balls, so only
+# conditions 1 and 6 see it missing; every other w0 is a product too.
+@pytest.mark.parametrize("k, radius, w0", [(2, 5, (1,)), (2, 5, (2, -1)), (2, 5, (1, 1, -2)), (2, 5, (2, -1, -1, 2)),
+                                           (2, 5, (1, 2, -1, -2)), (3, 4, (3,)), (3, 4, (2, -3, 1)),
+                                           (3, 4, (1, 3, -1, -3))], ids=str)
+def test_standard_cone_minus_one_word_sweeps_like_the_pairwise_oracle(k, radius, w0):
+    cone = _standard_minus(k, w0)
+    got = verify_cone_axioms(cone, radius).to_jsonable(cone.group.format)
+    commutator = len(w0) == 4 and w0[2:] == tuple(-x for x in w0[:2])
+    assert got["conditions"]["6"]["violation_count"] == 2
+    assert (got["conditions"]["2"]["violation_count"] > 0) != commutator
+    assert got == oracles.naive_cone_report(_standard_minus(k, w0), radius)
 
 
 def _counting(cone: ConeStructure) -> tuple:

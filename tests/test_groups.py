@@ -120,6 +120,9 @@ def test_make_group_defaults_only_a_missing_rank():
                                    TableGroup(list(range(5)), Z5_TABLE, 0)],
                          ids=lambda g: getattr(g, "name", "z5"))
 def test_bounded_products_batch_exactly_the_in_ball_products(model):
+    # checked counts the in-ball products; rescanning the batches in order,
+    # as the sweep does, finds exactly the in-ball products outside members,
+    # in (g, h) order, and every batch holds one
     escapes = set()
     for r in range(5):
         ball = model.ball(r)
@@ -127,16 +130,18 @@ def test_bounded_products_batch_exactly_the_in_ball_products(model):
             break
         bset = set(ball)
         for xs, ys in ((ball, ball), (ball[::2], ball[1::3])):
-            want = [(g, h) for g in xs for h in ys if model.mult(g, h) in bset]
+            inside = [(g, h, z) for g in xs for h in ys for z in [model.mult(g, h)] if z in bset]
             for members in (bset, set(ball[::2]), set(ball[1::2])):
+                checked, batches = model.bounded_products(xs, ys, r, members, ball)
+                assert checked == len(inside)
                 got = []
-                for g, hs, checked, escaped in model.bounded_products(xs, ys, r, members, ball):
-                    inside = [h for h in hs if model.mult(g, h) in bset]
-                    zs = [model.mult(g, h) for h in inside]
-                    assert checked == len(zs) and escaped == (not members.issuperset(zs))
-                    escapes.add(escaped)
-                    got += [(g, h) for h in inside]
+                for g, hs in batches:
+                    found = [(g, h) for h in hs for z in [model.mult(g, h)] if z in bset and z not in members]
+                    assert found
+                    got += found
+                want = [(g, h) for g, h, z in inside if z not in members]
                 assert got == want
+                escapes.add(bool(want))
     assert escapes == {False, True}
 
 
