@@ -32,7 +32,8 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def bounded_products(k: int, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
     """``FreeGroup(k).bounded_products``: (checked, batches) for sublists xs
     and ys of ball, which is ball(r); a batch is one g and one length b, and
-    its hs are the length-b h in ys that the radius lets cancel against g."""
+    its hs are the length-b h in ys that the radius lets cancel against g.
+    The batches come lazily, so a failing sweep holds one hs list at a time."""
     D, m = 2 * k, 2 * k - 1
     n = [1] + [D * m ** (L - 1) for L in range(1, r + 1)]
     offs = list(accumulate(n, initial=0))
@@ -45,7 +46,7 @@ def bounded_products(k: int, xs: list, ys: list, r: int, members: set, ball: lis
     for Ra, (ends, inv) in zip(R, _ranks(k, r)):
         last.append(ends)
         I.append(array("q", map(inv.__getitem__, Ra)))
-    checked, escapes, dsts = 0, set(), {}  # dsts: product blocks by (head length, L)
+    checked, escapes, dsts = 0, {}, {}  # dsts: product blocks by (head length, L)
     for c in range(r + 1):
         flips, made = last[c].translate(_FLIP), {}  # made: patterns by (L, headed)
         for a in range(c, r + 1):
@@ -60,16 +61,27 @@ def bounded_products(k: int, xs: list, ys: list, r: int, members: set, ball: lis
                 pats, blocks = made[L, h > 0], dsts[h, L]
                 checked += sum(map(int.bit_count, map(pats.__getitem__, keys)))
                 if any(map(and_, map(pats.__getitem__, keys), map(blocks.__getitem__, heads))):
-                    hits = list(map(and_, map(pats.__getitem__, keys), map(blocks.__getitem__, heads)))
-                    escapes.update(zip(repeat(a), compress(range(len(hits)), hits), repeat(c + L)))
+                    hits = map(bool, map(and_, map(pats.__getitem__, keys), map(blocks.__getitem__, heads)))
+                    escapes[a, c + L] = bytes(map(or_, escapes.get((a, c + L), repeat(False)), hits))
         dsts = {hL: blocks for hL, blocks in dsts.items() if max(hL) < r - c}  # what the next c reads
-    batches = []
-    for a, i, b in sorted(escapes):
-        c = max(0, (a + b - r + 1) // 2)  # h must start with the inverse of g's last c letters
-        width = m ** (b - c) if c else n[b]
-        lo = offs[b] + (I[a][i] // m ** (a - c) * width if c else 0)
-        batches.append((ball[offs[a] + R[a][i]], list(compress(ball[lo:lo + width], ymap[lo:lo + width]))))
-    return checked, batches
+    return checked, _batches(r, m, n, offs, escapes, R, I, ymap, ball)
+
+
+def _batches(r: int, m: int, n: list, offs: list, escapes: dict, R: list, I: list, ymap: bytes,
+             ball: list) -> Iterator[tuple]:
+    """The escaping batches in xs order, built one at a time: escapes holds,
+    per (|g|, |h|), a flag for each g of xs of that length."""
+    for a in range(r + 1):
+        flagged = [(b, escapes[a, b]) for b in range(r + 1) if (a, b) in escapes]
+        if not flagged:
+            continue
+        for i in range(len(R[a])):
+            for b, flags in flagged:
+                if flags[i]:
+                    c = max(0, (a + b - r + 1) // 2)  # h must start with the inverse of g's last c letters
+                    width = m ** (b - c) if c else n[b]
+                    lo = offs[b] + (I[a][i] // m ** (a - c) * width if c else 0)
+                    yield ball[offs[a] + R[a][i]], list(compress(ball[lo:lo + width], ymap[lo:lo + width]))
 
 
 def _ranks(k: int, r: int) -> Iterator[tuple]:

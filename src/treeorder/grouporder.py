@@ -431,22 +431,11 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     key(g1), and form g2 h only for a quotient not seen before.
     """
     group = cone.group
-    ball, ball2 = group.ball(radius), group.ball(2 * radius)
-    codes = group.quotient_keys(ball2, radius)
-    if codes is None:
-        mult, inv = group.mult, group.inv
-    else:  # keys add as the elements do: products read off one key -> element table
-        code, elem = dict(zip(ball2, codes)), dict(zip(codes, ball2))
-
-        def mult(a, b):
-            return elem[code[a] + code[b]]
-
-        def inv(a):
-            return elem[-code[a]]
+    ball = group.ball(radius)
     H = [h for h in ball if sub(h)]
     for g in ball:
         for h in H:
-            if not sub(mult(mult(g, h), inv(g))):
+            if not sub(group.mult(group.mult(g, h), group.inv(g))):
                 raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
     if convexity is None:
         convexity = check_completely_convex(cone, sub, radius)
@@ -460,11 +449,11 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
     reps: list = []
     coset_of: dict = {}
     for g in ball:
-        coset_of[g] = next((rep for rep in reps if sub(mult(inv(rep), g))), g)
+        coset_of[g] = next((rep for rep in reps if sub(group.mult(group.inv(rep), g))), g)
         if coset_of[g] == g:
             reps.append(g)
 
-    H_search = [h for h in ball2 if sub(h)]
+    H_search = [h for h in group.ball(2 * radius) if sub(h)]
     keys, side, read = _quotient_sides(cone, ball + H_search, radius)
     key = dict(zip(ball, keys))
     searched = list(zip(H_search, keys[len(ball):]))

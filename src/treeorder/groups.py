@@ -41,9 +41,9 @@ class GroupModel:
     def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
         """(checked, batches) for sublists xs and ys of ball, which is ball(r),
         in its order: checked counts the products g*h, g in xs and h in ys,
-        that lie in ball(r), and batches lists (g, hs) in xs order for each g
-        with such a product outside members; hs are the h in ys, in order,
-        whose product with g may lie in ball(r)."""
+        that lie in ball(r), and batches gives (g, hs) in xs order for each g
+        with such a product outside members (the free group: lazily); hs are
+        the h in ys, in order, whose product with g may lie in ball(r)."""
         inball = set(ball)
         checked, batches = 0, []
         for g in xs:
