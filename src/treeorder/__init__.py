@@ -57,7 +57,7 @@ _HOME = {
     "get_example": "catalog",
     "induced_ball_poset": "grouporder",
     "make_group": "groups",
-    "manifold_order": "orbitorder",
+    "manifold_order": "ordertree",
     "orbit_poset": "orbitorder",
     "orient_segments": "treebuild",
     "quotient_order": "grouporder",

@@ -127,9 +127,8 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
     Elements are small integers; the manifold point of element i travels in
     the poset via the ``points`` attribute set on the result.
     """
-    # the tree layers load here, so enumerating small posets loads only poset
-    from .orbitorder import manifold_poset
-    from .ordertree import OrderTree
+    # the tree layer loads here, so enumerating small posets loads only poset
+    from .ordertree import OrderTree, manifold_poset
 
     n_nodes = rng.randint(2, 9)
     tree = OrderTree()

@@ -219,15 +219,11 @@ class FreeGroup(GroupModel):
         """Sign of w in the series order: +1, -1, or 0 for the identity."""
         if not w:
             return 0
-        cached = self._sign_cache.get(w)
-        if cached is not None:
-            return cached
-        sign = 0
         for i in range(1, self.k + 1):  # exponent sums: degree 1
             s = w.count(i) - w.count(-i)
             if s:
-                sign = 1 if s > 0 else -1
-                break
+                return 1 if s > 0 else -1
+        sign = self._sign_cache.get(w)  # only the words the series signs are kept
         deg = 2
         while not sign:
             if deg > SERIES_MAX_DEGREE:

@@ -21,14 +21,23 @@ stays open.  The collapse map back to the base tree is kept on the result.
 
 Nodes marked as window boundary are truncation artifacts of an infinite
 object; the blow-up leaves them alone.
+
+A branchless blown-up tree orders its points (``manifold_poset``, with
+``manifold_order`` the pairwise definition): the forward component of a
+point, on the head side of its arc, plays the role of the upper cone.  The
+verdicts depend only on the finite path between two points, so truncation
+never guesses a relation; it can hide bound witnesses, which callers check
+against realized points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, Optional
 
 from .errors import TreeError
+from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
 
 
 def _find(parent: dict, x):
@@ -452,3 +461,142 @@ def alternating_line_tree(half_width: int) -> OrderTree:
             t.add_arc(("s", i), i + 1, i)
     t.boundary = {-half_width, half_width}
     return t
+
+
+# -- the order on a branchless manifold --------------------------------------
+
+
+def _arc_position(m: OrderTree, p: tuple) -> tuple:
+    """Reduce a point to (arc, parameter); parameters 0 and 1 stand for the
+    tail and head node of the arc.  Branching nodes have no forward side."""
+    if p[0] == "arc":
+        return p[1], Fraction(p[2])
+    nid = p[1]
+    d = m.degrees(p)
+    inc = m.incidences(p)
+    if d["kind"] == "regular" or (d["n_f"] + d["n_o"]) == 1:
+        for direction, aid in inc:
+            if direction == "out":
+                return aid, Fraction(0)
+        return inc[0][1], Fraction(1)
+    raise TreeError(f"order undefined at a branching point: {p!r}")
+
+
+def manifold_graph(m: OrderTree) -> tuple:
+    """The identified token graph, indexed once so pairwise order queries
+    stay cheap: (TreeIndex, {arc: (tail token, head token)})."""
+    tokens, edges, _ = m.identified_graph()
+    index = TreeIndex(tokens, [(t1, t2) for t1, t2, _aid in edges])
+    if index.cyclic or index.components != 1:
+        raise TreeError("order undefined: identified arc graph is not a tree")
+    return index, {aid: (t1, t2) for t1, t2, aid in edges}
+
+
+def _arc_span(graph: tuple, aid) -> tuple:
+    """Entry and exit time of the arc's lower end in the rooted token tree,
+    and whether that end is the head."""
+    index, ends = graph
+    tail, head = ends[aid]
+    lower = max((tail, head), key=index.depth.get)
+    return index.tin[lower], index.tout[lower], lower == head
+
+
+def _arc_order(a: tuple, b: tuple) -> int:
+    """Relation of points on two distinct arcs, from the arcs' spans.
+
+    Cutting an arc of the rooted tree leaves the subtree below it and the
+    rest, and its forward component is the part on its head side.  So one
+    interval test on the other arc's lower end says whether that arc lies
+    forward.
+    """
+    forward = (a[0] <= b[0] < a[1]) == a[2]
+    backward = (b[0] <= a[0] < b[1]) == b[2]
+    if forward != backward:
+        return LT if forward else GT
+    return SIMU if forward else SIML
+
+
+def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = None) -> int:
+    """Relation of two points of a branchless oriented manifold.
+
+    x < y when y sits in the forward component of x but not conversely;
+    mutual containment is upward similarity (the points face each other),
+    mutual absence downward similarity (back to back).
+    """
+    m.require_point(x)
+    m.require_point(y)
+    if x == y:
+        return EQ
+    xa, xt = _arc_position(m, x)
+    ya, yt = _arc_position(m, y)
+    if xa == ya:
+        if xt == yt:
+            return EQ
+        return LT if xt < yt else GT
+    if graph is None:
+        graph = manifold_graph(m)
+    return _arc_order(_arc_span(graph, xa), _arc_span(graph, ya))
+
+
+def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = None) -> ExtendedPoset:
+    """The tagged poset of points of a branchless manifold, keyed by element
+    (``points`` maps elements to points), with manifold_order's relation on
+    every pair of distinct points.
+
+    Each point is checked and placed on its arc once.  Points on one arc
+    compare by parameter, and points on two arcs as their arcs do, so each
+    pair of arcs is related once.  Elements that share a point are ordered
+    by ``same_point(g, h)``, true when g < h, called once per ordered pair
+    of them; without it such a pair has no relation and raises PosetError.
+    """
+    graph = manifold_graph(m)
+    elements = tuple(points)
+    arc_of: dict = {}    # arc -> small int
+    spans: list = []     # small int -> _arc_span
+    on_arc: list = []    # small int -> mask of the elements on the arc
+    placed: list = []    # element -> (small int, parameter)
+    first: dict = {}     # (small int, parameter) -> the first element there
+    shared: dict = {}    # first element -> mask of the elements at its point
+    for k, p in enumerate(points.values()):
+        m.require_point(p)
+        aid, t = _arc_position(m, p)
+        a = arc_of.get(aid)
+        if a is None:
+            a = arc_of[aid] = len(spans)
+            spans.append(_arc_span(graph, aid))
+            on_arc.append(0)
+        on_arc[a] |= 1 << k
+        placed.append((a, t))
+        i = first.setdefault((a, t), k)
+        if i != k:
+            shared[i] = shared.get(i, 1 << i) | 1 << k
+    if shared and same_point is None:
+        i = min(shared)  # the first pair in row-major order
+        j = next(_bits(shared[i] & ~(1 << i)))
+        raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
+    across = []  # small int -> the elements on other arcs, by relation
+    for a, span in enumerate(spans):
+        rows = {LT: 0, GT: 0, SIMU: 0, SIML: 0}
+        for b, other in enumerate(spans):
+            if b != a:
+                rows[_arc_order(span, other)] |= on_arc[b]
+        across.append(rows)
+    ahead = [0] * len(placed)  # the elements further along the same arc
+    for mask in on_arc:
+        later = 0
+        for k in sorted(_bits(mask), key=lambda k: placed[k][1], reverse=True):
+            ahead[k] = later
+            later |= 1 << k
+    above = [0] * len(placed)  # the elements at the same point that lie above
+    for mask in shared.values():
+        for k in _bits(mask):
+            ahead[k] &= ~mask
+            above[k] = sum(1 << j for j in _bits(mask) if j != k and same_point(elements[k], elements[j]))
+    up, down, simu, siml = [], [], [], []
+    for k, (a, _t) in enumerate(placed):
+        rows = across[a]
+        up.append(rows[LT] | ahead[k] | above[k])
+        down.append(rows[GT] | on_arc[a] & ~ahead[k] & ~above[k] & ~(1 << k))
+        simu.append(rows[SIMU])
+        siml.append(rows[SIML])
+    return ExtendedPoset(elements, up, down, simu, siml)

@@ -16,10 +16,18 @@ travel order (x comes before y when x lies in B(a, y)) and decompose into
 similarity classes, the maximal runs whose pairwise between sets are chains in
 the underlying order.  Finitely many classes is what makes a pair tame enough
 to lay out on a line.
+
+The between-set laws read only the between table, B(i, j) for every pair of
+indices, not the tagging that produced it: reversing every relation keeps
+it, and many taggings share one.  A "between geometry" is one such table
+with what the laws read off it, shared by every poset that has the table:
+the 400 tagged posets on four points have 25 between geometries, the 6,912
+on five points 216, and the 153,664 on six points 2,401.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -78,6 +86,77 @@ class BetweenChain:
     classes: tuple
 
 
+class BetweenGeometry:
+    """What the between-set laws read off one between table ``table`` (rows
+    of B(i, j) masks, {i} on the diagonal).  ``walks``, the certificate's
+    travel half: per anchor i, the j != i by increasing |B(i, j)| and beside
+    each the q (i or an earlier j) with B(i, j) = B(i, q) plus j; None when
+    some j has none.  ``theorem``: the witnesses of laws 1-4 in order, as
+    index tuples (law, a, b, c[, d])."""
+
+    __slots__ = ("table", "walks", "theorem", "__weakref__")
+
+    def __init__(self, table: tuple):
+        self.table, self.theorem, self.walks = table, self._theorem(table), []
+        index = list(range(len(table)))
+        for i, row in enumerate(table):
+            pred, order, preds = {1 << i: i}, [], []
+            for j in sorted(index, key=list(map(int.bit_count, row)).__getitem__):
+                if j != i:
+                    q = pred.get(row[j] ^ 1 << j)
+                    if q is None:
+                        self.walks = None
+                        return
+                    pred[row[j]] = j
+                    order.append(j)
+                    preds.append(q)
+            self.walks.append((order, preds))
+
+    @staticmethod
+    def _theorem(bet: tuple) -> list:
+        n = len(bet)
+
+        def triples(pairs) -> list:
+            found = []
+            for a, b in pairs:
+                row, ab = bet[a], bet[a][b]
+                for c in range(n):
+                    if c == a or c == b:
+                        continue
+                    union = row[c] | bet[c][b]
+                    if ab & ~union:
+                        found.append((1, a, b, c))
+                    inside = bool(ab >> c & 1)
+                    if inside != (ab == union):
+                        found.append((2, a, b, c))
+                    if inside and row[c] & bet[c][b] != 1 << c:
+                        found.append((3, a, b, c))
+            return found
+
+        out = triples(combinations(range(n), 2)) and triples(permutations(range(n), 2))
+        # law 4: T[x][a] is the set of d with x in B(a, d); b in B(a, c) for a in T[b][c]
+        T = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for d in range(a + 1, n):
+                for x in _bits(bet[a][d]):
+                    T[x][a] |= 1 << d
+                    T[x][d] |= 1 << a
+        for b in range(n):
+            for c in range(n):
+                ends = 1 << b | 1 << c
+                dmask = T[c][b] & ~ends
+                if b == c or not dmask:
+                    continue
+                for a in _bits(T[b][c] & ~ends):
+                    bad = dmask & ~(T[b][a] & T[c][a]) & ~(1 << a)
+                    if bad:
+                        out.extend((4, a, b, c, d) for d in _bits(bad))
+        return out
+
+
+_GEOMETRIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class ExtendedPoset:
     """A finite tagged poset, validated eagerly on construction.
 
@@ -104,6 +183,7 @@ class ExtendedPoset:
         # chain-relatedness rows, filled on demand: partners tested, partners related
         self._tested = [1 << i for i in range(n)]
         self._orel = list(self._tested)
+        self._geo = None  # BetweenGeometry, on the first law check
 
     @classmethod
     def from_relation(cls, elements: Sequence[Element], rel_of: Callable[[Element, Element], int]) -> "ExtendedPoset":
@@ -375,47 +455,51 @@ class ExtendedPoset:
                     })
         return out
 
-    def _between_table(self) -> list:
+    def _between_table(self) -> tuple:
         """B(i, j) for every ordered pair, with {i} on the diagonal."""
         n, mask = self.n, self._between_mask
         bet = [[1 << i] * n for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 bet[i][j] = bet[j][i] = mask(i, j)
-        return bet
+        return tuple(map(tuple, bet))
 
-    def _certified(self, bet: list) -> bool:
-        """Whether ``between_set`` passes on every pair, read off the between
-        table.  From each anchor i, j comes by increasing |B(i, j)| and is
-        accepted when B(i, j) minus j is B(i, q) for an accepted q (B(i, i) =
-        {i}); accepted sets hold accepted elements only, so j is in none and
-        ``between_members(i, j)`` is that of (i, q) plus j.  B(i, j) is a chain
-        when B(i, q) is one in comp[j], comp being symmetric.  A second walk
-        cuts classes as ``between_set`` does and checks each j's related
-        partners in B(i, j); a chain answer unlike one kept refuses too."""
-        n, comp, related, walks = self.n, self._comp, [], []
-        for i, row in enumerate(bet):
-            pred, rel, walk = {1 << i: i}, 1 << i, []
-            for j in sorted(range(n), key=list(map(int.bit_count, row)).__getitem__):
-                if j == i:
-                    continue
-                m = row[j]
-                q = pred.get(m ^ 1 << j)
-                if q is None or (comp[i] >> j ^ comp[j] >> i) & 1:
+    def _geometry(self) -> BetweenGeometry:
+        """The between geometry, shared by every live poset with this table."""
+        if self._geo is None:
+            table = self._between_table()
+            geo = _GEOMETRIES.get(table)
+            if geo is None:
+                geo = _GEOMETRIES[table] = BetweenGeometry(table)
+            self._geo = geo
+        return self._geo
+
+    def _certified(self) -> bool:
+        """Whether ``between_set`` passes on every pair.  The geometry's walk
+        accepts each j from anchor i, so ``between_members(i, j)`` is that of
+        (i, q) plus j, and B(i, j) is a chain when B(i, q) is one in comp[j],
+        comp being symmetric.  A second walk cuts classes as ``between_set``
+        does and checks each j's related partners in B(i, j); a chain answer
+        unlike one kept refuses too."""
+        geo = self._geometry()
+        if geo.walks is None:
+            return False
+        comp, bet, related = self._comp, geo.table, []
+        for i, (order, preds) in enumerate(geo.walks):
+            row, ci, rel = bet[i], comp[i], 1 << i
+            for j, q in zip(order, preds):
+                if (ci >> j ^ comp[j] >> i) & 1:
                     return False
-                pred[m] = j
-                if rel >> q & 1 and not m & ~comp[j] & ~(1 << j):
+                if rel >> q & 1 and not row[j] & ~comp[j] & ~(1 << j):
                     rel |= 1 << j
-                walk.append((j, q, m))
             if (rel ^ self._orel[i]) & self._tested[i]:
                 return False
             related.append(rel)
-            walks.append(walk)
-        for i, walk in enumerate(walks):
-            cls = {i: 1 << i}
-            for j, q, m in walk:
+        for i, (order, preds) in enumerate(geo.walks):
+            row, cls = bet[i], {i: 1 << i}
+            for j, q in zip(order, preds):
                 cls[j] = cls[q] | 1 << j if related[q] >> j & 1 else 1 << j
-                if related[j] & m != cls[j]:
+                if related[j] & row[j] != cls[j]:
                     return False
         return True
 
@@ -425,7 +509,7 @@ class ExtendedPoset:
         The certificate answers for every pair at once; only when it refuses
         does ``between_set`` run on each pair and name the witnesses."""
         out: dict = {"travel": [], "o_equivalence": []}
-        if self._certified(self._between_table()):
+        if self._certified():
             return out
         for a, b in self.iter_pairs():
             try:
@@ -451,48 +535,11 @@ class ExtendedPoset:
         4. If b is between a and c, and c is between b and d, then both b and
            c are between a and d.
 
-        Laws 1-3 read B(a, b) as B(b, a): a < b is scanned, all pairs only to list failures."""
-        n, bet, elements = self.n, self._between_table(), self.elements
-
-        def note(prop, *at):
-            return {"property": prop, **{key: elements[x] for key, x in zip("abcd", at)}}
-
-        def triples(pairs) -> list:
-            found = []
-            for a, b in pairs:
-                row, ab = bet[a], bet[a][b]
-                for c in range(n):
-                    if c == a or c == b:
-                        continue
-                    union = row[c] | bet[c][b]
-                    if ab & ~union:
-                        found.append(note(1, a, b, c))
-                    inside = bool(ab >> c & 1)
-                    if inside != (ab == union):
-                        found.append(note(2, a, b, c))
-                    if inside and row[c] & bet[c][b] != 1 << c:
-                        found.append(note(3, a, b, c))
-            return found
-
-        out = triples(combinations(range(n), 2)) and triples(permutations(range(n), 2))
-        # law 4: T[x][a] is the set of d with x in B(a, d); b in B(a, c) for a in T[b][c]
-        T = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for d in range(a + 1, n):
-                for x in _bits(bet[a][d]):
-                    T[x][a] |= 1 << d
-                    T[x][d] |= 1 << a
-        for b in range(n):
-            for c in range(n):
-                ends = 1 << b | 1 << c
-                dmask = T[c][b] & ~ends
-                if b == c or not dmask:
-                    continue
-                for a in _bits(T[b][c] & ~ends):
-                    bad = dmask & ~(T[b][a] & T[c][a]) & ~(1 << a)
-                    if bad:
-                        out.extend(note(4, a, b, c, d) for d in _bits(bad))
-        return out[:limit]
+        Laws 1-3 read B(a, b) as B(b, a): a < b is scanned, all pairs only to list failures.
+        The scan runs once per between geometry; the witnesses name this poset's elements."""
+        elements = self.elements
+        return [{"property": law, **{key: elements[x] for key, x in zip("abcd", at)}}
+                for law, *at in self._geometry().theorem[:limit]]
 
     # -- derived posets ----------------------------------------------
 

@@ -306,6 +306,38 @@ def per_pair_suite(p) -> dict:
     return problems
 
 
+def single_pass_certified(p, bet) -> bool:
+    """The suite's certificate as one pass over the between table ``bet``
+    (rows of B(i, j) masks), travel and comparability together, kept as the
+    reference for the certificate split into a between geometry and a
+    per-poset half.  Reads the poset's comparability rows and chain memo."""
+    n, comp, related, walks = p.n, p._comp, [], []
+    for i, row in enumerate(bet):
+        pred, rel, walk = {1 << i: i}, 1 << i, []
+        for j in sorted(range(n), key=list(map(int.bit_count, row)).__getitem__):
+            if j == i:
+                continue
+            m = row[j]
+            q = pred.get(m ^ 1 << j)
+            if q is None or (comp[i] >> j ^ comp[j] >> i) & 1:
+                return False
+            pred[m] = j
+            if rel >> q & 1 and not m & ~comp[j] & ~(1 << j):
+                rel |= 1 << j
+            walk.append((j, q, m))
+        if (rel ^ p._orel[i]) & p._tested[i]:
+            return False
+        related.append(rel)
+        walks.append(walk)
+    for i, walk in enumerate(walks):
+        cls = {i: 1 << i}
+        for j, q, m in walk:
+            cls[j] = cls[q] | 1 << j if related[q] >> j & 1 else 1 << j
+            if related[j] & m != cls[j]:
+                return False
+    return True
+
+
 def naive_between_theorem(p, limit: int = 100, inside=None) -> list:
     """The four laws of ``verify_between_theorem`` as ordered scans: laws 1-3
     over every triple (a, b, c) of distinct elements, then law 4 over every

@@ -112,6 +112,13 @@ def test_enumerating_small_posets_loads_only_poset():
                      "assert len(all_extended_posets(3)) == 32") == {"corpus", "errors", "poset"}
 
 
+def test_a_tree_corpus_loads_no_group_layer():
+    # the manifold order lives in ordertree, so sampling tree posets compiles
+    # neither the groups nor the construction
+    assert loaded_by("from treeorder.corpus import tree_corpus",
+                     "assert len(tree_corpus(3)) == 3") == {"corpus", "errors", "ordertree", "poset"}
+
+
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():
     assert tuple(treeorder.__all__) == PUBLIC
     listed = dir(treeorder)

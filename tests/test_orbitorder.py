@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from treeorder import corpus, orbitorder
+from treeorder import corpus, orbitorder, ordertree
 from treeorder.catalog import (
     ACTION_SCENARIOS,
     derive_cone_pieces,
@@ -269,7 +269,7 @@ def test_elements_at_one_point_are_ordered_once_per_ordered_pair():
 
 
 def test_the_converse_makes_no_pairwise_search(monkeypatch):
-    monkeypatch.setattr(orbitorder, "manifold_order", lambda *args: pytest.fail("a pairwise manifold search"))
+    monkeypatch.setattr(ordertree, "manifold_order", lambda *args: pytest.fail("a pairwise manifold search"))
     monkeypatch.setattr(ExtendedPoset, "from_relation", lambda *args: pytest.fail("a per-pair callback"))
     assert len(coordinate_extension(3, 1, 3).realized) == 63
     assert run_orbit_suite(6)["ok"]
@@ -376,8 +376,8 @@ def recorded_tree_corpus(monkeypatch):
         seen.append((m, points))
         return manifold_poset(m, points)
 
-    # random_tree_poset imports manifold_poset from orbitorder when it runs
-    monkeypatch.setattr(orbitorder, "manifold_poset", recording)
+    # random_tree_poset imports manifold_poset from ordertree when it runs
+    monkeypatch.setattr(ordertree, "manifold_poset", recording)
     posets = corpus.tree_corpus(100)
     assert len(seen) == 100
     return [(p, m, points) for p, (m, points) in zip(posets, seen)]
@@ -454,9 +454,9 @@ def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points()
 
 def test_orbit_poset_places_each_realized_point_once(monkeypatch):
     calls = []
-    place = orbitorder._arc_position
-    monkeypatch.setattr(orbitorder, "_arc_position", lambda m, p: calls.append(p) or place(m, p))
+    place = ordertree._arc_position
+    monkeypatch.setattr(ordertree, "_arc_position", lambda m, p: calls.append(p) or place(m, p))
     _, m, action = dihedral_example(4)
     orb = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 4)
     assert len(orb.realized) == 16
-    assert len(calls) <= len(orb.realized)
+    assert calls and len(calls) <= len(orb.realized)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from treeorder.poset import (
     SIML,
     SIMU,
     SWAP,
+    _GEOMETRIES,
     ClassLawError,
     ExtendedPoset,
     PosetError,
@@ -371,7 +373,7 @@ POPULATIONS = ["extended-0", "extended-1", "extended-2", "extended-3", "extended
 def test_the_certificate_covers_every_poset_and_the_suite_equals_the_per_pair_pass(case):
     posets = _posets(case)
     for p in posets:
-        assert p._certified(p._between_table())
+        assert p._certified() and oracles.single_pass_certified(p, p._between_table())
         suite = run_relation_suite(p)
         assert suite["ok"] and suite == oracles.per_pair_suite(p)
         assert p.verify_between_theorem() == []
@@ -412,7 +414,7 @@ def _travel_mask(pair, mask):
         "earlier-member-missing", "later-member-present"])
 def test_the_certificate_refuses_a_corrupted_memo_and_the_per_pair_pass_reports_it(corrupted):
     for q in corrupted():
-        assert not q._certified(q._between_table())
+        assert not q._certified() and not oracles.single_pass_certified(q, q._between_table())
         suite = run_relation_suite(q)
         assert not suite["ok"] and suite["travel"] + suite["o_equivalence"]
         assert suite == oracles.per_pair_suite(q)
@@ -426,7 +428,7 @@ def test_the_certificate_refuses_a_comparability_seen_from_one_side():
     # names y; the certificate reads one side of each pair and must refuse
     p = from_pairs("xyz", [("x", "siml", "y"), ("z", "lt", "x"), ("y", "siml", "z")])
     p._comp[0] |= 0b010
-    assert not p._certified(p._between_table())
+    assert not p._certified() and not oracles.single_pass_certified(p, p._between_table())
     suite = run_relation_suite(p)
     assert suite["ok"] and suite == oracles.per_pair_suite(p)
 
@@ -456,3 +458,24 @@ def test_the_theorem_scan_names_the_ordered_witnesses_of_a_corrupted_mask(poset,
     assert want
     assert p.verify_between_theorem(limit=3) == want[:3]
     assert p.verify_between_theorem() == want
+
+
+@pytest.mark.parametrize("n, tables", [(4, 25), (5, 216)])
+def test_posets_with_one_between_table_share_one_geometry_while_they_live(n, tables):
+    posets = all_extended_posets(n)
+    assert len({id(p._geometry()) for p in posets}) == len({p._between_table() for p in posets}) == tables
+    assert all(run_relation_suite(p)["ok"] for p in posets)
+    del posets
+    gc.collect()
+    assert not _GEOMETRIES
+
+
+def test_posets_that_share_a_corrupted_table_name_their_own_witnesses():
+    p, q = chain("abcd"), chain("wxyz")
+    corrupted = [(p, _corrupted_member(p, "a", "c", "b")), (q, _corrupted_member(q, "w", "y", "x"))]
+    assert p._geometry() is q._geometry()
+    for r, inside in corrupted:
+        want = oracles.naive_between_theorem(r, limit=100, inside=inside)
+        assert want and {w["a"] for w in want} <= set(r.elements)
+        assert r.verify_between_theorem() == want
+        assert run_relation_suite(r)["theorem"] == want[:3]
