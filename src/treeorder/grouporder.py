@@ -17,13 +17,15 @@ and the quotient order on cosets of a normal, completely convex subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import ConeError
 from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_codes
 
 _VIOLATION_CAP = 25
+# one translate table per row kind (up, down, simu, siml): its code byte to "1", the rest to "0"
+_CODE_BITS = tuple(bytes.maketrans(bytes(range(5)), bytes(48 + (k == c) for k in range(5))) for c in (LT, GT, SIMU, SIML))
 _PIECE_NAMES = {EQ: "e", LT: "p", GT: "pinv", SIMU: "u", SIML: "l"}  # for partition errors
 
 
@@ -66,14 +68,16 @@ class ConeStructure:
         return code
 
 
-@dataclass
 class ConditionResult:
-    condition: int
-    description: str
-    checked: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
-    violation_count: int = 0
+    """One axiom's sweep: in-ball products checked, products skipped, the
+    first witnesses (up to a cap) and how many there were in all."""
+
+    __slots__ = ("condition", "description", "checked", "skipped", "violations", "violation_count")
+
+    def __init__(self, condition: int, description: str):
+        self.condition, self.description = condition, description
+        self.checked = self.skipped = self.violation_count = 0
+        self.violations: list = []
 
     @property
     def ok(self) -> bool:
@@ -85,8 +89,7 @@ class ConditionResult:
             self.violations.append(witness)
 
 
-@dataclass
-class ConeReport:
+class ConeReport(NamedTuple):
     cone: str
     radius: int
     ball_size: int
@@ -174,9 +177,12 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
     """The tagged poset the cone induces on ball(radius).
 
     The axiom sweep must pass first (``report``, when the caller already ran
-    it at this radius); every quotient the relation table needs gets
-    classified on demand, and classification itself raises if the cones fail
-    to partition somewhere in ball(2 * radius).
+    it at this radius).  The table is built one row at a time: for each g,
+    g^-1 is formed once and the row's codes are the sides of g^-1 h over the
+    ball, so ``side`` raises at the first quotient in row-major order where
+    the cones fail to partition (somewhere in ball(2 * radius)), and a
+    distinct h with g^-1 h the identity is named in the same order.  The
+    codes become the four bit rows by one ``bytes.translate`` each.
     """
     if report is None:
         report = verify_cone_axioms(cone, radius)
@@ -185,18 +191,42 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
         raise ConeError(f"cone {cone.name} fails condition ({bad}) at radius {radius}")
     group = cone.group
     ball = group.ball(radius)
-    p = ExtendedPoset.from_relation(ball, cone.classify)
+    n, mult, side, e = len(ball), group.mult, cone.side, group.identity
+    step = max(1, n // 12)  # the left-invariance sample below
+    rows: tuple = ([], [], [], [])
+    kept: dict = {}  # the sampled rows' codes
+    if len(set(ball)) == n:  # else the constructor names the repeat
+        known = cone._side_cache.get
+        for i, g in enumerate(ball):
+            qs = list(map(mult, repeat(group.inv(g), n), ball))
+            qs[i] = e  # the diagonal reads EQ, whatever the model makes of g^-1 g
+            if qs.count(e) > 1:  # a broken model: g^-1 h = e for some h != g
+                j = next(j for j, q in enumerate(qs) if q == e and j != i)
+                bytes(map(side, qs[:j]))  # a partition failure met first raises first
+                raise ConeError(f"distinct elements with identity quotient: {group.format(g)}, {group.format(ball[j])}")
+            codes = list(map(known, qs))
+            if None in codes:  # a new quotient: side reads the row, raising in its order
+                codes = list(map(side, qs))
+            codes = bytes(codes)
+            if i % step == 0:
+                kept[i] = codes
+            text = codes[::-1]  # bit j of a row is ball[j]
+            for row, bits in zip(rows, _CODE_BITS):
+                row.append(int(text.translate(bits), 2))
+    p = ExtendedPoset(ball, *rows)
     # left translation cannot change g^-1 h, but a broken group model could;
-    # spot-check a deterministic sample
-    n = len(ball)
-    step = max(1, n // 12)
-    sample = ball[::step]
-    for f in sample:
-        for g in sample:
-            for h in sample:
-                fg, fh = group.mult(f, g), group.mult(f, h)
-                if cone.classify(fg, fh) != cone.classify(g, h):
-                    raise ConeError(f"order is not left-invariant at {group.format(f)}, {group.format(g)}, {group.format(h)}")
+    # spot-check a deterministic sample: side(inv(fg) fh) against g's row
+    sample = range(0, n, step)
+    for f in ball[::step]:
+        moved = [mult(f, ball[j]) for j in sample]
+        for i, fg in zip(sample, moved):
+            fg_inv, row = group.inv(fg), kept[i]
+            for j, fh in zip(sample, moved):
+                code = EQ if fg == fh else side(mult(fg_inv, fh))
+                if code != row[j]:
+                    if code == EQ and fg != fh:  # as classify(fg, fh) reports it
+                        raise ConeError(f"distinct elements with identity quotient: {group.format(fg)}, {group.format(fh)}")
+                    raise ConeError(f"order is not left-invariant at {group.format(f)}, {group.format(ball[i])}, {group.format(ball[j])}")
     return p
 
 
@@ -345,8 +375,7 @@ def _quotient_sides(cone: ConeStructure, ws: list, radius: int) -> tuple:
     return keys or [0] * len(ws), sides.get, read
 
 
-@dataclass
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     pairs_checked: int
     violations: list
 
@@ -392,8 +421,7 @@ def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int)
     return ConvexityReport(pairs_checked=len(H) * (len(H) - 1) // 2, violations=violations)
 
 
-@dataclass
-class QuotientResult:
+class QuotientResult(NamedTuple):
     representatives: list
     poset: ExtendedPoset
     uniqueness: list

@@ -32,9 +32,8 @@ against realized points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import TreeError
 from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
@@ -104,19 +103,18 @@ def _degrees(inc: list) -> dict:
     return {"n_f": n_f, "n_o": n_o, "kind": kind}
 
 
-@dataclass
-class NodeRec:
+class NodeRec(NamedTuple):
     id: object
     kind: str = "point"  # point | open | openray
 
 
-@dataclass
 class ArcRec:
-    id: object
-    tail: object
-    head: object
-    kind: str = "arc"  # arc | blowup | stub
-    core: bool = True
+    """A directed arc; the blow-up moves its ends."""
+
+    __slots__ = ("id", "tail", "head", "kind", "core")
+
+    def __init__(self, id, tail, head, kind: str = "arc", core: bool = True):
+        self.id, self.tail, self.head, self.kind, self.core = id, tail, head, kind, core
 
 
 class OrderTree:

@@ -28,9 +28,8 @@ on five points 216, and the 153,664 on six points 2,401.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PosetError
 
@@ -76,8 +75,7 @@ class ClassLawError(PosetError):
     """Raised when a between set's similarity classes are not travel intervals."""
 
 
-@dataclass(frozen=True)
-class BetweenChain:
+class BetweenChain(NamedTuple):
     """A between set listed in travel order, split into similarity classes."""
 
     a: Element

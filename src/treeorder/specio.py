@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import CatalogError, GroupError, SpecError, TreeError
 from .groups import TableGroup, make_group
@@ -53,13 +52,12 @@ SPEC_VERSION = "1"
 KINDS = ("group-order", "poset", "tree", "scenario")
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(NamedTuple):
     kind: str
     version: str
     body: dict
     # what parsing read the body into: a cone, a tree, or poset (elements, triples)
-    built: object = field(default=None, compare=False, repr=False)
+    built: object = None
 
 
 def _require_fields(obj: dict, where: str, required: set, optional: set = frozenset()) -> None:

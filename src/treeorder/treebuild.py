@@ -17,17 +17,17 @@ fractions), so the structural checks are equalities, not approximations:
 the glued intervals form a tree, complement gaps are bounded by an element
 and its own tag, paths between built elements read out their between sets in
 travel order, and two labels share a point exactly when nothing lies between
-them.
+them.  Neither the build nor the checks build the doubled order: its
+between sets, relation codes and touching pairs are all read off the base
+order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BuildError
 from .grouporder import (
@@ -35,7 +35,6 @@ from .grouporder import (
     PLAIN,
     PLUS,
     aug,
-    blow_up_gplus,
     format_aug,
     plain_of,
     r_equivalent,
@@ -43,15 +42,14 @@ from .grouporder import (
     tag_of,
 )
 from .ordertree import OrderTree, TreeIndex
-from .poset import BetweenChain, ExtendedPoset, PosetError
+from .poset import EQ, GT, LT, BetweenChain, ExtendedPoset, PosetError, between_by_codes
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One normalized gluing step.
 
     ``pair`` is the between-set pair actually laid, with the first entry
@@ -64,16 +62,14 @@ class Stage:
     case: int
 
 
-@dataclass(frozen=True)
-class BetweenDecomposition:
+class BetweenDecomposition(NamedTuple):
     """A normalized cover of a tagged poset by between-set stages."""
 
     base: object
     stages: tuple
 
 
-@dataclass(frozen=True)
-class GlueRecord:
+class GlueRecord(NamedTuple):
     """Identification of a new interval end with an existing point."""
 
     interval: int
@@ -185,12 +181,6 @@ class LabeledTree:
 
     def label_key(self, label: tuple) -> tuple:
         return (self.poset.index(plain_of(label)), tag_of(label))
-
-    @cached_property
-    def aug(self) -> ExtendedPoset:
-        """The doubled order, built on first use; only the path check of
-        ``verify_stage_properties`` reads it."""
-        return blow_up_gplus(self.poset)
 
     def format_label(self, label: tuple) -> str:
         return format_aug(label, self.fmt)
@@ -404,8 +394,7 @@ def build_from_cones(cone, radius: int = 6, stages: Optional[int] = None) -> Lab
 # -- oriented tree ---------------------------------------------------------
 
 
-@dataclass
-class BuildLayout:
+class BuildLayout(NamedTuple):
     """The built tree with directed arcs plus the label geometry."""
 
     tree: OrderTree
@@ -527,6 +516,38 @@ def _point_table(state: LabeledTree) -> tuple:
     return ids, spans, at, label_id
 
 
+def _doubled_members(p: ExtendedPoset, a, b) -> list:
+    """B(a, b) of two plain labels in the doubled order (blow_up_gplus),
+    in travel order, read off the base B(a, b): a and its tag toward b;
+    each inner x's tag toward a, x, and its tag toward b; b's tag toward a
+    and b.  The doubling copies every base relation to all nine tag pairs,
+    so the inner elements keep their travel order and bring all three
+    labels, while of a's labels only the tag facing b lies between."""
+    inner = p.between_members(a, b)[1:-1]
+    up, _down, simu, _siml = p.rows
+    i, j = p.index(a), p.index(b)
+    out = [aug(a, PLAIN), aug(a, side_toward(p, a, b))]
+    for k, x in zip(map(p.index, inner), inner):
+        faces = up[k] | simu[k]  # side_toward(p, x, .) is PLUS on these
+        out += ((x, PLUS if faces >> i & 1 else MINUS), (x, PLAIN), (x, PLUS if faces >> j & 1 else MINUS))
+    return out + [aug(b, side_toward(p, b, a)), aug(b, PLAIN)]
+
+
+def _doubled_code(p: ExtendedPoset, x: tuple, y: tuple) -> int:
+    """The relation code of two labels in the doubled order: the base code
+    of distinct elements, else g- < g < g+."""
+    if x[0] != y[0]:
+        return p.rel(x[0], y[0])
+    return EQ if x[1] == y[1] else LT if x[1] < y[1] else GT
+
+
+def _doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
+    """Whether label y lies in the doubled B(x, z), x != z."""
+    if y == x or y == z:
+        return True
+    return between_by_codes(_doubled_code(p, x, z), _doubled_code(p, x, y), _doubled_code(p, y, z))
+
+
 def _path_points(index: TreeIndex, start, end) -> list:
     """The points from start to end, climbing the deeper side's parents."""
     ups, downs = [start], [end]
@@ -545,10 +566,13 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     * gaps: every unlabelled complement component lies between an element
       and one of its own tags; gaps at truncated-limit gluings are reported
       as undetermined rather than checked.
-    * paths: for built a, b the path [nu(a), nu(b)] reads out B(a, b) in
-      travel order; extra labels must be tags touching a member on each side.
+    * paths: for built a, b the path [nu(a), nu(b)] reads out the doubled
+      B(a, b) in travel order (_doubled_members, read off the base order):
+      the members' points come block by block in route order; extra labels
+      must be tags touching a member on each side.
     * identity: labels share a point exactly when they touch; collisions
-      forced by a truncated-limit gluing are undetermined.
+      forced by a truncated-limit gluing are undetermined.  Touching labels
+      laid apart are sought only across base pairs with |B(g, h)| = 2.
 
     All four read one table of the points interned to ints (_point_table).
     """
@@ -591,32 +615,36 @@ def verify_stage_properties(state: LabeledTree) -> dict:
         path_violations.append({"pair": (state.fmt(a), state.fmt(b)), "problem": problem,
                                 "labels": [state.format_label(m) for m in labs]})
 
-    A = state.aug
     for a, b in combinations(sorted(state.built, key=p.index), 2):
         ends = (aug(a, PLAIN), aug(b, PLAIN))
-        expected = A.between_members(*ends)
+        expected = _doubled_members(p, a, b)
         missing = [m for m in expected if m not in state.nu]
         if missing:
             flag("between set not fully built", missing)
             continue
-        order = {m: j for j, m in enumerate(expected)}
         try:
             route = _path_points(index, label_id[ends[0]], label_id[ends[1]])
         except BuildError as exc:
             flag(str(exc), ends)
             continue
-        flat = []
+        # the route reads B(a, b) in travel order exactly when every member
+        # lies on it and the members' points come in route order, block by
+        # block; any further label on the route is an extra
+        step = {k: t for t, k in enumerate(route)}
+        blocks = [step.get(label_id[m], -1) for m in expected]
+        in_order = blocks[0] >= 0 and blocks == sorted(blocks)
         extras = []
-        for k in route:
-            flat.extend(sorted((lab for lab in at[k] if lab in order), key=order.__getitem__))
-            extras.extend(lab for lab in at[k] if lab not in order)
-        if [order[m] for m in flat] != list(range(len(expected))):
-            flag("path labels out of order", flat)
+        if not in_order or sum(map(len, map(at.__getitem__, route))) > len(expected):
+            order = {m: j for j, m in enumerate(expected)}
+            if not in_order:
+                flag("path labels out of order",
+                     [m for k in route for m in sorted((lab for lab in at[k] if lab in order), key=order.get)])
+            extras = [lab for k in route for lab in at[k] if lab not in order]
         for c in extras:
             if tag_of(c) == PLAIN:
                 flag("stray plain label on path", [c])
             elif not all(
-                any(A.is_between(end, d, c) and r_equivalent(p, c, d) for d in expected)
+                any(r_equivalent(p, c, d) and _doubled_between(p, end, d, c) for d in expected)
                 for end in ends
             ):
                 flag("extra label without touching partner", [c])
@@ -638,13 +666,19 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                 id_undetermined.append(entry)
             else:
                 id_violations.append(entry)
-    tags = [lab for lab in sorted(state.nu, key=state.label_key) if tag_of(lab) != PLAIN]
-    for u, v in combinations(tags, 2):
-        if label_id[u] != label_id[v] and r_equivalent(p, u, v):
-            id_violations.append(
-                {"labels": (state.format_label(u), state.format_label(v)),
-                 "problem": "touching labels laid apart"}
-            )
+    # tags touch only across a base pair with nothing between (r_equivalent)
+    apart = []
+    tagged = sorted({plain_of(lab) for lab in state.nu if tag_of(lab) != PLAIN}, key=p.index)
+    for g, h in combinations(tagged, 2):
+        if p._between_mask(p.index(g), p.index(h)).bit_count() == 2:
+            u, v = aug(g, side_toward(p, g, h)), aug(h, side_toward(p, h, g))
+            if u in label_id and v in label_id and label_id[u] != label_id[v]:
+                apart.append((state.label_key(u), state.label_key(v), u, v))
+    for *_keys, u, v in sorted(apart):  # in label order, as pairs of sorted tags
+        id_violations.append(
+            {"labels": (state.format_label(u), state.format_label(v)),
+             "problem": "touching labels laid apart"}
+        )
     identity_report = {
         "ok": not id_violations,
         "violations": id_violations,

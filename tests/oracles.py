@@ -399,6 +399,17 @@ def build_predicate(expr: dict, group_spec: dict):
     return cone_from_document(parse_document({"version": "1", "kind": "group-order", "body": body})).in_positive
 
 
+def pairwise_ball_poset(cone, radius: int):
+    """The ball order by one ``classify`` call per ordered pair, in
+    row-major order: the construction ``induced_ball_poset`` used before it
+    read whole rows.  It runs no axiom sweep and no left-invariance check,
+    so on a cone whose pieces fail to partition it raises at the first
+    quotient ``classify`` meets."""
+    from treeorder.poset import ExtendedPoset
+
+    return ExtendedPoset.from_relation(cone.group.ball(radius), cone.classify)
+
+
 def naive_between_mask(p, a, b) -> int:
     """B(a, b) as a mask over ``p.elements``, one ``is_between`` call per
     element; ``is_between`` reads the three pair codes through

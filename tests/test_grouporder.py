@@ -216,6 +216,92 @@ def test_invalid_cone_cannot_induce_a_ball_order():
     assert str(err.value) == "cones do not partition at 3: pieces p,u"
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONES))
+def test_ball_rows_match_the_pairwise_oracle_on_builtin_cones(name):
+    for radius in range(4 if name.startswith("free") else 5):
+        if not verify_cone_axioms(get_cone(name), radius).ok:
+            with pytest.raises(ConeError, match="fails condition"):
+                induced_ball_poset(get_cone(name), radius)
+            continue
+        try:
+            want = oracles.pairwise_ball_poset(get_cone(name), radius)
+        except ConeError as err:  # no piece somewhere in ball(2r): the same first quotient
+            with pytest.raises(ConeError) as got:
+                induced_ball_poset(get_cone(name), radius)
+            assert str(got.value) == str(err)
+            continue
+        got = induced_ball_poset(get_cone(name), radius)
+        assert (got.elements, got.rows) == (want.elements, want.rows), (name, radius)
+
+
+def _short_cone(radius: int) -> ConeStructure:
+    """Z with P = {0 < n <= radius}: every product of the sweep at this
+    radius that stays in the ball stays in P, but radius + 1 is in no piece."""
+    return ConeStructure("z-short", Z(), lambda n: 0 < n <= radius, lambda n: False, lambda n: False)
+
+
+@pytest.mark.parametrize("radius, text", [(1, "cones do not partition at 2: no piece"),
+                                          (3, "cones do not partition at 4: no piece"),
+                                          (5, "cones do not partition at 6: no piece")])
+def test_a_cone_that_passes_the_sweep_but_not_ball_2r_names_its_first_quotient(radius, text):
+    assert verify_cone_axioms(_short_cone(radius), radius).ok
+    with pytest.raises(ConeError) as err:
+        oracles.pairwise_ball_poset(_short_cone(radius), radius)
+    assert str(err.value) == text
+    with pytest.raises(ConeError) as err:
+        induced_ball_poset(_short_cone(radius), radius)
+    assert str(err.value) == text
+
+
+def _collapsing(pair: tuple) -> Z:
+    """Z whose product of ``pair`` is the identity."""
+
+    class Collapsing(Z):
+        def mult(self, a, b):
+            return 0 if (a, b) == pair else a + b
+
+    return Collapsing()
+
+
+class _FarSkew(Z):
+    """Subtracts a right factor outside ball(3): the ball table is sound,
+    left translation is not."""
+
+    def mult(self, a, b):
+        return a + b if abs(b) <= 3 else a - b
+
+
+class _Repeating(Z):
+    def ball(self, r):
+        return super().ball(r) + [r]
+
+
+# 5 is in U and -5 in no piece; at radius 3 the row of 2 (quotients -2, -3,
+# -1, -4, 0, -5, 1 in ball order) is the first to meet -5, at h = -3
+_GAP = (lambda n: n > 0 and n != 5, lambda n: n == 5, lambda n: False)
+
+
+@pytest.mark.parametrize("group, pieces, error, text", [
+    (_collapsing((-1, 2)), None, ConeError, "distinct elements with identity quotient: 1, 2"),
+    (_collapsing((-2, -1)), _GAP, ConeError, "distinct elements with identity quotient: 2, -1"),
+    (_collapsing((-2, 3)), _GAP, ConeError, "cones do not partition at -5: no piece"),
+    (_FarSkew(), None, ConeError, "order is not left-invariant at -1, 0, -3"),
+    (_Repeating(), None, PosetError, "duplicate elements"),
+], ids=["identity-quotient", "identity-quotient-first-in-row", "partition-first-in-row", "left-invariance",
+        "repeated-element"])
+def test_a_broken_group_model_is_refused_with_the_pairwise_builders_text(group, pieces, error, text):
+    std = z_standard()
+    cone = ConeStructure("z-model", group, *(pieces or (std.in_positive, std.in_upper, std.in_lower)))
+    assert verify_cone_axioms(cone, 3).ok
+    with pytest.raises(error) as err:
+        induced_ball_poset(cone, 3)
+    assert str(err.value) == text
+    if error is ConeError and "left-invariant" not in text:  # the table itself fails
+        with pytest.raises(error) as err:
+            oracles.pairwise_ball_poset(cone, 3)
+        assert str(err.value) == text
+
+
 def test_classify_reads_the_side_of_the_left_quotient():
     checked = []
     for name in sorted(BUILTIN_CONES):

@@ -119,6 +119,23 @@ def test_a_tree_corpus_loads_no_group_layer():
                      "assert len(tree_corpus(3)) == 3") == {"corpus", "errors", "ordertree", "poset"}
 
 
+@pytest.mark.parametrize("setup", [
+    "from treeorder.cli import main; main(['roundtrip', 'z-standard', '--radius', '3'])",
+    "from treeorder.corpus import tree_corpus",
+], ids=["roundtrip", "tree-corpus"])
+def test_a_tree_job_loads_no_dataclasses(setup):
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 12 ms a job
+    code = f"""
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    {setup}
+print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():
     assert tuple(treeorder.__all__) == PUBLIC
     listed = dir(treeorder)

@@ -9,12 +9,15 @@ import pytest
 from treeorder import grouporder
 from treeorder.catalog import dihedral_standard, get_cone, z_standard
 from treeorder.cli import main
-from treeorder.grouporder import PLAIN, induced_ball_poset, plain_of, tag_of
+from treeorder.catalog import run_build_suite
+from treeorder.grouporder import PLAIN, blow_up_gplus, induced_ball_poset, plain_of, tag_of
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset, from_pairs
 from treeorder.treebuild import (
     BuildError,
+    _doubled_between,
+    _doubled_members,
     _path_points,
     act_on_labels,
     build_from_cones,
@@ -112,11 +115,50 @@ def test_verification_tests_each_pair_for_a_chain_at_most_once_per_row(cone, rad
     is_chain = ExtendedPoset._is_chain
     monkeypatch.setattr(ExtendedPoset, "_is_chain", lambda self, mask: calls.append(mask) or is_chain(self, mask))
     state = build_from_cones(cone(), radius=radius)
-    n = state.aug.n
+    n = 3 * state.poset.n  # the doubled order's size
     assert 0 < len(calls) <= n * (n - 1)
     built = len(calls)
     assert verify_stage_properties(state)["ok"]
     assert len(calls) == built  # verification reads members only
+
+
+@pytest.mark.parametrize("name, radii", [("z-standard", range(11)), ("dihedral-standard", range(9)),
+                                         ("z2-lex", range(4)), ("free2-standard", range(4))],
+                         ids=["z-r10", "dihedral-r8", "z2-lex-r3", "free2-r3"])
+def test_doubled_between_sets_read_off_the_base_order_match_the_doubled_poset(name, radii):
+    pairs = 0
+    for radius in radii:
+        state = ConePipeline.of(get_cone(name), radius).build(None)
+        p = state.poset
+        doubled = blow_up_gplus(p)
+        for a in state.built:
+            for b in state.built:
+                if a != b:
+                    assert _doubled_members(p, a, b) == list(doubled.between_members((a, PLAIN), (b, PLAIN))), (a, b)
+                    pairs += 1
+    assert pairs > 100
+
+
+@pytest.mark.parametrize("name, radius", [("dihedral-standard", 2), ("z2-lex", 1), ("z-standard", 3)])
+def test_doubled_betweenness_read_off_the_base_order_matches_the_doubled_poset(name, radius):
+    p = induced_ball_poset(get_cone(name), radius)
+    doubled = blow_up_gplus(p)
+    labels = doubled.elements
+    for x in labels:
+        for z in labels:
+            if x != z:
+                assert [_doubled_between(p, x, y, z) for y in labels] == [doubled.is_between(x, y, z) for y in labels]
+
+
+def test_the_build_suite_never_builds_the_doubled_order(monkeypatch):
+    def refuse(p):
+        pytest.fail("the doubled poset was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treeorder.") and hasattr(module, "blow_up_gplus"):
+            monkeypatch.setattr(module, "blow_up_gplus", refuse)
+    for name, radius in [("z-standard", 6), ("dihedral-standard", 6), ("z2-lex", 2), ("free2-standard", 2)]:
+        assert run_build_suite(get_cone(name), radius=radius, stages=None)["ok"]
 
 
 @pytest.mark.parametrize("argv, bound", [
@@ -134,12 +176,13 @@ def test_chain_tests_through_the_command_line_stay_bounded(argv, bound, monkeypa
 
 @pytest.mark.parametrize("argv, builds", [
     (["roundtrip", "dihedral-standard", "--radius", "6"], 0),
-    (["build-tree", "z-standard", "--radius", "4"], 1),
+    (["build-tree", "z-standard", "--radius", "4"], 0),
     (["examples", "run", "gplus-z"], 1),
 ], ids=["roundtrip", "build-tree", "gplus-suite"])
 def test_the_doubled_order_is_built_only_where_it_is_checked(argv, builds, monkeypatch, capsys):
-    # the build reads touching off the ball poset; the path check of
-    # verification and the doubled-order suite each build the doubled poset once
+    # the build reads touching off the ball poset and verification reads the
+    # doubled between sets off it too; only the doubled-order suite builds
+    # the doubled poset, once
     calls = []
     blow_up = grouporder.blow_up_gplus
     for name, module in list(sys.modules.items()):  # every loaded holder of the name
