@@ -196,18 +196,14 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
     rows: tuple = ([], [], [], [])
     kept: dict = {}  # the sampled rows' codes
     if len(set(ball)) == n:  # else the constructor names the repeat
-        known = cone._side_cache.get
         for i, g in enumerate(ball):
             qs = list(map(mult, repeat(group.inv(g), n), ball))
-            qs[i] = e  # the diagonal reads EQ, whatever the model makes of g^-1 g
+            qs[i] = e  # EQ on the diagonal (the sweep checked e), whatever the model makes of g^-1 g
             if qs.count(e) > 1:  # a broken model: g^-1 h = e for some h != g
                 j = next(j for j, q in enumerate(qs) if q == e and j != i)
                 bytes(map(side, qs[:j]))  # a partition failure met first raises first
                 raise ConeError(f"distinct elements with identity quotient: {group.format(g)}, {group.format(ball[j])}")
-            codes = list(map(known, qs))
-            if None in codes:  # a new quotient: side reads the row, raising in its order
-                codes = list(map(side, qs))
-            codes = bytes(codes)
+            codes = bytes(map(side, qs))
             if i % step == 0:
                 kept[i] = codes
             text = codes[::-1]  # bit j of a row is ball[j]

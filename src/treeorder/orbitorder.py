@@ -259,17 +259,15 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
 
 
 def _restricted_rows(p: ExtendedPoset, subset: tuple) -> tuple:
-    """The rows of p restricted to ``subset``, in its order: p's own rows
-    when the subset is all of p, else each kept row's bits gathered through
-    one index map."""
+    """p's rows restricted to ``subset``, in its order: each kept row's bits
+    gathered through one index map."""
     if subset == p.elements:
         return p.rows
     at = [p.index(g) for g in subset]
-    pad = f"0{p.n}b"
 
     def pick(row: int) -> int:
-        bits = format(row, pad)[::-1]
-        return int("".join([bits[j] for j in at])[::-1] or "0", 2)
+        bits = format(row, f"0{p.n}b")[::-1]
+        return int("".join([bits[j] for j in at])[::-1], 2)
 
     return tuple(tuple(pick(row[i]) for i in at) for row in p.rows)
 

@@ -526,26 +526,21 @@ def _doubled_members(p: ExtendedPoset, a, b) -> list:
     inner = p.between_members(a, b)[1:-1]
     up, _down, simu, _siml = p.rows
     i, j = p.index(a), p.index(b)
-    out = [aug(a, PLAIN), aug(a, side_toward(p, a, b))]
+    out = [(a, PLAIN), (a, side_toward(p, a, b))]
     for k, x in zip(map(p.index, inner), inner):
         faces = up[k] | simu[k]  # side_toward(p, x, .) is PLUS on these
         out += ((x, PLUS if faces >> i & 1 else MINUS), (x, PLAIN), (x, PLUS if faces >> j & 1 else MINUS))
-    return out + [aug(b, side_toward(p, b, a)), aug(b, PLAIN)]
-
-
-def _doubled_code(p: ExtendedPoset, x: tuple, y: tuple) -> int:
-    """The relation code of two labels in the doubled order: the base code
-    of distinct elements, else g- < g < g+."""
-    if x[0] != y[0]:
-        return p.rel(x[0], y[0])
-    return EQ if x[1] == y[1] else LT if x[1] < y[1] else GT
+    return out + [(b, side_toward(p, b, a)), (b, PLAIN)]
 
 
 def _doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
-    """Whether label y lies in the doubled B(x, z), x != z."""
-    if y == x or y == z:
-        return True
-    return between_by_codes(_doubled_code(p, x, z), _doubled_code(p, x, y), _doubled_code(p, y, z))
+    """Whether label y lies in the doubled B(x, z), x != z: labels of
+    distinct elements relate as the elements do, and g- < g < g+."""
+
+    def code(u: tuple, v: tuple) -> int:
+        return p.rel(u[0], v[0]) if u[0] != v[0] else EQ if u[1] == v[1] else LT if u[1] < v[1] else GT
+
+    return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
 def _path_points(index: TreeIndex, start, end) -> list:
