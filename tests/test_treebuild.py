@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from treeorder import grouporder
-from treeorder.catalog import dihedral_standard, get_cone, z_standard
+from treeorder.catalog import dihedral_standard, get_cone, run_build_suite, z_standard
 from treeorder.cli import main
-from treeorder.catalog import run_build_suite
 from treeorder.grouporder import PLAIN, blow_up_gplus, induced_ball_poset, plain_of, tag_of
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
