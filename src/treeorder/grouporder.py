@@ -25,7 +25,8 @@ from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_
 
 _VIOLATION_CAP = 25
 # one translate table per row kind (up, down, simu, siml): its code byte to "1", the rest to "0"
-_CODE_BITS = tuple(bytes.maketrans(bytes(range(5)), bytes(48 + (k == c) for k in range(5))) for c in (LT, GT, SIMU, SIML))
+_CODE_BITS = tuple(bytes.maketrans(bytes(range(5)), bytes(48 + (k == c) for k in range(5)))
+                   for c in (LT, GT, SIMU, SIML))
 _PIECE_NAMES = {EQ: "e", LT: "p", GT: "pinv", SIMU: "u", SIML: "l"}  # for partition errors
 
 
@@ -221,8 +222,10 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
                 code = EQ if fg == fh else side(mult(fg_inv, fh))
                 if code != row[j]:
                     if code == EQ and fg != fh:  # as classify(fg, fh) reports it
-                        raise ConeError(f"distinct elements with identity quotient: {group.format(fg)}, {group.format(fh)}")
-                    raise ConeError(f"order is not left-invariant at {group.format(f)}, {group.format(ball[i])}, {group.format(ball[j])}")
+                        raise ConeError(f"distinct elements with identity quotient: "
+                                        f"{group.format(fg)}, {group.format(fh)}")
+                    raise ConeError(f"order is not left-invariant at "
+                                    f"{group.format(f)}, {group.format(ball[i])}, {group.format(ball[j])}")
     return p
 
 
