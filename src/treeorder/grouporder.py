@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import ConeError
+from .errors import ConeError, PosetError
 from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_codes
 
 _VIOLATION_CAP = 25
@@ -203,7 +203,7 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
             if qs.count(e) > 1:  # a broken model: g^-1 h = e for some h != g
                 j = next(j for j, q in enumerate(qs) if q == e and j != i)
                 bytes(map(side, qs[:j]))  # a partition failure met first raises first
-                raise ConeError(f"distinct elements with identity quotient: {group.format(g)}, {group.format(ball[j])}")
+                cone.classify(g, ball[j])  # raises, as the per-pair builder did
             codes = bytes(map(side, qs))
             if i % step == 0:
                 kept[i] = codes
@@ -212,18 +212,14 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
                 row.append(int(text.translate(bits), 2))
     p = ExtendedPoset(ball, *rows)
     # left translation cannot change g^-1 h, but a broken group model could;
-    # spot-check a deterministic sample: side(inv(fg) fh) against g's row
+    # spot-check a deterministic sample: classify(fg, fh) against g's row
     sample = range(0, n, step)
     for f in ball[::step]:
         moved = [mult(f, ball[j]) for j in sample]
         for i, fg in zip(sample, moved):
-            fg_inv, row = group.inv(fg), kept[i]
+            row = kept[i]
             for j, fh in zip(sample, moved):
-                code = EQ if fg == fh else side(mult(fg_inv, fh))
-                if code != row[j]:
-                    if code == EQ and fg != fh:  # as classify(fg, fh) reports it
-                        raise ConeError(f"distinct elements with identity quotient: "
-                                        f"{group.format(fg)}, {group.format(fh)}")
+                if cone.classify(fg, fh) != row[j]:
                     raise ConeError(f"order is not left-invariant at "
                                     f"{group.format(f)}, {group.format(ball[i])}, {group.format(ball[j])}")
     return p
@@ -296,17 +292,59 @@ def r_equivalent(p: ExtendedPoset, x: tuple, y: tuple) -> bool:
     if x == y:
         return True
     (g, s), (h, t) = x, y
-    if s == PLAIN or t == PLAIN or g == h:
-        return False
-    return (s == side_toward(p, g, h) and t == side_toward(p, h, g)
-            and p._between_mask(p.index(g), p.index(h)).bit_count() == 2)
+    return s != PLAIN and t != PLAIN and g != h and facing_tags(p, g, h) == (x, y)
+
+
+def facing_tags(p: ExtendedPoset, g, h) -> Optional[tuple]:
+    """The one pair of touching tags across g != h, (g^s, h^t) with
+    s = side_toward(p, g, h) and t = side_toward(p, h, g), when
+    B(g, h) = {g, h}; None when something lies between (r_equivalent)."""
+    if p._between_mask(p.index(g), p.index(h)).bit_count() != 2:
+        return None
+    return (g, side_toward(p, g, h)), (h, side_toward(p, h, g))
 
 
 def side_toward(p: ExtendedPoset, x, y) -> int:
     """Which doubled tag of x faces y: PLUS when x sits below or faces
     upward toward y, MINUS otherwise."""
-    r = p.rel(x, y)
-    return PLUS if r in (LT, SIMU) else MINUS
+    return PLUS if _plus_faces(p, p.index(x)) >> p.index(y) & 1 else MINUS
+
+
+def _plus_faces(p: ExtendedPoset, i: int) -> int:
+    """The mask of the elements that i's PLUS tag faces: those above i or
+    upward-similar to it."""
+    return p._up[i] | p._simu[i]
+
+
+def doubled_members(p: ExtendedPoset, a, b) -> list:
+    """B(a, b) of two plain labels in blow_up_gplus(p), in travel order,
+    read off the base B(a, b): a and its tag toward b; each inner x's tag
+    toward a, x, and its tag toward b; b's tag toward a and b.  The doubling
+    copies every base relation to all nine tag pairs, so the inner elements
+    keep their travel order and bring all three labels, while of a's labels
+    only the tag facing b lies between.  Where the base travel order is not
+    total, the doubled order's error is raised, naming labels."""
+    try:
+        inner = p.between_members(a, b)[1:-1]
+    except PosetError:
+        blow_up_gplus(p).between_members((a, PLAIN), (b, PLAIN))
+        raise
+    i, j = p.index(a), p.index(b)
+    out = [(a, PLAIN), (a, side_toward(p, a, b))]
+    for x in inner:
+        faces = _plus_faces(p, p.index(x))  # side_toward(p, x, a) and (p, x, b), by bit
+        out += ((x, PLUS if faces >> i & 1 else MINUS), (x, PLAIN), (x, PLUS if faces >> j & 1 else MINUS))
+    return out + [(b, side_toward(p, b, a)), (b, PLAIN)]
+
+
+def doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
+    """Whether label y lies in B(x, z) of blow_up_gplus(p), x != z: labels
+    of distinct elements relate as the elements do, and g- < g < g+."""
+
+    def code(u: tuple, v: tuple) -> int:
+        return p.rel(u[0], v[0]) if u[0] != v[0] else EQ if u[1] == v[1] else LT if u[1] < v[1] else GT
+
+    return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
 def check_augmented_between(augmented: ExtendedPoset, a, b) -> dict:

@@ -258,20 +258,6 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
     return TreeAction(group=group, act=act, name="label-translation"), points[ident], points
 
 
-def _restricted_rows(p: ExtendedPoset, subset: tuple) -> tuple:
-    """p's rows restricted to ``subset``, in its order: each kept row's bits
-    gathered through one index map."""
-    if subset == p.elements:
-        return p.rows
-    at = [p.index(g) for g in subset]
-
-    def pick(row: int) -> int:
-        bits = format(row, f"0{p.n}b")[::-1]
-        return int("".join([bits[j] for j in at])[::-1], 2)
-
-    return tuple(tuple(pick(row[i]) for i in at) for row in p.rows)
-
-
 class ConePipeline:
     """The chain from a cone order to its tree and back, at one radius.
 
@@ -279,8 +265,9 @@ class ConePipeline:
     decomposition are computed on first use and kept; so are the build, its
     layout and the round trip for each stage count.  The build reads
     touching off the ball poset, so no step here builds the doubled poset.
-    The round trip compares the orbit order with the ball order row by row;
-    pairs are listed only when the rows differ.
+    The round trip compares the orbit order with the ball order row by row
+    when both list the ball alike; pairs are compared only otherwise, or
+    to list mismatches.
     Use ``ConePipeline.of`` so that every step of a command shares one
     pipeline per (cone, radius).
     """
@@ -338,7 +325,7 @@ class ConePipeline:
         orbit = orbit_poset(manifold, action, x0, self.radius)
         induced = self.ball_poset
         mismatches = []
-        if orbit.poset.rows != _restricted_rows(induced, orbit.realized):
+        if orbit.realized != induced.elements or orbit.poset.rows != induced.rows:
             for g in orbit.realized:  # only to list the mismatches, in pair order
                 for h in orbit.realized:
                     got = orbit.poset.rel(g, h)

@@ -52,12 +52,21 @@ SPEC_VERSION = "1"
 KINDS = ("group-order", "poset", "tree", "scenario")
 
 
-class SpecDocument(NamedTuple):
+class _SpecFields(NamedTuple):
     kind: str
     version: str
     body: dict
-    # what parsing read the body into: a cone, a tree, or poset (elements, triples)
-    built: object = None
+
+
+class SpecDocument(_SpecFields):
+    """A parsed document.  ``built`` is what parsing read the body into (a
+    cone, a tree, or poset (elements, triples)); it is held outside the
+    tuple, so ``==`` and repr read kind, version and body alone."""
+
+    def __new__(cls, kind: str, version: str, body: dict, built: object = None):
+        doc = super().__new__(cls, kind, version, body)
+        doc.built = built
+        return doc
 
 
 def _require_fields(obj: dict, where: str, required: set, optional: set = frozenset()) -> None:

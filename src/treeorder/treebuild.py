@@ -35,6 +35,9 @@ from .grouporder import (
     PLAIN,
     PLUS,
     aug,
+    doubled_between,
+    doubled_members,
+    facing_tags,
     format_aug,
     plain_of,
     r_equivalent,
@@ -42,7 +45,7 @@ from .grouporder import (
     tag_of,
 )
 from .ordertree import OrderTree, TreeIndex
-from .poset import EQ, GT, LT, BetweenChain, ExtendedPoset, PosetError, between_by_codes
+from .poset import BetweenChain, ExtendedPoset, PosetError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -516,33 +519,6 @@ def _point_table(state: LabeledTree) -> tuple:
     return ids, spans, at, label_id
 
 
-def _doubled_members(p: ExtendedPoset, a, b) -> list:
-    """B(a, b) of two plain labels in the doubled order (blow_up_gplus),
-    in travel order, read off the base B(a, b): a and its tag toward b;
-    each inner x's tag toward a, x, and its tag toward b; b's tag toward a
-    and b.  The doubling copies every base relation to all nine tag pairs,
-    so the inner elements keep their travel order and bring all three
-    labels, while of a's labels only the tag facing b lies between."""
-    inner = p.between_members(a, b)[1:-1]
-    up, _down, simu, _siml = p.rows
-    i, j = p.index(a), p.index(b)
-    out = [(a, PLAIN), (a, side_toward(p, a, b))]
-    for k, x in zip(map(p.index, inner), inner):
-        faces = up[k] | simu[k]  # side_toward(p, x, .) is PLUS on these
-        out += ((x, PLUS if faces >> i & 1 else MINUS), (x, PLAIN), (x, PLUS if faces >> j & 1 else MINUS))
-    return out + [(b, side_toward(p, b, a)), (b, PLAIN)]
-
-
-def _doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
-    """Whether label y lies in the doubled B(x, z), x != z: labels of
-    distinct elements relate as the elements do, and g- < g < g+."""
-
-    def code(u: tuple, v: tuple) -> int:
-        return p.rel(u[0], v[0]) if u[0] != v[0] else EQ if u[1] == v[1] else LT if u[1] < v[1] else GT
-
-    return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
-
-
 def _path_points(index: TreeIndex, start, end) -> list:
     """The points from start to end, climbing the deeper side's parents."""
     ups, downs = [start], [end]
@@ -562,7 +538,8 @@ def verify_stage_properties(state: LabeledTree) -> dict:
       and one of its own tags; gaps at truncated-limit gluings are reported
       as undetermined rather than checked.
     * paths: for built a, b the path [nu(a), nu(b)] reads out the doubled
-      B(a, b) in travel order (_doubled_members, read off the base order):
+      B(a, b) in travel order (grouporder.doubled_members, read off the
+      base order):
       the members' points come block by block in route order; extra labels
       must be tags touching a member on each side.
     * identity: labels share a point exactly when they touch; collisions
@@ -612,7 +589,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
 
     for a, b in combinations(sorted(state.built, key=p.index), 2):
         ends = (aug(a, PLAIN), aug(b, PLAIN))
-        expected = _doubled_members(p, a, b)
+        expected = doubled_members(p, a, b)
         missing = [m for m in expected if m not in state.nu]
         if missing:
             flag("between set not fully built", missing)
@@ -639,7 +616,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
             if tag_of(c) == PLAIN:
                 flag("stray plain label on path", [c])
             elif not all(
-                any(r_equivalent(p, c, d) and _doubled_between(p, end, d, c) for d in expected)
+                any(r_equivalent(p, c, d) and doubled_between(p, end, d, c) for d in expected)
                 for end in ends
             ):
                 flag("extra label without touching partner", [c])
@@ -665,8 +642,9 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     apart = []
     tagged = sorted({plain_of(lab) for lab in state.nu if tag_of(lab) != PLAIN}, key=p.index)
     for g, h in combinations(tagged, 2):
-        if p._between_mask(p.index(g), p.index(h)).bit_count() == 2:
-            u, v = aug(g, side_toward(p, g, h)), aug(h, side_toward(p, h, g))
+        touching = facing_tags(p, g, h)
+        if touching:
+            u, v = touching
             if u in label_id and v in label_id and label_id[u] != label_id[v]:
                 apart.append((state.label_key(u), state.label_key(v), u, v))
     for *_keys, u, v in sorted(apart):  # in label order, as pairs of sorted tags

@@ -288,6 +288,35 @@ def test_roundtrip_is_exact_for_both_walks():
         assert rep["coverage"] == Fraction(1)
 
 
+def test_roundtrip_lists_each_mismatch_when_the_rows_differ():
+    from treeorder.catalog import z_standard
+
+    pipe = ConePipeline(z_standard(), 3)
+    pipe.layout(None)  # built from the true ball order
+    ball = pipe.ball_poset
+    up, down, simu, siml = ball.rows
+    pipe.ball_poset = ExtendedPoset(ball.elements, down, up, siml, simu)  # the reversed order
+    rep = pipe.roundtrip(None)
+    assert not rep["ok"]
+    want = [(g, h, ball.rel(g, h), ball.rel(h, g)) for g in ball.elements for h in ball.elements if g != h]
+    assert rep["mismatches"] == want
+
+
+def test_roundtrip_compares_pairs_when_the_orders_list_the_ball_apart():
+    from treeorder.catalog import z_standard
+
+    pipe = ConePipeline(z_standard(), 3)
+    pipe.layout(None)
+    ball = pipe.ball_poset
+    # the same rows over the negated elements: the reversed order on Z, listed
+    # as -ball, so equal rows alone would hide every mismatch
+    pipe.ball_poset = ExtendedPoset([-g for g in ball.elements], *ball.rows)
+    rep = pipe.roundtrip(None)
+    assert rep["realized"] == 7 and not rep["ok"]
+    assert rep["mismatches"] == [(g, h, ball.rel(g, h), ball.rel(h, g))
+                                 for g in ball.elements for h in ball.elements if g != h]
+
+
 def random_tree(rng):
     tree = OrderTree()
     tree.add_node(0)

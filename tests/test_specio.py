@@ -92,6 +92,13 @@ def test_builtin_document_form():
     assert cone.name == "z-standard"
 
 
+def test_documents_compare_and_print_by_kind_version_and_body():
+    first, second = (parse_document(doc("group-order", {"builtin": "z-standard"})) for _ in range(2))
+    assert first.built is not second.built
+    assert first == second
+    assert repr(first) == "SpecDocument(kind='group-order', version='1', body={'builtin': 'z-standard'})"
+
+
 def test_an_unknown_builtin_cone_is_a_spec_error():
     with pytest.raises(SpecError) as err:
         parse_document(doc("group-order", {"builtin": "banana"}))

@@ -9,14 +9,20 @@ import pytest
 from treeorder import grouporder
 from treeorder.catalog import dihedral_standard, get_cone, run_build_suite, z_standard
 from treeorder.cli import main
-from treeorder.grouporder import PLAIN, blow_up_gplus, induced_ball_poset, plain_of, tag_of
+from treeorder.grouporder import (
+    PLAIN,
+    blow_up_gplus,
+    doubled_between,
+    doubled_members,
+    induced_ball_poset,
+    plain_of,
+    tag_of,
+)
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
-from treeorder.poset import ExtendedPoset, from_pairs
+from treeorder.poset import ExtendedPoset, PosetError, from_pairs
 from treeorder.treebuild import (
     BuildError,
-    _doubled_between,
-    _doubled_members,
     _path_points,
     act_on_labels,
     build_from_cones,
@@ -133,7 +139,7 @@ def test_doubled_between_sets_read_off_the_base_order_match_the_doubled_poset(na
         for a in state.built:
             for b in state.built:
                 if a != b:
-                    assert _doubled_members(p, a, b) == list(doubled.between_members((a, PLAIN), (b, PLAIN))), (a, b)
+                    assert doubled_members(p, a, b) == list(doubled.between_members((a, PLAIN), (b, PLAIN))), (a, b)
                     pairs += 1
     assert pairs > 100
 
@@ -146,7 +152,27 @@ def test_doubled_betweenness_read_off_the_base_order_matches_the_doubled_poset(n
     for x in labels:
         for z in labels:
             if x != z:
-                assert [_doubled_between(p, x, y, z) for y in labels] == [doubled.is_between(x, y, z) for y in labels]
+                assert [doubled_between(p, x, y, z) for y in labels] == [doubled.is_between(x, y, z) for y in labels]
+
+
+def test_a_non_total_between_set_raises_the_doubled_orders_error():
+    chain = ExtendedPoset(range(4), [0b1110, 0b1100, 0b1000, 0], [0, 0b1, 0b11, 0b111], [0] * 4, [0] * 4)
+    state = build_tree(chain)
+    assert sorted(state.built) == [0, 1, 2, 3]
+    # rows corrupted past validation into the diamond: 1 and 2 both lie
+    # between 0 and 3 and face each other, so B(0, 3) has no travel order
+    diamond = copy.copy(chain)
+    diamond._up, diamond._down = (0b1110, 0b1000, 0b1000, 0), (0, 0b1, 0b1, 0b111)
+    diamond._simu = (0, 0b100, 0b10, 0)
+    diamond._comp = [u | d for u, d in zip(diamond._up, diamond._down)]
+    diamond._bet = {}
+    with pytest.raises(PosetError, match=r"^travel order on B\(0, 3\) is not total at \(1, 2\)$"):
+        diamond.between_members(0, 3)
+    state.poset = diamond
+    # the doubled order the path check once built rejects these rows, as before
+    with pytest.raises(PosetError) as err:
+        verify_stage_properties(state)
+    assert str(err.value) == "pair ((1, -1), (2, -1)) has both kinds of common bound; the base order is not acyclic"
 
 
 def test_the_build_suite_never_builds_the_doubled_order(monkeypatch):
