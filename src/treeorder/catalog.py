@@ -23,10 +23,8 @@ from .grouporder import (
     check_augmented_between,
     check_completely_convex,
     check_no_singleton_classes,
-    plain_of,
     quotient_order,
     r_equivalent,
-    tag_of,
     verify_cone_axioms,
 )
 from .poset import EQ, SIML, SIMU, _bits
@@ -277,9 +275,9 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
     layout = pipe.layout(stages)
     by_point: dict = {}
     for lab in state.nu:
-        if tag_of(lab) != PLAIN:
+        if lab[1] != PLAIN:
             continue
-        by_point.setdefault(state.point_of(lab), []).append(plain_of(lab))
+        by_point.setdefault(state.point_of(lab), []).append(lab[0])
     collisions = [v for v in by_point.values() if len(v) > 1]
     return {
         "ok": props["ok"] and not collisions,

@@ -227,20 +227,8 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
 
 # -- element doubling ---------------------------------------------------
 
-MINUS, PLAIN, PLUS = -1, 0, 1
+MINUS, PLAIN, PLUS = -1, 0, 1  # a doubled label is the tuple (element, tag)
 _TAG_TEXT = {MINUS: "-", PLAIN: "", PLUS: "+"}
-
-
-def aug(g, tag: int = PLAIN) -> tuple:
-    return (g, tag)
-
-
-def plain_of(x: tuple):
-    return x[0]
-
-
-def tag_of(x: tuple) -> int:
-    return x[1]
 
 
 def format_aug(x: tuple, fmt: Callable = str) -> str:

@@ -21,11 +21,9 @@ from .grouporder import (
     ConeReport,
     ConeStructure,
     induced_ball_poset,
-    plain_of,
-    tag_of,
     verify_cone_axioms,
 )
-from .ordertree import OrderTree, TreeError, alternating_line_tree, denjoy_blowup, manifold_poset
+from .ordertree import OrderTree, TreeError, alternating_line_tree, denjoy_blowup, line_window, manifold_poset
 from .ordertree import manifold_graph, manifold_order  # noqa: F401  (re-exported)
 from .poset import ExtendedPoset
 from .treebuild import (
@@ -105,14 +103,13 @@ class OrbitPoset(NamedTuple):
     """The tagged order pulled back along an orbit, with escape bookkeeping."""
 
     poset: ExtendedPoset
-    realized: tuple
     escaped: tuple
     points: dict
 
     @property
-    def coverage(self) -> Fraction:
-        total = len(self.realized) + len(self.escaped)
-        return Fraction(len(self.realized), total) if total else Fraction(0)
+    def realized(self) -> tuple:
+        """The ball elements whose orbit point stayed in the window."""
+        return self.poset.elements
 
 
 def orbit_points(action: TreeAction, x0: tuple, radius: int) -> tuple:
@@ -142,7 +139,7 @@ def orbit_poset(m: OrderTree, action: TreeAction, x0: tuple, radius: int) -> Orb
         if g != ident and img == x0:
             raise OrbitError(f"nontrivial stabilizer: {group.format(g)} fixes the base point")
     poset = manifold_poset(m, points)
-    return OrbitPoset(poset=poset, realized=poset.elements, escaped=escaped, points=points)
+    return OrbitPoset(poset=poset, escaped=escaped, points=points)
 
 
 def stabilizer_extension_order(
@@ -176,7 +173,7 @@ def stabilizer_extension_order(
                 raise OrbitError(f"stabilizer order is not left-invariant at "
                                  f"{group.format(g)} * ({group.format(ident)}, {group.format(q)})")
     poset = manifold_poset(m, points, lambda g, h: stab_order(ident, group.mult(group.inv(g), h)))
-    return OrbitPoset(poset=poset, realized=poset.elements, escaped=escaped, points=points)
+    return OrbitPoset(poset=poset, escaped=escaped, points=points)
 
 
 # -- concrete manifolds and actions -------------------------------------------
@@ -184,20 +181,12 @@ def stabilizer_extension_order(
 
 def integer_line(half_width: int) -> OrderTree:
     """A uniformly ascending chain of unit arcs on the integers."""
-    if half_width < 1:
-        raise TreeError("window too small")
-    t = OrderTree()
-    for n in range(-half_width, half_width + 1):
-        t.add_node(n)
-    for i in range(-half_width, half_width):
-        t.add_arc(("s", i), i, i + 1)
-    t.boundary = {-half_width, half_width}
-    return t
+    return line_window(half_width, alternating=False)
 
 
 def line_coordinate(aid: tuple, t: Fraction) -> Fraction:
-    """Real coordinate of a point on a unit arc ("s", i), respecting the
-    arc's direction as laid out by integer_line / alternating_line_tree."""
+    """Real coordinate of a point on a unit arc ("s", i) of the alternating
+    line (alternating_line_tree), whose odd arcs run from i + 1 down to i."""
     i = aid[1]
     return i + t if i % 2 == 0 else (i + 1) - t
 
@@ -238,12 +227,12 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
         raise BuildError("the build carries no group")
     points: dict = {}
     for lab, pt in layout.label_point.items():
-        if tag_of(lab) != PLAIN:
+        if lab[1] != PLAIN:
             continue
         if pt[0] != "arc":
             raise BuildError(f"plain label {lab!r} landed on a junction")
         manifold.require_point(pt)
-        points[plain_of(lab)] = pt
+        points[lab[0]] = pt
     inverse = {pt: g for g, pt in points.items()}
 
     def act(h, p):
@@ -282,10 +271,6 @@ class ConePipeline:
         if radius not in cone.pipelines:
             cone.pipelines[radius] = cls(cone, radius)
         return cone.pipelines[radius]
-
-    @cached_property
-    def ball(self) -> list:
-        return self.cone.group.ball(self.radius)
 
     @cached_property
     def cone_report(self) -> ConeReport:
@@ -332,7 +317,7 @@ class ConePipeline:
                     want = induced.rel(g, h)
                     if got != want:
                         mismatches.append((g, h, got, want))
-        ball_size = len(self.ball)
+        ball_size = len(induced.elements)
         return {
             "ok": not mismatches,
             "cone": self.cone.name,

@@ -186,8 +186,8 @@ class OrderTree:
     # -- degrees ------------------------------------------------------
 
     def node_incidences(self) -> dict:
-        """Rays at every node, listed as incidences() lists them, from one
-        pass over the arcs and adjacencies."""
+        """Rays at every node as (direction, arc) pairs, from one pass over
+        the arcs and adjacencies."""
         out: dict = {nid: [] for nid in self.nodes}
         for aid in self.sorted_arc_ids():
             arc = self.arcs[aid]
@@ -197,15 +197,11 @@ class OrderTree:
             out.setdefault(cap, []).append(("out", aid) if side == "tail" else ("in", aid))
         return out
 
-    def incidences(self, p) -> list:
-        """Rays at p as (direction, arc) pairs; "in" rays arrive, "out" leave."""
-        self.require_point(p)
-        if p[0] == "arc":
-            return [("in", p[1]), ("out", p[1])]
-        return self.node_incidences()[p[1]]
-
     def degrees(self, p) -> dict:
-        return _degrees(self.incidences(p))
+        """In and out degree at p and the kind its rays make (_degrees); a
+        ray is a (direction, arc) pair, "in" rays arrive and "out" leave."""
+        self.require_point(p)
+        return _degrees([("in", p[1]), ("out", p[1])] if p[0] == "arc" else self.node_incidences()[p[1]])
 
     def is_branchless(self) -> bool:
         rays = self.node_incidences()
@@ -354,18 +350,13 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     # grow a ray in the missing direction at sinks and sources; interior
     # leaves become regular here and need no split
     for nid, d, _inc in branchy_interior():
-        if d["kind"] == "sink":
-            far = ("raytop", nid)
+        sink = d["kind"] == "sink"
+        if sink or d["kind"] == "source":
+            far = ("raytop" if sink else "raybottom", nid)
             m.add_node(far, "openray")
             aid = ("stub", nid)
-            m.add_arc(aid, nid, far, kind="stub", core=False)
-            m.phi_arcs[aid] = ("base-node", m.phi_nodes[nid])
-            m.phi_nodes[far] = m.phi_nodes[nid]
-        elif d["kind"] == "source":
-            far = ("raybottom", nid)
-            m.add_node(far, "openray")
-            aid = ("stub", nid)
-            m.add_arc(aid, far, nid, kind="stub", core=False)
+            tail, head = (nid, far) if sink else (far, nid)
+            m.add_arc(aid, tail, head, kind="stub", core=False)
             m.phi_arcs[aid] = ("base-node", m.phi_nodes[nid])
             m.phi_nodes[far] = m.phi_nodes[nid]
 
@@ -443,22 +434,20 @@ def check_blowup(m: OneManifold) -> dict:
     return {"ok": not problems, "problems": problems}
 
 
-def alternating_line_tree(half_width: int) -> OrderTree:
-    """The alternating line: unit arcs on the integers directed even to odd,
-    so odd nodes are sinks and even nodes sources; window boundary at the
-    two ends."""
-    if half_width < 2:
+def line_window(half_width: int, alternating: bool) -> OrderTree:
+    """Unit arcs ("s", i) on the integers from -half_width to half_width,
+    window boundary at the two ends: all ascending, or when ``alternating``
+    directed even to odd, so odd nodes are sinks and even nodes sources."""
+    if half_width < 1 + alternating:
         raise TreeError("window too small")
-    t = OrderTree()
-    for n in range(-half_width, half_width + 1):
-        t.add_node(n)
-    for i in range(-half_width, half_width):
-        if i % 2 == 0:
-            t.add_arc(("s", i), i, i + 1)
-        else:
-            t.add_arc(("s", i), i + 1, i)
-    t.boundary = {-half_width, half_width}
-    return t
+    arcs = [(("s", i), i, i + 1) if i % 2 == 0 or not alternating else (("s", i), i + 1, i)
+            for i in range(-half_width, half_width)]
+    return OrderTree.build(range(-half_width, half_width + 1), arcs, (-half_width, half_width))
+
+
+def alternating_line_tree(half_width: int) -> OrderTree:
+    """The alternating line (line_window), half_width at least 2."""
+    return line_window(half_width, alternating=True)
 
 
 # -- the order on a branchless manifold --------------------------------------
@@ -469,9 +458,8 @@ def _arc_position(m: OrderTree, p: tuple) -> tuple:
     tail and head node of the arc.  Branching nodes have no forward side."""
     if p[0] == "arc":
         return p[1], Fraction(p[2])
-    nid = p[1]
-    d = m.degrees(p)
-    inc = m.incidences(p)
+    inc = m.node_incidences()[p[1]]
+    d = _degrees(inc)
     if d["kind"] == "regular" or (d["n_f"] + d["n_o"]) == 1:
         for direction, aid in inc:
             if direction == "out":

@@ -322,18 +322,22 @@ class ExtendedPoset:
         key = i * self.n + j
         mask = self._bet.get(key)
         if mask is None:
-            up, down, simu, siml = self._up, self._down, self._simu, self._siml
-            bit = 1 << j
-            if up[i] & bit:
-                inner = up[i] & down[j] | simu[i] & siml[j]
-            elif down[i] & bit:
-                inner = down[i] & up[j] | siml[i] & simu[j]
-            elif siml[i] & bit:
-                inner = siml[i] & down[j] | siml[j] & down[i]
-            else:
-                inner = simu[i] & up[j] | simu[j] & up[i]
-            mask = self._bet[key] = inner | 1 << i | bit
+            mask = self._bet[key] = self._between_fresh(i, j)
         return mask
+
+    def _between_fresh(self, i: int, j: int) -> int:
+        """B(i, j) for i < j, computed and not stored."""
+        up, down, simu, siml = self._up, self._down, self._simu, self._siml
+        bit = 1 << j
+        if up[i] & bit:
+            inner = up[i] & down[j] | simu[i] & siml[j]
+        elif down[i] & bit:
+            inner = down[i] & up[j] | siml[i] & simu[j]
+        elif siml[i] & bit:
+            inner = siml[i] & down[j] | siml[j] & down[i]
+        else:
+            inner = simu[i] & up[j] | simu[j] & up[i]
+        return inner | 1 << i | bit
 
     def _is_chain(self, mask: int) -> bool:
         for k in _bits(mask):
@@ -416,13 +420,13 @@ class ExtendedPoset:
         tagged kind.
         """
         out = []
+        sides = ((self._simu, self._up, "simu", "common upper bound"),
+                 (self._siml, self._down, "siml", "common lower bound"))
         for i in range(self.n):
-            for j in _bits(self._simu[i]):
-                if j > i and not (self._up[i] & self._up[j]):
-                    out.append({"pair": (self.elements[i], self.elements[j]), "tag": "simu", "missing": "common upper bound"})
-            for j in _bits(self._siml[i]):
-                if j > i and not (self._down[i] & self._down[j]):
-                    out.append({"pair": (self.elements[i], self.elements[j]), "tag": "siml", "missing": "common lower bound"})
+            for tags, bounds, tag, missing in sides:
+                for j in _bits(tags[i]):
+                    if j > i and not bounds[i] & bounds[j]:
+                        out.append({"pair": (self.elements[i], self.elements[j]), "tag": tag, "missing": missing})
         return out
 
     def check_lemma_propagation(self) -> list:
@@ -435,31 +439,24 @@ class ExtendedPoset:
         """
         out = []
         for i in range(self.n):
-            for j in _bits(self._siml[i]):
-                bad = self._up[j] & ~self._siml[i] & ~(1 << i)
-                for k in _bits(bad):
-                    out.append({
-                        "rule": "siml-up",
-                        "x": self.elements[i], "y": self.elements[j], "z": self.elements[k],
-                        "got": REL_NAMES[self._code(i, k)],
-                    })
-            for j in _bits(self._simu[i]):
-                bad = self._down[j] & ~self._simu[i] & ~(1 << i)
-                for k in _bits(bad):
-                    out.append({
-                        "rule": "simu-down",
-                        "x": self.elements[i], "y": self.elements[j], "z": self.elements[k],
-                        "got": REL_NAMES[self._code(i, k)],
-                    })
+            for tags, moves, rule in ((self._siml, self._up, "siml-up"), (self._simu, self._down, "simu-down")):
+                keep = tags[i] | 1 << i
+                for j in _bits(tags[i]):
+                    bad = moves[j] & ~keep
+                    if bad:
+                        out.extend({"rule": rule, "x": self.elements[i], "y": self.elements[j],
+                                    "z": self.elements[k], "got": REL_NAMES[self._code(i, k)]} for k in _bits(bad))
         return out
 
     def _between_table(self) -> tuple:
-        """B(i, j) for every ordered pair, with {i} on the diagonal."""
-        n, mask = self.n, self._between_mask
+        """B(i, j) for every ordered pair, with {i} on the diagonal.  Masks
+        already in the ``_bet`` memo are read from it; the rest are not
+        stored, since the laws read them only from the geometry's table."""
+        n, memo, fresh = self.n, self._bet.get, self._between_fresh
         bet = [[1 << i] * n for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                bet[i][j] = bet[j][i] = mask(i, j)
+                bet[i][j] = bet[j][i] = memo(i * n + j) or fresh(i, j)
         return tuple(map(tuple, bet))
 
     def _geometry(self) -> BetweenGeometry:

@@ -34,15 +34,12 @@ from .grouporder import (
     MINUS,
     PLAIN,
     PLUS,
-    aug,
     doubled_between,
     doubled_members,
     facing_tags,
     format_aug,
-    plain_of,
     r_equivalent,
     side_toward,
-    tag_of,
 )
 from .ordertree import OrderTree, TreeIndex
 from .poset import BetweenChain, ExtendedPoset, PosetError
@@ -183,7 +180,7 @@ class LabeledTree:
         return self.find(self.nu[label])
 
     def label_key(self, label: tuple) -> tuple:
-        return (self.poset.index(plain_of(label)), tag_of(label))
+        return (self.poset.index(label[0]), label[1])
 
     def format_label(self, label: tuple) -> str:
         return format_aug(label, self.fmt)
@@ -199,25 +196,14 @@ def _class_sequence(poset: ExtendedPoset, members: tuple, x, y) -> list:
     facing tags between them, the first member leads with the tag facing x
     (for x itself, the tag facing away from y), and symmetrically at the end.
     """
-    m = list(members)
-    first, last = m[0], m[-1]
-    if first == x:
-        lead = aug(first, -side_toward(poset, first, y))
-    else:
-        lead = aug(first, side_toward(poset, first, x))
-    if last == y:
-        trail = aug(last, -side_toward(poset, last, x))
-    else:
-        trail = aug(last, side_toward(poset, last, y))
-    seq = [lead]
-    for i, u in enumerate(m):
-        seq.append(aug(u, PLAIN))
-        if i + 1 < len(m):
-            v = m[i + 1]
-            seq.append(aug(u, side_toward(poset, u, v)))
-            seq.append(aug(v, side_toward(poset, v, u)))
-    seq.append(trail)
-    return seq
+
+    def end(u, near, far) -> tuple:
+        return (u, -side_toward(poset, u, far) if u == near else side_toward(poset, u, near))
+
+    seq = [end(members[0], x, y)]
+    for u, v in zip(members, members[1:]):
+        seq += ((u, PLAIN), (u, side_toward(poset, u, v)), (v, side_toward(poset, v, u)))
+    return seq + [(members[-1], PLAIN), end(members[-1], y, x)]
 
 
 def _merge_slots(poset: ExtendedPoset, seq: list) -> list:
@@ -243,27 +229,20 @@ def _slot_coords(unit: int, nslots: int) -> list:
     return coords
 
 
-def _lay_classes(
-    state: LabeledTree, classes: tuple, x, y, only_new: bool = False
-) -> tuple:
-    """Lay the (restricted) classes over [0, k]; consecutive classes share
-    their boundary coordinate, which is legal only when the meeting tags
-    touch.  Returns the slot list [(coord, labels)] and per-unit directions."""
+def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> tuple:
+    """Lay the classes over [0, k]; consecutive classes share their boundary
+    coordinate, which is legal only when the meeting tags touch.  Returns
+    the slot list [(coord, labels)] and per-unit directions."""
     p = state.poset
-    lay = []
-    for cls in classes:
-        members = tuple(m for m in cls if m not in state.built) if only_new else cls
-        if members:
-            lay.append(members)
     out: list = []
     dirs: dict = {}
-    for ci, members in enumerate(lay):
+    for ci, members in enumerate(classes):
         seq = _class_sequence(p, members, x, y)
         slots = _merge_slots(p, seq)
         coords = _slot_coords(ci, len(slots))
         pos = {lab: j for j, labs in enumerate(slots) for lab in labs}
         g0 = members[0]
-        dirs[ci] = 1 if pos[aug(g0, MINUS)] < pos[aug(g0, PLAIN)] else -1
+        dirs[ci] = 1 if pos[g0, MINUS] < pos[g0, PLAIN] else -1
         for c, labs in zip(coords, slots):
             if out and out[-1][0] == c:
                 u, v = out[-1][1][-1], labs[0]
@@ -287,9 +266,9 @@ def _lay_base(state: LabeledTree, x1) -> None:
         raise BuildError(f"base element {x1!r} leaves the poset") from None
     state.intervals.append((ZERO, ONE))
     state.directions.append({0: 1})
-    state.nu[aug(x1, MINUS)] = (0, ZERO)
-    state.nu[aug(x1, PLAIN)] = (0, HALF)
-    state.nu[aug(x1, PLUS)] = (0, ONE)
+    state.nu[x1, MINUS] = (0, ZERO)
+    state.nu[x1, PLAIN] = (0, HALF)
+    state.nu[x1, PLUS] = (0, ONE)
     state.built.add(x1)
 
 
@@ -308,10 +287,10 @@ def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
             f"built part {[state.fmt(m) for m in inter]}"
         )
     out, dirs = _lay_classes(state, chain.classes, x, y)
-    inner = aug(x, side_toward(p, x, y))
+    inner = (x, side_toward(p, x, y))
     cut_i = next(j for j, (_c, labs) in enumerate(out) if inner in labs)
     prefix = [lab for _c, labs in out[:cut_i] for lab in labs]
-    if prefix != [aug(x, -side_toward(p, x, y)), aug(x, PLAIN)]:
+    if prefix != [(x, -side_toward(p, x, y)), (x, PLAIN)]:
         raise BuildError(
             f"unexpected labels before the cut: "
             f"{[state.format_label(l) for l in prefix]}"
@@ -333,8 +312,9 @@ def _lay_case2(state: LabeledTree, stage: Stage, chain: BetweenChain) -> Labeled
     if tuple(inter) != chain.members[: len(inter)]:
         raise BuildError("built part is not an initial segment")
     a_m = inter[-1]
-    attach = aug(a_m, side_toward(p, a_m, y))
-    out, dirs = _lay_classes(state, chain.classes, x, y, only_new=True)
+    attach = (a_m, side_toward(p, a_m, y))
+    fresh = (tuple(m for m in cls if m not in state.built) for cls in chain.classes)
+    out, dirs = _lay_classes(state, [cls for cls in fresh if cls], x, y)
     k = out[-1][0]
     if out[0][0] != ZERO or k != int(k):
         raise BuildError("truncated-limit layout must span whole units")
@@ -367,17 +347,14 @@ def _glue(state: LabeledTree, stage: Stage, chain: BetweenChain, role: str, tag:
 
 def build_tree(
     poset: ExtendedPoset,
-    pairs: Optional[Sequence[tuple]] = None,
     decomposition: Optional[BetweenDecomposition] = None,
     stages: Optional[int] = None,
-    case2: Iterable[tuple] = (),
     group=None,
 ) -> LabeledTree:
-    """Normalize (unless given) and run the stagewise construction."""
+    """Run the stagewise construction over ``decomposition``, by default the
+    normalized star cover (auto_pairs)."""
     if decomposition is None:
-        if pairs is None:
-            pairs = auto_pairs(poset)
-        decomposition = normalize_decomposition(poset, pairs, case2=case2)
+        decomposition = normalize_decomposition(poset, auto_pairs(poset))
     state = LabeledTree(poset, group=group)
     _lay_base(state, decomposition.base)
     todo = decomposition.stages if stages is None else decomposition.stages[:stages]
@@ -425,7 +402,7 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
     checked = 0
     plains_by_unit: dict = {}
     for lab, (i, c) in state.nu.items():
-        if tag_of(lab) != PLAIN:
+        if lab[1] != PLAIN:
             continue
         unit = math.floor(c)
         plains_by_unit.setdefault((i, unit), []).append(lab)
@@ -436,7 +413,7 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
                 raise BuildError(f"unit {unit} of interval {i} has no interior label")
             for lab in plains:
                 c = state.nu[lab][1]
-                below = state.nu[aug(plain_of(lab), MINUS)][1]
+                below = state.nu[lab[0], MINUS][1]
                 want = 1 if below < c else -1
                 if want != direction:
                     raise BuildError(
@@ -588,7 +565,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                                 "labels": [state.format_label(m) for m in labs]})
 
     for a, b in combinations(sorted(state.built, key=p.index), 2):
-        ends = (aug(a, PLAIN), aug(b, PLAIN))
+        ends = ((a, PLAIN), (b, PLAIN))
         expected = doubled_members(p, a, b)
         missing = [m for m in expected if m not in state.nu]
         if missing:
@@ -613,7 +590,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                      [m for k in route for m in sorted((lab for lab in at[k] if lab in order), key=order.get)])
             extras = [lab for k in route for lab in at[k] if lab not in order]
         for c in extras:
-            if tag_of(c) == PLAIN:
+            if c[1] == PLAIN:
                 flag("stray plain label on path", [c])
             elif not all(
                 any(r_equivalent(p, c, d) and doubled_between(p, end, d, c) for d in expected)
@@ -640,7 +617,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                 id_violations.append(entry)
     # tags touch only across a base pair with nothing between (r_equivalent)
     apart = []
-    tagged = sorted({plain_of(lab) for lab in state.nu if tag_of(lab) != PLAIN}, key=p.index)
+    tagged = sorted({lab[0] for lab in state.nu if lab[1] != PLAIN}, key=p.index)
     for g, h in combinations(tagged, 2):
         touching = facing_tags(p, g, h)
         if touching:
@@ -669,16 +646,10 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     }
 
 
-def _gap_is_tag_pair(left: tuple, right: tuple) -> bool:
-    for a in left:
-        if tag_of(a) == PLAIN:
-            if any(plain_of(b) == plain_of(a) and tag_of(b) != PLAIN for b in right):
-                return True
-    for b in right:
-        if tag_of(b) == PLAIN:
-            if any(plain_of(a) == plain_of(b) and tag_of(a) != PLAIN for a in left):
-                return True
-    return False
+def _gap_is_tag_pair(left: list, right: list) -> bool:
+    """Whether one side holds a plain label and the other a tag of its element."""
+    return any(a[1] == PLAIN and any(b[0] == a[0] and b[1] != PLAIN for b in there)
+               for here, there in ((left, right), (right, left)) for a in here)
 
 
 # -- the action on labels ----------------------------------------------------
@@ -697,12 +668,12 @@ def act_on_labels(state: LabeledTree, g) -> dict:
     moved = {}
     escaped = []
     for lab in sorted(state.nu, key=state.label_key):
-        image = aug(G.mult(g, plain_of(lab)), tag_of(lab))
+        image = (G.mult(g, lab[0]), lab[1])
         if image in state.nu:
             moved[lab] = image
         else:
             escaped.append(lab)
-    plains = [plain_of(lab) for lab in moved if tag_of(lab) == PLAIN]
+    plains = [lab[0] for lab in moved if lab[1] == PLAIN]
     violations = []
     checked = 0
     for f in plains:

@@ -646,3 +646,59 @@ def naive_quotient_order(cone, sub, radius: int) -> dict:
     poset = ExtendedPoset.from_relation(reps, lambda a, b: rel[(a, b)])
     return {"representatives": reps, "relations": rel, "uniqueness": uniqueness,
             "property_counts": naive_quotient_law_counts(poset)[0]}
+
+
+class Product:
+    """The direct product A × B as a group model, word length |a| + |b|,
+    with a plain double loop for the cone sweep: the test-side model for
+    the lexicographic cones of ``product_cone``."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.name = f"{a.name}x{b.name}"
+        self.identity = (a.identity, b.identity)
+
+    def mult(self, x: tuple, y: tuple) -> tuple:
+        return (self.a.mult(x[0], y[0]), self.b.mult(x[1], y[1]))
+
+    def inv(self, x: tuple) -> tuple:
+        return (self.a.inv(x[0]), self.b.inv(x[1]))
+
+    def ball(self, r: int) -> list:
+        """By length, then A's ball order, then B's."""
+        length, rank = {}, {}
+        for model in (self.a, self.b):
+            for k in range(r + 1):
+                for w in model.ball(k):
+                    length.setdefault((model, w), k)
+            rank.update(((model, w), i) for i, w in enumerate(model.ball(r)))
+        out = [(x, y) for x in self.a.ball(r) for y in self.b.ball(r - length[self.a, x])]
+        return sorted(out, key=lambda w: (length[self.a, w[0]] + length[self.b, w[1]],
+                                          rank[self.a, w[0]], rank[self.b, w[1]]))
+
+    def format(self, x: tuple) -> str:
+        return f"({self.a.format(x[0])}, {self.b.format(x[1])})"
+
+    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
+        inball = set(ball)
+        checked, batches = 0, []
+        for g in xs:
+            zs = [z for z in (self.mult(g, h) for h in ys) if z in inball]
+            checked += len(zs)
+            if any(z not in members for z in zs):
+                batches.append((g, ys))
+        return checked, batches
+
+
+def product_cone(ca, cb, swap: bool = False):
+    """The lexicographic cone on A × B from cones on A and B: P = P_A×B ∪
+    {e}×P_B, U = U_A×B and L = L_A×B (with ``swap``, U and L trade places).
+    It can pass only when B's cone is a total order: the stabilizer of A's
+    action is B."""
+    from treeorder.grouporder import ConeStructure
+
+    group, e = Product(ca.group, cb.group), ca.group.identity
+    upper, lower = (ca.in_lower, ca.in_upper) if swap else (ca.in_upper, ca.in_lower)
+    return ConeStructure(f"{ca.name}x{cb.name}", group,
+                         lambda w: ca.in_positive(w[0]) or (w[0] == e and cb.in_positive(w[1])),
+                         lambda w: upper(w[0]), lambda w: lower(w[0]))

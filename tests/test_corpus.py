@@ -93,6 +93,14 @@ def test_every_enumerated_poset_passes_the_relation_suite():
             assert suite["ok"], (n, p.relations_table(), suite)
 
 
+def test_the_relation_suite_leaves_the_between_memo_empty():
+    # the laws read the geometry's table, so the suite has no use for _bet
+    posets = all_extended_posets(5)
+    for p in posets:
+        assert run_relation_suite(p)["ok"]
+    assert [p for p in posets if p._bet] == []
+
+
 @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 5, "trees-100"])
 def test_the_transitivity_scan_agrees_with_the_suite_class_check(case):
     posets = tree_corpus(100) if case == "trees-100" else all_extended_posets(case)

@@ -26,18 +26,15 @@ from treeorder.grouporder import (
     ConeError,
     ConeStructure,
     _law_counts,
-    aug,
     blow_up_gplus,
     check_augmented_between,
     check_completely_convex,
     check_no_singleton_classes,
     format_aug,
     induced_ball_poset,
-    plain_of,
     quotient_order,
     r_equivalent,
     side_toward,
-    tag_of,
     verify_cone_axioms,
 )
 from treeorder.orbitorder import ConePipeline
@@ -323,13 +320,9 @@ def test_side_names_each_piece_by_its_relation_code():
 
 
 def test_aug_labels():
-    x = aug(3, PLUS)
-    assert plain_of(x) == 3
-    assert tag_of(x) == PLUS
-    assert format_aug(x) == "3+"
-    assert format_aug(aug(3, MINUS)) == "3-"
-    assert format_aug(aug(3)) == "3"
-    assert tag_of(aug(3)) == PLAIN
+    assert format_aug((3, PLUS)) == "3+"
+    assert format_aug((3, MINUS)) == "3-"
+    assert format_aug((3, PLAIN)) == "3"
 
 
 def test_blow_up_triples_and_orders_satellites():
@@ -337,9 +330,9 @@ def test_blow_up_triples_and_orders_satellites():
     big = blow_up_gplus(p)
     assert big.n == 3 * p.n
     for g in p.elements:
-        assert big.rel(aug(g, MINUS), aug(g)) == LT
-        assert big.rel(aug(g), aug(g, PLUS)) == LT
-    assert big.rel(aug(0, PLUS), aug(1, MINUS)) == LT
+        assert big.rel((g, MINUS), (g, PLAIN)) == LT
+        assert big.rel((g, PLAIN), (g, PLUS)) == LT
+    assert big.rel((0, PLUS), (1, MINUS)) == LT
 
 
 def test_augmented_between_shapes_hold():
@@ -354,11 +347,11 @@ def test_touching_relation_on_a_chain():
     p = induced_ball_poset(z_standard(), 2)
     big = blow_up_gplus(p)
     # A plain element touches only itself.
-    assert r_equivalent(p, aug(0), aug(0))
-    assert not r_equivalent(p, aug(0), aug(0, PLUS))
+    assert r_equivalent(p, (0, PLAIN), (0, PLAIN))
+    assert not r_equivalent(p, (0, PLAIN), (0, PLUS))
     # Adjacent satellites with nothing between them touch.
-    assert r_equivalent(p, aug(0, PLUS), aug(1, MINUS))
-    assert not r_equivalent(p, aug(0, PLUS), aug(2, MINUS))
+    assert r_equivalent(p, (0, PLUS), (1, MINUS))
+    assert not r_equivalent(p, (0, PLUS), (2, MINUS))
     assert check_no_singleton_classes(big, p.elements) == []
 
 

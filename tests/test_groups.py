@@ -157,3 +157,13 @@ def test_a_cone_sweep_enumerates_the_ball_once(model, monkeypatch):
     report = verify_cone_axioms(cone, 2)
     assert not report.ok and all(report.conditions[i].checked for i in (2, 3, 4, 5))
     assert calls == [2]
+
+
+@pytest.mark.parametrize("model, max_r", [(Z(), 5), (Zk(2), 4), (Zk(3), 3), (FreeGroup(2), 3), (InfiniteDihedral(), 4)],
+                         ids=lambda v: getattr(v, "name", None))
+def test_ball_quotients_are_exactly_the_double_ball(model, max_r):
+    # the precondition for reading the ball poset off one piece map over
+    # ball(2r): the quotients g^-1 h of ball(r) are exactly ball(2r)
+    for r in range(max_r + 1):
+        ball = model.ball(r)
+        assert {model.mult(model.inv(g), h) for g in ball for h in ball} == set(model.ball(2 * r)), r

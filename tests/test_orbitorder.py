@@ -15,9 +15,10 @@ from treeorder.catalog import (
     get_action_scenario,
     get_cone,
     run_orbit_suite,
+    z_standard,
 )
 from treeorder.groups import Z, Zk
-from treeorder.grouporder import ConeStructure, induced_ball_poset
+from treeorder.grouporder import ConeStructure, induced_ball_poset, verify_cone_axioms
 from treeorder.orbitorder import (
     DIHEDRAL_BASE_POINT,
     ConePipeline,
@@ -130,7 +131,7 @@ def test_shift_orbit_is_a_chain():
     orb = orbit_poset(m, action, x0, 4)
     assert sorted(orb.realized) == list(range(-4, 5))
     assert orb.escaped == ()
-    assert orb.coverage == Fraction(1)
+    assert Fraction(len(orb.realized), len(orb.realized) + len(orb.escaped)) == Fraction(1)
     for g, h in orb.poset.iter_pairs():
         assert orb.poset.rel(g, h) == (LT if g < h else GT)
 
@@ -142,7 +143,7 @@ def test_escape_is_reported_not_guessed():
     orb = orbit_poset(m, action, x0, 4)
     assert set(orb.escaped) == {-4, -3, 2, 3, 4}
     assert sorted(orb.realized) == [-2, -1, 0, 1]
-    assert orb.coverage == Fraction(4, 9)
+    assert Fraction(len(orb.realized), len(orb.realized) + len(orb.escaped)) == Fraction(4, 9)
 
 
 def test_fixed_base_point_is_rejected():
@@ -489,3 +490,37 @@ def test_orbit_poset_places_each_realized_point_once(monkeypatch):
     orb = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 4)
     assert len(orb.realized) == 16
     assert calls and len(calls) <= len(orb.realized)
+
+
+# -- the converse's dividing line: lexicographic products --------------------
+# A x B acting through A fixes the base point on {e} x B, so the pulled-back
+# order exists only when B's cone totally orders B.  With a tagged cone on B
+# (the dihedral one) no piece holds (e, s); with A's U and L swapped the
+# product axioms fail.
+
+
+def test_a_product_with_its_ordered_factor_second_passes_and_round_trips():
+    for r in range(1, 5):
+        assert verify_cone_axioms(oracles.product_cone(dihedral_standard(), z_standard()), r).ok, r
+    for r in range(1, 4):
+        rep = roundtrip_orbit(oracles.product_cone(dihedral_standard(), z_standard()), r)
+        assert rep["ok"] and rep["escaped"] == 0, r
+
+
+@pytest.mark.parametrize("first", [z_standard, dihedral_standard])
+def test_a_product_with_its_tagged_factor_second_fails_to_partition(first):
+    report = verify_cone_axioms(oracles.product_cone(first(), dihedral_standard()), 1)
+    assert [idx for idx, c in sorted(report.conditions.items()) if not c.ok] == [6]
+    e = first().group.identity
+    assert report.conditions[6].violations[0] == ((e, (0, 1)),)
+
+
+def test_a_product_with_upper_and_lower_swapped_fails_the_product_axioms():
+    cone = oracles.product_cone(dihedral_standard(), z_standard(), swap=True)
+    assert verify_cone_axioms(cone, 1).ok
+    report = verify_cone_axioms(cone, 2)
+    assert [idx for idx, c in sorted(report.conditions.items()) if not c.ok] == [3, 4, 5]
+    # each witness is a product that misses its piece: L*P in L, P*U in U, U*L in P
+    for idx, piece in ((3, cone.in_lower), (4, cone.in_upper), (5, cone.in_positive)):
+        g, h, z = report.conditions[idx].violations[0]
+        assert cone.group.mult(g, h) == z and not piece(z)

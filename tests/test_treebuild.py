@@ -15,8 +15,6 @@ from treeorder.grouporder import (
     doubled_between,
     doubled_members,
     induced_ball_poset,
-    plain_of,
-    tag_of,
 )
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
@@ -36,8 +34,8 @@ from treeorder.treebuild import (
 def plains_placed(state):
     out = {}
     for lab in state.nu:
-        if tag_of(lab) == PLAIN:
-            out[plain_of(lab)] = state.point_of(lab)
+        if lab[1] == PLAIN:
+            out[lab[0]] = state.point_of(lab)
     return out
 
 
@@ -86,9 +84,9 @@ def test_acting_by_a_generator_permutes_labels():
     placed = plains_placed(state)
     moved = act_on_labels(state, 1)
     for lab, target in moved.items():
-        if tag_of(lab) != PLAIN:
+        if lab[1] != PLAIN:
             continue
-        shifted = plain_of(lab) + 1
+        shifted = lab[0] + 1
         if shifted in placed:
             assert target == placed[shifted]
 
@@ -97,7 +95,7 @@ def test_truncated_limit_gluing_leaves_gaps_undetermined():
     # forcing (0, 3) to attach as a truncated limit: the only path on which
     # verification reports undetermined items instead of checking them
     p = induced_ball_poset(z_standard(), 3)
-    state = build_tree(p, pairs=[(0, 1), (0, 3), (0, -3)], case2=[(0, 3)])
+    state = build_tree(p, normalize_decomposition(p, [(0, 1), (0, 3), (0, -3)], case2=[(0, 3)]))
     assert [stage.case for stage in state.stages_done] == [1, 2, 1]
     props = verify_stage_properties(state)
     assert props["ok"], props
