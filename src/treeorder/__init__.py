@@ -2,9 +2,10 @@
 
 The package has three layers.  ``poset`` carries the tagged relation tables
 (strict order plus upper/lower similarity on incomparable pairs) and their
-validity laws.  ``groups``/``grouporder``/``treebuild`` go from a group with
-order cones to a stagewise tree construction; ``ordertree``/``orbitorder``
-go back from an oriented tree with a group action to an order on the group.
+validity laws, over the codes of the leaf ``relations``.
+``groups``/``grouporder``/``treebuild`` go from a group with order cones to a
+stagewise tree construction; ``ordertree``/``orbitorder`` go back from an
+oriented tree with a group action to an order on the group.
 ``corpus``, ``catalog``, ``specio``, and ``cli`` form the desk-scale shell:
 exhaustive small instances, named scenarios, a JSON spec format, and a
 command line driver.  ``errors`` holds the error classes of the CLI's exit
@@ -26,27 +27,27 @@ _HOME = {
     "BuildError": "errors",
     "ConeError": "errors",
     "ConeStructure": "grouporder",
-    "EQ": "poset",
+    "EQ": "relations",
     "EXAMPLES": "catalog",
     "ExtendedPoset": "poset",
     "FreeGroup": "groups",
-    "GT": "poset",
+    "GT": "relations",
     "GroupError": "errors",
     "InfiniteDihedral": "groups",
-    "LT": "poset",
+    "LT": "relations",
     "OneManifold": "ordertree",
     "OrbitError": "errors",
     "OrderTree": "ordertree",
     "PosetError": "errors",
-    "SIML": "poset",
-    "SIMU": "poset",
+    "SIML": "relations",
+    "SIMU": "relations",
     "TableGroup": "groups",
     "TreeAction": "orbitorder",
     "TreeError": "errors",
     "Z": "groups",
     "Zk": "groups",
     "all_extended_posets": "corpus",
-    "between_by_codes": "poset",
+    "between_by_codes": "relations",
     "build_from_cones": "treebuild",
     "check_action": "orbitorder",
     "check_blowup": "ordertree",

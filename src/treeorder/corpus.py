@@ -14,7 +14,6 @@ them good stress instances for the between-set laws.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, List
 
@@ -127,7 +126,9 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
     Elements are small integers; the manifold point of element i travels in
     the poset via the ``points`` attribute set on the result.
     """
-    # the tree layer loads here, so enumerating small posets loads only poset
+    # the tree layer and fractions load here, so enumerating small posets loads only poset
+    from fractions import Fraction
+
     from .ordertree import OrderTree, manifold_poset
 
     n_nodes = rng.randint(2, 9)

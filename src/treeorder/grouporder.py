@@ -13,15 +13,20 @@ products that escape it.
 The element doubling g -> (g-, g, g+) lives here too, with the touching
 relation R (nothing separates two doubled points), read off the base order,
 and the quotient order on cosets of a normal, completely convex subgroup.
+Codes come from ``relations``; only the functions that build a tagged poset
+import ``poset``, so a cone check never loads it.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .errors import ConeError, PosetError
-from .poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, between_by_codes
+from .relations import EQ, GT, LT, REL_NAMES, SIML, SIMU, between_by_codes
+
+if TYPE_CHECKING:
+    from .poset import ExtendedPoset
 
 _VIOLATION_CAP = 25
 # one translate table per row kind (up, down, simu, siml): its code byte to "1", the rest to "0"
@@ -185,6 +190,8 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
     distinct h with g^-1 h the identity is named in the same order.  The
     codes become the four bit rows by one ``bytes.translate`` each.
     """
+    from .poset import ExtendedPoset
+
     if report is None:
         report = verify_cone_axioms(cone, radius)
     if not report.ok:
@@ -212,14 +219,15 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
                 row.append(int(text.translate(bits), 2))
     p = ExtendedPoset(ball, *rows)
     # left translation cannot change g^-1 h, but a broken group model could;
-    # spot-check a deterministic sample: classify(fg, fh) against g's row
+    # spot-check a deterministic sample: classify(fg, fh) against g's row,
+    # with (fg)^-1 formed once per row and classify raising on e quotients
     sample = range(0, n, step)
     for f in ball[::step]:
         moved = [mult(f, ball[j]) for j in sample]
         for i, fg in zip(sample, moved):
-            row = kept[i]
+            row, back = kept[i], group.inv(fg)
             for j, fh in zip(sample, moved):
-                if cone.classify(fg, fh) != row[j]:
+                if (EQ if fg == fh else side(mult(back, fh)) or cone.classify(fg, fh)) != row[j]:
                     raise ConeError(f"order is not left-invariant at "
                                     f"{group.format(f)}, {group.format(ball[i])}, {group.format(ball[j])}")
     return p
@@ -251,6 +259,8 @@ def blow_up_gplus(p: ExtendedPoset) -> ExtendedPoset:
     the same admissibility checks as any tagged poset; in particular the
     doubling never creates a common bound that the base pair lacked.
     """
+    from .poset import ExtendedPoset
+
     elements = []
     up, down, simu, siml = [], [], [], []
     for i, g in enumerate(p.elements):
@@ -542,6 +552,8 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
             found = witnessed(g, other)
             if rel[(rep, other)] not in found or len(found) > 1:
                 uniqueness.append({"pair": (g, other), "note": "representative dependence"})
+
+    from .poset import ExtendedPoset
 
     poset = ExtendedPoset.from_relation(reps, lambda a, b: rel[(a, b)])
     return QuotientResult(

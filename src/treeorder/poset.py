@@ -8,7 +8,8 @@ or are formally declared to), downward-similar pairs sit back to back.  A
 tagging is admissible when the comparabilities are transitive, every tag is
 consistent with the bounds that actually exist, and the whole assignment is
 acyclic: whenever x is upward-similar to y and downward-similar to z, z must
-lie strictly above y.
+lie strictly above y.  The relation codes and ``between_by_codes`` come
+from the leaf ``relations``, so the cone layer reads them without this module.
 
 The central tool is the between set B(a, b): the endpoints plus every element
 lying between them in the tagged sense.  Between sets are totally ordered by
@@ -32,16 +33,7 @@ from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PosetError
-
-EQ = 0
-LT = 1
-GT = 2
-SIMU = 3
-SIML = 4
-
-REL_NAMES = {EQ: "eq", LT: "lt", GT: "gt", SIMU: "simu", SIML: "siml"}
-REL_CODES = {name: code for code, name in REL_NAMES.items()}
-SWAP = {EQ: EQ, LT: GT, GT: LT, SIMU: SIMU, SIML: SIML}
+from .relations import EQ, GT, LT, REL_CODES, REL_NAMES, SIML, SIMU, SWAP, between_by_codes
 
 Element = Hashable
 
@@ -51,24 +43,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def between_by_codes(rac: int, rab: int, rbc: int) -> bool:
-    """Whether b lies strictly between a and c, from the three pair codes.
-
-    rac, rab, rbc are the codes of (a, c), (a, b) and (b, c).  Betweenness
-    only looks at these three relations, so it restricts cleanly to any
-    sub-poset containing the triple.
-    """
-    if rac == LT:
-        return (rab == LT and rbc == LT) or (rab == SIMU and rbc == SIML)
-    if rac == GT:
-        return (rab == GT and rbc == GT) or (rab == SIML and rbc == SIMU)
-    if rac == SIML:
-        return (rab == SIML and rbc == LT) or (rbc == SIML and rab == GT)
-    if rac == SIMU:
-        return (rab == SIMU and rbc == GT) or (rbc == SIMU and rab == LT)
-    raise PosetError("betweenness needs two distinct endpoints")
 
 
 class ClassLawError(PosetError):
@@ -181,6 +155,7 @@ class ExtendedPoset:
         # chain-relatedness rows, filled on demand: partners tested, partners related
         self._tested = [1 << i for i in range(n)]
         self._orel = list(self._tested)
+        self._partial = None  # mask of the k with comp[k] | {k} not everything, from the first chain test
         self._geo = None  # BetweenGeometry, on the first law check
 
     @classmethod
@@ -340,7 +315,9 @@ class ExtendedPoset:
         return inner | 1 << i | bit
 
     def _is_chain(self, mask: int) -> bool:
-        for k in _bits(mask):
+        if self._partial is None:  # only members short of a comparability can break a chain
+            self._partial = sum(1 << k for k, c in enumerate(self._comp) if c | 1 << k != (1 << self.n) - 1)
+        for k in _bits(mask & self._partial):
             if mask & ~(self._comp[k] | (1 << k)):
                 return False
         return True

@@ -42,10 +42,11 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from .errors import CatalogError, GroupError, SpecError, TreeError
 from .groups import TableGroup, make_group
 from .grouporder import ConeStructure
-from .poset import REL_CODES, REL_NAMES, ExtendedPoset, from_pairs
+from .relations import REL_CODES, REL_NAMES
 
 if TYPE_CHECKING:
     from .ordertree import OrderTree
+    from .poset import ExtendedPoset
 
 SPEC_VERSION = "1"
 
@@ -304,6 +305,8 @@ def _read_poset(body) -> tuple:
 
 
 def poset_from_document(doc: SpecDocument) -> ExtendedPoset:
+    from .poset import from_pairs
+
     return from_pairs(*_built(doc, "poset"))
 
 

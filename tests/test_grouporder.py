@@ -299,6 +299,50 @@ def test_a_broken_group_model_is_refused_with_the_pairwise_builders_text(group, 
         assert str(err.value) == text
 
 
+# what induced_ball_poset raises on each broken cone, recorded before the
+# left-invariance sample formed one inverse per row
+BROKEN_CONE_TEXTS = {
+    "z-mod3": "cone z-mod3 fails condition (1) at radius 8",
+    "z2-mod3": "cone z2-mod3 fails condition (1) at radius 5",
+    "z3-mod3": "cone z3-mod3 fails condition (1) at radius 4",
+    "free2-mod3": "cone free2-mod3 fails condition (1) at radius 4",
+    "dihedral-swapped": "cone dihedral-swapped fails condition (3) at radius 8",
+    "z5-table": "cone z5 fails condition (1) at radius 0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CONES))
+def test_a_broken_cone_is_refused_by_the_ball_poset_with_its_recorded_text(name):
+    make, radius = BROKEN_CONES[name]
+    with pytest.raises(ConeError) as err:
+        induced_ball_poset(make(), radius)
+    assert str(err.value) == BROKEN_CONE_TEXTS[name]
+
+
+class _CountingInverses(Z):
+    def __init__(self):
+        super().__init__()
+        self.inverses = 0
+
+    def inv(self, a):
+        self.inverses += 1
+        return super().inv(a)
+
+
+@pytest.mark.parametrize("radius", [0, 6, 30])
+def test_the_ball_poset_forms_one_inverse_per_row_and_per_sampled_row(radius):
+    std = z_standard()
+    cone = ConeStructure("z-counted", _CountingInverses(), std.in_positive, std.in_upper, std.in_lower)
+    report = verify_cone_axioms(cone, radius)
+    induced_ball_poset(cone, radius, report)  # fills the side cache, whose misses invert too
+    cone.group.inverses = 0
+    induced_ball_poset(cone, radius, report)
+    n = 2 * radius + 1
+    sampled = len(range(0, n, max(1, n // 12)))
+    # each row's g^-1, then one (fg)^-1 per sampled f and sampled g
+    assert cone.group.inverses == n + sampled * sampled
+
+
 def test_classify_reads_the_side_of_the_left_quotient():
     checked = []
     for name in sorted(BUILTIN_CONES):

@@ -18,10 +18,17 @@ from pathlib import Path
 import pytest
 
 import treeorder
-from treeorder import errors
+from treeorder import errors, poset, relations
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-CONE_LAYERS = {"cli", "errors", "catalog", "groups", "grouporder", "poset"}
+# the cone layer reads relation codes from the leaf ``relations``, not ``poset``
+CONE_LAYERS = {"cli", "errors", "catalog", "groups", "grouporder", "relations"}
+# what a cone command loads beyond CONE_LAYERS: a free group's sweep compiles
+# the rank-block code, examples run prints its report values through specio,
+# and a quotient that passes the convexity check builds the coset poset
+CONE_EXTRAS = {"free2-standard": {"freesweep"}, "run": {"specio"}, "second-factor": {"poset"}}
+# the relation codes and betweenness, defined in relations and re-exported by poset
+RELATION_NAMES = ("EQ", "LT", "GT", "SIMU", "SIML", "REL_NAMES", "REL_CODES", "SWAP", "between_by_codes")
 
 # the public names of the package, in the order __all__ has always listed them
 PUBLIC = (
@@ -81,10 +88,7 @@ def test_importing_an_error_class_loads_only_the_errors_module():
 ], ids=" ".join)
 def test_cone_commands_load_no_tree_layer(argv):
     run = f"from treeorder.cli import main; main({argv!r})"
-    # examples run prints its report values through specio; only a free
-    # group's sweep compiles the rank-block code
-    expected = CONE_LAYERS | ({"specio"} if argv[1] == "run" else set()) | ({"freesweep"} if "free2" in argv[1] else set())
-    assert loaded_by(run) == expected
+    assert loaded_by(run) == CONE_LAYERS.union(*(extra for word, extra in CONE_EXTRAS.items() if word in argv))
 
 
 def test_a_cone_check_of_a_spec_file_adds_only_specio(tmp_path):
@@ -104,19 +108,49 @@ def test_a_json_cone_report_adds_only_specio():
 
 def test_blowup_loads_ordertree_without_the_construction():
     loaded = loaded_by("from treeorder.cli import main; main(['blowup', 'alternating-line', '--radius', '2'])")
-    assert loaded == CONE_LAYERS | {"ordertree"}
+    assert loaded == CONE_LAYERS | {"ordertree", "poset"}
 
 
 def test_enumerating_small_posets_loads_only_poset():
     assert loaded_by("from treeorder.corpus import all_extended_posets",
-                     "assert len(all_extended_posets(3)) == 32") == {"corpus", "errors", "poset"}
+                     "assert len(all_extended_posets(3)) == 32") == {"corpus", "errors", "poset", "relations"}
 
 
 def test_a_tree_corpus_loads_no_group_layer():
     # the manifold order lives in ordertree, so sampling tree posets compiles
     # neither the groups nor the construction
     assert loaded_by("from treeorder.corpus import tree_corpus",
-                     "assert len(tree_corpus(3)) == 3") == {"corpus", "errors", "ordertree", "poset"}
+                     "assert len(tree_corpus(3)) == 3") == {"corpus", "errors", "ordertree", "poset", "relations"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cones", "z2-lex", "--radius", "3"],
+    ["check-cones", "z-standard", "--radius", "3", "--json"],
+    ["check-cones", "SPEC", "--radius", "3"],
+    ["quotient", "z-standard", "--subgroup", "even", "--radius", "3"],  # fails the convexity check
+    ["examples", "list"],
+], ids=" ".join)
+def test_cone_commands_load_neither_poset_nor_fractions(argv, tmp_path):
+    spec = tmp_path / "cone.json"
+    spec.write_text(json.dumps({"version": "1", "kind": "group-order", "body": {"builtin": "z2-lex"}}))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    # measured against what the interpreter holds before treeorder is imported
+    code = f"""
+import contextlib, io, sys
+before = set(sys.modules)
+from treeorder.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main({argv!r})
+print(sorted({{"treeorder.poset", "fractions", "decimal"}} & (set(sys.modules) - before)))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+@pytest.mark.parametrize("name", RELATION_NAMES)
+def test_poset_reexports_the_relation_codes_as_the_same_objects(name):
+    assert getattr(poset, name) is getattr(relations, name)
 
 
 @pytest.mark.parametrize("setup", [

@@ -17,12 +17,13 @@ from treeorder.catalog import (
     run_orbit_suite,
     z_standard,
 )
-from treeorder.groups import Z, Zk
+from treeorder.groups import InfiniteDihedral, Z, Zk
 from treeorder.grouporder import ConeStructure, induced_ball_poset, verify_cone_axioms
 from treeorder.orbitorder import (
     DIHEDRAL_BASE_POINT,
     ConePipeline,
     OrbitError,
+    TreeAction,
     check_action,
     dihedral_example,
     integer_line,
@@ -524,3 +525,33 @@ def test_a_product_with_upper_and_lower_swapped_fails_the_product_axioms():
     for idx, piece in ((3, cone.in_lower), (4, cone.in_upper), (5, cone.in_positive)):
         g, h, z = report.conditions[idx].violations[0]
         assert cone.group.mult(g, h) == z and not piece(z)
+
+
+def _through_the_dihedral_factor(radius: int) -> tuple:
+    """D∞ × Z acting on the dihedral manifold through its D∞ factor, so the
+    base point's stabilizer is {e} × Z."""
+    _, m, dihedral = dihedral_example(radius)
+    return m, TreeAction(oracles.Product(InfiniteDihedral(), Z()), lambda g, p: dihedral.act(g[0], p), "dihedral-x-z")
+
+
+@pytest.mark.parametrize("radius", range(4))
+def test_the_converse_orders_a_product_by_its_stabilizer(radius):
+    # the paper's converse: the orbit order refined by Z's order on the
+    # stabilizer is the lexicographic product order, row for row
+    m, action = _through_the_dihedral_factor(radius)
+    ext = stabilizer_extension_order(m, action, DIHEDRAL_BASE_POINT, radius, lambda g, h: g[1] < h[1])
+    want = induced_ball_poset(oracles.product_cone(dihedral_standard(), z_standard()), radius)
+    assert ext.escaped == ()
+    assert (ext.poset.elements, ext.poset.rows) == (want.elements, want.rows)
+
+
+def test_the_converse_refuses_a_stabilizer_order_that_is_not_left_invariant():
+    # total on {e} x Z (by |n|, then sign), but (e, -1) * ((e, 0), (e, 1)) reverses
+    m, action = _through_the_dihedral_factor(2)
+
+    def by_size(g, h):
+        return (abs(g[1]), g[1]) < (abs(h[1]), h[1])
+
+    message = "stabilizer order is not left-invariant at (e, -1) * ((e, 0), (e, 1))"
+    with pytest.raises(OrbitError, match=re.escape(message)):
+        stabilizer_extension_order(m, action, DIHEDRAL_BASE_POINT, 2, by_size)

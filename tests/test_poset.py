@@ -184,6 +184,16 @@ def test_o_related_is_chainhood():
     assert len(p.between_set("b", "c").classes) == 2
 
 
+def test_a_chain_test_visits_only_members_short_of_a_comparability():
+    total = chain("abcd")
+    assert total.o_related("a", "d") and total._partial == 0  # nothing to visit on a total order
+    for p in all_extended_posets(4):
+        for mask in range(1, 1 << p.n):
+            want = all(not mask & ~(p._comp[k] | 1 << k) for k in range(p.n) if mask >> k & 1)
+            assert p._is_chain(mask) == want
+        assert p._partial == sum(1 << k for k in range(p.n) if p._simu[k] | p._siml[k])
+
+
 def test_strongly_connected_diagnostic():
     assert chain("abc").check_strongly_connected() == []
     bare = from_pairs("ab", [("a", "simu", "b")])
