@@ -382,7 +382,13 @@ def main(argv: Optional[list] = None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: the exit flush then writes the rest to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SPEC_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -299,9 +299,9 @@ class ConePipeline:
     def layout(self, stages: Optional[int] = None) -> BuildLayout:
         return self._memo("layout", stages, lambda n: orient_segments(self.build(n)))
 
-    def roundtrip(self, stages: Optional[int] = None) -> dict:
+    def roundtrip(self) -> dict:
         """See roundtrip_orbit."""
-        return self._memo("roundtrip", stages, self._roundtrip)
+        return self._memo("roundtrip", None, self._roundtrip)
 
     def _roundtrip(self, stages: int) -> dict:
         state, layout = self.build(stages), self.layout(stages)
@@ -331,7 +331,7 @@ class ConePipeline:
         }
 
 
-def roundtrip_orbit(cone: ConeStructure, radius: int = 6, stages: Optional[int] = None) -> dict:
+def roundtrip_orbit(cone: ConeStructure, radius: int = 6) -> dict:
     """Build the tree of a cone order, blow it up, act by translation on the
     labels, and pull the manifold order back along the identity orbit.
 
@@ -340,7 +340,7 @@ def roundtrip_orbit(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
     counted, never guessed.  The report is shared with the cone's pipeline;
     copy it before changing it.
     """
-    return ConePipeline.of(cone, radius).roundtrip(stages)
+    return ConePipeline.of(cone, radius).roundtrip()
 
 
 DIHEDRAL_BASE_POINT = ("arc", ("s", 0), Fraction(1, 4))

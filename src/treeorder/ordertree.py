@@ -11,13 +11,15 @@ answer point queries.
 Doubled endpoints ("caps") are point nodes listed in the adjacency table:
 ``(cap, arc, side)`` says every neighbourhood of the cap meets the named open
 arc end, so connectivity and order queries flow through the pair even though
-the cap touches its own arc only.
+the cap touches its own arc only: the identified graph is the arc graph plus
+one edge from each cap to the open end it touches.
 
-The blow-up takes any finite tree to a branchless one in three moves: branch
-points with traffic on both sides stretch into an interval, sinks and sources
-grow a ray in the missing direction, and what is left of each branch point
-splits into one endpoint per ray, all but the distinguished ray, whose end
-stays open.  The collapse map back to the base tree is kept on the result.
+The blow-up takes any finite tree to a branchless one in three moves, applied
+in turn at each interior point, which it visits once: a branch point with
+traffic on both sides stretches into an interval, a sink or source grows a ray
+in the missing direction, and what still branches splits into one endpoint per
+ray, all but the distinguished ray, whose end stays open.  The collapse map
+back to the base tree is kept on the result.
 
 Nodes marked as window boundary are truncation artifacts of an infinite
 object; the blow-up leaves them alone.
@@ -37,14 +39,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import TreeError
 from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
-
-
-def _find(parent: dict, x):
-    """Union-find root of x with path halving; unseen x becomes a root."""
-    while parent.setdefault(x, x) != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 class TreeIndex:
@@ -227,24 +221,14 @@ class OrderTree:
             return ("n", nid)
         return ("end", aid, side)
 
-    def _token_merge(self) -> dict:
-        parent: dict = {}
-        for aid in self.arcs:
-            _find(parent, self._end_token(aid, "tail"))
-            _find(parent, self._end_token(aid, "head"))
-        for cap, aid, side in self.adjacencies:
-            rx, ry = _find(parent, ("n", cap)), _find(parent, ("end", aid, side))
-            if rx != ry:
-                parent[max(rx, ry, key=repr)] = min(rx, ry, key=repr)
-        return {t: _find(parent, t) for t in list(parent)}
-
     def identified_graph(self) -> tuple:
-        """Token graph with doubled endpoints merged onto their open ends."""
-        roots = self._token_merge()
-        edges = []
-        for aid in self.sorted_arc_ids():
-            edges.append((roots[self._end_token(aid, "tail")], roots[self._end_token(aid, "head")], aid))
-        return sorted(set(roots.values()), key=repr), edges, roots
+        """Arc-end tokens joined by the arcs, then one edge from each doubled
+        endpoint to the open arc end it touches: (tokens, edges).  The arcs
+        come first, each edge labelled by its arc; the others by None."""
+        edges = [(self._end_token(aid, "tail"), self._end_token(aid, "head"), aid) for aid in self.sorted_arc_ids()]
+        edges += [(("n", cap), ("end", aid, side), None) for cap, aid, side in dict.fromkeys(self.adjacencies)]
+        tokens = dict.fromkeys(t for u, v, _aid in edges for t in (u, v))
+        return sorted(tokens, key=repr), edges
 
     def check_axioms(self) -> dict:
         """Structural axioms: nondegenerate directed arcs, open ends used
@@ -277,7 +261,7 @@ class OrderTree:
             elif aid not in self.arcs or self.nodes[self.arc_end_node(aid, side)].kind == "point":
                 problems.append(f"adjacency target {(aid, side)!r} is not an open end")
         if self.arcs:
-            tokens, edges, _ = self.identified_graph()
+            tokens, edges = self.identified_graph()
             index = TreeIndex(tokens, [(u, v) for u, v, _aid in edges])
             if index.cyclic:
                 problems.append("identified arc graph has a cycle")
@@ -315,83 +299,66 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     for cap, aid, side in tree.adjacencies:
         m.add_adjacency(cap, aid, side)
 
-    def branchy_interior():
-        # one incidence map per pass; a pass rewires only the arc ends and
-        # adjacencies of the node it is at, so later nodes keep their rays
-        rays = m.node_incidences()
-        out = []
-        for nid in m.sorted_node_ids():
-            if nid in m.boundary or m.nodes[nid].kind != "point":
-                continue
-            d = _degrees(rays[nid])
-            if d["kind"] not in ("regular", "isolated"):
-                out.append((nid, d, rays[nid]))
-        return out
-
-    # stretch two-sided branch points into an interval
-    for nid, d, _inc in branchy_interior():
-        if d["n_f"] > 1 and d["n_o"] > 1:
-            n_in, n_out = ("blowin", nid), ("blowout", nid)
-            m.add_node(n_in)
-            m.add_node(n_out)
-            m.phi_nodes[n_in] = nid
-            m.phi_nodes[n_out] = nid
-            for arc in m.arcs.values():
-                if arc.head == nid:
-                    arc.head = n_in
-                if arc.tail == nid:
-                    arc.tail = n_out
-            aid = ("blow", nid)
-            m.add_arc(aid, n_in, n_out, kind="blowup", core=True)
-            m.phi_arcs[aid] = ("base-node", nid)
-            del m.nodes[nid]
-            del m.phi_nodes[nid]
-
-    # grow a ray in the missing direction at sinks and sources; interior
-    # leaves become regular here and need no split
-    for nid, d, _inc in branchy_interior():
-        sink = d["kind"] == "sink"
-        if sink or d["kind"] == "source":
-            far = ("raytop" if sink else "raybottom", nid)
-            m.add_node(far, "openray")
-            aid = ("stub", nid)
-            tail, head = (nid, far) if sink else (far, nid)
-            m.add_arc(aid, tail, head, kind="stub", core=False)
-            m.phi_arcs[aid] = ("base-node", m.phi_nodes[nid])
-            m.phi_nodes[far] = m.phi_nodes[nid]
-
-    # split the remaining branch points into doubled endpoints, one per
-    # non-distinguished ray, leaving the distinguished ray end open
-    for nid, _d, inc in branchy_interior():
-        ins = [aid for dirn, aid in inc if dirn == "in"]
-        outs = [aid for dirn, aid in inc if dirn == "out"]
-        if len(ins) == 1:
-            dist, dist_side, rays = ins[0], "head", outs
-        elif len(outs) == 1:
-            dist, dist_side, rays = outs[0], "tail", ins
-        else:
-            raise TreeError(f"node {nid!r} still branches both ways")
-        base_target = m.phi_nodes[nid]
+    def split(nid, ins: list, outs: list) -> None:
+        # one doubled endpoint per non-distinguished ray, leaving the
+        # distinguished ray end open
+        if len(ins) <= 1 and len(outs) <= 1:
+            return
+        dist, dist_side, rays = (ins[0], "head", outs) if len(ins) == 1 else (outs[0], "tail", ins)
+        base_target = m.phi_nodes.pop(nid)
+        del m.nodes[nid]
         for aid in rays:
             cap = ("cap", aid, nid)
             m.add_node(cap)
             m.phi_nodes[cap] = base_target
             arc = m.arcs[aid]
-            if arc.tail == nid:
-                arc.tail = cap
-            else:
-                arc.head = cap
+            setattr(arc, "tail" if arc.tail == nid else "head", cap)
             m.add_adjacency(cap, dist, dist_side)
         opennode = ("openend", nid)
         m.add_node(opennode, "open")
         m.phi_nodes[opennode] = base_target
-        arc = m.arcs[dist]
-        if dist_side == "head":
-            arc.head = opennode
-        else:
-            arc.tail = opennode
-        del m.nodes[nid]
-        del m.phi_nodes[nid]
+        setattr(m.arcs[dist], dist_side, opennode)
+
+    def settle(nid, ins: list, outs: list) -> None:
+        # grow a ray in the missing direction at a sink or source, then split
+        if bool(ins) != bool(outs):
+            far = ("raytop" if ins else "raybottom", nid)
+            m.add_node(far, "openray")
+            aid = ("stub", nid)
+            m.add_arc(aid, *((nid, far) if ins else (far, nid)), kind="stub", core=False)
+            m.phi_arcs[aid] = ("base-node", m.phi_nodes[nid])
+            m.phi_nodes[far] = m.phi_nodes[nid]
+            ins, outs = (ins, [aid]) if ins else ([aid], outs)
+        split(nid, ins, outs)
+
+    # each interior point once, with the rays it had in the base tree; a move
+    # rewires only the arc ends at its own node, so later nodes keep theirs
+    rays = m.node_incidences()
+    for nid in tree.sorted_node_ids():
+        if nid in m.boundary or m.nodes[nid].kind != "point":
+            continue
+        ins = [aid for dirn, aid in rays[nid] if dirn == "in"]
+        outs = [aid for dirn, aid in rays[nid] if dirn == "out"]
+        if len(ins) <= 1 or len(outs) <= 1:
+            settle(nid, ins, outs)
+            continue
+        # stretch a two-sided branch point into an interval; its adjacency
+        # rays stay where they are
+        n_in, n_out, blow = ("blowin", nid), ("blowout", nid), ("blow", nid)
+        ins = [aid for aid in ins if m.arcs[aid].head == nid]
+        outs = [aid for aid in outs if m.arcs[aid].tail == nid]
+        for end in (n_in, n_out):
+            m.add_node(end)
+            m.phi_nodes[end] = nid
+        for aid in ins:
+            m.arcs[aid].head = n_in
+        for aid in outs:
+            m.arcs[aid].tail = n_out
+        m.add_arc(blow, n_in, n_out, kind="blowup", core=True)
+        m.phi_arcs[blow] = ("base-node", nid)
+        del m.nodes[nid], m.phi_nodes[nid]
+        settle(n_in, ins, [blow])
+        settle(n_out, [blow], outs)
 
     if not m.is_branchless():
         raise TreeError("blow-up left a branch point behind")
@@ -471,11 +438,11 @@ def _arc_position(m: OrderTree, p: tuple) -> tuple:
 def manifold_graph(m: OrderTree) -> tuple:
     """The identified token graph, indexed once so pairwise order queries
     stay cheap: (TreeIndex, {arc: (tail token, head token)})."""
-    tokens, edges, _ = m.identified_graph()
+    tokens, edges = m.identified_graph()
     index = TreeIndex(tokens, [(t1, t2) for t1, t2, _aid in edges])
     if index.cyclic or index.components != 1:
         raise TreeError("order undefined: identified arc graph is not a tree")
-    return index, {aid: (t1, t2) for t1, t2, aid in edges}
+    return index, {aid: (t1, t2) for t1, t2, aid in edges[:len(m.arcs)]}
 
 
 def _arc_span(graph: tuple, aid) -> tuple:

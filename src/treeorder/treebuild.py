@@ -92,9 +92,10 @@ def normalize_decomposition(
     """Reduce a covering list of between-set pairs to gluable stages.
 
     The base is the first pair's low end, or with no pairs the poset's first
-    element, which then covers only a one-element poset.  Ahead of every pair (x, y) the pair (base, x) is inserted, which keeps
-    the running union closed under between sets and guarantees each stage
-    meets the built part in an initial segment.  Stages whose between set is
+    element, which then covers only a one-element poset.  Ahead of every
+    pair (x, y) the pair (base, x) is inserted, so x is built first, the
+    running union stays closed under between sets, and each stage meets
+    the built part in an initial segment.  Stages whose between set is
     already covered are dropped.  When the built part of a stage reaches past
     its first endpoint, the stage is replaced by the between set from the
     furthest built element onward, so every surviving stage either meets the
@@ -130,11 +131,6 @@ def normalize_decomposition(
         mset = set(members)
         if mset <= built:
             continue
-        if x not in built:
-            if y not in built:
-                raise BuildError(f"stage ({x!r}, {y!r}) does not meet the built part")
-            x, y = y, x
-            members = members[::-1]
         inter = [m for m in members if m in built]
         if tuple(inter) != members[: len(inter)]:
             raise BuildError(

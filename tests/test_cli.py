@@ -459,6 +459,24 @@ def test_exit_statuses_hold_in_a_fresh_process(name, tmp_path):
         assert "poset: INVALID" in done.stdout and done.stdout.endswith("result: FAIL\n")
 
 
+@pytest.mark.parametrize("argv", [
+    "examples list",
+    "roundtrip z-standard --radius 2",
+    "check-cones z-standard --radius 2 --json",
+])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "treeorder.cli", *argv.split()], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 @pytest.mark.parametrize("argv, err", [
     ("quotient z2-product --subgroup second-factor --radius 3",
      "check failed: cones do not partition at (1,-1): no piece\n"),

@@ -298,7 +298,7 @@ def test_roundtrip_lists_each_mismatch_when_the_rows_differ():
     ball = pipe.ball_poset
     up, down, simu, siml = ball.rows
     pipe.ball_poset = ExtendedPoset(ball.elements, down, up, siml, simu)  # the reversed order
-    rep = pipe.roundtrip(None)
+    rep = pipe.roundtrip()
     assert not rep["ok"]
     want = [(g, h, ball.rel(g, h), ball.rel(h, g)) for g in ball.elements for h in ball.elements if g != h]
     assert rep["mismatches"] == want
@@ -313,7 +313,7 @@ def test_roundtrip_compares_pairs_when_the_orders_list_the_ball_apart():
     # the same rows over the negated elements: the reversed order on Z, listed
     # as -ball, so equal rows alone would hide every mismatch
     pipe.ball_poset = ExtendedPoset([-g for g in ball.elements], *ball.rows)
-    rep = pipe.roundtrip(None)
+    rep = pipe.roundtrip()
     assert rep["realized"] == 7 and not rep["ok"]
     assert rep["mismatches"] == [(g, h, ball.rel(g, h), ball.rel(h, g))
                                  for g in ball.elements for h in ball.elements if g != h]

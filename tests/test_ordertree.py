@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from treeorder.catalog import dihedral_standard
+from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone
+from treeorder.errors import ConeError
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import (
     OrderTree,
@@ -53,8 +55,9 @@ def test_identified_graph_of_a_path():
         tree.add_node(n)
     tree.add_arc("e1", "a", "b")
     tree.add_arc("e2", "b", "c")
-    tokens, edges, roots = tree.identified_graph()
-    assert len(edges) == 2
+    tokens, edges = tree.identified_graph()
+    assert tokens == [("n", "a"), ("n", "b"), ("n", "c")]
+    assert edges == [(("n", "a"), ("n", "b"), "e1"), (("n", "b"), ("n", "c"), "e2")]
     assert tree.is_branchless()
     assert tree.degrees(("node", "b"))["kind"] == "regular"
 
@@ -139,5 +142,154 @@ def test_blowup_sorts_the_arcs_a_fixed_number_of_times(monkeypatch):
         calls.clear()
         denjoy_blowup(tree)
         counts.append(len(calls))
-    # check, copy, three blow-up passes and the final branch check
-    assert counts == [6, 6]
+    # check, copy, one visit per node and the final branch check
+    assert counts == [4, 4]
+
+
+# -- the blow-up, pinned -------------------------------------------------------
+#
+# Each digest below was recorded from the three-pass blow-up that the
+# single visit per node replaced; a tree is compared on everything the
+# blow-up decides, independent of dict and list order.
+
+
+def blowup_rows(m) -> list:
+    return [
+        sorted(repr((nid, rec.kind)) for nid, rec in m.nodes.items()),
+        sorted(repr((aid, a.tail, a.head, a.kind, a.core)) for aid, a in m.arcs.items()),
+        sorted(map(repr, m.boundary)),
+        sorted(map(repr, m.adjacencies)),
+        sorted(map(repr, m.phi_nodes.items())),
+        sorted(map(repr, m.phi_arcs.items())),
+    ]
+
+
+def blowup_digest(trees) -> tuple:
+    """How many trees, and a sha256 of each blow-up's rows, or of the
+    TreeError text where the blow-up refuses the tree."""
+    rows = []
+    for tree in trees:
+        try:
+            rows.append(blowup_rows(denjoy_blowup(tree)))
+        except TreeError as err:
+            rows.append(str(err))
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def random_oriented_tree(rng) -> OrderTree:
+    """Up to 12 nodes; parents drawn from the first few nodes make general
+    branch points, random orientations make sinks and sources, a single
+    node is isolated, and some leaves are window boundary."""
+    tree = OrderTree()
+    n = rng.randint(1, 12)
+    for v in range(n):
+        tree.add_node(v)
+    for v in range(1, n):
+        parent = rng.randrange(min(v, rng.randint(1, 4)))
+        tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
+    rays = tree.node_incidences()
+    tree.boundary = {v for v in range(n) if len(rays[v]) == 1 and rng.random() < 0.3}
+    return tree
+
+
+def copy_tree(m) -> OrderTree:
+    t = OrderTree()
+    for nid, rec in m.nodes.items():
+        t.add_node(nid, rec.kind)
+    for aid, a in m.arcs.items():
+        t.add_arc(aid, a.tail, a.head, a.kind, a.core)
+    for adjacency in m.adjacencies:
+        t.add_adjacency(*adjacency)
+    t.boundary = set(m.boundary)
+    return t
+
+
+def layout_trees():
+    for name in sorted(BUILTIN_CONES):
+        for radius in range(4):
+            for stages in (1, 2, 3, 6, None):
+                try:
+                    yield ConePipeline.of(get_cone(name), radius).layout(stages).tree
+                except ConeError:
+                    pass  # z-broken and z2-product have no ball order past radius 0
+
+
+def test_blowups_of_the_builtin_layouts_are_pinned():
+    assert blowup_digest(layout_trees()) == (110, "c8e64a019b044a6a2f4b3c43cf1e0ef69c6bf0e5ffcbc704194d43ae1d4cb000")
+
+
+def test_blowups_of_alternating_lines_are_pinned():
+    lines = (alternating_line_tree(w) for w in range(2, 8))
+    assert blowup_digest(lines) == (6, "8655837bc7a97258e95a9c085598c0dd73c2a1b49c4d7bb5f39bbfad14b451a0")
+
+
+def test_blowups_of_random_oriented_trees_are_pinned():
+    rng = random.Random(24)
+    trees = [random_oriented_tree(rng) for _ in range(2000)]
+    kinds = {tree.degrees(("node", v))["kind"] for tree in trees for v in tree.nodes}
+    assert kinds >= {"general-branch", "sink", "source", "isolated"}
+    assert sum(bool(tree.boundary) for tree in trees) > 500
+    assert blowup_digest(trees) == (2000, "7815771199827e9fd1db018399f80aa4205457d50dd4c22222b7980afa6059f5")
+
+
+def touching_two_open_ends(side: str) -> OrderTree:
+    """A point c touching the open ends of two arcs from one side, with
+    two arcs of its own on the other side: c branches both ways, and once
+    stretched the end facing the open ends has no arc left."""
+    tree = OrderTree.build("xyc", [])
+    for k, x in enumerate("xy"):
+        far, aid = ("o", k), ("a", k)
+        tree.add_node(far, "open")
+        tree.add_arc(aid, *((x, far) if side == "head" else (far, x)))
+        tree.add_adjacency("c", aid, side)
+        tree.add_node(("z", k))
+        tree.add_arc(("b", k), *(("c", ("z", k)) if side == "head" else (("z", k), "c")))
+    return tree
+
+
+def api_built_trees():
+    """Trees no builder makes: a blow-up blown up again, caps given extra
+    arcs in, out or both ways, and a point touching two open ends."""
+    yield touching_two_open_ends("head")
+    yield touching_two_open_ends("tail")
+    line = denjoy_blowup(alternating_line_tree(3))
+    dihedral = denjoy_blowup(ConePipeline.of(dihedral_standard(), 2).layout().tree)
+    yield line
+    yield dihedral
+    caps = sorted({cap for cap, _arc, _side in dihedral.adjacencies}, key=repr)
+    for cap in caps:
+        for n_in, n_out in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)):
+            t = copy_tree(dihedral)
+            for k in range(n_in):
+                t.add_node(("x-in", k))
+                t.add_arc(("extra-in", k), ("x-in", k), cap)
+            for k in range(n_out):
+                t.add_node(("x-out", k))
+                t.add_arc(("extra-out", k), cap, ("x-out", k))
+            yield t
+
+
+def test_blowups_of_api_built_trees_are_pinned():
+    assert blowup_digest(api_built_trees()) == (100, "a8de9e08da318d32ed08b7dcd2d0e0f51318817751239ce9361b94825d7832eb")
+
+
+def test_a_repeated_adjacency_is_harmless_to_the_axioms():
+    m = denjoy_blowup(alternating_line_tree(3))
+    m.add_adjacency(*m.adjacencies[0])
+    tokens, edges = m.identified_graph()
+    assert len(edges) == len(m.arcs) + len(m.adjacencies) - 1
+    assert m.check_axioms() == {"ok": True, "problems": [], "nodes": len(m.nodes), "arcs": len(m.arcs)}
+    with pytest.raises(TreeError, match="duplicate node"):
+        denjoy_blowup(m)
+
+
+def test_two_points_joining_the_same_two_open_ends_make_a_cycle():
+    # c1 and c2 each join the open heads of arcs from x and y: a line with
+    # its meeting point doubled, which is not simply connected
+    tree = OrderTree.build(["x", "y", "c1", "c2", "z1", "z2"], [("b1", "c1", "z1"), ("b2", "c2", "z2")])
+    for k, x in enumerate("xy"):
+        tree.add_node(("o", k), "open")
+        tree.add_arc(("a", k), x, ("o", k))
+        for cap in ("c1", "c2"):
+            tree.add_adjacency(cap, ("a", k), "head")
+    assert tree.check_axioms()["problems"] == ["identified arc graph has a cycle"]

@@ -81,14 +81,21 @@ def test_stage_count_is_respected():
 
 def test_acting_by_a_generator_permutes_labels():
     state = build_from_cones(z_standard(), radius=4, stages=4)
-    placed = plains_placed(state)
-    moved = act_on_labels(state, 1)
-    for lab, target in moved.items():
-        if lab[1] != PLAIN:
-            continue
-        shifted = lab[0] + 1
-        if shifted in placed:
-            assert target == placed[shifted]
+    report = act_on_labels(state, 1)
+    images = {lab: (lab[0] + 1, lab[1]) for lab in state.nu}
+    assert report["moved"] == {lab: image for lab, image in images.items() if image in state.nu}
+    assert set(report["escaped"]) == {lab for lab, image in images.items() if image not in state.nu}
+    assert report["moved"] and report["escaped"]
+    assert report["ok"] and report["checked_triples"] > 0
+
+
+def test_a_pair_off_the_base_is_reached_through_the_base():
+    # (2, -2) does not start at the base 0, so (0, 2) is laid ahead of it
+    # and the stage keeps only the part of B(2, -2) past the built 0
+    p = induced_ball_poset(z_standard(), 2)
+    got = normalize_decomposition(p, [(0, 2), (2, -2)])
+    assert got == normalize_decomposition(p, [(0, 2), (0, -2)])
+    assert [stage.pair for stage in got.stages] == [(0, 2), (0, -2)]
 
 
 def test_truncated_limit_gluing_leaves_gaps_undetermined():
