@@ -144,6 +144,10 @@ class OrderTree:
     def add_adjacency(self, cap, arc, side: str) -> None:
         if side not in ("tail", "head"):
             raise TreeError(f"bad adjacency side {side!r}")
+        if cap not in self.nodes:
+            raise TreeError(f"adjacency references missing node {cap!r}")
+        if arc not in self.arcs:
+            raise TreeError(f"adjacency references missing arc {arc!r}")
         self.adjacencies.append((cap, arc, side))
 
     @classmethod
@@ -387,8 +391,8 @@ def check_blowup(m: OneManifold) -> dict:
     for nid, rec in base.nodes.items():
         if rec.kind == "point" and ("node", nid) not in covered:
             problems.append(f"base node {nid!r} has no core preimage")
-    for aid in base.arcs:
-        if ("arc", aid) not in covered:
+    for aid, arc in base.arcs.items():
+        if arc.core and ("arc", aid) not in covered:
             problems.append(f"base arc {aid!r} has no core preimage")
     for aid, arc in m.arcs.items():
         kind, target = m.phi_arcs[aid]

@@ -17,9 +17,12 @@ Document kinds and bodies:
 * ``poset``: ``{"elements": [...], "relations": [[a, rel, b], ...]}`` with
   one relation per unordered pair of distinct listed elements.
 * ``tree``: ``{"nodes": [...], "arcs": [[id, tail, head], ...],
-  "boundary": [...]}``; ids may be strings, integers, or nested lists
-  (loaded as tuples).  An arc object's ``kind`` is arc, blowup or stub and
-  its ``core`` a boolean; every boundary entry is a node.
+  "boundary": [...], "adjacencies"?: [[cap, arc, side], ...]}``; ids may be
+  strings, integers, or nested lists (loaded as tuples).  An arc object's
+  ``kind`` is arc, blowup or stub and its ``core`` a boolean; every boundary
+  entry is a node.  An adjacency joins the point node ``cap`` to the
+  ``side`` ("tail" or "head") end of ``arc``, as a blow-up's doubled
+  endpoints do; emission writes them only when the tree has any.
 * ``scenario``: ``{"name": ...}`` naming a catalog action scenario.
 
 Predicate expressions are small trees over normal-form components:
@@ -111,13 +114,16 @@ def jsonable(x):
 
 
 def parse_document(obj) -> SpecDocument:
-    _require_fields(obj, "document", {"version", "kind", "body"})
-    if obj["version"] != SPEC_VERSION:
-        raise SpecError(f"unsupported version {obj['version']!r}; this build reads {SPEC_VERSION!r}")
-    kind = obj["kind"]
-    if kind not in KINDS:
-        raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    return SpecDocument(kind, obj["version"], obj["body"], built=_BODY_READERS[kind](obj["body"]))
+    try:
+        _require_fields(obj, "document", {"version", "kind", "body"})
+        if obj["version"] != SPEC_VERSION:
+            raise SpecError(f"unsupported version {obj['version']!r}; this build reads {SPEC_VERSION!r}")
+        kind = obj["kind"]
+        if kind not in KINDS:
+            raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        return SpecDocument(kind, obj["version"], obj["body"], built=_BODY_READERS[kind](obj["body"]))
+    except RecursionError:
+        raise SpecError("document nests too deeply") from None
 
 
 def _built(doc: SpecDocument, kind: str):
@@ -136,6 +142,8 @@ def load_document(path: str) -> SpecDocument:
         raise SpecError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise SpecError(f"{path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise SpecError(f"{path} nests too deeply") from None
     return parse_document(obj)
 
 
@@ -326,9 +334,9 @@ def poset_to_document(p: ExtendedPoset, fmt: Optional[Callable] = None) -> dict:
 
 def _read_tree(body) -> OrderTree:
     """Both the terse hand-written form and the richer emitted form load."""
-    _require_fields(body, "tree body", {"nodes", "arcs"}, {"boundary"})
-    if not all(isinstance(body.get(key, []), list) for key in ("nodes", "arcs", "boundary")):
-        raise SpecError("tree body needs node, arc, and boundary arrays")
+    _require_fields(body, "tree body", {"nodes", "arcs"}, {"boundary", "adjacencies"})
+    if not all(isinstance(body.get(key, []), list) for key in ("nodes", "arcs", "boundary", "adjacencies")):
+        raise SpecError("tree body needs node, arc, boundary, and adjacency arrays")
     from .ordertree import OrderTree
 
     t = OrderTree()
@@ -348,6 +356,10 @@ def _read_tree(body) -> OrderTree:
                 t.add_arc(*map(_freeze, entry))
             else:
                 raise SpecError(f"arcs[{i}] must be [id, tail, head] or an object")
+        for i, entry in enumerate(body.get("adjacencies", [])):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise SpecError(f"adjacencies[{i}] must be [cap, arc, side]")
+            t.add_adjacency(*map(_freeze, entry))
     except TreeError as err:
         raise SpecError(f"tree body: {err}") from None
     t.boundary = {_freeze(n) for n in body.get("boundary", [])}
@@ -382,15 +394,10 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
         if arc_labels and aid in arc_labels:
             rec["labels"] = [[name, str(t)] for name, t in arc_labels[aid]]
         arcs.append(rec)
-    return {
-        "version": SPEC_VERSION,
-        "kind": "tree",
-        "body": {
-            "nodes": nodes,
-            "arcs": arcs,
-            "boundary": [jsonable(n) for n in sorted(tree.boundary, key=repr)],
-        },
-    }
+    body = {"nodes": nodes, "arcs": arcs, "boundary": [jsonable(n) for n in sorted(tree.boundary, key=repr)]}
+    if tree.adjacencies:
+        body["adjacencies"] = [jsonable(a) for a in sorted(tree.adjacencies, key=repr)]
+    return {"version": SPEC_VERSION, "kind": "tree", "body": body}
 
 
 def _dot_quote(s: str) -> str:

@@ -9,8 +9,8 @@ off the base order, see grouporder.r_equivalent), and the already
 built prefix is cut away so the remainder glues onto the existing tree at the
 doubled tag of x.  Gluing a half-open remainder whose built part has no
 greatest element is supported through explicitly forced stages; the new
-segment then attaches at the doubled tag of the furthest built element and
-the record is marked as a truncated limit.
+segment then attaches at the doubled tag of the furthest built element, and
+that glue point is kept as a truncated limit.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
@@ -25,6 +25,7 @@ order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -67,15 +68,6 @@ class BetweenDecomposition(NamedTuple):
 
     base: object
     stages: tuple
-
-
-class GlueRecord(NamedTuple):
-    """Identification of a new interval end with an existing point."""
-
-    interval: int
-    coord: Fraction
-    target: tuple
-    truncated_limit: bool
 
 
 def auto_pairs(poset: ExtendedPoset) -> list:
@@ -150,7 +142,8 @@ class LabeledTree:
     Points are pairs (interval, coordinate).  Every stage glues the low end
     of its new interval onto one older point, and ``_glued`` maps that end
     straight to where the older point resolves, so ``find`` is one lookup.
-    ``nu`` maps each doubled label to the raw point where its stage laid it.
+    ``nu`` maps each doubled label to the raw point where its stage laid it;
+    ``truncated`` holds the points where truncated-limit stages glued.
     """
 
     def __init__(self, poset: ExtendedPoset, group=None):
@@ -158,12 +151,11 @@ class LabeledTree:
         self.group = group
         self.fmt = group.format if group is not None else str
         self.intervals: list = []
-        self.directions: list = []
-        self.glues: list = []
         self.nu: dict = {}
         self.built: set = set()
         self.stages_done: list = []
         self._glued: dict = {}
+        self.truncated: set = set()
 
     # -- point identity ------------------------------------------------
 
@@ -218,28 +210,19 @@ def _slot_coords(unit: int, nslots: int) -> list:
     extremal slots, then successive midpoints toward the upper end."""
     if nslots < 3:
         raise BuildError("a class layout needs at least three slots")
-    coords = [Fraction(unit)]
-    for j in range(1, nslots - 1):
-        coords.append(unit + 1 - Fraction(1, 2**j))
-    coords.append(Fraction(unit + 1))
-    return coords
+    inner = [unit + 1 - Fraction(1, 2**j) for j in range(1, nslots - 1)]
+    return [Fraction(unit), *inner, Fraction(unit + 1)]
 
 
-def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> tuple:
+def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> list:
     """Lay the classes over [0, k]; consecutive classes share their boundary
     coordinate, which is legal only when the meeting tags touch.  Returns
-    the slot list [(coord, labels)] and per-unit directions."""
+    the slot list [(coord, labels)]."""
     p = state.poset
     out: list = []
-    dirs: dict = {}
     for ci, members in enumerate(classes):
-        seq = _class_sequence(p, members, x, y)
-        slots = _merge_slots(p, seq)
-        coords = _slot_coords(ci, len(slots))
-        pos = {lab: j for j, labs in enumerate(slots) for lab in labs}
-        g0 = members[0]
-        dirs[ci] = 1 if pos[g0, MINUS] < pos[g0, PLAIN] else -1
-        for c, labs in zip(coords, slots):
+        slots = _merge_slots(p, _class_sequence(p, members, x, y))
+        for c, labs in zip(_slot_coords(ci, len(slots)), slots):
             if out and out[-1][0] == c:
                 u, v = out[-1][1][-1], labs[0]
                 if not r_equivalent(p, u, v):
@@ -250,7 +233,7 @@ def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> tuple:
                 out[-1][1].extend(labs)
             else:
                 out.append((c, list(labs)))
-    return out, dirs
+    return out
 
 
 def _lay_base(state: LabeledTree, x1) -> None:
@@ -261,7 +244,6 @@ def _lay_base(state: LabeledTree, x1) -> None:
     except (KeyError, PosetError):
         raise BuildError(f"base element {x1!r} leaves the poset") from None
     state.intervals.append((ZERO, ONE))
-    state.directions.append({0: 1})
     state.nu[x1, MINUS] = (0, ZERO)
     state.nu[x1, PLAIN] = (0, HALF)
     state.nu[x1, PLUS] = (0, ONE)
@@ -282,7 +264,7 @@ def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
             f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
             f"built part {[state.fmt(m) for m in inter]}"
         )
-    out, dirs = _lay_classes(state, chain.classes, x, y)
+    out = _lay_classes(state, chain.classes, x, y)
     inner = (x, side_toward(p, x, y))
     cut_i = next(j for j, (_c, labs) in enumerate(out) if inner in labs)
     prefix = [lab for _c, labs in out[:cut_i] for lab in labs]
@@ -291,11 +273,8 @@ def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
             f"unexpected labels before the cut: "
             f"{[state.format_label(l) for l in prefix]}"
         )
-    lo = out[cut_i][0]
-    if lo >= 1:
-        dirs.pop(0, None)
     return _glue(state, stage, chain, "gluing", inner, out[cut_i:],
-                 (lo, Fraction(len(chain.classes))), dirs, allow_existing={inner})
+                 (out[cut_i][0], Fraction(len(chain.classes))), allow_existing={inner})
 
 
 def _lay_case2(state: LabeledTree, stage: Stage, chain: BetweenChain) -> LabeledTree:
@@ -310,21 +289,21 @@ def _lay_case2(state: LabeledTree, stage: Stage, chain: BetweenChain) -> Labeled
     a_m = inter[-1]
     attach = (a_m, side_toward(p, a_m, y))
     fresh = (tuple(m for m in cls if m not in state.built) for cls in chain.classes)
-    out, dirs = _lay_classes(state, [cls for cls in fresh if cls], x, y)
+    out = _lay_classes(state, [cls for cls in fresh if cls], x, y)
     k = out[-1][0]
     if out[0][0] != ZERO or k != int(k):
         raise BuildError("truncated-limit layout must span whole units")
     return _glue(state, stage, chain, "attachment", attach, out,
-                 (ZERO, Fraction(k)), dirs, allow_existing=set())
+                 (ZERO, Fraction(k)), allow_existing=set())
 
 
 def _glue(state: LabeledTree, stage: Stage, chain: BetweenChain, role: str, tag: tuple,
-          slot_list: list, span: tuple, dirs: dict, allow_existing: set) -> LabeledTree:
+          slot_list: list, span: tuple, allow_existing: set) -> LabeledTree:
     """Lay ``slot_list`` on a new interval ``span`` whose low end glues onto
     the point of the built ``tag``; a case-2 stage is a truncated limit."""
     if tag not in state.nu:
         raise BuildError(f"{role} tag {state.format_label(tag)} is not built")
-    idx, target = len(state.intervals), state.nu[tag]
+    idx = len(state.intervals)
     for c, labs in slot_list:
         for lab in labs:
             if lab in state.nu:
@@ -333,9 +312,9 @@ def _glue(state: LabeledTree, stage: Stage, chain: BetweenChain, role: str, tag:
             else:
                 state.nu[lab] = (idx, c)
     state.intervals.append(span)
-    state.directions.append(dirs)
-    state._glued[idx, span[0]] = state.find(target)
-    state.glues.append(GlueRecord(idx, span[0], target, stage.case == 2))
+    state._glued[idx, span[0]] = point = state.find(state.nu[tag])
+    if stage.case == 2:
+        state.truncated.add(point)
     state.built.update(chain.members)
     state.stages_done.append(stage)
     return state
@@ -379,91 +358,69 @@ class BuildLayout(NamedTuple):
     checked_labels: int
 
 
+def _coordinates(state: LabeledTree) -> list:
+    """Each interval's label coordinates, its low end included, in order,
+    each paired with the point it resolves to."""
+    per = [{lo} for lo, _hi in state.intervals]
+    for i, c in state.nu.values():
+        per[i].add(c)
+    return [[(c, state.find((i, c))) for c in sorted(cs)] for i, cs in enumerate(per)]
+
+
 def orient_segments(state: LabeledTree) -> BuildLayout:
     """Cut the intervals at junctions and direct every arc.
 
-    Each unit subinterval takes its direction from the interior plain labels
-    it carries: the arc runs toward the side where the label's lower tag is
-    behind it.  All interior labels of a unit must agree; disagreement or a
-    unit without interior plain labels is a construction error.
+    The junctions are label coordinates: each interval's ends, its integer
+    unit boundaries and the points later intervals glue onto.  Each unit
+    takes its direction from its first plain label: the arc runs toward the
+    side where the label's lower tag is behind it.  Every other plain label
+    of the unit must agree; disagreement or an arc in a unit without plain
+    labels is a construction error.
     """
-    breaks: dict = {}
-    for i, (lo, hi) in enumerate(state.intervals):
-        s = {lo, hi}
-        s.update(Fraction(j) for j in range(math.ceil(lo), math.floor(hi) + 1))
-        breaks[i] = s
-    for rec in state.glues:
-        breaks[rec.target[0]].add(rec.target[1])
-
+    directions: dict = {}
     checked = 0
-    plains_by_unit: dict = {}
     for lab, (i, c) in state.nu.items():
-        if lab[1] != PLAIN:
-            continue
-        unit = math.floor(c)
-        plains_by_unit.setdefault((i, unit), []).append(lab)
-    for i, udirs in enumerate(state.directions):
-        for unit, direction in udirs.items():
-            plains = plains_by_unit.get((i, unit), [])
-            if not plains:
-                raise BuildError(f"unit {unit} of interval {i} has no interior label")
-            for lab in plains:
-                c = state.nu[lab][1]
-                below = state.nu[lab[0], MINUS][1]
-                want = 1 if below < c else -1
-                if want != direction:
-                    raise BuildError(
-                        f"direction of unit {unit} in interval {i} disagrees at "
-                        f"{state.format_label(lab)}"
-                    )
-                checked += 1
+        if lab[1] == PLAIN:
+            unit = math.floor(c)
+            want = 1 if state.nu[lab[0], MINUS][1] < c else -1
+            if directions.setdefault((i, unit), want) != want:
+                raise BuildError(
+                    f"direction of unit {unit} in interval {i} disagrees at "
+                    f"{state.format_label(lab)}"
+                )
+            checked += 1
 
+    targets = set(state._glued.values())
     nodes = set()
     arcs = []
-    span_index: dict = {}
-    for i, bs in sorted(breaks.items()):
-        cs = sorted(bs)
-        roots = [state.find((i, c)) for c in cs]
-        nodes.update(roots)
-        for (b1, r1), (b2, r2) in zip(zip(cs, roots), zip(cs[1:], roots[1:])):
-            unit = math.floor(b1)
-            direction = state.directions[i].get(unit)
-            if direction is None:
-                raise BuildError(f"unit {unit} of interval {i} has no direction")
-            aid = (i, b1)
-            tail, head = (r1, r2) if direction == 1 else (r2, r1)
-            arcs.append((aid, tail, head))
-            span_index[(i, b1, b2)] = (aid, direction)
+    place: dict = {}  # raw point -> ("node", root) or ("arc", aid, t)
+    for i, row in enumerate(_coordinates(state)):
+        start, inside = None, []
+        for j, (c, root) in enumerate(row):
+            if 0 < j < len(row) - 1 and c.denominator != 1 and root not in targets:
+                inside.append(c)
+                continue
+            nodes.add(root)
+            place[i, c] = ("node", root)
+            if start is not None:
+                b1, r1 = start
+                direction = directions.get((i, math.floor(b1)))
+                if direction is None:
+                    raise BuildError(f"unit {math.floor(b1)} of interval {i} has no interior label")
+                aid = (i, b1)
+                arcs.append((aid, r1, root) if direction == 1 else (aid, root, r1))
+                for m in inside:
+                    place[i, m] = ("arc", aid, (m - b1 if direction == 1 else c - m) / (c - b1))
+            start, inside = (c, root), []
 
-    degree: dict = {}
-    for _aid, tail, head in arcs:
-        degree[tail] = degree.get(tail, 0) + 1
-        degree[head] = degree.get(head, 0) + 1
-    boundary = {n for n in nodes if degree.get(n, 0) == 1}
-    tree = OrderTree.build(sorted(nodes), arcs, boundary)
-
+    degree = Counter(n for _aid, tail, head in arcs for n in (tail, head))
+    boundary = {n for n in nodes if degree[n] == 1}
+    label_point = {lab: place[state.nu[lab]] for lab in sorted(state.nu, key=state.label_key)}
     node_labels: dict = {}
-    label_point: dict = {}
-    by_interval = {i: sorted(bs) for i, bs in breaks.items()}
-    for lab in sorted(state.nu, key=state.label_key):
-        i, c = state.nu[lab]
-        root = state.find((i, c))
-        if root in nodes:
-            node_labels.setdefault(root, []).append(lab)
-            label_point[lab] = ("node", root)
-            continue
-        cs = by_interval[i]
-        j = max(k for k, b in enumerate(cs) if b < c)
-        b1, b2 = cs[j], cs[j + 1]
-        aid, direction = span_index[(i, b1, b2)]
-        t = (c - b1) / (b2 - b1) if direction == 1 else (b2 - c) / (b2 - b1)
-        label_point[lab] = ("arc", aid, t)
-    return BuildLayout(
-        tree=tree,
-        node_labels={n: tuple(labs) for n, labs in node_labels.items()},
-        label_point=label_point,
-        checked_labels=checked,
-    )
+    for lab, pt in label_point.items():
+        if pt[0] == "node":
+            node_labels[pt[1]] = node_labels.get(pt[1], ()) + (lab,)
+    return BuildLayout(OrderTree.build(sorted(nodes), arcs, boundary), node_labels, label_point, checked)
 
 
 # -- structural verification ------------------------------------------------
@@ -475,15 +432,11 @@ def _point_table(state: LabeledTree) -> tuple:
     of an interval, glue ends included, (interval, c1, c2) to its end ids;
     ``at`` holds the labels at each id in label order, and ``label_id`` the
     id of each label's point."""
-    per = [{lo} for lo, _hi in state.intervals]
-    for i, c in state.nu.values():
-        per[i].add(c)
-    coords = [sorted(cs) for cs in per]
-    roots = [[state.find((i, c)) for c in cs] for i, cs in enumerate(coords)]
-    ids = {pt: k for k, pt in enumerate(sorted(set().union(*roots)))}
+    rows = _coordinates(state)
+    ids = {pt: k for k, pt in enumerate(sorted({root for row in rows for _c, root in row}))}
     spans = {}
-    for i, (cs, row) in enumerate(zip(coords, roots)):
-        for c1, c2, r1, r2 in zip(cs, cs[1:], row, row[1:]):
+    for i, row in enumerate(rows):
+        for (c1, r1), (c2, r2) in zip(row, row[1:]):
             spans[i, c1, c2] = (ids[r1], ids[r2])
     label_id = {lab: ids[state.find(raw)] for lab, raw in state.nu.items()}
     at: list = [[] for _ in ids]
@@ -532,7 +485,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
         problems.append("glued intervals are not connected")
     tree_report = {"ok": not problems, "points": len(points), "problems": problems}
 
-    truncated = {ids[state.find((rec.interval, rec.coord))] for rec in state.glues if rec.truncated_limit}
+    truncated = {ids[pt] for pt in state.truncated}
     gap_violations = []
     gap_undetermined = []
     for (i, c1, c2), (k1, k2) in spans.items():

@@ -257,6 +257,18 @@ MALFORMED = {
     "tree-arc-core-not-boolean": ("blowup", _doc("tree", {
         "nodes": ["a", "b"], "arcs": [{"id": "e", "tail": "a", "head": "b", "core": "yes"}],
     })),
+    "tree-adjacency-cap-missing": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [["e", "a", "b"]], "adjacencies": [["z", "e", "head"]],
+    })),
+    "tree-adjacency-arc-missing": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [["e", "a", "b"]], "adjacencies": [["a", "f", "head"]],
+    })),
+    "tree-adjacency-side-unknown": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [["e", "a", "b"]], "adjacencies": [["a", "e", "middle"]],
+    })),
+    "tree-adjacency-not-a-triple": ("blowup", _doc("tree", {
+        "nodes": ["a", "b"], "arcs": [["e", "a", "b"]], "adjacencies": [["a", "e"]],
+    })),
     "poset-relation-to-itself": ("check-poset", _doc("poset", {
         "elements": [1, 2], "relations": [[1, "lt", 1]],
     })),
@@ -276,6 +288,47 @@ def test_malformed_documents_exit_two_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _nested_node_tree(depth: int) -> dict:
+    nid = "a"
+    for _ in range(depth):
+        nid = [nid]
+    return _doc("tree", {"nodes": [nid, "b"], "arcs": [["e", nid, "b"]]})
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check-cones", "[" * 100_000 + "]" * 100_000),
+    ("blowup", json.dumps(_nested_node_tree(600))),
+], ids=["brackets", "tree-node-id"])
+def test_a_document_nested_too_deeply_exits_two_with_one_line(command, text, tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_text(text)
+    assert main([command, str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(" nests too deeply\n")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "blowup alternating-line --radius 2",
+    "blowup alternating-line --radius 6",
+    "build-tree dihedral-standard --radius 3 --stages 99",
+    "build-tree dihedral-standard --radius 4 --stages 99",
+])
+def test_an_emitted_blowup_reads_back_as_its_own_blowup(argv, tmp_path, capsys):
+    # a layout is blown up once first; a blow-up has no branch point left,
+    # so blowing it up again prints its input back, byte for byte
+    def emit(command: list) -> str:
+        assert main(command + ["--emit", "json"]) == 0
+        return capsys.readouterr().out
+
+    spec = tmp_path / "tree.json"
+    spec.write_text(emit(argv.split()))
+    if argv.startswith("build-tree"):
+        spec.write_text(emit(["blowup", str(spec)]))
+    assert emit(["blowup", str(spec)]) == spec.read_text()
 
 
 @pytest.mark.parametrize("command", [

@@ -101,11 +101,11 @@ GOLDEN = [
     ('blowup alternating-line --radius 2', 0, '82816e1c34eca5b7e4f8ec52d6befd34e247da4906d9330e30d608d2f8774471'),
     ('blowup alternating-line --radius 2 --json', 0, '7f4ced0fa4f5d9e87c505658fdd843c74f1a7255742a23dceec1dfd4e9f748ab'),
     ('blowup alternating-line --radius 2 --emit dot', 0, '47ba086f2e03aa6e3c7e564c12545494ffbadd19aa85efd4695a86f5d922c1a2'),
-    ('blowup alternating-line --radius 2 --emit json', 0, 'e2e82eb1ac716f63dc6ac35d449d2c8c8d4260a1d833dff250eb2897e2c2df6b'),
+    ('blowup alternating-line --radius 2 --emit json', 0, 'f03819ca15bd12bd525840d876d8d4667a56b8c66f5ad19d8caddb66ec643265'),
     ('blowup @tree', 0, '731274c8402c8b05c146b7acf939b438a27b7811024a3893abb3e27a79e165b8'),
     ('blowup @tree --json', 0, '0ef3bf4ed705d577155c6d43a44cc7c42fe9a91ddeb9594c0376ffa38753e998'),
     ('blowup @tree --emit dot', 0, 'e6cda88f401a729c7a804ef24aa73b7f7097e8e610d009efb7869461cd6f8722'),
-    ('blowup @tree --emit json', 0, '74a3296e8d9999b45a1058256c85976cc3bd9baa0fb400dea2836ed4b09dc324'),
+    ('blowup @tree --emit json', 0, 'cb1c1d9a32579fbde2d0eeb258e613827681c561d2931e8814949a67b8339b8e'),
     ('orbit-order dihedral-line --radius 3', 0, 'c8cb9d61aef2b07406781eed0ee4616466d1112950a5980730c3c4a35cf8d65b'),
     ('orbit-order dihedral-line --radius 3 --json', 0, 'de7a8c72b184511c04fa4a9851f8cc542c0709c78edbb8bbb22a8a8a5859b291'),
     ('orbit-order z-line --radius 3', 0, 'be2c12b396d2c1ae58e14d79cbc59d6a40a26b121e6a352bb5abd2bc5bab33b3'),

@@ -293,3 +293,28 @@ def test_two_points_joining_the_same_two_open_ends_make_a_cycle():
         for cap in ("c1", "c2"):
             tree.add_adjacency(cap, ("a", k), "head")
     assert tree.check_axioms()["problems"] == ["identified arc graph has a cycle"]
+
+
+@pytest.mark.parametrize("tree", [
+    lambda: alternating_line_tree(3),
+    lambda: ConePipeline.of(dihedral_standard(), 3).layout(None).tree,
+], ids=["line-3", "dihedral-r3-layout"])
+def test_a_blowup_of_a_blowup_passes_its_collapse_checks(tree):
+    # the base's stubs are not core, so no core preimage is asked of them
+    m = denjoy_blowup(tree())
+    assert any(not arc.core for arc in m.arcs.values())
+    again = denjoy_blowup(m)
+    assert check_blowup(again) == {"ok": True, "problems": []}
+    assert blowup_rows(again)[:4] == blowup_rows(m)[:4]
+
+
+@pytest.mark.parametrize("cap, arc, side, problem", [
+    ("z", "e", "head", "adjacency references missing node 'z'"),
+    ("a", "f", "head", "adjacency references missing arc 'f'"),
+    ("a", "e", "middle", "bad adjacency side 'middle'"),
+], ids=["cap", "arc", "side"])
+def test_an_adjacency_must_join_a_node_to_an_arc_end(cap, arc, side, problem):
+    tree = OrderTree.build("ab", [("e", "a", "b")])
+    with pytest.raises(TreeError, match=f"^{problem}$"):
+        tree.add_adjacency(cap, arc, side)
+    assert tree.adjacencies == []

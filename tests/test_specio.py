@@ -8,7 +8,8 @@ import pytest
 import oracles
 from treeorder.catalog import dihedral_standard
 from treeorder.groups import GroupError, TableGroup
-from treeorder.ordertree import alternating_line_tree
+from treeorder.orbitorder import ConePipeline
+from treeorder.ordertree import alternating_line_tree, denjoy_blowup
 from treeorder.poset import from_pairs
 from treeorder.specio import (
     SpecError,
@@ -205,6 +206,21 @@ def test_tree_document_roundtrip_both_forms():
     assert sorted(t2.nodes) == sorted(t1.nodes)
     assert t2.arcs["e1"].tail == "a" and t2.arcs["e1"].head == "b"
     assert t2.boundary == t1.boundary
+
+
+@pytest.mark.parametrize("tree", [
+    lambda: alternating_line_tree(2),
+    lambda: alternating_line_tree(6),
+    lambda: ConePipeline.of(dihedral_standard(), 4).layout(None).tree,
+], ids=["line-2", "line-6", "dihedral-r4-layout"])
+def test_an_emitted_blowup_reads_back_with_its_adjacencies(tree):
+    # ids read back as JSON gives them (a layout's fractions as strings), so
+    # the tree read back emits the same document, adjacencies included
+    m = denjoy_blowup(tree())
+    emitted = tree_to_document(m)
+    back = tree_from_document(parse_document(json.loads(canonical_json(emitted))))
+    assert len(back.adjacencies) == len(m.adjacencies) > 0
+    assert tree_to_document(back) == emitted
 
 
 def test_tree_document_rejects_unknown_arc_fields():

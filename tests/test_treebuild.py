@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import sys
 from fractions import Fraction
 
 import pytest
 
 from treeorder import grouporder
-from treeorder.catalog import dihedral_standard, get_cone, run_build_suite, z_standard
+from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone, run_build_suite, z_standard
 from treeorder.cli import main
+from treeorder.errors import ConeError
 from treeorder.grouporder import (
     PLAIN,
     blow_up_gplus,
@@ -325,3 +327,73 @@ def test_no_pairs_cover_a_one_element_poset_and_nothing_larger():
     assert single.base == "e" and single.stages == ()
     with pytest.raises(BuildError, match="do not cover the poset; missing \\['b'\\]"):
         normalize_decomposition(from_pairs("ab", [("a", "lt", "b")]), [])
+
+
+# -- the layout and its verification, pinned per build -------------------------
+# One sha256 per (cone, radius) over the builds at every stage count of
+# LAYOUT_STAGES: the layout tree (nodes, arc tail/head, boundary),
+# node_labels, label_point, checked_labels and the verification report.
+
+LAYOUT_STAGES = (0, 1, 2, 3, 6, None)
+
+
+def layout_rows(state):
+    layout = orient_segments(state)
+    tree = layout.tree
+    return (sorted(tree.nodes), sorted((a.id, a.tail, a.head) for a in tree.arcs.values()), sorted(tree.boundary),
+            list(layout.node_labels.items()), list(layout.label_point.items()), layout.checked_labels,
+            verify_stage_properties(state))
+
+
+def layout_digest(builds):
+    return hashlib.sha256(repr([layout_rows(state) for state in builds]).encode()).hexdigest()
+
+
+LAYOUT_DIGESTS = {
+    ('dihedral-standard', 0): "fce3d26095cd5a0c36f89e9dac7c4d668a58c72c906c78a22107af3f4292fccb",
+    ('dihedral-standard', 1): "54dff3fef08559b9df45025526704ba8851e37e082018ccd14087d1dc3b5982e",
+    ('dihedral-standard', 2): "7acaf04011a8a720fcae2a5e277e653adafc587a5bf3aa6ee65813fea276b041",
+    ('dihedral-standard', 3): "2ccfc62028ae9f5f64cb4ec9763d72ee8528e307b0c2584255287db9ad7cdb94",
+    ('free2-standard', 0): "a0f1fca90bdcb9cb6879f0e8870b5e0a538c794f5941b73f29cd1a6170aa1c55",
+    ('free2-standard', 1): "32ac44b6619d7c6a565b4612c483e8326416484d03eaa3da340d77eace207da3",
+    ('free2-standard', 2): "d6288e107ad0c9d9d0c9294a7345d62681ec9a77f12533cc631a8a592559ac8f",
+    ('free2-standard', 3): "da2620b81fd18071cc388992018abf5891cbe7280780fdd2c88ca2be7109b64a",
+    ('z-broken', 0): "50a82831da6b4247f7a8b6da1f2297123ffbed374aa2ad093c90b81f8b46dbe2",
+    ('z-standard', 0): "50a82831da6b4247f7a8b6da1f2297123ffbed374aa2ad093c90b81f8b46dbe2",
+    ('z-standard', 1): "d1b6e6c678ebfe18022210951dedaf7546fc533d877f15814c4a504f7ea77fdc",
+    ('z-standard', 2): "cd79a42bc445cf65afbadbb9c8b259248545c3de4b49a15dc46feea6e74d9322",
+    ('z-standard', 3): "e59d01458981fdb655a085074c1d92f3ca93478a56aca29822302329cfdf4c05",
+    ('z2-lex', 0): "fce3d26095cd5a0c36f89e9dac7c4d668a58c72c906c78a22107af3f4292fccb",
+    ('z2-lex', 1): "8517e4289294370f3e35a6e618be1a377076010ed38116e718082a9e6d25e82b",
+    ('z2-lex', 2): "3dd350d4a3d05a66e384afb93b54088b68a000181b38a4d5dd2d3b5042b893f5",
+    ('z2-lex', 3): "064b0d45f49eedfbc336caeca4f885bb130e24a22c17b5404b237b86b523f6c6",
+    ('z2-product', 0): "fce3d26095cd5a0c36f89e9dac7c4d668a58c72c906c78a22107af3f4292fccb",
+    ('z3-lex', 0): "e3557622425ab6aaa140b342e478d61c01ae210b28e1e20daf417f9400a9c2f0",
+    ('z3-lex', 1): "505aaab0073f79ca21dc55d5a7aae027e5615e23dcf17b9750edbf163f6c2098",
+    ('z3-lex', 2): "bbc1cd7e3b9f06a9a973d18992d6e311fe4d4f1957efad51833ac5879bdc07d3",
+    ('z3-lex', 3): "a064172ae13a99ff549030e2f6c393c9eaa4f54a91261eb63baa8d0d5fe8987f",
+}
+TRUNCATED_LAYOUT_DIGEST = "b3fd9aa7fd2a7eb0903e39a57c9923a4bf79cf7377427d44aa76ffcfe10073a7"
+
+
+def test_layout_digests_cover_every_cone_with_a_ball_order():
+    def has_ball_order(name, radius):
+        try:
+            ConePipeline.of(get_cone(name), radius).ball_poset
+        except ConeError:
+            return False
+        return True
+
+    assert set(LAYOUT_DIGESTS) == {(name, r) for name in BUILTIN_CONES for r in range(4) if has_ball_order(name, r)}
+
+
+@pytest.mark.parametrize("name, radius", sorted(LAYOUT_DIGESTS), ids=[f"{n}-r{r}" for n, r in sorted(LAYOUT_DIGESTS)])
+def test_the_layout_of_each_build_is_pinned(name, radius):
+    pipe = ConePipeline.of(get_cone(name), radius)
+    assert layout_digest(pipe.build(n) for n in LAYOUT_STAGES) == LAYOUT_DIGESTS[name, radius]
+
+
+def test_the_layout_of_a_truncated_limit_build_is_pinned():
+    p = induced_ball_poset(z_standard(), 3)
+    state = build_tree(p, normalize_decomposition(p, [(0, 1), (0, 3), (0, -3)], case2=[(0, 3)]))
+    assert layout_digest([state]) == TRUNCATED_LAYOUT_DIGEST
