@@ -158,7 +158,7 @@ def _layout_annotations(state, layout) -> tuple:
     arc_labels: dict = {}
     for nid, labs in layout.node_labels.items():
         node_labels[nid] = [state.format_label(lab) for lab in labs]
-    for lab, pt in sorted(layout.label_point.items(), key=lambda kv: str(kv[1])):
+    for lab, pt in layout.label_point.items():
         if pt[0] == "arc":
             arc_labels.setdefault(pt[1], []).append((state.format_label(lab), pt[2]))
     for aid in arc_labels:
@@ -211,8 +211,7 @@ def _cmd_blowup(args) -> int:
     if args.emit:
         return _emit_tree(args, report["ok"], manifold)
     kinds: dict = {}
-    for nid in manifold.sorted_node_ids():
-        kind = manifold.nodes[nid].kind
+    for kind in manifold.nodes.values():
         kinds[kind] = kinds.get(kind, 0) + 1
     lines = [f"blowup: {len(tree.arcs)} arcs in, {len(manifold.arcs)} arcs out"]
     lines.append(f"  branchless: {'pass' if manifold.is_branchless() else 'FAIL'}")

@@ -8,21 +8,24 @@ missing point (doubled endpoints accumulate onto it from the outside), and
 ``openray`` marks the truncated far end of an added ray.  Open ends never
 answer point queries.
 
-Doubled endpoints ("caps") are point nodes listed in the adjacency table:
-``(cap, arc, side)`` says every neighbourhood of the cap meets the named open
-arc end, so connectivity and order queries flow through the pair even though
-the cap touches its own arc only: the identified graph is the arc graph plus
-one edge from each cap to the open end it touches.
+Each node has a kind and two ray lists (``node_incidences``): the arcs of
+the rays that arrive, whose heads end there, and of those that leave, whose
+tails start there.  Doubled endpoints ("caps") are point nodes listed in the
+adjacency table, each ``(cap, arc, side)`` stated once: every neighbourhood
+of the cap meets the named open arc end, so the pair is one more ray at the
+cap, and the identified graph is the arc graph plus one edge from each cap
+to the open end it touches.
 
 The blow-up takes any finite tree to a branchless one in three moves, applied
 in turn at each interior point, which it visits once: a branch point with
 traffic on both sides stretches into an interval, a sink or source grows a ray
 in the missing direction, and what still branches splits into one endpoint per
-ray, all but the distinguished ray, whose end stays open.  The collapse map
-back to the base tree is kept on the result.
+ray, all but the distinguished ray, whose end stays open.  Every ray moves by
+one rule: a point's own arc end moves to the new node, and an adjacency moves
+onto it.  The collapse map back to the base tree is kept on the result.
 
 Nodes marked as window boundary are truncation artifacts of an infinite
-object; the blow-up leaves them alone.
+object; they must be leaves, and the blow-up leaves them alone.
 
 A branchless blown-up tree orders its points (``manifold_poset``, with
 ``manifold_order`` the pairwise definition): the forward component of a
@@ -35,7 +38,7 @@ against realized points.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import TreeError
 from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
@@ -76,46 +79,24 @@ class TreeIndex:
         self.cyclic = sum(map(len, adjacency.values())) // 2 > len(adjacency) - self.components
 
 
-def _degrees(inc: list) -> dict:
-    """In and out degree of a node from its rays, and the kind they make."""
-    n_f = sum(1 for d, _ in inc if d == "in")
-    n_o = len(inc) - n_f
-    if n_f == 1 and n_o == 1:
-        kind = "regular"
-    elif n_f == 0 and n_o == 0:
-        kind = "isolated"
-    elif n_o == 0:
-        kind = "sink"
-    elif n_f == 0:
-        kind = "source"
-    elif n_f > 1 and n_o > 1:
-        kind = "general-branch"
-    elif n_f == 1:
-        kind = "distinguished-ray-in"
-    else:
-        kind = "distinguished-ray-out"
-    return {"n_f": n_f, "n_o": n_o, "kind": kind}
-
-
-class NodeRec(NamedTuple):
-    id: object
-    kind: str = "point"  # point | open | openray
-
-
 class ArcRec:
     """A directed arc; the blow-up moves its ends."""
 
-    __slots__ = ("id", "tail", "head", "kind", "core")
+    __slots__ = ("tail", "head", "kind", "core")
 
-    def __init__(self, id, tail, head, kind: str = "arc", core: bool = True):
-        self.id, self.tail, self.head, self.kind, self.core = id, tail, head, kind, core
+    def __init__(self, tail, head, kind: str = "arc", core: bool = True):
+        self.tail, self.head, self.kind, self.core = tail, head, kind, core
 
 
 class OrderTree:
+    """``nodes`` maps each node to its kind (point, open or openray),
+    ``arcs`` each arc to its ArcRec, and ``adjacencies`` holds each
+    (cap, arc, side) once, in insertion order."""
+
     def __init__(self) -> None:
         self.nodes: dict = {}
         self.arcs: dict = {}
-        self.adjacencies: list = []
+        self.adjacencies: dict = {}
         self.boundary: set = set()
 
     # -- construction ------------------------------------------------
@@ -125,7 +106,7 @@ class OrderTree:
             raise TreeError(f"duplicate node {nid!r}")
         if kind not in ("point", "open", "openray"):
             raise TreeError(f"bad node kind {kind!r}")
-        self.nodes[nid] = NodeRec(nid, kind)
+        self.nodes[nid] = kind
 
     def add_arc(self, aid, tail, head, kind: str = "arc", core: bool = True) -> None:
         if aid in self.arcs:
@@ -139,7 +120,7 @@ class OrderTree:
         for end in (tail, head):
             if end not in self.nodes:
                 raise TreeError(f"arc {aid!r} references missing node {end!r}")
-        self.arcs[aid] = ArcRec(aid, tail, head, kind, core)
+        self.arcs[aid] = ArcRec(tail, head, kind, core)
 
     def add_adjacency(self, cap, arc, side: str) -> None:
         if side not in ("tail", "head"):
@@ -148,7 +129,9 @@ class OrderTree:
             raise TreeError(f"adjacency references missing node {cap!r}")
         if arc not in self.arcs:
             raise TreeError(f"adjacency references missing arc {arc!r}")
-        self.adjacencies.append((cap, arc, side))
+        if (cap, arc, side) in self.adjacencies:
+            raise TreeError(f"duplicate adjacency {(cap, arc, side)!r}")
+        self.adjacencies[cap, arc, side] = None
 
     @classmethod
     def build(cls, nodes: Iterable, arcs: Iterable, boundary: Iterable = ()) -> "OrderTree":
@@ -167,8 +150,7 @@ class OrderTree:
         if not isinstance(p, tuple) or not p:
             return False
         if p[0] == "node":
-            rec = self.nodes.get(p[1])
-            return rec is not None and rec.kind == "point"
+            return self.nodes.get(p[1]) == "point"
         if p[0] == "arc":
             return p[1] in self.arcs and 0 < p[2] < 1
         return False
@@ -177,39 +159,26 @@ class OrderTree:
         if not self.is_point(p):
             raise TreeError(f"not a point of this tree: {p!r}")
 
-    def arc_end_node(self, aid, side: str):
-        arc = self.arcs[aid]
-        return arc.tail if side == "tail" else arc.head
-
-    # -- degrees ------------------------------------------------------
+    # -- rays ---------------------------------------------------------
 
     def node_incidences(self) -> dict:
-        """Rays at every node as (direction, arc) pairs, from one pass over
-        the arcs and adjacencies."""
-        out: dict = {nid: [] for nid in self.nodes}
+        """The rays at every node as (ins, outs), the arcs of the rays that
+        arrive and of those that leave, from one pass over the arcs and
+        adjacencies: an in-ray ends at its arc's head, an out-ray at its
+        tail, and an adjacency is a ray at its cap."""
+        rays: dict = {nid: ([], []) for nid in self.nodes}
         for aid in self.sorted_arc_ids():
             arc = self.arcs[aid]
-            out[arc.head].append(("in", aid))
-            out[arc.tail].append(("out", aid))
+            rays[arc.head][0].append(aid)
+            rays[arc.tail][1].append(aid)
         for cap, aid, side in self.adjacencies:
-            out.setdefault(cap, []).append(("out", aid) if side == "tail" else ("in", aid))
-        return out
-
-    def degrees(self, p) -> dict:
-        """In and out degree at p and the kind its rays make (_degrees); a
-        ray is a (direction, arc) pair, "in" rays arrive and "out" leave."""
-        self.require_point(p)
-        return _degrees([("in", p[1]), ("out", p[1])] if p[0] == "arc" else self.node_incidences()[p[1]])
+            rays[cap][side == "tail"].append(aid)
+        return rays
 
     def is_branchless(self) -> bool:
         rays = self.node_incidences()
-        for nid, rec in self.nodes.items():
-            if rec.kind != "point":
-                continue
-            d = _degrees(rays[nid])
-            if d["n_f"] > 1 or d["n_o"] > 1:
-                return False
-        return True
+        return all(len(ins) <= 1 and len(outs) <= 1
+                   for nid, (ins, outs) in rays.items() if self.nodes[nid] == "point")
 
     def sorted_node_ids(self) -> list:
         return sorted(self.nodes, key=repr)
@@ -220,50 +189,51 @@ class OrderTree:
     # -- identified graph ----------------------------------------------
 
     def _end_token(self, aid, side: str):
-        nid = self.arc_end_node(aid, side)
-        if self.nodes[nid].kind == "point":
-            return ("n", nid)
-        return ("end", aid, side)
+        nid = getattr(self.arcs[aid], side)
+        return ("n", nid) if self.nodes[nid] == "point" else ("end", aid, side)
 
     def identified_graph(self) -> tuple:
         """Arc-end tokens joined by the arcs, then one edge from each doubled
         endpoint to the open arc end it touches: (tokens, edges).  The arcs
-        come first, each edge labelled by its arc; the others by None."""
+        come first, each edge labelled by its arc; the others by None.  The
+        tokens are listed in the order the edges reach them."""
         edges = [(self._end_token(aid, "tail"), self._end_token(aid, "head"), aid) for aid in self.sorted_arc_ids()]
-        edges += [(("n", cap), ("end", aid, side), None) for cap, aid, side in dict.fromkeys(self.adjacencies)]
-        tokens = dict.fromkeys(t for u, v, _aid in edges for t in (u, v))
-        return sorted(tokens, key=repr), edges
+        edges += [(("n", cap), ("end", aid, side), None) for cap, aid, side in self.adjacencies]
+        return list(dict.fromkeys(t for u, v, _aid in edges for t in (u, v))), edges
 
     def check_axioms(self) -> dict:
         """Structural axioms: nondegenerate directed arcs, open ends used
-        once, adjacencies from points onto open ends, and one tree underneath.
+        once, adjacencies from points onto open ends, boundary nodes that
+        are leaves, and one tree underneath.
 
         Connectivity and acyclicity are read off the identified graph, which
         is exactly the statement that no cyclic word of segments cancels.
         """
         problems = []
-        used_nodes = set()
+        rays = dict.fromkeys(self.nodes, 0)
         open_use: dict = {}
         for aid, arc in self.arcs.items():
-            used_nodes.update((arc.tail, arc.head))
             for side in ("tail", "head"):
-                nid = self.arc_end_node(aid, side)
-                if self.nodes[nid].kind != "point":
+                nid = getattr(arc, side)
+                rays[nid] += 1
+                if self.nodes[nid] != "point":
                     open_use.setdefault(nid, []).append((aid, side))
+        for cap, aid, side in self.adjacencies:
+            rays[cap] += 1
+            if self.nodes[cap] != "point":
+                problems.append(f"adjacency source {cap!r} is not a point")
+            elif self.nodes[getattr(self.arcs[aid], side)] == "point":
+                problems.append(f"adjacency target {(aid, side)!r} is not an open end")
         for nid, uses in open_use.items():
             if len(uses) != 1:
                 problems.append(f"open end {nid!r} shared by {len(uses)} arc ends")
-        for nid, rec in self.nodes.items():
-            if rec.kind != "point" and nid not in used_nodes:
+        for nid, kind in self.nodes.items():
+            if kind != "point" and nid not in open_use:
                 problems.append(f"open node {nid!r} attached to no arc")
-            if rec.kind == "point" and self.arcs and nid not in used_nodes:
-                if not any(cap == nid for cap, _, _ in self.adjacencies):
-                    problems.append(f"point node {nid!r} is isolated")
-        for cap, aid, side in self.adjacencies:
-            if self.nodes.get(cap) is None or self.nodes[cap].kind != "point":
-                problems.append(f"adjacency source {cap!r} is not a point")
-            elif aid not in self.arcs or self.nodes[self.arc_end_node(aid, side)].kind == "point":
-                problems.append(f"adjacency target {(aid, side)!r} is not an open end")
+            if kind == "point" and self.arcs and not rays[nid]:
+                problems.append(f"point node {nid!r} is isolated")
+            if nid in self.boundary and rays[nid] > 1:
+                problems.append(f"boundary node {nid!r} is not a leaf")
         if self.arcs:
             tokens, edges = self.identified_graph()
             index = TreeIndex(tokens, [(u, v) for u, v, _aid in edges])
@@ -293,7 +263,7 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
         raise TreeError("blow-up needs a well-formed tree: " + "; ".join(check["problems"]))
     m = OneManifold(tree)
     for nid in tree.sorted_node_ids():
-        m.add_node(nid, tree.nodes[nid].kind)
+        m.add_node(nid, tree.nodes[nid])
         m.phi_nodes[nid] = nid
     for aid in tree.sorted_arc_ids():
         arc = tree.arcs[aid]
@@ -303,21 +273,33 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     for cap, aid, side in tree.adjacencies:
         m.add_adjacency(cap, aid, side)
 
+    def move(aid, side: str, p, q) -> None:
+        # the ray ends at the arc's side end: p's own arc end moves to q, and
+        # otherwise p touches that end, and the adjacency moves onto q
+        arc = m.arcs[aid]
+        if getattr(arc, side) == p:
+            setattr(arc, side, q)
+        else:
+            del m.adjacencies[p, aid, side]
+            m.add_adjacency(q, aid, side)
+
     def split(nid, ins: list, outs: list) -> None:
         # one doubled endpoint per non-distinguished ray, leaving the
         # distinguished ray end open
         if len(ins) <= 1 and len(outs) <= 1:
             return
-        dist, dist_side, rays = (ins[0], "head", outs) if len(ins) == 1 else (outs[0], "tail", ins)
+        dist, dist_side, rays, side = (ins[0], "head", outs, "tail") if len(ins) == 1 else (outs[0], "tail", ins, "head")
         base_target = m.phi_nodes.pop(nid)
         del m.nodes[nid]
         for aid in rays:
             cap = ("cap", aid, nid)
             m.add_node(cap)
             m.phi_nodes[cap] = base_target
-            arc = m.arcs[aid]
-            setattr(arc, "tail" if arc.tail == nid else "head", cap)
+            move(aid, side, nid, cap)
             m.add_adjacency(cap, dist, dist_side)
+        if getattr(m.arcs[dist], dist_side) != nid:
+            del m.adjacencies[nid, dist, dist_side]  # the open end is there already
+            return
         opennode = ("openend", nid)
         m.add_node(opennode, "open")
         m.phi_nodes[opennode] = base_target
@@ -336,28 +318,25 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
         split(nid, ins, outs)
 
     # each interior point once, with the rays it had in the base tree; a move
-    # rewires only the arc ends at its own node, so later nodes keep theirs
+    # rewires only the arc ends and adjacencies at its own node, so later
+    # nodes keep theirs
     rays = m.node_incidences()
     for nid in tree.sorted_node_ids():
-        if nid in m.boundary or m.nodes[nid].kind != "point":
+        if nid in m.boundary or tree.nodes[nid] != "point":
             continue
-        ins = [aid for dirn, aid in rays[nid] if dirn == "in"]
-        outs = [aid for dirn, aid in rays[nid] if dirn == "out"]
+        ins, outs = rays[nid]
         if len(ins) <= 1 or len(outs) <= 1:
             settle(nid, ins, outs)
             continue
-        # stretch a two-sided branch point into an interval; its adjacency
-        # rays stay where they are
+        # stretch a two-sided branch point into an interval
         n_in, n_out, blow = ("blowin", nid), ("blowout", nid), ("blow", nid)
-        ins = [aid for aid in ins if m.arcs[aid].head == nid]
-        outs = [aid for aid in outs if m.arcs[aid].tail == nid]
         for end in (n_in, n_out):
             m.add_node(end)
             m.phi_nodes[end] = nid
         for aid in ins:
-            m.arcs[aid].head = n_in
+            move(aid, "head", nid, n_in)
         for aid in outs:
-            m.arcs[aid].tail = n_out
+            move(aid, "tail", nid, n_out)
         m.add_arc(blow, n_in, n_out, kind="blowup", core=True)
         m.phi_arcs[blow] = ("base-node", nid)
         del m.nodes[nid], m.phi_nodes[nid]
@@ -385,11 +364,11 @@ def check_blowup(m: OneManifold) -> dict:
             continue
         kind, target = m.phi_arcs[aid]
         covered.add(("arc", target) if kind == "base-arc" else ("node", target))
-    for nid, rec in m.nodes.items():
-        if rec.kind == "point":
+    for nid, kind in m.nodes.items():
+        if kind == "point":
             covered.add(("node", m.phi_nodes[nid]))
-    for nid, rec in base.nodes.items():
-        if rec.kind == "point" and ("node", nid) not in covered:
+    for nid, kind in base.nodes.items():
+        if kind == "point" and ("node", nid) not in covered:
             problems.append(f"base node {nid!r} has no core preimage")
     for aid, arc in base.arcs.items():
         if arc.core and ("arc", aid) not in covered:
@@ -429,13 +408,9 @@ def _arc_position(m: OrderTree, p: tuple) -> tuple:
     tail and head node of the arc.  Branching nodes have no forward side."""
     if p[0] == "arc":
         return p[1], Fraction(p[2])
-    inc = m.node_incidences()[p[1]]
-    d = _degrees(inc)
-    if d["kind"] == "regular" or (d["n_f"] + d["n_o"]) == 1:
-        for direction, aid in inc:
-            if direction == "out":
-                return aid, Fraction(0)
-        return inc[0][1], Fraction(1)
+    ins, outs = m.node_incidences()[p[1]]
+    if len(ins) <= 1 and len(outs) <= 1 and (ins or outs):
+        return (outs[0], Fraction(0)) if outs else (ins[0], Fraction(1))
     raise TreeError(f"order undefined at a branching point: {p!r}")
 
 

@@ -20,9 +20,10 @@ Document kinds and bodies:
   "boundary": [...], "adjacencies"?: [[cap, arc, side], ...]}``; ids may be
   strings, integers, or nested lists (loaded as tuples).  An arc object's
   ``kind`` is arc, blowup or stub and its ``core`` a boolean; every boundary
-  entry is a node.  An adjacency joins the point node ``cap`` to the
-  ``side`` ("tail" or "head") end of ``arc``, as a blow-up's doubled
-  endpoints do; emission writes them only when the tree has any.
+  entry is a node, and a leaf for the blow-up.  An adjacency joins the point
+  node ``cap`` to the ``side`` ("tail" or "head") end of ``arc``, as a
+  blow-up's doubled endpoints do; adjacencies must be distinct, and emission
+  writes them only when the tree has any.
 * ``scenario``: ``{"name": ...}`` naming a catalog action scenario.
 
 Predicate expressions are small trees over normal-form components:
@@ -377,7 +378,7 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
                      arc_labels: Optional[dict] = None) -> dict:
     nodes = []
     for nid in sorted(tree.nodes, key=repr):
-        rec = {"id": jsonable(nid), "kind": tree.nodes[nid].kind}
+        rec = {"id": jsonable(nid), "kind": tree.nodes[nid]}
         if node_labels and nid in node_labels:
             rec["labels"] = sorted(node_labels[nid])
         nodes.append(rec)
@@ -400,9 +401,9 @@ def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
     return {"version": SPEC_VERSION, "kind": "tree", "body": body}
 
 
-def _dot_quote(s: str) -> str:
-    # Leave backslashes alone so "\n" stays a dot line-break escape.
-    return '"' + s.replace('"', '\\"') + '"'
+def _dot_quote(*lines: str) -> str:
+    """A DOT string of the lines, each escaped, joined by DOT's "\\n" break."""
+    return '"' + "\\n".join(s.replace("\\", "\\\\").replace('"', '\\"') for s in lines) + '"'
 
 
 def tree_to_dot(tree: OrderTree, node_labels: Optional[dict] = None,
@@ -411,12 +412,11 @@ def tree_to_dot(tree: OrderTree, node_labels: Optional[dict] = None,
     shapes = {"point": "ellipse", "open": "circle", "openray": "diamond"}
     lines = ["digraph ordertree {", "  rankdir=LR;"]
     for nid in sorted(tree.nodes, key=repr):
-        rec = tree.nodes[nid]
         name = _dot_quote(str(nid))
-        text = str(nid)
+        text = [str(nid)]
         if node_labels and nid in node_labels:
-            text += "\\n" + ",".join(sorted(node_labels[nid]))
-        attrs = [f"label={_dot_quote(text)}", f"shape={shapes.get(rec.kind, 'box')}"]
+            text.append(",".join(sorted(node_labels[nid])))
+        attrs = [f"label={_dot_quote(*text)}", f"shape={shapes.get(tree.nodes[nid], 'box')}"]
         if nid in tree.boundary:
             attrs.append("style=bold")
         lines.append(f"  {name} [{', '.join(attrs)}];")

@@ -387,7 +387,7 @@ def is_core_point(m, p) -> bool:
     """Core points of a blow-up: everything except ray interiors and ray far ends."""
     if p[0] == "arc":
         return m.arcs[p[1]].core
-    return m.nodes[p[1]].kind == "point"
+    return m.nodes[p[1]] == "point"
 
 
 def build_predicate(expr: dict, group_spec: dict):
@@ -439,21 +439,21 @@ def naive_touching(doubled, x, y) -> bool:
     return not any(doubled.is_between(x, z, y) for z in doubled.elements if z != x and z != y)
 
 
-def naive_incidences(tree, nid) -> list:
-    """Rays at a node, one scan of every arc in repr order and then of every
-    adjacency: ("in", arc) where an arc arrives, ("out", arc) where it
-    leaves, and a cap's adjacency as the ray on the named side."""
-    out = []
+def naive_incidences(tree, nid) -> tuple:
+    """Rays at a node as (ins, outs), one scan of every arc in repr order and
+    then of every adjacency: an arc arriving at the node is an in-ray, one
+    leaving it an out-ray, and a cap's adjacency the ray on the named side."""
+    ins, outs = [], []
     for aid in sorted(tree.arcs, key=repr):
         arc = tree.arcs[aid]
         if arc.head == nid:
-            out.append(("in", aid))
+            ins.append(aid)
         if arc.tail == nid:
-            out.append(("out", aid))
+            outs.append(aid)
     for cap, aid, side in tree.adjacencies:
         if cap == nid:
-            out.append(("out", aid) if side == "tail" else ("in", aid))
-    return out
+            (outs if side == "tail" else ins).append(aid)
+    return ins, outs
 
 
 _CONE_CONDITIONS = {

@@ -269,6 +269,10 @@ MALFORMED = {
     "tree-adjacency-not-a-triple": ("blowup", _doc("tree", {
         "nodes": ["a", "b"], "arcs": [["e", "a", "b"]], "adjacencies": [["a", "e"]],
     })),
+    "tree-adjacency-repeated": ("blowup", _doc("tree", {
+        "nodes": ["a", "b", {"id": "o", "kind": "open"}], "arcs": [["e", "o", "b"]],
+        "adjacencies": [["a", "e", "tail"], ["a", "e", "tail"]],
+    })),
     "poset-relation-to-itself": ("check-poset", _doc("poset", {
         "elements": [1, 2], "relations": [[1, "lt", 1]],
     })),
@@ -369,6 +373,17 @@ def test_blowup_of_a_graph_that_is_not_a_tree_fails_the_check(arcs, problem, tmp
     assert main(["blowup", spec]) == 1
     assert capsys.readouterr().err == (
         f"check failed: blow-up needs a well-formed tree: identified arc graph {problem}\n")
+
+
+def test_blowup_of_a_branching_boundary_node_fails_the_check(tmp_path, capsys):
+    # the blow-up leaves a boundary node alone, so one with two out-arcs
+    # would stay a branch point
+    spec = write(tmp_path, "tree.json", _doc("tree", {
+        "nodes": [0, 1, 2, 3, {"id": 4, "kind": "open"}],
+        "arcs": [[["e", 0], 0, 3], [["e", 1], 4, 3], [["e", 2], 2, 1], [["e", 3], 2, 3]], "boundary": [2],
+    }))
+    assert main(["blowup", spec]) == 1
+    assert capsys.readouterr().err == "check failed: blow-up needs a well-formed tree: boundary node 2 is not a leaf\n"
 
 
 @pytest.mark.parametrize("argv", [

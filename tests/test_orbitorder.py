@@ -477,7 +477,7 @@ def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points()
         graph = manifold_graph(m)
         for nid in m.sorted_node_ids():
             node = ("node", nid)
-            if m.nodes[nid].kind == "point" and all(manifold_order(m, node, q, graph) != EQ for q in points):
+            if m.nodes[nid] == "point" and all(manifold_order(m, node, q, graph) != EQ for q in points):
                 points.append(node)
         by_element = dict(enumerate(reversed(points)))
         assert manifold_order_mismatches(m, by_element, manifold_poset(m, by_element)) == []

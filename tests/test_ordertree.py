@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,9 +29,10 @@ def test_alternating_tree_alternates():
     # Even integers emit, odd integers absorb.
     assert tree.arcs[("s", 0)].tail == 0 and tree.arcs[("s", 0)].head == 1
     assert tree.arcs[("s", 1)].tail == 2 and tree.arcs[("s", 1)].head == 1
+    rays = tree.node_incidences()
     for n in (-1, 1):
-        assert tree.degrees(("node", n))["kind"] == "sink"
-    assert tree.degrees(("node", 0))["kind"] == "source"
+        assert list(map(len, rays[n])) == [2, 0]  # a sink
+    assert list(map(len, rays[0])) == [0, 2]  # a source
 
 
 def test_alternating_tree_needs_room():
@@ -59,7 +61,7 @@ def test_identified_graph_of_a_path():
     assert tokens == [("n", "a"), ("n", "b"), ("n", "c")]
     assert edges == [(("n", "a"), ("n", "b"), "e1"), (("n", "b"), ("n", "c"), "e2")]
     assert tree.is_branchless()
-    assert tree.degrees(("node", "b"))["kind"] == "regular"
+    assert tree.node_incidences()["b"] == (["e1"], ["e2"])
 
 
 def test_tree_index_labels_subtrees_and_flags_cycles():
@@ -101,8 +103,8 @@ def test_blowup_node_census():
     # a pair of open caps plus the stub's own endpoints.
     m = denjoy_blowup(alternating_line_tree(2))
     kinds: dict = {}
-    for nid in m.sorted_node_ids():
-        kinds[m.nodes[nid].kind] = kinds.get(m.nodes[nid].kind, 0) + 1
+    for kind in m.nodes.values():
+        kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {"open": 3, "openray": 3, "point": 8}
 
 
@@ -125,8 +127,8 @@ def test_node_incidences_agree_with_a_scan_per_node():
     nodes = 0
     for tree in _trees_and_blowups():
         rays = tree.node_incidences()
-        for nid, rec in tree.nodes.items():
-            if rec.kind == "point":
+        for nid, kind in tree.nodes.items():
+            if kind == "point":
                 nodes += 1
                 assert rays[nid] == oracles.naive_incidences(tree, nid), nid
     assert nodes > 500
@@ -148,14 +150,16 @@ def test_blowup_sorts_the_arcs_a_fixed_number_of_times(monkeypatch):
 
 # -- the blow-up, pinned -------------------------------------------------------
 #
-# Each digest below was recorded from the three-pass blow-up that the
-# single visit per node replaced; a tree is compared on everything the
-# blow-up decides, independent of dict and list order.
+# The layout, line and random-tree digests below were recorded from the
+# three-pass blow-up that the single visit per node replaced; the API-built
+# trees' digest from the blow-up that moves adjacency rays like arc ends.  A
+# tree is compared on everything the blow-up decides, independent of dict
+# and list order.
 
 
 def blowup_rows(m) -> list:
     return [
-        sorted(repr((nid, rec.kind)) for nid, rec in m.nodes.items()),
+        sorted(map(repr, m.nodes.items())),
         sorted(repr((aid, a.tail, a.head, a.kind, a.core)) for aid, a in m.arcs.items()),
         sorted(map(repr, m.boundary)),
         sorted(map(repr, m.adjacencies)),
@@ -188,14 +192,14 @@ def random_oriented_tree(rng) -> OrderTree:
         parent = rng.randrange(min(v, rng.randint(1, 4)))
         tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
     rays = tree.node_incidences()
-    tree.boundary = {v for v in range(n) if len(rays[v]) == 1 and rng.random() < 0.3}
+    tree.boundary = {v for v in range(n) if sum(map(len, rays[v])) == 1 and rng.random() < 0.3}
     return tree
 
 
 def copy_tree(m) -> OrderTree:
     t = OrderTree()
-    for nid, rec in m.nodes.items():
-        t.add_node(nid, rec.kind)
+    for nid, kind in m.nodes.items():
+        t.add_node(nid, kind)
     for aid, a in m.arcs.items():
         t.add_arc(aid, a.tail, a.head, a.kind, a.core)
     for adjacency in m.adjacencies:
@@ -226,8 +230,11 @@ def test_blowups_of_alternating_lines_are_pinned():
 def test_blowups_of_random_oriented_trees_are_pinned():
     rng = random.Random(24)
     trees = [random_oriented_tree(rng) for _ in range(2000)]
-    kinds = {tree.degrees(("node", v))["kind"] for tree in trees for v in tree.nodes}
-    assert kinds >= {"general-branch", "sink", "source", "isolated"}
+    counts = [tuple(map(len, rays)) for tree in trees for rays in tree.node_incidences().values()]
+    assert any(n_in > 1 and n_out > 1 for n_in, n_out in counts)  # general branch points
+    assert any(n_in and not n_out for n_in, n_out in counts)  # sinks
+    assert any(n_out and not n_in for n_in, n_out in counts)  # sources
+    assert (0, 0) in counts  # an isolated node
     assert sum(bool(tree.boundary) for tree in trees) > 500
     assert blowup_digest(trees) == (2000, "7815771199827e9fd1db018399f80aa4205457d50dd4c22222b7980afa6059f5")
 
@@ -270,17 +277,18 @@ def api_built_trees():
 
 
 def test_blowups_of_api_built_trees_are_pinned():
-    assert blowup_digest(api_built_trees()) == (100, "a8de9e08da318d32ed08b7dcd2d0e0f51318817751239ce9361b94825d7832eb")
+    # every tree blows up into a manifold that passes its collapse checks;
+    # the digest pins the blow-ups as they are, not a correctness bound
+    assert all(check_blowup(denjoy_blowup(tree))["ok"] for tree in api_built_trees())
+    assert blowup_digest(api_built_trees()) == (100, "5d5c8d1abfac6c4a97f46fed7fb40989ef67ab6189086da6185d36c2b76fe2e8")
 
 
-def test_a_repeated_adjacency_is_harmless_to_the_axioms():
+def test_a_repeated_adjacency_is_refused():
     m = denjoy_blowup(alternating_line_tree(3))
-    m.add_adjacency(*m.adjacencies[0])
-    tokens, edges = m.identified_graph()
-    assert len(edges) == len(m.arcs) + len(m.adjacencies) - 1
-    assert m.check_axioms() == {"ok": True, "problems": [], "nodes": len(m.nodes), "arcs": len(m.arcs)}
-    with pytest.raises(TreeError, match="duplicate node"):
-        denjoy_blowup(m)
+    adjacencies = list(m.adjacencies)
+    with pytest.raises(TreeError, match=f"^duplicate adjacency {re.escape(repr(adjacencies[0]))}$"):
+        m.add_adjacency(*adjacencies[0])
+    assert list(m.adjacencies) == adjacencies
 
 
 def test_two_points_joining_the_same_two_open_ends_make_a_cycle():
@@ -317,4 +325,4 @@ def test_an_adjacency_must_join_a_node_to_an_arc_end(cap, arc, side, problem):
     tree = OrderTree.build("ab", [("e", "a", "b")])
     with pytest.raises(TreeError, match=f"^{problem}$"):
         tree.add_adjacency(cap, arc, side)
-    assert tree.adjacencies == []
+    assert not tree.adjacencies

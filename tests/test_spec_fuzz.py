@@ -11,6 +11,10 @@ raises a spec error or yields a document whose cone or tree is already
 built, whose cone predicates evaluate, whose scenario exists, and whose
 poset can fail only the relation laws.
 
+A third property writes random tree documents and blows each one up: a
+tree document either blows up into a manifold that passes its checks, or
+fails the blow-up's input axioms, or is malformed.
+
 Radii stay small: the command radius is 0 or 1 and integers inside the
 documents (scenario radii, group ranks) lie in -3..3, because tree
 verification grows fast: ``build-tree z3-lex --radius 3`` takes over a
@@ -29,8 +33,11 @@ import pytest
 from test_golden_cli import FIXTURES
 from treeorder.catalog import get_action_scenario
 from treeorder.cli import SPEC_ERRORS, main
+from treeorder.ordertree import OrderTree, denjoy_blowup
 from treeorder.poset import PosetError
-from treeorder.specio import cone_from_document, parse_document, poset_from_document, tree_from_document
+from treeorder.specio import (
+    cone_from_document, parse_document, poset_from_document, tree_from_document, tree_to_document,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -140,3 +147,57 @@ def test_a_document_that_parses_builds(data):
             poset_from_document(doc)
         except PosetError:
             pass
+
+
+# -- random tree documents ------------------------------------------------------
+
+
+@st.composite
+def raw_tree_bodies(draw):
+    """Nodes of all three kinds, arcs between any two nodes, adjacencies
+    from any node to either end of any arc, and any boundary."""
+    kinds = draw(st.lists(st.sampled_from(["point", "point", "open", "openray"]), min_size=1, max_size=6))
+    nodes = [n if kind == "point" else {"id": n, "kind": kind} for n, kind in enumerate(kinds)]
+    node = st.integers(0, len(kinds) - 1)
+    arcs = [[["e", k], tail, head] for k, (tail, head) in enumerate(draw(st.lists(st.tuples(node, node), max_size=6)))]
+    arc = st.builds(lambda k: ["e", k], st.integers(0, len(arcs)))  # the last names no arc
+    adjacencies = draw(st.lists(st.tuples(node, arc, st.sampled_from(["tail", "head"])).map(list), max_size=3))
+    return {"nodes": nodes, "arcs": arcs, "adjacencies": adjacencies, "boundary": draw(st.lists(node, max_size=2))}
+
+
+@st.composite
+def blown_up_tree_bodies(draw):
+    """The blow-up of a random oriented tree, some boundary leaves kept,
+    with up to three of its caps or boundary leaves given an extra arc in or
+    out, so that the blow-up's moves run on points that carry adjacencies."""
+    n = draw(st.integers(1, 8))
+    tree = OrderTree.build(range(n), [])
+    for v in range(1, n):
+        parent = draw(st.integers(0, v - 1))
+        tree.add_arc(("e", v), *((parent, v) if draw(st.booleans()) else (v, parent)))
+    rays = tree.node_incidences()
+    tree.boundary = {v for v in range(n) if sum(map(len, rays[v])) == 1 and draw(st.booleans())}
+    m = denjoy_blowup(tree)
+    ends = sorted({cap for cap, _arc, _side in m.adjacencies} | m.boundary, key=repr)
+    for k, end in enumerate(draw(st.lists(st.sampled_from(ends), max_size=3)) if ends else ()):
+        m.add_node(("x", k))
+        m.add_arc(("extra", k), *((end, ("x", k)) if draw(st.booleans()) else (("x", k), end)))
+    return tree_to_document(m)["body"]
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@hypothesis.given(body=blown_up_tree_bodies() | raw_tree_bodies(), repeat=st.sampled_from([False] * 3 + [True]))
+def test_a_tree_document_blows_up_or_is_refused(body, repeat, spec_path):
+    if repeat and body.get("adjacencies"):
+        body["adjacencies"].append(body["adjacencies"][0])
+    spec_path.write_text(json.dumps({"version": "1", "kind": "tree", "body": body}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["blowup", str(spec_path)])
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 0:
+        assert out.getvalue().endswith("result: PASS\n") and not lines
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("check failed: blow-up needs a well-formed tree: "), lines
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ import oracles
 from treeorder.catalog import dihedral_standard
 from treeorder.groups import GroupError, TableGroup
 from treeorder.orbitorder import ConePipeline
-from treeorder.ordertree import alternating_line_tree, denjoy_blowup
+from treeorder.ordertree import OrderTree, alternating_line_tree, denjoy_blowup
 from treeorder.poset import from_pairs
 from treeorder.specio import (
     SpecError,
@@ -242,6 +243,15 @@ def test_dot_output_is_deterministic_and_marked():
     assert out1.startswith("digraph")
     assert "style=dashed" in out1
     assert "style=bold" in out1
+
+
+def test_dot_strings_escape_backslashes_and_quotes():
+    tree = OrderTree.build(["a\\", 'b"q'], [("e", "a\\", 'b"q')], boundary=["a\\"])
+    text = tree_to_dot(tree, node_labels={'b"q': ["x\\y"]}, arc_labels={"e": [('"', Fraction(1, 2))]})
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for line in text.splitlines()[2:-1]:
+        assert '"' not in quoted.sub("", line), line
+    assert '  "b\\"q" [label="b\\"q\\nx\\\\y", shape=ellipse];' in text.splitlines()
 
 
 def test_canonical_json_shape():

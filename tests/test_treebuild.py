@@ -340,7 +340,7 @@ LAYOUT_STAGES = (0, 1, 2, 3, 6, None)
 def layout_rows(state):
     layout = orient_segments(state)
     tree = layout.tree
-    return (sorted(tree.nodes), sorted((a.id, a.tail, a.head) for a in tree.arcs.values()), sorted(tree.boundary),
+    return (sorted(tree.nodes), sorted((aid, a.tail, a.head) for aid, a in tree.arcs.items()), sorted(tree.boundary),
             list(layout.node_labels.items()), list(layout.label_point.items()), layout.checked_labels,
             verify_stage_properties(state))
 
