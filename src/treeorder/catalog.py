@@ -128,10 +128,10 @@ def derive_cone_pieces(radius: int = 6) -> dict:
     Classifies every ball element by its orbit relation to the identity;
     this is the provenance oracle for dihedral_standard.
     """
-    from .orbitorder import DIHEDRAL_BASE_POINT, dihedral_example, orbit_poset
+    from .orbitorder import orbit_poset
 
-    _, manifold, action = dihedral_example(radius)
-    orb = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
+    manifold, action, base = _dihedral_scenario(radius)
+    orb = orbit_poset(manifold, action, base, radius)
     ident = action.group.identity
     return {g: EQ if g == ident else orb.poset.rel(ident, g) for g in orb.realized}
 
@@ -274,12 +274,10 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
     pipe = ConePipeline.of(cone, radius)
     state = pipe.build(stages)
     props = verify_stage_properties(state)
-    layout = pipe.layout(stages)
     by_point: dict = {}
-    for lab in state.nu:
-        if lab[1] != PLAIN:
-            continue
-        by_point.setdefault(state.point_of(lab), []).append(lab[0])
+    for lab, pt in pipe.layout(stages).label_point.items():
+        if lab[1] == PLAIN:
+            by_point.setdefault(pt, []).append(lab[0])
     collisions = [v for v in by_point.values() if len(v) > 1]
     return {
         "ok": props["ok"] and not collisions,
@@ -297,7 +295,7 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
             "gaps": len(props["gaps"]["undetermined"]),
             "identity": len(props["identity"]["undetermined"]),
         },
-        "oriented_labels": layout.checked_labels,
+        "oriented_labels": sum(map(len, by_point.values())),
         "label_collisions": collisions[:3],
     }
 
@@ -305,20 +303,9 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
 def run_roundtrip_suite(cone: ConeStructure, radius: int = 6) -> dict:
     """Build, blow up, act, and compare the orbit order with the ball order;
     undetermined pairs are the ones touching an escaped element."""
-    from fractions import Fraction
-
     from .orbitorder import roundtrip_orbit
 
-    rep = roundtrip_orbit(cone, radius=radius)
-    n_ball = rep["ball"]
-    n_real = rep["realized"]
-    total_pairs = n_ball * (n_ball - 1) // 2
-    determined_pairs = n_real * (n_real - 1) // 2
-    return {
-        **rep,
-        "pair_coverage": Fraction(determined_pairs, total_pairs) if total_pairs else Fraction(1),
-        "undetermined_elements": list(rep["orbit"].escaped),
-    }
+    return roundtrip_orbit(cone, radius=radius)
 
 
 def run_blowup_suite(radius: int = 6) -> dict:
@@ -367,10 +354,9 @@ def run_quotient_suite(name: str, radius: int = 6) -> dict:
 def run_orbit_suite(radius: int = 6) -> dict:
     """Dihedral orbit order shape: valid but not strongly connected, with
     both tag kinds present and no realized bounds behind any tag."""
-    from .orbitorder import DIHEDRAL_BASE_POINT, dihedral_example, orbit_poset, realized_bound
+    from .orbitorder import orbit_poset, realized_bound
 
-    _, manifold, action = dihedral_example(radius)
-    orb = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
+    orb = orbit_poset(*_dihedral_scenario(radius), radius)
     p = orb.poset
     unbacked = p.check_strongly_connected()
     tags = {p.rel(a, b) for a, b in p.iter_pairs()}

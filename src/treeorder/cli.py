@@ -214,7 +214,7 @@ def _cmd_blowup(args) -> int:
     for kind in manifold.nodes.values():
         kinds[kind] = kinds.get(kind, 0) + 1
     lines = [f"blowup: {len(tree.arcs)} arcs in, {len(manifold.arcs)} arcs out"]
-    lines.append(f"  branchless: {'pass' if manifold.is_branchless() else 'FAIL'}")
+    lines.append(f"  branchless: {'FAIL' if 'result branches' in report['problems'] else 'pass'}")
     lines.append(f"  collapse checks: {'pass' if report['ok'] else 'FAIL'}")
     for prob in report["problems"][:5]:
         lines.append(f"    witness: {prob}")

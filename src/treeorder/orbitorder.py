@@ -317,15 +317,17 @@ class ConePipeline:
                     want = induced.rel(g, h)
                     if got != want:
                         mismatches.append((g, h, got, want))
-        ball_size = len(induced.elements)
+        n_ball, n_real = len(induced.elements), len(orbit.realized)
         return {
             "ok": not mismatches,
             "cone": self.cone.name,
             "radius": self.radius,
-            "realized": len(orbit.realized),
+            "realized": n_real,
             "escaped": len(orbit.escaped),
-            "ball": ball_size,
-            "coverage": Fraction(len(orbit.realized), ball_size),
+            "undetermined_elements": list(orbit.escaped),
+            "ball": n_ball,
+            "coverage": Fraction(n_real, n_ball),
+            "pair_coverage": Fraction(n_real * (n_real - 1), n_ball * (n_ball - 1)) if n_ball > 1 else Fraction(1),
             "mismatches": mismatches,
             "orbit": orbit,
         }
@@ -337,8 +339,8 @@ def roundtrip_orbit(cone: ConeStructure, radius: int = 6) -> dict:
 
     The pulled-back order must agree with the ball order induced by the cone
     on every realized pair; elements outside the built part are excluded and
-    counted, never guessed.  The report is shared with the cone's pipeline;
-    copy it before changing it.
+    listed, never guessed (``pair_coverage`` is the share of pairs realized).
+    The report is shared with the cone's pipeline; copy it to change it.
     """
     return ConePipeline.of(cone, radius).roundtrip()
 

@@ -22,7 +22,8 @@ traffic on both sides stretches into an interval, a sink or source grows a ray
 in the missing direction, and what still branches splits into one endpoint per
 ray, all but the distinguished ray, whose end stays open.  Every ray moves by
 one rule: a point's own arc end moves to the new node, and an adjacency moves
-onto it.  The collapse map back to the base tree is kept on the result.
+onto it.  The collapse map back to the base tree is kept on the result.  The
+points are visited in insertion order; new ids are built from base ids.
 
 Nodes marked as window boundary are truncation artifacts of an infinite
 object; they must be leaves, and the blow-up leaves them alone.
@@ -180,9 +181,6 @@ class OrderTree:
         return all(len(ins) <= 1 and len(outs) <= 1
                    for nid, (ins, outs) in rays.items() if self.nodes[nid] == "point")
 
-    def sorted_node_ids(self) -> list:
-        return sorted(self.nodes, key=repr)
-
     def sorted_arc_ids(self) -> list:
         return sorted(self.arcs, key=repr)
 
@@ -197,7 +195,7 @@ class OrderTree:
         endpoint to the open arc end it touches: (tokens, edges).  The arcs
         come first, each edge labelled by its arc; the others by None.  The
         tokens are listed in the order the edges reach them."""
-        edges = [(self._end_token(aid, "tail"), self._end_token(aid, "head"), aid) for aid in self.sorted_arc_ids()]
+        edges = [(self._end_token(aid, "tail"), self._end_token(aid, "head"), aid) for aid in self.arcs]
         edges += [(("n", cap), ("end", aid, side), None) for cap, aid, side in self.adjacencies]
         return list(dict.fromkeys(t for u, v, _aid in edges for t in (u, v))), edges
 
@@ -262,11 +260,10 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     if not check["ok"]:
         raise TreeError("blow-up needs a well-formed tree: " + "; ".join(check["problems"]))
     m = OneManifold(tree)
-    for nid in tree.sorted_node_ids():
-        m.add_node(nid, tree.nodes[nid])
+    for nid, kind in tree.nodes.items():
+        m.add_node(nid, kind)
         m.phi_nodes[nid] = nid
-    for aid in tree.sorted_arc_ids():
-        arc = tree.arcs[aid]
+    for aid, arc in tree.arcs.items():
         m.add_arc(aid, arc.tail, arc.head, arc.kind, arc.core)
         m.phi_arcs[aid] = ("base-arc", aid)
     m.boundary = set(tree.boundary)
@@ -321,8 +318,8 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     # rewires only the arc ends and adjacencies at its own node, so later
     # nodes keep theirs
     rays = m.node_incidences()
-    for nid in tree.sorted_node_ids():
-        if nid in m.boundary or tree.nodes[nid] != "point":
+    for nid, kind in tree.nodes.items():
+        if nid in m.boundary or kind != "point":
             continue
         ins, outs = rays[nid]
         if len(ins) <= 1 or len(outs) <= 1:

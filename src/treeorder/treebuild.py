@@ -72,8 +72,7 @@ class BetweenDecomposition(NamedTuple):
 
 def auto_pairs(poset: ExtendedPoset) -> list:
     """Star cover: pair the first element with every other, in poset order."""
-    root = poset.elements[0]
-    return [(root, e) for e in poset.elements if e != root]
+    return [(poset.elements[0], e) for e in poset.elements[1:]]
 
 
 def normalize_decomposition(
@@ -94,6 +93,8 @@ def normalize_decomposition(
     built part in a single element or is explicitly forced (``case2``) to
     attach as a truncated limit.
     """
+    if not poset.elements:
+        raise BuildError("an empty poset has no tree")
     pairs = [tuple(p) for p in pairs]
     known = set(poset.elements)
     for x, y in pairs:
@@ -161,11 +162,6 @@ class LabeledTree:
 
     def find(self, pt: tuple) -> tuple:
         return self._glued.get(pt, pt)
-
-    def point_of(self, label: tuple) -> tuple:
-        if label not in self.nu:
-            raise BuildError(f"label {format_aug(label, self.fmt)} is not built")
-        return self.find(self.nu[label])
 
     def label_key(self, label: tuple) -> tuple:
         return (self.poset.index(label[0]), label[1])
@@ -355,7 +351,6 @@ class BuildLayout(NamedTuple):
     tree: OrderTree
     node_labels: dict
     label_point: dict
-    checked_labels: int
 
 
 def _coordinates(state: LabeledTree) -> list:
@@ -378,7 +373,6 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
     labels is a construction error.
     """
     directions: dict = {}
-    checked = 0
     for lab, (i, c) in state.nu.items():
         if lab[1] == PLAIN:
             unit = math.floor(c)
@@ -388,7 +382,6 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
                     f"direction of unit {unit} in interval {i} disagrees at "
                     f"{state.format_label(lab)}"
                 )
-            checked += 1
 
     targets = set(state._glued.values())
     nodes = set()
@@ -420,7 +413,7 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
     for lab, pt in label_point.items():
         if pt[0] == "node":
             node_labels[pt[1]] = node_labels.get(pt[1], ()) + (lab,)
-    return BuildLayout(OrderTree.build(sorted(nodes), arcs, boundary), node_labels, label_point, checked)
+    return BuildLayout(OrderTree.build(sorted(nodes), arcs, boundary), node_labels, label_point)
 
 
 # -- structural verification ------------------------------------------------

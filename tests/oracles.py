@@ -390,6 +390,19 @@ def is_core_point(m, p) -> bool:
     return m.nodes[p[1]] == "point"
 
 
+def tree_roundtrip(p):
+    """The loop poset -> tree -> blow-up -> poset: build the tree of ``p``,
+    blow it up and order the points of its plain labels on the manifold.
+    An admissible ``p`` comes back with its own elements and rows."""
+    from treeorder.grouporder import PLAIN
+    from treeorder.ordertree import denjoy_blowup, manifold_poset
+    from treeorder.treebuild import build_tree, orient_segments
+
+    layout = orient_segments(build_tree(p))
+    points = {g: layout.label_point[g, PLAIN] for g in p.elements}
+    return manifold_poset(denjoy_blowup(layout.tree), points)
+
+
 def build_predicate(expr: dict, group_spec: dict):
     """The predicate a spec expression names, read as the positive piece of a
     one-piece group-order document over the group ``group_spec`` names."""

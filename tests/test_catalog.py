@@ -27,6 +27,7 @@ from treeorder.catalog import (
     run_roundtrip_suite,
     z_standard,
 )
+from treeorder.orbitorder import roundtrip_orbit
 
 
 def test_builtin_cones_resolve():
@@ -101,6 +102,7 @@ def test_build_suites_pass():
 def test_roundtrip_suites_are_exact_here():
     for cone in (z_standard(), dihedral_standard()):
         rep = run_roundtrip_suite(cone, 4)
+        assert rep is roundtrip_orbit(cone, 4)  # the pipeline's one report
         assert rep["ok"], rep["mismatches"]
         assert rep["pair_coverage"] == Fraction(1)
         assert rep["undetermined_elements"] == []

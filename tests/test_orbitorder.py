@@ -475,7 +475,7 @@ def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points()
         m = denjoy_blowup(tree)
         points = [("arc", aid, Fraction(k, 3)) for aid in m.sorted_arc_ids() for k in (1, 2)]
         graph = manifold_graph(m)
-        for nid in m.sorted_node_ids():
+        for nid in sorted(m.nodes, key=repr):
             node = ("node", nid)
             if m.nodes[nid] == "point" and all(manifold_order(m, node, q, graph) != EQ for q in points):
                 points.append(node)

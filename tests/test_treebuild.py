@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from treeorder import grouporder
 from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone, run_build_suite, z_standard
 from treeorder.cli import main
+from treeorder.corpus import all_extended_posets, tree_corpus
 from treeorder.errors import ConeError
 from treeorder.grouporder import (
     PLAIN,
@@ -37,8 +39,12 @@ def plains_placed(state):
     out = {}
     for lab in state.nu:
         if lab[1] == PLAIN:
-            out[lab[0]] = state.point_of(lab)
+            out[lab[0]] = state.find(state.nu[lab])
     return out
+
+
+def plain_label_count(layout):
+    return sum(lab[1] == PLAIN for lab in layout.label_point)
 
 
 def test_integer_build_properties_hold():
@@ -69,7 +75,7 @@ def test_dihedral_build_properties_hold():
 def test_orientation_is_direction_independent():
     state = build_from_cones(dihedral_standard(), radius=4, stages=4)
     layout = orient_segments(state)
-    assert 0 < layout.checked_labels <= len(state.nu)
+    assert 0 < plain_label_count(layout) <= len(state.nu)
     assert set(layout.label_point) == set(state.nu)
 
 
@@ -110,7 +116,7 @@ def test_truncated_limit_gluing_leaves_gaps_undetermined():
     assert props["ok"], props
     assert len(props["gaps"]["undetermined"]) == 2
     assert len(props["identity"]["undetermined"]) == 0
-    assert orient_segments(state).checked_labels == 7
+    assert plain_label_count(orient_segments(state)) == 7
 
 
 def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
@@ -329,10 +335,42 @@ def test_no_pairs_cover_a_one_element_poset_and_nothing_larger():
         normalize_decomposition(from_pairs("ab", [("a", "lt", "b")]), [])
 
 
+def test_an_empty_poset_has_no_tree():
+    empty = from_pairs([], [])
+    for build in (lambda: build_tree(empty), lambda: normalize_decomposition(empty, [])):
+        with pytest.raises(BuildError, match="^an empty poset has no tree$"):
+            build()
+
+
+def ball_posets() -> list:
+    """The ball order of every builtin cone at radius 0-3 that has one."""
+    posets = []
+    for name in sorted(BUILTIN_CONES):
+        for radius in range(4):
+            try:
+                posets.append(induced_ball_poset(get_cone(name), radius))
+            except ConeError:
+                pass  # z-broken and z2-product have no ball order past radius 0
+    return posets
+
+
+@pytest.mark.parametrize("population, size", [
+    (lambda: [p for n in range(1, 5) for p in all_extended_posets(n)], 437),
+    (lambda: tree_corpus(100), 100),
+    (ball_posets, 22),
+], ids=["posets-1-4", "trees-100", "balls-r3"])
+def test_a_poset_comes_back_from_the_blow_up_of_its_tree(population, size):
+    posets = population()
+    assert len(posets) == size
+    for p in posets:
+        q = oracles.tree_roundtrip(p)
+        assert (q.elements, q.rows) == (p.elements, p.rows), p.elements
+
+
 # -- the layout and its verification, pinned per build -------------------------
 # One sha256 per (cone, radius) over the builds at every stage count of
 # LAYOUT_STAGES: the layout tree (nodes, arc tail/head, boundary),
-# node_labels, label_point, checked_labels and the verification report.
+# node_labels, label_point, the plain-label count and the verification report.
 
 LAYOUT_STAGES = (0, 1, 2, 3, 6, None)
 
@@ -341,7 +379,7 @@ def layout_rows(state):
     layout = orient_segments(state)
     tree = layout.tree
     return (sorted(tree.nodes), sorted((aid, a.tail, a.head) for aid, a in tree.arcs.items()), sorted(tree.boundary),
-            list(layout.node_labels.items()), list(layout.label_point.items()), layout.checked_labels,
+            list(layout.node_labels.items()), list(layout.label_point.items()), plain_label_count(layout),
             verify_stage_properties(state))
 
 
