@@ -17,7 +17,7 @@ import random
 from itertools import combinations
 from typing import Iterator, List
 
-from .poset import ExtendedPoset, _bits
+from .poset import ExtendedPoset, PosetError, _bits
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
 BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
@@ -30,6 +30,8 @@ def base_orders(n: int) -> Iterator[tuple]:
     set U (up-closed), disjoint, with every member of D below every member
     of U; each order arises from exactly one choice sequence.
     """
+    if n < 0:
+        raise PosetError(f"point count must not be negative, got {n}")
     if n == 0:
         yield ((), ())
         return
@@ -71,17 +73,21 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
     For each base order, incomparable pairs with a realized bound have their
     tag forced.  The free pairs are tagged depth first, last pair first and
     downward before upward, which lists the posets in the order of counting
-    through the tag choices as a binary number.  A branch is cut as soon as
-    an endpoint's rows break acyclicity, the one axiom a tag choice can
-    break.  Each leaf still goes through the ExtendedPoset constructor,
-    whose validation is the single source of truth for admissibility.
+    through the tag choices as a binary number.  A tag can break only
+    acyclicity, and only at its endpoints, so a new tag, forced or free, is
+    tested alone: i ~l j needs simu[i] below j and simu[j] below i, and
+    i ~u j needs siml[i] above j and siml[j] above i.  A branch whose tag
+    fails is cut.  Each leaf still goes through the ExtendedPoset
+    constructor, whose validation is the single source of truth for
+    admissibility.
     """
     out: List[ExtendedPoset] = []
     elements = tuple(range(n))
 
-    def acyclic(x: int) -> bool:
-        # x ~u y and x ~l z need z > y
-        return not any(siml[x] & ~up[y] for y in _bits(simu[x]))
+    def fits(i: int, j: int, upward: int) -> bool:
+        # x ~u y and x ~l z need z > y: the test for the new tag i ~ j
+        other, bounds = (siml, up) if upward else (simu, down)
+        return not (other[i] & ~bounds[j] or other[j] & ~bounds[i])
 
     def tag(k: int) -> None:
         # tag pairs[:k] every acyclic way, one poset per leaf
@@ -89,13 +95,13 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
             out.append(ExtendedPoset(elements, up, down, simu, siml))
             return
         i, j = pairs[k - 1]
-        for rows in (siml, simu):
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
-            if acyclic(i) and acyclic(j):
+        for upward, rows in enumerate((siml, simu)):
+            if fits(i, j, upward):
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
                 tag(k - 1)
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
 
     for up, down in base_orders(n):
         simu, siml, pairs = [0] * n, [0] * n, []
@@ -103,17 +109,16 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
             if (up[i] | down[i]) >> j & 1:
                 continue
             has_upper, has_lower = up[i] & up[j], down[i] & down[j]
-            if has_upper and has_lower:
-                break  # no tag fits: the base order admits no tagging
-            if has_upper or has_lower:
+            if not (has_upper or has_lower):
+                pairs.append((i, j))
+            elif has_upper and has_lower or not fits(i, j, has_upper):
+                break  # the forced tag does not fit: the base order admits no tagging
+            else:
                 rows = simu if has_upper else siml
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            else:
-                pairs.append((i, j))
         else:
-            if all(acyclic(x) for x in range(n)):
-                tag(len(pairs))
+            tag(len(pairs))
     return out
 
 
@@ -131,6 +136,8 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
 
     from .ordertree import OrderTree, manifold_poset
 
+    if max_points < 2:
+        raise PosetError(f"max_points must be at least 2, got {max_points}")
     n_nodes = rng.randint(2, 9)
     tree = OrderTree()
     tree.add_node(0)

@@ -143,18 +143,15 @@ class ExtendedPoset:
     def __init__(self, elements: Sequence[Element], up: Sequence[int], down: Sequence[int],
                  simu: Sequence[int], siml: Sequence[int]):
         self.elements: tuple = tuple(elements)
-        self._idx = {e: i for i, e in enumerate(self.elements)}
-        if len(self._idx) != len(self.elements):
+        if len(set(self.elements)) != len(self.elements):
             raise PosetError("duplicate elements")
         self.n = n = len(self.elements)
         self._up, self._down, self._simu, self._siml = tuple(up), tuple(down), tuple(simu), tuple(siml)
         self._comp = [self._up[i] | self._down[i] for i in range(n)]
-        self._check_rows()
-        self._bet: dict = {}  # B(i, j) masks keyed by i * n + j with i < j
         self._validate()
-        # chain-relatedness rows, filled on demand: partners tested, partners related
-        self._tested = [1 << i for i in range(n)]
-        self._orel = list(self._tested)
+        self._bet: dict = {}  # B(i, j) masks keyed by i * n + j with i < j
+        self._idx = None  # element -> index, on the first index()
+        self._tested = self._orel = None  # chain rows, partners tested and partners related, from the first chain test
         self._partial = None  # mask of the k with comp[k] | {k} not everything, from the first chain test
         self._geo = None  # BetweenGeometry, on the first law check
 
@@ -178,62 +175,58 @@ class ExtendedPoset:
 
     # -- validation -------------------------------------------------
 
-    def _check_rows(self) -> None:
+    def _validate(self) -> None:
+        """Raise PosetError at the first failed check: rows, swap, transitivity, bounds, acyclicity."""
         # each row names every partner exactly once; then down being the
         # transpose of up and simu being symmetric is the whole swap
         # condition, and siml follows
-        n = self.n
+        n, elements = self.n, self.elements
         up, down, simu, siml = self._up, self._down, self._simu, self._siml
         everyone = (1 << n) - 1
-        for i in range(n):
-            tagged = simu[i] | siml[i]
-            once = self._comp[i] & tagged | up[i] & down[i] | simu[i] & siml[i]
-            stray = once | (self._comp[i] | tagged) ^ (everyone & ~(1 << i))
+        swapped = sum(map(int.bit_count, up)) == sum(map(int.bit_count, down))
+        for i, comp in enumerate(self._comp):
+            ui, si, li, bit = up[i], simu[i], siml[i], 1 << i
+            tagged = si | li
+            stray = comp & tagged | ui & down[i] | si & li | (comp | tagged) ^ (everyone & ~bit)
             if stray:
                 j = next(_bits(stray))
-                a, b = self.elements[i], self.elements[j]
-                raise PosetError(f"pair ({a!r}, {b!r}) has no admissible relation")
-        swapped = (sum(map(int.bit_count, up)) == sum(map(int.bit_count, down))
-                   and all(down[j] >> i & 1 for i in range(n) for j in _bits(up[i]))
-                   and all(simu[j] >> i & 1 for i in range(n) for j in _bits(simu[i])))
+                raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
+            for j in _bits(ui | si):
+                if not (down[j] if ui >> j & 1 else simu[j]) & bit:
+                    swapped = False
         if not swapped:
             i, j = next((i, j) for i in range(n) for j in range(n)
                         if i != j and self._code(j, i) != SWAP[self._code(i, j)])
-            a, b = self.elements[i], self.elements[j]
-            raise PosetError(f"pair ({a!r}, {b!r}) disagrees with its swap")
-
-    def _validate(self) -> None:
-        n = len(self.elements)
+            raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) disagrees with its swap")
         for i in range(n):
-            for j in _bits(self._up[i]):
-                stray = self._up[j] & ~self._up[i]
+            ui = up[i]
+            for j in _bits(ui):
+                stray = up[j] & ~ui
                 if stray:
-                    k = next(_bits(stray))
-                    a, b, c = self.elements[i], self.elements[j], self.elements[k]
+                    a, b, c = elements[i], elements[j], elements[next(_bits(stray))]
                     raise PosetError(f"comparabilities not transitive: {a!r} < {b!r} < {c!r} but not {a!r} < {c!r}")
         for i in range(n):
-            for j in _bits(self._simu[i] | self._siml[i]):
-                if j < i:
-                    continue
-                has_upper = bool(self._up[i] & self._up[j])
-                has_lower = bool(self._down[i] & self._down[j])
-                a, b = self.elements[i], self.elements[j]
+            ui, di, si = up[i], down[i], simu[i]
+            for j in _bits((si | siml[i]) >> i << i):
+                has_upper, has_lower = ui & up[j], di & down[j]
                 if has_upper and has_lower:
-                    raise PosetError(f"pair ({a!r}, {b!r}) has both kinds of common bound; the base order is not acyclic")
-                upward = self._simu[i] >> j & 1
-                if has_upper and not upward:
-                    raise PosetError(f"pair ({a!r}, {b!r}) tagged downward-similar but shares an upper bound")
-                if has_lower and upward:
-                    raise PosetError(f"pair ({a!r}, {b!r}) tagged upward-similar but shares a lower bound")
+                    problem = "has both kinds of common bound; the base order is not acyclic"
+                elif has_upper and not si >> j & 1:
+                    problem = "tagged downward-similar but shares an upper bound"
+                elif has_lower and si >> j & 1:
+                    problem = "tagged upward-similar but shares a lower bound"
+                else:
+                    continue
+                raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) {problem}")
         for i in range(n):
-            u, low = self._simu[i], self._siml[i]
-            if not (u and low):
+            si, li = simu[i], siml[i]
+            if not (si and li):
                 continue
-            for j in _bits(u):
-                bad = low & ~self._up[j]
+            for j in _bits(si):
+                bad = li & ~up[j]
                 if bad:
                     k = next(_bits(bad))
-                    a, b, c = self.elements[i], self.elements[j], self.elements[k]
+                    a, b, c = elements[i], elements[j], elements[k]
                     raise PosetError(
                         f"tagging not acyclic: {a!r} ~u {b!r} and {a!r} ~l {c!r} require {c!r} > {b!r}, got "
                         f"{REL_NAMES[self._code(k, j)]}"
@@ -247,6 +240,8 @@ class ExtendedPoset:
         return self._up, self._down, self._simu, self._siml
 
     def index(self, a: Element) -> int:
+        if self._idx is None:
+            self._idx = {e: i for i, e in enumerate(self.elements)}
         try:
             return self._idx[a]
         except KeyError:
@@ -291,28 +286,24 @@ class ExtendedPoset:
         return between_by_codes(self._code(i, k), self._code(i, j), self._code(j, k))
 
     def _between_mask(self, i: int, j: int) -> int:
-        """B(i, j) as a mask: each case of between_by_codes is two row ANDs."""
+        """B(i, j) as a mask, kept in the ``_bet`` memo: each case of between_by_codes is two row ANDs."""
         if j < i:
             i, j = j, i
         key = i * self.n + j
         mask = self._bet.get(key)
         if mask is None:
-            mask = self._bet[key] = self._between_fresh(i, j)
+            up, down, simu, siml = self._up, self._down, self._simu, self._siml
+            bit = 1 << j
+            if up[i] & bit:
+                inner = up[i] & down[j] | simu[i] & siml[j]
+            elif down[i] & bit:
+                inner = down[i] & up[j] | siml[i] & simu[j]
+            elif siml[i] & bit:
+                inner = siml[i] & down[j] | siml[j] & down[i]
+            else:
+                inner = simu[i] & up[j] | simu[j] & up[i]
+            mask = self._bet[key] = inner | 1 << i | bit
         return mask
-
-    def _between_fresh(self, i: int, j: int) -> int:
-        """B(i, j) for i < j, computed and not stored."""
-        up, down, simu, siml = self._up, self._down, self._simu, self._siml
-        bit = 1 << j
-        if up[i] & bit:
-            inner = up[i] & down[j] | simu[i] & siml[j]
-        elif down[i] & bit:
-            inner = down[i] & up[j] | siml[i] & simu[j]
-        elif siml[i] & bit:
-            inner = siml[i] & down[j] | siml[j] & down[i]
-        else:
-            inner = simu[i] & up[j] | simu[j] & up[i]
-        return inner | 1 << i | bit
 
     def _is_chain(self, mask: int) -> bool:
         if self._partial is None:  # only members short of a comparability can break a chain
@@ -324,6 +315,8 @@ class ExtendedPoset:
 
     def _related(self, i: int, within: int) -> int:
         """Mask of the j in ``within`` with B(i, j) a chain; i is related to itself."""
+        if self._tested is None:
+            self._tested, self._orel = [1 << k for k in range(self.n)], [1 << k for k in range(self.n)]
         for j in _bits(within & ~self._tested[i]):
             if self._is_chain(self._between_mask(i, j)):
                 self._orel[i] |= 1 << j
@@ -364,7 +357,7 @@ class ExtendedPoset:
         member is chain-related to exactly its own run within B(a, b), which
         makes chain-relatedness an equivalence there."""
         listed = self.between_members(a, b)
-        members = [self._idx[m] for m in listed]
+        members = [self.index(m) for m in listed]
         mask = self._between_mask(members[0], members[-1])
         classes: list = []
         current = [members[0]]
@@ -426,14 +419,26 @@ class ExtendedPoset:
         return out
 
     def _between_table(self) -> tuple:
-        """B(i, j) for every ordered pair, with {i} on the diagonal.  Masks
+        """B(i, j) for every ordered pair, with {i} on the diagonal, read off
+        the rows in one pass by the cases of ``_between_mask``.  Masks
         already in the ``_bet`` memo are read from it; the rest are not
         stored, since the laws read them only from the geometry's table."""
-        n, memo, fresh = self.n, self._bet.get, self._between_fresh
+        n, memo = self.n, self._bet.get
+        up, down, simu, siml = self._up, self._down, self._simu, self._siml
         bet = [[1 << i] * n for i in range(n)]
         for i in range(n):
+            ui, di, si, li, row = up[i], down[i], simu[i], siml[i], bet[i]
             for j in range(i + 1, n):
-                bet[i][j] = bet[j][i] = memo(i * n + j) or fresh(i, j)
+                bit = 1 << j
+                if ui & bit:
+                    inner = ui & down[j] | si & siml[j]
+                elif di & bit:
+                    inner = di & up[j] | li & simu[j]
+                elif li & bit:
+                    inner = li & down[j] | siml[j] & di
+                else:
+                    inner = si & up[j] | simu[j] & ui
+                row[j] = bet[j][i] = memo(i * n + j) or inner | 1 << i | bit
         return tuple(map(tuple, bet))
 
     def _geometry(self) -> BetweenGeometry:
@@ -464,7 +469,7 @@ class ExtendedPoset:
                     return False
                 if rel >> q & 1 and not row[j] & ~comp[j] & ~(1 << j):
                     rel |= 1 << j
-            if (rel ^ self._orel[i]) & self._tested[i]:
+            if self._tested is not None and (rel ^ self._orel[i]) & self._tested[i]:
                 return False
             related.append(rel)
         for i, (order, preds) in enumerate(geo.walks):

@@ -74,6 +74,51 @@ def naive_admissible(n, less, tags) -> bool:
     return True
 
 
+def naive_poset_error(elements, up, down, simu, siml):
+    """The first error text the ExtendedPoset constructor raises on these
+    rows, or None when it accepts them.  The rows are read into a table of
+    the relation names holding each ordered pair, and each check is a
+    quantifier loop over pairs or triples in row-major order: rows, swap,
+    transitivity, bounds, acyclicity.  Row bits stay below len(elements)."""
+    n = len(elements)
+    if len(set(elements)) != n:
+        return "duplicate elements"
+    names = {(i, j): [name for name, rows in (("lt", up), ("gt", down), ("simu", simu), ("siml", siml))
+                      if rows[i] >> j & 1] for i in range(n) for j in range(n)}
+
+    def pair(i, j):
+        return f"pair ({elements[i]!r}, {elements[j]!r})"
+
+    for i, j in itertools.product(range(n), repeat=2):
+        if len(names[(i, j)]) != (i != j):
+            return f"{pair(i, j)} has no admissible relation"
+    rel = {key: found[0] if found else "eq" for key, found in names.items()}
+    swap = {"lt": "gt", "gt": "lt", "simu": "simu", "siml": "siml", "eq": "eq"}
+    for i, j in itertools.product(range(n), repeat=2):
+        if rel[(j, i)] != swap[rel[(i, j)]]:
+            return f"{pair(i, j)} disagrees with its swap"
+    a = elements
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if rel[(i, j)] == rel[(j, k)] == "lt" and rel[(i, k)] != "lt":
+            return f"comparabilities not transitive: {a[i]!r} < {a[j]!r} < {a[k]!r} but not {a[i]!r} < {a[k]!r}"
+    for i, j in itertools.combinations(range(n), 2):
+        if rel[(i, j)] not in ("simu", "siml"):
+            continue
+        has_upper = any(rel[(i, c)] == rel[(j, c)] == "lt" for c in range(n))
+        has_lower = any(rel[(i, c)] == rel[(j, c)] == "gt" for c in range(n))
+        if has_upper and has_lower:
+            return f"{pair(i, j)} has both kinds of common bound; the base order is not acyclic"
+        if has_upper and rel[(i, j)] != "simu":
+            return f"{pair(i, j)} tagged downward-similar but shares an upper bound"
+        if has_lower and rel[(i, j)] != "siml":
+            return f"{pair(i, j)} tagged upward-similar but shares a lower bound"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if rel[(i, j)] == "simu" and rel[(i, k)] == "siml" and rel[(k, j)] != "gt":
+            return (f"tagging not acyclic: {a[i]!r} ~u {a[j]!r} and {a[i]!r} ~l {a[k]!r} require "
+                    f"{a[k]!r} > {a[j]!r}, got {rel[(k, j)]}")
+    return None
+
+
 def naive_extended_tables(n: int) -> list:
     """Every admissible tagged order on range(n), as a relation name per
     pair (i, j) with i < j: each strict order crossed with every tagging of
@@ -310,8 +355,10 @@ def single_pass_certified(p, bet) -> bool:
     """The suite's certificate as one pass over the between table ``bet``
     (rows of B(i, j) masks), travel and comparability together, kept as the
     reference for the certificate split into a between geometry and a
-    per-poset half.  Reads the poset's comparability rows and chain memo."""
+    per-poset half.  Reads the poset's comparability rows and chain memo;
+    chain rows never allocated mean no chain test has run yet."""
     n, comp, related, walks = p.n, p._comp, [], []
+    tested, orel = (p._tested, p._orel) if p._tested is not None else ([0] * n, [0] * n)
     for i, row in enumerate(bet):
         pred, rel, walk = {1 << i: i}, 1 << i, []
         for j in sorted(range(n), key=list(map(int.bit_count, row)).__getitem__):
@@ -325,7 +372,7 @@ def single_pass_certified(p, bet) -> bool:
             if rel >> q & 1 and not m & ~comp[j] & ~(1 << j):
                 rel |= 1 << j
             walk.append((j, q, m))
-        if (rel ^ p._orel[i]) & p._tested[i]:
+        if (rel ^ orel[i]) & tested[i]:
             return False
         related.append(rel)
         walks.append(walk)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from treeorder.corpus import (
     run_relation_suite,
     tree_corpus,
 )
-from treeorder.poset import SIML, SIMU, ExtendedPoset
+from treeorder.poset import SIML, SIMU, ExtendedPoset, PosetError
 
 
 def test_base_counts_match_the_reference_sequence():
@@ -86,6 +87,20 @@ def test_three_element_census():
     assert tallies == {"total": 32, "untagged": 6, "trivial": 20, "mixed": 6}
 
 
+@pytest.mark.parametrize("count", [all_extended_posets, count_base_orders])
+def test_a_negative_point_count_is_refused(count):
+    with pytest.raises(PosetError, match=r"^point count must not be negative, got -1$"):
+        count(-1)
+
+
+@pytest.mark.parametrize("draw", [lambda: random_tree_poset(random.Random(1), max_points=1),
+                                  lambda: tree_corpus(3, 1, 1), lambda: tree_corpus(max_points=-2)],
+                         ids=["random_tree_poset", "tree_corpus", "negative"])
+def test_fewer_than_two_points_per_tree_is_refused(draw):
+    with pytest.raises(PosetError, match=r"^max_points must be at least 2, got -?[0-9]+$"):
+        draw()
+
+
 def test_every_enumerated_poset_passes_the_relation_suite():
     for n in range(5):
         for p in all_extended_posets(n):
@@ -94,11 +109,21 @@ def test_every_enumerated_poset_passes_the_relation_suite():
 
 
 def test_the_relation_suite_leaves_the_between_memo_empty():
-    # the laws read the geometry's table, so the suite has no use for _bet
+    # the laws read the geometry's table, so the suite has no use for _bet;
+    # nor, as the certificate answers every pair, for an element index or chain rows
     posets = all_extended_posets(5)
     for p in posets:
         assert run_relation_suite(p)["ok"]
     assert [p for p in posets if p._bet] == []
+    assert [p for p in posets if p._idx is not None or p._tested is not None or p._orel is not None] == []
+    for p in posets[::10]:
+        with pytest.raises(PosetError, match=re.escape("'x' is not an element")):
+            p.index("x")
+        assert oracles.naive_o_equivalence(p) == []
+        for a, b in p.iter_pairs():
+            members = [z for z in p.elements if p.is_between(a, z, b)]
+            chain = all(p.classify(u, v) in ("lt", "gt") for u in members for v in members if u != v)
+            assert p.o_related(a, b) == p.o_related(b, a) == chain
 
 
 @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 5, "trees-100"])

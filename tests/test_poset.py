@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import re
 
 import pytest
@@ -334,6 +335,42 @@ def test_classes_that_are_not_travel_intervals_raise(corrupt):
     message = f"similarity classes of B({a!r}, {b!r}) are not travel intervals at {at}"
     with pytest.raises(PosetError, match=re.escape(message)):
         p.between_set(a, b)
+
+
+def constructor_error(elements, rows):
+    """The constructor's error text on these rows, or None when it accepts them."""
+    try:
+        ExtendedPoset(elements, *rows)
+    except PosetError as err:
+        return str(err)
+    return None
+
+
+def test_the_constructor_rejects_every_three_point_code_assignment_like_the_naive_oracle():
+    # each ordered pair gets one of the five codes, EQ meaning no row holds it
+    ordered = list(itertools.permutations(range(3), 2))
+    seen, accepted = set(), 0
+    for codes in itertools.product((EQ, LT, GT, SIMU, SIML), repeat=len(ordered)):
+        rows = [[0] * 3 for _ in range(4)]  # up, down, simu, siml: codes LT..SIML
+        for (i, j), code in zip(ordered, codes):
+            if code != EQ:
+                rows[code - LT][i] |= 1 << j
+        got = constructor_error("abc", rows)
+        assert got == oracles.naive_poset_error("abc", *rows), codes
+        if got is None:
+            accepted += 1
+        else:
+            seen.add(re.sub(r"'[abc]'", "x", got))
+    # every check but "both kinds of common bound", which needs four points
+    assert seen == {
+        "pair (x, x) has no admissible relation",
+        "pair (x, x) disagrees with its swap",
+        "comparabilities not transitive: x < x < x but not x < x",
+        "pair (x, x) tagged downward-similar but shares an upper bound",
+        "pair (x, x) tagged upward-similar but shares a lower bound",
+        *(f"tagging not acyclic: x ~u x and x ~l x require x > x, got {rel}" for rel in ("lt", "simu", "siml")),
+    }
+    assert accepted == len(all_extended_posets(3))
 
 
 def test_a_pair_that_disagrees_with_its_swap_raises():
