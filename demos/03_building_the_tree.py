@@ -24,17 +24,17 @@ def main():
     layout = orient_segments(state)
 
     by_node: dict = {}
-    for nid, labels in layout.node_labels.items():
-        by_node[nid] = ", ".join(state.format_label(lab) for lab in labels)
+    arc_marks = []
+    for lab, pt in layout.label_point.items():
+        if pt[0] == "node":
+            by_node.setdefault(pt[1], []).append(state.format_label(lab))
+        else:
+            arc_marks.append((str(pt[1]), pt[2], state.format_label(lab)))
     print()
     print("tree points and the labels that landed on them:")
     for nid in sorted(by_node, key=str):
-        print(f"  {nid}: {by_node[nid]}")
+        print(f"  {nid}: {', '.join(by_node[nid])}")
     print()
-    arc_marks = []
-    for lab, pt in layout.label_point.items():
-        if pt[0] == "arc":
-            arc_marks.append((str(pt[1]), pt[2], state.format_label(lab)))
     for aid, t, text in sorted(arc_marks):
         print(f"  interior of {aid} at {t}: {text}")
     print()

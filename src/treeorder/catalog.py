@@ -266,18 +266,17 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
 
 
 def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] = 6) -> dict:
-    """Stagewise construction checks: the four structural laws, direction
-    independence on every unit, and injectivity of the labeling."""
+    """Stagewise construction checks: the four structural laws and
+    injectivity of the labeling, read off the build's own points.  Unit
+    directions are decided only where a tree is laid out (orient_segments)."""
     from .orbitorder import ConePipeline
     from .treebuild import verify_stage_properties
 
-    pipe = ConePipeline.of(cone, radius)
-    state = pipe.build(stages)
+    state = ConePipeline.of(cone, radius).build(stages)
     props = verify_stage_properties(state)
-    by_point: dict = {}
-    for lab, pt in pipe.layout(stages).label_point.items():
-        if lab[1] == PLAIN:
-            by_point.setdefault(pt, []).append(lab[0])
+    by_point: dict = {}  # plain labels by the point they resolve to, in label order
+    for lab in sorted((lab for lab in state.nu if lab[1] == PLAIN), key=state.label_key):
+        by_point.setdefault(state.find(state.nu[lab]), []).append(lab[0])
     collisions = [v for v in by_point.values() if len(v) > 1]
     return {
         "ok": props["ok"] and not collisions,

@@ -156,10 +156,10 @@ def _cmd_check_poset(args) -> int:
 def _layout_annotations(state, layout) -> tuple:
     node_labels: dict = {}
     arc_labels: dict = {}
-    for nid, labs in layout.node_labels.items():
-        node_labels[nid] = [state.format_label(lab) for lab in labs]
     for lab, pt in layout.label_point.items():
-        if pt[0] == "arc":
+        if pt[0] == "node":
+            node_labels.setdefault(pt[1], []).append(state.format_label(lab))
+        else:
             arc_labels.setdefault(pt[1], []).append((state.format_label(lab), pt[2]))
     for aid in arc_labels:
         arc_labels[aid].sort(key=lambda item: item[1])

@@ -290,16 +290,8 @@ def r_equivalent(p: ExtendedPoset, x: tuple, y: tuple) -> bool:
     if x == y:
         return True
     (g, s), (h, t) = x, y
-    return s != PLAIN and t != PLAIN and g != h and facing_tags(p, g, h) == (x, y)
-
-
-def facing_tags(p: ExtendedPoset, g, h) -> Optional[tuple]:
-    """The one pair of touching tags across g != h, (g^s, h^t) with
-    s = side_toward(p, g, h) and t = side_toward(p, h, g), when
-    B(g, h) = {g, h}; None when something lies between (r_equivalent)."""
-    if p._between_mask(p.index(g), p.index(h)).bit_count() != 2:
-        return None
-    return (g, side_toward(p, g, h)), (h, side_toward(p, h, g))
+    return (s != PLAIN and t != PLAIN and g != h and p._between_mask(p.index(g), p.index(h)).bit_count() == 2
+            and s == side_toward(p, g, h) and t == side_toward(p, h, g))
 
 
 def side_toward(p: ExtendedPoset, x, y) -> int:

@@ -147,6 +147,8 @@ class ExtendedPoset:
             raise PosetError("duplicate elements")
         self.n = n = len(self.elements)
         self._up, self._down, self._simu, self._siml = tuple(up), tuple(down), tuple(simu), tuple(siml)
+        if not len(self._up) == len(self._down) == len(self._simu) == len(self._siml) == n:
+            raise PosetError(f"each of the four row lists must hold one row per element, {n} rows")
         self._comp = [self._up[i] | self._down[i] for i in range(n)]
         self._validate()
         self._bet: dict = {}  # B(i, j) masks keyed by i * n + j with i < j
@@ -176,7 +178,7 @@ class ExtendedPoset:
     # -- validation -------------------------------------------------
 
     def _validate(self) -> None:
-        """Raise PosetError at the first failed check: rows, swap, transitivity, bounds, acyclicity."""
+        """Raise PosetError at the first failed check: rows (in range, then total), swap, transitivity, bounds, acyclicity."""
         # each row names every partner exactly once; then down being the
         # transpose of up and simu being symmetric is the whole swap
         # condition, and siml follows
@@ -189,6 +191,8 @@ class ExtendedPoset:
             tagged = si | li
             stray = comp & tagged | ui & down[i] | si & li | (comp | tagged) ^ (everyone & ~bit)
             if stray:
+                if (comp | tagged) >> n:  # a bit at or past n, or a negative row: a stray too
+                    raise PosetError(f"the rows of {elements[i]!r} name a partner outside the {n} elements")
                 j = next(_bits(stray))
                 raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
             for j in _bits(ui | si):

@@ -37,7 +37,6 @@ from .grouporder import (
     PLUS,
     doubled_between,
     doubled_members,
-    facing_tags,
     format_aug,
     r_equivalent,
     side_toward,
@@ -346,10 +345,10 @@ def build_from_cones(cone, radius: int = 6, stages: Optional[int] = None) -> Lab
 
 
 class BuildLayout(NamedTuple):
-    """The built tree with directed arcs plus the label geometry."""
+    """The built tree with directed arcs, and each label's place on it in
+    label order: ("node", id) or ("arc", arc id, position along the arc)."""
 
     tree: OrderTree
-    node_labels: dict
     label_point: dict
 
 
@@ -409,11 +408,7 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
     degree = Counter(n for _aid, tail, head in arcs for n in (tail, head))
     boundary = {n for n in nodes if degree[n] == 1}
     label_point = {lab: place[state.nu[lab]] for lab in sorted(state.nu, key=state.label_key)}
-    node_labels: dict = {}
-    for lab, pt in label_point.items():
-        if pt[0] == "node":
-            node_labels[pt[1]] = node_labels.get(pt[1], ()) + (lab,)
-    return BuildLayout(OrderTree.build(sorted(nodes), arcs, boundary), node_labels, label_point)
+    return BuildLayout(OrderTree.build(sorted(nodes), arcs, boundary), label_point)
 
 
 # -- structural verification ------------------------------------------------
@@ -463,7 +458,8 @@ def verify_stage_properties(state: LabeledTree) -> dict:
       must be tags touching a member on each side.
     * identity: labels share a point exactly when they touch; collisions
       forced by a truncated-limit gluing are undetermined.  Touching labels
-      laid apart are sought only across base pairs with |B(g, h)| = 2.
+      laid apart are sought in the path check's pair loop: across built
+      a, b with B(a, b) = {a, b}, the two inner tags touch.
 
     All four read one table of the points interned to ints (_point_table).
     """
@@ -482,17 +478,14 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     gap_violations = []
     gap_undetermined = []
     for (i, c1, c2), (k1, k2) in spans.items():
-        left, right = at[k1], at[k2]
-        entry = {
-            "interval": i,
-            "gap": (c1, c2),
-            "left": [state.format_label(l) for l in left],
-            "right": [state.format_label(l) for l in right],
-        }
         if k1 in truncated or k2 in truncated:
-            gap_undetermined.append(entry)
-        elif not _gap_is_tag_pair(left, right):
-            gap_violations.append(entry)
+            into = gap_undetermined
+        elif not _gap_is_tag_pair(at[k1], at[k2]):
+            into = gap_violations
+        else:
+            continue
+        into.append({"interval": i, "gap": (c1, c2), "left": [state.format_label(l) for l in at[k1]],
+                     "right": [state.format_label(l) for l in at[k2]]})
     gap_report = {
         "ok": not gap_violations,
         "gaps": len(spans),
@@ -501,6 +494,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     }
 
     path_violations = []
+    apart = []  # touching tags laid apart, by label keys
 
     def flag(problem: str, labs: Iterable) -> None:  # against the pair (a, b) in hand
         path_violations.append({"pair": (state.fmt(a), state.fmt(b)), "problem": problem,
@@ -513,6 +507,10 @@ def verify_stage_properties(state: LabeledTree) -> dict:
         if missing:
             flag("between set not fully built", missing)
             continue
+        if len(expected) == 4:  # B(a, b) = {a, b}: the inner tags touch (r_equivalent)
+            u, v = expected[1:3]
+            if label_id[u] != label_id[v]:
+                apart.append((state.label_key(u), state.label_key(v), u, v))
         try:
             route = _path_points(index, label_id[ends[0]], label_id[ends[1]])
         except BuildError as exc:
@@ -557,15 +555,6 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                 id_undetermined.append(entry)
             else:
                 id_violations.append(entry)
-    # tags touch only across a base pair with nothing between (r_equivalent)
-    apart = []
-    tagged = sorted({lab[0] for lab in state.nu if lab[1] != PLAIN}, key=p.index)
-    for g, h in combinations(tagged, 2):
-        touching = facing_tags(p, g, h)
-        if touching:
-            u, v = touching
-            if u in label_id and v in label_id and label_id[u] != label_id[v]:
-                apart.append((state.label_key(u), state.label_key(v), u, v))
     for *_keys, u, v in sorted(apart):  # in label order, as pairs of sorted tags
         id_violations.append(
             {"labels": (state.format_label(u), state.format_label(v)),

@@ -79,19 +79,27 @@ def naive_poset_error(elements, up, down, simu, siml):
     rows, or None when it accepts them.  The rows are read into a table of
     the relation names holding each ordered pair, and each check is a
     quantifier loop over pairs or triples in row-major order: rows, swap,
-    transitivity, bounds, acyclicity.  Row bits stay below len(elements)."""
+    transitivity, bounds, acyclicity.  Row lists of another length than
+    the elements are refused first; then the rows check refuses each
+    element's rows that hold a bit at or past len(elements), or are
+    negative, before it reads that element's pairs."""
     n = len(elements)
     if len(set(elements)) != n:
         return "duplicate elements"
+    if any(len(rows) != n for rows in (up, down, simu, siml)):
+        return f"each of the four row lists must hold one row per element, {n} rows"
     names = {(i, j): [name for name, rows in (("lt", up), ("gt", down), ("simu", simu), ("siml", siml))
                       if rows[i] >> j & 1] for i in range(n) for j in range(n)}
 
     def pair(i, j):
         return f"pair ({elements[i]!r}, {elements[j]!r})"
 
-    for i, j in itertools.product(range(n), repeat=2):
-        if len(names[(i, j)]) != (i != j):
-            return f"{pair(i, j)} has no admissible relation"
+    for i in range(n):
+        if any(rows[i] < 0 or rows[i] >= 1 << n for rows in (up, down, simu, siml)):
+            return f"the rows of {elements[i]!r} name a partner outside the {n} elements"
+        for j in range(n):
+            if len(names[(i, j)]) != (i != j):
+                return f"{pair(i, j)} has no admissible relation"
     rel = {key: found[0] if found else "eq" for key, found in names.items()}
     swap = {"lt": "gt", "gt": "lt", "simu": "simu", "siml": "siml", "eq": "eq"}
     for i, j in itertools.product(range(n), repeat=2):
@@ -475,6 +483,27 @@ def naive_between_mask(p, a, b) -> int:
     element; ``is_between`` reads the three pair codes through
     ``between_by_codes``."""
     return sum(1 << k for k, c in enumerate(p.elements) if p.is_between(a, c, b))
+
+
+def naive_laid_apart(state) -> list:
+    """The "touching labels laid apart" entries of a build's identity
+    report, by a scan over every pair of elements that carry a tag: g before
+    h in the poset, B(g, h) = {g, h}, and the tag of each facing the other
+    (grouporder.r_equivalent) both laid but resolving to two points.  In
+    label order, as verification reports them."""
+    from treeorder.grouporder import PLAIN, side_toward
+
+    p = state.poset
+    apart = []
+    tagged = sorted({lab[0] for lab in state.nu if lab[1] != PLAIN}, key=p.index)
+    for g, h in itertools.combinations(tagged, 2):
+        if p._between_mask(p.index(g), p.index(h)).bit_count() != 2:
+            continue
+        u, v = (g, side_toward(p, g, h)), (h, side_toward(p, h, g))
+        if u in state.nu and v in state.nu and state.find(state.nu[u]) != state.find(state.nu[v]):
+            apart.append((state.label_key(u), state.label_key(v), u, v))
+    return [{"labels": (state.format_label(u), state.format_label(v)), "problem": "touching labels laid apart"}
+            for *_keys, u, v in sorted(apart)]
 
 
 def naive_doubled_relations(p) -> dict:

@@ -373,6 +373,19 @@ def test_the_constructor_rejects_every_three_point_code_assignment_like_the_naiv
     assert accepted == len(all_extended_posets(3))
 
 
+@pytest.mark.parametrize("rows, error", [
+    ([[0b110, 0], [0, 0b1], [0, 0], [0, 0]], "the rows of 0 name a partner outside the 2 elements"),
+    ([[-2, 0], [0, 0b1], [0, 0], [0, 0]], "the rows of 0 name a partner outside the 2 elements"),
+    # an in-range row that fails before the stray one keeps its own error
+    ([[0, 0b100], [0, 0], [0, 0], [0, 0]], "pair (0, 1) has no admissible relation"),
+    ([[0b10], [0, 0b1], [0, 0], [0, 0]], "each of the four row lists must hold one row per element, 2 rows"),
+    ([[0b10, 0, 0b1], [0, 0b1], [0, 0], [0, 0]], "each of the four row lists must hold one row per element, 2 rows"),
+], ids=["bit-past-n", "negative", "in-range-first", "short-list", "long-list"])
+def test_rows_that_do_not_fit_the_elements_are_refused(rows, error):
+    # these ended in IndexError or StopIteration, not PosetError
+    assert constructor_error(range(2), rows) == oracles.naive_poset_error(range(2), *rows) == error
+
+
 def test_a_pair_that_disagrees_with_its_swap_raises():
     with pytest.raises(PosetError, match=re.escape("pair ('a', 'b') disagrees with its swap")):
         ExtendedPoset.from_relation(("a", "b"), lambda x, y: LT)

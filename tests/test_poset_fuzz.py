@@ -4,8 +4,9 @@ Rows on up to six points start from a code per unordered pair, each an
 order read off a random ranking or a tag, written consistently into both
 rows; a ranking keeps the order acyclic, so transitivity, the bound checks
 and acyclicity all get reached.  Then up to two row bits are flipped, or moved
-from one row to another, which reaches the row and swap checks, and now
-and then an element repeats.
+from one row to another, which reaches the row and swap checks; now and
+then a row takes a bit at or past n or turns negative, and an element
+repeats.
 Whatever the rows, the constructor must accept exactly what
 ``oracles.naive_poset_error`` accepts, and otherwise raise its first error
 with the same text.
@@ -43,6 +44,9 @@ def rows_and_elements(draw):
                 for row in rows:
                     row[i] &= ~(1 << j)
             rows[r][i] ^= 1 << j
+        if draw(st.integers(0, 9)) == 0:  # a row that reaches past the elements
+            r, i = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
+            rows[r][i] = ~rows[r][i] if draw(st.booleans()) else rows[r][i] | 1 << draw(st.integers(n, n + 2))
     unique = draw(st.sampled_from((True,) * 7 + (False,)))
     elements = draw(st.lists(st.sampled_from("abcdefgh"), min_size=n, max_size=n, unique=unique))
     return tuple(elements), rows

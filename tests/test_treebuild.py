@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from treeorder import grouporder
+from treeorder import grouporder, orbitorder
 from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone, run_build_suite, z_standard
 from treeorder.cli import main
 from treeorder.corpus import all_extended_posets, tree_corpus
@@ -230,6 +230,21 @@ def test_the_doubled_order_is_built_only_where_it_is_checked(argv, builds, monke
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("argv, layouts", [
+    (["build-tree", "dihedral-standard", "--radius", "4", "--stages", "99"], 0),
+    (["build-tree", "dihedral-standard", "--radius", "4", "--stages", "99", "--emit", "json"], 1),
+    (["examples", "run", "dihedral", "--radius", "4"], 1),
+], ids=["build-tree", "build-tree-emit", "examples-dihedral"])
+def test_a_command_lays_out_only_the_trees_it_prints_or_blows_up(argv, layouts, monkeypatch, capsys):
+    # the build suite groups plain labels by the build's own points; only an
+    # emitted tree or the round trip's blow-up needs the oriented layout
+    calls = []
+    orient = orbitorder.orient_segments
+    monkeypatch.setattr(orbitorder, "orient_segments", lambda state: calls.append(state) or orient(state))
+    assert main(argv) == 0
+    assert len(calls) == layouts
+
+
 # -- verification against corrupted builds ------------------------------------
 # Each case edits a copy of the finished z-standard r = 2 build's label map and
 # names the report entry that the corruption must raise.  Labels are (g, tag).
@@ -243,7 +258,12 @@ def corrupted(edit):
     edit(state.nu)
     report = verify_stage_properties(state)
     assert not report["ok"]
+    assert laid_apart(report) == oracles.naive_laid_apart(state)
     return report
+
+
+def laid_apart(report):
+    return [v for v in report["identity"]["violations"] if v.get("problem") == "touching labels laid apart"]
 
 
 def swap(a, b):
@@ -369,8 +389,9 @@ def test_a_poset_comes_back_from_the_blow_up_of_its_tree(population, size):
 
 # -- the layout and its verification, pinned per build -------------------------
 # One sha256 per (cone, radius) over the builds at every stage count of
-# LAYOUT_STAGES: the layout tree (nodes, arc tail/head, boundary),
-# node_labels, label_point, the plain-label count and the verification report.
+# LAYOUT_STAGES: the layout tree (nodes, arc tail/head, boundary), the labels
+# at each node (read off label_point in label order), label_point, the
+# plain-label count and the verification report.
 
 LAYOUT_STAGES = (0, 1, 2, 3, 6, None)
 
@@ -378,8 +399,12 @@ LAYOUT_STAGES = (0, 1, 2, 3, 6, None)
 def layout_rows(state):
     layout = orient_segments(state)
     tree = layout.tree
+    node_labels: dict = {}
+    for lab, pt in layout.label_point.items():
+        if pt[0] == "node":
+            node_labels[pt[1]] = node_labels.get(pt[1], ()) + (lab,)
     return (sorted(tree.nodes), sorted((aid, a.tail, a.head) for aid, a in tree.arcs.items()), sorted(tree.boundary),
-            list(layout.node_labels.items()), list(layout.label_point.items()), plain_label_count(layout),
+            list(node_labels.items()), list(layout.label_point.items()), plain_label_count(layout),
             verify_stage_properties(state))
 
 
@@ -435,3 +460,13 @@ def test_the_layout_of_a_truncated_limit_build_is_pinned():
     p = induced_ball_poset(z_standard(), 3)
     state = build_tree(p, normalize_decomposition(p, [(0, 1), (0, 3), (0, -3)], case2=[(0, 3)]))
     assert layout_digest([state]) == TRUNCATED_LAYOUT_DIGEST
+    assert laid_apart(verify_stage_properties(state)) == oracles.naive_laid_apart(state)
+
+
+@pytest.mark.parametrize("name, radius", sorted(LAYOUT_DIGESTS), ids=[f"{n}-r{r}" for n, r in sorted(LAYOUT_DIGESTS)])
+def test_the_pair_loop_finds_the_laid_apart_tags_of_the_scan_over_tagged_pairs(name, radius):
+    # the corrupted builds above run the same comparison
+    pipe = ConePipeline.of(get_cone(name), radius)
+    for n in LAYOUT_STAGES:
+        state = pipe.build(n)
+        assert laid_apart(verify_stage_properties(state)) == oracles.naive_laid_apart(state)
