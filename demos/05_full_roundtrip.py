@@ -27,8 +27,8 @@ def main():
                 f"{cone.name} radius {radius}: realized {rep['realized']}/{rep['ball']}"
                 f" ({pct:.0f}% of elements), {status}"
             )
-            if rep["escaped"]:
-                listed = ", ".join(fmt(g) for g in rep["escaped"])
+            if rep["undetermined_elements"]:
+                listed = ", ".join(fmt(g) for g in rep["undetermined_elements"])
                 print(f"  undetermined beyond the window: {listed}")
             assert rep["mismatches"] == [], rep["mismatches"]
         print()

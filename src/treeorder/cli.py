@@ -124,14 +124,13 @@ def _cmd_check_cones(args) -> int:
 
     cone = _load_cone(args.spec)
     report = verify_cone_axioms(cone, args.radius)
-    fmt = cone.group.format
+    payload = report.to_jsonable(cone.group.format)
     lines = [f"cone {cone.name}: ball {report.ball_size} at radius {args.radius}"]
-    for idx, cond in sorted(report.conditions.items()):
-        state = "pass" if cond.ok else f"FAIL ({cond.violation_count} violations)"
-        lines.append(f"  condition {idx} {cond.description}: {state} (checked {cond.checked})")
-        for w in cond.violations[:5]:
-            lines.append("    witness: " + ", ".join(fmt(x) for x in w))
-    return _finish(args, report.ok, lines, report.to_jsonable(fmt))
+    for idx, cond in payload["conditions"].items():
+        state = "pass" if cond["ok"] else f"FAIL ({cond['violation_count']} violations)"
+        lines.append(f"  condition {idx} {cond['description']}: {state} (checked {cond['checked']})")
+        lines += ("    witness: " + ", ".join(w) for w in cond["violations"][:5])
+    return _finish(args, report.ok, lines, payload)
 
 
 def _cmd_check_poset(args) -> int:
@@ -226,7 +225,6 @@ def _cmd_blowup(args) -> int:
 def _cmd_orbit_order(args) -> int:
     from .catalog import get_action_scenario
     from .orbitorder import orbit_poset
-    from .relations import REL_NAMES
     from .specio import load_document, poset_to_document
 
     name, radius = args.scenario, args.radius
@@ -238,13 +236,15 @@ def _cmd_orbit_order(args) -> int:
     manifold, action, base = get_action_scenario(name, radius)
     orbit = orbit_poset(manifold, action, base, radius)
     fmt = action.group.format
+    undetermined = [fmt(g) for g in orbit.escaped]
     tag_counts: dict = {}
-    for a, b in orbit.poset.iter_pairs():
-        rel = REL_NAMES[orbit.poset.rel(a, b)]
-        tag_counts[rel] = tag_counts.get(rel, 0) + 1
-    lines = [f"orbit {name}: radius {radius}, {len(orbit.realized)} realized, {len(orbit.escaped)} undetermined"]
-    if orbit.escaped:
-        lines.append("  undetermined elements: " + ", ".join(fmt(g) for g in orbit.escaped))
+    for rel, rows in zip(("lt", "gt", "simu", "siml"), orbit.poset.rows):
+        count = sum((row >> i + 1).bit_count() for i, row in enumerate(rows))  # pairs (i, j > i)
+        if count:
+            tag_counts[rel] = count
+    lines = [f"orbit {name}: radius {radius}, {len(orbit.realized)} realized, {len(undetermined)} undetermined"]
+    if undetermined:
+        lines.append("  undetermined elements: " + ", ".join(undetermined))
     for rel in sorted(tag_counts):
         lines.append(f"  pairs {rel}: {tag_counts[rel]}")
     return _finish(args, True, lines, {
@@ -252,7 +252,7 @@ def _cmd_orbit_order(args) -> int:
         "scenario": name,
         "radius": radius,
         "realized": len(orbit.realized),
-        "undetermined": [fmt(g) for g in orbit.escaped],
+        "undetermined": undetermined,
         "pair_counts": tag_counts,
         "poset": poset_to_document(orbit.poset, fmt=fmt),
     })
@@ -268,20 +268,11 @@ def _cmd_quotient(args) -> int:
     convexity = check_completely_convex(cone, sub, args.radius)
     lines = [f"quotient {cone.name} by {sub.name}: radius {args.radius}"]
     if not convexity.ok:
+        violations = [{"witness": fmt(w["witness"]), "pair": [fmt(x) for x in w["pair"]]}
+                      for w in convexity.violations[:5]]
         lines.append(f"  complete convexity: FAIL ({len(convexity.violations)} violations)")
-        for w in convexity.violations[:5]:
-            lines.append(
-                f"    witness: {fmt(w['witness'])} lies between "
-                f"{fmt(w['pair'][0])} and {fmt(w['pair'][1])}"
-            )
-        return _finish(args, False, lines, {
-            "ok": False,
-            "convex": False,
-            "violations": [
-                {"witness": fmt(w["witness"]), "pair": [fmt(w["pair"][0]), fmt(w["pair"][1])]}
-                for w in convexity.violations[:5]
-            ],
-        })
+        lines += (f"    witness: {v['witness']} lies between {v['pair'][0]} and {v['pair'][1]}" for v in violations)
+        return _finish(args, False, lines, {"ok": False, "convex": False, "violations": violations})
     result = quotient_order(cone, sub, args.radius, convexity=convexity)
     lines.append(f"  complete convexity: pass ({convexity.pairs_checked} pairs)")
     lines.append(f"  representatives: {len(result.representatives)}")
@@ -311,18 +302,14 @@ def _cmd_roundtrip(args) -> int:
     rep = run_roundtrip_suite(cone, args.radius)
     fmt = cone.group.format
     ok = rep["ok"] and rep["pair_coverage"] * 10 >= 9
+    undetermined = [fmt(g) for g in rep["undetermined_elements"]]
+    mismatches = [[fmt(g), fmt(h), REL_NAMES[got], REL_NAMES[want]] for g, h, got, want in rep["mismatches"][:5]]
     lines = [f"roundtrip {cone.name}: radius {args.radius}"]
     lines.append(f"  realized {rep['realized']} of {rep['ball']} ball elements")
     lines.append(f"  determined pair coverage: {rep['pair_coverage']}")
-    if rep["undetermined_elements"]:
-        lines.append("  undetermined elements: " + ", ".join(fmt(g) for g in rep["undetermined_elements"]))
-    else:
-        lines.append("  undetermined elements: none")
+    lines.append("  undetermined elements: " + (", ".join(undetermined) if undetermined else "none"))
     lines.append(f"  order agreement on determined pairs: {'pass' if rep['ok'] else 'FAIL'}")
-    for g, h, got, want in rep["mismatches"][:5]:
-        lines.append(
-            f"    witness: ({fmt(g)}, {fmt(h)}) rebuilt {REL_NAMES[got]}, ball {REL_NAMES[want]}"
-        )
+    lines += (f"    witness: ({g}, {h}) rebuilt {got}, ball {want}" for g, h, got, want in mismatches)
     return _finish(args, ok, lines, {
         "ok": ok,
         "cone": cone.name,
@@ -330,10 +317,8 @@ def _cmd_roundtrip(args) -> int:
         "realized": rep["realized"],
         "ball": rep["ball"],
         "pair_coverage": rep["pair_coverage"],
-        "undetermined": [fmt(g) for g in rep["undetermined_elements"]],
-        "mismatches": [
-            [fmt(g), fmt(h), REL_NAMES[got], REL_NAMES[want]] for g, h, got, want in rep["mismatches"][:5]
-        ],
+        "undetermined": undetermined,
+        "mismatches": mismatches,
     })
 
 
@@ -358,11 +343,8 @@ def _cmd_examples(args) -> int:
         lines.append(f"  note: {entry.notes}")
     from .specio import jsonable
 
-    payload = {k: v for k, v in rep.items() if k not in ("result", "orbit")}
-    for key in sorted(payload):
-        if key != "ok":
-            lines.append(f"  {key}: {jsonable(payload[key])}")
-    return _finish(args, rep["ok"], lines, payload)
+    lines += (f"  {key}: {jsonable(rep[key])}" for key in sorted(rep) if key != "ok")
+    return _finish(args, rep["ok"], lines, rep)
 
 
 _COMMANDS: dict = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
-from .errors import ConeError, PosetError
+from .errors import ConeError
 from .relations import EQ, GT, LT, REL_NAMES, SIML, SIMU, between_by_codes
 
 if TYPE_CHECKING:
@@ -313,12 +313,8 @@ def doubled_members(p: ExtendedPoset, a, b) -> list:
     copies every base relation to all nine tag pairs, so the inner elements
     keep their travel order and bring all three labels, while of a's labels
     only the tag facing b lies between.  Where the base travel order is not
-    total, the doubled order's error is raised, naming labels."""
-    try:
-        inner = p.between_members(a, b)[1:-1]
-    except PosetError:
-        blow_up_gplus(p).between_members((a, PLAIN), (b, PLAIN))
-        raise
+    total, the base order's ``PosetError`` stands; no doubled order is built."""
+    inner = p.between_members(a, b)[1:-1]
     i, j = p.index(a), p.index(b)
     out = [(a, PLAIN), (a, side_toward(p, a, b))]
     for x in inner:

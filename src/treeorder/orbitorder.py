@@ -55,7 +55,6 @@ class TreeAction(NamedTuple):
 
     group: object
     act: Callable
-    name: str = ""
 
 
 def check_action(m: OrderTree, action: TreeAction, radius: int = 2) -> dict:
@@ -203,7 +202,7 @@ def line_point(m: OrderTree, c: Fraction, alternating: bool) -> Optional[tuple]:
     return ("arc", ("s", j), t)
 
 
-def shift_action(m: OrderTree, group, shift_of: Callable, name: str = "shift") -> TreeAction:
+def shift_action(m: OrderTree, group, shift_of: Callable) -> TreeAction:
     """Translation action on an ascending integer_line manifold."""
 
     def act(g, p):
@@ -212,7 +211,7 @@ def shift_action(m: OrderTree, group, shift_of: Callable, name: str = "shift") -
         c = p[1][1] + Fraction(p[2]) + shift_of(g)
         return line_point(m, c, alternating=False)
 
-    return TreeAction(group=group, act=act, name=name)
+    return TreeAction(group=group, act=act)
 
 
 def label_action(state, layout, manifold: OrderTree) -> tuple:
@@ -220,7 +219,7 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
 
     Every plain label g owns an interior point of the layout; translation by
     h sends that point to the point of h*g, or escapes when h*g was never
-    built.  Returns (action, base_point, points-by-element).
+    built.  Returns (action, base_point): the base point is the identity's.
     """
     group = state.group
     if group is None:
@@ -244,7 +243,7 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
     ident = group.identity
     if ident not in points:
         raise BuildError("identity was not built")
-    return TreeAction(group=group, act=act, name="label-translation"), points[ident], points
+    return TreeAction(group=group, act=act), points[ident]
 
 
 class ConePipeline:
@@ -306,7 +305,7 @@ class ConePipeline:
     def _roundtrip(self, stages: int) -> dict:
         state, layout = self.build(stages), self.layout(stages)
         manifold = denjoy_blowup(layout.tree)
-        action, x0, _ = label_action(state, layout, manifold)
+        action, x0 = label_action(state, layout, manifold)
         orbit = orbit_poset(manifold, action, x0, self.radius)
         induced = self.ball_poset
         mismatches = []
@@ -329,7 +328,6 @@ class ConePipeline:
             "coverage": Fraction(n_real, n_ball),
             "pair_coverage": Fraction(n_real * (n_real - 1), n_ball * (n_ball - 1)) if n_ball > 1 else Fraction(1),
             "mismatches": mismatches,
-            "orbit": orbit,
         }
 
 
@@ -340,7 +338,8 @@ def roundtrip_orbit(cone: ConeStructure, radius: int = 6) -> dict:
     The pulled-back order must agree with the ball order induced by the cone
     on every realized pair; elements outside the built part are excluded and
     listed, never guessed (``pair_coverage`` is the share of pairs realized).
-    The report is shared with the cone's pipeline; copy it to change it.
+    The report is plain data, shared with the cone's pipeline; copy it to
+    change it.
     """
     return ConePipeline.of(cone, radius).roundtrip()
 
@@ -379,4 +378,4 @@ def dihedral_example(radius: int = 6) -> tuple:
             return None
         raise TreeError(f"action undefined at {p!r}")
 
-    return tree, manifold, TreeAction(group=group, act=act, name="dihedral-line")
+    return tree, manifold, TreeAction(group=group, act=act)

@@ -27,7 +27,9 @@ from treeorder.catalog import (
     run_roundtrip_suite,
     z_standard,
 )
-from treeorder.orbitorder import roundtrip_orbit
+from treeorder.corpus import all_extended_posets
+from treeorder.orbitorder import orbit_poset, realized_bound, roundtrip_orbit
+from treeorder.relations import SIML, SIMU
 
 
 def test_builtin_cones_resolve():
@@ -50,7 +52,6 @@ def test_registries_resolve_and_reject():
         manifold, action, base = get_action_scenario(name, 2)
         assert manifold.is_branchless()
         assert base[0] == "arc"
-        assert action.name == name
     for name in QUOTIENT_SCENARIOS:
         assert name in ("z2-lex-by-second-factor", "z-by-even")
     for getter, bad in (
@@ -131,6 +132,39 @@ def test_orbit_suite_shape():
     assert not rep["trivial_extension"]
     assert rep["unbacked_pairs"] == rep["tagged_pairs"] > 0
     assert rep["realized_bound_pairs"] == []
+
+
+def _tagged_split(p) -> tuple:
+    """The tagged pairs, the unbacked ones, and those with a realized bound
+    of their tag's kind."""
+    tagged = {(a, b) for a, b in p.iter_pairs() if p.rel(a, b) in (SIMU, SIML)}
+    unbacked = {entry["pair"] for entry in p.check_strongly_connected()}
+    realized = {(a, b) for a, b in tagged if realized_bound(p, a, b, p.rel(a, b) == SIMU) is not None}
+    return tagged, unbacked, realized
+
+
+def _six_clause_verdict(p, tagged, unbacked, realized) -> bool:
+    tags = {p.rel(a, b) for a, b in p.iter_pairs()}
+    return (bool(unbacked) and not realized and len(unbacked) == len(tagged)
+            and SIMU in tags and SIML in tags and not p.is_trivial_extension())
+
+
+@pytest.mark.parametrize("radius", range(11))
+def test_the_orbit_suite_verdict_is_the_six_clause_verdict(radius):
+    rep = run_orbit_suite(radius)
+    p = orbit_poset(*get_action_scenario("dihedral-line", radius), radius).poset
+    tagged, unbacked, realized = _tagged_split(p)
+    assert unbacked | realized == tagged and not unbacked & realized
+    assert rep["ok"] == _six_clause_verdict(p, tagged, unbacked, realized)
+    assert (rep["tagged_pairs"], rep["unbacked_pairs"]) == (len(tagged), len(unbacked))
+
+
+def test_every_tagged_pair_is_unbacked_or_realized():
+    for p in all_extended_posets(5):
+        tagged, unbacked, realized = _tagged_split(p)
+        assert unbacked | realized == tagged and not unbacked & realized
+        verdict = any(p.rows[2]) and any(p.rows[3]) and not realized
+        assert verdict == _six_clause_verdict(p, tagged, unbacked, realized), p.rows
 
 
 def test_all_examples_run_clean():

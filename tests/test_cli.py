@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from treeorder import cli, errors
+from treeorder.catalog import EXAMPLES, get_action_scenario, get_example
 from treeorder.cli import main
+from treeorder.orbitorder import orbit_poset
+from treeorder.relations import REL_NAMES
+from treeorder.specio import canonical_json, jsonable
 
 VALID_POSET = {
     "version": "1",
@@ -181,6 +186,23 @@ def test_examples_list_and_run(capsys):
     assert "result: PASS" in out
     assert main(["examples", "run"]) == 2
     assert main(["examples", "run", "zeppelin"]) == 2
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("name", [entry.name for entry in EXAMPLES])
+def test_examples_run_prints_the_suite_report_as_it_is(name, radius, capsys):
+    rep = get_example(name).run(radius)
+    assert main(["examples", "run", name, "--radius", str(radius), "--json"]) == (0 if rep["ok"] else 1)
+    assert capsys.readouterr().out == canonical_json(jsonable(rep))
+
+
+@pytest.mark.parametrize("scenario", ["z-line", "dihedral-line"])
+def test_orbit_order_pair_counts_are_the_per_pair_relation_counts(scenario, capsys):
+    for radius in range(9):
+        assert main(["orbit-order", scenario, "--radius", str(radius), "--json"]) == 0
+        counts = json.loads(capsys.readouterr().out)["pair_counts"]
+        poset = orbit_poset(*get_action_scenario(scenario, radius), radius).poset
+        assert counts == Counter(REL_NAMES[poset.rel(a, b)] for a, b in poset.iter_pairs()), radius
 
 
 def _doc(kind, body):

@@ -9,6 +9,7 @@ output, re-record with
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -42,6 +43,27 @@ def test_every_demo_is_pinned():
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_output_is_unchanged(name):
     assert run_demo(name) == (0, DEMOS[name])
+
+
+def test_demo_05_lists_the_elements_that_escape(monkeypatch, capsys):
+    # builtin cones build the whole ball, so one escaped element is added
+    spec = importlib.util.spec_from_file_location("full_roundtrip", ROOT / "demos" / "05_full_roundtrip.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    real, added = demo.roundtrip_orbit, []
+
+    def one_more_escaped(cone, radius):
+        rep = real(cone, radius=radius)
+        inside = set(cone.group.ball(radius))
+        extra = next(g for g in cone.group.ball(radius + 1) if g not in inside)
+        added.append(cone.group.format(extra))
+        return dict(rep, escaped=rep["escaped"] + 1, undetermined_elements=[*rep["undetermined_elements"], extra])
+
+    monkeypatch.setattr(demo, "roundtrip_orbit", one_more_escaped)
+    demo.main()
+    listed = [line for line in capsys.readouterr().out.splitlines() if "undetermined" in line]
+    assert len(added) == 6
+    assert listed == [f"  undetermined beyond the window: {name}" for name in added]
 
 
 if __name__ == "__main__":

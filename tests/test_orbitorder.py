@@ -127,7 +127,7 @@ def test_dihedral_action_checks_out():
 
 def test_shift_orbit_is_a_chain():
     m = integer_line(5)
-    action = shift_action(m, Z(), lambda n: n, name="unit-shift")
+    action = shift_action(m, Z(), lambda n: n)
     x0 = ("arc", ("s", 0), Fraction(1, 4))
     orb = orbit_poset(m, action, x0, 4)
     assert sorted(orb.realized) == list(range(-4, 5))
@@ -139,7 +139,7 @@ def test_shift_orbit_is_a_chain():
 
 def test_escape_is_reported_not_guessed():
     m = integer_line(2)
-    action = shift_action(m, Z(), lambda n: n, name="unit-shift")
+    action = shift_action(m, Z(), lambda n: n)
     x0 = ("arc", ("s", 0), Fraction(1, 4))
     orb = orbit_poset(m, action, x0, 4)
     assert set(orb.escaped) == {-4, -3, 2, 3, 4}
@@ -149,7 +149,7 @@ def test_escape_is_reported_not_guessed():
 
 def test_fixed_base_point_is_rejected():
     m = integer_line(3)
-    action = shift_action(m, Z(), lambda n: 0, name="crushed")
+    action = shift_action(m, Z(), lambda n: 0)
     with pytest.raises(OrbitError, match="stabilizer"):
         orbit_poset(m, action, ("arc", ("s", 0), Fraction(1, 4)), 2)
 
@@ -189,7 +189,7 @@ def coordinate_extension(k, j, radius, stab_order=None):
     """Z^k acting on a line through coordinate j, its stabilizer ordered
     lexicographically on the other coordinates."""
     m = integer_line(radius + 1)
-    action = shift_action(m, Zk(k), lambda v: v[j], name=f"coordinate-{j}")
+    action = shift_action(m, Zk(k), lambda v: v[j])
     rest = [i for i in range(k) if i != j]
     if stab_order is None:
         def stab_order(a, b):
@@ -366,7 +366,7 @@ def test_manifold_graph_needs_a_tree():
 
 def test_coincident_orbit_points_have_no_relation():
     m = integer_line(6)
-    action = shift_action(m, Z(), abs, name="absolute")
+    action = shift_action(m, Z(), abs)
     with pytest.raises(PosetError, match=re.escape("pair (-1, 1) has no admissible relation")):
         orbit_poset(m, action, ("arc", ("s", 0), Fraction(1, 4)), 2)
 
@@ -393,7 +393,7 @@ def manifold_order_mismatches(m, points, poset):
 def test_orbit_rows_agree_with_manifold_order_on_roundtrip_manifolds(name, radius):
     pipeline = ConePipeline(get_cone(name), radius)
     manifold = denjoy_blowup(pipeline.layout().tree)
-    action, x0, _ = label_action(pipeline.build(), pipeline.layout(), manifold)
+    action, x0 = label_action(pipeline.build(), pipeline.layout(), manifold)
     orbit = orbit_poset(manifold, action, x0, radius)
     assert orbit.realized == tuple(orbit.points) and len(orbit.realized) > 20
     assert manifold_order_mismatches(manifold, orbit.points, orbit.poset) == []
@@ -531,7 +531,7 @@ def _through_the_dihedral_factor(radius: int) -> tuple:
     """D∞ × Z acting on the dihedral manifold through its D∞ factor, so the
     base point's stabilizer is {e} × Z."""
     _, m, dihedral = dihedral_example(radius)
-    return m, TreeAction(oracles.Product(InfiniteDihedral(), Z()), lambda g, p: dihedral.act(g[0], p), "dihedral-x-z")
+    return m, TreeAction(oracles.Product(InfiniteDihedral(), Z()), lambda g, p: dihedral.act(g[0], p))
 
 
 @pytest.mark.parametrize("radius", range(4))
