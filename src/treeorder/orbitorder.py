@@ -317,8 +317,9 @@ class ConePipeline:
                     if got != want:
                         mismatches.append((g, h, got, want))
         n_ball, n_real = len(induced.elements), len(orbit.realized)
+        pair_coverage = Fraction(n_real * (n_real - 1), n_ball * (n_ball - 1)) if n_ball > 1 else Fraction(1)
         return {
-            "ok": not mismatches,
+            "ok": not mismatches and pair_coverage * 10 >= 9,
             "cone": self.cone.name,
             "radius": self.radius,
             "realized": n_real,
@@ -326,7 +327,7 @@ class ConePipeline:
             "undetermined_elements": list(orbit.escaped),
             "ball": n_ball,
             "coverage": Fraction(n_real, n_ball),
-            "pair_coverage": Fraction(n_real * (n_real - 1), n_ball * (n_ball - 1)) if n_ball > 1 else Fraction(1),
+            "pair_coverage": pair_coverage,
             "mismatches": mismatches,
         }
 
@@ -337,7 +338,9 @@ def roundtrip_orbit(cone: ConeStructure, radius: int = 6) -> dict:
 
     The pulled-back order must agree with the ball order induced by the cone
     on every realized pair; elements outside the built part are excluded and
-    listed, never guessed (``pair_coverage`` is the share of pairs realized).
+    listed, never guessed.  ``ok`` is the round trip's one verdict: no
+    mismatch, and at least 9/10 of the ball's pairs realized
+    (``pair_coverage``), so a window that realizes little shows little.
     The report is plain data, shared with the cone's pipeline; copy it to
     change it.
     """

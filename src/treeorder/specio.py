@@ -44,11 +44,12 @@ import operator
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import CatalogError, GroupError, SpecError, TreeError
-from .groups import TableGroup, make_group
-from .grouporder import ConeStructure
 from .relations import REL_CODES, REL_NAMES
 
+# The group, tree and poset layers are imported by the readers that build
+# them, so reading a poset or tree document loads no group code.
 if TYPE_CHECKING:
+    from .grouporder import ConeStructure
     from .ordertree import OrderTree
     from .poset import ExtendedPoset
 
@@ -238,6 +239,8 @@ def _read_expr(expr, group, where: str) -> Callable:
 
 
 def build_group(spec: dict):
+    from .groups import TableGroup, make_group
+
     if isinstance(spec, dict) and "table" in spec:
         _require_fields(spec, "group", {"table"})
         t = spec["table"]
@@ -274,6 +277,8 @@ def _read_group_order(body) -> ConeStructure:
     _require_fields(body, "group-order body", {"group", "cones"}, {"name"})
     if not isinstance(body.get("name", ""), str):
         raise SpecError("group-order name must be a string")
+    from .grouporder import ConeStructure
+
     group = build_group(body["group"])
     cones = body["cones"]
     _require_fields(cones, "cones", {"positive"}, {"upper", "lower"})

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treeorder import cli, errors
+from treeorder import cli, errors, orbitorder
 from treeorder.catalog import EXAMPLES, get_action_scenario, get_example
 from treeorder.cli import main
 from treeorder.orbitorder import orbit_poset
@@ -173,6 +173,29 @@ def test_roundtrip_command(capsys):
     out = capsys.readouterr().out
     assert "order agreement on determined pairs: pass" in out
     assert "undetermined elements: none" in out
+
+
+def test_a_round_trip_below_nine_tenths_pair_coverage_fails_everywhere(monkeypatch, capsys):
+    # the last ball element escapes: 8 of 9 realized, 56 of 72 pairs, below 9/10
+    real_orbit_points = orbitorder.orbit_points
+
+    def one_escapes(action, x0, radius):
+        points, escaped = real_orbit_points(action, x0, radius)
+        last = list(points)[-1]
+        return {g: p for g, p in points.items() if g != last}, (*escaped, last)
+
+    monkeypatch.setattr(orbitorder, "orbit_points", one_escapes)
+    assert main(["roundtrip", "z-standard", "--radius", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "determined pair coverage: 7/9" in out
+    assert "order agreement on determined pairs: pass" in out and "result: FAIL" in out
+    verdicts = {}
+    for argv in (["roundtrip", "z-standard"], ["examples", "run", "roundtrip-z"], ["examples", "run", "z"]):
+        status = main([*argv, "--radius", "4", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["pair_coverage"] == "7/9" and not report.get("mismatches")
+        verdicts[argv[-1]] = (status, report["ok"])
+    assert verdicts == dict.fromkeys(["z-standard", "roundtrip-z", "z"], (1, False))
 
 
 def test_examples_list_and_run(capsys):

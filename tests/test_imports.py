@@ -21,8 +21,10 @@ import treeorder
 from treeorder import errors, poset, relations
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the catalog compiles no group code until a cone, subgroup or scenario is built
+CATALOG = {"cli", "errors", "catalog", "relations"}
 # the cone layer reads relation codes from the leaf ``relations``, not ``poset``
-CONE_LAYERS = {"cli", "errors", "catalog", "groups", "grouporder", "relations"}
+CONE_LAYERS = CATALOG | {"groups", "grouporder"}
 # what a cone command loads beyond CONE_LAYERS: a free group's sweep compiles
 # the rank-block code, examples run prints its report values through specio,
 # and a quotient that passes the convexity check builds the coset poset
@@ -83,7 +85,6 @@ def test_importing_an_error_class_loads_only_the_errors_module():
     ["check-cones", "free2-standard", "--radius", "3"],
     ["quotient", "z2-lex", "--subgroup", "second-factor", "--radius", "3"],
     ["quotient", "z-standard", "--subgroup", "even", "--radius", "3"],  # fails the convexity check
-    ["examples", "list"],
     ["examples", "run", "cones-z2-lex", "--radius", "3"],
 ], ids=" ".join)
 def test_cone_commands_load_no_tree_layer(argv):
@@ -106,9 +107,38 @@ def test_a_json_cone_report_adds_only_specio():
     assert loaded_by(run) == CONE_LAYERS | {"specio"}
 
 
-def test_blowup_loads_ordertree_without_the_construction():
-    loaded = loaded_by("from treeorder.cli import main; main(['blowup', 'alternating-line', '--radius', '2'])")
-    assert loaded == CONE_LAYERS | {"ordertree", "poset"}
+POSET_DOC = {"version": "1", "kind": "poset", "body": {"elements": ["a", "b"], "relations": [["a", "lt", "b"]]}}
+TREE_DOC = {"version": "1", "kind": "tree", "body": {
+    "nodes": ["a", "b", "c"], "arcs": [["e1", "a", "b"], ["e2", "c", "b"]], "boundary": ["a", "c"]}}
+
+
+# argv and exactly what it loads; TREE and POSET stand for document files
+NO_GROUP_FOOTPRINTS = [
+    (["examples", "list"], CATALOG),
+    (["examples", "list", "--json"], CATALOG | {"specio"}),
+    (["blowup", "alternating-line", "--radius", "2"], CATALOG | {"ordertree", "poset"}),
+    (["blowup", "TREE"], {"cli", "errors", "specio", "relations", "ordertree", "poset"}),
+    (["check-poset", "POSET"], {"cli", "errors", "specio", "relations", "corpus", "poset"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", NO_GROUP_FOOTPRINTS, ids=[" ".join(a) for a, _ in NO_GROUP_FOOTPRINTS])
+def test_commands_that_build_no_group_load_no_group_layer(argv, layers, tmp_path):
+    for name, doc in (("TREE", TREE_DOC), ("POSET", POSET_DOC)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a}.json") if a in ("TREE", "POSET") else a for a in argv]
+    assert loaded_by(f"from treeorder.cli import main; assert main({argv!r}) == 0") == layers
+
+
+def test_the_example_list_loads_only_the_catalog():
+    assert loaded_by("from treeorder import EXAMPLES", "assert len(EXAMPLES) == 17") == {
+        "catalog", "errors", "relations"}
+
+
+def test_orbit_order_loads_specio_only_for_json():
+    run = "from treeorder.cli import main; main(['orbit-order', 'dihedral-line', '--radius', '3'{}])"
+    assert "specio" not in loaded_by(run.format(""))
+    assert "specio" in loaded_by(run.format(", '--json'"))
 
 
 def test_enumerating_small_posets_loads_only_poset():
