@@ -11,7 +11,7 @@ the same spec and flags give byte-identical output.
 Each command imports the layers it runs when it runs, so a cone check or a
 non-convex quotient loads no tree code, ``poset`` or ``fractions``, and
 ``examples list`` loads no group code either; the exit-status error classes
-come from ``errors``.
+and ``jsonable``, which prints report values, come from ``errors``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import CHECK_ERRORS, SPEC_ERRORS, PosetError, SpecError
+from .errors import CHECK_ERRORS, SPEC_ERRORS, PosetError, SpecError, jsonable
 
 
 def _parse_args(argv):
@@ -104,7 +104,7 @@ def _finish(args, ok: bool, lines: list, payload, poset=None, fmt=None) -> int:
     ``--json``, which alone carries the document of ``poset`` (its elements
     written by ``fmt``); the exit status is 0 when ``ok``, else 1."""
     if args.json:
-        from .specio import canonical_json, jsonable, poset_to_document
+        from .specio import canonical_json, poset_to_document
 
         if poset is not None:
             payload["poset"] = poset_to_document(poset, fmt=fmt)
@@ -326,6 +326,8 @@ def _cmd_examples(args) -> int:
     from .catalog import EXAMPLES, get_example
 
     if args.action == "list":
+        if args.name:
+            raise SpecError(f"examples list takes no name; try 'examples run {args.name}'")
         if args.json:
             from .specio import canonical_json
 
@@ -341,8 +343,6 @@ def _cmd_examples(args) -> int:
     lines = [f"example {entry.name}: {entry.summary}"]
     if entry.notes:
         lines.append(f"  note: {entry.notes}")
-    from .specio import jsonable
-
     lines += (f"  {key}: {jsonable(rep[key])}" for key in sorted(rep) if key != "ok")
     return _finish(args, rep["ok"], lines, rep)
 

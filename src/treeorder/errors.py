@@ -1,4 +1,4 @@
-"""The error classes of the exit-status contract, with no dependencies.
+"""The exit-status error classes, and ``jsonable`` for report values; no dependencies.
 
 Each class is re-exported from the module that raises it (``PosetError``
 from ``poset``, ``SpecError`` from ``specio``, and so on), so
@@ -51,3 +51,13 @@ class CatalogError(KeyError):
 # a failed check exits 1, a malformed spec or an unknown name exits 2
 CHECK_ERRORS = (PosetError, ConeError, BuildError, OrbitError, TreeError)
 SPEC_ERRORS = (SpecError, CatalogError, GroupError)
+
+
+def jsonable(x):
+    """Plain JSON data: tuples become arrays, keys become strings, and exact
+    fractions (or any other non-JSON value) their ``str``."""
+    if isinstance(x, dict):
+        return {str(jsonable(k)): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x if isinstance(x, (str, int, float, bool)) or x is None else str(x)

@@ -6,7 +6,10 @@ xor 1).  So a word's dense rank is its ball position less the offset of its
 length, and the m^L extensions of a word u by L letters (m = 2k - 1) form
 one block of ranks, indexed in the frame of u's last letter: first letters in
 digit order, less the inverse of u's last letter.  Sets over the ball are
-byte maps, one byte per word, and a block of a byte map reads as one int.
+the sweep's byte maps, one byte per word, and a block of a byte map reads
+as one int.  The position of each word's inverse follows from ranks alone
+(``inverse_positions``); the sweep builds it once, and the product passes
+read the inverse ranks of the left factors off it.
 
 Write g = head s and h = s^-1 t, with c = |s| letters cancelling.  The
 products head t fill head's block at length |g| + |h| - 2c, in the pattern
@@ -22,46 +25,46 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, floordiv, gt, lshift, mul, or_, rshift, sub
+from operator import add, and_, floordiv, lshift, mul, or_, rshift, sub
 from typing import Iterator
 
 _FLIP = bytes(x ^ 1 for x in range(256))  # each letter digit to its inverse's, and 0 to 1
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def bounded_products(k: int, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
-    """``FreeGroup(k).bounded_products``: (checked, batches) for sublists xs
-    and ys of ball, which is ball(r); a batch is one g and one length b, and
-    its hs are the length-b h in ys that the radius lets cancel against g.
-    The batches come lazily, so a failing sweep holds one hs list at a time."""
+def bounded_products(k: int, xmap: bytes, ymap: bytes, r: int, zmap: bytes, ball: list, inv) -> tuple:
+    """``FreeGroup(k).bounded_products`` on byte maps over ball, which is
+    ball(r), and its inverse positions: a batch is one g and one length b,
+    and its hs are the length-b h in ys that the radius lets cancel against
+    g.  The batches come lazily, so a failing sweep holds one hs list at a time."""
     D, m = 2 * k, 2 * k - 1
     n = [1] + [D * m ** (L - 1) for L in range(1, r + 1)]
     offs = list(accumulate(n, initial=0))
-    xmap = _bytemap(ball, xs)
-    ymap = xmap if ys is xs else _bytemap(ball, ys)
-    omap = bytes(map(members.__contains__, ball)).translate(_FLIP)  # 1: not a member
-    Y, O = ([bs[offs[L]:offs[L + 1]] for L in range(r + 1)] for bs in (ymap, omap))
-    R = [array("q", compress(range(n[a]), xmap[offs[a]:offs[a + 1]])) for a in range(r + 1)]
-    last, I = [], []  # I: the ranks of the inverses of R
-    for Ra, (ends, inv) in zip(R, _ranks(k, r)):
-        last.append(ends)
-        I.append(array("q", map(inv.__getitem__, Ra)))
+    Y, O = ([bs[offs[L]:offs[L + 1]] for L in range(r + 1)] for bs in (ymap, zmap.translate(_FLIP)))  # O: 1 off z
+    # per length: the ranks of the xs and of their inverses, and the first
+    # letter of each word's inverse (at length 0 a stand-in, 2k: no letter)
+    R = [array("i", compress(range(n[L]), xmap[offs[L]:offs[L + 1]])) for L in range(r + 1)]
+    I = [array("i", map(sub, compress(inv[offs[L]:offs[L + 1]], xmap[offs[L]:offs[L + 1]]), repeat(offs[L])))
+         for L in range(r + 1)]
+    firsts = [bytes([D])] + [bytes(map(floordiv, map(sub, inv[offs[L]:offs[L + 1]], repeat(offs[L])),
+                                       repeat(m ** (L - 1)))) for L in range(1, r + 1)]
     checked, escapes, dsts = 0, {}, {}  # dsts: product blocks by (head length, L)
     for c in range(r + 1):
-        flips, made = last[c].translate(_FLIP), {}  # made: patterns by (L, headed)
+        flips, made = firsts[c], {}  # made: patterns by (L, headed)
         for a in range(c, r + 1):
             h = a - c  # g = head s with |head| = h; h = 0: the products are the t
-            keys = list(map(floordiv, I[a], repeat(m ** (h - 1)))) if h > 1 else I[a]
-            heads = list(map(floordiv, R[a], repeat(m ** c if h else n[a]))) if c else R[a]  # h = 0: one block
+            keys = array("i", map(floordiv, I[a], repeat(m ** (h - 1)))) if h > 1 else I[a]
+            heads = array("i", map(floordiv, R[a], repeat(m ** c if h else n[a]))) if c else R[a]  # h = 0: one block
             for L in range(min(r - h, r - c) + 1):  # |t|: the products stay in the ball
                 if (L, h > 0) not in made:
-                    made[L, h > 0] = _patterns(k, Y[c + L], flips, last[c + 1] if h else None, c, L)
+                    made[L, h > 0] = _patterns(k, Y[c + L], flips, firsts[c + 1].translate(_FLIP) if h else None, c, L)
                 if (h, L) not in dsts:
                     dsts[h, L] = _blocks(O[h + L], m ** L if h else n[L])
                 pats, blocks = made[L, h > 0], dsts[h, L]
-                checked += sum(map(int.bit_count, map(pats.__getitem__, keys)))
-                if any(map(and_, map(pats.__getitem__, keys), map(blocks.__getitem__, heads))):
-                    hits = map(bool, map(and_, map(pats.__getitem__, keys), map(blocks.__getitem__, heads)))
+                gpats = list(map(pats.__getitem__, keys))  # each g's products, looked up once
+                checked += sum(map(int.bit_count, gpats))
+                if any(map(and_, gpats, map(blocks.__getitem__, heads))):
+                    hits = map(bool, map(and_, gpats, map(blocks.__getitem__, heads)))
                     escapes[a, c + L] = bytes(map(or_, escapes.get((a, c + L), repeat(False)), hits))
         dsts = {hL: blocks for hL, blocks in dsts.items() if max(hL) < r - c}  # what the next c reads
     return checked, _batches(r, m, n, offs, escapes, R, I, ymap, ball)
@@ -84,22 +87,21 @@ def _batches(r: int, m: int, n: list, offs: list, escapes: dict, R: list, I: lis
                     yield ball[offs[a] + R[a][i]], list(compress(ball[lo:lo + width], ymap[lo:lo + width]))
 
 
-def _ranks(k: int, r: int) -> Iterator[tuple]:
-    """(last, inv) for lengths 0..r, by dense rank: the digit of each word's
-    last letter (at length 0 a stand-in that flips to 2k, no letter) and the
-    rank of its inverse.  inv(w x) = x^-1 inv(w), whose frame skips the
-    first letter x: inv(w) moves down a sub-block if it starts after x."""
+def inverse_positions(k: int, r: int) -> array:
+    """``FreeGroup(k).inverse_positions``: the ball(r) position of each
+    word's inverse, by ball position, from ranks alone.  The words y v of
+    length L + 1 fill y's block by v's first letter f, in v's order, and
+    inv(y v) = inv(v) y^-1 has rank m rank(inv(v)) plus the index of y^-1
+    among the letters that may follow f^-1: y^-1, less one when past f."""
     D, m = 2 * k, 2 * k - 1
-    follow = [bytes(e for e in range(D) if e != d ^ 1) for d in range(D)]
-    yield bytes([D ^ 1]), array("q", [0])
-    last, inv = bytes(range(D)), array("q", [d ^ 1 for d in range(D)])
-    for L in range(1, r + 1):
-        yield last, inv
-        new = b"".join(map(follow.__getitem__, last))
-        drops = map(mul, map(gt, chain.from_iterable(map(repeat, last.translate(_FLIP), repeat(m))), new),
-                    repeat(m ** (L - 1)))
-        rests = map(sub, chain.from_iterable(map(repeat, inv, repeat(m))), drops)
-        last, inv = new, array("q", map(add, map(mul, new.translate(_FLIP), repeat(m ** L)), rests))
+    out = array("i", [0] + [1 + (d ^ 1) for d in range(D)] * (r > 0))
+    for L in range(1, r):
+        w, top = m ** (L - 1), len(out)  # a sub-block's size; where length L + 1 starts
+        lo = top - D * w
+        for y, f in ((y, f) for y in range(D) for f in range(D) if f != y ^ 1):
+            out.extend(map(add, map(mul, out[lo + f * w:lo + f * w + w], repeat(m)),
+                           repeat(top - m * lo + (y ^ 1) - ((y ^ 1) > f))))
+    return out
 
 
 def _patterns(k: int, yb: bytes, flips: bytes, nexts, c: int, L: int):
@@ -116,12 +118,12 @@ def _patterns(k: int, yb: bytes, flips: bytes, nexts, c: int, L: int):
         e1s, e2s = flips, repeat(D)
     else:
         rep = m if c else D
-        srcs = list(chain.from_iterable(map(repeat, srcs, repeat(rep))))
+        srcs = (list if L else bytes)(chain.from_iterable(map(repeat, srcs, repeat(rep))))  # L = 0: bits
         e1s, e2s = chain.from_iterable(map(repeat, flips, repeat(rep))), nexts
     if not L:
         return srcs
     w = m ** (L - 1)  # first-letter sub-block width
-    q = list(map(add, map(mul, e1s, repeat(D + 1)), e2s))
+    q = array("H", map(add, map(mul, e1s, repeat(D + 1)), e2s))
     keep, up, down = {}, {}, {}
     for x in set(q):
         e1, e2 = divmod(x, D + 1)
@@ -131,16 +133,6 @@ def _patterns(k: int, yb: bytes, flips: bytes, nexts, c: int, L: int):
     return list(map(or_, map(or_, map(and_, srcs, map(keep.__getitem__, q)),
                              map(lshift, map(and_, srcs, map(up.__getitem__, q)), repeat(w))),
                     map(rshift, map(and_, srcs, map(down.__getitem__, q)), repeat(w))))
-
-
-def _bytemap(ball: list, ws: list) -> bytes:
-    """1 at each position of ball that ws, a sublist in ball order, holds."""
-    out, rest = bytearray(len(ball)), iter(ws)
-    w = next(rest, None)
-    for i, x in enumerate(ball):
-        if x == w:
-            out[i], w = 1, next(rest, None)
-    return bytes(out)
 
 
 def _blocks(bs: bytes, w: int):

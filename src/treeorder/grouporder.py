@@ -8,7 +8,7 @@ axioms make this a well-defined tagged order: P meets its inverse nowhere
 and U, L are symmetric (1); P, L, U absorb products as P*P in P (2), L*P in
 L (3), P*U in U (4), U*L in P (5); and the five pieces partition the group
 (6).  Axiom sweeps restrict to a finite ball, skipping and counting the
-products that escape it.
+products that escape it, with each piece a byte map by ball position.
 
 The element doubling g -> (g-, g, g+) lives here too, with the touching
 relation R (nothing separates two doubled points), read off the base order,
@@ -19,7 +19,8 @@ import ``poset``, so a cone check never loads it.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
+from operator import eq
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .errors import ConeError
@@ -33,6 +34,7 @@ _VIOLATION_CAP = 25
 _CODE_BITS = tuple(bytes.maketrans(bytes(range(5)), bytes(48 + (k == c) for k in range(5)))
                    for c in (LT, GT, SIMU, SIML))
 _PIECE_NAMES = {EQ: "e", LT: "p", GT: "pinv", SIMU: "u", SIML: "l"}  # for partition errors
+_NOT_ONE = bytes(int(x != 1) for x in range(256))  # a count of pieces to 1 where it is not one
 
 
 class ConeStructure:
@@ -127,14 +129,10 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
     """
     group = cone.group
     ball = group.ball(radius)
-    pos, upp, low = [], [], []
-    for w in ball:  # the only predicate calls: one per piece and element
-        if cone.in_positive(w):
-            pos.append(w)
-        if cone.in_upper(w):
-            upp.append(w)
-        if cone.in_lower(w):
-            low.append(w)
+    n, in_p, in_u, in_l = len(ball), cone.in_positive, cone.in_upper, cone.in_lower
+    pos, upp, low = bytearray(n), bytearray(n), bytearray(n)
+    for i, w in enumerate(ball):  # the only predicate calls: one per piece and element
+        pos[i], upp[i], low[i] = not not in_p(w), not not in_u(w), not not in_l(w)
 
     conditions = {
         1: ConditionResult(1, "P misses its inverse set; U and L are inverse-closed"),
@@ -145,38 +143,42 @@ def verify_cone_axioms(cone: ConeStructure, radius: int) -> ConeReport:
         6: ConditionResult(6, "pieces partition the ball"),
     }
 
-    # the ball is inverse-closed, so w^-1's pieces are read off the sets
-    P, U, L = set(pos), set(upp), set(low)
+    inv = group.inverse_positions(ball, radius)  # the pieces of w^-1 are read at its position
+    notes, strays = _inverse_checks(group, ball, inv, pos, upp, low)
     c1, c6 = conditions[1], conditions[6]
-    c1.checked = c6.checked = len(ball)
-    for w in ball:
-        wi = group.inv(w)
-        p, pi, u, l = w in P, wi in P, w in U, w in L
-        if p and pi:
-            c1.note((w, wi))
-        if u != (wi in U) or l != (wi in L):
-            c1.note((w, wi))
-        if (w == group.identity) + p + pi + u + l != 1:
-            c6.note((w,))
+    c1.checked = c6.checked = n
+    for i in compress(range(n), notes):  # inv(w) is formed only for a witness
+        for _ in range(notes[i]):
+            c1.note((ball[i], group.inv(ball[i])))
+    for i in compress(range(n), strays):
+        c6.note((ball[i],))
 
     # the model counts the in-ball products and names the batches with one
     # outside the piece; only those are rescanned, in order, for witnesses
-    sweeps = [(2, pos, pos, P), (3, low, pos, L), (4, pos, upp, U), (5, upp, low, P)]
-    bset = None  # built by the first rescan; a passing sweep never needs it
-
-    for idx, xs, ys, members in sweeps:
+    index = None  # ball positions, built by the first rescan; a passing sweep never needs them
+    for idx, xmap, ymap, zmap in ((2, pos, pos, pos), (3, low, pos, low), (4, pos, upp, upp), (5, upp, low, pos)):
         cond = conditions[idx]
-        cond.checked, batches = group.bounded_products(xs, ys, radius, members, ball) if xs and ys else (0, ())
+        nx, ny = xmap.count(1), ymap.count(1)
+        cond.checked, batches = group.bounded_products(xmap, ymap, radius, zmap, ball, inv) if nx and ny else (0, ())
         for g, hs in batches:
-            if bset is None:
-                bset = set(ball)
+            if index is None:
+                index = dict(zip(ball, range(n)))
             for h in hs:
                 z = group.mult(g, h)
-                if z in bset and z not in members:
+                if z in index and not zmap[index[z]]:
                     cond.note((g, h, z))
-        cond.skipped = len(xs) * len(ys) - cond.checked
+        cond.skipped = nx * ny - cond.checked
 
-    return ConeReport(cone=cone.name, radius=radius, ball_size=len(ball), conditions=conditions)
+    return ConeReport(cone=cone.name, radius=radius, ball_size=n, conditions=conditions)
+
+
+def _inverse_checks(group, ball: list, inv, pos: bytes, upp: bytes, low: bytes) -> tuple:
+    """Byte maps by element: the notes condition (1) takes at w, and 1 where (6) fails.  Maps read
+    as ints add by element; w^-1's pieces are read at ``inv``, where len(ball) means none."""
+    e, p, u, l = (int.from_bytes(bs, "big") for bs in (bytes(map(eq, ball, repeat(group.identity))), pos, upp, low))
+    pi, ui, li = (int.from_bytes(bytes(map((bs + b"\0").__getitem__, inv)), "big") for bs in (pos, upp, low))
+    return (((p & pi) + ((u ^ ui) | (l ^ li))).to_bytes(len(ball), "big"),  # P holds w, w^-1; U or L just one
+            (e + p + pi + u + l).to_bytes(len(ball), "big").translate(_NOT_ONE))  # pieces other than one
 
 
 def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeReport] = None) -> ExtendedPoset:

@@ -4,12 +4,12 @@ Each model exposes the same small surface: ``identity``, ``mult``, ``inv``,
 ``ball(r)`` (a deterministic enumeration of the word-metric ball, sorted by
 length and then by a fixed tie-break), ``format`` for reports, and
 ``components`` for the little predicate language used by cone documents.
-For cone-axiom sweeps every model also has ``bounded_products``, which
-counts the products of two ball subsets that stay inside the ball and names
-the batches holding one outside a member set: a plain double loop by
-default, shifted int masks on Z and Z^k, and on the free group rank blocks
-of the ball's breadth-first order, one bitwise pass per left length, right
-length and cancellation depth.
+Cone-axiom sweeps keep sets over the ball as byte maps by position.  Each
+model gives ``inverse_positions`` (one dict over the ball; the free group
+reads ranks and forms no inverse) and ``bounded_products``, which counts
+the in-ball products of two sets and names the batches with one outside a
+third: a plain double loop by default, shifted int masks on Z and Z^k, and
+on the free group rank blocks of the ball's breadth-first order.
 Z and Z^k also give ``quotient_keys``: int keys that add as the elements do,
 so quotient scans read the side of g^-1 h under key(h) - key(g); the other
 models have none, and their scans classify every pair.
@@ -25,6 +25,7 @@ first surviving coefficient.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from operator import neg
 
 from .errors import GroupError
@@ -38,15 +39,21 @@ SERIES_MAX_DEGREE = 8
 class GroupModel:
     """Sweep default: a plain double loop."""
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
-        """(checked, batches) for sublists xs and ys of ball, which is ball(r),
-        in its order: checked counts the products g*h, g in xs and h in ys,
-        that lie in ball(r), and batches gives (g, hs) in xs order for each g
-        with such a product outside members (the free group: lazily); hs are
-        the h in ys, in order, whose product with g may lie in ball(r)."""
-        inball = set(ball)
+    def inverse_positions(self, ball: list, r: int) -> list:
+        """Each element's inverse's position in ball, which is ball(r); len(ball) where it lies outside."""
+        index = dict(zip(ball, range(len(ball))))
+        return list(map(index.get, map(self.inv, ball), repeat(len(ball))))
+
+    def bounded_products(self, xmap: bytes, ymap: bytes, r: int, zmap: bytes, ball: list, inv) -> tuple:
+        """(checked, batches) for byte maps of xs, ys and z over ball, which
+        is ball(r), with inverse positions inv: checked counts the products
+        g*h, g in xs and h in ys, that lie in ball(r), and batches gives (g,
+        hs) in ball order for each g with such a product outside z (the free
+        group: lazily); hs are the h in ys, in order, whose product with g
+        may lie in ball(r)."""
+        ys, inball, members = list(compress(ball, ymap)), set(ball), set(compress(ball, zmap))
         checked, batches = 0, []
-        for g in xs:
+        for g in compress(ball, xmap):
             zs = [z for z in (self.mult(g, h) for h in ys) if z in inball]
             checked += len(zs)
             if not members.issuperset(zs):
@@ -76,13 +83,13 @@ class _Additive(GroupModel):
     def quotient_keys(self, ws: list, r: int) -> list:
         return self._codes(ws, 2 * r)
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
+    def bounded_products(self, xmap: bytes, ymap: bytes, r: int, zmap: bytes, ball: list, inv) -> tuple:
         # a product's code at shift 2r is the sum of its factors' codes at
         # shift r, so the products of g are the mask of ys shifted by g's code
+        xs, ys, checked, batches = list(compress(ball, xmap)), list(compress(ball, ymap)), 0, []
         ymask = _mask(self._codes(ys, r, r))
         inball = _mask(self._codes(ball, r, 2 * r))
-        outside = inball & ~_mask(self._codes(members, r, 2 * r))
-        checked, batches = 0, []
+        outside = inball & ~_mask(self._codes(compress(ball, zmap), r, 2 * r))
         for g, shift in zip(xs, self._codes(xs, r, r)):
             products = ymask << shift
             checked += (products & inball).bit_count()
@@ -235,16 +242,16 @@ class FreeGroup(GroupModel):
         self._sign_cache[w] = sign
         return sign
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
-        """(checked, batches) as for every model, one batch per g and length b
-        of h.  ball() lists each length in lexicographic order, so the
-        extensions of a word by L letters are one block of ranks: sets become
-        bitsets over the ball, and each left length, right length and
-        cancellation depth is one bitwise pass (``freesweep``, loaded on the
-        first free sweep of a process)."""
+    def inverse_positions(self, ball: list, r: int):
+        from .freesweep import inverse_positions  # from word ranks, as an array: no inverse is formed
+        return inverse_positions(self.k, r)
+
+    def bounded_products(self, xmap: bytes, ymap: bytes, r: int, zmap: bytes, ball: list, inv) -> tuple:
+        """(checked, batches) as for every model, one batch per g and length b of h,
+        from rank blocks of the ball (``freesweep``, loaded on the first free sweep)."""
         from .freesweep import bounded_products
 
-        return bounded_products(self.k, xs, ys, r, members, ball)
+        return bounded_products(self.k, xmap, ymap, r, zmap, ball, inv)
 
 
 class InfiniteDihedral(GroupModel):

@@ -43,7 +43,7 @@ import json
 import operator
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .errors import CatalogError, GroupError, SpecError, TreeError
+from .errors import CatalogError, GroupError, SpecError, TreeError, jsonable
 from .relations import REL_CODES, REL_NAMES
 
 # The group, tree and poset layers are imported by the readers that build
@@ -101,18 +101,6 @@ def _freeze(x):
     if isinstance(x, dict):
         raise SpecError(f"an object cannot name an element or a tree id: {json.dumps(x)}")
     return x
-
-
-def jsonable(x):
-    """Plain JSON data: tuples become arrays, keys become strings, and exact
-    fractions (or any other non-JSON value) their ``str``."""
-    if isinstance(x, dict):
-        return {str(jsonable(k)): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return str(x)
 
 
 def parse_document(obj) -> SpecDocument:

@@ -768,8 +768,13 @@ class Product:
     def format(self, x: tuple) -> str:
         return f"({self.a.format(x[0])}, {self.b.format(x[1])})"
 
-    def bounded_products(self, xs: list, ys: list, r: int, members: set, ball: list) -> tuple:
-        inball = set(ball)
+    def inverse_positions(self, ball: list, r: int) -> list:
+        return [ball.index(self.inv(w)) for w in ball]
+
+    def bounded_products(self, xmap: bytes, ymap: bytes, r: int, zmap: bytes, ball: list, inv) -> tuple:
+        xs = [w for w, x in zip(ball, xmap) if x]
+        ys = [w for w, y in zip(ball, ymap) if y]
+        inball, members = set(ball), {w for w, z in zip(ball, zmap) if z}
         checked, batches = 0, []
         for g in xs:
             zs = [z for z in (self.mult(g, h) for h in ys) if z in inball]

@@ -546,6 +546,8 @@ FRESH_FAILURES = {
     "tree-error": (["blowup"], _doc("tree", {"nodes": ["a", "b"], "arcs": [["e1", "a", "b"], ["e2", "b", "a"]]}),
                    1, "check failed: blow-up needs a well-formed tree: identified arc graph has a cycle\n"),
     "catalog-error-example": (["examples", "run", "banana"], None, 2, "error: unknown example 'banana'"),
+    "spec-error-list-name": (["examples", "list", "z"], None, 2,
+                             "error: examples list takes no name; try 'examples run z'\n"),
     "catalog-error-subgroup": (["quotient", "z2-lex", "--subgroup", "banana"], None, 2,
                                "error: unknown subgroup 'banana'; known: even, second-factor\n"),
     "group-error": (["check-cones"], NOT_A_GROUP, 2, "error: 1 has no inverse\n"),

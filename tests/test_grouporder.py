@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -120,6 +122,29 @@ def test_free_standard_product_counts_stay_frozen(radius, checked):
     assert report.ok and report.conditions[2].checked == checked
 
 
+def test_a_free_cone_sweep_peaks_below_one_and_a_half_balls():
+    # the pieces are byte maps by position and the inverse table four bytes
+    # an element, so the sweep's traced peak, its ball included, stays within
+    # half the ball's traced size above it.  A full collection empties the
+    # free lists first, so every tuple of either ball is a traced allocation
+    gc.collect()
+    tracemalloc.start()
+    ball = FreeGroup(2).ball(8)
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    del ball
+    cone = get_cone("free2-standard")
+    verify_cone_axioms(cone, 1)  # the rank-block code loads outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_cone_axioms(cone, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size, peak / size
+
+
 def _standard_minus(k: int, w0: tuple) -> ConeStructure:
     """The standard free cone with one positive word, w0 or its inverse, taken out of P."""
     good = free_standard(k)
@@ -166,7 +191,7 @@ def test_sweep_calls_each_predicate_a_bounded_number_of_times_per_ball_element(n
     assert report.ok
     bound = 6 * report.ball_size
     assert sum(report.conditions[i].checked for i in (2, 3, 4, 5)) > bound
-    # once each: w^-1's pieces and the products' are read off the piece sets
+    # once each: w^-1's pieces and the products' are read off the piece byte maps
     assert calls == {piece: report.ball_size for piece in "pul"}, calls
 
 

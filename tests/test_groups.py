@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from itertools import compress
+
 import pytest
 
+import oracles
 from treeorder.grouporder import ConeStructure, verify_cone_axioms
 from treeorder.groups import (
     FreeGroup,
@@ -116,23 +119,47 @@ def test_make_group_defaults_only_a_missing_rank():
             make_group(family, k)
 
 
+@pytest.mark.parametrize("model", [Z(), Zk(2), Zk(3), FreeGroup(1), FreeGroup(2), FreeGroup(3), InfiniteDihedral(),
+                                   TableGroup(list(range(5)), Z5_TABLE, 0), oracles.Product(Z(), InfiniteDihedral())],
+                         ids=lambda g: getattr(g, "name", "z5"))
+def test_inverse_positions_index_each_inverse_in_the_ball(model):
+    for r in range(5):
+        ball = model.ball(r)
+        assert list(model.inverse_positions(ball, r)) == [ball.index(model.inv(w)) for w in ball]
+
+
+def test_an_inverse_outside_the_ball_has_position_past_its_end():
+    class Shifted(Z):  # a broken model: the inverse of n is 1 - n
+        def inv(self, a):
+            return 1 - a
+
+    ball = Shifted().ball(2)  # 0, -1, 1, -2, 2
+    assert list(Shifted().inverse_positions(ball, 2)) == [2, 4, 0, 5, 1]
+
+
 @pytest.mark.parametrize("model", [Z(), Zk(2), Zk(3), FreeGroup(2), FreeGroup(3), InfiniteDihedral(),
-                                   TableGroup(list(range(5)), Z5_TABLE, 0)],
+                                   TableGroup(list(range(5)), Z5_TABLE, 0), oracles.Product(Z(), InfiniteDihedral())],
                          ids=lambda g: getattr(g, "name", "z5"))
 def test_bounded_products_batch_exactly_the_in_ball_products(model):
     # checked counts the in-ball products; rescanning the batches in order,
-    # as the sweep does, finds exactly the in-ball products outside members,
-    # in (g, h) order, and every batch holds one
+    # as the sweep does, finds exactly the in-ball products outside the
+    # piece, in (g, h) order, and every batch holds one
     escapes = set()
     for r in range(5):
         ball = model.ball(r)
         if len(ball) > 400:  # free3 at r = 4: the pairwise loop would dominate the suite
             break
-        bset = set(ball)
-        for xs, ys in ((ball, ball), (ball[::2], ball[1::3])):
+        bset, inv = set(ball), model.inverse_positions(ball, r)
+
+        def every(start, step):  # the byte map of ball[start::step]
+            return bytes(i >= start and (i - start) % step == 0 for i in range(len(ball)))
+
+        for xmap, ymap in ((every(0, 1), every(0, 1)), (every(0, 2), every(1, 3))):
+            xs, ys = (list(compress(ball, bs)) for bs in (xmap, ymap))
             inside = [(g, h, z) for g in xs for h in ys for z in [model.mult(g, h)] if z in bset]
-            for members in (bset, set(ball[::2]), set(ball[1::2])):
-                checked, batches = model.bounded_products(xs, ys, r, members, ball)
+            for zmap in (every(0, 1), every(0, 2), every(1, 2)):
+                members = set(compress(ball, zmap))
+                checked, batches = model.bounded_products(xmap, ymap, r, zmap, ball, inv)
                 assert checked == len(inside)
                 got = []
                 for g, hs in batches:

@@ -26,9 +26,9 @@ CATALOG = {"cli", "errors", "catalog", "relations"}
 # the cone layer reads relation codes from the leaf ``relations``, not ``poset``
 CONE_LAYERS = CATALOG | {"groups", "grouporder"}
 # what a cone command loads beyond CONE_LAYERS: a free group's sweep compiles
-# the rank-block code, examples run prints its report values through specio,
-# and a quotient that passes the convexity check builds the coset poset
-CONE_EXTRAS = {"free2-standard": {"freesweep"}, "run": {"specio"}, "second-factor": {"poset"}}
+# the rank-block code, and a quotient that passes the convexity check builds
+# the coset poset
+CONE_EXTRAS = {"free2-standard": {"freesweep"}, "second-factor": {"poset"}}
 # the relation codes and betweenness, defined in relations and re-exported by poset
 RELATION_NAMES = ("EQ", "LT", "GT", "SIMU", "SIML", "REL_NAMES", "REL_CODES", "SWAP", "between_by_codes")
 
