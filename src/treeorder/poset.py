@@ -23,7 +23,10 @@ indices, not the tagging that produced it: reversing every relation keeps
 it, and many taggings share one.  A "between geometry" is one such table
 with what the laws read off it, shared by every poset that has the table:
 the 400 tagged posets on four points have 25 between geometries, the 6,912
-on five points 216, and the 153,664 on six points 2,401.
+on five points 216, and the 153,664 on six points 2,401.  The certificate
+reads only the table and the comparability rows, so the geometry keeps its
+verdict per comparability tuple: it runs 200, 3,456 and 76,832 times, once
+for each poset and its reverse.
 """
 
 from __future__ import annotations
@@ -38,7 +41,16 @@ from .relations import EQ, GT, LT, REL_CODES, REL_NAMES, SIML, SIMU, SWAP, betwe
 Element = Hashable
 
 
+_BYTE_BITS = [tuple(j for j in range(8) if m >> j & 1) for m in range(256)]
+
+
 def _bits(mask: int) -> Iterator[int]:
+    """The indices of the bits set in ``mask``, lowest first; a mask below
+    256, as every row of a poset on up to eight points, reads a table."""
+    return iter(_BYTE_BITS[mask]) if 0 <= mask < 256 else _wide_bits(mask)
+
+
+def _wide_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -64,12 +76,13 @@ class BetweenGeometry:
     travel half: per anchor i, the j != i by increasing |B(i, j)| and beside
     each the q (i or an earlier j) with B(i, j) = B(i, q) plus j; None when
     some j has none.  ``theorem``: the witnesses of laws 1-4 in order, as
-    index tuples (law, a, b, c[, d])."""
+    index tuples (law, a, b, c[, d]).  ``verdicts``: the certificate's
+    answer per comparability tuple, for posets that have run no chain test."""
 
-    __slots__ = ("table", "walks", "theorem", "__weakref__")
+    __slots__ = ("table", "walks", "theorem", "verdicts", "__weakref__")
 
     def __init__(self, table: tuple):
-        self.table, self.theorem, self.walks = table, self._theorem(table), []
+        self.table, self.theorem, self.walks, self.verdicts = table, self._theorem(table), [], {}
         index = list(range(len(table)))
         for i, row in enumerate(table):
             pred, order, preds = {1 << i: i}, [], []
@@ -140,6 +153,9 @@ class ExtendedPoset:
     ``from_relation`` to build from a per-pair callback instead.
     """
 
+    __slots__ = ("elements", "n", "_up", "_down", "_simu", "_siml", "_comp", "_bet", "_idx",
+                 "_tested", "_orel", "_partial", "_geo", "points")
+
     def __init__(self, elements: Sequence[Element], up: Sequence[int], down: Sequence[int],
                  simu: Sequence[int], siml: Sequence[int]):
         self.elements: tuple = tuple(elements)
@@ -149,7 +165,7 @@ class ExtendedPoset:
         self._up, self._down, self._simu, self._siml = tuple(up), tuple(down), tuple(simu), tuple(siml)
         if not len(self._up) == len(self._down) == len(self._simu) == len(self._siml) == n:
             raise PosetError(f"each of the four row lists must hold one row per element, {n} rows")
-        self._comp = [self._up[i] | self._down[i] for i in range(n)]
+        self._comp = tuple(map(int.__or__, self._up, self._down))
         self._validate()
         self._bet: dict = {}  # B(i, j) masks keyed by i * n + j with i < j
         self._idx = None  # element -> index, on the first index()
@@ -427,7 +443,7 @@ class ExtendedPoset:
         the rows in one pass by the cases of ``_between_mask``.  Masks
         already in the ``_bet`` memo are read from it; the rest are not
         stored, since the laws read them only from the geometry's table."""
-        n, memo = self.n, self._bet.get
+        n = self.n
         up, down, simu, siml = self._up, self._down, self._simu, self._siml
         bet = [[1 << i] * n for i in range(n)]
         for i in range(n):
@@ -442,7 +458,10 @@ class ExtendedPoset:
                     inner = li & down[j] | siml[j] & di
                 else:
                     inner = si & up[j] | simu[j] & ui
-                row[j] = bet[j][i] = memo(i * n + j) or inner | 1 << i | bit
+                row[j] = bet[j][i] = inner | 1 << i | bit
+        for key, mask in self._bet.items():
+            i, j = divmod(key, n)
+            bet[i][j] = bet[j][i] = mask
         return tuple(map(tuple, bet))
 
     def _geometry(self) -> BetweenGeometry:
@@ -456,13 +475,23 @@ class ExtendedPoset:
         return self._geo
 
     def _certified(self) -> bool:
-        """Whether ``between_set`` passes on every pair.  The geometry's walk
-        accepts each j from anchor i, so ``between_members(i, j)`` is that of
-        (i, q) plus j, and B(i, j) is a chain when B(i, q) is one in comp[j],
-        comp being symmetric.  A second walk cuts classes as ``between_set``
-        does and checks each j's related partners in B(i, j); a chain answer
-        unlike one kept refuses too."""
+        """Whether ``between_set`` passes on every pair: the geometry's verdict
+        for ``_comp`` until a chain test has run, then this poset's own."""
         geo = self._geometry()
+        if self._tested is not None:
+            return self._certify(geo)
+        verdict = geo.verdicts.get(self._comp)
+        if verdict is None:
+            verdict = geo.verdicts[self._comp] = self._certify(geo)
+        return verdict
+
+    def _certify(self, geo: BetweenGeometry) -> bool:
+        """The certificate's pass.  The geometry's walk accepts each j from
+        anchor i, so ``between_members(i, j)`` is that of (i, q) plus j, and
+        B(i, j) is a chain when B(i, q) is one in comp[j], comp being
+        symmetric.  A second walk cuts classes as ``between_set`` does and
+        checks each j's related partners in B(i, j); a chain answer unlike
+        one kept refuses too."""
         if geo.walks is None:
             return False
         comp, bet, related = self._comp, geo.table, []

@@ -312,18 +312,20 @@ def test_travel_order_that_is_not_total_raises(pair, mask, at):
 
 
 def _unrelated_within_a_class(p):
-    p._comp[0] &= ~0b0100  # a no longer compares with c
+    a, b, c, d = p._comp  # a no longer compares with c
+    p._comp = (a & ~0b0100, b, c, d)
     return ("a", "d"), "('a', 'c')"
 
 
 def _unrelated_both_ways(p):
-    p._comp[0] &= ~0b0100  # a and c no longer compare, from either side
-    p._comp[2] &= ~0b0001
+    a, b, c, d = p._comp  # a and c no longer compare, from either side
+    p._comp = (a & ~0b0100, b, c & ~0b0001, d)
     return ("a", "d"), "('a', 'c')"
 
 
 def _related_across_classes(p):
-    p._comp[1] &= ~0b0100  # b no longer compares with c, which cuts B(d, a) in two
+    a, b, c, d = p._comp  # b no longer compares with c, which cuts B(d, a) in two
+    p._comp = (a, b & ~0b0100, c, d)
     p._bet[0 * p.n + 2] = 0b0101  # B(a, c) loses b and becomes a chain
     return ("d", "a"), "('c', 'a')"
 
@@ -464,14 +466,31 @@ def _travel_mask(pair, mask):
     return corrupt
 
 
+def _beside_a_certified_twin(corrupt):
+    """A chain corrupted after its uncorrupted twin, still alive, has put
+    its verdict on the geometry they share."""
+    twin, p = chain("abcd"), chain("abcd")
+    assert twin._certified()
+    corrupt(p)
+    assert p._geometry() is twin._geometry() and p._geometry().verdicts == {twin._comp: True}
+    return [p]
+
+
+def _kept_chain_answer_flipped(p):
+    p.between_set("a", "d")
+    p._orel[0] ^= 0b0100  # a's kept chain answer on c flips; comp stays the twin's
+
+
 @pytest.mark.parametrize("corrupted", [
     _class_boundary,
     lambda: _chain_with(_unrelated_within_a_class),
     lambda: _chain_with(_unrelated_both_ways),
     lambda: _chain_with(_related_across_classes),
     *(lambda pair=pair, mask=mask: _chain_with(_travel_mask(pair, mask)) for pair, mask, _ in TRAVEL_CORRUPTIONS),
+    lambda: _beside_a_certified_twin(_unrelated_within_a_class),
+    lambda: _beside_a_certified_twin(_kept_chain_answer_flipped),
 ], ids=["class-boundary", "unrelated-within-a-class", "unrelated-both-ways", "related-across-classes",
-        "earlier-member-missing", "later-member-present"])
+        "earlier-member-missing", "later-member-present", "twin-certified-first", "chain-answer-flipped"])
 def test_the_certificate_refuses_a_corrupted_memo_and_the_per_pair_pass_reports_it(corrupted):
     for q in corrupted():
         assert not q._certified() and not oracles.single_pass_certified(q, q._between_table())
@@ -487,7 +506,7 @@ def test_the_certificate_refuses_a_comparability_seen_from_one_side():
     # they compare, so every between_set still passes once comp[x] alone
     # names y; the certificate reads one side of each pair and must refuse
     p = from_pairs("xyz", [("x", "siml", "y"), ("z", "lt", "x"), ("y", "siml", "z")])
-    p._comp[0] |= 0b010
+    p._comp = (p._comp[0] | 0b010, *p._comp[1:])
     assert not p._certified() and not oracles.single_pass_certified(p, p._between_table())
     suite = run_relation_suite(p)
     assert suite["ok"] and suite == oracles.per_pair_suite(p)
@@ -520,11 +539,13 @@ def test_the_theorem_scan_names_the_ordered_witnesses_of_a_corrupted_mask(poset,
     assert p.verify_between_theorem() == want
 
 
-@pytest.mark.parametrize("n, tables", [(4, 25), (5, 216)])
-def test_posets_with_one_between_table_share_one_geometry_while_they_live(n, tables):
+@pytest.mark.parametrize("n, tables, verdicts", [(4, 25, 200), (5, 216, 3456)])
+def test_posets_with_one_between_table_share_one_geometry_while_they_live(n, tables, verdicts):
     posets = all_extended_posets(n)
     assert len({id(p._geometry()) for p in posets}) == len({p._between_table() for p in posets}) == tables
     assert all(run_relation_suite(p)["ok"] for p in posets)
+    # the certificate ran once per (table, comparability); here each pair is a poset and its reverse
+    assert sum(len(geo.verdicts) for geo in _GEOMETRIES.values()) == verdicts == len(posets) // 2
     del posets
     gc.collect()
     assert not _GEOMETRIES

@@ -177,7 +177,7 @@ def test_a_non_total_between_set_raises_the_base_orders_error():
     diamond = copy.copy(chain)
     diamond._up, diamond._down = (0b1110, 0b1000, 0b1000, 0), (0, 0b1, 0b1, 0b111)
     diamond._simu = (0, 0b100, 0b10, 0)
-    diamond._comp = [u | d for u, d in zip(diamond._up, diamond._down)]
+    diamond._comp = tuple(u | d for u, d in zip(diamond._up, diamond._down))
     diamond._bet = {}
     with pytest.raises(PosetError, match=r"^travel order on B\(0, 3\) is not total at \(1, 2\)$"):
         diamond.between_members(0, 3)
