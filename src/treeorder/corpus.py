@@ -119,6 +119,9 @@ def all_extended_posets(n: int) -> List[ExtendedPoset]:
                 rows[j] |= 1 << i
         else:
             tag(len(pairs))
+    # tag reaches itself, and out, through its closure cell: dropping it lets
+    # the posets go by reference count, not at the next cycle collection
+    del tag
     return out
 
 

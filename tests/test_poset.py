@@ -469,6 +469,7 @@ def _travel_mask(pair, mask):
 def _beside_a_certified_twin(corrupt):
     """A chain corrupted after its uncorrupted twin, still alive, has put
     its verdict on the geometry they share."""
+    gc.collect()  # no four-point poset left in a cycle by an earlier test shares the geometry
     twin, p = chain("abcd"), chain("abcd")
     assert twin._certified()
     corrupt(p)
@@ -541,13 +542,13 @@ def test_the_theorem_scan_names_the_ordered_witnesses_of_a_corrupted_mask(poset,
 
 @pytest.mark.parametrize("n, tables, verdicts", [(4, 25, 200), (5, 216, 3456)])
 def test_posets_with_one_between_table_share_one_geometry_while_they_live(n, tables, verdicts):
+    gc.collect()  # geometries of posets left in cycles by earlier tests would count below
     posets = all_extended_posets(n)
     assert len({id(p._geometry()) for p in posets}) == len({p._between_table() for p in posets}) == tables
     assert all(run_relation_suite(p)["ok"] for p in posets)
     # the certificate ran once per (table, comparability); here each pair is a poset and its reverse
     assert sum(len(geo.verdicts) for geo in _GEOMETRIES.values()) == verdicts == len(posets) // 2
-    del posets
-    gc.collect()
+    del posets  # they go by reference count, not at the next cycle collection
     assert not _GEOMETRIES
 
 
