@@ -72,12 +72,23 @@ _HOME = {
 __all__ = list(_HOME)
 
 
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+def lazy_names(module: str, homes: dict):
+    """A PEP 562 ``__getattr__`` for ``module`` that serves each name of
+    ``homes`` (name -> sibling module) from its sibling, importing the
+    sibling on first use and binding the name in ``module``, so later
+    lookups skip the hook.  Any other name raises AttributeError."""
+    namespace = importlib.import_module(module).__dict__
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        namespace[name] = value = getattr(importlib.import_module(f"{__name__}.{homes[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_names(__name__, _HOME)
 
 
 def __dir__() -> list:

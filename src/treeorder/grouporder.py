@@ -10,21 +10,27 @@ L (3), P*U in U (4), U*L in P (5); and the five pieces partition the group
 (6).  Axiom sweeps restrict to a finite ball, skipping and counting the
 products that escape it, with each piece a byte map by ball position.
 
-The element doubling g -> (g-, g, g+) lives here too, with the touching
-relation R (nothing separates two doubled points), read off the base order,
-and the quotient order on cosets of a normal, completely convex subgroup.
-Codes come from ``relations``; only the functions that build a tagged poset
+The element doubling g -> (g-, g, g+) lives here too, as the tree build
+reads it: labels, the touching relation R (nothing separates two doubled
+points) and the doubled between sets, all read off the base order.  Codes
+come from ``relations``; only the functions that build a tagged poset
 import ``poset``, so a cone check never loads it.
+
+The cold half loads on first use from two siblings, served by
+``__getattr__`` at the end: ``gplus`` builds and checks the doubled order
+itself, and ``quotient`` holds subgroups, complete convexity and the
+quotient order on cosets.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import eq
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
+from . import lazy_names
 from .errors import ConeError
-from .relations import EQ, GT, LT, REL_NAMES, SIML, SIMU, between_by_codes
+from .relations import EQ, GT, LT, SIML, SIMU, between_by_codes
 
 if TYPE_CHECKING:
     from .poset import ExtendedPoset
@@ -245,38 +251,6 @@ def format_aug(x: tuple, fmt: Callable = str) -> str:
     return fmt(x[0]) + _TAG_TEXT[x[1]]
 
 
-_TRIPLE = str.maketrans({"0": "000", "1": "111"})
-
-
-def _spread3(mask: int) -> int:
-    """Each bit j of the mask becomes bits 3j, 3j + 1 and 3j + 2."""
-    return int(bin(mask)[2:].translate(_TRIPLE), 2)
-
-
-def blow_up_gplus(p: ExtendedPoset) -> ExtendedPoset:
-    """Replace every element g by the ordered triple g- < g < g+.
-
-    Comparabilities spread to all nine tag combinations (x < y forces
-    x+ < y-), and similarity tags copy across unchanged.  The result passes
-    the same admissibility checks as any tagged poset; in particular the
-    doubling never creates a common bound that the base pair lacked.
-    """
-    from .poset import ExtendedPoset
-
-    elements = []
-    up, down, simu, siml = [], [], [], []
-    for i, g in enumerate(p.elements):
-        elements.extend(((g, MINUS), (g, PLAIN), (g, PLUS)))
-        spread = [_spread3(row[i]) for row in p.rows]
-        # the triple's own bits above and below each of g-, g, g+
-        for above, below in ((0b110, 0b000), (0b100, 0b001), (0b000, 0b011)):
-            up.append(spread[0] | above << 3 * i)
-            down.append(spread[1] | below << 3 * i)
-            simu.append(spread[2])
-            siml.append(spread[3])
-    return ExtendedPoset(elements, up, down, simu, siml)
-
-
 def r_equivalent(p: ExtendedPoset, x: tuple, y: tuple) -> bool:
     """Touching in the doubled order, read off the base order p: a label
     touches itself, a plain label nothing else, and tags (g, s), (h, t)
@@ -335,221 +309,8 @@ def doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
     return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
-def check_augmented_between(augmented: ExtendedPoset, a, b) -> dict:
-    """Verify the doubled between-set signature of the pair's relation.
-
-    Exactly one of three shapes must hold: a < b puts {a+, b-} inside
-    B(a-, b+); an upward pair puts {a+, b+} inside B(a-, b-); a downward
-    pair puts {a-, b-} inside B(a+, b+).  The other two shapes must fail.
-    """
-
-    def shape(x, y, s, t) -> bool:  # {x^-s, y^-t} inside B(x^s, y^t)
-        return all(augmented.is_between((x, s), m, (y, t)) for m in ((x, -s), (y, -t)))
-
-    r = augmented.rel((a, PLAIN), (b, PLAIN))
-    shapes = {"lt(a,b)": shape(a, b, MINUS, PLUS), "lt(b,a)": shape(b, a, MINUS, PLUS),
-              "simu": shape(a, b, MINUS, MINUS), "siml": shape(a, b, PLUS, PLUS)}
-    expected = {LT: "lt(a,b)", GT: "lt(b,a)", SIMU: "simu", SIML: "siml"}[r]
-    ok = shapes[expected] and not any(v for k, v in shapes.items() if k != expected)
-    return {"pair": (a, b), "rel": REL_NAMES[r], "expected": expected, "shapes": shapes, "ok": ok}
-
-
-def check_no_singleton_classes(augmented: ExtendedPoset, plain_elements: Iterable) -> list:
-    """Doubling must thicken every similarity class of a plain pair."""
-    plains = list(plain_elements)
-    out = []
-    for i, a in enumerate(plains):
-        for b in plains[i + 1:]:
-            chain = augmented.between_set((a, PLAIN), (b, PLAIN))
-            for cls in chain.classes:
-                if len(cls) == 1:
-                    out.append({"pair": (a, b), "singleton": cls[0]})
-    return out
-
-
-# -- subgroups and quotients --------------------------------------------
-
-
-class SubgroupSpec:
-    """A named membership predicate over group elements."""
-
-    def __init__(self, name: str, member: Callable):
-        self.name = name
-        self.member = member
-
-    def __call__(self, w) -> bool:
-        return bool(self.member(w))
-
-
-def _quotient_sides(cone: ConeStructure, ws: list, radius: int) -> tuple:
-    """(keys, get, read) for a scan over ws: the code of g against h*k is
-    ``get(q) or read(g, h, q, k)`` with q = key(h) + key(k) - key(g).  On a
-    key's first sight ``read`` classifies the real elements and stores the
-    code, so each distinct quotient meets ``side`` once, in scan order (EQ
-    is 0 and is read again).  Models without additive keys get zero keys
-    and a ``read`` that stores nothing: every pair calls ``classify``."""
-    keys = cone.group.quotient_keys(ws, radius)
-    sides: dict = {}
-
-    def read(g, h, q, k=None):
-        code = cone.classify(g, h if k is None else cone.group.mult(h, k))
-        if keys is not None:
-            sides[q] = code
-        return code
-
-    return keys or [0] * len(ws), sides.get, read
-
-
-class ConvexityReport(NamedTuple):
-    pairs_checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_completely_convex(cone: ConeStructure, sub: SubgroupSpec, radius: int) -> ConvexityReport:
-    """Between sets of subgroup pairs must stay inside the subgroup.
-
-    Between membership is a three-point test, so candidates are scanned
-    directly over ball(2 * radius) without building the big poset.  On Z
-    and Z^k each pair's sides are read by quotient key, so only the first
-    pair to form a quotient classifies it.
-    """
-    group = cone.group
-    ball = group.ball(radius)
-    H = [h for h in ball if sub(h)]
-    if group.identity not in H:
-        raise ConeError(f"subgroup {sub.name} misses the identity")
-    for h in H:
-        if not sub(group.inv(h)):
-            raise ConeError(f"subgroup {sub.name} not inverse-closed at {group.format(h)}")
-        for k in H:
-            if not sub(group.mult(h, k)):
-                raise ConeError(f"subgroup {sub.name} not product-closed at {group.format(h)}, {group.format(k)}")
-    outside = [c for c in group.ball(2 * radius) if not sub(c)]
-    keys, side, read = _quotient_sides(cone, H + outside, radius)
-    kout = keys[len(H):]
-    # the (rab, rbc) code pairs that put b between a and c, by the code rac
-    between = {rac: {(x, y) for x in REL_NAMES for y in REL_NAMES if between_by_codes(rac, x, y)}
-               for rac in (LT, GT, SIMU, SIML)}
-    violations = []
-    for i, h1 in enumerate(H):
-        k1 = keys[i]
-        for h2, k2 in zip(H[i + 1:], keys[i + 1:]):
-            inside = between[side(k2 - k1) or read(h1, h2, k2 - k1)]
-            for c, kc in zip(outside, kout):
-                if (side(kc - k1) or read(h1, c, kc - k1), side(k2 - kc) or read(c, h2, k2 - kc)) in inside:
-                    violations.append({"pair": (h1, h2), "witness": c})
-                    break
-    return ConvexityReport(pairs_checked=len(H) * (len(H) - 1) // 2, violations=violations)
-
-
-class QuotientResult(NamedTuple):
-    representatives: list
-    poset: ExtendedPoset
-    uniqueness: list
-    property_counts: dict
-    convexity: ConvexityReport
-
-    @property
-    def ok(self) -> bool:
-        return not self.uniqueness and self.convexity.ok
-
-
-def _law_counts(poset: ExtendedPoset) -> dict:
-    """How many ordered triples (a, b, c) meet the hypothesis of each law the
-    poset's construction enforces, counted per middle element b:
-    a < b < c (1), a ~u b ~l c (2), a ~u b > c (3) and a ~l b < c (4)."""
-    up, down, simu, siml = poset.rows
-    sides = {1: (down, up), 2: (simu, siml), 3: (simu, down), 4: (siml, up)}
-    return {law: sum(x.bit_count() * y.bit_count() for x, y in zip(xs, ys)) for law, (xs, ys) in sides.items()}
-
-
-def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
-                   convexity: Optional[ConvexityReport] = None) -> QuotientResult:
-    """Order the cosets of a normal, completely convex subgroup.
-
-    A coset relation is witnessed existentially: g1 H < g2 H when some h in H
-    puts g1 below g2 h, and likewise for the similarity tags.  h ranges over
-    H inside ball(2 * radius); the identity always witnesses something, so
-    every pair gets a relation, and finding two distinct relations for one
-    pair is reported as a uniqueness violation.  The poset built from these
-    relations enforces transitivity, a ~u b ~l c => a < c, a ~u b > c =>
-    a ~u c and a ~l b < c => a ~l c; ``property_counts`` says how many
-    triples each law covered.  ``convexity`` is the complete-convexity
-    report at this radius, when the caller already has it.  On Z and Z^k
-    the coset scans read the side of g1^-1 g2 h under key(g2) + key(h) -
-    key(g1), and form g2 h only for a quotient not seen before.
-    """
-    group = cone.group
-    ball = group.ball(radius)
-    H = [h for h in ball if sub(h)]
-    for g in ball:
-        for h in H:
-            if not sub(group.mult(group.mult(g, h), group.inv(g))):
-                raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
-    if convexity is None:
-        convexity = check_completely_convex(cone, sub, radius)
-    if not convexity.ok:
-        w = convexity.violations[0]
-        raise ConeError(
-            f"subgroup {sub.name} is not completely convex: {group.format(w['witness'])} lies between "
-            f"{group.format(w['pair'][0])} and {group.format(w['pair'][1])}"
-        )
-
-    reps: list = []
-    coset_of: dict = {}
-    for g in ball:
-        coset_of[g] = next((rep for rep in reps if sub(group.mult(group.inv(rep), g))), g)
-        if coset_of[g] == g:
-            reps.append(g)
-
-    H_search = [h for h in group.ball(2 * radius) if sub(h)]
-    keys, side, read = _quotient_sides(cone, ball + H_search, radius)
-    key = dict(zip(ball, keys))
-    searched = list(zip(H_search, keys[len(ball):]))
-
-    def witnessed(g1, g2) -> dict:
-        """Each relation some h in H_search puts between g1 and g2 h, with its first such h."""
-        found: dict = {}
-        k = key[g2] - key[g1]
-        for h, kh in searched:
-            code = side(k + kh) or read(g1, g2, k + kh, h)
-            if code != EQ and code not in found:
-                found[code] = h
-        return found
-
-    rel: dict = {}
-    uniqueness: list = []
-    for g1 in reps:
-        for g2 in reps:
-            if g1 == g2:
-                continue
-            found = witnessed(g1, g2)
-            if len(found) > 1:
-                uniqueness.append({"pair": (g1, g2), "relations": {REL_NAMES[c]: h for c, h in found.items()}})
-            rel[(g1, g2)] = next(iter(found))
-    # representative independence: any in-ball member of the coset sees the same relations
-    for g in ball:
-        rep = coset_of[g]
-        if g == rep:
-            continue
-        for other in reps:
-            if other == rep:
-                continue
-            found = witnessed(g, other)
-            if rel[(rep, other)] not in found or len(found) > 1:
-                uniqueness.append({"pair": (g, other), "note": "representative dependence"})
-
-    from .poset import ExtendedPoset
-
-    poset = ExtendedPoset.from_relation(reps, lambda a, b: rel[(a, b)])
-    return QuotientResult(
-        representatives=reps,
-        poset=poset,
-        uniqueness=uniqueness,
-        property_counts=_law_counts(poset),
-        convexity=convexity,
-    )
+# name -> the sibling that defines it (``_law_counts`` too, which the tests read)
+_HOME = dict.fromkeys(("blow_up_gplus", "check_augmented_between", "check_no_singleton_classes"), "gplus")
+_HOME.update(dict.fromkeys(("SubgroupSpec", "ConvexityReport", "check_completely_convex", "QuotientResult",
+                            "quotient_order", "_law_counts"), "quotient"))
+__getattr__ = lazy_names(__name__, _HOME)

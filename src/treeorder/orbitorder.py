@@ -5,17 +5,20 @@ back along an orbit with trivial stabilizer yields a left-invariant tagged
 order on the group.  When the stabilizer is a totally ordered subgroup
 instead, the coset order refines by the stabilizer order on same-coset
 pairs, which ``manifold_poset`` takes as a caller-given order on g^-1 h.
+
+The concrete manifolds and actions, ``check_action``,
+``stabilizer_extension_order`` and ``realized_bound`` load on first use
+from ``actions``, served by ``__getattr__`` at the end.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
+from . import lazy_names
 from .errors import OrbitError
-from .groups import InfiniteDihedral
 from .grouporder import (
     PLAIN,
     ConeReport,
@@ -23,7 +26,7 @@ from .grouporder import (
     induced_ball_poset,
     verify_cone_axioms,
 )
-from .ordertree import OrderTree, TreeError, alternating_line_tree, denjoy_blowup, line_window, manifold_poset
+from .ordertree import OrderTree, TreeError, denjoy_blowup, manifold_poset
 from .ordertree import manifold_graph, manifold_order  # noqa: F401  (re-exported)
 from .poset import ExtendedPoset
 from .treebuild import (
@@ -38,14 +41,6 @@ from .treebuild import (
 )
 
 
-def realized_bound(poset: ExtendedPoset, g, h, upper: bool) -> Optional[object]:
-    """The first common upper (or lower) bound of g and h among the other
-    elements of an orbit poset, read off its rows, or None."""
-    rows = poset.rows[0 if upper else 1]
-    common = rows[poset.index(g)] & rows[poset.index(h)]
-    return poset.elements[(common & -common).bit_length() - 1] if common else None
-
-
 # -- group actions ------------------------------------------------------------
 
 
@@ -55,47 +50,6 @@ class TreeAction(NamedTuple):
 
     group: object
     act: Callable
-
-
-def check_action(m: OrderTree, action: TreeAction, radius: int = 2) -> dict:
-    """Identity, composition where defined, and orientation preservation,
-    sampled on two interior points of every arc."""
-    group = action.group
-    ball = group.ball(radius)
-    ident = group.identity
-    pts = []
-    for aid in m.sorted_arc_ids():
-        pts.append(("arc", aid, Fraction(1, 4)))
-        pts.append(("arc", aid, Fraction(2, 3)))
-    problems = []
-    for p in pts:
-        if action.act(ident, p) != p:
-            problems.append(f"identity moves {p!r}")
-    for g in ball:
-        for h in ball:
-            for p in pts[:: max(1, len(pts) // 8)]:
-                inner = action.act(h, p)
-                if inner is None:
-                    continue
-                lhs = action.act(group.mult(g, h), p)
-                rhs = action.act(g, inner)
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    problems.append(
-                        f"composition differs at {p!r} for "
-                        f"{group.format(g)}, {group.format(h)}"
-                    )
-    for aid in m.sorted_arc_ids():
-        p1 = ("arc", aid, Fraction(1, 4))
-        p2 = ("arc", aid, Fraction(3, 4))
-        for g in ball:
-            q1, q2 = action.act(g, p1), action.act(g, p2)
-            if q1 is None or q2 is None:
-                continue
-            if q1[0] != "arc" or q2[0] != "arc" or q1[1] != q2[1]:
-                problems.append(f"{group.format(g)} tears arc {aid!r}")
-            elif not q1[2] < q2[2]:
-                problems.append(f"{group.format(g)} reverses arc {aid!r}")
-    return {"ok": not problems, "problems": problems, "points": len(pts)}
 
 
 class OrbitPoset(NamedTuple):
@@ -139,79 +93,6 @@ def orbit_poset(m: OrderTree, action: TreeAction, x0: tuple, radius: int) -> Orb
             raise OrbitError(f"nontrivial stabilizer: {group.format(g)} fixes the base point")
     poset = manifold_poset(m, points)
     return OrbitPoset(poset=poset, escaped=escaped, points=points)
-
-
-def stabilizer_extension_order(
-    m: OrderTree,
-    action: TreeAction,
-    x0: tuple,
-    radius: int,
-    stab_order: Callable,
-) -> OrbitPoset:
-    """Coset order refined by a total order on the base-point stabilizer.
-
-    ``stab_order(g, h)`` must totally order the stabilizer ball and be
-    invariant under left translation: it must equal ``stab_order(e,
-    g^-1 h)``, the value that orders g and h.  Pairs in one coset share an
-    orbit point and compare by the stabilizer order of their quotient;
-    pairs in distinct cosets compare through their orbit points.
-    """
-    group = action.group
-    points, escaped = orbit_points(action, x0, radius)
-    ident = group.identity
-    stab = [g for g, img in points.items() if img == x0]
-    for g in stab:
-        for h in stab:
-            if g != h and stab_order(g, h) == stab_order(h, g):
-                raise OrbitError(f"stabilizer order is not total at {group.format(g)}, {group.format(h)}")
-    for g in stab:
-        g_inv = group.inv(g)
-        for h in stab:
-            q = group.mult(g_inv, h)
-            if q != ident and stab_order(g, h) != stab_order(ident, q):
-                raise OrbitError(f"stabilizer order is not left-invariant at "
-                                 f"{group.format(g)} * ({group.format(ident)}, {group.format(q)})")
-    poset = manifold_poset(m, points, lambda g, h: stab_order(ident, group.mult(group.inv(g), h)))
-    return OrbitPoset(poset=poset, escaped=escaped, points=points)
-
-
-# -- concrete manifolds and actions -------------------------------------------
-
-
-def integer_line(half_width: int) -> OrderTree:
-    """A uniformly ascending chain of unit arcs on the integers."""
-    return line_window(half_width, alternating=False)
-
-
-def line_coordinate(aid: tuple, t: Fraction) -> Fraction:
-    """Real coordinate of a point on a unit arc ("s", i) of the alternating
-    line (alternating_line_tree), whose odd arcs run from i + 1 down to i."""
-    i = aid[1]
-    return i + t if i % 2 == 0 else (i + 1) - t
-
-
-def line_point(m: OrderTree, c: Fraction, alternating: bool) -> Optional[tuple]:
-    """The arc point at real coordinate c, or None outside the window.
-    Integer coordinates are rejected (they name nodes, not arc interiors)."""
-    j = math.floor(c)
-    if c == j:
-        return None
-    if ("s", j) not in m.arcs:
-        return None
-    t = c - j if (j % 2 == 0 or not alternating) else (j + 1) - c
-    return ("arc", ("s", j), t)
-
-
-def shift_action(m: OrderTree, group, shift_of: Callable) -> TreeAction:
-    """Translation action on an ascending integer_line manifold."""
-
-    def act(g, p):
-        if p[0] != "arc" or p[1][0] != "s":
-            raise TreeError(f"action undefined at {p!r}")
-        c = p[1][1] + Fraction(p[2]) + shift_of(g)
-        return line_point(m, c, alternating=False)
-
-    return TreeAction(group=group, act=act)
 
 
 def label_action(state, layout, manifold: OrderTree) -> tuple:
@@ -347,38 +228,9 @@ def roundtrip_orbit(cone: ConeStructure, radius: int = 6) -> dict:
     return ConePipeline.of(cone, radius).roundtrip()
 
 
-DIHEDRAL_BASE_POINT = ("arc", ("s", 0), Fraction(1, 4))
-
-
-def dihedral_example(radius: int = 6) -> tuple:
-    """The alternating-line structure with its dihedral action.
-
-    Segments [i, i+1] alternate orientation (sources at even integers, sinks
-    at odd ones); the blow-up hangs a stub at every interior integer.  The
-    generator t shifts by two units, the reflection s reflects about 0, so a
-    group element (n, eps) sends coordinate c to 2n + (-1)^eps c; stubs
-    travel with their base integers.  The window is wide enough that every
-    ball element of the given radius moves the base point within it.
-    """
-    half_width = 2 * radius + 2
-    tree = alternating_line_tree(half_width)
-    manifold = denjoy_blowup(tree)
-    group = InfiniteDihedral()
-
-    def act(g, p):
-        n, eps = g
-        sign = 1 if eps == 0 else -1
-        if p[0] != "arc":
-            raise TreeError(f"action undefined at {p!r}")
-        aid, t = p[1], Fraction(p[2])
-        if aid[0] == "s":
-            c = 2 * n + sign * line_coordinate(aid, t)
-            return line_point(manifold, c, alternating=True)
-        if aid[0] == "stub":
-            base = 2 * n + sign * aid[1]
-            if ("stub", base) in manifold.arcs:
-                return ("arc", ("stub", base), t)
-            return None
-        raise TreeError(f"action undefined at {p!r}")
-
-    return tree, manifold, TreeAction(group=group, act=act)
+# name -> the sibling that defines it: concrete manifolds and actions, and the checks
+_HOME = dict.fromkeys((
+    "integer_line", "line_coordinate", "line_point", "shift_action", "DIHEDRAL_BASE_POINT",
+    "dihedral_example", "check_action", "stabilizer_extension_order", "realized_bound",
+), "actions")
+__getattr__ = lazy_names(__name__, _HOME)

@@ -34,6 +34,10 @@ point, on the head side of its arc, plays the role of the upper cone.  The
 verdicts depend only on the finite path between two points, so truncation
 never guesses a relation; it can hide bound witnesses, which callers check
 against realized points.
+
+The line windows (``line_window``, ``alternating_line_tree``) and the
+blow-up check ``check_blowup`` live in ``actions`` and load on first use;
+``__getattr__`` at the end serves them from here.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
+from . import lazy_names
 from .errors import TreeError
 from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
 
@@ -345,67 +350,18 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     return m
 
 
-def check_blowup(m: OneManifold) -> dict:
-    """Branchless, collapse-surjective from the core, and fiber collapse
-    reproduces the base arc structure exactly."""
-    problems = []
-    if not m.is_branchless():
-        problems.append("result branches")
-    ax = m.check_axioms()
-    if not ax["ok"]:
-        problems.extend(ax["problems"])
-    base = m.base
-    covered = set()
-    for aid, arc in m.arcs.items():
-        if not arc.core:
-            continue
-        kind, target = m.phi_arcs[aid]
-        covered.add(("arc", target) if kind == "base-arc" else ("node", target))
-    for nid, kind in m.nodes.items():
-        if kind == "point":
-            covered.add(("node", m.phi_nodes[nid]))
-    for nid, kind in base.nodes.items():
-        if kind == "point" and ("node", nid) not in covered:
-            problems.append(f"base node {nid!r} has no core preimage")
-    for aid, arc in base.arcs.items():
-        if arc.core and ("arc", aid) not in covered:
-            problems.append(f"base arc {aid!r} has no core preimage")
-    for aid, arc in m.arcs.items():
-        kind, target = m.phi_arcs[aid]
-        if kind != "base-arc":
-            continue
-        want = base.arcs[target]
-        got = (m.phi_nodes[arc.tail], m.phi_nodes[arc.head])
-        if got != (want.tail, want.head):
-            problems.append(f"arc {aid!r} collapses to {got!r}, base has {(want.tail, want.head)!r}")
-    return {"ok": not problems, "problems": problems}
-
-
-def line_window(half_width: int, alternating: bool) -> OrderTree:
-    """Unit arcs ("s", i) on the integers from -half_width to half_width,
-    window boundary at the two ends: all ascending, or when ``alternating``
-    directed even to odd, so odd nodes are sinks and even nodes sources."""
-    if half_width < 1 + alternating:
-        raise TreeError("window too small")
-    arcs = [(("s", i), i, i + 1) if i % 2 == 0 or not alternating else (("s", i), i + 1, i)
-            for i in range(-half_width, half_width)]
-    return OrderTree.build(range(-half_width, half_width + 1), arcs, (-half_width, half_width))
-
-
-def alternating_line_tree(half_width: int) -> OrderTree:
-    """The alternating line (line_window), half_width at least 2."""
-    return line_window(half_width, alternating=True)
-
-
 # -- the order on a branchless manifold --------------------------------------
 
 
-def _arc_position(m: OrderTree, p: tuple) -> tuple:
+def _arc_position(rays: Optional[dict], p: tuple) -> tuple:
     """Reduce a point to (arc, parameter); parameters 0 and 1 stand for the
-    tail and head node of the arc.  Branching nodes have no forward side."""
+    tail and head node of the arc.  Branching nodes have no forward side.
+    ``rays`` is the tree's ``node_incidences()``, read only for a node
+    point, so a caller reads it once for all its points and only when one
+    is a node."""
     if p[0] == "arc":
         return p[1], Fraction(p[2])
-    ins, outs = m.node_incidences()[p[1]]
+    ins, outs = rays[p[1]]
     if len(ins) <= 1 and len(outs) <= 1 and (ins or outs):
         return (outs[0], Fraction(0)) if outs else (ins[0], Fraction(1))
     raise TreeError(f"order undefined at a branching point: {p!r}")
@@ -456,8 +412,9 @@ def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = No
     m.require_point(y)
     if x == y:
         return EQ
-    xa, xt = _arc_position(m, x)
-    ya, yt = _arc_position(m, y)
+    rays = m.node_incidences() if x[0] == "node" or y[0] == "node" else None
+    xa, xt = _arc_position(rays, x)
+    ya, yt = _arc_position(rays, y)
     if xa == ya:
         if xt == yt:
             return EQ
@@ -486,9 +443,12 @@ def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = 
     placed: list = []    # element -> (small int, parameter)
     first: dict = {}     # (small int, parameter) -> the first element there
     shared: dict = {}    # first element -> mask of the elements at its point
+    rays = None          # node_incidences(), on the first node point
     for k, p in enumerate(points.values()):
         m.require_point(p)
-        aid, t = _arc_position(m, p)
+        if rays is None and p[0] == "node":
+            rays = m.node_incidences()
+        aid, t = _arc_position(rays, p)
         a = arc_of.get(aid)
         if a is None:
             a = arc_of[aid] = len(spans)
@@ -529,3 +489,8 @@ def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = 
         simu.append(rows[SIMU])
         siml.append(rows[SIML])
     return ExtendedPoset(elements, up, down, simu, siml)
+
+
+# name -> the sibling that defines it: the line windows and the blow-up check
+_HOME = dict.fromkeys(("line_window", "alternating_line_tree", "check_blowup"), "actions")
+__getattr__ = lazy_names(__name__, _HOME)

@@ -18,23 +18,20 @@ similarity classes, the maximal runs whose pairwise between sets are chains in
 the underlying order.  Finitely many classes is what makes a pair tame enough
 to lay out on a line.
 
-The between-set laws read only the between table, B(i, j) for every pair of
-indices, not the tagging that produced it: reversing every relation keeps
-it, and many taggings share one.  A "between geometry" is one such table
-with what the laws read off it, shared by every poset that has the table:
-the 400 tagged posets on four points have 25 between geometries, the 6,912
-on five points 216, and the 153,664 on six points 2,401.  The certificate
-reads only the table and the comparability rows, so the geometry keeps its
-verdict per comparability tuple: it runs 200, 3,456 and 76,832 times, once
-for each poset and its reverse.
+The four law methods (``verify_between_theorem``, ``check_lemma_propagation``,
+``verify_o_equivalence``, ``check_strongly_connected``) stay on the poset.
+The between geometry they share with every poset of the same between table,
+and the certificate that answers ``between_set`` for every pair at once,
+live in ``corpus`` beside the law suite, which is their main caller; the
+two law methods that read them import them when they run, so a tree job
+compiles neither.  ``BetweenGeometry`` is served from here on first use.
 """
 
 from __future__ import annotations
 
-import weakref
-from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import lazy_names
 from .errors import PosetError
 from .relations import EQ, GT, LT, REL_CODES, REL_NAMES, SIML, SIMU, SWAP, between_by_codes
 
@@ -70,78 +67,6 @@ class BetweenChain(NamedTuple):
     classes: tuple
 
 
-class BetweenGeometry:
-    """What the between-set laws read off one between table ``table`` (rows
-    of B(i, j) masks, {i} on the diagonal).  ``walks``, the certificate's
-    travel half: per anchor i, the j != i by increasing |B(i, j)| and beside
-    each the q (i or an earlier j) with B(i, j) = B(i, q) plus j; None when
-    some j has none.  ``theorem``: the witnesses of laws 1-4 in order, as
-    index tuples (law, a, b, c[, d]).  ``verdicts``: the certificate's
-    answer per comparability tuple, for posets that have run no chain test."""
-
-    __slots__ = ("table", "walks", "theorem", "verdicts", "__weakref__")
-
-    def __init__(self, table: tuple):
-        self.table, self.theorem, self.walks, self.verdicts = table, self._theorem(table), [], {}
-        index = list(range(len(table)))
-        for i, row in enumerate(table):
-            pred, order, preds = {1 << i: i}, [], []
-            for j in sorted(index, key=list(map(int.bit_count, row)).__getitem__):
-                if j != i:
-                    q = pred.get(row[j] ^ 1 << j)
-                    if q is None:
-                        self.walks = None
-                        return
-                    pred[row[j]] = j
-                    order.append(j)
-                    preds.append(q)
-            self.walks.append((order, preds))
-
-    @staticmethod
-    def _theorem(bet: tuple) -> list:
-        n = len(bet)
-
-        def triples(pairs) -> list:
-            found = []
-            for a, b in pairs:
-                row, ab = bet[a], bet[a][b]
-                for c in range(n):
-                    if c == a or c == b:
-                        continue
-                    union = row[c] | bet[c][b]
-                    if ab & ~union:
-                        found.append((1, a, b, c))
-                    inside = bool(ab >> c & 1)
-                    if inside != (ab == union):
-                        found.append((2, a, b, c))
-                    if inside and row[c] & bet[c][b] != 1 << c:
-                        found.append((3, a, b, c))
-            return found
-
-        out = triples(combinations(range(n), 2)) and triples(permutations(range(n), 2))
-        # law 4: T[x][a] is the set of d with x in B(a, d); b in B(a, c) for a in T[b][c]
-        T = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for d in range(a + 1, n):
-                for x in _bits(bet[a][d]):
-                    T[x][a] |= 1 << d
-                    T[x][d] |= 1 << a
-        for b in range(n):
-            for c in range(n):
-                ends = 1 << b | 1 << c
-                dmask = T[c][b] & ~ends
-                if b == c or not dmask:
-                    continue
-                for a in _bits(T[b][c] & ~ends):
-                    bad = dmask & ~(T[b][a] & T[c][a]) & ~(1 << a)
-                    if bad:
-                        out.extend((4, a, b, c, d) for d in _bits(bad))
-        return out
-
-
-_GEOMETRIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 class ExtendedPoset:
     """A finite tagged poset, validated eagerly on construction.
 
@@ -171,7 +96,7 @@ class ExtendedPoset:
         self._idx = None  # element -> index, on the first index()
         self._tested = self._orel = None  # chain rows, partners tested and partners related, from the first chain test
         self._partial = None  # mask of the k with comp[k] | {k} not everything, from the first chain test
-        self._geo = None  # BetweenGeometry, on the first law check
+        self._geo = None  # corpus.BetweenGeometry, on the first law check
 
     @classmethod
     def from_relation(cls, elements: Sequence[Element], rel_of: Callable[[Element, Element], int]) -> "ExtendedPoset":
@@ -438,103 +363,14 @@ class ExtendedPoset:
                                     "z": self.elements[k], "got": REL_NAMES[self._code(i, k)]} for k in _bits(bad))
         return out
 
-    def _between_table(self) -> tuple:
-        """B(i, j) for every ordered pair, with {i} on the diagonal, read off
-        the rows in one pass by the cases of ``_between_mask``.  Masks
-        already in the ``_bet`` memo are read from it; the rest are not
-        stored, since the laws read them only from the geometry's table."""
-        n = self.n
-        up, down, simu, siml = self._up, self._down, self._simu, self._siml
-        bet = [[1 << i] * n for i in range(n)]
-        for i in range(n):
-            ui, di, si, li, row = up[i], down[i], simu[i], siml[i], bet[i]
-            for j in range(i + 1, n):
-                bit = 1 << j
-                if ui & bit:
-                    inner = ui & down[j] | si & siml[j]
-                elif di & bit:
-                    inner = di & up[j] | li & simu[j]
-                elif li & bit:
-                    inner = li & down[j] | siml[j] & di
-                else:
-                    inner = si & up[j] | simu[j] & ui
-                row[j] = bet[j][i] = inner | 1 << i | bit
-        for key, mask in self._bet.items():
-            i, j = divmod(key, n)
-            bet[i][j] = bet[j][i] = mask
-        return tuple(map(tuple, bet))
-
-    def _geometry(self) -> BetweenGeometry:
-        """The between geometry, shared by every live poset with this table."""
-        if self._geo is None:
-            table = self._between_table()
-            geo = _GEOMETRIES.get(table)
-            if geo is None:
-                geo = _GEOMETRIES[table] = BetweenGeometry(table)
-            self._geo = geo
-        return self._geo
-
-    def _certified(self) -> bool:
-        """Whether ``between_set`` passes on every pair: the geometry's verdict
-        for ``_comp`` until a chain test has run, then this poset's own."""
-        geo = self._geometry()
-        if self._tested is not None:
-            return self._certify(geo)
-        verdict = geo.verdicts.get(self._comp)
-        if verdict is None:
-            verdict = geo.verdicts[self._comp] = self._certify(geo)
-        return verdict
-
-    def _certify(self, geo: BetweenGeometry) -> bool:
-        """The certificate's pass.  The geometry's walk accepts each j from
-        anchor i, so ``between_members(i, j)`` is that of (i, q) plus j, and
-        B(i, j) is a chain when B(i, q) is one in comp[j], comp being
-        symmetric.  A second walk cuts classes as ``between_set`` does and
-        checks each j's related partners in B(i, j); a chain answer unlike
-        one kept refuses too."""
-        if geo.walks is None:
-            return False
-        comp, bet, related = self._comp, geo.table, []
-        for i, (order, preds) in enumerate(geo.walks):
-            row, ci, rel = bet[i], comp[i], 1 << i
-            for j, q in zip(order, preds):
-                if (ci >> j ^ comp[j] >> i) & 1:
-                    return False
-                if rel >> q & 1 and not row[j] & ~comp[j] & ~(1 << j):
-                    rel |= 1 << j
-            if self._tested is not None and (rel ^ self._orel[i]) & self._tested[i]:
-                return False
-            related.append(rel)
-        for i, (order, preds) in enumerate(geo.walks):
-            row, cls = bet[i], {i: 1 << i}
-            for j, q in zip(order, preds):
-                cls[j] = cls[q] | 1 << j if related[q] >> j & 1 else 1 << j
-                if related[j] & row[j] != cls[j]:
-                    return False
-        return True
-
-    def pair_problems(self) -> dict:
-        """The ``between_set`` failures over the pairs a < b, filed under
-        ``travel`` (travel order not total) or ``o_equivalence`` (class check).
-        The certificate answers for every pair at once; only when it refuses
-        does ``between_set`` run on each pair and name the witnesses."""
-        out: dict = {"travel": [], "o_equivalence": []}
-        if self._certified():
-            return out
-        for a, b in self.iter_pairs():
-            try:
-                self.between_set(a, b)
-            except PosetError as err:
-                law = "o_equivalence" if isinstance(err, ClassLawError) else "travel"
-                out[law].append({"pair": (a, b), "error": str(err)})
-        return out
-
     def verify_o_equivalence(self, limit: int = 100) -> list:
         """Chain-relatedness is an equivalence on every between set: the
-        ``o_equivalence`` list of ``pair_problems``.  Across unrelated regions
+        ``o_equivalence`` list of ``corpus.pair_problems``.  Across unrelated regions
         transitivity genuinely fails, which is why the similarity classes
         partition between sets and nothing larger."""
-        return self.pair_problems()["o_equivalence"][:limit]
+        from .corpus import pair_problems
+
+        return pair_problems(self)["o_equivalence"][:limit]
 
     def verify_between_theorem(self, limit: int = 100) -> list:
         """Check the four structural laws of between sets on every tuple.
@@ -547,9 +383,11 @@ class ExtendedPoset:
 
         Laws 1-3 read B(a, b) as B(b, a): a < b is scanned, all pairs only to list failures.
         The scan runs once per between geometry; the witnesses name this poset's elements."""
+        from .corpus import _geometry
+
         elements = self.elements
         return [{"property": law, **{key: elements[x] for key, x in zip("abcd", at)}}
-                for law, *at in self._geometry().theorem[:limit]]
+                for law, *at in _geometry(self).theorem[:limit]]
 
     # -- derived posets ----------------------------------------------
 
@@ -578,3 +416,8 @@ def from_pairs(elements: Sequence[Element], pairs: Iterable[tuple]) -> ExtendedP
             raise PosetError(f"pair ({x!r}, {y!r}) missing from the table") from None
 
     return ExtendedPoset.from_relation(elements, rel_of)
+
+
+# name -> the module that defines it: the between geometry lives beside the law suite
+_HOME = {"BetweenGeometry": "corpus"}
+__getattr__ = lazy_names(__name__, _HOME)

@@ -19,7 +19,8 @@ and its own tag, paths between built elements read out their between sets in
 travel order, and two labels share a point exactly when nothing lies between
 them.  Neither the build nor the checks build the doubled order: its
 between sets, relation codes and touching pairs are all read off the base
-order.
+order.  ``act_on_labels``, which no command calls, lives in ``actions`` and
+loads on first use; ``__getattr__`` at the end serves it from here.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import lazy_names
 from .errors import BuildError
 from .grouporder import (
     MINUS,
@@ -583,47 +585,6 @@ def _gap_is_tag_pair(left: list, right: list) -> bool:
                for here, there in ((left, right), (right, left)) for a in here)
 
 
-# -- the action on labels ----------------------------------------------------
-
-
-def act_on_labels(state: LabeledTree, g) -> dict:
-    """Left translation on the built labels.
-
-    Every built label (h, tag) maps to (g h, tag); images outside the built
-    part are reported as escaped.  On the moved plain labels the betweenness
-    relation is checked to transport exactly.
-    """
-    if state.group is None:
-        raise BuildError("this build has no group attached")
-    G, p = state.group, state.poset
-    moved = {}
-    escaped = []
-    for lab in sorted(state.nu, key=state.label_key):
-        image = (G.mult(g, lab[0]), lab[1])
-        if image in state.nu:
-            moved[lab] = image
-        else:
-            escaped.append(lab)
-    plains = [lab[0] for lab in moved if lab[1] == PLAIN]
-    violations = []
-    checked = 0
-    for f in plains:
-        for h in plains:
-            for k in plains:
-                if len({f, h, k}) != 3:
-                    continue
-                checked += 1
-                before = p.is_between(f, h, k)
-                after = p.is_between(G.mult(g, f), G.mult(g, h), G.mult(g, k))
-                if before != after:
-                    violations.append(
-                        {"triple": (state.fmt(f), state.fmt(h), state.fmt(k)),
-                         "before": before, "after": after}
-                    )
-    return {
-        "ok": not violations,
-        "moved": moved,
-        "escaped": tuple(escaped),
-        "checked_triples": checked,
-        "violations": violations,
-    }
+# name -> the sibling that defines it: the action on labels, which only the tests call
+_HOME = {"act_on_labels": "actions"}
+__getattr__ = lazy_names(__name__, _HOME)

@@ -22,13 +22,17 @@ from treeorder import errors, poset, relations
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the catalog compiles no group code until a cone, subgroup or scenario is built
-CATALOG = {"cli", "errors", "catalog", "relations"}
+CATALOG = {"cli", "errors", "catalog"}
 # the cone layer reads relation codes from the leaf ``relations``, not ``poset``
-CONE_LAYERS = CATALOG | {"groups", "grouporder"}
+CONE_LAYERS = CATALOG | {"relations", "groups", "grouporder"}
 # what a cone command loads beyond CONE_LAYERS: a free group's sweep compiles
-# the rank-block code, and a quotient that passes the convexity check builds
-# the coset poset
-CONE_EXTRAS = {"free2-standard": {"freesweep"}, "second-factor": {"poset"}}
+# the rank-block code, a quotient compiles the cold halves of grouporder and
+# the catalog (its subgroup registry), and one that passes the convexity
+# check builds the coset poset
+CONE_EXTRAS = {"free2-standard": {"freesweep"}, "quotient": {"quotient", "suites"}, "second-factor": {"poset"}}
+# the ten layers of a tree job, and the siblings that hold the cold half of a layer
+TREE_LAYERS = CONE_LAYERS | {"poset", "treebuild", "ordertree", "orbitorder"}
+SIBLINGS = {"quotient", "gplus", "suites", "actions"}
 # the relation codes and betweenness, defined in relations and re-exported by poset
 RELATION_NAMES = ("EQ", "LT", "GT", "SIMU", "SIML", "REL_NAMES", "REL_CODES", "SWAP", "between_by_codes")
 
@@ -115,9 +119,9 @@ TREE_DOC = {"version": "1", "kind": "tree", "body": {
 # argv and exactly what it loads; TREE and POSET stand for document files
 NO_GROUP_FOOTPRINTS = [
     (["examples", "list"], CATALOG),
-    (["examples", "list", "--json"], CATALOG | {"specio"}),
-    (["blowup", "alternating-line", "--radius", "2"], CATALOG | {"ordertree", "poset"}),
-    (["blowup", "TREE"], {"cli", "errors", "specio", "relations", "ordertree", "poset"}),
+    (["examples", "list", "--json"], CATALOG | {"specio", "relations"}),
+    (["blowup", "alternating-line", "--radius", "2"], CATALOG | {"suites", "actions", "ordertree", "poset", "relations"}),
+    (["blowup", "TREE"], {"cli", "errors", "specio", "relations", "ordertree", "actions", "poset"}),
     (["check-poset", "POSET"], {"cli", "errors", "specio", "relations", "corpus", "poset"}),
 ]
 
@@ -131,8 +135,7 @@ def test_commands_that_build_no_group_load_no_group_layer(argv, layers, tmp_path
 
 
 def test_the_example_list_loads_only_the_catalog():
-    assert loaded_by("from treeorder import EXAMPLES", "assert len(EXAMPLES) == 17") == {
-        "catalog", "errors", "relations"}
+    assert loaded_by("from treeorder import EXAMPLES", "assert len(EXAMPLES) == 17") == {"catalog", "errors"}
 
 
 def test_orbit_order_loads_specio_only_for_json():
@@ -144,6 +147,18 @@ def test_orbit_order_loads_specio_only_for_json():
 def test_enumerating_small_posets_loads_only_poset():
     assert loaded_by("from treeorder.corpus import all_extended_posets",
                      "assert len(all_extended_posets(3)) == 32") == {"corpus", "errors", "poset", "relations"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "dihedral-standard", "--radius", "6"],
+    ["build-tree", "dihedral-standard", "--radius", "6", "--stages", "99"],
+    ["examples", "run", "dihedral", "--radius", "6"],
+], ids=" ".join)
+def test_a_tree_job_loads_its_ten_layers_and_no_sibling(argv):
+    # the cold half of each layer sits in a sibling that no tree job touches
+    run = f"from treeorder.cli import main; assert main({argv!r}) == 0"
+    assert loaded_by(run) == TREE_LAYERS and len(TREE_LAYERS) == 10
+    assert not TREE_LAYERS & SIBLINGS
 
 
 def test_a_tree_corpus_loads_no_group_layer():
@@ -198,6 +213,57 @@ print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
     done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
                           timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+# In a fresh interpreter: each benchmark tracer target resolves as Tracer.install
+# resolves it, each name a layer serves lazily is its sibling's own object and
+# was not bound before its first use, and an unknown name is an AttributeError
+# naming the module.  tracing.py is loaded by path and only read.
+TRACER_TARGETS = """
+import importlib, importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", {tracing!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+out = {{"unresolved": [], "served": 0, "not_own": [], "unknown": []}}
+homes = {{}}
+for layer in tracing.LAYERS:
+    mod = importlib.import_module("treeorder." + layer)
+    table = vars(mod).get("_HOME", {{}})
+    homes[layer] = table
+    out["not_own"] += [name for name in table if name in vars(mod)]  # bound before first use
+for layer, paths in tracing.TARGETS.items():
+    mod = sys.modules["treeorder." + layer]
+    for path in paths:
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(mod, owner_name) if owner_name else mod
+        value = owner.__dict__.get(attr) if owner_name else getattr(mod, attr, None)
+        if not callable(value):
+            out["unresolved"].append(layer + "." + path)
+for layer, table in homes.items():
+    mod = sys.modules["treeorder." + layer]
+    for name, sibling in table.items():
+        out["served"] += 1
+        if getattr(mod, name) is not getattr(importlib.import_module("treeorder." + sibling), name):
+            out["not_own"].append(layer + "." + name)
+    try:
+        getattr(mod, "no_such_name")
+    except AttributeError as err:
+        if str(err) != f"module 'treeorder.{{layer}}' has no attribute 'no_such_name'":
+            out["unknown"].append(str(err))
+    else:
+        out["unknown"].append(layer)
+print(json.dumps(out))
+"""
+
+
+def test_tracer_targets_resolve_and_lazily_served_names_are_the_siblings_own():
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    done = subprocess.run([sys.executable, "-c", TRACER_TARGETS.format(tracing=str(tracing))], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout)
+    assert out.pop("served") >= 30
+    assert out == {"unresolved": [], "not_own": [], "unknown": []}
 
 
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():

@@ -18,6 +18,8 @@ from treeorder.ordertree import (
     check_blowup,
     denjoy_blowup,
     alternating_line_tree,
+    manifold_order,
+    manifold_poset,
 )
 from treeorder.specio import canonical_json, tree_to_document
 
@@ -147,6 +149,24 @@ def test_blowup_sorts_the_arcs_a_fixed_number_of_times(monkeypatch):
         counts.append(len(calls))
     # the rays read once for the visits, and once for the final branch check
     assert counts == [2, 2]
+
+
+def test_a_poset_of_node_points_reads_the_rays_once(monkeypatch):
+    m = denjoy_blowup(ConePipeline.of(dihedral_standard(), 8).layout().tree)
+    nodes = [("node", nid) for nid, kind in m.nodes.items() if kind == "point"]
+    arcs = [("arc", aid, Fraction(1, 2)) for aid in m.sorted_arc_ids()]
+    calls = []
+    incidences = OrderTree.node_incidences
+    monkeypatch.setattr(OrderTree, "node_incidences", lambda self: calls.append(1) or incidences(self))
+    # nodes at one arc end share a point, ordered here by element
+    assert manifold_poset(m, dict(enumerate(nodes)), lambda g, h: g < h).n == len(nodes) == 63
+    assert len(calls) == 1
+    calls.clear()
+    assert manifold_poset(m, dict(enumerate(arcs))).n == len(arcs)
+    assert not calls  # arc points need no rays
+    manifold_order(m, nodes[0], nodes[-1])
+    manifold_order(m, nodes[0], arcs[0])
+    assert len(calls) == 2  # one per order query, though the first names two nodes
 
 
 # -- the blow-up, pinned -------------------------------------------------------

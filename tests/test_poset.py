@@ -8,7 +8,15 @@ import pytest
 
 import oracles
 from treeorder.catalog import get_cone
-from treeorder.corpus import all_extended_posets, run_relation_suite, tree_corpus
+from treeorder.corpus import (
+    _GEOMETRIES,
+    _between_table,
+    _certified,
+    _geometry,
+    all_extended_posets,
+    run_relation_suite,
+    tree_corpus,
+)
 from treeorder.grouporder import PLAIN, blow_up_gplus, check_no_singleton_classes
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import (
@@ -18,7 +26,6 @@ from treeorder.poset import (
     SIML,
     SIMU,
     SWAP,
-    _GEOMETRIES,
     ClassLawError,
     ExtendedPoset,
     PosetError,
@@ -435,7 +442,7 @@ POPULATIONS = ["extended-0", "extended-1", "extended-2", "extended-3", "extended
 def test_the_certificate_covers_every_poset_and_the_suite_equals_the_per_pair_pass(case):
     posets = _posets(case)
     for p in posets:
-        assert p._certified() and oracles.single_pass_certified(p, p._between_table())
+        assert _certified(p) and oracles.single_pass_certified(p, _between_table(p))
         suite = run_relation_suite(p)
         assert suite["ok"] and suite == oracles.per_pair_suite(p)
         assert p.verify_between_theorem() == []
@@ -471,9 +478,9 @@ def _beside_a_certified_twin(corrupt):
     its verdict on the geometry they share."""
     gc.collect()  # no four-point poset left in a cycle by an earlier test shares the geometry
     twin, p = chain("abcd"), chain("abcd")
-    assert twin._certified()
+    assert _certified(twin)
     corrupt(p)
-    assert p._geometry() is twin._geometry() and p._geometry().verdicts == {twin._comp: True}
+    assert _geometry(p) is _geometry(twin) and _geometry(p).verdicts == {twin._comp: True}
     return [p]
 
 
@@ -494,7 +501,7 @@ def _kept_chain_answer_flipped(p):
         "earlier-member-missing", "later-member-present", "twin-certified-first", "chain-answer-flipped"])
 def test_the_certificate_refuses_a_corrupted_memo_and_the_per_pair_pass_reports_it(corrupted):
     for q in corrupted():
-        assert not q._certified() and not oracles.single_pass_certified(q, q._between_table())
+        assert not _certified(q) and not oracles.single_pass_certified(q, _between_table(q))
         suite = run_relation_suite(q)
         assert not suite["ok"] and suite["travel"] + suite["o_equivalence"]
         assert suite == oracles.per_pair_suite(q)
@@ -508,7 +515,7 @@ def test_the_certificate_refuses_a_comparability_seen_from_one_side():
     # names y; the certificate reads one side of each pair and must refuse
     p = from_pairs("xyz", [("x", "siml", "y"), ("z", "lt", "x"), ("y", "siml", "z")])
     p._comp = (p._comp[0] | 0b010, *p._comp[1:])
-    assert not p._certified() and not oracles.single_pass_certified(p, p._between_table())
+    assert not _certified(p) and not oracles.single_pass_certified(p, _between_table(p))
     suite = run_relation_suite(p)
     assert suite["ok"] and suite == oracles.per_pair_suite(p)
 
@@ -544,7 +551,7 @@ def test_the_theorem_scan_names_the_ordered_witnesses_of_a_corrupted_mask(poset,
 def test_posets_with_one_between_table_share_one_geometry_while_they_live(n, tables, verdicts):
     gc.collect()  # geometries of posets left in cycles by earlier tests would count below
     posets = all_extended_posets(n)
-    assert len({id(p._geometry()) for p in posets}) == len({p._between_table() for p in posets}) == tables
+    assert len({id(_geometry(p)) for p in posets}) == len({_between_table(p) for p in posets}) == tables
     assert all(run_relation_suite(p)["ok"] for p in posets)
     # the certificate ran once per (table, comparability); here each pair is a poset and its reverse
     assert sum(len(geo.verdicts) for geo in _GEOMETRIES.values()) == verdicts == len(posets) // 2
@@ -555,7 +562,7 @@ def test_posets_with_one_between_table_share_one_geometry_while_they_live(n, tab
 def test_posets_that_share_a_corrupted_table_name_their_own_witnesses():
     p, q = chain("abcd"), chain("wxyz")
     corrupted = [(p, _corrupted_member(p, "a", "c", "b")), (q, _corrupted_member(q, "w", "y", "x"))]
-    assert p._geometry() is q._geometry()
+    assert _geometry(p) is _geometry(q)
     for r, inside in corrupted:
         want = oracles.naive_between_theorem(r, limit=100, inside=inside)
         assert want and {w["a"] for w in want} <= set(r.elements)
