@@ -211,7 +211,7 @@ def act_on_labels(state: LabeledTree, g) -> dict:
     part are reported as escaped.  On the moved plain labels the betweenness
     relation is checked to transport exactly.
     """
-    from .grouporder import PLAIN
+    from .treebuild import PLAIN
 
     if state.group is None:
         raise BuildError("this build has no group attached")

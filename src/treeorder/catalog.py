@@ -1,15 +1,15 @@
 """Named example structures and the composite check suites built on them.
 
 The catalog is the single place where concrete cones, subgroups, and
-scenarios live; checker commands and tests look structures up by name so
-that every entry point exercises the same objects.  The dihedral cone
+scenarios are named; checker commands and tests look structures up by name
+so that every entry point exercises the same objects.  The dihedral cone
 predicates are frozen here in closed form; their provenance is the orbit
 order of the alternating-line action (``derive_cone_pieces`` regenerates
 them from the action, and the tests compare).
 
-The registries other than the cones, the suites other than build and
-round trip, the negative controls and ``derive_cone_pieces`` load on first
-use from ``suites``, served by ``__getattr__`` at the end.
+The subgroups load on first use from ``quotient``; the other registries
+but the cones, the suites but build and round trip, the negative controls
+and ``derive_cone_pieces`` from ``suites``; ``__getattr__`` serves both.
 """
 
 from __future__ import annotations
@@ -138,9 +138,8 @@ def run_build_suite(cone: ConeStructure, radius: int = 6, stages: Optional[int] 
     """Stagewise construction checks: the four structural laws and
     injectivity of the labeling, read off the build's own points.  Unit
     directions are decided only where a tree is laid out (orient_segments)."""
-    from .grouporder import PLAIN
     from .orbitorder import ConePipeline
-    from .treebuild import verify_stage_properties
+    from .treebuild import PLAIN, verify_stage_properties
 
     state = ConePipeline.of(cone, radius).build(stages)
     props = verify_stage_properties(state)
@@ -326,12 +325,12 @@ def get_example(name: str) -> ExampleEntry:
     return _lookup(EXAMPLE_INDEX, "example", name)
 
 
-# name -> the sibling that defines it: registries, suites and negative controls
-_HOME = dict.fromkeys((
-    "SUBGROUPS", "second_factor_subgroup", "even_subgroup", "get_subgroup",
+# name -> the sibling that defines it: the subgroups, and the other registries, suites and negative controls
+_HOME = dict.fromkeys(("SUBGROUPS", "second_factor_subgroup", "even_subgroup", "get_subgroup"), "quotient")
+_HOME.update(dict.fromkeys((
     "QUOTIENT_SCENARIOS", "get_quotient_scenario", "TREES", "get_tree",
     "ACTION_SCENARIOS", "get_action_scenario", "derive_cone_pieces",
     "run_gplus_suite", "run_blowup_suite", "run_quotient_suite", "run_orbit_suite",
     "_expect_broken_cone", "_expect_nonconvex",
-), "suites")
+), "suites"))
 __getattr__ = lazy_names(__name__, _HOME)

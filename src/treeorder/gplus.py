@@ -1,15 +1,15 @@
 """The doubled order itself, built and checked.
 
-The cold half of the doubling: the tree build reads all it needs off the
-base order (``grouporder``), so only the gplus suite and the tests run
-this code.  ``grouporder`` serves these names on first use.
+The doubling's labels and the reads off the base order that the tree
+build needs live in ``treebuild``; only the gplus suite and the tests build
+the doubled order.  ``grouporder`` serves these names on first use.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .grouporder import MINUS, PLAIN, PLUS
+from .treebuild import MINUS, PLAIN, PLUS
 from .relations import GT, LT, REL_NAMES, SIML, SIMU
 
 if TYPE_CHECKING:

@@ -10,16 +10,13 @@ L (3), P*U in U (4), U*L in P (5); and the five pieces partition the group
 (6).  Axiom sweeps restrict to a finite ball, skipping and counting the
 products that escape it, with each piece a byte map by ball position.
 
-The element doubling g -> (g-, g, g+) lives here too, as the tree build
-reads it: labels, the touching relation R (nothing separates two doubled
-points) and the doubled between sets, all read off the base order.  Codes
-come from ``relations``; only the functions that build a tagged poset
-import ``poset``, so a cone check never loads it.
+Codes come from ``relations``; only the functions that build a tagged
+poset import ``poset``, so a cone check never loads it.
 
 The cold half loads on first use from two siblings, served by
 ``__getattr__`` at the end: ``gplus`` builds and checks the doubled order
-itself, and ``quotient`` holds subgroups, complete convexity and the
-quotient order on cosets.
+g -> (g-, g, g+), whose labels ``treebuild`` defines, and ``quotient``
+holds subgroups, complete convexity and the quotient order on cosets.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import lazy_names
 from .errors import ConeError
-from .relations import EQ, GT, LT, SIML, SIMU, between_by_codes
+from .relations import EQ, GT, LT, SIML, SIMU
 
 if TYPE_CHECKING:
     from .poset import ExtendedPoset
@@ -239,74 +236,6 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
                     raise ConeError(f"order is not left-invariant at "
                                     f"{group.format(f)}, {group.format(ball[i])}, {group.format(ball[j])}")
     return p
-
-
-# -- element doubling ---------------------------------------------------
-
-MINUS, PLAIN, PLUS = -1, 0, 1  # a doubled label is the tuple (element, tag)
-_TAG_TEXT = {MINUS: "-", PLAIN: "", PLUS: "+"}
-
-
-def format_aug(x: tuple, fmt: Callable = str) -> str:
-    return fmt(x[0]) + _TAG_TEXT[x[1]]
-
-
-def r_equivalent(p: ExtendedPoset, x: tuple, y: tuple) -> bool:
-    """Touching in the doubled order, read off the base order p: a label
-    touches itself, a plain label nothing else, and tags (g, s), (h, t)
-    touch when nothing lies between them in ``blow_up_gplus(p)``.  That is
-    when g != h, B(g, h) = {g, h}, s = side_toward(p, g, h) and
-    t = side_toward(p, h, g).  Why: the doubling copies each base relation
-    to all nine tag pairs, so a label of a third element lies between g^s
-    and h^t exactly when that element lies in B(g, h); and g's labels g and
-    g^-s lie between exactly when s faces away from h (g- < g < g+ < h^t
-    for g < h; g- < g+ ~u h^t for g ~u h; g+ > g- ~l h^t for g ~l h).
-    Likewise for h; and g^s, g^t never touch, g lying between them.
-    """
-    if x == y:
-        return True
-    (g, s), (h, t) = x, y
-    return (s != PLAIN and t != PLAIN and g != h and p._between_mask(p.index(g), p.index(h)).bit_count() == 2
-            and s == side_toward(p, g, h) and t == side_toward(p, h, g))
-
-
-def side_toward(p: ExtendedPoset, x, y) -> int:
-    """Which doubled tag of x faces y: PLUS when x sits below or faces
-    upward toward y, MINUS otherwise."""
-    return PLUS if _plus_faces(p, p.index(x)) >> p.index(y) & 1 else MINUS
-
-
-def _plus_faces(p: ExtendedPoset, i: int) -> int:
-    """The mask of the elements that i's PLUS tag faces: those above i or
-    upward-similar to it."""
-    return p._up[i] | p._simu[i]
-
-
-def doubled_members(p: ExtendedPoset, a, b) -> list:
-    """B(a, b) of two plain labels in blow_up_gplus(p), in travel order,
-    read off the base B(a, b): a and its tag toward b; each inner x's tag
-    toward a, x, and its tag toward b; b's tag toward a and b.  The doubling
-    copies every base relation to all nine tag pairs, so the inner elements
-    keep their travel order and bring all three labels, while of a's labels
-    only the tag facing b lies between.  Where the base travel order is not
-    total, the base order's ``PosetError`` stands; no doubled order is built."""
-    inner = p.between_members(a, b)[1:-1]
-    i, j = p.index(a), p.index(b)
-    out = [(a, PLAIN), (a, side_toward(p, a, b))]
-    for x in inner:
-        faces = _plus_faces(p, p.index(x))  # side_toward(p, x, a) and (p, x, b), by bit
-        out += ((x, PLUS if faces >> i & 1 else MINUS), (x, PLAIN), (x, PLUS if faces >> j & 1 else MINUS))
-    return out + [(b, side_toward(p, b, a)), (b, PLAIN)]
-
-
-def doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
-    """Whether label y lies in B(x, z) of blow_up_gplus(p), x != z: labels
-    of distinct elements relate as the elements do, and g- < g < g+."""
-
-    def code(u: tuple, v: tuple) -> int:
-        return p.rel(u[0], v[0]) if u[0] != v[0] else EQ if u[1] == v[1] else LT if u[1] < v[1] else GT
-
-    return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
 # name -> the sibling that defines it (``_law_counts`` too, which the tests read)

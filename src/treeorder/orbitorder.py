@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple, Optional
 from . import lazy_names
 from .errors import OrbitError
 from .grouporder import (
-    PLAIN,
     ConeReport,
     ConeStructure,
     induced_ball_poset,
@@ -30,6 +29,7 @@ from .ordertree import OrderTree, TreeError, denjoy_blowup, manifold_poset
 from .ordertree import manifold_graph, manifold_order  # noqa: F401  (re-exported)
 from .poset import ExtendedPoset
 from .treebuild import (
+    PLAIN,
     BetweenDecomposition,
     BuildError,
     BuildLayout,

@@ -403,7 +403,9 @@ def from_pairs(elements: Sequence[Element], pairs: Iterable[tuple]) -> ExtendedP
     """Build a poset from one (a, relation, b) triple per unordered pair."""
     table: dict = {}
     for a, rel, b in pairs:
-        code = REL_CODES[rel] if isinstance(rel, str) else rel
+        code = REL_CODES.get(rel) if isinstance(rel, str) else rel
+        if not isinstance(code, int) or code not in SWAP:
+            raise PosetError(f"pair ({a!r}, {b!r}) has unknown relation {rel!r}")
         if (a, b) in table or (b, a) in table:
             raise PosetError(f"pair ({a!r}, {b!r}) given twice")
         table[(a, b)] = code

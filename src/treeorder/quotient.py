@@ -1,14 +1,15 @@
 """Subgroups, complete convexity, and the quotient order on cosets.
 
 The cold half of ``grouporder``, which serves these names on first use, so
-a tree job or a cone check never compiles this code.
+a tree job or a cone check never compiles this code; ``catalog`` serves the
+builtin subgroups from here, so a quotient job compiles no ``suites``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .errors import ConeError
+from .errors import CatalogError, ConeError
 from .relations import EQ, GT, LT, REL_NAMES, SIML, SIMU, between_by_codes
 
 if TYPE_CHECKING:
@@ -25,6 +26,38 @@ class SubgroupSpec:
 
     def __call__(self, w) -> bool:
         return bool(self.member(w))
+
+
+def _subgroup(name: str, shape: str, fits: Callable, member: Callable) -> SubgroupSpec:
+    """A subgroup of one group model; elements of another shape are refused."""
+
+    def test(w) -> bool:
+        if not fits(w):
+            raise CatalogError(f"subgroup {name} applies to {shape}, not to {w!r}")
+        return member(w)
+
+    return SubgroupSpec(name, test)
+
+
+def second_factor_subgroup() -> SubgroupSpec:
+    return _subgroup("second-factor", "integer vectors of length 2 or more",
+                     lambda v: isinstance(v, tuple) and len(v) >= 2, lambda v: v[0] == 0)
+
+
+def even_subgroup() -> SubgroupSpec:
+    return _subgroup("even", "integers", lambda n: isinstance(n, int), lambda n: n % 2 == 0)
+
+
+SUBGROUPS: dict = {
+    "second-factor": second_factor_subgroup,
+    "even": even_subgroup,
+}
+
+
+def get_subgroup(name: str) -> SubgroupSpec:
+    from .catalog import _lookup
+
+    return _lookup(SUBGROUPS, "subgroup", name)()
 
 
 def _quotient_sides(cone: ConeStructure, ws: list, radius: int) -> tuple:

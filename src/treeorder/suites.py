@@ -1,61 +1,36 @@
 """The catalog's cold half: registries, suites and negative controls.
 
-No tree job or cone check runs these; ``catalog`` serves each name on first
-use.  Callers, this module included, import them from ``catalog``, so a
-wrapper set on the catalog's name (a tracer's) sees every call.  Other
-layers are imported inside the functions that use them.
+No tree job, cone check or quotient runs these (the subgroups live in
+``quotient``); ``catalog`` serves each name on first use.  Callers, this
+module included, import them from ``catalog``, so a wrapper set on the
+catalog's name (a tracer's) sees every call.  Other layers are imported
+inside the functions that use them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .catalog import _lookup, z_broken, z_standard, zk_lex
-from .errors import CatalogError
 from .relations import EQ, SIML, SIMU
 
 if TYPE_CHECKING:
     from .grouporder import ConeStructure
-    from .quotient import SubgroupSpec
 
 
-# -- subgroups and quotient scenarios -----------------------------------------
+# -- quotient, tree and action scenarios ---------------------------------------
 
 
-def _subgroup(name: str, shape: str, fits: Callable, member: Callable) -> SubgroupSpec:
-    """A subgroup of one group model; elements of another shape are refused."""
-    from .grouporder import SubgroupSpec
+def _builtin_subgroup(name: str):
+    """A builtin subgroup, read from its registry in ``quotient`` only when a scenario is built."""
+    from .quotient import SUBGROUPS
 
-    def test(w) -> bool:
-        if not fits(w):
-            raise CatalogError(f"subgroup {name} applies to {shape}, not to {w!r}")
-        return member(w)
-
-    return SubgroupSpec(name, test)
-
-
-def second_factor_subgroup() -> SubgroupSpec:
-    return _subgroup("second-factor", "integer vectors of length 2 or more",
-                     lambda v: isinstance(v, tuple) and len(v) >= 2, lambda v: v[0] == 0)
-
-
-def even_subgroup() -> SubgroupSpec:
-    return _subgroup("even", "integers", lambda n: isinstance(n, int), lambda n: n % 2 == 0)
-
-
-SUBGROUPS: dict = {
-    "second-factor": second_factor_subgroup,
-    "even": even_subgroup,
-}
-
-
-def get_subgroup(name: str) -> SubgroupSpec:
-    return _lookup(SUBGROUPS, "subgroup", name)()
+    return SUBGROUPS[name]()
 
 
 QUOTIENT_SCENARIOS: dict = {
-    "z2-lex-by-second-factor": lambda: (zk_lex(2), second_factor_subgroup()),
-    "z-by-even": lambda: (z_standard(), even_subgroup()),
+    "z2-lex-by-second-factor": lambda: (zk_lex(2), _builtin_subgroup("second-factor")),
+    "z-by-even": lambda: (z_standard(), _builtin_subgroup("even")),
 }
 
 
@@ -131,9 +106,10 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
     three between-set shapes hold per pair, the touching relation is an
     equivalence, and no similarity class between plain elements is a
     singleton."""
-    from .grouporder import blow_up_gplus, check_augmented_between, check_no_singleton_classes, r_equivalent
+    from .grouporder import blow_up_gplus, check_augmented_between, check_no_singleton_classes
     from .orbitorder import ConePipeline
     from .poset import _bits
+    from .treebuild import r_equivalent
 
     p = ConePipeline.of(cone, radius).ball_poset
     aug = blow_up_gplus(p)

@@ -1,26 +1,26 @@
-"""Stagewise construction of a labelled order tree from a tagged ball order.
+"""Stagewise construction of a labelled order tree from a tagged poset.
 
-The builder consumes a finite tagged poset (typically a group ball with a
-left-invariant order) and a list of between-set pairs covering it.  Each pair
-contributes one stage: the between set B(x, y) splits into similarity
-classes, every class is augmented with the doubled tags of its members, laid
-over one unit interval with touching tag pairs identified (touching is read
-off the base order, see grouporder.r_equivalent), and the already
-built prefix is cut away so the remainder glues onto the existing tree at the
-doubled tag of x.  Gluing a half-open remainder whose built part has no
-greatest element is supported through explicitly forced stages; the new
-segment then attaches at the doubled tag of the furthest built element, and
-that glue point is kept as a truncated limit.
+The builder consumes a finite admissible tagged poset (a group ball with a
+left-invariant order, or any other: no group is needed) and a list of
+between-set pairs covering it.  Each pair contributes one stage: the
+between set B(x, y) splits into similarity classes, every class is
+augmented with the doubled tags of its members, laid over one unit interval
+with touching tag pairs identified, and the already built prefix is cut
+away so the remainder glues onto the existing tree at the doubled tag of x.
+Gluing a half-open remainder whose built part has no greatest element is
+supported through explicitly forced stages; the new segment then attaches
+at the doubled tag of the furthest built element, and that glue point is
+kept as a truncated limit.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
 the glued intervals form a tree, complement gaps are bounded by an element
 and its own tag, paths between built elements read out their between sets in
 travel order, and two labels share a point exactly when nothing lies between
-them.  Neither the build nor the checks build the doubled order: its
-between sets, relation codes and touching pairs are all read off the base
-order.  ``act_on_labels``, which no command calls, lives in ``actions`` and
-loads on first use; ``__getattr__`` at the end serves it from here.
+them.  Neither the build nor the checks build the doubled order (``gplus``
+does): the element doubling g -> (g-, g, g+) below reads its between sets,
+relation codes and touching pairs off the base order.  ``act_on_labels``
+lives in ``actions`` and loads on first use, served by ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -29,26 +29,85 @@ import math
 from collections import Counter
 from itertools import combinations
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import lazy_names
 from .errors import BuildError
-from .grouporder import (
-    MINUS,
-    PLAIN,
-    PLUS,
-    doubled_between,
-    doubled_members,
-    format_aug,
-    r_equivalent,
-    side_toward,
-)
 from .ordertree import OrderTree, TreeIndex
 from .poset import BetweenChain, ExtendedPoset, PosetError
+from .relations import EQ, GT, LT, between_by_codes
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+
+# -- element doubling ---------------------------------------------------
+
+MINUS, PLAIN, PLUS = -1, 0, 1  # a doubled label is the tuple (element, tag)
+_TAG_TEXT = {MINUS: "-", PLAIN: "", PLUS: "+"}
+
+
+def format_aug(x: tuple, fmt: Callable = str) -> str:
+    return fmt(x[0]) + _TAG_TEXT[x[1]]
+
+
+def r_equivalent(p: ExtendedPoset, x: tuple, y: tuple) -> bool:
+    """Touching in the doubled order, read off the base order p: a label
+    touches itself, a plain label nothing else, and tags (g, s), (h, t)
+    touch when nothing lies between them in ``blow_up_gplus(p)``.  That is
+    when g != h, B(g, h) = {g, h}, s = side_toward(p, g, h) and
+    t = side_toward(p, h, g).  Why: the doubling copies each base relation
+    to all nine tag pairs, so a label of a third element lies between g^s
+    and h^t exactly when that element lies in B(g, h); and g's labels g and
+    g^-s lie between exactly when s faces away from h (g- < g < g+ < h^t
+    for g < h; g- < g+ ~u h^t for g ~u h; g+ > g- ~l h^t for g ~l h).
+    Likewise for h; and g^s, g^t never touch, g lying between them.
+    """
+    if x == y:
+        return True
+    (g, s), (h, t) = x, y
+    return (s != PLAIN and t != PLAIN and g != h and p._between_mask(p.index(g), p.index(h)).bit_count() == 2
+            and s == side_toward(p, g, h) and t == side_toward(p, h, g))
+
+
+def side_toward(p: ExtendedPoset, x, y) -> int:
+    """Which doubled tag of x faces y: PLUS when x sits below or faces
+    upward toward y, MINUS otherwise."""
+    return PLUS if _plus_faces(p, p.index(x)) >> p.index(y) & 1 else MINUS
+
+
+def _plus_faces(p: ExtendedPoset, i: int) -> int:
+    """The mask of the elements that i's PLUS tag faces: those above i or
+    upward-similar to it."""
+    return p._up[i] | p._simu[i]
+
+
+def doubled_members(p: ExtendedPoset, a, b) -> list:
+    """B(a, b) of two plain labels in blow_up_gplus(p), in travel order,
+    read off the base B(a, b): a and its tag toward b; each inner x's tag
+    toward a, x, and its tag toward b; b's tag toward a and b.  The doubling
+    copies every base relation to all nine tag pairs, so the inner elements
+    keep their travel order and bring all three labels, while of a's labels
+    only the tag facing b lies between.  Where the base travel order is not
+    total, the base order's ``PosetError`` stands; no doubled order is built."""
+    inner = p.between_members(a, b)[1:-1]
+    i, j = p.index(a), p.index(b)
+    out = [(a, PLAIN), (a, side_toward(p, a, b))]
+    for x in inner:
+        faces = _plus_faces(p, p.index(x))  # side_toward(p, x, a) and (p, x, b), by bit
+        out += ((x, PLUS if faces >> i & 1 else MINUS), (x, PLAIN), (x, PLUS if faces >> j & 1 else MINUS))
+    return out + [(b, side_toward(p, b, a)), (b, PLAIN)]
+
+
+def doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
+    """Whether label y lies in B(x, z) of blow_up_gplus(p), x != z: labels
+    of distinct elements relate as the elements do, and g- < g < g+."""
+
+    def code(u: tuple, v: tuple) -> int:
+        return p.rel(u[0], v[0]) if u[0] != v[0] else EQ if u[1] == v[1] else LT if u[1] < v[1] else GT
+
+    return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
 class Stage(NamedTuple):
@@ -454,8 +513,8 @@ def verify_stage_properties(state: LabeledTree) -> dict:
       and one of its own tags; gaps at truncated-limit gluings are reported
       as undetermined rather than checked.
     * paths: for built a, b the path [nu(a), nu(b)] reads out the doubled
-      B(a, b) in travel order (grouporder.doubled_members, read off the
-      base order):
+      B(a, b) in travel order (doubled_members, read off the base
+      order):
       the members' points come block by block in route order; extra labels
       must be tags touching a member on each side.
     * identity: labels share a point exactly when they touch; collisions

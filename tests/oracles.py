@@ -449,9 +449,8 @@ def tree_roundtrip(p):
     """The loop poset -> tree -> blow-up -> poset: build the tree of ``p``,
     blow it up and order the points of its plain labels on the manifold.
     An admissible ``p`` comes back with its own elements and rows."""
-    from treeorder.grouporder import PLAIN
     from treeorder.ordertree import denjoy_blowup, manifold_poset
-    from treeorder.treebuild import build_tree, orient_segments
+    from treeorder.treebuild import PLAIN, build_tree, orient_segments
 
     layout = orient_segments(build_tree(p))
     points = {g: layout.label_point[g, PLAIN] for g in p.elements}
@@ -489,9 +488,9 @@ def naive_laid_apart(state) -> list:
     """The "touching labels laid apart" entries of a build's identity
     report, by a scan over every pair of elements that carry a tag: g before
     h in the poset, B(g, h) = {g, h}, and the tag of each facing the other
-    (grouporder.r_equivalent) both laid but resolving to two points.  In
+    (treebuild.r_equivalent) both laid but resolving to two points.  In
     label order, as verification reports them."""
-    from treeorder.grouporder import PLAIN, side_toward
+    from treeorder.treebuild import PLAIN, side_toward
 
     p = state.poset
     apart = []

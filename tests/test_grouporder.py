@@ -22,9 +22,6 @@ from treeorder.catalog import (
 from treeorder.corpus import all_extended_posets, tree_corpus
 from treeorder.groups import FreeGroup, GroupError, TableGroup, Z, Zk
 from treeorder.grouporder import (
-    MINUS,
-    PLAIN,
-    PLUS,
     ConeError,
     ConeStructure,
     _law_counts,
@@ -32,15 +29,13 @@ from treeorder.grouporder import (
     check_augmented_between,
     check_completely_convex,
     check_no_singleton_classes,
-    format_aug,
     induced_ball_poset,
     quotient_order,
-    r_equivalent,
-    side_toward,
     verify_cone_axioms,
 )
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import EQ, GT, LT, SIML, SIMU, PosetError, from_pairs
+from treeorder.treebuild import MINUS, PLAIN, PLUS, format_aug, r_equivalent, side_toward
 
 Z5_TABLE = [[(i + j) % 5 for j in range(5)] for i in range(5)]
 

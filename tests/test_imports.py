@@ -26,10 +26,10 @@ CATALOG = {"cli", "errors", "catalog"}
 # the cone layer reads relation codes from the leaf ``relations``, not ``poset``
 CONE_LAYERS = CATALOG | {"relations", "groups", "grouporder"}
 # what a cone command loads beyond CONE_LAYERS: a free group's sweep compiles
-# the rank-block code, a quotient compiles the cold halves of grouporder and
-# the catalog (its subgroup registry), and one that passes the convexity
-# check builds the coset poset
-CONE_EXTRAS = {"free2-standard": {"freesweep"}, "quotient": {"quotient", "suites"}, "second-factor": {"poset"}}
+# the rank-block code, a quotient compiles the cold half of grouporder (which
+# holds the subgroup registry), and one that passes the convexity check
+# builds the coset poset
+CONE_EXTRAS = {"free2-standard": {"freesweep"}, "quotient": {"quotient"}, "second-factor": {"poset"}}
 # the ten layers of a tree job, and the siblings that hold the cold half of a layer
 TREE_LAYERS = CONE_LAYERS | {"poset", "treebuild", "ordertree", "orbitorder"}
 SIBLINGS = {"quotient", "gplus", "suites", "actions"}
@@ -159,6 +159,22 @@ def test_a_tree_job_loads_its_ten_layers_and_no_sibling(argv):
     run = f"from treeorder.cli import main; assert main({argv!r}) == 0"
     assert loaded_by(run) == TREE_LAYERS and len(TREE_LAYERS) == 10
     assert not TREE_LAYERS & SIBLINGS
+
+
+def test_a_tree_built_from_a_bare_poset_loads_no_cone_layer():
+    # the element doubling lives in treebuild: the build, its checks and the
+    # round trip through the blow-up never load the groups or the cones
+    tests = str(Path(__file__).resolve().parent)
+    loaded = loaded_by(f"sys.path.insert(0, {tests!r})",
+                       "import oracles",
+                       "from treeorder.corpus import all_extended_posets",
+                       "from treeorder.treebuild import build_tree, verify_stage_properties",
+                       "for p in all_extended_posets(3):",
+                       "    assert verify_stage_properties(build_tree(p))['ok']",
+                       "    q = oracles.tree_roundtrip(p)",
+                       "    assert (q.elements, q.rows) == (p.elements, p.rows)")
+    assert not {"grouporder", "groups"} & loaded
+    assert {"treebuild", "ordertree"} <= loaded
 
 
 def test_a_tree_corpus_loads_no_group_layer():

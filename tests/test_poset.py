@@ -17,7 +17,7 @@ from treeorder.corpus import (
     run_relation_suite,
     tree_corpus,
 )
-from treeorder.grouporder import PLAIN, blow_up_gplus, check_no_singleton_classes
+from treeorder.grouporder import blow_up_gplus, check_no_singleton_classes
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import (
     EQ,
@@ -32,7 +32,7 @@ from treeorder.poset import (
     between_by_codes,
     from_pairs,
 )
-from treeorder.treebuild import build_tree
+from treeorder.treebuild import PLAIN, build_tree
 
 
 def chain(names="abc"):
@@ -137,6 +137,12 @@ def test_missing_pair_rejected():
 def test_duplicate_pair_rejected():
     with pytest.raises(PosetError, match="twice"):
         from_pairs("ab", [("a", "lt", "b"), ("b", "gt", "a")])
+
+
+@pytest.mark.parametrize("rel", ["bogus", "EQ", 7, -1, None, 1.0, ["lt"]], ids=repr)
+def test_unknown_relation_is_a_poset_error_naming_the_pair(rel):
+    with pytest.raises(PosetError, match=re.escape(f"pair ('a', 'b') has unknown relation {rel!r}")):
+        from_pairs("abc", [("a", "lt", "c"), ("a", rel, "b"), ("b", "lt", "c")])
 
 
 def test_transitivity_enforced():

@@ -13,22 +13,19 @@ from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone, run_bu
 from treeorder.cli import main
 from treeorder.corpus import all_extended_posets, tree_corpus
 from treeorder.errors import ConeError
-from treeorder.grouporder import (
-    PLAIN,
-    blow_up_gplus,
-    doubled_between,
-    doubled_members,
-    induced_ball_poset,
-)
+from treeorder.grouporder import blow_up_gplus, induced_ball_poset
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset, PosetError, from_pairs
 from treeorder.treebuild import (
+    PLAIN,
     BuildError,
     _path_points,
     act_on_labels,
     build_from_cones,
     build_tree,
+    doubled_between,
+    doubled_members,
     normalize_decomposition,
     orient_segments,
     verify_stage_properties,
