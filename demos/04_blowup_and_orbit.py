@@ -10,10 +10,10 @@ exactly the cone order on the ball.
 
 from __future__ import annotations
 
+from treeorder.actions import DIHEDRAL_BASE_POINT, check_action, check_blowup, dihedral_example
 from treeorder.catalog import dihedral_standard
 from treeorder.grouporder import induced_ball_poset
-from treeorder.orbitorder import DIHEDRAL_BASE_POINT, check_action, dihedral_example, orbit_poset
-from treeorder.ordertree import check_blowup
+from treeorder.orbitorder import orbit_poset
 from treeorder.poset import REL_NAMES
 
 

@@ -9,9 +9,9 @@ integer order are not, and the witness is printed rather than hidden.
 
 from __future__ import annotations
 
-from treeorder.catalog import even_subgroup, second_factor_subgroup, z_standard, zk_lex
-from treeorder.grouporder import check_completely_convex, quotient_order
+from treeorder.catalog import z_standard, zk_lex
 from treeorder.poset import REL_NAMES
+from treeorder.quotient import check_completely_convex, even_subgroup, quotient_order, second_factor_subgroup
 
 
 def main():

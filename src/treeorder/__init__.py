@@ -49,11 +49,11 @@ _HOME = {
     "all_extended_posets": "corpus",
     "between_by_codes": "relations",
     "build_from_cones": "treebuild",
-    "check_action": "orbitorder",
-    "check_blowup": "ordertree",
-    "check_completely_convex": "grouporder",
+    "check_action": "actions",
+    "check_blowup": "actions",
+    "check_completely_convex": "quotient",
     "denjoy_blowup": "ordertree",
-    "alternating_line_tree": "ordertree",
+    "alternating_line_tree": "actions",
     "get_cone": "catalog",
     "get_example": "catalog",
     "induced_ball_poset": "grouporder",
@@ -61,10 +61,10 @@ _HOME = {
     "manifold_order": "ordertree",
     "orbit_poset": "orbitorder",
     "orient_segments": "treebuild",
-    "quotient_order": "grouporder",
+    "quotient_order": "quotient",
     "roundtrip_orbit": "orbitorder",
     "run_corpus_suite": "corpus",
-    "stabilizer_extension_order": "orbitorder",
+    "stabilizer_extension_order": "actions",
     "verify_cone_axioms": "grouporder",
     "verify_stage_properties": "treebuild",
 }

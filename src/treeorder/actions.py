@@ -3,7 +3,7 @@
 The cold half of ``ordertree`` (the line windows, ``check_blowup``),
 ``orbitorder`` (the translation and dihedral actions, ``check_action``,
 ``stabilizer_extension_order``, ``realized_bound``) and ``treebuild``
-(``act_on_labels``); each home module serves these names on first use.
+(``act_on_labels``); the home modules serve the benchmark tracer's targets.
 Layers other than ``ordertree`` are imported inside the functions that use
 them, so a blow-up still loads no group layer.
 """

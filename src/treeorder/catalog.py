@@ -7,9 +7,9 @@ predicates are frozen here in closed form; their provenance is the orbit
 order of the alternating-line action (``derive_cone_pieces`` regenerates
 them from the action, and the tests compare).
 
-The subgroups load on first use from ``quotient``; the other registries
-but the cones, the suites but build and round trip, the negative controls
-and ``derive_cone_pieces`` from ``suites``; ``__getattr__`` serves both.
+The subgroups live in ``quotient``; the other registries but the cones,
+the suites but build and round trip, the negative controls and
+``derive_cone_pieces`` in ``suites``.  ``_HOME`` lists those served here.
 """
 
 from __future__ import annotations
@@ -325,11 +325,10 @@ def get_example(name: str) -> ExampleEntry:
     return _lookup(EXAMPLE_INDEX, "example", name)
 
 
-# name -> the sibling that defines it: the subgroups, and the other registries, suites and negative controls
-_HOME = dict.fromkeys(("SUBGROUPS", "second_factor_subgroup", "even_subgroup", "get_subgroup"), "quotient")
+# name -> the sibling that defines it: the benchmark tracer's targets, and the controls EXAMPLES run
+_HOME = {"get_subgroup": "quotient"}
 _HOME.update(dict.fromkeys((
-    "QUOTIENT_SCENARIOS", "get_quotient_scenario", "TREES", "get_tree",
-    "ACTION_SCENARIOS", "get_action_scenario", "derive_cone_pieces",
+    "get_quotient_scenario", "get_tree", "get_action_scenario", "derive_cone_pieces",
     "run_gplus_suite", "run_blowup_suite", "run_quotient_suite", "run_orbit_suite",
     "_expect_broken_cone", "_expect_nonconvex",
 ), "suites"))

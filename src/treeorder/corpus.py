@@ -31,7 +31,7 @@ import weakref
 from itertools import combinations, permutations
 from typing import Iterator, List
 
-from .poset import ClassLawError, ExtendedPoset, PosetError, _bits
+from .poset import ClassLawError, ExtendedPoset, PosetError, _between_rows, _bits
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
 BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
@@ -264,25 +264,15 @@ _GEOMETRIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _between_table(p: ExtendedPoset) -> tuple:
     """B(i, j) for every ordered pair, with {i} on the diagonal, read off
-    the rows in one pass by the cases of ``_between_mask``.  Masks
-    already in the ``_bet`` memo are read from it; the rest are not
-    stored, since the laws read them only from the geometry's table."""
-    n = p.n
-    up, down, simu, siml = p.rows
+    the rows by ``_between_rows``.  Masks already in the ``_bet`` memo are
+    read from it; the rest are not stored, since the laws read them only
+    from the geometry's table."""
+    n, rows = p.n, p.rows
     bet = [[1 << i] * n for i in range(n)]
     for i in range(n):
-        ui, di, si, li, row = up[i], down[i], simu[i], siml[i], bet[i]
+        row = bet[i]
         for j in range(i + 1, n):
-            bit = 1 << j
-            if ui & bit:
-                inner = ui & down[j] | si & siml[j]
-            elif di & bit:
-                inner = di & up[j] | li & simu[j]
-            elif li & bit:
-                inner = li & down[j] | siml[j] & di
-            else:
-                inner = si & up[j] | simu[j] & ui
-            row[j] = bet[j][i] = inner | 1 << i | bit
+            row[j] = bet[j][i] = _between_rows(rows, i, j)
     for key, mask in p._bet.items():
         i, j = divmod(key, n)
         bet[i][j] = bet[j][i] = mask

@@ -13,10 +13,10 @@ products that escape it, with each piece a byte map by ball position.
 Codes come from ``relations``; only the functions that build a tagged
 poset import ``poset``, so a cone check never loads it.
 
-The cold half loads on first use from two siblings, served by
-``__getattr__`` at the end: ``gplus`` builds and checks the doubled order
-g -> (g-, g, g+), whose labels ``treebuild`` defines, and ``quotient``
-holds subgroups, complete convexity and the quotient order on cosets.
+The cold half lives in two siblings: ``gplus`` builds and checks the
+doubled order g -> (g-, g, g+), whose labels ``treebuild`` defines, and
+``quotient`` holds subgroups, complete convexity and the quotient order on
+cosets; ``__getattr__`` serves the benchmark tracer's targets among them.
 """
 
 from __future__ import annotations
@@ -238,8 +238,7 @@ def induced_ball_poset(cone: ConeStructure, radius: int, report: Optional[ConeRe
     return p
 
 
-# name -> the sibling that defines it (``_law_counts`` too, which the tests read)
+# name -> the sibling that defines it, for the benchmark tracer's targets only
 _HOME = dict.fromkeys(("blow_up_gplus", "check_augmented_between", "check_no_singleton_classes"), "gplus")
-_HOME.update(dict.fromkeys(("SubgroupSpec", "ConvexityReport", "check_completely_convex", "QuotientResult",
-                            "quotient_order", "_law_counts"), "quotient"))
+_HOME.update(dict.fromkeys(("check_completely_convex", "quotient_order"), "quotient"))
 __getattr__ = lazy_names(__name__, _HOME)

@@ -35,9 +35,9 @@ verdicts depend only on the finite path between two points, so truncation
 never guesses a relation; it can hide bound witnesses, which callers check
 against realized points.
 
-The line windows (``line_window``, ``alternating_line_tree``) and the
-blow-up check ``check_blowup`` live in ``actions`` and load on first use;
-``__getattr__`` at the end serves them from here.
+The line windows and the blow-up check ``check_blowup`` live in
+``actions``; ``__getattr__`` serves the benchmark tracer's targets among
+them.
 """
 
 from __future__ import annotations
@@ -491,6 +491,6 @@ def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = 
     return ExtendedPoset(elements, up, down, simu, siml)
 
 
-# name -> the sibling that defines it: the line windows and the blow-up check
-_HOME = dict.fromkeys(("line_window", "alternating_line_tree", "check_blowup"), "actions")
+# name -> the sibling that defines it, for the benchmark tracer's targets only
+_HOME = dict.fromkeys(("alternating_line_tree", "check_blowup"), "actions")
 __getattr__ = lazy_names(__name__, _HOME)

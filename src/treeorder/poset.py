@@ -24,14 +24,13 @@ The between geometry they share with every poset of the same between table,
 and the certificate that answers ``between_set`` for every pair at once,
 live in ``corpus`` beside the law suite, which is their main caller; the
 two law methods that read them import them when they run, so a tree job
-compiles neither.  ``BetweenGeometry`` is served from here on first use.
+compiles neither.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import lazy_names
 from .errors import PosetError
 from .relations import EQ, GT, LT, REL_CODES, REL_NAMES, SIML, SIMU, SWAP, between_by_codes
 
@@ -65,6 +64,21 @@ class BetweenChain(NamedTuple):
     b: Element
     members: tuple
     classes: tuple
+
+
+def _between_rows(rows: tuple, i: int, j: int) -> int:
+    """B(i, j), i != j, as a mask off the rows: each case of between_by_codes is two row ANDs."""
+    up, down, simu, siml = rows
+    bit = 1 << j
+    if up[i] & bit:
+        inner = up[i] & down[j] | simu[i] & siml[j]
+    elif down[i] & bit:
+        inner = down[i] & up[j] | siml[i] & simu[j]
+    elif siml[i] & bit:
+        inner = siml[i] & down[j] | siml[j] & down[i]
+    else:
+        inner = simu[i] & up[j] | simu[j] & up[i]
+    return inner | 1 << i | bit
 
 
 class ExtendedPoset:
@@ -231,23 +245,13 @@ class ExtendedPoset:
         return between_by_codes(self._code(i, k), self._code(i, j), self._code(j, k))
 
     def _between_mask(self, i: int, j: int) -> int:
-        """B(i, j) as a mask, kept in the ``_bet`` memo: each case of between_by_codes is two row ANDs."""
+        """B(i, j) as a mask, kept in the ``_bet`` memo."""
         if j < i:
             i, j = j, i
         key = i * self.n + j
         mask = self._bet.get(key)
         if mask is None:
-            up, down, simu, siml = self._up, self._down, self._simu, self._siml
-            bit = 1 << j
-            if up[i] & bit:
-                inner = up[i] & down[j] | simu[i] & siml[j]
-            elif down[i] & bit:
-                inner = down[i] & up[j] | siml[i] & simu[j]
-            elif siml[i] & bit:
-                inner = siml[i] & down[j] | siml[j] & down[i]
-            else:
-                inner = simu[i] & up[j] | simu[j] & up[i]
-            mask = self._bet[key] = inner | 1 << i | bit
+            mask = self._bet[key] = _between_rows(self.rows, i, j)
         return mask
 
     def _is_chain(self, mask: int) -> bool:
@@ -404,7 +408,7 @@ def from_pairs(elements: Sequence[Element], pairs: Iterable[tuple]) -> ExtendedP
     table: dict = {}
     for a, rel, b in pairs:
         code = REL_CODES.get(rel) if isinstance(rel, str) else rel
-        if not isinstance(code, int) or code not in SWAP:
+        if type(code) is not int or code not in SWAP:  # bool is an int, but no code
             raise PosetError(f"pair ({a!r}, {b!r}) has unknown relation {rel!r}")
         if (a, b) in table or (b, a) in table:
             raise PosetError(f"pair ({a!r}, {b!r}) given twice")
@@ -418,8 +422,3 @@ def from_pairs(elements: Sequence[Element], pairs: Iterable[tuple]) -> ExtendedP
             raise PosetError(f"pair ({x!r}, {y!r}) missing from the table") from None
 
     return ExtendedPoset.from_relation(elements, rel_of)
-
-
-# name -> the module that defines it: the between geometry lives beside the law suite
-_HOME = {"BetweenGeometry": "corpus"}
-__getattr__ = lazy_names(__name__, _HOME)

@@ -1,8 +1,9 @@
 """Subgroups, complete convexity, and the quotient order on cosets.
 
-The cold half of ``grouporder``, which serves these names on first use, so
-a tree job or a cone check never compiles this code; ``catalog`` serves the
-builtin subgroups from here, so a quotient job compiles no ``suites``.
+The cold half of ``grouporder`` and home of the builtin subgroups, so a
+tree job or a cone check never compiles this code and a quotient job
+compiles no ``suites``.  ``grouporder`` and ``catalog`` serve the
+benchmark tracer's targets among these names.
 """
 
 from __future__ import annotations

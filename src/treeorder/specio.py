@@ -433,7 +433,7 @@ def _read_scenario(body) -> None:
     _require_fields(body, "scenario body", {"name"}, {"radius"})
     if not isinstance(body["name"], str):
         raise SpecError("scenario name must be a string")
-    from .catalog import ACTION_SCENARIOS
+    from .suites import ACTION_SCENARIOS
 
     if body["name"] not in ACTION_SCENARIOS:
         raise SpecError(f"unknown scenario {body['name']!r}; known: {', '.join(sorted(ACTION_SCENARIOS))}")

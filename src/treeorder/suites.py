@@ -1,10 +1,10 @@
 """The catalog's cold half: registries, suites and negative controls.
 
 No tree job, cone check or quotient runs these (the subgroups live in
-``quotient``); ``catalog`` serves each name on first use.  Callers, this
-module included, import them from ``catalog``, so a wrapper set on the
-catalog's name (a tracer's) sees every call.  Other layers are imported
-inside the functions that use them.
+``quotient``).  ``catalog`` serves the benchmark tracer's targets among
+them; callers, this module included, import those from ``catalog``, so
+the tracer's wrapper sees every call.  Other layers are imported inside
+the functions that use them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def get_tree(name: str, radius: int = 6):
 
 
 def _dihedral_scenario(radius: int) -> tuple:
-    from .orbitorder import DIHEDRAL_BASE_POINT, dihedral_example
+    from .actions import DIHEDRAL_BASE_POINT
+    from .orbitorder import dihedral_example
 
     _, manifold, action = dihedral_example(radius)
     return manifold, action, DIHEDRAL_BASE_POINT

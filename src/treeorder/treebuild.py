@@ -20,7 +20,7 @@ travel order, and two labels share a point exactly when nothing lies between
 them.  Neither the build nor the checks build the doubled order (``gplus``
 does): the element doubling g -> (g-, g, g+) below reads its between sets,
 relation codes and touching pairs off the base order.  ``act_on_labels``
-lives in ``actions`` and loads on first use, served by ``__getattr__``.
+lives in ``actions``; ``__getattr__`` serves it for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -644,6 +644,6 @@ def _gap_is_tag_pair(left: list, right: list) -> bool:
                for here, there in ((left, right), (right, left)) for a in here)
 
 
-# name -> the sibling that defines it: the action on labels, which only the tests call
+# name -> the sibling that defines it, for the benchmark tracer's target only
 _HOME = {"act_on_labels": "actions"}
 __getattr__ = lazy_names(__name__, _HOME)

@@ -9,12 +9,7 @@ from fractions import Fraction
 from treeorder.catalog import (
     dihedral_standard,
     free_standard,
-    get_quotient_scenario,
-    run_blowup_suite,
     run_build_suite,
-    run_gplus_suite,
-    run_orbit_suite,
-    run_quotient_suite,
     run_roundtrip_suite,
     z_broken,
     z_standard,
@@ -22,8 +17,16 @@ from treeorder.catalog import (
 )
 from treeorder.cli import main
 from treeorder.corpus import BASE_ORDER_COUNTS, run_corpus_suite
-from treeorder.grouporder import quotient_order, verify_cone_axioms
+from treeorder.grouporder import verify_cone_axioms
 from treeorder.poset import GT, LT
+from treeorder.quotient import quotient_order
+from treeorder.suites import (
+    get_quotient_scenario,
+    run_blowup_suite,
+    run_gplus_suite,
+    run_orbit_suite,
+    run_quotient_suite,
+)
 
 
 def test_criterion_1_cone_axioms_at_radius_8():

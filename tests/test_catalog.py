@@ -4,32 +4,34 @@ from fractions import Fraction
 
 import pytest
 
+from treeorder.actions import realized_bound
 from treeorder.catalog import (
-    ACTION_SCENARIOS,
     BUILTIN_CONES,
     CatalogError,
     EXAMPLES,
-    QUOTIENT_SCENARIOS,
-    SUBGROUPS,
-    TREES,
-    derive_cone_pieces,
     dihedral_standard,
-    get_action_scenario,
     get_cone,
     get_example,
-    get_subgroup,
-    get_tree,
-    run_blowup_suite,
     run_build_suite,
-    run_gplus_suite,
-    run_orbit_suite,
-    run_quotient_suite,
     run_roundtrip_suite,
     z_standard,
 )
 from treeorder.corpus import all_extended_posets
-from treeorder.orbitorder import orbit_poset, realized_bound, roundtrip_orbit
+from treeorder.orbitorder import orbit_poset, roundtrip_orbit
+from treeorder.quotient import SUBGROUPS, get_subgroup
 from treeorder.relations import SIML, SIMU
+from treeorder.suites import (
+    ACTION_SCENARIOS,
+    QUOTIENT_SCENARIOS,
+    TREES,
+    derive_cone_pieces,
+    get_action_scenario,
+    get_tree,
+    run_blowup_suite,
+    run_gplus_suite,
+    run_orbit_suite,
+    run_quotient_suite,
+)
 
 
 def test_builtin_cones_resolve():

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from treeorder import cli, errors, orbitorder
-from treeorder.catalog import EXAMPLES, get_action_scenario, get_example
+from treeorder.catalog import EXAMPLES, get_example
 from treeorder.cli import main
 from treeorder.orbitorder import orbit_poset
 from treeorder.relations import REL_NAMES
 from treeorder.specio import canonical_json, jsonable
+from treeorder.suites import get_action_scenario
 
 VALID_POSET = {
     "version": "1",

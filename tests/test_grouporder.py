@@ -8,33 +8,20 @@ import pytest
 
 import oracles
 from treeorder import groups
-from treeorder.catalog import (
-    BUILTIN_CONES,
-    dihedral_standard,
-    even_subgroup,
-    free_standard,
-    get_cone,
-    second_factor_subgroup,
-    z_broken,
-    z_standard,
-    zk_lex,
-)
+from treeorder.catalog import BUILTIN_CONES, dihedral_standard, free_standard, get_cone, z_broken, z_standard, zk_lex
 from treeorder.corpus import all_extended_posets, tree_corpus
+from treeorder.gplus import blow_up_gplus, check_augmented_between, check_no_singleton_classes
 from treeorder.groups import FreeGroup, GroupError, TableGroup, Z, Zk
-from treeorder.grouporder import (
-    ConeError,
-    ConeStructure,
-    _law_counts,
-    blow_up_gplus,
-    check_augmented_between,
-    check_completely_convex,
-    check_no_singleton_classes,
-    induced_ball_poset,
-    quotient_order,
-    verify_cone_axioms,
-)
+from treeorder.grouporder import ConeError, ConeStructure, induced_ball_poset, verify_cone_axioms
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import EQ, GT, LT, SIML, SIMU, PosetError, from_pairs
+from treeorder.quotient import (
+    _law_counts,
+    check_completely_convex,
+    even_subgroup,
+    quotient_order,
+    second_factor_subgroup,
+)
 from treeorder.treebuild import MINUS, PLAIN, PLUS, format_aug, r_equivalent, side_toward
 
 Z5_TABLE = [[(i + j) % 5 for j in range(5)] for i in range(5)]

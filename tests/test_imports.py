@@ -84,6 +84,11 @@ def test_importing_an_error_class_loads_only_the_errors_module():
     assert loaded_by("from treeorder import BuildError, PosetError, TreeError") == {"errors"}
 
 
+def test_a_public_name_loads_its_defining_module_not_the_one_that_serves_it():
+    # the package reaches quotient_order in quotient itself, not through grouporder
+    assert loaded_by("from treeorder import quotient_order") == {"errors", "relations", "quotient"}
+
+
 @pytest.mark.parametrize("argv", [
     ["check-cones", "z3-lex", "--radius", "3"],
     ["check-cones", "free2-standard", "--radius", "3"],
@@ -234,19 +239,27 @@ print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
 # In a fresh interpreter: each benchmark tracer target resolves as Tracer.install
 # resolves it, each name a layer serves lazily is its sibling's own object and
 # was not bound before its first use, and an unknown name is an AttributeError
-# naming the module.  tracing.py is loaded by path and only read.
+# naming the module.  Each layer's served names, the tracer targets it does not
+# define ("pinned") and whether it has a ``__getattr__`` are read once every
+# layer is imported, before any target resolves.  tracing.py is loaded by path
+# and only read.
 TRACER_TARGETS = """
 import importlib, importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("bench_tracing", {tracing!r})
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
-out = {{"unresolved": [], "served": 0, "not_own": [], "unknown": []}}
+out = {{"unresolved": [], "served": {{}}, "pinned": {{}}, "hooks": [], "not_own": [], "unknown": []}}
 homes = {{}}
 for layer in tracing.LAYERS:
     mod = importlib.import_module("treeorder." + layer)
     table = vars(mod).get("_HOME", {{}})
     homes[layer] = table
     out["not_own"] += [name for name in table if name in vars(mod)]  # bound before first use
+for layer in tracing.LAYERS:
+    mod = sys.modules["treeorder." + layer]
+    out["served"][layer] = sorted(homes[layer])
+    out["pinned"][layer] = sorted({{path.split(".")[0] for path in tracing.TARGETS.get(layer, ())}} - set(vars(mod)))
+    out["hooks"] += [layer] * ("__getattr__" in vars(mod))
 for layer, paths in tracing.TARGETS.items():
     mod = sys.modules["treeorder." + layer]
     for path in paths:
@@ -258,7 +271,6 @@ for layer, paths in tracing.TARGETS.items():
 for layer, table in homes.items():
     mod = sys.modules["treeorder." + layer]
     for name, sibling in table.items():
-        out["served"] += 1
         if getattr(mod, name) is not getattr(importlib.import_module("treeorder." + sibling), name):
             out["not_own"].append(layer + "." + name)
     try:
@@ -278,7 +290,12 @@ def test_tracer_targets_resolve_and_lazily_served_names_are_the_siblings_own():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     out = json.loads(done.stdout)
-    assert out.pop("served") >= 30
+    # a layer serves exactly the tracer targets it does not define, the catalog
+    # also the two negative controls its examples look up; no other layer has a hook
+    pinned = out.pop("pinned")
+    pinned["catalog"] = sorted(pinned["catalog"] + ["_expect_broken_cone", "_expect_nonconvex"])
+    assert out.pop("served") == pinned
+    assert out.pop("hooks") == [layer for layer, names in pinned.items() if names]
     assert out == {"unresolved": [], "not_own": [], "unknown": []}
 
 

@@ -8,39 +8,24 @@ import pytest
 
 import oracles
 from treeorder import corpus, orbitorder, ordertree
-from treeorder.catalog import (
-    ACTION_SCENARIOS,
-    derive_cone_pieces,
-    dihedral_standard,
-    get_action_scenario,
-    get_cone,
-    run_orbit_suite,
-    z_standard,
-)
-from treeorder.groups import InfiniteDihedral, Z, Zk
-from treeorder.grouporder import ConeStructure, induced_ball_poset, verify_cone_axioms
-from treeorder.orbitorder import (
+from treeorder.actions import (
     DIHEDRAL_BASE_POINT,
-    ConePipeline,
-    OrbitError,
-    TreeAction,
     check_action,
     dihedral_example,
     integer_line,
-    label_action,
     line_coordinate,
     line_point,
-    manifold_graph,
-    manifold_order,
-    manifold_poset,
-    orbit_poset,
     realized_bound,
-    roundtrip_orbit,
     shift_action,
     stabilizer_extension_order,
 )
-from treeorder.ordertree import OrderTree, TreeError, denjoy_blowup
+from treeorder.catalog import dihedral_standard, get_cone, z_standard
+from treeorder.groups import InfiniteDihedral, Z, Zk
+from treeorder.grouporder import ConeStructure, induced_ball_poset, verify_cone_axioms
+from treeorder.orbitorder import ConePipeline, OrbitError, TreeAction, label_action, orbit_poset, roundtrip_orbit
+from treeorder.ordertree import OrderTree, TreeError, denjoy_blowup, manifold_graph, manifold_order, manifold_poset
 from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, PosetError
+from treeorder.suites import ACTION_SCENARIOS, derive_cone_pieces, get_action_scenario, run_orbit_suite
 
 
 def uniform_line_points(width):

@@ -8,19 +8,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from treeorder.actions import alternating_line_tree, check_blowup
 from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone
 from treeorder.errors import ConeError
 from treeorder.orbitorder import ConePipeline
-from treeorder.ordertree import (
-    OrderTree,
-    TreeError,
-    TreeIndex,
-    check_blowup,
-    denjoy_blowup,
-    alternating_line_tree,
-    manifold_order,
-    manifold_poset,
-)
+from treeorder.ordertree import OrderTree, TreeError, TreeIndex, denjoy_blowup, manifold_order, manifold_poset
 from treeorder.specio import canonical_json, tree_to_document
 
 

@@ -17,7 +17,7 @@ from treeorder.corpus import (
     run_relation_suite,
     tree_corpus,
 )
-from treeorder.grouporder import blow_up_gplus, check_no_singleton_classes
+from treeorder.gplus import blow_up_gplus, check_no_singleton_classes
 from treeorder.orbitorder import ConePipeline
 from treeorder.poset import (
     EQ,
@@ -139,7 +139,7 @@ def test_duplicate_pair_rejected():
         from_pairs("ab", [("a", "lt", "b"), ("b", "gt", "a")])
 
 
-@pytest.mark.parametrize("rel", ["bogus", "EQ", 7, -1, None, 1.0, ["lt"]], ids=repr)
+@pytest.mark.parametrize("rel", ["bogus", "EQ", 7, -1, None, 1.0, ["lt"], True, False], ids=repr)
 def test_unknown_relation_is_a_poset_error_naming_the_pair(rel):
     with pytest.raises(PosetError, match=re.escape(f"pair ('a', 'b') has unknown relation {rel!r}")):
         from_pairs("abc", [("a", "lt", "c"), ("a", rel, "b"), ("b", "lt", "c")])

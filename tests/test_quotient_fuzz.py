@@ -22,11 +22,12 @@ import random
 import pytest
 
 import oracles
-from treeorder.catalog import even_subgroup, second_factor_subgroup, zk_lex
+from treeorder.catalog import zk_lex
 from treeorder.errors import CHECK_ERRORS
-from treeorder.grouporder import ConeStructure, check_completely_convex, quotient_order
+from treeorder.grouporder import ConeStructure
 from treeorder.groups import TableGroup, Z, Zk
 from treeorder.poset import SIML, SIMU
+from treeorder.quotient import check_completely_convex, even_subgroup, quotient_order, second_factor_subgroup
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -31,13 +31,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from test_golden_cli import FIXTURES
-from treeorder.catalog import get_action_scenario
 from treeorder.cli import SPEC_ERRORS, main
 from treeorder.ordertree import OrderTree, denjoy_blowup
 from treeorder.poset import PosetError
 from treeorder.specio import (
     cone_from_document, parse_document, poset_from_document, tree_from_document, tree_to_document,
 )
+from treeorder.suites import get_action_scenario
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

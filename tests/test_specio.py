@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from treeorder.actions import alternating_line_tree
 from treeorder.catalog import dihedral_standard
 from treeorder.groups import GroupError, TableGroup
 from treeorder.orbitorder import ConePipeline
-from treeorder.ordertree import OrderTree, alternating_line_tree, denjoy_blowup
+from treeorder.ordertree import OrderTree, denjoy_blowup
 from treeorder.poset import from_pairs
 from treeorder.specio import (
     SpecError,

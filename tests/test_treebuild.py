@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from treeorder import grouporder, orbitorder
+from treeorder import orbitorder
+from treeorder.actions import act_on_labels
 from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone, run_build_suite, z_standard
 from treeorder.cli import main
 from treeorder.corpus import all_extended_posets, tree_corpus
 from treeorder.errors import ConeError
-from treeorder.grouporder import blow_up_gplus, induced_ball_poset
+from treeorder.gplus import blow_up_gplus
+from treeorder.grouporder import induced_ball_poset
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset, PosetError, from_pairs
@@ -21,7 +23,6 @@ from treeorder.treebuild import (
     PLAIN,
     BuildError,
     _path_points,
-    act_on_labels,
     build_from_cones,
     build_tree,
     doubled_between,
@@ -219,7 +220,7 @@ def test_the_doubled_order_is_built_only_where_it_is_checked(argv, builds, monke
     # doubled between sets off it too; only the doubled-order suite builds
     # the doubled poset, once
     calls = []
-    blow_up = grouporder.blow_up_gplus
+    blow_up = blow_up_gplus
     for name, module in list(sys.modules.items()):  # every loaded holder of the name
         if name.startswith("treeorder.") and getattr(module, "blow_up_gplus", None) is blow_up:
             monkeypatch.setattr(module, "blow_up_gplus", lambda p: calls.append(p.n) or blow_up(p))
