@@ -7,10 +7,12 @@ between set B(x, y) splits into similarity classes, every class is
 augmented with the doubled tags of its members, laid over one unit interval
 with touching tag pairs identified, and the already built prefix is cut
 away so the remainder glues onto the existing tree at the doubled tag of x.
-Gluing a half-open remainder whose built part has no greatest element is
-supported through explicitly forced stages; the new segment then attaches
-at the doubled tag of the furthest built element, and that glue point is
-kept as a truncated limit.
+A stage listed as ``Stage(pair, 2)`` glues a half-open remainder whose
+built part has no greatest element: the new segment attaches at the
+doubled tag of the furthest built element, and that glue point is kept as
+a truncated limit.  Only a caller's own ``BetweenDecomposition`` lists one;
+``normalize_decomposition`` emits case-1 stages only, and no command takes
+a decomposition.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
@@ -34,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from . import lazy_names
 from .errors import BuildError
 from .ordertree import OrderTree, TreeIndex
-from .poset import BetweenChain, ExtendedPoset, PosetError
+from .poset import ExtendedPoset, PosetError
 from .relations import EQ, GT, LT, between_by_codes
 
 ZERO = Fraction(0)
@@ -115,8 +117,9 @@ class Stage(NamedTuple):
 
     ``pair`` is the between-set pair actually laid, with the first entry
     already built.  ``case`` is 1 when the built part of the pair is exactly
-    that first entry, and 2 when the stage was forced to attach as a
-    truncated limit.
+    that first entry, and 2 when the stage attaches as a truncated limit.
+    ``normalize_decomposition`` makes case-1 stages only; a case-2 stage is
+    listed by the caller in its own ``BetweenDecomposition``.
     """
 
     pair: tuple
@@ -135,11 +138,7 @@ def auto_pairs(poset: ExtendedPoset) -> list:
     return [(poset.elements[0], e) for e in poset.elements[1:]]
 
 
-def normalize_decomposition(
-    poset: ExtendedPoset,
-    pairs: Sequence[tuple],
-    case2: Iterable[tuple] = (),
-) -> BetweenDecomposition:
+def normalize_decomposition(poset: ExtendedPoset, pairs: Sequence[tuple]) -> BetweenDecomposition:
     """Reduce a covering list of between-set pairs to gluable stages.
 
     The base is the first pair's low end, or with no pairs the poset's first
@@ -149,9 +148,8 @@ def normalize_decomposition(
     the built part in an initial segment.  Stages whose between set is
     already covered are dropped.  When the built part of a stage reaches past
     its first endpoint, the stage is replaced by the between set from the
-    furthest built element onward, so every surviving stage either meets the
-    built part in a single element or is explicitly forced (``case2``) to
-    attach as a truncated limit.
+    furthest built element onward, so every surviving stage meets the built
+    part in a single element: a case-1 stage.
     """
     if not poset.elements:
         raise BuildError("an empty poset has no tree")
@@ -162,15 +160,14 @@ def normalize_decomposition(
             raise BuildError(f"pair ({x!r}, {y!r}) leaves the poset")
         if x == y:
             raise BuildError(f"degenerate pair at {x!r}")
-    forced = {tuple(p) for p in case2}
     base = pairs[0][0] if pairs else poset.elements[0]
 
     worklist = []
     for p in pairs:
         if p[0] != base:
-            worklist.append(((base, p[0]), False))
-        worklist.append((p, p in forced))
-    members_of = {p: poset.between_members(*p) for p, _force2 in worklist}
+            worklist.append((base, p[0]))
+        worklist.append(p)
+    members_of = {p: poset.between_members(*p) for p in worklist}
 
     covered = {base}.union(*(members_of[p] for p in pairs))
     uncovered = [e for e in poset.elements if e not in covered]
@@ -179,7 +176,7 @@ def normalize_decomposition(
 
     built = {base}
     stages = []
-    for (x, y), force2 in worklist:
+    for x, y in worklist:
         members = members_of[x, y]
         mset = set(members)
         if mset <= built:
@@ -189,10 +186,7 @@ def normalize_decomposition(
             raise BuildError(
                 f"built part of B({x!r}, {y!r}) is not an initial segment"
             )
-        if force2:
-            stages.append(Stage(pair=(x, y), case=2))
-        else:
-            stages.append(Stage(pair=(inter[-1], y), case=1))
+        stages.append(Stage(pair=(inter[-1], y), case=1))
         built |= mset
     return BetweenDecomposition(base=base, stages=tuple(stages))
 
@@ -203,15 +197,16 @@ class LabeledTree:
     Points are pairs (interval, coordinate).  Every stage glues the low end
     of its new interval onto one older point, and ``_glued`` maps that end
     straight to where the older point resolves, so ``find`` is one lookup.
-    ``nu`` maps each doubled label to the raw point where its stage laid it;
-    ``truncated`` holds the points where truncated-limit stages glued.
+    ``lows`` holds each interval's low end, ``nu`` maps each doubled label
+    to the raw point where its stage laid it, and ``truncated`` holds the
+    points where truncated-limit stages glued.
     """
 
     def __init__(self, poset: ExtendedPoset, group=None):
         self.poset = poset
         self.group = group
         self.fmt = group.format if group is not None else str
-        self.intervals: list = []
+        self.lows: list = []
         self.nu: dict = {}
         self.built: set = set()
         self.stages_done: list = []
@@ -293,13 +288,13 @@ def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> list:
 
 
 def _lay_base(state: LabeledTree, x1) -> None:
-    if state.intervals:
+    if state.lows:
         raise BuildError("base interval already laid")
     try:
         state.poset.index(x1)
     except (KeyError, PosetError):
         raise BuildError(f"base element {x1!r} leaves the poset") from None
-    state.intervals.append((ZERO, ONE))
+    state.lows.append(ZERO)
     state.nu[x1, MINUS] = (0, ZERO)
     state.nu[x1, PLAIN] = (0, HALF)
     state.nu[x1, PLUS] = (0, ONE)
@@ -307,68 +302,48 @@ def _lay_base(state: LabeledTree, x1) -> None:
 
 
 def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
-    """Glue one stage onto the tree; see the module docstring for the shape."""
+    """Glue one stage onto the tree (see the module docstring).  Case 1
+    lays every class, cuts off the built x-, x and glues the rest at x's tag
+    toward y, the one label it lays again.  Case 2 lays the new members only
+    and glues them at the furthest built member's tag toward y, a truncated
+    limit."""
     p = state.poset
     x, y = stage.pair
     chain = p.between_set(x, y)
+    inter = [m for m in chain.members if m in state.built]
     if stage.case == 2:
-        return _lay_case2(state, stage, chain)
-
-    inter = [m for m in chain.members if m in state.built]
-    if inter != [x]:
-        raise BuildError(
-            f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
-            f"built part {[state.fmt(m) for m in inter]}"
-        )
-    out = _lay_classes(state, chain.classes, x, y)
-    inner = (x, side_toward(p, x, y))
-    cut_i = next(j for j, (_c, labs) in enumerate(out) if inner in labs)
-    prefix = [lab for _c, labs in out[:cut_i] for lab in labs]
-    if prefix != [(x, -side_toward(p, x, y)), (x, PLAIN)]:
-        raise BuildError(
-            f"unexpected labels before the cut: "
-            f"{[state.format_label(l) for l in prefix]}"
-        )
-    return _glue(state, stage, chain, "gluing", inner, out[cut_i:],
-                 (out[cut_i][0], Fraction(len(chain.classes))), allow_existing={inner})
-
-
-def _lay_case2(state: LabeledTree, stage: Stage, chain: BetweenChain) -> LabeledTree:
-    p = state.poset
-    x, y = stage.pair
-    inter = [m for m in chain.members if m in state.built]
-    new = [m for m in chain.members if m not in state.built]
-    if not inter or not new:
-        raise BuildError("a truncated-limit stage needs both built and new parts")
-    if tuple(inter) != chain.members[: len(inter)]:
-        raise BuildError("built part is not an initial segment")
-    a_m = inter[-1]
-    attach = (a_m, side_toward(p, a_m, y))
-    fresh = (tuple(m for m in cls if m not in state.built) for cls in chain.classes)
-    out = _lay_classes(state, [cls for cls in fresh if cls], x, y)
-    k = out[-1][0]
-    if out[0][0] != ZERO or k != int(k):
-        raise BuildError("truncated-limit layout must span whole units")
-    return _glue(state, stage, chain, "attachment", attach, out,
-                 (ZERO, Fraction(k)), allow_existing=set())
-
-
-def _glue(state: LabeledTree, stage: Stage, chain: BetweenChain, role: str, tag: tuple,
-          slot_list: list, span: tuple, allow_existing: set) -> LabeledTree:
-    """Lay ``slot_list`` on a new interval ``span`` whose low end glues onto
-    the point of the built ``tag``; a case-2 stage is a truncated limit."""
+        if not inter or len(inter) == len(chain.members):
+            raise BuildError("a truncated-limit stage needs both built and new parts")
+        if tuple(inter) != chain.members[: len(inter)]:
+            raise BuildError("built part is not an initial segment")
+        role, tag, again = "attachment", (inter[-1], side_toward(p, inter[-1], y)), ()
+        fresh = (tuple(m for m in cls if m not in state.built) for cls in chain.classes)
+        slots = _lay_classes(state, [cls for cls in fresh if cls], x, y)
+        if slots[0][0] != ZERO or slots[-1][0] != int(slots[-1][0]):
+            raise BuildError("truncated-limit layout must span whole units")
+    else:
+        if inter != [x]:
+            raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
+                             f"built part {[state.fmt(m) for m in inter]}")
+        tag = (x, side_toward(p, x, y))
+        role, again = "gluing", (tag,)
+        out = _lay_classes(state, chain.classes, x, y)
+        cut = next(j for j, (_c, labs) in enumerate(out) if tag in labs)
+        prefix = [lab for _c, labs in out[:cut] for lab in labs]
+        if prefix != [(x, -tag[1]), (x, PLAIN)]:
+            raise BuildError(f"unexpected labels before the cut: {[state.format_label(l) for l in prefix]}")
+        slots = out[cut:]
     if tag not in state.nu:
         raise BuildError(f"{role} tag {state.format_label(tag)} is not built")
-    idx = len(state.intervals)
-    for c, labs in slot_list:
+    idx = len(state.lows)
+    for c, labs in slots:
         for lab in labs:
-            if lab in state.nu:
-                if lab not in allow_existing:
-                    raise BuildError(f"label laid twice: {state.format_label(lab)}")
-            else:
+            if lab not in state.nu:
                 state.nu[lab] = (idx, c)
-    state.intervals.append(span)
-    state._glued[idx, span[0]] = point = state.find(state.nu[tag])
+            elif lab not in again:
+                raise BuildError(f"label laid twice: {state.format_label(lab)}")
+    state.lows.append(slots[0][0])
+    state._glued[idx, slots[0][0]] = point = state.find(state.nu[tag])
     if stage.case == 2:
         state.truncated.add(point)
     state.built.update(chain.members)
@@ -416,7 +391,7 @@ class BuildLayout(NamedTuple):
 def _coordinates(state: LabeledTree) -> list:
     """Each interval's label coordinates, its low end included, in order,
     each paired with the point it resolves to."""
-    per = [{lo} for lo, _hi in state.intervals]
+    per = [{lo} for lo in state.lows]
     for i, c in state.nu.values():
         per[i].add(c)
     return [[(c, state.find((i, c))) for c in sorted(cs)] for i, cs in enumerate(per)]

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +24,11 @@ from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset, PosetError, from_pairs
 from treeorder.treebuild import (
     PLAIN,
+    BetweenDecomposition,
     BuildError,
+    Stage,
     _path_points,
+    auto_pairs,
     build_from_cones,
     build_tree,
     doubled_between,
@@ -104,17 +110,57 @@ def test_a_pair_off_the_base_is_reached_through_the_base():
     assert [stage.pair for stage in got.stages] == [(0, 2), (0, -2)]
 
 
+# (0, 3) listed to attach as a truncated limit after (0, 1)
+TRUNCATED = BetweenDecomposition(0, (Stage((0, 1), 1), Stage((0, 3), 2), Stage((0, -3), 1)))
+
+
 def test_truncated_limit_gluing_leaves_gaps_undetermined():
-    # forcing (0, 3) to attach as a truncated limit: the only path on which
-    # verification reports undetermined items instead of checking them
+    # the only path on which verification reports undetermined items
+    # instead of checking them
     p = induced_ball_poset(z_standard(), 3)
-    state = build_tree(p, normalize_decomposition(p, [(0, 1), (0, 3), (0, -3)], case2=[(0, 3)]))
+    state = build_tree(p, TRUNCATED)
     assert [stage.case for stage in state.stages_done] == [1, 2, 1]
     props = verify_stage_properties(state)
     assert props["ok"], props
     assert len(props["gaps"]["undetermined"]) == 2
     assert len(props["identity"]["undetermined"]) == 0
     assert plain_label_count(orient_segments(state)) == 7
+
+
+def from_zero(*listed):
+    return BetweenDecomposition(0, tuple(Stage(pair, case) for pair, case in listed))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda p: normalize_decomposition(p, [(0, 99)]), "pair (0, 99) leaves the poset"),
+    (lambda p: normalize_decomposition(p, [(2, 2)]), "degenerate pair at 2"),
+    (lambda p: build_tree(p, BetweenDecomposition(99, ())), "base element 99 leaves the poset"),
+    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((0, 3), 1))),
+     "stage (0, 3) is not a single-point gluing; built part ['0', '1']"),
+    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((0, 1), 1))),
+     "stage (0, 1) is not a single-point gluing; built part ['0', '1']"),
+    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((0, 1), 2))),
+     "a truncated-limit stage needs both built and new parts"),
+    (lambda p: build_tree(p, from_zero(((2, 3), 2))), "a truncated-limit stage needs both built and new parts"),
+    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((2, -1), 2))), "built part is not an initial segment"),
+], ids=["pair-off", "degenerate", "base-off", "case1-past-x", "case1-again", "case2-all-built",
+        "case2-none-built", "case2-not-initial"])
+def test_each_refusal_of_the_construction_is_pinned(build, message):
+    with pytest.raises(BuildError) as exc:
+        build(induced_ball_poset(z_standard(), 3))
+    assert str(exc.value) == message
+
+
+def test_normalized_decompositions_hold_case_one_stages_only():
+    # no command takes a decomposition, so a truncated-limit stage is
+    # reached only when a caller lists one
+    z2, z3 = (induced_ball_poset(z_standard(), r) for r in (2, 3))
+    covers = [(p, auto_pairs(p)) for p in ball_posets() + all_extended_posets(4)]
+    covers += [(z2, [(0, 2), (2, -2)]), (z2, [(0, 2), (0, -2)]), (z3, [(0, 1), (0, 3), (0, -3)]),
+               (from_pairs(["e"], []), [])]
+    assert len(covers) == 426
+    for p, pairs in covers:
+        assert {stage.case for stage in normalize_decomposition(p, pairs).stages} <= {1}, pairs
 
 
 def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
@@ -456,7 +502,7 @@ def test_the_layout_of_each_build_is_pinned(name, radius):
 
 def test_the_layout_of_a_truncated_limit_build_is_pinned():
     p = induced_ball_poset(z_standard(), 3)
-    state = build_tree(p, normalize_decomposition(p, [(0, 1), (0, 3), (0, -3)], case2=[(0, 3)]))
+    state = build_tree(p, TRUNCATED)
     assert layout_digest([state]) == TRUNCATED_LAYOUT_DIGEST
     assert laid_apart(verify_stage_properties(state)) == oracles.naive_laid_apart(state)
 
@@ -468,3 +514,48 @@ def test_the_pair_loop_finds_the_laid_apart_tags_of_the_scan_over_tagged_pairs(n
     for n in LAYOUT_STAGES:
         state = pipe.build(n)
         assert laid_apart(verify_stage_properties(state)) == oracles.naive_laid_apart(state)
+
+
+# One sha256 per tree, over its layout (orient_segments) and blow-up
+# (denjoy_blowup): dicts and lists as the program laid them out, sets sorted.
+SEEDED_POPULATION = """
+import hashlib
+from treeorder.catalog import BUILTIN_CONES, get_cone
+from treeorder.corpus import all_extended_posets
+from treeorder.errors import ConeError
+from treeorder.grouporder import induced_ball_poset
+from treeorder.ordertree import denjoy_blowup
+from treeorder.treebuild import build_tree, orient_segments
+
+def rows(tree):
+    return (list(tree.nodes.items()), [(aid, a.tail, a.head, a.kind, a.core) for aid, a in tree.arcs.items()],
+            list(tree.adjacencies), sorted(tree.boundary, key=repr))
+
+posets = list(all_extended_posets(4))
+for name in sorted(BUILTIN_CONES):
+    for radius in range(4):
+        try:
+            posets.append(induced_ball_poset(get_cone(name), radius))
+        except ConeError:
+            pass
+for p in posets:
+    layout = orient_segments(build_tree(p))
+    blown = denjoy_blowup(layout.tree)
+    out = (rows(layout.tree), list(layout.label_point.items()), rows(blown), list(blown.phi_nodes.items()),
+           list(blown.phi_arcs.items()))
+    print(hashlib.sha256(repr(out).encode()).hexdigest())
+"""
+
+
+def test_every_small_tree_and_its_blow_up_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", SEEDED_POPULATION], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout.split())
+    assert len(runs[0]) == 422
+    assert runs[0] == runs[1]
