@@ -98,7 +98,7 @@ def dihedral_example(radius: int = 6) -> tuple:
     """
     from .groups import InfiniteDihedral
     from .orbitorder import TreeAction
-    from .ordertree import alternating_line_tree, denjoy_blowup  # the home module's names, as a tracer may wrap them
+    from .ordertree import denjoy_blowup
 
     half_width = 2 * radius + 2
     tree = alternating_line_tree(half_width)

@@ -14,7 +14,6 @@ the suites but build and round trip, the negative controls and
 
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import lazy_names
@@ -193,11 +192,11 @@ class ExampleEntry:
         self.notes = notes
 
 
-def _served(name: str) -> Callable:
-    """This module's ``name``, served from ``suites``, looked up when an
-    example runs: a name used inside its own module never reaches the
-    module's ``__getattr__``."""
-    return getattr(sys.modules[__name__], name)
+def _suites():
+    """The ``suites`` module, imported when an example that runs a suite runs."""
+    from . import suites
+
+    return suites
 
 
 def _cone_example(name: str, radius: int = 8) -> Callable:
@@ -264,16 +263,16 @@ EXAMPLES: list = [
     ),
     ExampleEntry(
         "detect-broken-cone", "a bad positive set is caught with a witness",
-        lambda *r: _served("_expect_broken_cone")(*r),
+        lambda *r: _suites()._expect_broken_cone(*r),
         notes="Passes when condition 2 fails on the pair (1, 1).",
     ),
     ExampleEntry(
         "gplus-z", "doubled-order laws on an integer ball",
-        lambda r=6: _served("run_gplus_suite")(z_standard(), r),
+        lambda r=6: _suites().run_gplus_suite(z_standard(), r),
     ),
     ExampleEntry(
         "gplus-dihedral", "doubled-order laws on a dihedral ball",
-        lambda r=6: _served("run_gplus_suite")(dihedral_standard(), r),
+        lambda r=6: _suites().run_gplus_suite(dihedral_standard(), r),
     ),
     ExampleEntry(
         "build-z", "stagewise tree construction over the integers",
@@ -285,7 +284,7 @@ EXAMPLES: list = [
     ),
     ExampleEntry(
         "blowup-line", "blow-up of the alternating line, with the action",
-        lambda *r: _served("run_blowup_suite")(*r),
+        lambda *r: _suites().run_blowup_suite(*r),
         notes="The action is orientation preserving on every mapped arc; "
               "minimality of the action is a stated hypothesis, not checked.",
     ),
@@ -302,16 +301,16 @@ EXAMPLES: list = [
     ),
     ExampleEntry(
         "quotient-z2-lex", "coset order of the plane by its second factor",
-        lambda r=6: _served("run_quotient_suite")("z2-lex-by-second-factor", r),
+        lambda r=6: _suites().run_quotient_suite("z2-lex-by-second-factor", r),
     ),
     ExampleEntry(
         "detect-nonconvex-quotient", "a non-convex subgroup is caught with a witness",
-        lambda *r: _served("_expect_nonconvex")(*r),
+        lambda *r: _suites()._expect_nonconvex(*r),
         notes="Passes when 1 is reported between two even integers.",
     ),
     ExampleEntry(
         "orbit-dihedral", "the dihedral orbit order is tagged but unbounded",
-        lambda *r: _served("run_orbit_suite")(*r),
+        lambda *r: _suites().run_orbit_suite(*r),
         notes="Every tagged pair lacks a realized bound among orbit points; "
               "the bounds exist only on the blown-in rays, which the orbit "
               "never meets.",
@@ -325,11 +324,10 @@ def get_example(name: str) -> ExampleEntry:
     return _lookup(EXAMPLE_INDEX, "example", name)
 
 
-# name -> the sibling that defines it: the benchmark tracer's targets, and the controls EXAMPLES run
+# name -> the sibling that defines it, for the benchmark tracer's targets only
 _HOME = {"get_subgroup": "quotient"}
 _HOME.update(dict.fromkeys((
     "get_quotient_scenario", "get_tree", "get_action_scenario", "derive_cone_pieces",
     "run_gplus_suite", "run_blowup_suite", "run_quotient_suite", "run_orbit_suite",
-    "_expect_broken_cone", "_expect_nonconvex",
 ), "suites"))
 __getattr__ = lazy_names(__name__, _HOME)

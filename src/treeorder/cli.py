@@ -202,13 +202,14 @@ def _load_tree(spec: str, radius: int):
         from .specio import load_document, tree_from_document
 
         return tree_from_document(load_document(spec))
-    from .catalog import get_tree
+    from .suites import get_tree
 
     return get_tree(spec, radius)
 
 
 def _cmd_blowup(args) -> int:
-    from .ordertree import check_blowup, denjoy_blowup
+    from .actions import check_blowup
+    from .ordertree import denjoy_blowup
 
     tree = _load_tree(args.spec, args.radius)
     manifold = denjoy_blowup(tree)
@@ -229,8 +230,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_orbit_order(args) -> int:
-    from .catalog import get_action_scenario
     from .orbitorder import orbit_poset
+    from .suites import get_action_scenario
 
     name, radius = args.scenario, args.radius
     if _names_file(name):

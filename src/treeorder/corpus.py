@@ -31,7 +31,8 @@ import weakref
 from itertools import combinations, permutations
 from typing import Iterator, List
 
-from .poset import ClassLawError, ExtendedPoset, PosetError, _between_rows, _bits
+from .errors import PosetError
+from .poset import ClassLawError, ExtendedPoset, _between_rows, _bits
 
 # Labeled strict orders on 0..n-1 points, for the enumerator sanity check.
 BASE_ORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}

@@ -8,7 +8,8 @@ pairs, which ``manifold_poset`` takes as a caller-given order on g^-1 h.
 
 The concrete manifolds and actions, ``check_action``,
 ``stabilizer_extension_order`` and ``realized_bound`` live in ``actions``;
-``__getattr__`` serves the benchmark tracer's targets among them.
+``__getattr__`` serves the benchmark tracer's targets among them, and
+``ordertree``'s ``manifold_graph`` and ``manifold_order``.
 """
 
 from __future__ import annotations
@@ -18,20 +19,18 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import lazy_names
-from .errors import OrbitError
+from .errors import BuildError, OrbitError, TreeError
 from .grouporder import (
     ConeReport,
     ConeStructure,
     induced_ball_poset,
     verify_cone_axioms,
 )
-from .ordertree import OrderTree, TreeError, denjoy_blowup, manifold_poset
-from .ordertree import manifold_graph, manifold_order  # noqa: F401  (re-exported)
+from .ordertree import OrderTree, denjoy_blowup, manifold_poset
 from .poset import ExtendedPoset
 from .treebuild import (
     PLAIN,
     BetweenDecomposition,
-    BuildError,
     BuildLayout,
     LabeledTree,
     auto_pairs,
@@ -228,7 +227,8 @@ def roundtrip_orbit(cone: ConeStructure, radius: int = 6) -> dict:
     return ConePipeline.of(cone, radius).roundtrip()
 
 
-# name -> the sibling that defines it, for the benchmark tracer's targets only
+# name -> the module that defines it, for the benchmark tracer's targets only
 _HOME = dict.fromkeys(("integer_line", "shift_action", "dihedral_example", "check_action",
                        "stabilizer_extension_order", "realized_bound"), "actions")
+_HOME.update(dict.fromkeys(("manifold_graph", "manifold_order"), "ordertree"))
 __getattr__ = lazy_names(__name__, _HOME)

@@ -46,8 +46,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import lazy_names
-from .errors import TreeError
-from .poset import EQ, GT, LT, SIML, SIMU, ExtendedPoset, PosetError, _bits
+from .errors import PosetError, TreeError
+from .poset import ExtendedPoset, _bits
+from .relations import EQ, GT, LT, SIML, SIMU
 
 
 class TreeIndex:

@@ -171,8 +171,6 @@ def quotient_order(cone: ConeStructure, sub: SubgroupSpec, radius: int,
             if not sub(group.mult(group.mult(g, h), group.inv(g))):
                 raise ConeError(f"subgroup {sub.name} is not normal: conjugate of {group.format(h)} by {group.format(g)} escapes")
     if convexity is None:
-        from .grouporder import check_completely_convex  # the home module's name, as a tracer may wrap it
-
         convexity = check_completely_convex(cone, sub, radius)
     if not convexity.ok:
         w = convexity.violations[0]

@@ -2,9 +2,7 @@
 
 No tree job, cone check or quotient runs these (the subgroups live in
 ``quotient``).  ``catalog`` serves the benchmark tracer's targets among
-them; callers, this module included, import those from ``catalog``, so
-the tracer's wrapper sees every call.  Other layers are imported inside
-the functions that use them.
+them.  Other layers are imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ def get_quotient_scenario(name: str) -> tuple:
 
 
 def _alternating_line(radius: int):
-    from .ordertree import alternating_line_tree
+    from .actions import alternating_line_tree
 
     return alternating_line_tree(2 * radius + 2)
 
@@ -54,8 +52,7 @@ def get_tree(name: str, radius: int = 6):
 
 
 def _dihedral_scenario(radius: int) -> tuple:
-    from .actions import DIHEDRAL_BASE_POINT
-    from .orbitorder import dihedral_example
+    from .actions import DIHEDRAL_BASE_POINT, dihedral_example
 
     _, manifold, action = dihedral_example(radius)
     return manifold, action, DIHEDRAL_BASE_POINT
@@ -64,8 +61,8 @@ def _dihedral_scenario(radius: int) -> tuple:
 def _line_scenario(radius: int) -> tuple:
     from fractions import Fraction
 
+    from .actions import integer_line, shift_action
     from .groups import Z
-    from .orbitorder import integer_line, shift_action
 
     line = integer_line(radius + 1)
     action = shift_action(line, Z(), lambda n: n)
@@ -107,7 +104,7 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
     three between-set shapes hold per pair, the touching relation is an
     equivalence, and no similarity class between plain elements is a
     singleton."""
-    from .grouporder import blow_up_gplus, check_augmented_between, check_no_singleton_classes
+    from .gplus import blow_up_gplus, check_augmented_between, check_no_singleton_classes
     from .orbitorder import ConePipeline
     from .poset import _bits
     from .treebuild import r_equivalent
@@ -147,8 +144,7 @@ def run_gplus_suite(cone: ConeStructure, radius: int = 6) -> dict:
 
 def run_blowup_suite(radius: int = 6) -> dict:
     """Blow-up shape checks plus orientation preservation of the action."""
-    from .orbitorder import check_action, dihedral_example
-    from .ordertree import check_blowup
+    from .actions import check_action, check_blowup, dihedral_example
 
     tree, manifold, action = dihedral_example(radius)
     shape = check_blowup(manifold)
@@ -163,8 +159,7 @@ def run_blowup_suite(radius: int = 6) -> dict:
 
 def run_quotient_suite(name: str, radius: int = 6) -> dict:
     """Quotient scenario by name; negative scenarios report the witness."""
-    from .catalog import get_quotient_scenario
-    from .grouporder import check_completely_convex, quotient_order
+    from .quotient import check_completely_convex, quotient_order
 
     cone, sub = get_quotient_scenario(name)
     convexity = check_completely_convex(cone, sub, radius)
@@ -196,7 +191,8 @@ def run_orbit_suite(radius: int = 6) -> dict:
     strong-connectivity check reads the bound rows ``realized_bound`` reads,
     so a tagged pair is unbacked exactly when it has no realized bound; two
     tag kinds make the extension non-trivial."""
-    from .orbitorder import orbit_poset, realized_bound
+    from .actions import realized_bound
+    from .orbitorder import orbit_poset
 
     orb = orbit_poset(*_dihedral_scenario(radius), radius)
     p = orb.poset
@@ -236,8 +232,6 @@ def _expect_broken_cone(radius: int = 8) -> dict:
 
 
 def _expect_nonconvex(radius: int = 6) -> dict:
-    from .catalog import run_quotient_suite
-
     rep = run_quotient_suite("z-by-even", radius)
     witnesses = {w["witness"] for w in rep["convexity_violations"]}
     return {

@@ -34,9 +34,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import lazy_names
-from .errors import BuildError
+from .errors import BuildError, PosetError
 from .ordertree import OrderTree, TreeIndex
-from .poset import ExtendedPoset, PosetError
+from .poset import ExtendedPoset
 from .relations import EQ, GT, LT, between_by_codes
 
 ZERO = Fraction(0)
@@ -309,6 +309,8 @@ def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
     limit."""
     p = state.poset
     x, y = stage.pair
+    if stage.case not in (1, 2):
+        raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) has case {stage.case!r}, not 1 or 2")
     chain = p.between_set(x, y)
     inter = [m for m in chain.members if m in state.built]
     if stage.case == 2:

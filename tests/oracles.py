@@ -795,3 +795,13 @@ def product_cone(ca, cb, swap: bool = False):
     return ConeStructure(f"{ca.name}x{cb.name}", group,
                          lambda w: ca.in_positive(w[0]) or (w[0] == e and cb.in_positive(w[1])),
                          lambda w: upper(w[0]), lambda w: lower(w[0]))
+
+
+def twist(cone, phi_inv):
+    """The cone moved by a group automorphism phi, given by its inverse:
+    each piece holds w exactly when the cone's piece holds phi_inv(w), so
+    phi(g) < phi(h) in the twist exactly when g < h in the cone."""
+    from treeorder.grouporder import ConeStructure
+
+    return ConeStructure(f"{cone.name}-twisted", cone.group, lambda w: cone.in_positive(phi_inv(w)),
+                         lambda w: cone.in_upper(phi_inv(w)), lambda w: cone.in_lower(phi_inv(w)))

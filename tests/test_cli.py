@@ -539,6 +539,11 @@ def test_an_error_outside_the_contract_propagates(exc, monkeypatch):
 
 NOT_A_GROUP = _group({"table": {"elements": [0, 1], "products": [[0, 1], [1, 1]], "identity": 0}})
 
+
+def _table(elements, products, identity="e"):
+    return _group({"table": {"elements": elements, "products": products, "identity": identity}})
+
+
 # real failures in a fresh process, where each error class comes from a module
 # the command loads only when it runs: (argv, document to pass, exit, stderr)
 FRESH_FAILURES = {
@@ -552,6 +557,21 @@ FRESH_FAILURES = {
     "catalog-error-subgroup": (["quotient", "z2-lex", "--subgroup", "banana"], None, 2,
                                "error: unknown subgroup 'banana'; known: even, second-factor\n"),
     "group-error": (["check-cones"], NOT_A_GROUP, 2, "error: 1 has no inverse\n"),
+    "group-error-duplicate": (["check-cones", "--radius", "1"], _table(["e", "e"], [["e", "e"], ["e", "e"]]), 2,
+                              "error: duplicate table elements\n"),
+    "group-error-identity": (["check-cones", "--radius", "1"], _table(["e", "a"], [["e", "a"], ["a", "e"]], "x"),
+                             2, "error: identity missing from the table elements\n"),
+    "group-error-square": (["check-cones", "--radius", "1"], _table(["e", "a"], [["e", "a"]]), 2,
+                           "error: product table must be square over the elements\n"),
+    "group-error-escape": (["check-cones", "--radius", "1"], _table(["e", "a"], [["e", "a"], ["a", "b"]]), 2,
+                           "error: product 'a'*'a' = 'b' escapes the table\n"),
+    "group-error-identity-law": (["check-cones", "--radius", "1"], _table(["e", "a"], [["a", "a"], ["a", "e"]]),
+                                 2, "error: identity law fails at 'e'\n"),
+    "group-error-associativity": (["check-cones", "--radius", "1"],
+                                  _table(["e", "a", "b"], [["e", "a", "b"], ["a", "e", "e"], ["b", "e", "a"]]),
+                                  2, "error: associativity fails at 'a', 'a', 'b'\n"),
+    "spec-error-node-kind": (["blowup"], _doc("tree", {"nodes": [{"id": "a", "kind": "bogus"}], "arcs": []}), 2,
+                             "error: tree body: bad node kind 'bogus'\n"),
     "spec-error": (["check-cones", "nonesuch"], None, 2,
                    "error: 'nonesuch' is neither a spec file nor a builtin cone name\n"),
     "spec-error-builtin": (["check-cones"], _doc("group-order", {"builtin": "banana"}), 2,
@@ -571,6 +591,8 @@ def test_exit_statuses_hold_in_a_fresh_process(name, tmp_path):
                           text=True, timeout=60)
     assert done.returncode == code
     assert done.stderr.startswith(err) and done.stderr.count("\n") == (1 if err else 0)
+    if code == 2:
+        assert done.stdout == ""
     if not err:  # check-poset reports an inadmissible poset as a failed check on stdout
         assert "poset: INVALID" in done.stdout and done.stdout.endswith("result: FAIL\n")
 

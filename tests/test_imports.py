@@ -8,6 +8,7 @@ loads is compiled from source.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -290,13 +291,43 @@ def test_tracer_targets_resolve_and_lazily_served_names_are_the_siblings_own():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     out = json.loads(done.stdout)
-    # a layer serves exactly the tracer targets it does not define, the catalog
-    # also the two negative controls its examples look up; no other layer has a hook
+    # a layer serves exactly the tracer targets it does not define; no other layer has a hook
     pinned = out.pop("pinned")
-    pinned["catalog"] = sorted(pinned["catalog"] + ["_expect_broken_cone", "_expect_nonconvex"])
     assert out.pop("served") == pinned
     assert out.pop("hooks") == [layer for layer, names in pinned.items() if names]
     assert out == {"unresolved": [], "not_own": [], "unknown": []}
+
+
+# the cli's imports that the tracer times cone-sweep's quotient jobs at
+TRACED_IMPORTS = {("cli", "catalog", "get_subgroup"), ("cli", "grouporder", "check_completely_convex"),
+                  ("cli", "grouporder", "quotient_order")}
+
+
+def top_level_names(tree: ast.Module) -> set:
+    """The names a module's own top level defines: defs, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_relative_import_names_the_module_that_defines_the_name():
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(SRC, "treeorder").glob("*.py")}
+    defined = {module: top_level_names(tree) for module, tree in trees.items()}
+    strays = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"
+                for alias in node.names:
+                    submodule = node.module is None and alias.name in trees
+                    if not submodule and alias.name not in defined[source]:
+                        strays.add((module, source, alias.name))
+    assert strays == TRACED_IMPORTS
 
 
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from test_golden_cli import FIXTURES
 from treeorder import corpus, orbitorder, ordertree
 from treeorder.actions import (
     DIHEDRAL_BASE_POINT,
@@ -19,13 +22,16 @@ from treeorder.actions import (
     shift_action,
     stabilizer_extension_order,
 )
-from treeorder.catalog import dihedral_standard, get_cone, z_standard
+from treeorder.catalog import dihedral_standard, free_standard, get_cone, z_standard, zk_lex
+from treeorder.errors import BuildError
 from treeorder.groups import InfiniteDihedral, Z, Zk
 from treeorder.grouporder import ConeStructure, induced_ball_poset, verify_cone_axioms
 from treeorder.orbitorder import ConePipeline, OrbitError, TreeAction, label_action, orbit_poset, roundtrip_orbit
 from treeorder.ordertree import OrderTree, TreeError, denjoy_blowup, manifold_graph, manifold_order, manifold_poset
 from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, PosetError
+from treeorder.specio import parse_document, tree_from_document
 from treeorder.suites import ACTION_SCENARIOS, derive_cone_pieces, get_action_scenario, run_orbit_suite
+from treeorder.treebuild import build_tree, orient_segments
 
 
 def uniform_line_points(width):
@@ -384,6 +390,25 @@ def test_orbit_rows_agree_with_manifold_order_on_roundtrip_manifolds(name, radiu
     assert manifold_order_mismatches(manifold, orbit.points, orbit.poset) == []
 
 
+def label_action_of(state):
+    layout = orient_segments(state)
+    return label_action(state, layout, denjoy_blowup(layout.tree))
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda p: label_action_of(build_tree(p)), BuildError, "the build carries no group"),
+    (lambda p: label_action_of(build_tree(p.restrict((1, 2, 3)), group=Z())), BuildError,
+     "identity was not built"),
+    (lambda p: manifold_order(tree_from_document(parse_document(FIXTURES["tree"])), ("node", "b"),
+                              ("arc", "e1", Fraction(1, 2))),
+     TreeError, "order undefined at a branching point: ('node', 'b')"),
+], ids=["no-group", "no-identity", "branching-point"])
+def test_each_refusal_of_the_orbit_layer_is_pinned(refused, error, message):
+    with pytest.raises(error) as exc:
+        refused(induced_ball_poset(z_standard(), 3))
+    assert str(exc.value) == message
+
+
 def recorded_tree_corpus(monkeypatch):
     """tree_corpus(100), each poset with the manifold and points it came from."""
     seen = []
@@ -510,6 +535,97 @@ def test_a_product_with_upper_and_lower_swapped_fails_the_product_axioms():
     for idx, piece in ((3, cone.in_lower), (4, cone.in_upper), (5, cone.in_positive)):
         g, h, z = report.conditions[idx].violations[0]
         assert cone.group.mult(g, h) == z and not piece(z)
+
+
+# -- automorphism twists: an order moved by phi is the same order, renamed ---
+
+
+def signed_permutations(k: int) -> list:
+    """The 2^k k! generator maps of Z^k and F_k that permute the generators
+    and flip their signs, each as letter -> letter over +-1 .. +-k."""
+    out = []
+    for perm in itertools.permutations(range(1, k + 1)):
+        for signs in itertools.product((1, -1), repeat=k):
+            images = {i: s * j for i, s, j in zip(range(1, k + 1), signs, perm)}
+            out.append({**images, **{-i: -j for i, j in images.items()}})
+    return out
+
+
+def vector_map(letters: dict):
+    def phi(v: tuple) -> tuple:
+        out = [0] * len(v)
+        for i, x in enumerate(v, 1):
+            out[abs(letters[i]) - 1] = x if letters[i] > 0 else -x
+        return tuple(out)
+
+    return phi
+
+
+def word_map(letters: dict):
+    return lambda w: tuple(letters[x] for x in w)
+
+
+def inverted(letters: dict) -> dict:
+    return {j: i for i, j in letters.items()}
+
+
+def _twists() -> list:
+    out = []
+    for name, k, radius, model in (("free2-standard", 2, 2, word_map), ("z2-lex", 2, 3, vector_map),
+                                   ("z3-lex", 3, 3, vector_map)):
+        out += [(name, radius, model(m), model(inverted(m))) for m in signed_permutations(k)]
+    out += [("z-standard", 3, phi, phi) for phi in (lambda n: n, lambda n: -n)]
+    out.append(("dihedral-standard", 3, lambda w: (-w[0], w[1]), lambda w: (-w[0], w[1])))
+    return out
+
+
+TWISTS = _twists()
+
+
+def is_image(q: ExtendedPoset, p: ExtendedPoset, phi) -> bool:
+    """q is p moved by the element map phi, relation for relation."""
+    return (set(q.elements) == set(map(phi, p.elements))
+            and all(q.rel(phi(g), phi(h)) == p.rel(g, h) for g, h in p.iter_pairs()))
+
+
+@functools.lru_cache(maxsize=None)
+def untwisted(name: str, radius: int) -> tuple:
+    """A builtin cone's axiom verdict, ball poset and round-trip summary."""
+    cone = get_cone(name)
+    trip = roundtrip_orbit(cone, radius)
+    return (verify_cone_axioms(cone, radius).ok, induced_ball_poset(cone, radius),
+            (trip["ok"], trip["coverage"], len(trip["mismatches"])))
+
+
+@pytest.mark.parametrize("name, radius, phi, phi_inv", TWISTS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(TWISTS)])
+def test_a_twisted_cone_keeps_its_verdicts_and_moves_its_ball_poset(name, radius, phi, phi_inv):
+    axioms, p, trip = untwisted(name, radius)
+    twisted = oracles.twist(get_cone(name), phi_inv)
+    assert verify_cone_axioms(twisted, radius).ok == axioms
+    assert is_image(induced_ball_poset(twisted, radius), p, phi)
+    rep = roundtrip_orbit(twisted, radius)
+    assert (rep["ok"], rep["coverage"], len(rep["mismatches"])) == trip
+
+
+@pytest.mark.parametrize("name, phi_inv", [("z-broken", lambda n: -n), ("z2-product", lambda v: (v[1], -v[0]))])
+def test_a_broken_cone_stays_broken_under_a_twist(name, phi_inv):
+    def failing(cone) -> list:
+        return sorted(idx for idx, c in verify_cone_axioms(cone, 3).conditions.items() if not c.ok)
+
+    assert failing(get_cone(name)) and failing(oracles.twist(get_cone(name), phi_inv)) == failing(get_cone(name))
+
+
+def test_the_integers_give_one_ball_poset_as_z_z1_and_the_free_group_of_rank_one():
+    p = induced_ball_poset(z_standard(), 5)
+    images = ((zk_lex(1), lambda n: (n,)), (free_standard(1), lambda n: (1,) * n if n >= 0 else (-1,) * -n))
+    for cone, as_element in images:
+        assert is_image(induced_ball_poset(cone, 5), p, as_element), cone.name
+
+
+def test_the_plane_lex_order_is_the_product_of_two_integer_orders():
+    q = induced_ball_poset(oracles.product_cone(z_standard(), z_standard()), 3)
+    assert is_image(q, induced_ball_poset(zk_lex(2), 3), lambda g: g)
 
 
 def _through_the_dihedral_factor(radius: int) -> tuple:

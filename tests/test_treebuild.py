@@ -143,8 +143,9 @@ def from_zero(*listed):
      "a truncated-limit stage needs both built and new parts"),
     (lambda p: build_tree(p, from_zero(((2, 3), 2))), "a truncated-limit stage needs both built and new parts"),
     (lambda p: build_tree(p, from_zero(((0, 1), 1), ((2, -1), 2))), "built part is not an initial segment"),
+    (lambda p: build_tree(p, from_zero(((0, 1), 7), ((0, -3), 0))), "stage (0, 1) has case 7, not 1 or 2"),
 ], ids=["pair-off", "degenerate", "base-off", "case1-past-x", "case1-again", "case2-all-built",
-        "case2-none-built", "case2-not-initial"])
+        "case2-none-built", "case2-not-initial", "unknown-case"])
 def test_each_refusal_of_the_construction_is_pinned(build, message):
     with pytest.raises(BuildError) as exc:
         build(induced_ball_poset(z_standard(), 3))
