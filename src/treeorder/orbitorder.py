@@ -166,7 +166,7 @@ class ConePipeline:
     def _memo(self, step: str, stages: Optional[int], make: Callable):
         # key on the stages actually laid, so 6 and None share a short build
         todo = self.decomposition.stages
-        n = len(todo if stages is None else todo[:stages])
+        n = len(todo) if stages is None else min(stages, len(todo))
         if (step, n) not in self._per_stages:
             self._per_stages[step, n] = make(n)
         return self._per_stages[step, n]

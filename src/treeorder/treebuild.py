@@ -259,8 +259,6 @@ def _merge_slots(poset: ExtendedPoset, seq: list) -> list:
 def _slot_coords(unit: int, nslots: int) -> list:
     """Deterministic positions on [unit, unit + 1]: endpoints for the
     extremal slots, then successive midpoints toward the upper end."""
-    if nslots < 3:
-        raise BuildError("a class layout needs at least three slots")
     inner = [unit + 1 - Fraction(1, 2**j) for j in range(1, nslots - 1)]
     return [Fraction(unit), *inner, Fraction(unit + 1)]
 
@@ -288,8 +286,6 @@ def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> list:
 
 
 def _lay_base(state: LabeledTree, x1) -> None:
-    if state.lows:
-        raise BuildError("base interval already laid")
     try:
         state.poset.index(x1)
     except (KeyError, PosetError):
@@ -361,6 +357,8 @@ def build_tree(
 ) -> LabeledTree:
     """Run the stagewise construction over ``decomposition``, by default the
     normalized star cover (auto_pairs)."""
+    if stages is not None and stages < 0:
+        raise BuildError(f"stage count must not be negative, got {stages}")
     if decomposition is None:
         decomposition = normalize_decomposition(poset, auto_pairs(poset))
     state = LabeledTree(poset, group=group)

@@ -507,18 +507,29 @@ def test_orbit_poset_places_each_realized_point_once(monkeypatch):
 # A x B acting through A fixes the base point on {e} x B, so the pulled-back
 # order exists only when B's cone totally orders B.  With a tagged cone on B
 # (the dihedral one) no piece holds (e, s); with A's U and L swapped the
-# product axioms fail.
+# product axioms fail.  B runs over the totally ordered builtins, one of
+# them moved by a signed coordinate permutation.
+
+ORDERED_FACTORS = [
+    lambda: get_cone("z-standard"),
+    lambda: get_cone("z2-lex"),
+    lambda: get_cone("z3-lex"),
+    lambda: oracles.twist(get_cone("z3-lex"), lambda v: (-v[2], v[0], -v[1])),
+    lambda: get_cone("free2-standard"),
+]
+ORDERED_IDS = ["z", "z2-lex", "z3-lex", "z3-lex-twisted", "free2"]
 
 
-def test_a_product_with_its_ordered_factor_second_passes_and_round_trips():
+@pytest.mark.parametrize("second", ORDERED_FACTORS, ids=ORDERED_IDS)
+def test_a_product_with_its_ordered_factor_second_passes_and_round_trips(second):
     for r in range(1, 5):
-        assert verify_cone_axioms(oracles.product_cone(dihedral_standard(), z_standard()), r).ok, r
+        assert verify_cone_axioms(oracles.product_cone(dihedral_standard(), second()), r).ok, r
     for r in range(1, 4):
-        rep = roundtrip_orbit(oracles.product_cone(dihedral_standard(), z_standard()), r)
+        rep = roundtrip_orbit(oracles.product_cone(dihedral_standard(), second()), r)
         assert rep["ok"] and rep["escaped"] == 0, r
 
 
-@pytest.mark.parametrize("first", [z_standard, dihedral_standard])
+@pytest.mark.parametrize("first", [*ORDERED_FACTORS, dihedral_standard], ids=[*ORDERED_IDS, "dihedral"])
 def test_a_product_with_its_tagged_factor_second_fails_to_partition(first):
     report = verify_cone_axioms(oracles.product_cone(first(), dihedral_standard()), 1)
     assert [idx for idx, c in sorted(report.conditions.items()) if not c.ok] == [6]
@@ -628,27 +639,31 @@ def test_the_plane_lex_order_is_the_product_of_two_integer_orders():
     assert is_image(q, induced_ball_poset(zk_lex(2), 3), lambda g: g)
 
 
-def _through_the_dihedral_factor(radius: int) -> tuple:
-    """D∞ × Z acting on the dihedral manifold through its D∞ factor, so the
-    base point's stabilizer is {e} × Z."""
+def _through_the_dihedral_factor(radius: int, second) -> tuple:
+    """D∞ × B acting on the dihedral manifold through its D∞ factor, so the
+    base point's stabilizer is {e} × B."""
     _, m, dihedral = dihedral_example(radius)
-    return m, TreeAction(oracles.Product(InfiniteDihedral(), Z()), lambda g, p: dihedral.act(g[0], p))
+    return m, TreeAction(oracles.Product(InfiniteDihedral(), second), lambda g, p: dihedral.act(g[0], p))
 
 
+@pytest.mark.parametrize("second", ORDERED_FACTORS, ids=ORDERED_IDS)
 @pytest.mark.parametrize("radius", range(4))
-def test_the_converse_orders_a_product_by_its_stabilizer(radius):
-    # the paper's converse: the orbit order refined by Z's order on the
+def test_the_converse_orders_a_product_by_its_stabilizer(radius, second):
+    # the paper's converse: the orbit order refined by B's order on the
     # stabilizer is the lexicographic product order, row for row
-    m, action = _through_the_dihedral_factor(radius)
-    ext = stabilizer_extension_order(m, action, DIHEDRAL_BASE_POINT, radius, lambda g, h: g[1] < h[1])
-    want = induced_ball_poset(oracles.product_cone(dihedral_standard(), z_standard()), radius)
+    cone = second()
+    group = cone.group
+    m, action = _through_the_dihedral_factor(radius, group)
+    ext = stabilizer_extension_order(m, action, DIHEDRAL_BASE_POINT, radius,
+                                     lambda g, h: cone.in_positive(group.mult(group.inv(g[1]), h[1])))
+    want = induced_ball_poset(oracles.product_cone(dihedral_standard(), cone), radius)
     assert ext.escaped == ()
     assert (ext.poset.elements, ext.poset.rows) == (want.elements, want.rows)
 
 
 def test_the_converse_refuses_a_stabilizer_order_that_is_not_left_invariant():
     # total on {e} x Z (by |n|, then sign), but (e, -1) * ((e, 0), (e, 1)) reverses
-    m, action = _through_the_dihedral_factor(2)
+    m, action = _through_the_dihedral_factor(2, Z())
 
     def by_size(g, h):
         return (abs(g[1]), g[1]) < (abs(h[1]), h[1])

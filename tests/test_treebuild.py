@@ -144,12 +144,26 @@ def from_zero(*listed):
     (lambda p: build_tree(p, from_zero(((2, 3), 2))), "a truncated-limit stage needs both built and new parts"),
     (lambda p: build_tree(p, from_zero(((0, 1), 1), ((2, -1), 2))), "built part is not an initial segment"),
     (lambda p: build_tree(p, from_zero(((0, 1), 7), ((0, -3), 0))), "stage (0, 1) has case 7, not 1 or 2"),
+    (lambda p: build_tree(p, stages=-1), "stage count must not be negative, got -1"),
+    (lambda p: ConePipeline.of(z_standard(), 3).build(-1), "stage count must not be negative, got -1"),
+    (lambda p: ConePipeline.of(z_standard(), 3).layout(-1), "stage count must not be negative, got -1"),
 ], ids=["pair-off", "degenerate", "base-off", "case1-past-x", "case1-again", "case2-all-built",
-        "case2-none-built", "case2-not-initial", "unknown-case"])
+        "case2-none-built", "case2-not-initial", "unknown-case", "negative-stages", "pipeline-build-negative",
+        "pipeline-layout-negative"])
 def test_each_refusal_of_the_construction_is_pinned(build, message):
     with pytest.raises(BuildError) as exc:
         build(induced_ball_poset(z_standard(), 3))
     assert str(exc.value) == message
+
+
+def test_a_refused_stage_count_leaves_the_pipeline_empty():
+    # a slice by a negative count would lay all but the last stages
+    pipeline = ConePipeline.of(z_standard(), 3)
+    for step in (pipeline.build, pipeline.layout):
+        with pytest.raises(BuildError, match="must not be negative, got -2"):
+            step(-2)
+    assert pipeline._per_stages == {}
+    assert len(pipeline.build(99).stages_done) == len(pipeline.decomposition.stages) == 6
 
 
 def test_normalized_decompositions_hold_case_one_stages_only():
