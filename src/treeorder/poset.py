@@ -93,7 +93,7 @@ class ExtendedPoset:
     """
 
     __slots__ = ("elements", "n", "_up", "_down", "_simu", "_siml", "_comp", "_bet", "_idx",
-                 "_tested", "_orel", "_geo", "points")
+                 "_tested", "_orel", "_partial", "_geo", "points")
 
     def __init__(self, elements: Sequence[Element], up: Sequence[int], down: Sequence[int],
                  simu: Sequence[int], siml: Sequence[int]):
@@ -109,6 +109,7 @@ class ExtendedPoset:
         self._bet: dict = {}  # B(i, j) masks keyed by i * n + j with i < j
         self._idx = None  # element -> index, on the first index()
         self._tested = self._orel = None  # chain rows, partners tested and partners related, from the first chain test
+        self._partial = None  # mask of the k with comp[k] | {k} not everything, from the first chain test
         self._geo = None  # corpus.BetweenGeometry, on the first law check
 
     @classmethod
@@ -254,7 +255,9 @@ class ExtendedPoset:
         return mask
 
     def _is_chain(self, mask: int) -> bool:
-        for k in _bits(mask):
+        if self._partial is None:  # only members short of a comparability can break a chain
+            self._partial = sum(1 << k for k, c in enumerate(self._comp) if c | 1 << k != (1 << self.n) - 1)
+        for k in _bits(mask & self._partial):
             if mask & ~(self._comp[k] | (1 << k)):
                 return False
         return True
