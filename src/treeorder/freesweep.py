@@ -94,7 +94,7 @@ def inverse_positions(k: int, r: int) -> array:
     inv(y v) = inv(v) y^-1 has rank m rank(inv(v)) plus the index of y^-1
     among the letters that may follow f^-1: y^-1, less one when past f."""
     D, m = 2 * k, 2 * k - 1
-    out = array("i", [0] + [1 + (d ^ 1) for d in range(D)] * (r > 0))
+    out = array("i", [0] * (r >= 0) + [1 + (d ^ 1) for d in range(D)] * (r > 0))
     for L in range(1, r):
         w, top = m ** (L - 1), len(out)  # a sub-block's size; where length L + 1 starts
         lo = top - D * w

@@ -190,7 +190,7 @@ class FreeGroup(GroupModel):
         return tuple(map(neg, reversed(a)))
 
     def ball(self, r: int) -> list:
-        out: list = [()]
+        out: list = [()] * (r >= 0)
         for w in out:  # breadth first: the loop reaches the words it appends
             if len(w) < r:
                 out.extend([w + (x,) for x in self._letters if not w or w[-1] != -x])

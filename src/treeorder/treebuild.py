@@ -7,12 +7,8 @@ between set B(x, y) splits into similarity classes, every class is
 augmented with the doubled tags of its members, laid over one unit interval
 with touching tag pairs identified, and the already built prefix is cut
 away so the remainder glues onto the existing tree at the doubled tag of x.
-A stage listed as ``Stage(pair, 2)`` glues a half-open remainder whose
-built part has no greatest element: the new segment attaches at the
-doubled tag of the furthest built element, and that glue point is kept as
-a truncated limit.  Only a caller's own ``BetweenDecomposition`` lists one;
-``normalize_decomposition`` emits case-1 stages only, and no command takes
-a decomposition.
+Each stage is a pair (x, y) whose between set meets the built part in x
+alone, so every stage glues at one built point.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
@@ -112,22 +108,9 @@ def doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
     return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
-class Stage(NamedTuple):
-    """One normalized gluing step.
-
-    ``pair`` is the between-set pair actually laid, with the first entry
-    already built.  ``case`` is 1 when the built part of the pair is exactly
-    that first entry, and 2 when the stage attaches as a truncated limit.
-    ``normalize_decomposition`` makes case-1 stages only; a case-2 stage is
-    listed by the caller in its own ``BetweenDecomposition``.
-    """
-
-    pair: tuple
-    case: int
-
-
 class BetweenDecomposition(NamedTuple):
-    """A normalized cover of a tagged poset by between-set stages."""
+    """A normalized cover of a tagged poset by between-set stages: each
+    stage is a pair (x, y) whose one built member is x."""
 
     base: object
     stages: tuple
@@ -149,7 +132,7 @@ def normalize_decomposition(poset: ExtendedPoset, pairs: Sequence[tuple]) -> Bet
     already covered are dropped.  When the built part of a stage reaches past
     its first endpoint, the stage is replaced by the between set from the
     furthest built element onward, so every surviving stage meets the built
-    part in a single element: a case-1 stage.
+    part in a single element.
     """
     if not poset.elements:
         raise BuildError("an empty poset has no tree")
@@ -186,7 +169,7 @@ def normalize_decomposition(poset: ExtendedPoset, pairs: Sequence[tuple]) -> Bet
             raise BuildError(
                 f"built part of B({x!r}, {y!r}) is not an initial segment"
             )
-        stages.append(Stage(pair=(inter[-1], y), case=1))
+        stages.append((inter[-1], y))
         built |= mset
     return BetweenDecomposition(base=base, stages=tuple(stages))
 
@@ -197,9 +180,8 @@ class LabeledTree:
     Points are pairs (interval, coordinate).  Every stage glues the low end
     of its new interval onto one older point, and ``_glued`` maps that end
     straight to where the older point resolves, so ``find`` is one lookup.
-    ``lows`` holds each interval's low end, ``nu`` maps each doubled label
-    to the raw point where its stage laid it, and ``truncated`` holds the
-    points where truncated-limit stages glued.
+    ``lows`` holds each interval's low end, and ``nu`` maps each doubled
+    label to the raw point where its stage laid it.
     """
 
     def __init__(self, poset: ExtendedPoset, group=None):
@@ -211,7 +193,6 @@ class LabeledTree:
         self.built: set = set()
         self.stages_done: list = []
         self._glued: dict = {}
-        self.truncated: set = set()
 
     # -- point identity ------------------------------------------------
 
@@ -297,53 +278,35 @@ def _lay_base(state: LabeledTree, x1) -> None:
     state.built.add(x1)
 
 
-def build_stage(state: LabeledTree, stage: Stage) -> LabeledTree:
-    """Glue one stage onto the tree (see the module docstring).  Case 1
-    lays every class, cuts off the built x-, x and glues the rest at x's tag
-    toward y, the one label it lays again.  Case 2 lays the new members only
-    and glues them at the furthest built member's tag toward y, a truncated
-    limit."""
+def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
+    """Glue the stage (x, y) onto the tree (see the module docstring): lay
+    every class, cut off the built x-, x and glue the rest at x's tag
+    toward y, the one label it lays again."""
     p = state.poset
-    x, y = stage.pair
-    if stage.case not in (1, 2):
-        raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) has case {stage.case!r}, not 1 or 2")
+    x, y = stage
     chain = p.between_set(x, y)
     inter = [m for m in chain.members if m in state.built]
-    if stage.case == 2:
-        if not inter or len(inter) == len(chain.members):
-            raise BuildError("a truncated-limit stage needs both built and new parts")
-        if tuple(inter) != chain.members[: len(inter)]:
-            raise BuildError("built part is not an initial segment")
-        role, tag, again = "attachment", (inter[-1], side_toward(p, inter[-1], y)), ()
-        fresh = (tuple(m for m in cls if m not in state.built) for cls in chain.classes)
-        slots = _lay_classes(state, [cls for cls in fresh if cls], x, y)
-        if slots[0][0] != ZERO or slots[-1][0] != int(slots[-1][0]):
-            raise BuildError("truncated-limit layout must span whole units")
-    else:
-        if inter != [x]:
-            raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
-                             f"built part {[state.fmt(m) for m in inter]}")
-        tag = (x, side_toward(p, x, y))
-        role, again = "gluing", (tag,)
-        out = _lay_classes(state, chain.classes, x, y)
-        cut = next(j for j, (_c, labs) in enumerate(out) if tag in labs)
-        prefix = [lab for _c, labs in out[:cut] for lab in labs]
-        if prefix != [(x, -tag[1]), (x, PLAIN)]:
-            raise BuildError(f"unexpected labels before the cut: {[state.format_label(l) for l in prefix]}")
-        slots = out[cut:]
+    if inter != [x]:
+        raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
+                         f"built part {[state.fmt(m) for m in inter]}")
+    tag = (x, side_toward(p, x, y))
+    out = _lay_classes(state, chain.classes, x, y)
+    cut = next(j for j, (_c, labs) in enumerate(out) if tag in labs)
+    prefix = [lab for _c, labs in out[:cut] for lab in labs]
+    if prefix != [(x, -tag[1]), (x, PLAIN)]:
+        raise BuildError(f"unexpected labels before the cut: {[state.format_label(l) for l in prefix]}")
+    slots = out[cut:]
     if tag not in state.nu:
-        raise BuildError(f"{role} tag {state.format_label(tag)} is not built")
+        raise BuildError(f"gluing tag {state.format_label(tag)} is not built")
     idx = len(state.lows)
     for c, labs in slots:
         for lab in labs:
             if lab not in state.nu:
                 state.nu[lab] = (idx, c)
-            elif lab not in again:
+            elif lab != tag:
                 raise BuildError(f"label laid twice: {state.format_label(lab)}")
     state.lows.append(slots[0][0])
-    state._glued[idx, slots[0][0]] = point = state.find(state.nu[tag])
-    if stage.case == 2:
-        state.truncated.add(point)
+    state._glued[idx, slots[0][0]] = state.find(state.nu[tag])
     state.built.update(chain.members)
     state.stages_done.append(stage)
     return state
@@ -485,16 +448,14 @@ def verify_stage_properties(state: LabeledTree) -> dict:
 
     * tree: the glued intervals form a single tree.
     * gaps: every unlabelled complement component lies between an element
-      and one of its own tags; gaps at truncated-limit gluings are reported
-      as undetermined rather than checked.
+      and one of its own tags.
     * paths: for built a, b the path [nu(a), nu(b)] reads out the doubled
       B(a, b) in travel order (doubled_members, read off the base
       order):
       the members' points come block by block in route order; extra labels
       must be tags touching a member on each side.
-    * identity: labels share a point exactly when they touch; collisions
-      forced by a truncated-limit gluing are undetermined.  Touching labels
-      laid apart are sought in the path check's pair loop: across built
+    * identity: labels share a point exactly when they touch.  Touching
+      labels laid apart are sought in the path check's pair loop: across built
       a, b with B(a, b) = {a, b}, the two inner tags touch.
 
     All four read one table of the points interned to ints (_point_table).
@@ -510,23 +471,16 @@ def verify_stage_properties(state: LabeledTree) -> dict:
         problems.append("glued intervals are not connected")
     tree_report = {"ok": not problems, "points": len(points), "problems": problems}
 
-    truncated = {ids[pt] for pt in state.truncated}
     gap_violations = []
-    gap_undetermined = []
     for (i, c1, c2), (k1, k2) in spans.items():
-        if k1 in truncated or k2 in truncated:
-            into = gap_undetermined
-        elif not _gap_is_tag_pair(at[k1], at[k2]):
-            into = gap_violations
-        else:
-            continue
-        into.append({"interval": i, "gap": (c1, c2), "left": [state.format_label(l) for l in at[k1]],
-                     "right": [state.format_label(l) for l in at[k2]]})
+        if not _gap_is_tag_pair(at[k1], at[k2]):
+            gap_violations.append({"interval": i, "gap": (c1, c2), "left": [state.format_label(l) for l in at[k1]],
+                                   "right": [state.format_label(l) for l in at[k2]]})
     gap_report = {
         "ok": not gap_violations,
         "gaps": len(spans),
         "violations": gap_violations,
-        "undetermined": gap_undetermined,
+        "undetermined": [],
     }
 
     path_violations = []
@@ -578,19 +532,13 @@ def verify_stage_properties(state: LabeledTree) -> dict:
                    "violations": path_violations}
 
     id_violations = []
-    id_undetermined = []
     for k, labs in enumerate(at):
         for u, v in combinations(labs, 2):
-            if r_equivalent(p, u, v):
-                continue
-            entry = {
-                "labels": (state.format_label(u), state.format_label(v)),
-                "point": points[k],
-            }
-            if k in truncated:
-                id_undetermined.append(entry)
-            else:
-                id_violations.append(entry)
+            if not r_equivalent(p, u, v):
+                id_violations.append({
+                    "labels": (state.format_label(u), state.format_label(v)),
+                    "point": points[k],
+                })
     for *_keys, u, v in sorted(apart):  # in label order, as pairs of sorted tags
         id_violations.append(
             {"labels": (state.format_label(u), state.format_label(v)),
@@ -599,7 +547,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     identity_report = {
         "ok": not id_violations,
         "violations": id_violations,
-        "undetermined": id_undetermined,
+        "undetermined": [],
     }
 
     ok = all((tree_report["ok"], gap_report["ok"], path_report["ok"],

@@ -3,7 +3,7 @@
 Run from anywhere: ``python tests/mutants.py``.  Pytest does not collect
 this file: its name does not start with ``test_``.
 
-Each row is ``(id, file under src/treeorder, old, new, tests)``.  For each
+Each row of ``MUTANTS`` is ``(id, file under src/treeorder, old, new, tests)``.  For each
 row the runner copies ``src/`` to a temporary directory, requires ``old`` to
 occur exactly once in the file, replaces it by ``new`` and runs
 ``python -m pytest -x -q`` on the row's tests with the copy first on
@@ -12,6 +12,8 @@ Before the rows, the tests of every row run once against the
 unmutated copy and must pass, so a kill means the mutant was seen.  A
 stale site (``old`` missing or repeated), a surviving mutant or a failing
 unmutated run names its row and exits 1; otherwise the runner exits 0.
+``EQUIVALENT`` lists mutants that change no answer, each with its reason:
+their sites must occur exactly once, and they are not run.
 """
 
 from __future__ import annotations
@@ -36,6 +38,14 @@ MUTANTS = [
     ("freesweep-no-escape", "freesweep.py",
      "if any(map(and_, gpats, map(blocks.__getitem__, heads))):", "if False:",
      ["tests/test_cone_fuzz.py"]),
+    # the inverse of each generator's first letter is taken as itself
+    ("free-inverse-a-fixed", "freesweep.py",
+     "[1 + (d ^ 1) for d in range(D)]", "[1 + (d ^ (d > 1)) for d in range(D)]",
+     ["tests/test_orbitorder.py::test_a_twisted_cone_keeps_its_verdicts_and_moves_its_ball_poset"]),
+    # Z^k codes of distinct vectors in the double ball coincide
+    ("zk-codes-collide", "groups.py",
+     "base = 4 * r + 1", "base = 2 * r + 1",
+     ["tests/test_cone_fuzz.py"]),
     # the ball poset reads each row's bits from the wrong end
     ("ball-rows-reversed", "grouporder.py",
      "text = codes[::-1]  # bit j of a row is ball[j]", "text = codes",
@@ -52,19 +62,47 @@ MUTANTS = [
     ("chain-up-only", "poset.py",
      "if mask & ~(self._comp[k] | (1 << k)):", "if mask & ~(self._up[k] | (1 << k)):",
      ["tests/test_poset.py::test_a_chain_test_visits_only_members_short_of_a_comparability"]),
+    # the chain test skips its first partial member; on a valid poset an
+    # incomparable partner is in the mask too and finds it, so only a
+    # comparability memo corrupted on one side tells
+    ("chain-skips-first-partial", "poset.py",
+     "for k in _bits(mask & self._partial):", "for k in list(_bits(mask & self._partial))[1:]:",
+     ["tests/test_poset.py::test_classes_that_are_not_travel_intervals_raise"]),
+    # between members come in reverse travel order
+    ("travel-order-reversed", "poset.py",
+     "key=lambda k: seen[k].bit_count())", "key=lambda k: -seen[k].bit_count())",
+     ["tests/test_poset.py"]),
+    # B(i, j) of downward-similar i, j misses the members below j only
+    ("between-rows-siml-one-sided", "poset.py",
+     "inner = siml[i] & down[j] | siml[j] & down[i]", "inner = siml[i] & down[j]",
+     ["tests/test_poset.py"]),
     # two tags touch across a between set of three
     ("touch-across-three", "treebuild.py",
      "p._between_mask(p.index(g), p.index(h)).bit_count() == 2",
      "p._between_mask(p.index(g), p.index(h)).bit_count() <= 3",
      ["tests/test_treebuild.py"]),
-    # a truncated-limit glue point is not marked, so its gaps are checked, not listed
-    ("truncated-unmarked", "treebuild.py",
-     "        state.truncated.add(point)\n", "        pass\n",
-     ["tests/test_treebuild.py::test_truncated_limit_gluing_leaves_gaps_undetermined"]),
+    # every gap passes the gap check
+    ("gap-check-blind", "treebuild.py",
+     "    return any(a[1] == PLAIN and", "    return True or any(a[1] == PLAIN and",
+     ["tests/test_treebuild.py"]),
+    # labels that share a point are never flagged, touching or not
+    ("identity-check-blind", "treebuild.py",
+     "            if not r_equivalent(p, u, v):\n                id_violations.append(",
+     "            if False:\n                id_violations.append(",
+     ["tests/test_treebuild.py"]),
+    # a stage is glued without checking that x is its one built member
+    ("single-point-gluing-unchecked", "treebuild.py",
+     "    if inter != [x]:", "    if False:",
+     ["tests/test_treebuild.py::test_each_refusal_of_the_construction_is_pinned"]),
     # a negative stage count is sliced again
     ("negative-stages-laid", "treebuild.py",
      "if stages is not None and stages < 0:", "if stages is not None and stages < -1:",
      ["tests/test_treebuild.py::test_each_refusal_of_the_construction_is_pinned"]),
+    # a point node sits at the head of its out-ray and the tail of its in-ray
+    ("node-point-ends-swapped", "ordertree.py",
+     "return (outs[0], Fraction(0)) if outs else (ins[0], Fraction(1))",
+     "return (outs[0], Fraction(1)) if outs else (ins[0], Fraction(0))",
+     ["tests/test_ordertree.py::test_a_point_node_sits_at_the_tail_of_its_out_ray_and_the_head_of_its_in_ray"]),
     # points on arcs facing each other compare as back to back, and conversely
     ("arc-order-similarity-swapped", "ordertree.py",
      "return SIMU if forward else SIML", "return SIML if forward else SIMU",
@@ -77,6 +115,18 @@ MUTANTS = [
     ("roundtrip-coverage-seven-tenths", "orbitorder.py",
      "pair_coverage * 10 >= 9", "pair_coverage * 10 >= 7",
      ["tests/test_cli.py::test_a_round_trip_below_nine_tenths_pair_coverage_fails_everywhere"]),
+    # a spec document's unknown fields are read past
+    ("spec-unknown-fields-accepted", "specio.py",
+     "unknown = obj.keys() - required - optional", "unknown = ()",
+     ["tests/test_specio.py"]),
+]
+
+# Mutants that change no answer, each as (id, file, old, new, reason).  Their
+# sites must occur exactly once; they are not run.
+EQUIVALENT = [
+    ("split-reads-outs", "ordertree.py",
+     "if len(ins) == 1 else (outs[0]", "if len(outs) != 1 else (outs[0]",
+     "split always gets non-empty ins and outs, and at most one side has two or more rays"),
 ]
 
 
@@ -93,6 +143,11 @@ def _copy(tmp: Path) -> Path:
     return src
 
 
+def _stale(ident: str, name: str, old: str, text: str) -> list:
+    count = text.count(old)
+    return [] if count == 1 else [(ident, f"stale site: {old!r} occurs {count} times in {name}")]
+
+
 def run(rows: list) -> list:
     """The failures as (row id, reason), after the unmutated run and each row."""
     failures = []
@@ -106,8 +161,9 @@ def run(rows: list) -> list:
             src = _copy(Path(tmp) / ident)
             path = src / "treeorder" / name
             text = path.read_text()
-            if text.count(old) != 1:
-                failures.append((ident, f"stale site: {old!r} occurs {text.count(old)} times in {name}"))
+            stale = _stale(ident, name, old, text)
+            if stale:
+                failures += stale
                 continue
             path.write_text(text.replace(old, new))
             done = _pytest(src, tests)
@@ -119,12 +175,14 @@ def run(rows: list) -> list:
 
 
 def main() -> int:
+    stale = [f for ident, name, old, _new, _reason in EQUIVALENT
+             for f in _stale(ident, name, old, (ROOT / "src" / "treeorder" / name).read_text())]
     failures = run(MUTANTS)
-    for ident, reason in failures:
+    for ident, reason in stale + failures:
         print(f"FAIL {ident}: {reason}", file=sys.stderr)
     if not failures or failures[0][0] != "unmutated":
         print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
-    return 1 if failures else 0
+    return 1 if stale or failures else 0
 
 
 if __name__ == "__main__":

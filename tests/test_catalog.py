@@ -17,6 +17,8 @@ from treeorder.catalog import (
     z_standard,
 )
 from treeorder.corpus import all_extended_posets
+from treeorder.errors import BuildError
+from treeorder.grouporder import verify_cone_axioms
 from treeorder.orbitorder import orbit_poset, roundtrip_orbit
 from treeorder.quotient import SUBGROUPS, get_subgroup
 from treeorder.relations import SIML, SIMU
@@ -109,6 +111,16 @@ def test_roundtrip_suites_are_exact_here():
         assert rep["ok"], rep["mismatches"]
         assert rep["pair_coverage"] == Fraction(1)
         assert rep["undetermined_elements"] == []
+
+
+@pytest.mark.parametrize("name", ["z-standard", "z2-lex", "free2-standard", "dihedral-standard"])
+def test_a_negative_radius_gives_an_empty_ball_in_every_group_model(name):
+    cone = get_cone(name)
+    ball = cone.group.ball(-1)
+    assert ball == [] and len(cone.group.inverse_positions(ball, -1)) == 0
+    assert verify_cone_axioms(cone, -1).ball_size == 0
+    with pytest.raises(BuildError, match="^an empty poset has no tree$"):
+        roundtrip_orbit(cone, -1)
 
 
 def test_blowup_suite_passes():

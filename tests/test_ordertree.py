@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from treeorder.actions import alternating_line_tree, check_blowup
+from treeorder.actions import alternating_line_tree, check_blowup, dihedral_example
 from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone
 from treeorder.errors import ConeError
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import OrderTree, TreeError, TreeIndex, denjoy_blowup, manifold_order, manifold_poset
+from treeorder.relations import GT, LT
 from treeorder.specio import canonical_json, tree_to_document
 
 
@@ -101,6 +102,20 @@ def test_blowup_node_census():
     for kind in m.nodes.values():
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {"open": 3, "openray": 3, "point": 8}
+
+
+def test_a_point_node_sits_at_the_tail_of_its_out_ray_and_the_head_of_its_in_ray():
+    # a cap's adjacency counts as a ray at the cap
+    pairs = 0
+    for m in (denjoy_blowup(alternating_line_tree(4)), dihedral_example(2)[1]):
+        for n, (ins, outs) in m.node_incidences().items():
+            if m.nodes[n] != "point":
+                continue
+            for rays, want in ((outs, LT), (ins, GT)):
+                for aid in rays:
+                    pairs += 1
+                    assert manifold_order(m, ("node", n), ("arc", aid, Fraction(1, 2))) == want, (n, aid)
+    assert pairs == 76
 
 
 def _trees_and_blowups():

@@ -295,7 +295,7 @@ def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes(
     pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
     p, decomposition = pipeline.ball_poset, pipeline.decomposition
     doubled = blow_up_gplus(p)
-    a, b = decomposition.stages[0].pair
+    a, b = decomposition.stages[0]
     ends = ((a, PLAIN), (b, PLAIN))
     for q, pair in ((p, (a, b)), (doubled, ends)):
         _relate_across_a_class_boundary(q, *pair)
@@ -459,7 +459,7 @@ def test_the_certificate_covers_every_poset_and_the_suite_equals_the_per_pair_pa
 
 def _class_boundary():
     pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
-    a, b = pipeline.decomposition.stages[0].pair
+    a, b = pipeline.decomposition.stages[0]
     p = pipeline.ball_poset
     doubled = blow_up_gplus(p)
     _relate_across_a_class_boundary(p, a, b)

@@ -26,7 +26,6 @@ from treeorder.treebuild import (
     PLAIN,
     BetweenDecomposition,
     BuildError,
-    Stage,
     _path_points,
     auto_pairs,
     build_from_cones,
@@ -107,49 +106,26 @@ def test_a_pair_off_the_base_is_reached_through_the_base():
     p = induced_ball_poset(z_standard(), 2)
     got = normalize_decomposition(p, [(0, 2), (2, -2)])
     assert got == normalize_decomposition(p, [(0, 2), (0, -2)])
-    assert [stage.pair for stage in got.stages] == [(0, 2), (0, -2)]
+    assert list(got.stages) == [(0, 2), (0, -2)]
 
 
-# (0, 3) listed to attach as a truncated limit after (0, 1)
-TRUNCATED = BetweenDecomposition(0, (Stage((0, 1), 1), Stage((0, 3), 2), Stage((0, -3), 1)))
-
-
-def test_truncated_limit_gluing_leaves_gaps_undetermined():
-    # the only path on which verification reports undetermined items
-    # instead of checking them
-    p = induced_ball_poset(z_standard(), 3)
-    state = build_tree(p, TRUNCATED)
-    assert [stage.case for stage in state.stages_done] == [1, 2, 1]
-    props = verify_stage_properties(state)
-    assert props["ok"], props
-    assert len(props["gaps"]["undetermined"]) == 2
-    assert len(props["identity"]["undetermined"]) == 0
-    assert plain_label_count(orient_segments(state)) == 7
-
-
-def from_zero(*listed):
-    return BetweenDecomposition(0, tuple(Stage(pair, case) for pair, case in listed))
+def from_zero(*stages):
+    return BetweenDecomposition(0, stages)
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda p: normalize_decomposition(p, [(0, 99)]), "pair (0, 99) leaves the poset"),
     (lambda p: normalize_decomposition(p, [(2, 2)]), "degenerate pair at 2"),
     (lambda p: build_tree(p, BetweenDecomposition(99, ())), "base element 99 leaves the poset"),
-    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((0, 3), 1))),
+    (lambda p: build_tree(p, from_zero((0, 1), (0, 3))),
      "stage (0, 3) is not a single-point gluing; built part ['0', '1']"),
-    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((0, 1), 1))),
+    (lambda p: build_tree(p, from_zero((0, 1), (0, 1))),
      "stage (0, 1) is not a single-point gluing; built part ['0', '1']"),
-    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((0, 1), 2))),
-     "a truncated-limit stage needs both built and new parts"),
-    (lambda p: build_tree(p, from_zero(((2, 3), 2))), "a truncated-limit stage needs both built and new parts"),
-    (lambda p: build_tree(p, from_zero(((0, 1), 1), ((2, -1), 2))), "built part is not an initial segment"),
-    (lambda p: build_tree(p, from_zero(((0, 1), 7), ((0, -3), 0))), "stage (0, 1) has case 7, not 1 or 2"),
     (lambda p: build_tree(p, stages=-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).build(-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).layout(-1), "stage count must not be negative, got -1"),
-], ids=["pair-off", "degenerate", "base-off", "case1-past-x", "case1-again", "case2-all-built",
-        "case2-none-built", "case2-not-initial", "unknown-case", "negative-stages", "pipeline-build-negative",
-        "pipeline-layout-negative"])
+], ids=["pair-off", "degenerate", "base-off", "case1-past-x", "case1-again", "negative-stages",
+        "pipeline-build-negative", "pipeline-layout-negative"])
 def test_each_refusal_of_the_construction_is_pinned(build, message):
     with pytest.raises(BuildError) as exc:
         build(induced_ball_poset(z_standard(), 3))
@@ -166,16 +142,22 @@ def test_a_refused_stage_count_leaves_the_pipeline_empty():
     assert len(pipeline.build(99).stages_done) == len(pipeline.decomposition.stages) == 6
 
 
-def test_normalized_decompositions_hold_case_one_stages_only():
-    # no command takes a decomposition, so a truncated-limit stage is
-    # reached only when a caller lists one
+def test_each_normalized_stage_meets_the_built_part_in_its_first_point_alone():
+    # so every stage glues at one built point, and the built part always
+    # has a greatest element on the way to the new one
     z2, z3 = (induced_ball_poset(z_standard(), r) for r in (2, 3))
     covers = [(p, auto_pairs(p)) for p in ball_posets() + all_extended_posets(4)]
     covers += [(z2, [(0, 2), (2, -2)]), (z2, [(0, 2), (0, -2)]), (z3, [(0, 1), (0, 3), (0, -3)]),
                (from_pairs(["e"], []), [])]
     assert len(covers) == 426
     for p, pairs in covers:
-        assert {stage.case for stage in normalize_decomposition(p, pairs).stages} <= {1}, pairs
+        decomposition = normalize_decomposition(p, pairs)
+        built = {decomposition.base}
+        for x, y in decomposition.stages:
+            members = set(p.between_members(x, y))
+            assert members & built == {x}, (pairs, x, y)
+            built |= members
+        assert built == set(p.elements), pairs
 
 
 def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
@@ -495,7 +477,6 @@ LAYOUT_DIGESTS = {
     ('z3-lex', 2): "bbc1cd7e3b9f06a9a973d18992d6e311fe4d4f1957efad51833ac5879bdc07d3",
     ('z3-lex', 3): "a064172ae13a99ff549030e2f6c393c9eaa4f54a91261eb63baa8d0d5fe8987f",
 }
-TRUNCATED_LAYOUT_DIGEST = "b3fd9aa7fd2a7eb0903e39a57c9923a4bf79cf7377427d44aa76ffcfe10073a7"
 
 
 def test_layout_digests_cover_every_cone_with_a_ball_order():
@@ -513,13 +494,6 @@ def test_layout_digests_cover_every_cone_with_a_ball_order():
 def test_the_layout_of_each_build_is_pinned(name, radius):
     pipe = ConePipeline.of(get_cone(name), radius)
     assert layout_digest(pipe.build(n) for n in LAYOUT_STAGES) == LAYOUT_DIGESTS[name, radius]
-
-
-def test_the_layout_of_a_truncated_limit_build_is_pinned():
-    p = induced_ball_poset(z_standard(), 3)
-    state = build_tree(p, TRUNCATED)
-    assert layout_digest([state]) == TRUNCATED_LAYOUT_DIGEST
-    assert laid_apart(verify_stage_properties(state)) == oracles.naive_laid_apart(state)
 
 
 @pytest.mark.parametrize("name, radius", sorted(LAYOUT_DIGESTS), ids=[f"{n}-r{r}" for n, r in sorted(LAYOUT_DIGESTS)])
