@@ -496,6 +496,17 @@ def test_the_layout_of_each_build_is_pinned(name, radius):
     assert layout_digest(pipe.build(n) for n in LAYOUT_STAGES) == LAYOUT_DIGESTS[name, radius]
 
 
+def test_every_full_build_passes_verification_with_nothing_undetermined(capsys):
+    # every stage glues at one built point, so no gap or identity is left
+    # unchecked; the reports keep their empty lists for the build suite
+    for name, radius in sorted(LAYOUT_DIGESTS):
+        props = verify_stage_properties(ConePipeline.of(get_cone(name), radius).build(None))
+        assert props["ok"], (name, radius, props)
+        assert props["gaps"]["undetermined"] == props["identity"]["undetermined"] == [], (name, radius)
+    assert main(["build-tree", "dihedral-standard", "--radius", "4"]) == 0
+    assert "  undetermined: 0 gaps, 0 identities" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("name, radius", sorted(LAYOUT_DIGESTS), ids=[f"{n}-r{r}" for n, r in sorted(LAYOUT_DIGESTS)])
 def test_the_pair_loop_finds_the_laid_apart_tags_of_the_scan_over_tagged_pairs(name, radius):
     # the corrupted builds above run the same comparison
