@@ -33,7 +33,6 @@ from .treebuild import (
     BetweenDecomposition,
     BuildLayout,
     LabeledTree,
-    auto_pairs,
     build_tree,
     normalize_decomposition,
     orient_segments,
@@ -161,7 +160,7 @@ class ConePipeline:
 
     @cached_property
     def decomposition(self) -> BetweenDecomposition:
-        return normalize_decomposition(self.ball_poset, auto_pairs(self.ball_poset))
+        return normalize_decomposition(self.ball_poset)
 
     def _memo(self, step: str, stages: Optional[int], make: Callable):
         # key on the stages actually laid, so 6 and None share a short build

@@ -1,14 +1,14 @@
 """Stagewise construction of a labelled order tree from a tagged poset.
 
 The builder consumes a finite admissible tagged poset (a group ball with a
-left-invariant order, or any other: no group is needed) and a list of
-between-set pairs covering it.  Each pair contributes one stage: the
-between set B(x, y) splits into similarity classes, every class is
-augmented with the doubled tags of its members, laid over one unit interval
-with touching tag pairs identified, and the already built prefix is cut
-away so the remainder glues onto the existing tree at the doubled tag of x.
-Each stage is a pair (x, y) whose between set meets the built part in x
-alone, so every stage glues at one built point.
+left-invariant order, or any other: no group is needed) and builds it from
+the star cover, the between sets B(base, y) from its first element.  Each
+stage is a pair (x, y) whose between set meets the built part in x alone,
+x the furthest built member of B(base, y): B(x, y) splits into similarity
+classes, every class is augmented with the doubled tags of its members,
+laid over one unit interval with touching tag pairs identified, and the
+built x-, x are cut away so the remainder glues onto the existing tree at
+the doubled tag of x, the one built point of the stage.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
@@ -121,56 +121,26 @@ def auto_pairs(poset: ExtendedPoset) -> list:
     return [(poset.elements[0], e) for e in poset.elements[1:]]
 
 
-def normalize_decomposition(poset: ExtendedPoset, pairs: Sequence[tuple]) -> BetweenDecomposition:
-    """Reduce a covering list of between-set pairs to gluable stages.
+def normalize_decomposition(poset: ExtendedPoset) -> BetweenDecomposition:
+    """The star cover (auto_pairs) as gluable stages.
 
-    The base is the first pair's low end, or with no pairs the poset's first
-    element, which then covers only a one-element poset.  Ahead of every
-    pair (x, y) the pair (base, x) is inserted, so x is built first, the
-    running union stays closed under between sets, and each stage meets
-    the built part in an initial segment.  Stages whose between set is
-    already covered are dropped.  When the built part of a stage reaches past
-    its first endpoint, the stage is replaced by the between set from the
-    furthest built element onward, so every surviving stage meets the built
-    part in a single element.
+    The base is the first element.  Each (base, y) with y not yet built
+    gives one stage, from the furthest built member of B(base, y) to y.
+    The built part is a union of sets B(base, y'), and B(base, z) lies
+    inside B(base, y) for every z in B(base, y), so the built part meets
+    B(base, y) in an initial segment: the stage meets it in its first
+    point alone, and a built y has all of B(base, y) built.
     """
     if not poset.elements:
         raise BuildError("an empty poset has no tree")
-    pairs = [tuple(p) for p in pairs]
-    known = set(poset.elements)
-    for x, y in pairs:
-        if x not in known or y not in known:
-            raise BuildError(f"pair ({x!r}, {y!r}) leaves the poset")
-        if x == y:
-            raise BuildError(f"degenerate pair at {x!r}")
-    base = pairs[0][0] if pairs else poset.elements[0]
-
-    worklist = []
-    for p in pairs:
-        if p[0] != base:
-            worklist.append((base, p[0]))
-        worklist.append(p)
-    members_of = {p: poset.between_members(*p) for p in worklist}
-
-    covered = {base}.union(*(members_of[p] for p in pairs))
-    uncovered = [e for e in poset.elements if e not in covered]
-    if uncovered:
-        raise BuildError(f"pairs do not cover the poset; missing {uncovered!r}")
-
+    base = poset.elements[0]
     built = {base}
     stages = []
-    for x, y in worklist:
-        members = members_of[x, y]
-        mset = set(members)
-        if mset <= built:
-            continue
-        inter = [m for m in members if m in built]
-        if tuple(inter) != members[: len(inter)]:
-            raise BuildError(
-                f"built part of B({x!r}, {y!r}) is not an initial segment"
-            )
-        stages.append((inter[-1], y))
-        built |= mset
+    for _base, y in auto_pairs(poset):
+        if y not in built:
+            members = poset.between_members(base, y)
+            stages.append((next(m for m in reversed(members) if m in built), y))
+            built.update(members)
     return BetweenDecomposition(base=base, stages=tuple(stages))
 
 
@@ -318,12 +288,14 @@ def build_tree(
     stages: Optional[int] = None,
     group=None,
 ) -> LabeledTree:
-    """Run the stagewise construction over ``decomposition``, by default the
-    normalized star cover (auto_pairs)."""
+    """Run the stagewise construction over ``decomposition``, by default
+    the star cover's (normalize_decomposition).  A given decomposition is
+    checked stage by stage: its base must be an element, and each stage
+    must meet the built part in its first point alone."""
     if stages is not None and stages < 0:
         raise BuildError(f"stage count must not be negative, got {stages}")
     if decomposition is None:
-        decomposition = normalize_decomposition(poset, auto_pairs(poset))
+        decomposition = normalize_decomposition(poset)
     state = LabeledTree(poset, group=group)
     _lay_base(state, decomposition.base)
     todo = decomposition.stages if stages is None else decomposition.stages[:stages]

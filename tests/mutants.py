@@ -94,6 +94,14 @@ MUTANTS = [
     ("single-point-gluing-unchecked", "treebuild.py",
      "    if inter != [x]:", "    if False:",
      ["tests/test_treebuild.py::test_each_refusal_of_the_construction_is_pinned"]),
+    # a star stage runs for every element, built or not
+    ("star-every-y-a-stage", "treebuild.py",
+     "if y not in built:", "if True:",
+     ["tests/test_treebuild.py"]),
+    # a star stage glues at the nearest built member of B(base, y), the base
+    ("star-glues-at-base", "treebuild.py",
+     "for m in reversed(members) if m in built", "for m in members if m in built",
+     ["tests/test_treebuild.py"]),
     # a negative stage count is sliced again
     ("negative-stages-laid", "treebuild.py",
      "if stages is not None and stages < 0:", "if stages is not None and stages < -1:",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -406,6 +407,22 @@ def test_a_one_element_ball_passes(argv, capsys):
 def test_a_one_element_table_group_passes(command, tmp_path, capsys):
     spec = write(tmp_path, "trivial.json", _group({"table": {"elements": [0], "products": [[0]], "identity": 0}}))
     assert main([command, spec]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+S3 = ["".join(p) for p in permutations("012")]  # the identity "012" first, as component 0 == 0
+S3_LOWER = _doc("group-order", {
+    "group": {"table": {"elements": S3, "products": [["".join(a[int(i)] for i in b) for b in S3] for a in S3],
+                        "identity": "012"}},
+    "cones": {"positive": {"op": "const", "value": False},
+              "lower": {"op": "not", "arg": {"op": "cmp", "component": 0, "rel": "==", "value": 0}}},
+})
+
+
+@pytest.mark.parametrize("argv", [["build-tree", "--stages", "99"], ["roundtrip"]], ids=["build-tree", "roundtrip"])
+def test_a_table_groups_cone_builds_and_round_trips(argv, tmp_path, capsys):
+    spec = write(tmp_path, "s3.json", S3_LOWER)
+    assert main([argv[0], spec, *argv[1:]]) == 0
     assert capsys.readouterr().out.endswith("result: PASS\n")
 
 

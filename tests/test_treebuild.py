@@ -18,7 +18,8 @@ from treeorder.cli import main
 from treeorder.corpus import all_extended_posets, tree_corpus
 from treeorder.errors import ConeError
 from treeorder.gplus import blow_up_gplus
-from treeorder.grouporder import induced_ball_poset
+from treeorder.grouporder import ConeStructure, induced_ball_poset
+from treeorder.groups import TableGroup
 from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset, PosetError, from_pairs
@@ -100,22 +101,11 @@ def test_acting_by_a_generator_permutes_labels():
     assert report["ok"] and report["checked_triples"] > 0
 
 
-def test_a_pair_off_the_base_is_reached_through_the_base():
-    # (2, -2) does not start at the base 0, so (0, 2) is laid ahead of it
-    # and the stage keeps only the part of B(2, -2) past the built 0
-    p = induced_ball_poset(z_standard(), 2)
-    got = normalize_decomposition(p, [(0, 2), (2, -2)])
-    assert got == normalize_decomposition(p, [(0, 2), (0, -2)])
-    assert list(got.stages) == [(0, 2), (0, -2)]
-
-
 def from_zero(*stages):
     return BetweenDecomposition(0, stages)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda p: normalize_decomposition(p, [(0, 99)]), "pair (0, 99) leaves the poset"),
-    (lambda p: normalize_decomposition(p, [(2, 2)]), "degenerate pair at 2"),
     (lambda p: build_tree(p, BetweenDecomposition(99, ())), "base element 99 leaves the poset"),
     (lambda p: build_tree(p, from_zero((0, 1), (0, 3))),
      "stage (0, 3) is not a single-point gluing; built part ['0', '1']"),
@@ -124,7 +114,7 @@ def from_zero(*stages):
     (lambda p: build_tree(p, stages=-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).build(-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).layout(-1), "stage count must not be negative, got -1"),
-], ids=["pair-off", "degenerate", "base-off", "case1-past-x", "case1-again", "negative-stages",
+], ids=["base-off", "case1-past-x", "case1-again", "negative-stages",
         "pipeline-build-negative", "pipeline-layout-negative"])
 def test_each_refusal_of_the_construction_is_pinned(build, message):
     with pytest.raises(BuildError) as exc:
@@ -145,19 +135,30 @@ def test_a_refused_stage_count_leaves_the_pipeline_empty():
 def test_each_normalized_stage_meets_the_built_part_in_its_first_point_alone():
     # so every stage glues at one built point, and the built part always
     # has a greatest element on the way to the new one
-    z2, z3 = (induced_ball_poset(z_standard(), r) for r in (2, 3))
-    covers = [(p, auto_pairs(p)) for p in ball_posets() + all_extended_posets(4)]
-    covers += [(z2, [(0, 2), (2, -2)]), (z2, [(0, 2), (0, -2)]), (z3, [(0, 1), (0, 3), (0, -3)]),
-               (from_pairs(["e"], []), [])]
-    assert len(covers) == 426
-    for p, pairs in covers:
-        decomposition = normalize_decomposition(p, pairs)
+    posets = ball_posets() + all_extended_posets(4) + [from_pairs(["e"], [])]
+    assert len(posets) == 423
+    for p in posets:
+        decomposition = normalize_decomposition(p)
         built = {decomposition.base}
         for x, y in decomposition.stages:
             members = set(p.between_members(x, y))
-            assert members & built == {x}, (pairs, x, y)
+            assert members & built == {x}, (p.elements, x, y)
             built |= members
-        assert built == set(p.elements), pairs
+        assert built == set(p.elements), p.elements
+
+
+def test_the_star_cover_reads_one_between_set_per_stage(monkeypatch):
+    # a built y has all of B(base, y) built, so only the elements that
+    # start a stage have their between set read
+    calls = []
+    members = ExtendedPoset.between_members
+    monkeypatch.setattr(ExtendedPoset, "between_members", lambda self, a, b: calls.append(b) or members(self, a, b))
+    posets = ball_posets() + all_extended_posets(4)
+    assert len(posets) == 422
+    for p in posets:
+        calls.clear()
+        decomposition = normalize_decomposition(p)
+        assert calls == [y for _x, y in decomposition.stages], p.elements
 
 
 def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
@@ -390,15 +391,15 @@ def test_a_pair_across_components_is_reported_not_raised():
 
 
 def test_no_pairs_cover_a_one_element_poset_and_nothing_larger():
-    single = normalize_decomposition(from_pairs(["e"], []), [])
+    single = normalize_decomposition(from_pairs(["e"], []))
     assert single.base == "e" and single.stages == ()
-    with pytest.raises(BuildError, match="do not cover the poset; missing \\['b'\\]"):
-        normalize_decomposition(from_pairs("ab", [("a", "lt", "b")]), [])
+    # a larger poset's star cover pairs the base with every other element
+    assert auto_pairs(from_pairs("ab", [("a", "lt", "b")])) == [("a", "b")]
 
 
 def test_an_empty_poset_has_no_tree():
     empty = from_pairs([], [])
-    for build in (lambda: build_tree(empty), lambda: normalize_decomposition(empty, [])):
+    for build in (lambda: build_tree(empty), lambda: normalize_decomposition(empty)):
         with pytest.raises(BuildError, match="^an empty poset has no tree$"):
             build()
 
@@ -426,6 +427,53 @@ def test_a_poset_comes_back_from_the_blow_up_of_its_tree(population, size):
     for p in posets:
         q = oracles.tree_roundtrip(p)
         assert (q.elements, q.rows) == (p.elements, p.rows), p.elements
+
+
+def table_group(elements, mult):
+    """The TableGroup of ``mult`` on ``elements``, the first the identity."""
+    return TableGroup(elements, [[mult(a, b) for b in elements] for a in elements], elements[0])
+
+
+def permutation_group(generators):
+    """The closure of permutation tuples under composition."""
+    elements = [tuple(range(len(generators[0])))]
+    for g in elements:
+        for h in generators:
+            gh = tuple(g[i] for i in h)
+            if gh not in elements:
+                elements.append(gh)
+    return table_group(elements, lambda a, b: tuple(a[i] for i in b))
+
+
+FINITE_GROUPS = {
+    **{f"z{n}": table_group(list(range(n)), lambda a, b, n=n: (a + b) % n) for n in range(2, 7)},
+    "klein": table_group([(0, 0), (0, 1), (1, 0), (1, 1)], lambda a, b: (a[0] ^ b[0], a[1] ^ b[1])),
+    "s3": permutation_group([(1, 0, 2), (0, 2, 1)]),
+    "d4": permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("piece", ["upper", "lower"])
+@pytest.mark.parametrize("name", FINITE_GROUPS)
+def test_a_finite_groups_cone_builds_a_star_of_all_its_elements(name, piece):
+    # all of G \ {e} in U (or in L) is a cone; its tree is one node with
+    # |G| in-rays (out-rays), and the round trip realizes the whole group
+    group = FINITE_GROUPS[name]
+    n = len(group.elements)
+    rest = lambda w: w != group.identity
+    none = lambda w: False
+    cone = ConeStructure(f"{name}-{piece}", group, none, *((rest, none) if piece == "upper" else (none, rest)))
+    pipeline = ConePipeline.of(cone, 1)
+    assert pipeline.cone_report.ok
+    state = pipeline.build(None)
+    assert len(state.stages_done) == n - 1 and state.built == set(group.elements)
+    assert verify_stage_properties(state)["ok"]
+    tree = pipeline.layout(None).tree
+    assert len(tree.arcs) == n
+    hubs = [rays for rays in tree.node_incidences().values() if len(rays[0]) + len(rays[1]) == n]
+    assert [tuple(map(len, rays)) for rays in hubs] == [(n, 0) if piece == "upper" else (0, n)]
+    report = pipeline.roundtrip()
+    assert report["ok"] and report["coverage"] == 1
 
 
 # -- the layout and its verification, pinned per build -------------------------
@@ -523,7 +571,8 @@ import hashlib
 from treeorder.catalog import BUILTIN_CONES, get_cone
 from treeorder.corpus import all_extended_posets
 from treeorder.errors import ConeError
-from treeorder.grouporder import induced_ball_poset
+from treeorder.grouporder import ConeStructure, induced_ball_poset
+from treeorder.groups import TableGroup
 from treeorder.ordertree import denjoy_blowup
 from treeorder.treebuild import build_tree, orient_segments
 
