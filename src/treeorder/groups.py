@@ -295,7 +295,7 @@ class InfiniteDihedral(GroupModel):
 class TableGroup(GroupModel):
     """A finite group given by an explicit multiplication table.
 
-    Every ball is the whole group, so radius arguments are ignored; the
+    A ball of radius r >= 0 is the whole group, of r < 0 empty; the
     table is validated for closure, identity, inverses, and associativity.
     """
 
@@ -341,7 +341,7 @@ class TableGroup(GroupModel):
         raise GroupError(f"{a!r} is not a table element")
 
     def ball(self, r: int) -> list:
-        return list(self.elements)
+        return list(self.elements) if r >= 0 else []
 
     def format(self, a) -> str:
         return str(a)

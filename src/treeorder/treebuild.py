@@ -4,11 +4,16 @@ The builder consumes a finite admissible tagged poset (a group ball with a
 left-invariant order, or any other: no group is needed) and builds it from
 the star cover, the between sets B(base, y) from its first element.  Each
 stage is a pair (x, y) whose between set meets the built part in x alone,
-x the furthest built member of B(base, y): B(x, y) splits into similarity
-classes, every class is augmented with the doubled tags of its members,
-laid over one unit interval with touching tag pairs identified, and the
-built x-, x are cut away so the remainder glues onto the existing tree at
-the doubled tag of x, the one built point of the stage.
+x the furthest built member of B(base, y).  It lays stage_labels, three
+labels per member of B(x, y) in travel order (the tag toward x, the plain
+label, the tag toward y), one unit per similarity class.  Consecutive
+labels of different members touch, so label t goes to slot
+2 (t // 3) + t % 3: a class of m members spans 2m + 1 slots, and
+consecutive classes share their boundary slot.  The labels past x's go on
+a new interval glued at x's tag toward y, the one built point of the
+stage.  The build refuses a base outside the poset, a stage that is not a
+single-point gluing, and a label laid twice; it decides no touching, and
+verification tests every shared point.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
@@ -27,7 +32,7 @@ import math
 from collections import Counter
 from itertools import combinations
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import lazy_names
 from .errors import BuildError, PosetError
@@ -176,35 +181,13 @@ class LabeledTree:
         return format_aug(label, self.fmt)
 
 
-# -- per-class layout ----------------------------------------------------
+# -- stage layout ----------------------------------------------------------
 
 
-def _class_sequence(poset: ExtendedPoset, members: tuple, x, y) -> list:
-    """The doubled labels of one similarity class in travel order.
-
-    Every member contributes both of its tags: consecutive members put their
-    facing tags between them, the first member leads with the tag facing x
-    (for x itself, the tag facing away from y), and symmetrically at the end.
-    """
-
-    def end(u, near, far) -> tuple:
-        return (u, -side_toward(poset, u, far) if u == near else side_toward(poset, u, near))
-
-    seq = [end(members[0], x, y)]
-    for u, v in zip(members, members[1:]):
-        seq += ((u, PLAIN), (u, side_toward(poset, u, v)), (v, side_toward(poset, v, u)))
-    return seq + [(members[-1], PLAIN), end(members[-1], y, x)]
-
-
-def _merge_slots(poset: ExtendedPoset, seq: list) -> list:
-    """Group consecutive labels that touch (nothing between them)."""
-    slots: list = []
-    for lab in seq:
-        if slots and r_equivalent(poset, slots[-1][-1], lab):
-            slots[-1].append(lab)
-        else:
-            slots.append([lab])
-    return slots
+def stage_labels(p: ExtendedPoset, x, y) -> list:
+    """The labels the stage (x, y) lays, in travel order: the doubled
+    B(x, y) (doubled_members) between x's and y's tags facing outward."""
+    return [(x, -side_toward(p, x, y)), *doubled_members(p, x, y), (y, -side_toward(p, y, x))]
 
 
 def _slot_coords(unit: int, nslots: int) -> list:
@@ -212,28 +195,6 @@ def _slot_coords(unit: int, nslots: int) -> list:
     extremal slots, then successive midpoints toward the upper end."""
     inner = [unit + 1 - Fraction(1, 2**j) for j in range(1, nslots - 1)]
     return [Fraction(unit), *inner, Fraction(unit + 1)]
-
-
-def _lay_classes(state: LabeledTree, classes: Sequence[tuple], x, y) -> list:
-    """Lay the classes over [0, k]; consecutive classes share their boundary
-    coordinate, which is legal only when the meeting tags touch.  Returns
-    the slot list [(coord, labels)]."""
-    p = state.poset
-    out: list = []
-    for ci, members in enumerate(classes):
-        slots = _merge_slots(p, _class_sequence(p, members, x, y))
-        for c, labs in zip(_slot_coords(ci, len(slots)), slots):
-            if out and out[-1][0] == c:
-                u, v = out[-1][1][-1], labs[0]
-                if not r_equivalent(p, u, v):
-                    raise BuildError(
-                        "class boundary labels do not touch: "
-                        f"{state.format_label(u)} | {state.format_label(v)}"
-                    )
-                out[-1][1].extend(labs)
-            else:
-                out.append((c, list(labs)))
-    return out
 
 
 def _lay_base(state: LabeledTree, x1) -> None:
@@ -249,9 +210,8 @@ def _lay_base(state: LabeledTree, x1) -> None:
 
 
 def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
-    """Glue the stage (x, y) onto the tree (see the module docstring): lay
-    every class, cut off the built x-, x and glue the rest at x's tag
-    toward y, the one label it lays again."""
+    """Glue the stage (x, y) onto the tree by the slot rule (see the module
+    docstring), at slot 2: x's built tag toward y."""
     p = state.poset
     x, y = stage
     chain = p.between_set(x, y)
@@ -259,24 +219,17 @@ def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
     if inter != [x]:
         raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
                          f"built part {[state.fmt(m) for m in inter]}")
-    tag = (x, side_toward(p, x, y))
-    out = _lay_classes(state, chain.classes, x, y)
-    cut = next(j for j, (_c, labs) in enumerate(out) if tag in labs)
-    prefix = [lab for _c, labs in out[:cut] for lab in labs]
-    if prefix != [(x, -tag[1]), (x, PLAIN)]:
-        raise BuildError(f"unexpected labels before the cut: {[state.format_label(l) for l in prefix]}")
-    slots = out[cut:]
-    if tag not in state.nu:
-        raise BuildError(f"gluing tag {state.format_label(tag)} is not built")
-    idx = len(state.lows)
-    for c, labs in slots:
-        for lab in labs:
-            if lab not in state.nu:
-                state.nu[lab] = (idx, c)
-            elif lab != tag:
-                raise BuildError(f"label laid twice: {state.format_label(lab)}")
-    state.lows.append(slots[0][0])
-    state._glued[idx, slots[0][0]] = state.find(state.nu[tag])
+    seq = stage_labels(p, x, y)
+    coords = [ZERO]  # class ci of m members spans 2m + 1 slots over [ci, ci + 1]
+    for ci, members in enumerate(chain.classes):
+        coords += _slot_coords(ci, 2 * len(members) + 1)[1:]
+    idx, glue = len(state.lows), coords[2]
+    for t, lab in enumerate(seq[3:], 3):
+        if lab in state.nu:
+            raise BuildError(f"label laid twice: {state.format_label(lab)}")
+        state.nu[lab] = (idx, coords[2 * (t // 3) + t % 3])
+    state.lows.append(glue)
+    state._glued[idx, glue] = state.find(state.nu[seq[2]])
     state.built.update(chain.members)
     state.stages_done.append(stage)
     return state

@@ -106,6 +106,22 @@ MUTANTS = [
     ("negative-stages-laid", "treebuild.py",
      "if stages is not None and stages < 0:", "if stages is not None and stages < -1:",
      ["tests/test_treebuild.py::test_each_refusal_of_the_construction_is_pinned"]),
+    # the slot rule: each tag toward y shares its member's plain slot
+    ("slot-tags-onto-plain", "treebuild.py",
+     "coords[2 * (t // 3) + t % 3]", "coords[2 * (t // 3) + (t % 3 > 0)]",
+     ["tests/test_treebuild.py"]),
+    # the slot rule: each class spans one slot too many
+    ("class-slots-one-more", "treebuild.py",
+     "2 * len(members) + 1)", "2 * len(members) + 2)",
+     ["tests/test_treebuild.py"]),
+    # the slot rule: a stage glues at x's plain label, not its tag toward y
+    ("glue-at-plain-slot", "treebuild.py",
+     "idx, glue = len(state.lows), coords[2]", "idx, glue = len(state.lows), coords[1]",
+     ["tests/test_treebuild.py"]),
+    # the slot rule: y's outer tag is its tag toward x, laid again
+    ("y-outer-tag-inward", "treebuild.py",
+     "(y, -side_toward(p, y, x))]", "(y, side_toward(p, y, x))]",
+     ["tests/test_treebuild.py"]),
     # a point node sits at the head of its out-ray and the tail of its in-ray
     ("node-point-ends-swapped", "ordertree.py",
      "return (outs[0], Fraction(0)) if outs else (ins[0], Fraction(1))",

@@ -18,7 +18,8 @@ from treeorder.catalog import (
 )
 from treeorder.corpus import all_extended_posets
 from treeorder.errors import BuildError
-from treeorder.grouporder import verify_cone_axioms
+from treeorder.grouporder import ConeStructure, verify_cone_axioms
+from treeorder.groups import TableGroup
 from treeorder.orbitorder import orbit_poset, roundtrip_orbit
 from treeorder.quotient import SUBGROUPS, get_subgroup
 from treeorder.relations import SIML, SIMU
@@ -113,9 +114,15 @@ def test_roundtrip_suites_are_exact_here():
         assert rep["undetermined_elements"] == []
 
 
-@pytest.mark.parametrize("name", ["z-standard", "z2-lex", "free2-standard", "dihedral-standard"])
+def z3_table_cone():
+    """Z/3 as a multiplication table, every element but the identity in U."""
+    group = TableGroup([0, 1, 2], [[(a + b) % 3 for b in range(3)] for a in range(3)], 0)
+    return ConeStructure("z3-table", group, lambda w: False, lambda w: w != 0, lambda w: False)
+
+
+@pytest.mark.parametrize("name", ["z-standard", "z2-lex", "free2-standard", "dihedral-standard", "z3-table"])
 def test_a_negative_radius_gives_an_empty_ball_in_every_group_model(name):
-    cone = get_cone(name)
+    cone = z3_table_cone() if name == "z3-table" else get_cone(name)
     ball = cone.group.ball(-1)
     assert ball == [] and len(cone.group.inverse_positions(ball, -1)) == 0
     assert verify_cone_axioms(cone, -1).ball_size == 0

@@ -35,6 +35,8 @@ from treeorder.treebuild import (
     doubled_members,
     normalize_decomposition,
     orient_segments,
+    r_equivalent,
+    stage_labels,
     verify_stage_properties,
 )
 
@@ -427,6 +429,28 @@ def test_a_poset_comes_back_from_the_blow_up_of_its_tree(population, size):
     for p in posets:
         q = oracles.tree_roundtrip(p)
         assert (q.elements, q.rows) == (p.elements, p.rows), p.elements
+
+
+@pytest.mark.parametrize("population, size", [
+    (lambda: [p for n in range(2, 5) for p in all_extended_posets(n)], 436),
+    (lambda: tree_corpus(100), 100),
+    (ball_posets, 22),
+], ids=["posets-2-4", "trees-100", "balls-r3"])
+def test_each_stage_lays_three_labels_per_member_that_touch_exactly_across_members(population, size):
+    # the slot rule of build_stage: label t of a stage goes to slot
+    # 2 (t // 3) + t % 3, one slot shared by each member's last label and the
+    # next member's first, which is right exactly when those two touch
+    posets = population()
+    assert len(posets) == size
+    for p in posets:
+        for x in p.elements:
+            for y in p.elements:
+                if x != y:
+                    seq = stage_labels(p, x, y)
+                    assert [u for u, _tag in seq] == [m for m in p.between_members(x, y) for _ in range(3)]
+                    steps = list(zip(seq, seq[1:]))
+                    assert [r_equivalent(p, u, v) for u, v in steps] == [u[0] != v[0] for u, v in steps], (x, y)
+        assert verify_stage_properties(build_tree(p))["ok"], p.elements
 
 
 def table_group(elements, mult):
