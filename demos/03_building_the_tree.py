@@ -25,11 +25,12 @@ def main():
 
     by_node: dict = {}
     arc_marks = []
+    names = layout.tree.names  # the display id of each node and arc
     for lab, pt in layout.label_point.items():
         if pt[0] == "node":
-            by_node.setdefault(pt[1], []).append(state.format_label(lab))
+            by_node.setdefault(names[pt[1]], []).append(state.format_label(lab))
         else:
-            arc_marks.append((str(pt[1]), pt[2], state.format_label(lab)))
+            arc_marks.append((str(names[pt[1]]), pt[2], state.format_label(lab)))
     print()
     print("tree points and the labels that landed on them:")
     for nid in sorted(by_node, key=str):

@@ -10,7 +10,7 @@ exactly the cone order on the ball.
 
 from __future__ import annotations
 
-from treeorder.actions import DIHEDRAL_BASE_POINT, check_action, check_blowup, dihedral_example
+from treeorder.actions import check_action, check_blowup, dihedral_example, line_base_point
 from treeorder.catalog import dihedral_standard
 from treeorder.grouporder import induced_ball_poset
 from treeorder.orbitorder import orbit_poset
@@ -28,7 +28,7 @@ def main():
     print(f"action is orientation preserving where defined: {act['ok']}")
     print()
 
-    orbit = orbit_poset(manifold, action, DIHEDRAL_BASE_POINT, radius)
+    orbit = orbit_poset(manifold, action, line_base_point(manifold), radius)
     fmt = action.group.format
     print(f"orbit of the base point under the radius-{radius} ball:")
     print(f"  realized {len(orbit.realized)}, escaped {len(orbit.escaped)}")

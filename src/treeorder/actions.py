@@ -1,9 +1,10 @@
 """Concrete manifolds and actions, and the checks no tree job runs.
 
-The cold half of ``ordertree`` (the line windows, ``check_blowup``),
-``orbitorder`` (the translation and dihedral actions, ``check_action``,
-``stabilizer_extension_order``, ``realized_bound``) and ``treebuild``
-(``act_on_labels``); the home modules serve the benchmark tracer's targets.
+The cold half of ``ordertree`` (``TreeReader``, the line windows,
+``check_blowup``), ``orbitorder`` (the translation and dihedral actions,
+``check_action``, ``stabilizer_extension_order``, ``realized_bound``) and
+``treebuild`` (``act_on_labels``); the home modules serve the benchmark
+tracer's targets.
 Layers other than ``ordertree`` are imported inside the functions that use
 them, so a blow-up still loads no group layer.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import BuildError, OrbitError, TreeError
 from .ordertree import OrderTree
@@ -22,6 +23,62 @@ if TYPE_CHECKING:
     from .ordertree import OneManifold
     from .poset import ExtendedPoset
     from .treebuild import LabeledTree
+
+
+# -- trees named by display ids ------------------------------------------------
+
+
+class TreeReader:
+    """Builds a ``tree`` from nodes, arcs and adjacencies named by display
+    ids, as a hand-made tree or a tree document names them, refusing a
+    repeated id and one that names nothing; ``node_ids`` and ``arc_ids``
+    map the display ids read so far to node and arc ids."""
+
+    def __init__(self):
+        self.tree = OrderTree()
+        self.node_ids: dict = {}
+        self.arc_ids: dict = {}
+
+    def node(self, name, kind: str = "point") -> int:
+        if name in self.node_ids:
+            raise TreeError(f"duplicate node {name!r}")
+        nid = self.node_ids[name] = self.tree.add_node(name, kind)
+        return nid
+
+    def arc(self, name, tail, head, kind: str = "arc", core: bool = True) -> int:
+        if name in self.arc_ids:
+            raise TreeError(f"duplicate arc {name!r}")
+        for end in (tail, head):
+            if end not in self.node_ids:
+                raise TreeError(f"arc {name!r} references missing node {end!r}")
+        aid = self.arc_ids[name] = self.tree.add_arc(name, self.node_ids[tail], self.node_ids[head], kind, core)
+        return aid
+
+    def adjacency(self, cap, arc, side: str) -> None:
+        if cap not in self.node_ids:
+            raise TreeError(f"adjacency references missing node {cap!r}")
+        if arc not in self.arc_ids:
+            raise TreeError(f"adjacency references missing arc {arc!r}")
+        self.tree.add_adjacency(self.node_ids[cap], self.arc_ids[arc], side)
+
+    def set_boundary(self, names: Iterable) -> None:
+        names = set(names)
+        stray = sorted(names - self.node_ids.keys(), key=repr)
+        if stray:
+            raise TreeError(f"boundary names {stray[0]!r}, which is not a node")
+        self.tree.boundary = {self.node_ids[name] for name in names}
+
+
+def named_tree(nodes: Iterable, arcs: Iterable, boundary: Iterable = ()) -> OrderTree:
+    """Plain tree from node display ids and (arc, tail, head) triples of
+    display ids."""
+    reader = TreeReader()
+    for name in nodes:
+        reader.node(name)
+    for name, tail, head in arcs:
+        reader.arc(name, tail, head)
+    reader.set_boundary(boundary)
+    return reader.tree
 
 
 # -- line windows --------------------------------------------------------------
@@ -35,7 +92,7 @@ def line_window(half_width: int, alternating: bool) -> OrderTree:
         raise TreeError("window too small")
     arcs = [(("s", i), i, i + 1) if i % 2 == 0 or not alternating else (("s", i), i + 1, i)
             for i in range(-half_width, half_width)]
-    return OrderTree.build(range(-half_width, half_width + 1), arcs, (-half_width, half_width))
+    return named_tree(range(-half_width, half_width + 1), arcs, (-half_width, half_width))
 
 
 def alternating_line_tree(half_width: int) -> OrderTree:
@@ -48,23 +105,38 @@ def integer_line(half_width: int) -> OrderTree:
     return line_window(half_width, alternating=False)
 
 
-def line_coordinate(aid: tuple, t: Fraction) -> Fraction:
-    """Real coordinate of a point on a unit arc ("s", i) of the alternating
-    line (alternating_line_tree), whose odd arcs run from i + 1 down to i."""
-    i = aid[1]
+def arcs_by_name(m: OrderTree) -> dict:
+    """Each arc of m by its display id: the actions below move points along
+    the arcs of a line window, which they name."""
+    return {m.names[aid]: aid for aid in m.arcs}
+
+
+def line_coordinate(name: tuple, t: Fraction) -> Fraction:
+    """Real coordinate of a point on the unit arc named ("s", i) of the
+    alternating line (alternating_line_tree), whose odd arcs run from i + 1
+    down to i."""
+    i = name[1]
     return i + t if i % 2 == 0 else (i + 1) - t
 
 
-def line_point(m: OrderTree, c: Fraction, alternating: bool) -> Optional[tuple]:
-    """The arc point at real coordinate c, or None outside the window.
-    Integer coordinates are rejected (they name nodes, not arc interiors)."""
+def line_point(arcs: dict, c: Fraction, alternating: bool) -> Optional[tuple]:
+    """The arc point at real coordinate c, or None outside the window;
+    ``arcs`` is the window's arcs_by_name.  Integer coordinates are rejected
+    (they name nodes, not arc interiors)."""
     j = math.floor(c)
     if c == j:
         return None
-    if ("s", j) not in m.arcs:
+    aid = arcs.get(("s", j))
+    if aid is None:
         return None
     t = c - j if (j % 2 == 0 or not alternating) else (j + 1) - c
-    return ("arc", ("s", j), t)
+    return ("arc", aid, t)
+
+
+def line_base_point(m: OrderTree) -> tuple:
+    """The orbit base point of a line window or its blow-up: coordinate
+    1/4, on the arc ("s", 0)."""
+    return ("arc", arcs_by_name(m)[("s", 0)], Fraction(1, 4))
 
 
 # -- translation actions -------------------------------------------------------
@@ -74,16 +146,15 @@ def shift_action(m: OrderTree, group, shift_of: Callable) -> TreeAction:
     """Translation action on an ascending integer_line manifold."""
     from .orbitorder import TreeAction
 
+    arcs = arcs_by_name(m)
+
     def act(g, p):
-        if p[0] != "arc" or p[1][0] != "s":
-            raise TreeError(f"action undefined at {p!r}")
-        c = p[1][1] + Fraction(p[2]) + shift_of(g)
-        return line_point(m, c, alternating=False)
+        kind, i = m.names[p[1]] if p[0] == "arc" and p[1] in m.arcs else (None, None)
+        if kind != "s":
+            raise TreeError(f"action undefined at {m.named(p)!r}")
+        return line_point(arcs, i + p[2] + shift_of(g), alternating=False)
 
     return TreeAction(group=group, act=act)
-
-
-DIHEDRAL_BASE_POINT = ("arc", ("s", 0), Fraction(1, 4))
 
 
 def dihedral_example(radius: int = 6) -> tuple:
@@ -104,22 +175,18 @@ def dihedral_example(radius: int = 6) -> tuple:
     tree = alternating_line_tree(half_width)
     manifold = denjoy_blowup(tree)
     group = InfiniteDihedral()
+    arcs = arcs_by_name(manifold)
 
     def act(g, p):
         n, eps = g
         sign = 1 if eps == 0 else -1
-        if p[0] != "arc":
-            raise TreeError(f"action undefined at {p!r}")
-        aid, t = p[1], Fraction(p[2])
-        if aid[0] == "s":
-            c = 2 * n + sign * line_coordinate(aid, t)
-            return line_point(manifold, c, alternating=True)
-        if aid[0] == "stub":
-            base = 2 * n + sign * aid[1]
-            if ("stub", base) in manifold.arcs:
-                return ("arc", ("stub", base), t)
-            return None
-        raise TreeError(f"action undefined at {p!r}")
+        name = manifold.names[p[1]] if p[0] == "arc" and p[1] in manifold.arcs else (None, None)
+        if name[0] == "s":
+            return line_point(arcs, 2 * n + sign * line_coordinate(name, p[2]), alternating=True)
+        if name[0] == "stub":
+            image = arcs.get(("stub", 2 * n + sign * name[1]))
+            return None if image is None else ("arc", image, p[2])
+        raise TreeError(f"action undefined at {manifold.named(p)!r}")
 
     return tree, manifold, TreeAction(group=group, act=act)
 
@@ -136,7 +203,7 @@ def check_blowup(m: OneManifold) -> dict:
     ax = m.check_axioms()
     if not ax["ok"]:
         problems.extend(ax["problems"])
-    base = m.base
+    base, names = m.base, m.names
     covered = set()
     for aid, arc in m.arcs.items():
         if not arc.core:
@@ -148,10 +215,10 @@ def check_blowup(m: OneManifold) -> dict:
             covered.add(("node", m.phi_nodes[nid]))
     for nid, kind in base.nodes.items():
         if kind == "point" and ("node", nid) not in covered:
-            problems.append(f"base node {nid!r} has no core preimage")
+            problems.append(f"base node {names[nid]!r} has no core preimage")
     for aid, arc in base.arcs.items():
         if arc.core and ("arc", aid) not in covered:
-            problems.append(f"base arc {aid!r} has no core preimage")
+            problems.append(f"base arc {names[aid]!r} has no core preimage")
     for aid, arc in m.arcs.items():
         kind, target = m.phi_arcs[aid]
         if kind != "base-arc":
@@ -159,7 +226,8 @@ def check_blowup(m: OneManifold) -> dict:
         want = base.arcs[target]
         got = (m.phi_nodes[arc.tail], m.phi_nodes[arc.head])
         if got != (want.tail, want.head):
-            problems.append(f"arc {aid!r} collapses to {got!r}, base has {(want.tail, want.head)!r}")
+            problems.append(f"arc {names[aid]!r} collapses to {(names[got[0]], names[got[1]])!r}, "
+                            f"base has {(names[want.tail], names[want.head])!r}")
     return {"ok": not problems, "problems": problems}
 
 
@@ -176,7 +244,7 @@ def check_action(m: OrderTree, action: TreeAction, radius: int = 2) -> dict:
     problems = []
     for p in pts:
         if action.act(ident, p) != p:
-            problems.append(f"identity moves {p!r}")
+            problems.append(f"identity moves {m.named(p)!r}")
     for g in ball:
         for h in ball:
             for p in pts[:: max(1, len(pts) // 8)]:
@@ -187,7 +255,7 @@ def check_action(m: OrderTree, action: TreeAction, radius: int = 2) -> dict:
                 rhs = action.act(g, inner)
                 if lhs is not None and rhs is not None and lhs != rhs:
                     problems.append(
-                        f"composition differs at {p!r} for "
+                        f"composition differs at {m.named(p)!r} for "
                         f"{group.format(g)}, {group.format(h)}"
                     )
     for aid in m.sorted_arc_ids():
@@ -198,9 +266,9 @@ def check_action(m: OrderTree, action: TreeAction, radius: int = 2) -> dict:
             if q1 is None or q2 is None:
                 continue
             if q1[0] != "arc" or q2[0] != "arc" or q1[1] != q2[1]:
-                problems.append(f"{group.format(g)} tears arc {aid!r}")
+                problems.append(f"{group.format(g)} tears arc {m.names[aid]!r}")
             elif not q1[2] < q2[2]:
-                problems.append(f"{group.format(g)} reverses arc {aid!r}")
+                problems.append(f"{group.format(g)} reverses arc {m.names[aid]!r}")
     return {"ok": not problems, "problems": problems, "points": len(pts)}
 
 

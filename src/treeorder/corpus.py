@@ -158,14 +158,14 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
         raise PosetError(f"max_points must be at least 2, got {max_points}")
     n_nodes = rng.randint(2, 9)
     tree = OrderTree()
-    tree.add_node(0)
+    nodes = [tree.add_node(0)]
     for v in range(1, n_nodes):
-        tree.add_node(v)
-        parent = rng.randrange(v)
+        nodes.append(tree.add_node(v))
+        parent = nodes[rng.randrange(v)]
         if rng.random() < 0.5:
-            tree.add_arc(("e", v), parent, v)
+            tree.add_arc(("e", v), parent, nodes[v])
         else:
-            tree.add_arc(("e", v), v, parent)
+            tree.add_arc(("e", v), nodes[v], parent)
     arcs = tree.sorted_arc_ids()
     # each arc has 15 free positions t/16, so more points cannot be placed
     k = min(rng.randint(2, max_points), 15 * len(arcs))
@@ -173,11 +173,11 @@ def random_tree_poset(rng: random.Random, max_points: int = 12) -> ExtendedPoset
     points = []
     while len(points) < k:
         aid = arcs[rng.randrange(len(arcs))]
-        t = Fraction(rng.randint(1, 15), 16)
-        if (aid, t) in seen:
+        sixteenths = rng.randint(1, 15)
+        if (aid, sixteenths) in seen:
             continue
-        seen.add((aid, t))
-        points.append(("arc", aid, t))
+        seen.add((aid, sixteenths))
+        points.append(("arc", aid, Fraction(sixteenths, 16)))
     poset = manifold_poset(tree, dict(enumerate(points)))
     poset.points = points
     return poset

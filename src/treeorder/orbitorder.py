@@ -99,11 +99,14 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
     Every plain label g owns an interior point of the layout; translation by
     h sends that point to the point of h*g, or escapes when h*g was never
     built.  Returns (action, base_point): the base point is the identity's.
+    A point is looked up by its arc and its parameter's numerator and
+    denominator, all ints.
     """
     group = state.group
     if group is None:
         raise BuildError("the build carries no group")
     points: dict = {}
+    inverse: dict = {}
     for lab, pt in layout.label_point.items():
         if lab[1] != PLAIN:
             continue
@@ -111,12 +114,12 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
             raise BuildError(f"plain label {lab!r} landed on a junction")
         manifold.require_point(pt)
         points[lab[0]] = pt
-    inverse = {pt: g for g, pt in points.items()}
+        inverse[pt[1], pt[2].numerator, pt[2].denominator] = lab[0]
 
     def act(h, p):
-        g = inverse.get(p)
+        g = inverse.get((p[1], p[2].numerator, p[2].denominator)) if p[0] == "arc" else None
         if g is None:
-            raise TreeError(f"action undefined at {p!r}")
+            raise TreeError(f"action undefined at {manifold.named(p)!r}")
         return points.get(group.mult(h, g))
 
     ident = group.identity

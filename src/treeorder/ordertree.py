@@ -23,7 +23,16 @@ in the missing direction, and what still branches splits into one endpoint per
 ray, all but the distinguished ray, whose end stays open.  Every ray moves by
 one rule: a point's own arc end moves to the new node, and an adjacency moves
 onto it.  The collapse map back to the base tree is kept on the result.  The
-points are visited in insertion order; new ids are built from base ids.
+points are visited in insertion order.
+
+Every node and arc is a small int, interned by ``add_node`` and
+``add_arc`` (for the layout's junctions, and the blow-up's caps, open ends,
+rays and stretched points; the blow-up keeps the base's ids), and every
+table and point is keyed by them.  Display ids (a base id, or a tuple such
+as ``("cap", arc, node)`` of them) sit in one table, ``names``, read to
+print, emit or sort ids for printing, and by ``sorted_arc_ids``, whose repr
+order sets each node's ray order and so the distinguished ray.  Trees named
+by display ids are read by ``actions.TreeReader``.
 
 Nodes marked as window boundary are truncation artifacts of an infinite
 object; they must be leaves, and the blow-up leaves them alone.
@@ -42,13 +51,13 @@ them.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import combinations, groupby
 from typing import Callable, Iterable, Optional
 
 from . import lazy_names
 from .errors import PosetError, TreeError
 from .poset import ExtendedPoset, _bits
-from .relations import EQ, GT, LT, SIML, SIMU
+from .relations import EQ, GT, LT, SIML, SIMU, SWAP
 
 
 class TreeIndex:
@@ -87,20 +96,24 @@ class TreeIndex:
 
 
 class ArcRec:
-    """A directed arc; the blow-up moves its ends."""
+    """A directed arc between two nodes; the blow-up moves its ends.  ``key``
+    is the repr of the arc's display id, which orders the rays at a node."""
 
-    __slots__ = ("tail", "head", "kind", "core")
+    __slots__ = ("tail", "head", "kind", "core", "key")
 
-    def __init__(self, tail, head, kind: str = "arc", core: bool = True):
-        self.tail, self.head, self.kind, self.core = tail, head, kind, core
+    def __init__(self, tail: int, head: int, kind: str, core: bool, key: str):
+        self.tail, self.head, self.kind, self.core, self.key = tail, head, kind, core, key
 
 
 class OrderTree:
-    """``nodes`` maps each node to its kind (point, open or openray),
-    ``arcs`` each arc to its ArcRec, and ``adjacencies`` holds each
-    (cap, arc, side) once, in insertion order."""
+    """Nodes and arcs are small ints, numbered together in the order they
+    are added; ``names`` holds the display id of each.  ``nodes`` maps each
+    node to its kind (point, open or openray), ``arcs`` each arc to its
+    ArcRec, and ``adjacencies`` holds each (cap, arc, side) once, in
+    insertion order."""
 
     def __init__(self) -> None:
+        self.names: list = []
         self.nodes: dict = {}
         self.arcs: dict = {}
         self.adjacencies: dict = {}
@@ -108,28 +121,33 @@ class OrderTree:
 
     # -- construction ------------------------------------------------
 
-    def add_node(self, nid, kind: str = "point") -> None:
-        if nid in self.nodes:
-            raise TreeError(f"duplicate node {nid!r}")
+    def add_node(self, name, kind: str = "point") -> int:
+        """A new node displayed as ``name``; returns its id."""
         if kind not in ("point", "open", "openray"):
             raise TreeError(f"bad node kind {kind!r}")
+        nid = len(self.names)
+        self.names.append(name)
         self.nodes[nid] = kind
+        return nid
 
-    def add_arc(self, aid, tail, head, kind: str = "arc", core: bool = True) -> None:
-        if aid in self.arcs:
-            raise TreeError(f"duplicate arc {aid!r}")
+    def add_arc(self, name, tail: int, head: int, kind: str = "arc", core: bool = True) -> int:
+        """A new arc displayed as ``name`` from node tail to node head;
+        returns its id."""
         if tail == head:
-            raise TreeError(f"arc {aid!r} is degenerate")
+            raise TreeError(f"arc {name!r} is degenerate")
         if kind not in ("arc", "blowup", "stub"):
             raise TreeError(f"bad arc kind {kind!r}")
         if not isinstance(core, bool):
-            raise TreeError(f"arc {aid!r} has a non-boolean core {core!r}")
+            raise TreeError(f"arc {name!r} has a non-boolean core {core!r}")
         for end in (tail, head):
             if end not in self.nodes:
-                raise TreeError(f"arc {aid!r} references missing node {end!r}")
-        self.arcs[aid] = ArcRec(tail, head, kind, core)
+                raise TreeError(f"arc {name!r} references missing node {end!r}")
+        aid = len(self.names)
+        self.names.append(name)
+        self.arcs[aid] = ArcRec(tail, head, kind, core, repr(name))
+        return aid
 
-    def add_adjacency(self, cap, arc, side: str) -> None:
+    def add_adjacency(self, cap: int, arc: int, side: str) -> None:
         if side not in ("tail", "head"):
             raise TreeError(f"bad adjacency side {side!r}")
         if cap not in self.nodes:
@@ -137,19 +155,8 @@ class OrderTree:
         if arc not in self.arcs:
             raise TreeError(f"adjacency references missing arc {arc!r}")
         if (cap, arc, side) in self.adjacencies:
-            raise TreeError(f"duplicate adjacency {(cap, arc, side)!r}")
+            raise TreeError(f"duplicate adjacency {(self.names[cap], self.names[arc], side)!r}")
         self.adjacencies[cap, arc, side] = None
-
-    @classmethod
-    def build(cls, nodes: Iterable, arcs: Iterable, boundary: Iterable = ()) -> "OrderTree":
-        """Plain tree from node ids and (arc_id, tail, head) triples."""
-        t = cls()
-        for nid in nodes:
-            t.add_node(nid)
-        for aid, tail, head in arcs:
-            t.add_arc(aid, tail, head)
-        t.boundary = set(boundary)
-        return t
 
     # -- points -------------------------------------------------------
 
@@ -164,7 +171,13 @@ class OrderTree:
 
     def require_point(self, p) -> None:
         if not self.is_point(p):
-            raise TreeError(f"not a point of this tree: {p!r}")
+            raise TreeError(f"not a point of this tree: {self.named(p)!r}")
+
+    def named(self, p):
+        """A point with its node or arc given by display id, for messages."""
+        if isinstance(p, tuple) and len(p) > 1 and isinstance(p[1], int) and 0 <= p[1] < len(self.names):
+            return (p[0], self.names[p[1]], *p[2:])
+        return p
 
     # -- rays ---------------------------------------------------------
 
@@ -188,21 +201,25 @@ class OrderTree:
                    for nid, (ins, outs) in rays.items() if self.nodes[nid] == "point")
 
     def sorted_arc_ids(self) -> list:
-        return sorted(self.arcs, key=repr)
+        """The arcs in the repr order of their display ids."""
+        arcs = self.arcs
+        return sorted(arcs, key=lambda aid: arcs[aid].key)
 
     # -- identified graph ----------------------------------------------
 
-    def _end_token(self, aid, side: str):
+    def _end_token(self, aid: int, side: str) -> int:
         nid = getattr(self.arcs[aid], side)
-        return ("n", nid) if self.nodes[nid] == "point" else ("end", aid, side)
+        return nid if self.nodes[nid] == "point" else _open_end(aid, side)
 
     def identified_graph(self) -> tuple:
         """Arc-end tokens joined by the arcs, then one edge from each doubled
-        endpoint to the open arc end it touches: (tokens, edges).  The arcs
-        come first, each edge labelled by its arc; the others by None.  The
-        tokens are listed in the order the edges reach them."""
+        endpoint to the open arc end it touches: (tokens, edges).  A point
+        node is its own token; an open arc end has one of its own
+        (_open_end).  The arcs come first, each edge labelled by its arc;
+        the others by None.  The tokens are listed in the order the edges
+        reach them."""
         edges = [(self._end_token(aid, "tail"), self._end_token(aid, "head"), aid) for aid in self.arcs]
-        edges += [(("n", cap), ("end", aid, side), None) for cap, aid, side in self.adjacencies]
+        edges += [(cap, _open_end(aid, side), None) for cap, aid, side in self.adjacencies]
         return list(dict.fromkeys(t for u, v, _aid in edges for t in (u, v))), edges
 
     def check_axioms(self) -> dict:
@@ -214,6 +231,7 @@ class OrderTree:
         is exactly the statement that no cyclic word of segments cancels.
         """
         problems = []
+        names = self.names
         rays = dict.fromkeys(self.nodes, 0)
         open_use: dict = {}
         for aid, arc in self.arcs.items():
@@ -225,19 +243,19 @@ class OrderTree:
         for cap, aid, side in self.adjacencies:
             rays[cap] += 1
             if self.nodes[cap] != "point":
-                problems.append(f"adjacency source {cap!r} is not a point")
+                problems.append(f"adjacency source {names[cap]!r} is not a point")
             elif self.nodes[getattr(self.arcs[aid], side)] == "point":
-                problems.append(f"adjacency target {(aid, side)!r} is not an open end")
+                problems.append(f"adjacency target {(names[aid], side)!r} is not an open end")
         for nid, uses in open_use.items():
             if len(uses) != 1:
-                problems.append(f"open end {nid!r} shared by {len(uses)} arc ends")
+                problems.append(f"open end {names[nid]!r} shared by {len(uses)} arc ends")
         for nid, kind in self.nodes.items():
             if kind != "point" and nid not in open_use:
-                problems.append(f"open node {nid!r} attached to no arc")
+                problems.append(f"open node {names[nid]!r} attached to no arc")
             if kind == "point" and self.arcs and not rays[nid]:
-                problems.append(f"point node {nid!r} is isolated")
+                problems.append(f"point node {names[nid]!r} is isolated")
             if nid in self.boundary and rays[nid] > 1:
-                problems.append(f"boundary node {nid!r} is not a leaf")
+                problems.append(f"boundary node {names[nid]!r} is not a leaf")
         if self.arcs:
             tokens, edges = self.identified_graph()
             index = TreeIndex(tokens, [(u, v) for u, v, _aid in edges])
@@ -248,17 +266,29 @@ class OrderTree:
         return {"ok": not problems, "problems": problems, "nodes": len(self.nodes), "arcs": len(self.arcs)}
 
 
+def _open_end(aid: int, side: str) -> int:
+    """The token of an arc's end in the identified graph when the end is no
+    point: a negative int, apart from every node and from every other end."""
+    return ~(2 * aid + (side == "head"))
+
+
 # -- blow-up ------------------------------------------------------------
 
 
 class OneManifold(OrderTree):
-    """A branchless blown-up tree remembering the collapse map to its base."""
+    """A branchless blown-up tree remembering the collapse map to its base.
+    It starts as a copy of the base under the base's ids."""
 
     def __init__(self, base: OrderTree):
         super().__init__()
         self.base = base
-        self.phi_nodes: dict = {}
-        self.phi_arcs: dict = {}
+        self.names = list(base.names)
+        self.nodes = dict(base.nodes)
+        self.arcs = {aid: ArcRec(a.tail, a.head, a.kind, a.core, a.key) for aid, a in base.arcs.items()}
+        self.adjacencies = dict(base.adjacencies)
+        self.boundary = set(base.boundary)
+        self.phi_nodes: dict = {nid: nid for nid in base.nodes}
+        self.phi_arcs: dict = {aid: ("base-arc", aid) for aid in base.arcs}
 
 
 def denjoy_blowup(tree: OrderTree) -> OneManifold:
@@ -266,15 +296,7 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
     if not check["ok"]:
         raise TreeError("blow-up needs a well-formed tree: " + "; ".join(check["problems"]))
     m = OneManifold(tree)
-    for nid, kind in tree.nodes.items():
-        m.add_node(nid, kind)
-        m.phi_nodes[nid] = nid
-    for aid, arc in tree.arcs.items():
-        m.add_arc(aid, arc.tail, arc.head, arc.kind, arc.core)
-        m.phi_arcs[aid] = ("base-arc", aid)
-    m.boundary = set(tree.boundary)
-    for cap, aid, side in tree.adjacencies:
-        m.add_adjacency(cap, aid, side)
+    names = m.names
 
     def move(aid, side: str, p, q) -> None:
         # the ray ends at the arc's side end: p's own arc end moves to q, and
@@ -295,26 +317,22 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
         base_target = m.phi_nodes.pop(nid)
         del m.nodes[nid]
         for aid in rays:
-            cap = ("cap", aid, nid)
-            m.add_node(cap)
+            cap = m.add_node(("cap", names[aid], names[nid]))
             m.phi_nodes[cap] = base_target
             move(aid, side, nid, cap)
             m.add_adjacency(cap, dist, dist_side)
         if getattr(m.arcs[dist], dist_side) != nid:
             del m.adjacencies[nid, dist, dist_side]  # the open end is there already
             return
-        opennode = ("openend", nid)
-        m.add_node(opennode, "open")
+        opennode = m.add_node(("openend", names[nid]), "open")
         m.phi_nodes[opennode] = base_target
         setattr(m.arcs[dist], dist_side, opennode)
 
     def settle(nid, ins: list, outs: list) -> None:
         # grow a ray in the missing direction at a sink or source, then split
         if bool(ins) != bool(outs):
-            far = ("raytop" if ins else "raybottom", nid)
-            m.add_node(far, "openray")
-            aid = ("stub", nid)
-            m.add_arc(aid, *((nid, far) if ins else (far, nid)), kind="stub", core=False)
+            far = m.add_node(("raytop" if ins else "raybottom", names[nid]), "openray")
+            aid = m.add_arc(("stub", names[nid]), *((nid, far) if ins else (far, nid)), kind="stub", core=False)
             m.phi_arcs[aid] = ("base-node", m.phi_nodes[nid])
             m.phi_nodes[far] = m.phi_nodes[nid]
             ins, outs = (ins, [aid]) if ins else ([aid], outs)
@@ -332,15 +350,14 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
             settle(nid, ins, outs)
             continue
         # stretch a two-sided branch point into an interval
-        n_in, n_out, blow = ("blowin", nid), ("blowout", nid), ("blow", nid)
+        n_in, n_out = (m.add_node((end, names[nid])) for end in ("blowin", "blowout"))
         for end in (n_in, n_out):
-            m.add_node(end)
             m.phi_nodes[end] = nid
         for aid in ins:
             move(aid, "head", nid, n_in)
         for aid in outs:
             move(aid, "tail", nid, n_out)
-        m.add_arc(blow, n_in, n_out, kind="blowup", core=True)
+        blow = m.add_arc(("blow", names[nid]), n_in, n_out, kind="blowup", core=True)
         m.phi_arcs[blow] = ("base-node", nid)
         del m.nodes[nid], m.phi_nodes[nid]
         settle(n_in, ins, [blow])
@@ -354,18 +371,18 @@ def denjoy_blowup(tree: OrderTree) -> OneManifold:
 # -- the order on a branchless manifold --------------------------------------
 
 
-def _arc_position(rays: Optional[dict], p: tuple) -> tuple:
-    """Reduce a point to (arc, parameter); parameters 0 and 1 stand for the
-    tail and head node of the arc.  Branching nodes have no forward side.
-    ``rays`` is the tree's ``node_incidences()``, read only for a node
+def _arc_position(m: OrderTree, rays: Optional[dict], p: tuple) -> tuple:
+    """Reduce a point of m to (arc, parameter); parameters 0 and 1 stand for
+    the tail and head node of the arc.  Branching nodes have no forward
+    side.  ``rays`` is m's ``node_incidences()``, read only for a node
     point, so a caller reads it once for all its points and only when one
     is a node."""
     if p[0] == "arc":
-        return p[1], Fraction(p[2])
+        return p[1], p[2]
     ins, outs = rays[p[1]]
     if len(ins) <= 1 and len(outs) <= 1 and (ins or outs):
-        return (outs[0], Fraction(0)) if outs else (ins[0], Fraction(1))
-    raise TreeError(f"order undefined at a branching point: {p!r}")
+        return (outs[0], 0) if outs else (ins[0], 1)
+    raise TreeError(f"order undefined at a branching point: {m.named(p)!r}")
 
 
 def manifold_graph(m: OrderTree) -> tuple:
@@ -414,8 +431,8 @@ def manifold_order(m: OrderTree, x: tuple, y: tuple, graph: Optional[tuple] = No
     if x == y:
         return EQ
     rays = m.node_incidences() if x[0] == "node" or y[0] == "node" else None
-    xa, xt = _arc_position(rays, x)
-    ya, yt = _arc_position(rays, y)
+    xa, xt = _arc_position(m, rays, x)
+    ya, yt = _arc_position(m, rays, y)
     if xa == ya:
         if xt == yt:
             return EQ
@@ -442,14 +459,12 @@ def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = 
     spans: list = []     # small int -> _arc_span
     on_arc: list = []    # small int -> mask of the elements on the arc
     placed: list = []    # element -> (small int, parameter)
-    first: dict = {}     # (small int, parameter) -> the first element there
-    shared: dict = {}    # first element -> mask of the elements at its point
     rays = None          # node_incidences(), on the first node point
     for k, p in enumerate(points.values()):
         m.require_point(p)
         if rays is None and p[0] == "node":
             rays = m.node_incidences()
-        aid, t = _arc_position(rays, p)
+        aid, t = _arc_position(m, rays, p)
         a = arc_of.get(aid)
         if a is None:
             a = arc_of[aid] = len(spans)
@@ -457,30 +472,33 @@ def manifold_poset(m: OrderTree, points: dict, same_point: Optional[Callable] = 
             on_arc.append(0)
         on_arc[a] |= 1 << k
         placed.append((a, t))
-        i = first.setdefault((a, t), k)
-        if i != k:
-            shared[i] = shared.get(i, 1 << i) | 1 << k
-    if shared and same_point is None:
-        i = min(shared)  # the first pair in row-major order
-        j = next(_bits(shared[i] & ~(1 << i)))
-        raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
-    across = []  # small int -> the elements on other arcs, by relation
-    for a, span in enumerate(spans):
-        rows = {LT: 0, GT: 0, SIMU: 0, SIML: 0}
-        for b, other in enumerate(spans):
-            if b != a:
-                rows[_arc_order(span, other)] |= on_arc[b]
-        across.append(rows)
-    ahead = [0] * len(placed)  # the elements further along the same arc
+    # each arc's elements from its head end back, a point at a time: the
+    # elements further along are ahead, and those at one point share it
+    ahead = [0] * len(placed)
+    shared = []  # the masks of the elements at a point that holds two or more
     for mask in on_arc:
         later = 0
-        for k in sorted(_bits(mask), key=lambda k: placed[k][1], reverse=True):
-            ahead[k] = later
-            later |= 1 << k
+        for _t, run in groupby(sorted(_bits(mask), key=lambda k: placed[k][1], reverse=True),
+                               key=lambda k: placed[k][1]):
+            here = 0
+            for k in run:
+                ahead[k] = later
+                here |= 1 << k
+            if here & here - 1:
+                shared.append(here)
+            later |= here
+    if shared and same_point is None:
+        first = _bits(min(shared, key=lambda mask: mask & -mask))  # the first pair in row-major order
+        i, j = next(first), next(first)
+        raise PosetError(f"pair ({elements[i]!r}, {elements[j]!r}) has no admissible relation")
+    across = [{LT: 0, GT: 0, SIMU: 0, SIML: 0} for _ in spans]  # small int -> the elements on other arcs, by relation
+    for a, b in combinations(range(len(spans)), 2):  # b relates to a by the swapped code
+        rel = _arc_order(spans[a], spans[b])
+        across[a][rel] |= on_arc[b]
+        across[b][SWAP[rel]] |= on_arc[a]
     above = [0] * len(placed)  # the elements at the same point that lie above
-    for mask in shared.values():
+    for mask in shared:
         for k in _bits(mask):
-            ahead[k] &= ~mask
             above[k] = sum(1 << j for j in _bits(mask) if j != k and same_point(elements[k], elements[j]))
     up, down, simu, siml = [], [], [], []
     for k, (a, _t) in enumerate(placed):

@@ -331,66 +331,86 @@ def _read_tree(body) -> OrderTree:
     _require_fields(body, "tree body", {"nodes", "arcs"}, {"boundary", "adjacencies"})
     if not all(isinstance(body.get(key, []), list) for key in ("nodes", "arcs", "boundary", "adjacencies")):
         raise SpecError("tree body needs node, arc, boundary, and adjacency arrays")
-    from .ordertree import OrderTree
+    from .actions import TreeReader
 
-    t = OrderTree()
+    reader = TreeReader()
     try:
         for i, entry in enumerate(body["nodes"]):
             if isinstance(entry, dict):
                 _require_fields(entry, f"nodes[{i}]", {"id"}, {"kind", "labels"})
-                t.add_node(_freeze(entry["id"]), kind=entry.get("kind", "point"))
+                reader.node(_freeze(entry["id"]), kind=entry.get("kind", "point"))
             else:
-                t.add_node(_freeze(entry))
+                reader.node(_freeze(entry))
         for i, entry in enumerate(body["arcs"]):
             if isinstance(entry, dict):
                 _require_fields(entry, f"arcs[{i}]", {"id", "tail", "head"}, {"kind", "core", "labels"})
                 ids = (_freeze(entry[key]) for key in ("id", "tail", "head"))
-                t.add_arc(*ids, kind=entry.get("kind", "arc"), core=entry.get("core", True))
+                reader.arc(*ids, kind=entry.get("kind", "arc"), core=entry.get("core", True))
             elif isinstance(entry, list) and len(entry) == 3:
-                t.add_arc(*map(_freeze, entry))
+                reader.arc(*map(_freeze, entry))
             else:
                 raise SpecError(f"arcs[{i}] must be [id, tail, head] or an object")
         for i, entry in enumerate(body.get("adjacencies", [])):
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise SpecError(f"adjacencies[{i}] must be [cap, arc, side]")
-            t.add_adjacency(*map(_freeze, entry))
+            reader.adjacency(*map(_freeze, entry))
     except TreeError as err:
         raise SpecError(f"tree body: {err}") from None
-    t.boundary = {_freeze(n) for n in body.get("boundary", [])}
-    stray = sorted(t.boundary - t.nodes.keys(), key=repr)
-    if stray:
-        raise SpecError(f"boundary names {stray[0]!r}, which is not a node")
-    return t
+    try:
+        reader.set_boundary(map(_freeze, body.get("boundary", [])))
+    except TreeError as err:
+        raise SpecError(str(err)) from None
+    return reader.tree
 
 
 def tree_from_document(doc: SpecDocument) -> OrderTree:
     return _built(doc, "tree")
 
 
+def _display_order(tree: OrderTree) -> tuple:
+    """The nodes and the arcs in the repr order of their display ids, each
+    displayed apart: a document or a drawing names them by display id, and a
+    blow-up can derive an id a base node already has."""
+    names = tree.names
+    nodes = sorted(tree.nodes, key=lambda nid: repr(names[nid]))
+    arcs = tree.sorted_arc_ids()
+    for kind, ids in (("node", nodes), ("arc", arcs)):
+        for a, b in zip(ids, ids[1:]):
+            if names[a] == names[b]:
+                raise TreeError(f"duplicate {kind} {names[a]!r}")
+    return nodes, arcs
+
+
 def tree_to_document(tree: OrderTree, node_labels: Optional[dict] = None,
                      arc_labels: Optional[dict] = None) -> dict:
+    """The tree's document under its display ids; ``node_labels`` and
+    ``arc_labels`` are keyed by node and arc id."""
+    names = tree.names
+    node_order, arc_order = _display_order(tree)
     nodes = []
-    for nid in sorted(tree.nodes, key=repr):
-        rec = {"id": jsonable(nid), "kind": tree.nodes[nid]}
+    for nid in node_order:
+        rec = {"id": jsonable(names[nid]), "kind": tree.nodes[nid]}
         if node_labels and nid in node_labels:
             rec["labels"] = sorted(node_labels[nid])
         nodes.append(rec)
     arcs = []
-    for aid in tree.sorted_arc_ids():
+    for aid in arc_order:
         arc = tree.arcs[aid]
         rec = {
-            "id": jsonable(aid),
-            "tail": jsonable(arc.tail),
-            "head": jsonable(arc.head),
+            "id": jsonable(names[aid]),
+            "tail": jsonable(names[arc.tail]),
+            "head": jsonable(names[arc.head]),
             "kind": arc.kind,
             "core": arc.core,
         }
         if arc_labels and aid in arc_labels:
             rec["labels"] = [[name, str(t)] for name, t in arc_labels[aid]]
         arcs.append(rec)
-    body = {"nodes": nodes, "arcs": arcs, "boundary": [jsonable(n) for n in sorted(tree.boundary, key=repr)]}
+    boundary = sorted((names[n] for n in tree.boundary), key=repr)
+    body = {"nodes": nodes, "arcs": arcs, "boundary": [jsonable(n) for n in boundary]}
     if tree.adjacencies:
-        body["adjacencies"] = [jsonable(a) for a in sorted(tree.adjacencies, key=repr)]
+        adjacencies = sorted(((names[cap], names[aid], side) for cap, aid, side in tree.adjacencies), key=repr)
+        body["adjacencies"] = [jsonable(a) for a in adjacencies]
     return {"version": SPEC_VERSION, "kind": "tree", "body": body}
 
 
@@ -402,26 +422,28 @@ def _dot_quote(*lines: str) -> str:
 def tree_to_dot(tree: OrderTree, node_labels: Optional[dict] = None,
                 arc_labels: Optional[dict] = None) -> str:
     """Render: arcs as directed edges, ray pieces dashed, labels attached."""
+    names = tree.names
+    node_order, arc_order = _display_order(tree)
     shapes = {"point": "ellipse", "open": "circle", "openray": "diamond"}
     lines = ["digraph ordertree {", "  rankdir=LR;"]
-    for nid in sorted(tree.nodes, key=repr):
-        name = _dot_quote(str(nid))
-        text = [str(nid)]
+    for nid in node_order:
+        name = _dot_quote(str(names[nid]))
+        text = [str(names[nid])]
         if node_labels and nid in node_labels:
             text.append(",".join(sorted(node_labels[nid])))
         attrs = [f"label={_dot_quote(*text)}", f"shape={shapes.get(tree.nodes[nid], 'box')}"]
         if nid in tree.boundary:
             attrs.append("style=bold")
         lines.append(f"  {name} [{', '.join(attrs)}];")
-    for aid in tree.sorted_arc_ids():
+    for aid in arc_order:
         arc = tree.arcs[aid]
-        attrs = [f"label={_dot_quote(str(aid))}"]
+        attrs = [f"label={_dot_quote(str(names[aid]))}"]
         if not arc.core:
             attrs.append("style=dashed")
         if arc_labels and aid in arc_labels:
             marks = ",".join(f"{name}@{t}" for name, t in arc_labels[aid])
-            attrs = [f"label={_dot_quote(str(aid) + ' ' + marks)}"] + attrs[1:]
-        lines.append(f"  {_dot_quote(str(arc.tail))} -> {_dot_quote(str(arc.head))} [{', '.join(attrs)}];")
+            attrs = [f"label={_dot_quote(str(names[aid]) + ' ' + marks)}"] + attrs[1:]
+        lines.append(f"  {_dot_quote(str(names[arc.tail]))} -> {_dot_quote(str(names[arc.head]))} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -52,21 +52,19 @@ def get_tree(name: str, radius: int = 6):
 
 
 def _dihedral_scenario(radius: int) -> tuple:
-    from .actions import DIHEDRAL_BASE_POINT, dihedral_example
+    from .actions import dihedral_example, line_base_point
 
     _, manifold, action = dihedral_example(radius)
-    return manifold, action, DIHEDRAL_BASE_POINT
+    return manifold, action, line_base_point(manifold)
 
 
 def _line_scenario(radius: int) -> tuple:
-    from fractions import Fraction
-
-    from .actions import integer_line, shift_action
+    from .actions import integer_line, line_base_point, shift_action
     from .groups import Z
 
     line = integer_line(radius + 1)
     action = shift_action(line, Z(), lambda n: n)
-    return line, action, ("arc", ("s", 0), Fraction(1, 4))
+    return line, action, line_base_point(line)
 
 
 ACTION_SCENARIOS: dict = {

@@ -20,7 +20,10 @@ fractions), so the structural checks are equalities, not approximations:
 the glued intervals form a tree, complement gaps are bounded by an element
 and its own tag, paths between built elements read out their between sets in
 travel order, and two labels share a point exactly when nothing lies between
-them.  Neither the build nor the checks build the doubled order (``gplus``
+them.  The layout and the checks read the intervals cut at their label
+coordinates, each resolved point numbered in point order (_point_rows), and
+the layout interns each junction as a tree node under the point it is, so
+neither hashes a coordinate.  Neither the build nor the checks build the doubled order (``gplus``
 does): the element doubling g -> (g-, g, g+) below reads its between sets,
 relation codes and touching pairs off the base order.  ``act_on_labels``
 lives in ``actions``; ``__getattr__`` serves it for the benchmark tracer.
@@ -29,9 +32,11 @@ lives in ``actions``; ``__getattr__`` serves it for the benchmark tracer.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import lazy_names
@@ -86,15 +91,15 @@ def _plus_faces(p: ExtendedPoset, i: int) -> int:
     return p._up[i] | p._simu[i]
 
 
-def doubled_members(p: ExtendedPoset, a, b) -> list:
+def doubled_members(p: ExtendedPoset, members: tuple) -> list:
     """B(a, b) of two plain labels in blow_up_gplus(p), in travel order,
-    read off the base B(a, b): a and its tag toward b; each inner x's tag
-    toward a, x, and its tag toward b; b's tag toward a and b.  The doubling
-    copies every base relation to all nine tag pairs, so the inner elements
-    keep their travel order and bring all three labels, while of a's labels
-    only the tag facing b lies between.  Where the base travel order is not
-    total, the base order's ``PosetError`` stands; no doubled order is built."""
-    inner = p.between_members(a, b)[1:-1]
+    read off the base B(a, b), whose ``members`` (p.between_members(a, b))
+    the caller reads: a and its tag toward b; each inner x's tag toward a,
+    x, and its tag toward b; b's tag toward a and b.  The doubling copies
+    every base relation to all nine tag pairs, so the inner elements keep
+    their travel order and bring all three labels, while of a's labels only
+    the tag facing b lies between.  No doubled order is built."""
+    a, *inner, b = members
     i, j = p.index(a), p.index(b)
     out = [(a, PLAIN), (a, side_toward(p, a, b))]
     for x in inner:
@@ -153,8 +158,8 @@ class LabeledTree:
     """A growing union of glued intervals with exact label positions.
 
     Points are pairs (interval, coordinate).  Every stage glues the low end
-    of its new interval onto one older point, and ``_glued`` maps that end
-    straight to where the older point resolves, so ``find`` is one lookup.
+    of its new interval onto one older point, and ``_glued`` holds, per
+    interval, where that older point resolves, so ``find`` is one lookup.
     ``lows`` holds each interval's low end, and ``nu`` maps each doubled
     label to the raw point where its stage laid it.
     """
@@ -167,12 +172,14 @@ class LabeledTree:
         self.nu: dict = {}
         self.built: set = set()
         self.stages_done: list = []
-        self._glued: dict = {}
+        self._glued: list = []  # interval -> the older point its low end resolves to; None for the base's
 
     # -- point identity ------------------------------------------------
 
     def find(self, pt: tuple) -> tuple:
-        return self._glued.get(pt, pt)
+        i, c = pt
+        root = self._glued[i]
+        return root if root is not None and c == self.lows[i] else pt
 
     def label_key(self, label: tuple) -> tuple:
         return (self.poset.index(label[0]), label[1])
@@ -184,16 +191,18 @@ class LabeledTree:
 # -- stage layout ----------------------------------------------------------
 
 
-def stage_labels(p: ExtendedPoset, x, y) -> list:
-    """The labels the stage (x, y) lays, in travel order: the doubled
-    B(x, y) (doubled_members) between x's and y's tags facing outward."""
-    return [(x, -side_toward(p, x, y)), *doubled_members(p, x, y), (y, -side_toward(p, y, x))]
+def stage_labels(p: ExtendedPoset, members: tuple) -> list:
+    """The labels the stage (x, y) lays, in travel order, from the members
+    of B(x, y): the doubled B(x, y) (doubled_members) between x's and y's
+    tags facing outward."""
+    x, y = members[0], members[-1]
+    return [(x, -side_toward(p, x, y)), *doubled_members(p, members), (y, -side_toward(p, y, x))]
 
 
 def _slot_coords(unit: int, nslots: int) -> list:
     """Deterministic positions on [unit, unit + 1]: endpoints for the
     extremal slots, then successive midpoints toward the upper end."""
-    inner = [unit + 1 - Fraction(1, 2**j) for j in range(1, nslots - 1)]
+    inner = [Fraction((unit + 1) * 2**j - 1, 2**j) for j in range(1, nslots - 1)]
     return [Fraction(unit), *inner, Fraction(unit + 1)]
 
 
@@ -203,6 +212,7 @@ def _lay_base(state: LabeledTree, x1) -> None:
     except (KeyError, PosetError):
         raise BuildError(f"base element {x1!r} leaves the poset") from None
     state.lows.append(ZERO)
+    state._glued.append(None)
     state.nu[x1, MINUS] = (0, ZERO)
     state.nu[x1, PLAIN] = (0, HALF)
     state.nu[x1, PLUS] = (0, ONE)
@@ -219,7 +229,7 @@ def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
     if inter != [x]:
         raise BuildError(f"stage ({state.fmt(x)}, {state.fmt(y)}) is not a single-point gluing; "
                          f"built part {[state.fmt(m) for m in inter]}")
-    seq = stage_labels(p, x, y)
+    seq = stage_labels(p, chain.members)
     coords = [ZERO]  # class ci of m members spans 2m + 1 slots over [ci, ci + 1]
     for ci, members in enumerate(chain.classes):
         coords += _slot_coords(ci, 2 * len(members) + 1)[1:]
@@ -229,7 +239,7 @@ def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
             raise BuildError(f"label laid twice: {state.format_label(lab)}")
         state.nu[lab] = (idx, coords[2 * (t // 3) + t % 3])
     state.lows.append(glue)
-    state._glued[idx, glue] = state.find(state.nu[seq[2]])
+    state._glued.append(state.find(state.nu[seq[2]]))
     state.built.update(chain.members)
     state.stages_done.append(stage)
     return state
@@ -276,13 +286,49 @@ class BuildLayout(NamedTuple):
     label_point: dict
 
 
-def _coordinates(state: LabeledTree) -> list:
-    """Each interval's label coordinates, its low end included, in order,
-    each paired with the point it resolves to."""
-    per = [{lo} for lo in state.lows]
-    for i, c in state.nu.values():
-        per[i].add(c)
-    return [[(c, state.find((i, c))) for c in sorted(cs)] for i, cs in enumerate(per)]
+def _point_rows(state: LabeledTree) -> tuple:
+    """(rows, pos, ids, points): ``rows`` holds each interval's distinct
+    label coordinates in order, its low end first, and ``pos`` each label's
+    (interval, index in its row).  ``points`` lists the points the row
+    entries resolve to in sorted order, and ``ids`` numbers each row entry
+    by its point's place there.  Coordinates merge as they sort and are
+    found by bisection, so none is hashed."""
+    per = [[(lo, None)] for lo in state.lows]
+    for lab, (i, c) in state.nu.items():
+        per[i].append((c, lab))
+    rows, pos = [], {}
+    for i, pairs in enumerate(per):
+        pairs.sort(key=itemgetter(0))
+        row: list = []
+        for c, lab in pairs:
+            if not row or row[-1] != c:
+                row.append(c)
+            if lab is not None:
+                pos[lab] = (i, len(row) - 1)
+        rows.append(row)
+    # each interval's own points: its coordinates but a glued low end, which
+    # is an older point, and in a corrupted build a glue target its row lacks
+    own = [row[1:] if root else list(row) for row, root in zip(rows, state._glued)]
+    for i, c in filter(None, state._glued):
+        j = bisect_left(own[i], c)
+        if own[i][j:j + 1] != [c]:
+            own[i].insert(j, c)
+    offsets = list(accumulate(map(len, own), initial=0))
+
+    def point_id(i: int, c) -> int:
+        return offsets[i] + bisect_left(own[i], c)
+
+    ids = []
+    for i, (row, root) in enumerate(zip(rows, state._glued)):
+        start = offsets[i] - bool(root)  # row[0]'s id when the row holds every point of its interval
+        if offsets[i + 1] - start == len(row):
+            here = list(range(start, start + len(row)))
+        else:  # a glue target the row lacks sits among them
+            here = [point_id(i, c) for c in row]
+        if root:
+            here[0] = point_id(*root)
+        ids.append(here)
+    return rows, pos, ids, [(i, c) for i, cs in enumerate(own) for c in cs]
 
 
 def orient_segments(state: LabeledTree) -> BuildLayout:
@@ -293,7 +339,9 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
     takes its direction from its first plain label: the arc runs toward the
     side where the label's lower tag is behind it.  Every other plain label
     of the unit must agree; disagreement or an arc in a unit without plain
-    labels is a construction error.
+    labels is a construction error.  Each junction is interned as a node as
+    the rows are walked in point order (_point_rows), and displayed as the
+    point it is; each arc as (interval, start coordinate).
     """
     directions: dict = {}
     for lab, (i, c) in state.nu.items():
@@ -306,55 +354,58 @@ def orient_segments(state: LabeledTree) -> BuildLayout:
                     f"{state.format_label(lab)}"
                 )
 
-    targets = set(state._glued.values())
-    nodes = set()
-    arcs = []
-    place: dict = {}  # raw point -> ("node", root) or ("arc", aid, t)
-    for i, row in enumerate(_coordinates(state)):
+    rows, pos, ids, points = _point_rows(state)
+    targets = {here[0] for here in ids[1:]}  # every interval past the base's is glued at its low end
+    tree = OrderTree()
+    node_of: dict = {}  # point id -> node
+    place = []  # interval -> row index -> ("node", node) or ("arc", arc, t)
+    for i, row in enumerate(rows):
+        here: list = []
         start, inside = None, []
-        for j, (c, root) in enumerate(row):
-            if 0 < j < len(row) - 1 and c.denominator != 1 and root not in targets:
-                inside.append(c)
+        for j, c in enumerate(row):
+            k = ids[i][j]
+            if 0 < j < len(row) - 1 and c.denominator != 1 and k not in targets:
+                inside.append(j)
+                here.append(None)
                 continue
-            nodes.add(root)
-            place[i, c] = ("node", root)
+            if k not in node_of:
+                node_of[k] = tree.add_node(points[k])
+            node = node_of[k]
+            here.append(("node", node))
             if start is not None:
                 b1, r1 = start
                 direction = directions.get((i, math.floor(b1)))
                 if direction is None:
                     raise BuildError(f"unit {math.floor(b1)} of interval {i} has no interior label")
-                aid = (i, b1)
-                arcs.append((aid, r1, root) if direction == 1 else (aid, root, r1))
+                aid = tree.add_arc((i, b1), *((r1, node) if direction == 1 else (node, r1)))
                 for m in inside:
-                    place[i, m] = ("arc", aid, (m - b1 if direction == 1 else c - m) / (c - b1))
-            start, inside = (c, root), []
+                    here[m] = ("arc", aid, (row[m] - b1 if direction == 1 else c - row[m]) / (c - b1))
+            start, inside = (c, node), []
+        place.append(here)
 
-    degree = Counter(n for _aid, tail, head in arcs for n in (tail, head))
-    boundary = {n for n in nodes if degree[n] == 1}
-    label_point = {lab: place[state.nu[lab]] for lab in sorted(state.nu, key=state.label_key)}
-    return BuildLayout(OrderTree.build(sorted(nodes), arcs, boundary), label_point)
+    degree = Counter(n for arc in tree.arcs.values() for n in (arc.tail, arc.head))
+    tree.boundary = {n for n in tree.nodes if degree[n] == 1}
+    label_point = {lab: place[i][j] for lab in sorted(state.nu, key=state.label_key) for i, j in [pos[lab]]}
+    return BuildLayout(tree, label_point)
 
 
 # -- structural verification ------------------------------------------------
 
 
 def _point_table(state: LabeledTree) -> tuple:
-    """(ids, spans, at, label_id): ``ids`` numbers the resolved points in
-    sorted order; ``spans`` maps each pair of consecutive label coordinates
-    of an interval, glue ends included, (interval, c1, c2) to its end ids;
-    ``at`` holds the labels at each id in label order, and ``label_id`` the
-    id of each label's point."""
-    rows = _coordinates(state)
-    ids = {pt: k for k, pt in enumerate(sorted({root for row in rows for _c, root in row}))}
-    spans = {}
-    for i, row in enumerate(rows):
-        for (c1, r1), (c2, r2) in zip(row, row[1:]):
-            spans[i, c1, c2] = (ids[r1], ids[r2])
-    label_id = {lab: ids[state.find(raw)] for lab, raw in state.nu.items()}
-    at: list = [[] for _ in ids]
+    """(points, spans, at, label_id): ``points`` lists the resolved points
+    in sorted order, so a point's id is its place there (_point_rows);
+    ``spans`` holds each pair of consecutive label coordinates of an
+    interval, glue ends included, as (interval, c1, c2, id1, id2); ``at``
+    holds the labels at each id in label order, and ``label_id`` the id of
+    each label's point."""
+    rows, pos, ids, points = _point_rows(state)
+    spans = [(i, row[j], row[j + 1], ids[i][j], ids[i][j + 1]) for i, row in enumerate(rows) for j in range(len(row) - 1)]
+    label_id = {lab: ids[i][j] for lab, (i, j) in pos.items()}
+    at: list = [[] for _ in points]
     for lab in sorted(state.nu, key=state.label_key):
         at[label_id[lab]].append(lab)
-    return ids, spans, at, label_id
+    return points, spans, at, label_id
 
 
 def _path_points(index: TreeIndex, start, end) -> list:
@@ -386,9 +437,8 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     All four read one table of the points interned to ints (_point_table).
     """
     p = state.poset
-    ids, spans, at, label_id = _point_table(state)
-    points = list(ids)
-    index = TreeIndex(range(len(points)), spans.values())
+    points, spans, at, label_id = _point_table(state)
+    index = TreeIndex(range(len(points)), [(k1, k2) for *_coords, k1, k2 in spans])
     problems = []
     if len(spans) != len(points) - 1:
         problems.append(f"{len(points)} points but {len(spans)} spans")
@@ -397,7 +447,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
     tree_report = {"ok": not problems, "points": len(points), "problems": problems}
 
     gap_violations = []
-    for (i, c1, c2), (k1, k2) in spans.items():
+    for i, c1, c2, k1, k2 in spans:
         if not _gap_is_tag_pair(at[k1], at[k2]):
             gap_violations.append({"interval": i, "gap": (c1, c2), "left": [state.format_label(l) for l in at[k1]],
                                    "right": [state.format_label(l) for l in at[k2]]})
@@ -417,7 +467,7 @@ def verify_stage_properties(state: LabeledTree) -> dict:
 
     for a, b in combinations(sorted(state.built, key=p.index), 2):
         ends = ((a, PLAIN), (b, PLAIN))
-        expected = doubled_members(p, a, b)
+        expected = doubled_members(p, p.between_members(a, b))
         missing = [m for m in expected if m not in state.nu]
         if missing:
             flag("between set not fully built", missing)

@@ -124,8 +124,8 @@ MUTANTS = [
      ["tests/test_treebuild.py"]),
     # a point node sits at the head of its out-ray and the tail of its in-ray
     ("node-point-ends-swapped", "ordertree.py",
-     "return (outs[0], Fraction(0)) if outs else (ins[0], Fraction(1))",
-     "return (outs[0], Fraction(1)) if outs else (ins[0], Fraction(0))",
+     "return (outs[0], 0) if outs else (ins[0], 1)",
+     "return (outs[0], 1) if outs else (ins[0], 0)",
      ["tests/test_ordertree.py::test_a_point_node_sits_at_the_tail_of_its_out_ray_and_the_head_of_its_in_ray"]),
     # points on arcs facing each other compare as back to back, and conversely
     ("arc-order-similarity-swapped", "ordertree.py",

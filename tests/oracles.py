@@ -528,11 +528,12 @@ def naive_touching(doubled, x, y) -> bool:
 
 
 def naive_incidences(tree, nid) -> tuple:
-    """Rays at a node as (ins, outs), one scan of every arc in repr order and
-    then of every adjacency: an arc arriving at the node is an in-ray, one
-    leaving it an out-ray, and a cap's adjacency the ray on the named side."""
+    """Rays at a node as (ins, outs), one scan of every arc in the repr order
+    of display ids and then of every adjacency: an arc arriving at the node
+    is an in-ray, one leaving it an out-ray, and a cap's adjacency the ray
+    on the named side."""
     ins, outs = [], []
-    for aid in sorted(tree.arcs, key=repr):
+    for aid in sorted(tree.arcs, key=lambda aid: repr(tree.names[aid])):
         arc = tree.arcs[aid]
         if arc.head == nid:
             ins.append(aid)

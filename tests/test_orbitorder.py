@@ -12,33 +12,42 @@ import oracles
 from test_golden_cli import FIXTURES
 from treeorder import corpus, orbitorder, ordertree
 from treeorder.actions import (
-    DIHEDRAL_BASE_POINT,
+    TreeReader,
+    arcs_by_name,
     check_action,
     dihedral_example,
     integer_line,
+    line_base_point,
     line_coordinate,
     line_point,
+    named_tree,
     realized_bound,
     shift_action,
     stabilizer_extension_order,
 )
 from treeorder.catalog import dihedral_standard, free_standard, get_cone, z_standard, zk_lex
+from treeorder.cli import main
 from treeorder.errors import BuildError
 from treeorder.groups import InfiniteDihedral, Z, Zk
 from treeorder.grouporder import ConeStructure, induced_ball_poset, verify_cone_axioms
 from treeorder.orbitorder import ConePipeline, OrbitError, TreeAction, label_action, orbit_poset, roundtrip_orbit
-from treeorder.ordertree import OrderTree, TreeError, denjoy_blowup, manifold_graph, manifold_order, manifold_poset
+from treeorder.ordertree import TreeError, denjoy_blowup, manifold_graph, manifold_order, manifold_poset
 from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, PosetError
 from treeorder.specio import parse_document, tree_from_document
 from treeorder.suites import ACTION_SCENARIOS, derive_cone_pieces, get_action_scenario, run_orbit_suite
 from treeorder.treebuild import build_tree, orient_segments
 
 
-def uniform_line_points(width):
+def line_pt(m, i, t):
+    """The point at parameter t on the arc ("s", i) of a line window."""
+    return ("arc", arcs_by_name(m)["s", i], t)
+
+
+def uniform_line_points(m, width):
     pts = []
     for i in range(-width, width):
         for k in (1, 3):
-            pts.append(("arc", ("s", i), Fraction(k, 4)))
+            pts.append(line_pt(m, i, Fraction(k, 4)))
     return pts
 
 
@@ -46,22 +55,22 @@ def test_uniform_line_order_matches_coordinates():
     # On a line with every arc pointing the same way, the forward-component
     # order must reduce to plain coordinate comparison.
     m = integer_line(3)
-    pts = uniform_line_points(3)
+    pts = uniform_line_points(m, 3)
     for x in pts:
         for y in pts:
             coded = manifold_order(m, x, y)
-            cx = x[1][1] + x[2]
-            cy = y[1][1] + y[2]
+            cx = m.names[x[1]][1] + x[2]
+            cy = m.names[y[1]][1] + y[2]
             assert REL_NAMES[coded] == oracles.coordinate_rel(cx, cy)
 
 
 def test_uniform_line_between_is_the_interval():
     m = integer_line(2)
-    pts = uniform_line_points(2)
+    pts = uniform_line_points(m, 2)
     p = ExtendedPoset.from_relation(tuple(pts), lambda x, y: manifold_order(m, x, y))
 
     def coord(pt):
-        return pt[1][1] + pt[2]
+        return m.names[pt[1]][1] + pt[2]
 
     for a in pts:
         for b in pts:
@@ -76,21 +85,22 @@ def test_alternating_line_coordinates():
     assert line_coordinate(("s", 0), Fraction(1, 4)) == Fraction(1, 4)
     assert line_coordinate(("s", 1), Fraction(1, 4)) == Fraction(7, 4)
     m = dihedral_example(2)[1]
-    pt = line_point(m, Fraction(9, 4), alternating=True)
+    arcs = arcs_by_name(m)
+    pt = line_point(arcs, Fraction(9, 4), alternating=True)
     assert pt is not None
-    assert line_coordinate(pt[1], pt[2]) == Fraction(9, 4)
-    assert line_point(m, Fraction(1), alternating=True) is None
-    assert line_point(m, Fraction(999), alternating=True) is None
+    assert line_coordinate(m.names[pt[1]], pt[2]) == Fraction(9, 4)
+    assert line_point(arcs, Fraction(1), alternating=True) is None
+    assert line_point(arcs, Fraction(999), alternating=True) is None
 
 
 def test_alternating_line_relations():
     _, m, _ = dihedral_example(2)
-    a = ("arc", ("s", 0), Fraction(1, 4))
-    facing = ("arc", ("s", 1), Fraction(1, 4))
+    a = line_pt(m, 0, Fraction(1, 4))
+    facing = line_pt(m, 1, Fraction(1, 4))
     assert manifold_order(m, a, facing) == SIMU
-    behind = ("arc", ("s", -1), Fraction(1, 4))
+    behind = line_pt(m, -1, Fraction(1, 4))
     assert manifold_order(m, a, behind) == SIML
-    same = ("arc", ("s", 0), Fraction(3, 4))
+    same = line_pt(m, 0, Fraction(3, 4))
     assert manifold_order(m, a, same) == LT
     assert manifold_order(m, same, a) == GT
     assert manifold_order(m, a, a) == EQ
@@ -98,10 +108,10 @@ def test_alternating_line_relations():
 
 def test_stub_pairs_share_their_window():
     _, m, _ = dihedral_example(2)
-    stubs = sorted(aid for aid in m.arcs if not m.arcs[aid].core)
+    stubs = sorted((aid for aid in m.arcs if not m.arcs[aid].core), key=m.names.__getitem__)
     # Odd integers are sinks and grow outgoing stubs; even ones take incoming.
-    sink_stubs = [("arc", aid, Fraction(1, 2)) for aid in stubs if aid[1] % 2 == 1]
-    source_stubs = [("arc", aid, Fraction(1, 2)) for aid in stubs if aid[1] % 2 == 0]
+    sink_stubs = [("arc", aid, Fraction(1, 2)) for aid in stubs if m.names[aid][1] % 2 == 1]
+    source_stubs = [("arc", aid, Fraction(1, 2)) for aid in stubs if m.names[aid][1] % 2 == 0]
     for i, x in enumerate(sink_stubs):
         for y in sink_stubs[i + 1 :]:
             assert manifold_order(m, x, y) == SIML
@@ -119,7 +129,7 @@ def test_dihedral_action_checks_out():
 def test_shift_orbit_is_a_chain():
     m = integer_line(5)
     action = shift_action(m, Z(), lambda n: n)
-    x0 = ("arc", ("s", 0), Fraction(1, 4))
+    x0 = line_pt(m, 0, Fraction(1, 4))
     orb = orbit_poset(m, action, x0, 4)
     assert sorted(orb.realized) == list(range(-4, 5))
     assert orb.escaped == ()
@@ -131,7 +141,7 @@ def test_shift_orbit_is_a_chain():
 def test_escape_is_reported_not_guessed():
     m = integer_line(2)
     action = shift_action(m, Z(), lambda n: n)
-    x0 = ("arc", ("s", 0), Fraction(1, 4))
+    x0 = line_pt(m, 0, Fraction(1, 4))
     orb = orbit_poset(m, action, x0, 4)
     assert set(orb.escaped) == {-4, -3, 2, 3, 4}
     assert sorted(orb.realized) == [-2, -1, 0, 1]
@@ -142,12 +152,12 @@ def test_fixed_base_point_is_rejected():
     m = integer_line(3)
     action = shift_action(m, Z(), lambda n: 0)
     with pytest.raises(OrbitError, match="stabilizer"):
-        orbit_poset(m, action, ("arc", ("s", 0), Fraction(1, 4)), 2)
+        orbit_poset(m, action, line_pt(m, 0, Fraction(1, 4)), 2)
 
 
 def test_dihedral_orbit_matches_cone_ball():
     _, m, action = dihedral_example(4)
-    orb = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 4)
+    orb = orbit_poset(m, action, line_base_point(m), 4)
     induced = induced_ball_poset(dihedral_standard(), 4)
     assert set(orb.realized) == set(induced.elements)
     for g, h in induced.iter_pairs():
@@ -185,7 +195,7 @@ def coordinate_extension(k, j, radius, stab_order=None):
     if stab_order is None:
         def stab_order(a, b):
             return [a[i] for i in rest] < [b[i] for i in rest]
-    return stabilizer_extension_order(m, action, ("arc", ("s", 0), Fraction(1, 4)), radius, stab_order)
+    return stabilizer_extension_order(m, action, line_pt(m, 0, Fraction(1, 4)), radius, stab_order)
 
 
 def rel_mismatches(got, want):
@@ -245,8 +255,8 @@ def test_a_wrong_projection_names_its_first_mismatch():
 
 def test_elements_at_one_point_are_ordered_once_per_ordered_pair():
     m = integer_line(3)
-    points = {g: ("arc", ("s", 0), Fraction(1, 2)) for g in "cab"} | {"d": ("arc", ("s", 1), Fraction(1, 2)),
-                                                                     "e": ("arc", ("s", 0), Fraction(1, 4))}
+    points = {g: line_pt(m, 0, Fraction(1, 2)) for g in "cab"} | {"d": line_pt(m, 1, Fraction(1, 2)),
+                                                                     "e": line_pt(m, 0, Fraction(1, 4))}
     calls = []
 
     def alphabetical(g, h):
@@ -311,13 +321,13 @@ def test_roundtrip_compares_pairs_when_the_orders_list_the_ball_apart():
 
 
 def random_tree(rng):
-    tree = OrderTree()
-    tree.add_node(0)
+    reader = TreeReader()
+    reader.node(0)
     for v in range(1, rng.randint(2, 12)):
-        tree.add_node(v)
+        reader.node(v)
         parent = rng.randrange(v)
-        tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
-    return tree
+        reader.arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
+    return reader.tree
 
 
 def oracle_mismatches(m):
@@ -350,7 +360,7 @@ def test_manifold_order_matches_the_naive_search_on_the_dihedral_line():
 
 
 def test_manifold_graph_needs_a_tree():
-    tree = OrderTree.build("abc", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
+    tree = named_tree("abc", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
     with pytest.raises(TreeError, match="not a tree"):
         manifold_graph(tree)
 
@@ -359,7 +369,7 @@ def test_coincident_orbit_points_have_no_relation():
     m = integer_line(6)
     action = shift_action(m, Z(), abs)
     with pytest.raises(PosetError, match=re.escape("pair (-1, 1) has no admissible relation")):
-        orbit_poset(m, action, ("arc", ("s", 0), Fraction(1, 4)), 2)
+        orbit_poset(m, action, line_pt(m, 0, Fraction(1, 4)), 2)
 
 
 def manifold_order_mismatches(m, points, poset):
@@ -390,6 +400,11 @@ def test_orbit_rows_agree_with_manifold_order_on_roundtrip_manifolds(name, radiu
     assert manifold_order_mismatches(manifold, orbit.points, orbit.poset) == []
 
 
+def order_at_named_points(tree, x, y):
+    """manifold_order of two points that name their node or arc by display id."""
+    return manifold_order(tree, *((kind, tree.names.index(name), *t) for kind, name, *t in (x, y)))
+
+
 def label_action_of(state):
     layout = orient_segments(state)
     return label_action(state, layout, denjoy_blowup(layout.tree))
@@ -399,8 +414,8 @@ def label_action_of(state):
     (lambda p: label_action_of(build_tree(p)), BuildError, "the build carries no group"),
     (lambda p: label_action_of(build_tree(p.restrict((1, 2, 3)), group=Z())), BuildError,
      "identity was not built"),
-    (lambda p: manifold_order(tree_from_document(parse_document(FIXTURES["tree"])), ("node", "b"),
-                              ("arc", "e1", Fraction(1, 2))),
+    (lambda p: order_at_named_points(tree_from_document(parse_document(FIXTURES["tree"])), ("node", "b"),
+                                     ("arc", "e1", Fraction(1, 2))),
      TreeError, "order undefined at a branching point: ('node', 'b')"),
 ], ids=["no-group", "no-identity", "branching-point"])
 def test_each_refusal_of_the_orbit_layer_is_pinned(refused, error, message):
@@ -463,7 +478,7 @@ def test_realized_bounds_agree_with_the_naive_search_on_tree_corpus_points(monke
 
 def test_the_dihedral_orbit_has_no_realized_bound():
     _, m, action = dihedral_example(6)
-    orbit = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 6)
+    orbit = orbit_poset(m, action, line_base_point(m), 6)
     assert realized_bounds(m, orbit.points, orbit.poset) == set()
     assert len(tagged_pairs(orbit.poset)) == 143
 
@@ -485,7 +500,7 @@ def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points()
         m = denjoy_blowup(tree)
         points = [("arc", aid, Fraction(k, 3)) for aid in m.sorted_arc_ids() for k in (1, 2)]
         graph = manifold_graph(m)
-        for nid in sorted(m.nodes, key=repr):
+        for nid in sorted(m.nodes, key=lambda nid: repr(m.names[nid])):
             node = ("node", nid)
             if m.nodes[nid] == "point" and all(manifold_order(m, node, q, graph) != EQ for q in points):
                 points.append(node)
@@ -493,12 +508,35 @@ def test_point_rows_agree_with_manifold_order_on_random_trees_with_node_points()
         assert manifold_order_mismatches(m, by_element, manifold_poset(m, by_element)) == []
 
 
+def fraction_hashes(monkeypatch, run) -> int:
+    """How many Fractions ``run()`` hashes."""
+    calls = []
+    hash_fraction = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(1) or hash_fraction(self))
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_the_converse_chain_keys_no_table_by_fractions(monkeypatch, capsys):
+    # the tree layer keys its nodes, arcs and points by int ids, and a label
+    # point's parameter is compared, never hashed; the bounds are a tenth of
+    # the 12,131 and 254,814 hashes that display-id keys cost the chain
+    # order -> tree -> blow-up -> order
+    roundtrip = fraction_hashes(monkeypatch, lambda: main(["roundtrip", "dihedral-standard", "--radius", "12"]))
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+    posets = corpus.all_extended_posets(4)
+    assert len(posets) == 400
+    loops = fraction_hashes(monkeypatch, lambda: [oracles.tree_roundtrip(p) for p in posets])
+    assert roundtrip <= 1213 and loops <= 25481, (roundtrip, loops)
+
+
 def test_orbit_poset_places_each_realized_point_once(monkeypatch):
     calls = []
     place = ordertree._arc_position
-    monkeypatch.setattr(ordertree, "_arc_position", lambda m, p: calls.append(p) or place(m, p))
+    monkeypatch.setattr(ordertree, "_arc_position", lambda m, rays, p: calls.append(p) or place(m, rays, p))
     _, m, action = dihedral_example(4)
-    orb = orbit_poset(m, action, DIHEDRAL_BASE_POINT, 4)
+    orb = orbit_poset(m, action, line_base_point(m), 4)
     assert len(orb.realized) == 16
     assert calls and len(calls) <= len(orb.realized)
 
@@ -654,7 +692,7 @@ def test_the_converse_orders_a_product_by_its_stabilizer(radius, second):
     cone = second()
     group = cone.group
     m, action = _through_the_dihedral_factor(radius, group)
-    ext = stabilizer_extension_order(m, action, DIHEDRAL_BASE_POINT, radius,
+    ext = stabilizer_extension_order(m, action, line_base_point(m), radius,
                                      lambda g, h: cone.in_positive(group.mult(group.inv(g[1]), h[1])))
     want = induced_ball_poset(oracles.product_cone(dihedral_standard(), cone), radius)
     assert ext.escaped == ()
@@ -670,4 +708,4 @@ def test_the_converse_refuses_a_stabilizer_order_that_is_not_left_invariant():
 
     message = "stabilizer order is not left-invariant at (e, -1) * ((e, 0), (e, 1))"
     with pytest.raises(OrbitError, match=re.escape(message)):
-        stabilizer_extension_order(m, action, DIHEDRAL_BASE_POINT, 2, by_size)
+        stabilizer_extension_order(m, action, line_base_point(m), 2, by_size)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from treeorder.actions import alternating_line_tree, check_blowup, dihedral_example
+from treeorder.actions import TreeReader, alternating_line_tree, arcs_by_name, check_blowup, dihedral_example
 from treeorder.catalog import BUILTIN_CONES, dihedral_standard, get_cone
 from treeorder.errors import ConeError
 from treeorder.orbitorder import ConePipeline
@@ -17,18 +17,24 @@ from treeorder.relations import GT, LT
 from treeorder.specio import canonical_json, tree_to_document
 
 
+def node_ids(tree) -> dict:
+    """Each node of the tree by its display id."""
+    return {tree.names[nid]: nid for nid in tree.nodes}
+
+
 def test_alternating_tree_alternates():
     tree = alternating_line_tree(3)
-    assert sorted(tree.nodes) == [-3, -2, -1, 0, 1, 2, 3]
+    names, nodes, arcs = tree.names, node_ids(tree), arcs_by_name(tree)
+    assert sorted(nodes) == [-3, -2, -1, 0, 1, 2, 3]
     assert len(tree.arcs) == 6
-    assert tree.boundary == {-3, 3}
+    assert {names[n] for n in tree.boundary} == {-3, 3}
     # Even integers emit, odd integers absorb.
-    assert tree.arcs[("s", 0)].tail == 0 and tree.arcs[("s", 0)].head == 1
-    assert tree.arcs[("s", 1)].tail == 2 and tree.arcs[("s", 1)].head == 1
+    s0, s1 = tree.arcs[arcs["s", 0]], tree.arcs[arcs["s", 1]]
+    assert (names[s0.tail], names[s0.head], names[s1.tail], names[s1.head]) == (0, 1, 2, 1)
     rays = tree.node_incidences()
     for n in (-1, 1):
-        assert list(map(len, rays[n])) == [2, 0]  # a sink
-    assert list(map(len, rays[0])) == [0, 2]  # a source
+        assert list(map(len, rays[nodes[n]])) == [2, 0]  # a sink
+    assert list(map(len, rays[nodes[0]])) == [0, 2]  # a source
 
 
 def test_alternating_tree_needs_room():
@@ -37,27 +43,54 @@ def test_alternating_tree_needs_room():
 
 
 def test_add_arc_requires_known_nodes():
-    tree = OrderTree()
-    tree.add_node("a")
-    with pytest.raises(TreeError, match="missing node"):
-        tree.add_arc("e", "a", "b")
-    tree.add_node("b")
-    tree.add_arc("e", "a", "b")
+    reader = TreeReader()
+    a = reader.node("a")
+    with pytest.raises(TreeError, match="^arc 'e' references missing node 'b'$"):
+        reader.arc("e", "a", "b")
+    b = reader.node("b")
+    reader.arc("e", "a", "b")
     with pytest.raises(TreeError, match="duplicate"):
-        tree.add_arc("e", "b", "a")
+        reader.arc("e", "b", "a")
+    with pytest.raises(TreeError, match="^arc 'f' references missing node 99$"):
+        reader.tree.add_arc("f", a, 99)
+    with pytest.raises(TreeError, match="^arc 'f' is degenerate$"):
+        reader.tree.add_arc("f", b, b)
+
+
+def test_ids_are_interned_in_insertion_order_and_keep_their_display_ids():
+    reader = TreeReader()
+    a, b, c = map(reader.node, "abc")
+    e1, e2 = reader.arc("e1", "a", "b"), reader.arc("e2", "b", "c")
+    tree = reader.tree
+    assert (a, b, c, e1, e2) == (0, 1, 2, 3, 4) and tree.names == ["a", "b", "c", "e1", "e2"]
+    assert [arc.key for arc in tree.arcs.values()] == ["'e1'", "'e2'"]
+    assert tree.named(("arc", e1, Fraction(1, 2))) == ("arc", "e1", Fraction(1, 2))
+    with pytest.raises(TreeError, match=re.escape("not a point of this tree: ('node', 'e1')")):
+        tree.require_point(("node", e1))
 
 
 def test_identified_graph_of_a_path():
-    tree = OrderTree()
-    for n in "abc":
-        tree.add_node(n)
-    tree.add_arc("e1", "a", "b")
-    tree.add_arc("e2", "b", "c")
+    reader = TreeReader()
+    a, b, c = map(reader.node, "abc")
+    e1, e2 = reader.arc("e1", "a", "b"), reader.arc("e2", "b", "c")
+    tree = reader.tree
     tokens, edges = tree.identified_graph()
-    assert tokens == [("n", "a"), ("n", "b"), ("n", "c")]
-    assert edges == [(("n", "a"), ("n", "b"), "e1"), (("n", "b"), ("n", "c"), "e2")]
+    assert tokens == [a, b, c]
+    assert edges == [(a, b, e1), (b, c, e2)]
     assert tree.is_branchless()
-    assert tree.node_incidences()["b"] == (["e1"], ["e2"])
+    assert tree.node_incidences()[b] == ([e1], [e2])
+
+
+def test_an_open_end_is_a_token_of_its_own():
+    # the adjacency joins the cap c to the open head of arc a, not to the open node
+    reader = TreeReader()
+    x, _o, c = reader.node("x"), reader.node("o", "open"), reader.node("c")
+    a = reader.arc("a", "x", "o")
+    reader.adjacency("c", "a", "head")
+    tokens, edges = reader.tree.identified_graph()
+    open_head = ~(2 * a + 1)
+    assert tokens == [x, open_head, c]
+    assert edges[1:] == [(c, open_head, None)]
 
 
 def test_tree_index_labels_subtrees_and_flags_cycles():
@@ -121,14 +154,14 @@ def test_a_point_node_sits_at_the_tail_of_its_out_ray_and_the_head_of_its_in_ray
 def _trees_and_blowups():
     rng = random.Random(9)
     for _ in range(40):
-        tree = OrderTree()
-        tree.add_node(0)
+        reader = TreeReader()
+        reader.node(0)
         for v in range(1, rng.randint(2, 12)):
-            tree.add_node(v)
+            reader.node(v)
             parent = rng.randrange(v)
-            tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
-        yield tree
-        yield denjoy_blowup(tree)
+            reader.arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
+        yield reader.tree
+        yield denjoy_blowup(reader.tree)
     for radius in (3, 5):
         yield denjoy_blowup(ConePipeline.of(dihedral_standard(), radius).layout().tree)
 
@@ -186,13 +219,15 @@ def test_a_poset_of_node_points_reads_the_rays_once(monkeypatch):
 
 
 def blowup_rows(m) -> list:
+    """The rows under display ids: the manifold's names extend its base's."""
+    name = m.names.__getitem__
     return [
-        sorted(map(repr, m.nodes.items())),
-        sorted(repr((aid, a.tail, a.head, a.kind, a.core)) for aid, a in m.arcs.items()),
-        sorted(map(repr, m.boundary)),
-        sorted(map(repr, m.adjacencies)),
-        sorted(map(repr, m.phi_nodes.items())),
-        sorted(map(repr, m.phi_arcs.items())),
+        sorted(repr((name(nid), kind)) for nid, kind in m.nodes.items()),
+        sorted(repr((name(aid), name(a.tail), name(a.head), a.kind, a.core)) for aid, a in m.arcs.items()),
+        sorted(repr(name(nid)) for nid in m.boundary),
+        sorted(repr((name(cap), name(aid), side)) for cap, aid, side in m.adjacencies),
+        sorted(repr((name(nid), name(target))) for nid, target in m.phi_nodes.items()),
+        sorted(repr((name(aid), (kind, name(target)))) for aid, (kind, target) in m.phi_arcs.items()),
     ]
 
 
@@ -212,31 +247,32 @@ def random_oriented_tree(rng) -> OrderTree:
     """Up to 12 nodes; parents drawn from the first few nodes make general
     branch points, random orientations make sinks and sources, a single
     node is isolated, and some leaves are window boundary."""
-    tree = OrderTree()
+    reader = TreeReader()
     n = rng.randint(1, 12)
     for v in range(n):
-        tree.add_node(v)
+        reader.node(v)
     for v in range(1, n):
         parent = rng.randrange(min(v, rng.randint(1, 4)))
-        tree.add_arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
-    rays = tree.node_incidences()
-    tree.boundary = {v for v in range(n) if sum(map(len, rays[v])) == 1 and rng.random() < 0.3}
-    return tree
+        reader.arc(("e", v), *((parent, v) if rng.random() < 0.5 else (v, parent)))
+    rays = reader.tree.node_incidences()
+    reader.set_boundary(v for v in range(n) if sum(map(len, rays[reader.node_ids[v]])) == 1 and rng.random() < 0.3)
+    return reader.tree
 
 
-def copy_tree(m, reverse: bool = False) -> OrderTree:
-    """A copy of m, its nodes, arcs and adjacencies inserted in m's order or
-    in reverse."""
+def copy_tree(m, reverse: bool = False) -> TreeReader:
+    """A reader holding a copy of m under m's display ids, its nodes, arcs
+    and adjacencies inserted in m's order or in reverse."""
     order = reversed if reverse else iter
-    t = OrderTree()
+    names = m.names
+    reader = TreeReader()
     for nid, kind in order(m.nodes.items()):
-        t.add_node(nid, kind)
+        reader.node(names[nid], kind)
     for aid, a in order(m.arcs.items()):
-        t.add_arc(aid, a.tail, a.head, a.kind, a.core)
-    for adjacency in order(m.adjacencies):
-        t.add_adjacency(*adjacency)
-    t.boundary = set(m.boundary)
-    return t
+        reader.arc(names[aid], names[a.tail], names[a.head], a.kind, a.core)
+    for cap, aid, side in order(m.adjacencies):
+        reader.adjacency(names[cap], names[aid], side)
+    reader.set_boundary(names[nid] for nid in m.boundary)
+    return reader
 
 
 def layout_trees():
@@ -274,15 +310,17 @@ def touching_two_open_ends(side: str) -> OrderTree:
     """A point c touching the open ends of two arcs from one side, with
     two arcs of its own on the other side: c branches both ways, and once
     stretched the end facing the open ends has no arc left."""
-    tree = OrderTree.build("xyc", [])
+    reader = TreeReader()
+    for name in "xyc":
+        reader.node(name)
     for k, x in enumerate("xy"):
         far, aid = ("o", k), ("a", k)
-        tree.add_node(far, "open")
-        tree.add_arc(aid, *((x, far) if side == "head" else (far, x)))
-        tree.add_adjacency("c", aid, side)
-        tree.add_node(("z", k))
-        tree.add_arc(("b", k), *(("c", ("z", k)) if side == "head" else (("z", k), "c")))
-    return tree
+        reader.node(far, "open")
+        reader.arc(aid, *((x, far) if side == "head" else (far, x)))
+        reader.adjacency("c", aid, side)
+        reader.node(("z", k))
+        reader.arc(("b", k), *(("c", ("z", k)) if side == "head" else (("z", k), "c")))
+    return reader.tree
 
 
 def api_built_trees():
@@ -294,17 +332,17 @@ def api_built_trees():
     dihedral = denjoy_blowup(ConePipeline.of(dihedral_standard(), 2).layout().tree)
     yield line
     yield dihedral
-    caps = sorted({cap for cap, _arc, _side in dihedral.adjacencies}, key=repr)
+    caps = sorted({dihedral.names[cap] for cap, _arc, _side in dihedral.adjacencies}, key=repr)
     for cap in caps:
         for n_in, n_out in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)):
-            t = copy_tree(dihedral)
+            reader = copy_tree(dihedral)
             for k in range(n_in):
-                t.add_node(("x-in", k))
-                t.add_arc(("extra-in", k), ("x-in", k), cap)
+                reader.node(("x-in", k))
+                reader.arc(("extra-in", k), ("x-in", k), cap)
             for k in range(n_out):
-                t.add_node(("x-out", k))
-                t.add_arc(("extra-out", k), cap, ("x-out", k))
-            yield t
+                reader.node(("x-out", k))
+                reader.arc(("extra-out", k), cap, ("x-out", k))
+            yield reader.tree
 
 
 def test_blowups_of_api_built_trees_are_pinned():
@@ -329,13 +367,14 @@ def test_a_blowup_does_not_depend_on_insertion_order():
              *(random_oriented_tree(rng) for _ in range(500))]
     assert len(trees) == 640
     for tree in trees:
-        assert emitted_blowup(copy_tree(tree, reverse=True)) == emitted_blowup(tree)
+        assert emitted_blowup(copy_tree(tree, reverse=True).tree) == emitted_blowup(tree)
 
 
 def test_a_repeated_adjacency_is_refused():
     m = denjoy_blowup(alternating_line_tree(3))
     adjacencies = list(m.adjacencies)
-    with pytest.raises(TreeError, match=f"^duplicate adjacency {re.escape(repr(adjacencies[0]))}$"):
+    cap, aid, side = adjacencies[0]
+    with pytest.raises(TreeError, match=f"^duplicate adjacency {re.escape(repr((m.names[cap], m.names[aid], side)))}$"):
         m.add_adjacency(*adjacencies[0])
     assert list(m.adjacencies) == adjacencies
 
@@ -343,13 +382,17 @@ def test_a_repeated_adjacency_is_refused():
 def test_two_points_joining_the_same_two_open_ends_make_a_cycle():
     # c1 and c2 each join the open heads of arcs from x and y: a line with
     # its meeting point doubled, which is not simply connected
-    tree = OrderTree.build(["x", "y", "c1", "c2", "z1", "z2"], [("b1", "c1", "z1"), ("b2", "c2", "z2")])
+    reader = TreeReader()
+    for name in ["x", "y", "c1", "c2", "z1", "z2"]:
+        reader.node(name)
+    reader.arc("b1", "c1", "z1")
+    reader.arc("b2", "c2", "z2")
     for k, x in enumerate("xy"):
-        tree.add_node(("o", k), "open")
-        tree.add_arc(("a", k), x, ("o", k))
+        reader.node(("o", k), "open")
+        reader.arc(("a", k), x, ("o", k))
         for cap in ("c1", "c2"):
-            tree.add_adjacency(cap, ("a", k), "head")
-    assert tree.check_axioms()["problems"] == ["identified arc graph has a cycle"]
+            reader.adjacency(cap, ("a", k), "head")
+    assert reader.tree.check_axioms()["problems"] == ["identified arc graph has a cycle"]
 
 
 @pytest.mark.parametrize("tree", [
@@ -371,7 +414,10 @@ def test_a_blowup_of_a_blowup_passes_its_collapse_checks(tree):
     ("a", "e", "middle", "bad adjacency side 'middle'"),
 ], ids=["cap", "arc", "side"])
 def test_an_adjacency_must_join_a_node_to_an_arc_end(cap, arc, side, problem):
-    tree = OrderTree.build("ab", [("e", "a", "b")])
+    reader = TreeReader()
+    for name in "ab":
+        reader.node(name)
+    reader.arc("e", "a", "b")
     with pytest.raises(TreeError, match=f"^{problem}$"):
-        tree.add_adjacency(cap, arc, side)
-    assert not tree.adjacencies
+        reader.adjacency(cap, arc, side)
+    assert not reader.tree.adjacencies

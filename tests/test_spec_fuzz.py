@@ -32,7 +32,8 @@ import pytest
 
 from test_golden_cli import FIXTURES
 from treeorder.cli import SPEC_ERRORS, main
-from treeorder.ordertree import OrderTree, denjoy_blowup
+from treeorder.actions import TreeReader
+from treeorder.ordertree import denjoy_blowup
 from treeorder.poset import PosetError
 from treeorder.specio import (
     cone_from_document, parse_document, poset_from_document, tree_from_document, tree_to_document,
@@ -171,17 +172,19 @@ def blown_up_tree_bodies(draw):
     with up to three of its caps or boundary leaves given an extra arc in or
     out, so that the blow-up's moves run on points that carry adjacencies."""
     n = draw(st.integers(1, 8))
-    tree = OrderTree.build(range(n), [])
+    reader = TreeReader()
+    for v in range(n):
+        reader.node(v)
     for v in range(1, n):
         parent = draw(st.integers(0, v - 1))
-        tree.add_arc(("e", v), *((parent, v) if draw(st.booleans()) else (v, parent)))
-    rays = tree.node_incidences()
-    tree.boundary = {v for v in range(n) if sum(map(len, rays[v])) == 1 and draw(st.booleans())}
-    m = denjoy_blowup(tree)
-    ends = sorted({cap for cap, _arc, _side in m.adjacencies} | m.boundary, key=repr)
+        reader.arc(("e", v), *((parent, v) if draw(st.booleans()) else (v, parent)))
+    rays = reader.tree.node_incidences()
+    reader.set_boundary(v for v in range(n) if sum(map(len, rays[reader.node_ids[v]])) == 1 and draw(st.booleans()))
+    m = denjoy_blowup(reader.tree)
+    ends = sorted({cap for cap, _arc, _side in m.adjacencies} | m.boundary, key=lambda nid: repr(m.names[nid]))
     for k, end in enumerate(draw(st.lists(st.sampled_from(ends), max_size=3)) if ends else ()):
-        m.add_node(("x", k))
-        m.add_arc(("extra", k), *((end, ("x", k)) if draw(st.booleans()) else (("x", k), end)))
+        x = m.add_node(("x", k))
+        m.add_arc(("extra", k), *((end, x) if draw(st.booleans()) else (x, end)))
     return tree_to_document(m)["body"]
 
 

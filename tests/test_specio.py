@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from treeorder.actions import alternating_line_tree
+from treeorder.actions import alternating_line_tree, named_tree
 from treeorder.catalog import dihedral_standard
 from treeorder.groups import GroupError, TableGroup
 from treeorder.orbitorder import ConePipeline
-from treeorder.ordertree import OrderTree, denjoy_blowup
+from treeorder.ordertree import TreeError, denjoy_blowup
 from treeorder.poset import from_pairs
 from treeorder.specio import (
     SpecError,
@@ -202,12 +202,13 @@ def test_tree_document_roundtrip_both_forms():
         "boundary": ["a", "c"],
     }))
     t1 = tree_from_document(terse)
-    assert t1.boundary == {"a", "c"}
+    assert {t1.names[n] for n in t1.boundary} == {"a", "c"}
     emitted = tree_to_document(t1)
     t2 = tree_from_document(parse_document(json.loads(canonical_json(emitted))))
-    assert sorted(t2.nodes) == sorted(t1.nodes)
-    assert t2.arcs["e1"].tail == "a" and t2.arcs["e1"].head == "b"
-    assert t2.boundary == t1.boundary
+    assert sorted(t2.names[n] for n in t2.nodes) == sorted(t1.names[n] for n in t1.nodes)
+    e1 = t2.arcs[t2.names.index("e1")]
+    assert (t2.names[e1.tail], t2.names[e1.head]) == ("a", "b")
+    assert {t2.names[n] for n in t2.boundary} == {"a", "c"}
 
 
 @pytest.mark.parametrize("tree", [
@@ -223,6 +224,17 @@ def test_an_emitted_blowup_reads_back_with_its_adjacencies(tree):
     back = tree_from_document(parse_document(json.loads(canonical_json(emitted))))
     assert len(back.adjacencies) == len(m.adjacencies) > 0
     assert tree_to_document(back) == emitted
+
+
+@pytest.mark.parametrize("emit", [tree_to_document, tree_to_dot], ids=["json", "dot"])
+def test_a_blowup_that_derives_an_id_its_base_has_is_not_emitted(emit):
+    # splitting b derives the open end ("openend", "b"), a node the base has
+    # already; the blow-up keeps both, and no document may name both alike
+    tree = named_tree(["a", "b", "c", ("openend", "b")], [("ab", "a", "b"), ("cb", "c", "b"),
+                                                          ("xb", ("openend", "b"), "b")])
+    m = denjoy_blowup(tree)
+    with pytest.raises(TreeError, match=re.escape("duplicate node ('openend', 'b')")):
+        emit(m)
 
 
 def test_tree_document_rejects_unknown_arc_fields():
@@ -247,8 +259,9 @@ def test_dot_output_is_deterministic_and_marked():
 
 
 def test_dot_strings_escape_backslashes_and_quotes():
-    tree = OrderTree.build(["a\\", 'b"q'], [("e", "a\\", 'b"q')], boundary=["a\\"])
-    text = tree_to_dot(tree, node_labels={'b"q': ["x\\y"]}, arc_labels={"e": [('"', Fraction(1, 2))]})
+    tree = named_tree(["a\\", 'b"q'], [("e", "a\\", 'b"q')], boundary=["a\\"])
+    b, e = tree.names.index('b"q'), tree.names.index("e")  # the labels are keyed by node and arc id
+    text = tree_to_dot(tree, node_labels={b: ["x\\y"]}, arc_labels={e: [('"', Fraction(1, 2))]})
     quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
     for line in text.splitlines()[2:-1]:
         assert '"' not in quoted.sub("", line), line

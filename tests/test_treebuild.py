@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from treeorder.treebuild import (
     _path_points,
     auto_pairs,
     build_from_cones,
+    build_stage,
     build_tree,
     doubled_between,
     doubled_members,
@@ -107,6 +109,17 @@ def from_zero(*stages):
     return BetweenDecomposition(0, stages)
 
 
+def relay_the_last_stage(p):
+    """Lay the last stage (x, y) of the full build again, once ``built``
+    has lost the members of B(x, y) past x while ``nu`` keeps their labels:
+    the stage then meets the built part in x alone, and its first label
+    past x's tags is laid already."""
+    state = build_tree(p)
+    x, y = state.stages_done[-1]
+    state.built -= set(p.between_members(x, y)[1:])
+    return build_stage(state, (x, y))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda p: build_tree(p, BetweenDecomposition(99, ())), "base element 99 leaves the poset"),
     (lambda p: build_tree(p, from_zero((0, 1), (0, 3))),
@@ -116,8 +129,9 @@ def from_zero(*stages):
     (lambda p: build_tree(p, stages=-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).build(-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).layout(-1), "stage count must not be negative, got -1"),
+    (relay_the_last_stage, "label laid twice: 3-"),
 ], ids=["base-off", "case1-past-x", "case1-again", "negative-stages",
-        "pipeline-build-negative", "pipeline-layout-negative"])
+        "pipeline-build-negative", "pipeline-layout-negative", "label-laid-twice"])
 def test_each_refusal_of_the_construction_is_pinned(build, message):
     with pytest.raises(BuildError) as exc:
         build(induced_ball_poset(z_standard(), 3))
@@ -163,6 +177,22 @@ def test_the_star_cover_reads_one_between_set_per_stage(monkeypatch):
         assert calls == [y for _x, y in decomposition.stages], p.elements
 
 
+def test_each_stage_and_each_verified_pair_reads_one_between_set(monkeypatch):
+    # a stage is laid from the members of the between set it glues, so its
+    # doubled labels read no second one; verification reads one per pair
+    pipe = ConePipeline.of(get_cone("free2-standard"), 3)
+    p, decomposition = pipe.ball_poset, pipe.decomposition
+    calls = []
+    members = ExtendedPoset.between_members
+    monkeypatch.setattr(ExtendedPoset, "between_members", lambda self, a, b: calls.append((a, b)) or members(self, a, b))
+    state = build_tree(p, decomposition)
+    assert len(decomposition.stages) == 6
+    assert calls == list(decomposition.stages)
+    calls.clear()
+    assert verify_stage_properties(state)["ok"]
+    assert calls == list(itertools.combinations(sorted(state.built, key=p.index), 2))
+
+
 def test_path_points_climbs_to_the_meeting_point_and_not_across_components():
     index = TreeIndex("abcde", [("a", "b"), ("b", "c"), ("a", "d")])
     assert _path_points(index, "c", "d") == ["c", "b", "a", "d"]
@@ -196,7 +226,8 @@ def test_doubled_between_sets_read_off_the_base_order_match_the_doubled_poset(na
         for a in state.built:
             for b in state.built:
                 if a != b:
-                    assert doubled_members(p, a, b) == list(doubled.between_members((a, PLAIN), (b, PLAIN))), (a, b)
+                    got = doubled_members(p, p.between_members(a, b))
+                    assert got == list(doubled.between_members((a, PLAIN), (b, PLAIN))), (a, b)
                     pairs += 1
     assert pairs > 100
 
@@ -446,8 +477,9 @@ def test_each_stage_lays_three_labels_per_member_that_touch_exactly_across_membe
         for x in p.elements:
             for y in p.elements:
                 if x != y:
-                    seq = stage_labels(p, x, y)
-                    assert [u for u, _tag in seq] == [m for m in p.between_members(x, y) for _ in range(3)]
+                    members = p.between_members(x, y)
+                    seq = stage_labels(p, members)
+                    assert [u for u, _tag in seq] == [m for m in members for _ in range(3)]
                     steps = list(zip(seq, seq[1:]))
                     assert [r_equivalent(p, u, v) for u, v in steps] == [u[0] != v[0] for u, v in steps], (x, y)
         assert verify_stage_properties(build_tree(p))["ok"], p.elements
@@ -510,15 +542,19 @@ LAYOUT_STAGES = (0, 1, 2, 3, 6, None)
 
 
 def layout_rows(state):
+    """The rows under display ids: each point names its node or arc by the
+    tree's display table."""
     layout = orient_segments(state)
     tree = layout.tree
+    name = tree.names.__getitem__
+    label_point = {lab: (kind, name(at), *t) for lab, (kind, at, *t) in layout.label_point.items()}
     node_labels: dict = {}
-    for lab, pt in layout.label_point.items():
+    for lab, pt in label_point.items():
         if pt[0] == "node":
             node_labels[pt[1]] = node_labels.get(pt[1], ()) + (lab,)
-    return (sorted(tree.nodes), sorted((aid, a.tail, a.head) for aid, a in tree.arcs.items()), sorted(tree.boundary),
-            list(node_labels.items()), list(layout.label_point.items()), plain_label_count(layout),
-            verify_stage_properties(state))
+    return (sorted(map(name, tree.nodes)), sorted((name(aid), name(a.tail), name(a.head)) for aid, a in tree.arcs.items()),
+            sorted(map(name, tree.boundary)), list(node_labels.items()), list(label_point.items()),
+            plain_label_count(layout), verify_stage_properties(state))
 
 
 def layout_digest(builds):
@@ -601,8 +637,15 @@ from treeorder.ordertree import denjoy_blowup
 from treeorder.treebuild import build_tree, orient_segments
 
 def rows(tree):
-    return (list(tree.nodes.items()), [(aid, a.tail, a.head, a.kind, a.core) for aid, a in tree.arcs.items()],
-            list(tree.adjacencies), sorted(tree.boundary, key=repr))
+    name = tree.names.__getitem__  # a blow-up's names extend its base's
+    return ([(name(nid), kind) for nid, kind in tree.nodes.items()],
+            [(name(aid), name(a.tail), name(a.head), a.kind, a.core) for aid, a in tree.arcs.items()],
+            [(name(cap), name(aid), side) for cap, aid, side in tree.adjacencies], sorted(map(name, tree.boundary), key=repr))
+
+
+def named(tree, point):
+    kind, at, *t = point
+    return (kind, tree.names[at], *t)
 
 posets = list(all_extended_posets(4))
 for name in sorted(BUILTIN_CONES):
@@ -614,8 +657,10 @@ for name in sorted(BUILTIN_CONES):
 for p in posets:
     layout = orient_segments(build_tree(p))
     blown = denjoy_blowup(layout.tree)
-    out = (rows(layout.tree), list(layout.label_point.items()), rows(blown), list(blown.phi_nodes.items()),
-           list(blown.phi_arcs.items()))
+    name = blown.names.__getitem__
+    out = (rows(layout.tree), [(lab, named(layout.tree, pt)) for lab, pt in layout.label_point.items()], rows(blown),
+           [(name(nid), name(target)) for nid, target in blown.phi_nodes.items()],
+           [(name(aid), (kind, name(target))) for aid, (kind, target) in blown.phi_arcs.items()])
     print(hashlib.sha256(repr(out).encode()).hexdigest())
 """
 
