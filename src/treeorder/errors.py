@@ -24,7 +24,7 @@ class ConeError(ValueError):
 
 
 class BuildError(ValueError):
-    """Raised when a decomposition or a stage violates a layout invariant."""
+    """Raised when a stage violates a layout invariant."""
 
 
 class TreeError(ValueError):

@@ -30,11 +30,9 @@ from .ordertree import OrderTree, denjoy_blowup, manifold_poset
 from .poset import ExtendedPoset
 from .treebuild import (
     PLAIN,
-    BetweenDecomposition,
     BuildLayout,
     LabeledTree,
     build_tree,
-    normalize_decomposition,
     orient_segments,
 )
 
@@ -131,10 +129,10 @@ def label_action(state, layout, manifold: OrderTree) -> tuple:
 class ConePipeline:
     """The chain from a cone order to its tree and back, at one radius.
 
-    Cone-axiom report, ball poset (gated on the report) and between-set
-    decomposition are computed on first use and kept; so are the build, its
-    layout and the round trip for each stage count.  The build reads
-    touching off the ball poset, so no step here builds the doubled poset.
+    Cone-axiom report and ball poset (gated on the report) are computed on
+    first use and kept; so are the build, its layout and the round trip for
+    each stage count asked for.  The build reads touching off the ball
+    poset, so no step here builds the doubled poset.
     The round trip compares the orbit order with the ball order row by row
     when both list the ball alike; pairs are compared only otherwise, or
     to list mismatches.
@@ -161,21 +159,13 @@ class ConePipeline:
     def ball_poset(self) -> ExtendedPoset:
         return induced_ball_poset(self.cone, self.radius, self.cone_report)
 
-    @cached_property
-    def decomposition(self) -> BetweenDecomposition:
-        return normalize_decomposition(self.ball_poset)
-
     def _memo(self, step: str, stages: Optional[int], make: Callable):
-        # key on the stages actually laid, so 6 and None share a short build
-        todo = self.decomposition.stages
-        n = len(todo) if stages is None else min(stages, len(todo))
-        if (step, n) not in self._per_stages:
-            self._per_stages[step, n] = make(n)
-        return self._per_stages[step, n]
+        if (step, stages) not in self._per_stages:
+            self._per_stages[step, stages] = make(stages)
+        return self._per_stages[step, stages]
 
     def build(self, stages: Optional[int] = None) -> LabeledTree:
-        return self._memo("build", stages, lambda n: build_tree(
-            self.ball_poset, decomposition=self.decomposition, stages=n, group=self.cone.group))
+        return self._memo("build", stages, lambda n: build_tree(self.ball_poset, n, self.cone.group))
 
     def layout(self, stages: Optional[int] = None) -> BuildLayout:
         return self._memo("layout", stages, lambda n: orient_segments(self.build(n)))

@@ -11,9 +11,9 @@ labels of different members touch, so label t goes to slot
 2 (t // 3) + t % 3: a class of m members spans 2m + 1 slots, and
 consecutive classes share their boundary slot.  The labels past x's go on
 a new interval glued at x's tag toward y, the one built point of the
-stage.  The build refuses a base outside the poset, a stage that is not a
-single-point gluing, and a label laid twice; it decides no touching, and
-verification tests every shared point.
+stage.  The base is a one-member class on interval 0.  A stage that is
+not a single-point gluing, or lays a label twice, is refused; the build
+decides no touching, and verification tests every shared point.
 
 The laid-out structure remembers every label position exactly (dyadic
 fractions), so the structural checks are equalities, not approximations:
@@ -40,14 +40,12 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import lazy_names
-from .errors import BuildError, PosetError
+from .errors import BuildError
 from .ordertree import OrderTree, TreeIndex
 from .poset import ExtendedPoset
 from .relations import EQ, GT, LT, between_by_codes
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 # -- element doubling ---------------------------------------------------
@@ -118,21 +116,14 @@ def doubled_between(p: ExtendedPoset, x: tuple, y: tuple, z: tuple) -> bool:
     return y == x or y == z or between_by_codes(code(x, z), code(x, y), code(y, z))
 
 
-class BetweenDecomposition(NamedTuple):
-    """A normalized cover of a tagged poset by between-set stages: each
-    stage is a pair (x, y) whose one built member is x."""
-
-    base: object
-    stages: tuple
-
-
 def auto_pairs(poset: ExtendedPoset) -> list:
     """Star cover: pair the first element with every other, in poset order."""
     return [(poset.elements[0], e) for e in poset.elements[1:]]
 
 
-def normalize_decomposition(poset: ExtendedPoset) -> BetweenDecomposition:
-    """The star cover (auto_pairs) as gluable stages.
+def normalize_decomposition(poset: ExtendedPoset) -> tuple:
+    """The star cover (auto_pairs) as gluable stages, each a pair (x, y)
+    whose one built member is x.
 
     The base is the first element.  Each (base, y) with y not yet built
     gives one stage, from the furthest built member of B(base, y) to y.
@@ -151,7 +142,7 @@ def normalize_decomposition(poset: ExtendedPoset) -> BetweenDecomposition:
             members = poset.between_members(base, y)
             stages.append((next(m for m in reversed(members) if m in built), y))
             built.update(members)
-    return BetweenDecomposition(base=base, stages=tuple(stages))
+    return tuple(stages)
 
 
 class LabeledTree:
@@ -206,19 +197,6 @@ def _slot_coords(unit: int, nslots: int) -> list:
     return [Fraction(unit), *inner, Fraction(unit + 1)]
 
 
-def _lay_base(state: LabeledTree, x1) -> None:
-    try:
-        state.poset.index(x1)
-    except (KeyError, PosetError):
-        raise BuildError(f"base element {x1!r} leaves the poset") from None
-    state.lows.append(ZERO)
-    state._glued.append(None)
-    state.nu[x1, MINUS] = (0, ZERO)
-    state.nu[x1, PLAIN] = (0, HALF)
-    state.nu[x1, PLUS] = (0, ONE)
-    state.built.add(x1)
-
-
 def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
     """Glue the stage (x, y) onto the tree by the slot rule (see the module
     docstring), at slot 2: x's built tag toward y."""
@@ -245,23 +223,20 @@ def build_stage(state: LabeledTree, stage: tuple) -> LabeledTree:
     return state
 
 
-def build_tree(
-    poset: ExtendedPoset,
-    decomposition: Optional[BetweenDecomposition] = None,
-    stages: Optional[int] = None,
-    group=None,
-) -> LabeledTree:
-    """Run the stagewise construction over ``decomposition``, by default
-    the star cover's (normalize_decomposition).  A given decomposition is
-    checked stage by stage: its base must be an element, and each stage
-    must meet the built part in its first point alone."""
+def build_tree(poset: ExtendedPoset, stages: Optional[int] = None, group=None) -> LabeledTree:
+    """Lay the base, the first element, as one class on interval 0 by the
+    slot rule, then the star cover's stages (normalize_decomposition): all
+    of them, or the first ``stages``."""
     if stages is not None and stages < 0:
         raise BuildError(f"stage count must not be negative, got {stages}")
-    if decomposition is None:
-        decomposition = normalize_decomposition(poset)
+    todo = normalize_decomposition(poset)[:stages]
     state = LabeledTree(poset, group=group)
-    _lay_base(state, decomposition.base)
-    todo = decomposition.stages if stages is None else decomposition.stages[:stages]
+    base = poset.elements[0]
+    state.lows.append(ZERO)
+    state._glued.append(None)
+    for tag, c in zip((MINUS, PLAIN, PLUS), _slot_coords(0, 3)):
+        state.nu[base, tag] = (0, c)
+    state.built.add(base)
     for st in todo:
         build_stage(state, st)
     return state

@@ -122,6 +122,35 @@ MUTANTS = [
     ("y-outer-tag-inward", "treebuild.py",
      "(y, -side_toward(p, y, x))]", "(y, side_toward(p, y, x))]",
      ["tests/test_treebuild.py"]),
+    # the base's plus tag is laid short of the end of interval 0
+    ("base-at-four-slots", "treebuild.py",
+     "_slot_coords(0, 3)", "_slot_coords(0, 4)",
+     ["tests/test_treebuild.py::test_the_base_is_laid_as_one_class_by_the_slot_rule"]),
+    # a build of k stages lays one stage more
+    ("short-build-one-stage-more", "treebuild.py",
+     "normalize_decomposition(poset)[:stages]", "normalize_decomposition(poset)[:stages if stages is None else stages + 1]",
+     ["tests/test_treebuild.py::test_a_short_build_is_a_prefix_of_the_full_build"]),
+    # the pipeline lays every stage whatever the count asked for
+    ("pipeline-builds-every-count-full", "orbitorder.py",
+     "self._per_stages[step, stages] = make(stages)", "self._per_stages[step, stages] = make(None)",
+     ["tests/test_treebuild.py::test_a_short_build_is_a_prefix_of_the_full_build"]),
+    # a unit takes the direction of its first plain label, whatever the others say
+    ("direction-agreement-unchecked", "treebuild.py",
+     "if directions.setdefault((i, unit), want) != want:",
+     "if directions.setdefault((i, unit), want) != want and False:",
+     ["tests/test_treebuild.py::test_each_refusal_of_the_layout_is_pinned[direction-disagrees]"]),
+    # an arc in a unit without plain labels is directed backward
+    ("unlabelled-unit-directed", "treebuild.py",
+     "if direction is None:", "if False:",
+     ["tests/test_treebuild.py::test_each_refusal_of_the_layout_is_pinned[no-interior-label]"]),
+    # a plain label on a node is taken as an orbit point
+    ("junction-label-accepted", "orbitorder.py",
+     'if pt[0] != "arc":', "if False:",
+     ["tests/test_orbitorder.py::test_each_refusal_of_the_orbit_layer_is_pinned[plain-label-on-a-node]"]),
+    # an identified arc graph with a cycle is ordered as if it were a tree
+    ("cyclic-arc-graph-accepted", "ordertree.py",
+     "if index.cyclic or index.components != 1:", "if index.components != 1:",
+     ["tests/test_orbitorder.py::test_each_refusal_of_the_orbit_layer_is_pinned[arc-graph-not-a-tree]"]),
     # a point node sits at the head of its out-ray and the tail of its in-ray
     ("node-point-ends-swapped", "ordertree.py",
      "return (outs[0], 0) if outs else (ins[0], 1)",

@@ -589,6 +589,12 @@ FRESH_FAILURES = {
                                   2, "error: associativity fails at 'a', 'a', 'b'\n"),
     "spec-error-node-kind": (["blowup"], _doc("tree", {"nodes": [{"id": "a", "kind": "bogus"}], "arcs": []}), 2,
                              "error: tree body: bad node kind 'bogus'\n"),
+    "spec-error-arc-core": (["blowup"], _doc("tree", {"nodes": ["a", "b"], "arcs": [
+        {"id": "e", "tail": "a", "head": "b", "core": "yes"}]}), 2,
+        "error: tree body: arc 'e' has a non-boolean core 'yes'\n"),
+    "spec-error-arc-kind": (["blowup"], _doc("tree", {"nodes": ["a", "b"], "arcs": [
+        {"id": "e", "tail": "a", "head": "b", "kind": "bogus"}]}), 2,
+        "error: tree body: bad arc kind 'bogus'\n"),
     "spec-error": (["check-cones", "nonesuch"], None, 2,
                    "error: 'nonesuch' is neither a spec file nor a builtin cone name\n"),
     "spec-error-builtin": (["check-cones"], _doc("group-order", {"builtin": "banana"}), 2,

@@ -35,7 +35,7 @@ from treeorder.ordertree import TreeError, denjoy_blowup, manifold_graph, manifo
 from treeorder.poset import EQ, GT, LT, REL_NAMES, SIML, SIMU, ExtendedPoset, PosetError
 from treeorder.specio import parse_document, tree_from_document
 from treeorder.suites import ACTION_SCENARIOS, derive_cone_pieces, get_action_scenario, run_orbit_suite
-from treeorder.treebuild import build_tree, orient_segments
+from treeorder.treebuild import PLAIN, BuildLayout, build_tree, orient_segments
 
 
 def line_pt(m, i, t):
@@ -405,9 +405,11 @@ def order_at_named_points(tree, x, y):
     return manifold_order(tree, *((kind, tree.names.index(name), *t) for kind, name, *t in (x, y)))
 
 
-def label_action_of(state):
+def label_action_of(state, moved=()):
+    """label_action of the build's layout, with the label points in ``moved`` replaced."""
     layout = orient_segments(state)
-    return label_action(state, layout, denjoy_blowup(layout.tree))
+    label_point = {**layout.label_point, **dict(moved)}
+    return label_action(state, BuildLayout(layout.tree, label_point), denjoy_blowup(layout.tree))
 
 
 @pytest.mark.parametrize("refused, error, message", [
@@ -417,7 +419,12 @@ def label_action_of(state):
     (lambda p: order_at_named_points(tree_from_document(parse_document(FIXTURES["tree"])), ("node", "b"),
                                      ("arc", "e1", Fraction(1, 2))),
      TreeError, "order undefined at a branching point: ('node', 'b')"),
-], ids=["no-group", "no-identity", "branching-point"])
+    (lambda p: label_action_of(build_tree(p, group=Z()), {(0, PLAIN): ("node", 0)}), BuildError,
+     "plain label (0, 0) landed on a junction"),
+    (lambda p: order_at_named_points(named_tree("abc", [("e", "a", "b"), ("f", "b", "c"), ("g", "c", "a")]),
+                                     ("arc", "e", Fraction(1, 2)), ("arc", "f", Fraction(1, 2))),
+     TreeError, "order undefined: identified arc graph is not a tree"),
+], ids=["no-group", "no-identity", "branching-point", "plain-label-on-a-node", "arc-graph-not-a-tree"])
 def test_each_refusal_of_the_orbit_layer_is_pinned(refused, error, message):
     with pytest.raises(error) as exc:
         refused(induced_ball_poset(z_standard(), 3))

@@ -32,7 +32,7 @@ from treeorder.poset import (
     between_by_codes,
     from_pairs,
 )
-from treeorder.treebuild import PLAIN, build_tree
+from treeorder.treebuild import PLAIN, build_tree, normalize_decomposition
 
 
 def chain(names="abc"):
@@ -290,12 +290,11 @@ def _relate_across_a_class_boundary(p, a, b):
 
 
 def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes():
-    # the decomposition and verification read members only; these are the
+    # the star cover and verification read members only; these are the
     # readers that still run the class check
-    pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
-    p, decomposition = pipeline.ball_poset, pipeline.decomposition
+    p = ConePipeline(get_cone("dihedral-standard"), 1).ball_poset
     doubled = blow_up_gplus(p)
-    a, b = decomposition.stages[0]
+    a, b = normalize_decomposition(p)[0]
     ends = ((a, PLAIN), (b, PLAIN))
     for q, pair in ((p, (a, b)), (doubled, ends)):
         _relate_across_a_class_boundary(q, *pair)
@@ -305,7 +304,7 @@ def test_a_chain_test_flipped_at_a_class_boundary_fails_every_reader_of_classes(
         assert not suite["ok"] and suite["o_equivalence"] and not suite["travel"]
         assert q.verify_o_equivalence() and oracles.naive_o_equivalence(q)
     with pytest.raises(ClassLawError):
-        build_tree(p, decomposition=decomposition)
+        build_tree(p)
     with pytest.raises(ClassLawError):
         check_no_singleton_classes(doubled, p.elements)
 
@@ -458,9 +457,8 @@ def test_the_certificate_covers_every_poset_and_the_suite_equals_the_per_pair_pa
 
 
 def _class_boundary():
-    pipeline = ConePipeline(get_cone("dihedral-standard"), 1)
-    a, b = pipeline.decomposition.stages[0]
-    p = pipeline.ball_poset
+    p = ConePipeline(get_cone("dihedral-standard"), 1).ball_poset
+    a, b = normalize_decomposition(p)[0]
     doubled = blow_up_gplus(p)
     _relate_across_a_class_boundary(p, a, b)
     _relate_across_a_class_boundary(doubled, (a, PLAIN), (b, PLAIN))

@@ -25,8 +25,9 @@ from treeorder.orbitorder import ConePipeline
 from treeorder.ordertree import TreeIndex
 from treeorder.poset import ExtendedPoset, PosetError, from_pairs
 from treeorder.treebuild import (
+    MINUS,
     PLAIN,
-    BetweenDecomposition,
+    PLUS,
     BuildError,
     _path_points,
     auto_pairs,
@@ -105,8 +106,12 @@ def test_acting_by_a_generator_permutes_labels():
     assert report["ok"] and report["checked_triples"] > 0
 
 
-def from_zero(*stages):
-    return BetweenDecomposition(0, stages)
+def lay(p, *stages):
+    """Lay ``stages`` one by one onto the base-only build of p."""
+    state = build_tree(p, stages=0)
+    for stage in stages:
+        build_stage(state, stage)
+    return state
 
 
 def relay_the_last_stage(p):
@@ -121,16 +126,13 @@ def relay_the_last_stage(p):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda p: build_tree(p, BetweenDecomposition(99, ())), "base element 99 leaves the poset"),
-    (lambda p: build_tree(p, from_zero((0, 1), (0, 3))),
-     "stage (0, 3) is not a single-point gluing; built part ['0', '1']"),
-    (lambda p: build_tree(p, from_zero((0, 1), (0, 1))),
-     "stage (0, 1) is not a single-point gluing; built part ['0', '1']"),
+    (lambda p: lay(p, (0, 1), (0, 3)), "stage (0, 3) is not a single-point gluing; built part ['0', '1']"),
+    (lambda p: lay(p, (0, 1), (0, 1)), "stage (0, 1) is not a single-point gluing; built part ['0', '1']"),
     (lambda p: build_tree(p, stages=-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).build(-1), "stage count must not be negative, got -1"),
     (lambda p: ConePipeline.of(z_standard(), 3).layout(-1), "stage count must not be negative, got -1"),
     (relay_the_last_stage, "label laid twice: 3-"),
-], ids=["base-off", "case1-past-x", "case1-again", "negative-stages",
+], ids=["case1-past-x", "case1-again", "negative-stages",
         "pipeline-build-negative", "pipeline-layout-negative", "label-laid-twice"])
 def test_each_refusal_of_the_construction_is_pinned(build, message):
     with pytest.raises(BuildError) as exc:
@@ -145,7 +147,7 @@ def test_a_refused_stage_count_leaves_the_pipeline_empty():
         with pytest.raises(BuildError, match="must not be negative, got -2"):
             step(-2)
     assert pipeline._per_stages == {}
-    assert len(pipeline.build(99).stages_done) == len(pipeline.decomposition.stages) == 6
+    assert len(pipeline.build(99).stages_done) == len(normalize_decomposition(pipeline.ball_poset)) == 6
 
 
 def test_each_normalized_stage_meets_the_built_part_in_its_first_point_alone():
@@ -154,9 +156,8 @@ def test_each_normalized_stage_meets_the_built_part_in_its_first_point_alone():
     posets = ball_posets() + all_extended_posets(4) + [from_pairs(["e"], [])]
     assert len(posets) == 423
     for p in posets:
-        decomposition = normalize_decomposition(p)
-        built = {decomposition.base}
-        for x, y in decomposition.stages:
+        built = {p.elements[0]}
+        for x, y in normalize_decomposition(p):
             members = set(p.between_members(x, y))
             assert members & built == {x}, (p.elements, x, y)
             built |= members
@@ -173,21 +174,21 @@ def test_the_star_cover_reads_one_between_set_per_stage(monkeypatch):
     assert len(posets) == 422
     for p in posets:
         calls.clear()
-        decomposition = normalize_decomposition(p)
-        assert calls == [y for _x, y in decomposition.stages], p.elements
+        assert calls == [y for _x, y in normalize_decomposition(p)], p.elements
 
 
 def test_each_stage_and_each_verified_pair_reads_one_between_set(monkeypatch):
-    # a stage is laid from the members of the between set it glues, so its
-    # doubled labels read no second one; verification reads one per pair
-    pipe = ConePipeline.of(get_cone("free2-standard"), 3)
-    p, decomposition = pipe.ball_poset, pipe.decomposition
+    # the star cover reads one between set per stage, and a stage is laid
+    # from the members of the between set it glues, so its doubled labels
+    # read no second one; verification reads one per pair
+    p = ConePipeline.of(get_cone("free2-standard"), 3).ball_poset
+    stages = normalize_decomposition(p)
     calls = []
     members = ExtendedPoset.between_members
     monkeypatch.setattr(ExtendedPoset, "between_members", lambda self, a, b: calls.append((a, b)) or members(self, a, b))
-    state = build_tree(p, decomposition)
-    assert len(decomposition.stages) == 6
-    assert calls == list(decomposition.stages)
+    state = build_tree(p)
+    assert len(stages) == 6
+    assert calls == [(p.elements[0], y) for _x, y in stages] + list(stages)
     calls.clear()
     assert verify_stage_properties(state)["ok"]
     assert calls == list(itertools.combinations(sorted(state.built, key=p.index), 2))
@@ -423,9 +424,29 @@ def test_a_pair_across_components_is_reported_not_raised():
     ]
 
 
+def laid_out(name, radius, edit):
+    """orient_segments of the full build of a builtin cone's ball order,
+    after ``edit`` of its label positions."""
+    state = copy.copy(ConePipeline.of(get_cone(name), radius).build(None))
+    state.nu = dict(state.nu)
+    edit(state.nu)
+    return orient_segments(state)
+
+
+@pytest.mark.parametrize("name, radius, edit, message", [
+    ("z2-lex", 2, swap(((0, -2), MINUS), ((0, -2), PLUS)), "direction of unit 0 in interval 1 disagrees at (0,-2)"),
+    # ((0, 1), PLAIN) is the one member of unit 1 of interval 1
+    ("dihedral-standard", 3, lambda nu: nu.pop(((0, 1), PLAIN)), "unit 1 of interval 1 has no interior label"),
+], ids=["direction-disagrees", "no-interior-label"])
+def test_each_refusal_of_the_layout_is_pinned(name, radius, edit, message):
+    assert laid_out(name, radius, lambda nu: None).tree.arcs
+    with pytest.raises(BuildError) as exc:
+        laid_out(name, radius, edit)
+    assert str(exc.value) == message
+
+
 def test_no_pairs_cover_a_one_element_poset_and_nothing_larger():
-    single = normalize_decomposition(from_pairs(["e"], []))
-    assert single.base == "e" and single.stages == ()
+    assert normalize_decomposition(from_pairs(["e"], [])) == ()
     # a larger poset's star cover pairs the base with every other element
     assert auto_pairs(from_pairs("ab", [("a", "lt", "b")])) == [("a", "b")]
 
@@ -435,6 +456,36 @@ def test_an_empty_poset_has_no_tree():
     for build in (lambda: build_tree(empty), lambda: normalize_decomposition(empty)):
         with pytest.raises(BuildError, match="^an empty poset has no tree$"):
             build()
+
+
+def test_the_base_is_laid_as_one_class_by_the_slot_rule():
+    # its tags at the ends of interval 0 and its plain label at the midpoint
+    for p in ball_posets() + [from_pairs(["e"], [])]:
+        base = p.elements[0]
+        state = build_tree(p, stages=0)
+        assert state.nu == {(base, MINUS): (0, 0), (base, PLAIN): (0, Fraction(1, 2)), (base, PLUS): (0, 1)}
+        assert (state.lows, state.built, state.stages_done) == ([0], {base}, [])
+
+
+def test_a_short_build_is_a_prefix_of_the_full_build():
+    # the first k stages lay each label where the full build does, for k up
+    # to one past the star cover; the pipeline builds each count apart
+    builds = [(lambda k, p=p: build_tree(p, stages=k)) for p in all_extended_posets(4)]
+    for name in sorted(BUILTIN_CONES):
+        for radius in range(4):
+            pipe = ConePipeline(get_cone(name), radius)
+            try:
+                pipe.ball_poset
+            except ConeError:
+                continue  # z-broken and z2-product have no ball order past radius 0
+            builds.append(pipe.build)
+    assert len(builds) == 422
+    for build in builds:
+        full = build(None)
+        for k in range(len(full.stages_done) + 2):
+            short = build(k)
+            assert short.stages_done == full.stages_done[:k], (full.poset.elements, k)
+            assert short.nu.items() <= full.nu.items(), (full.poset.elements, k)
 
 
 def ball_posets() -> list:
