@@ -120,8 +120,17 @@ MUTANTS = [
      ["tests/test_treebuild.py"]),
     # the slot rule: y's outer tag is its tag toward x, laid again
     ("y-outer-tag-inward", "treebuild.py",
-     "(y, -side_toward(p, y, x))]", "(y, side_toward(p, y, x))]",
+     "-side_toward(p, y, x)", "side_toward(p, y, x)",
      ["tests/test_treebuild.py"]),
+    # every member's tags are laid minus first, whichever way they face
+    ("member-tags-unfaced", "treebuild.py",
+     "out += ((m, -t), (m, PLAIN), (m, t))", "out += ((m, MINUS), (m, PLAIN), (m, PLUS))",
+     ["tests/test_treebuild.py"]),
+    # an extra tag on a path passes without touching a label of the between set
+    ("extra-tag-never-flagged", "treebuild.py",
+     "elif not any(r_equivalent(p, c, d) for d in expected):", "elif False:",
+     ["tests/test_treebuild.py::test_swapped_tags_put_path_labels_out_of_order",
+      "tests/test_treebuild.py::test_a_plain_label_on_a_tag_point_strands_the_tags_it_passes"]),
     # the base's plus tag is laid short of the end of interval 0
     ("base-at-four-slots", "treebuild.py",
      "_slot_coords(0, 3)", "_slot_coords(0, 4)",
@@ -168,6 +177,14 @@ MUTANTS = [
     ("roundtrip-coverage-seven-tenths", "orbitorder.py",
      "pair_coverage * 10 >= 9", "pair_coverage * 10 >= 7",
      ["tests/test_cli.py::test_a_round_trip_below_nine_tenths_pair_coverage_fails_everywhere"]),
+    # a coset pair witnessed by two relations is not a uniqueness violation
+    ("quotient-two-relations-unflagged", "quotient.py",
+     "if len(found) > 1:", "if len(found) > 2:",
+     ["tests/test_quotient_fuzz.py::test_random_sides_scan_like_the_pairwise_oracles"]),
+    # a non-representative that sees two relations passes if one is its representative's
+    ("quotient-representative-dependence-unchecked", "quotient.py",
+     "if rel[(rep, other)] not in found or len(found) > 1:", "if rel[(rep, other)] not in found:",
+     ["tests/test_quotient_fuzz.py::test_random_sides_scan_like_the_pairwise_oracles"]),
     # a spec document's unknown fields are read past
     ("spec-unknown-fields-accepted", "specio.py",
      "unknown = obj.keys() - required - optional", "unknown = ()",
@@ -180,6 +197,11 @@ EQUIVALENT = [
     ("split-reads-outs", "ordertree.py",
      "if len(ins) == 1 else (outs[0]", "if len(outs) != 1 else (outs[0]",
      "split always gets non-empty ins and outs, and at most one side has two or more rays"),
+    ("inner-faces-back-toward-x", "treebuild.py",
+     "t = side_toward(p, m, y) if m != y else",
+     "t = (side_toward(p, m, y) if m == x else -side_toward(p, m, x)) if m != y else",
+     "an inner member of B(x, y) lies between x and y, so its tags toward them are opposite: "
+     "each way it lies between puts exactly one of x, y above or upward-similar to it"),
 ]
 
 

@@ -527,6 +527,36 @@ def naive_touching(doubled, x, y) -> bool:
     return not any(doubled.is_between(x, z, y) for z in doubled.elements if z != x and z != y)
 
 
+def touching_extras(p) -> int:
+    """The tags that touch a doubled between set from outside, checked
+    against the doubled poset: for each pair a before b in ``p`` and each
+    tag c outside B(a, b) of ``blow_up_gplus(p)`` that touches a label of
+    it, assert that for each end e some label d of it touching c lies in
+    B(e, c).  Returns the number of such c, summed over the pairs."""
+    from treeorder.gplus import blow_up_gplus
+
+    doubled = blow_up_gplus(p)
+    tags = [x for x in doubled.elements if x[1] != 0]
+    touch: dict = {}  # tag -> the tags it touches, with nothing between
+
+    def touching(d) -> set:
+        if d not in touch:  # a row already read answers for its pair
+            touch[d] = {c for c in tags if c != d and (d in touch[c] if c in touch
+                                                        else len(doubled.between_members(c, d)) == 2)}
+        return touch[d]
+
+    count = 0
+    for a, b in itertools.combinations(p.elements, 2):
+        ends = ((a, 0), (b, 0))
+        inside = doubled.between_members(*ends)
+        for c in set().union(*(touching(d) for d in inside if d[1] != 0)).difference(inside):
+            count += 1
+            partners = [d for d in inside if d[1] != 0 and c in touching(d)]
+            for e in ends:
+                assert any(doubled.is_between(e, d, c) for d in partners), (a, b, c, e)
+    return count
+
+
 def naive_incidences(tree, nid) -> tuple:
     """Rays at a node as (ins, outs), one scan of every arc in the repr order
     of display ids and then of every adjacency: an arc arriving at the node

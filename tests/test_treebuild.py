@@ -34,11 +34,11 @@ from treeorder.treebuild import (
     build_from_cones,
     build_stage,
     build_tree,
-    doubled_between,
     doubled_members,
     normalize_decomposition,
     orient_segments,
     r_equivalent,
+    side_toward,
     stage_labels,
     verify_stage_properties,
 )
@@ -215,33 +215,30 @@ def test_verification_tests_each_pair_for_a_chain_at_most_once_per_row(cone, rad
     assert len(calls) == built  # verification reads members only
 
 
-@pytest.mark.parametrize("name, radii", [("z-standard", range(11)), ("dihedral-standard", range(9)),
-                                         ("z2-lex", range(4)), ("free2-standard", range(4))],
-                         ids=["z-r10", "dihedral-r8", "z2-lex-r3", "free2-r3"])
-def test_doubled_between_sets_read_off_the_base_order_match_the_doubled_poset(name, radii):
+def cone_balls(name, radii):
+    return lambda: [ConePipeline.of(get_cone(name), radius).ball_poset for radius in radii]
+
+
+@pytest.mark.parametrize("population", [
+    cone_balls("z-standard", range(11)),
+    cone_balls("dihedral-standard", range(9)),
+    cone_balls("z2-lex", range(4)),
+    cone_balls("free2-standard", range(4)),
+    # these between sets branch; the builtin balls are totals and lines
+    lambda: [p for n in range(2, 5) for p in all_extended_posets(n)],
+    lambda: tree_corpus(100),
+], ids=["z-r10", "dihedral-r8", "z2-lex-r3", "free2-r3", "posets-2-4", "trees-100"])
+def test_doubled_between_sets_read_off_the_base_order_match_the_doubled_poset(population):
     pairs = 0
-    for radius in radii:
-        state = ConePipeline.of(get_cone(name), radius).build(None)
-        p = state.poset
+    for p in population():
         doubled = blow_up_gplus(p)
-        for a in state.built:
-            for b in state.built:
+        for a in p.elements:
+            for b in p.elements:
                 if a != b:
                     got = doubled_members(p, p.between_members(a, b))
                     assert got == list(doubled.between_members((a, PLAIN), (b, PLAIN))), (a, b)
                     pairs += 1
     assert pairs > 100
-
-
-@pytest.mark.parametrize("name, radius", [("dihedral-standard", 2), ("z2-lex", 1), ("z-standard", 3)])
-def test_doubled_betweenness_read_off_the_base_order_matches_the_doubled_poset(name, radius):
-    p = induced_ball_poset(get_cone(name), radius)
-    doubled = blow_up_gplus(p)
-    labels = doubled.elements
-    for x in labels:
-        for z in labels:
-            if x != z:
-                assert [doubled_between(p, x, y, z) for y in labels] == [doubled.is_between(x, y, z) for y in labels]
 
 
 def test_a_non_total_between_set_raises_the_base_orders_error():
@@ -531,9 +528,21 @@ def test_each_stage_lays_three_labels_per_member_that_touch_exactly_across_membe
                     members = p.between_members(x, y)
                     seq = stage_labels(p, members)
                     assert [u for u, _tag in seq] == [m for m in members for _ in range(3)]
+                    # an inner member's tags face opposite ends
+                    assert all(side_toward(p, m, x) == -side_toward(p, m, y) for m in members[1:-1]), (x, y)
                     steps = list(zip(seq, seq[1:]))
                     assert [r_equivalent(p, u, v) for u, v in steps] == [u[0] != v[0] for u, v in steps], (x, y)
         assert verify_stage_properties(build_tree(p))["ok"], p.elements
+
+
+@pytest.mark.parametrize("population, extras", [
+    (lambda: [p for n in range(2, 5) for p in all_extended_posets(n)], 1176),
+    (lambda: tree_corpus(100), 1596),
+], ids=["posets-2-4", "trees-100"])
+def test_a_tag_touching_a_doubled_between_set_touches_it_from_both_ends(population, extras):
+    # so the path check accepts an extra tag on a path by touch alone; the
+    # builtin balls have no such tag, touching being a matching on a line
+    assert sum(oracles.touching_extras(p) for p in population()) == extras
 
 
 def table_group(elements, mult):
